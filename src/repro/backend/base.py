@@ -48,6 +48,12 @@ class ComputeBackend(abc.ABC):
     #: Registry name (``"python"`` / ``"numpy"``).
     name: str = "abstract"
 
+    @property
+    def oc_kernel_name(self) -> str:
+        """Which implementation runs the OC removal-count kernels (reported
+        on ``/healthz``)."""
+        return self.name
+
     # -- columns ---------------------------------------------------------------
 
     @abc.abstractmethod

@@ -13,7 +13,11 @@ array operations:
   with one ``lexsort`` and then run the (inherently sequential) patience
   step per class through the exact same :mod:`repro.validation.lnds`
   routines the reference backend uses, so the chosen subsequence — and
-  therefore the removal rows — are identical by construction.
+  therefore the removal rows — are identical by construction;
+* the count-only OC kernels hand each candidate's class-sorted ``B``
+  projection to the native screen+LNDS pass of :mod:`repro.backend.native`
+  when it loaded, and otherwise screen clean classes with array passes and
+  run a padded multi-lane patience DP over the dirty ones.
 
 Parity contract: every method returns the same values, in the same order,
 with the same early-exit points as :class:`PythonBackend`.  One documented
@@ -30,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend import native
 from repro.backend.base import ComputeBackend, EncodedColumn
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
@@ -53,6 +58,10 @@ class NumpyBackend(ComputeBackend):
     """Vectorised backend over ``int32`` rank arrays."""
 
     name = "numpy"
+
+    @property
+    def oc_kernel_name(self) -> str:
+        return "native" if native.oc_kernel() is not None else "numpy"
 
     # -- columns ---------------------------------------------------------------
 
@@ -466,17 +475,20 @@ class NumpyBackend(ComputeBackend):
     def oc_optimal_removal_count(
         self, classes, a_ranks, b_ranks, limit: Optional[int] = None
     ) -> Tuple[int, bool]:
-        """Count-only Algorithm 2 through the batched screening machinery.
+        """Count-only Algorithm 2: a batch of one on the native kernel.
 
-        One fused-key sort orders every class and a single vectorised pass
-        finds the *dirty* classes; the patience step then runs only on
-        those, in class order.  Clean classes contribute zero removals, so
-        the count observed at every early-exit check — and therefore the
-        exceeded partial — is identical to the reference kernel's
-        class-by-class accumulation.  (This is what makes the per-candidate
-        NumPy schedule competitive: the previous per-class ``np.diff``
-        screening loop drowned small classes in array overhead.)
+        Without it, one fused-key sort orders every class and a single
+        vectorised pass finds the *dirty* classes; the patience step then
+        runs only on those, in class order.  Clean classes contribute zero
+        removals, so the count observed at every early-exit check — and
+        therefore the exceeded partial — is identical to the reference
+        kernel's class-by-class accumulation.
         """
+        kernel = native.oc_kernel()
+        if kernel is not None:
+            return self._native_counts(
+                kernel, classes, [(a_ranks, b_ranks)], limit
+            )[0]
         from repro.validation.lnds import lnds_length
 
         if not len(classes):
@@ -537,7 +549,9 @@ class NumpyBackend(ComputeBackend):
     ) -> List[Tuple[int, bool]]:
         """Batched Algorithm 2 counts: one shared context, many rank pairs.
 
-        Per pair, one ``lexsort`` orders every class and a single vectorised
+        With the native kernel loaded, each pair is one fused-key sort plus
+        one native screen+LNDS pass (:meth:`_native_counts`).  Without it,
+        per pair, one sort orders every class and a single vectorised
         pass finds the *dirty* classes (those whose ``B`` projection is not
         already non-decreasing — during discovery the vast majority are
         clean and contribute nothing).  The dirty segments of **all** pairs
@@ -548,6 +562,9 @@ class NumpyBackend(ComputeBackend):
         num_pairs = len(rank_pairs)
         if num_pairs == 0:
             return []
+        kernel = native.oc_kernel()
+        if kernel is not None:
+            return self._native_counts(kernel, classes, rank_pairs, limit)
         if not len(classes):
             return [(0, False)] * num_pairs
         rows, class_ids, lengths = self._columnar_classes(classes)
@@ -587,6 +604,35 @@ class NumpyBackend(ComputeBackend):
                 limit,
             )
         return [(int(c), bool(e)) for c, e in zip(counts, exceeded)]
+
+    def _native_counts(
+        self, kernel, classes, rank_pairs, limit: Optional[int]
+    ) -> List[Tuple[int, bool]]:
+        """Per pair, one fused-key sort and one native screen+LNDS pass.
+
+        The kernel walks the classes in order and stops after the first one
+        that takes the count above ``limit``, so every entry — the partial
+        count of an exceeded pair included — equals the reference kernel's
+        class-by-class result.
+        """
+        if not len(classes):
+            return [(0, False)] * len(rank_pairs)
+        rows, class_ids, lengths = self._columnar_classes(classes)
+        if rows.size == 0:
+            return [(0, False)] * len(rank_pairs)
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        tails = np.empty(int(lengths.max()), dtype=np.int64)
+        results: List[Tuple[int, bool]] = []
+        for a_ranks, b_ranks in rank_pairs:
+            b_sorted = self._fused_b_sorted(
+                lengths.size, class_ids,
+                self.to_native(a_ranks)[rows].astype(np.int64),
+                self.to_native(b_ranks)[rows].astype(np.int64),
+            )
+            count = kernel(b_sorted, offsets, tails, limit)
+            results.append((count, limit is not None and count > limit))
+        return results
 
     def _segmented_lnds_counts(
         self,

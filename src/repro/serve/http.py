@@ -3,7 +3,8 @@
 Endpoints (JSON in, JSON out; no dependencies beyond the stdlib):
 
 ``GET /healthz``
-    ``{"status": "ok"|"draining", "datasets": <count>, "result_cache":
+    ``{"status": "ok"|"draining", "backend": <name>, "oc_kernel":
+    "native"|"numpy"|"python", "datasets": <count>, "result_cache":
     {...}, "admission": {...}, "lifecycle": {...}, "resilience": {...},
     "planner": {...}, "metrics": {...}}``.  The admission block reports
     queue depth/cap configuration, live in-flight counts, per-dataset
@@ -349,6 +350,7 @@ class _Handler(BaseHTTPRequestHandler):
                 draining = self.service.admission.draining
                 self._send_json(200, {
                     "status": "draining" if draining else "ok",
+                    **self.service.compute_info(),
                     "datasets": len(self.service.dataset_names),
                     "result_cache": self.service.result_cache_stats(),
                     "admission": self.service.admission.snapshot(),

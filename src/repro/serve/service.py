@@ -313,6 +313,14 @@ class ProfilerService:
         with self._registry_lock:
             return sorted(self._profilers)
 
+    def compute_info(self) -> Dict[str, str]:
+        """The compute backend new sessions get and its OC kernel
+        (``"native"``, ``"numpy"`` or ``"python"``), for ``/healthz``."""
+        from repro.backend import resolve_backend
+
+        backend = resolve_backend(self._backend)
+        return {"backend": backend.name, "oc_kernel": backend.oc_kernel_name}
+
     def describe(self) -> List[Dict[str, object]]:
         """Dataset summaries for ``GET /datasets``."""
         with self._registry_lock:
@@ -328,6 +336,7 @@ class ProfilerService:
                 "num_rows": profiler.relation.num_rows,
                 "attributes": profiler.relation.attribute_names,
                 "backend": profiler.backend.name,
+                "oc_kernel": profiler.backend.oc_kernel_name,
                 "pinned": pinned.get(name, True),
                 "idle_seconds": round(now - last_used.get(name, now), 3),
                 "cache": profiler.cache_info(),

@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from repro.backend import resolve_backend
 from repro.dataset.examples import employee_salary_table
 from repro.discovery.api import discover_aods
 from repro.discovery.config import DiscoveryRequest
@@ -51,6 +52,14 @@ class TestEndpoints:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["datasets"] == 1
+        backend = resolve_backend(None)
+        assert payload["backend"] == backend.name
+        assert payload["oc_kernel"] == backend.oc_kernel_name
+        if backend.name == "numpy":
+            from repro.backend import native
+
+            expected = "native" if native.oc_kernel() is not None else "numpy"
+            assert payload["oc_kernel"] == expected
         cache = payload["result_cache"]
         assert set(cache) == {"hits", "misses", "entries"}
         resilience = payload["resilience"]
