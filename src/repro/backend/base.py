@@ -50,8 +50,8 @@ class ComputeBackend(abc.ABC):
 
     @property
     def oc_kernel_name(self) -> str:
-        """Which implementation runs the OC removal-count kernels (reported
-        on ``/healthz``)."""
+        """Which implementation runs the count-only OC and OFD removal
+        kernels (reported as ``oc_kernel`` on ``/healthz``)."""
         return self.name
 
     # -- columns ---------------------------------------------------------------
@@ -201,16 +201,17 @@ class ComputeBackend(abc.ABC):
     # over the single-candidate kernels; backends override them with genuinely
     # batched implementations.
     #
-    # Parity contract for both batch kernels: entry ``i`` of the result aligns
-    # with input ``i``.  The ``exceeded`` flag must be *exact* (``True`` iff
-    # the candidate's full removal set is larger than ``limit``), and whenever
-    # ``exceeded`` is ``False`` the reported count/rows must be byte-identical
-    # to the corresponding single-candidate kernel.  When ``exceeded`` is
-    # ``True`` a batched implementation may abandon the candidate mid-kernel,
-    # so the partial count is only guaranteed to be *some* value above
-    # ``limit`` — the sequential kernels' class-by-class partial is not
-    # reproduced.  Discovery only consumes ``(valid, size-if-valid)``, which
-    # is identical either way.
+    # Parity contract for both batch kernels: each returns one ``(count,
+    # exceeded)`` per candidate, and entry ``i`` aligns with input ``i``.
+    # The ``exceeded`` flag must be *exact* (``True`` iff the candidate's
+    # full removal set is larger than ``limit``), and whenever ``exceeded``
+    # is ``False`` the count must equal the single-candidate kernel's.
+    # ``ofd_removal_batch`` goes further: an exceeded entry carries the
+    # class-by-class partial, ``len`` of the rows ``ofd_removal_rows``
+    # returns under the same ``limit``.  The OC batch may abandon an
+    # exceeded candidate mid-kernel, so its partial is only guaranteed to be
+    # *some* value above ``limit``.  Discovery only consumes ``(valid,
+    # size-if-valid)``, which is identical either way.
 
     def oc_optimal_removal_count_batch(
         self,
@@ -230,10 +231,15 @@ class ComputeBackend(abc.ABC):
         classes: Sequence[Sequence[int]],
         rhs_ranks: Sequence[object],
         limit: Optional[int] = None,
-    ) -> List[Tuple[List[int], bool]]:
-        """Minimal AOFD removal rows for many RHS rank columns sharing one
+    ) -> List[Tuple[int, bool]]:
+        """Minimal AOFD removal counts for many RHS rank columns sharing one
         context (the TANE ``g3`` kernel, batched across candidates)."""
-        return [self.ofd_removal_rows(classes, ranks, limit) for ranks in rhs_ranks]
+        return [
+            (len(rows), exceeded)
+            for rows, exceeded in (
+                self.ofd_removal_rows(classes, ranks, limit) for ranks in rhs_ranks
+            )
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"

@@ -1,12 +1,18 @@
-"""The native OC removal-count kernel, built on first use and loaded via ctypes.
+"""The native removal-count kernels, built on first use and loaded via ctypes.
 
-``_oc_kernel.c`` fuses the two steps of Algorithm 2's count-only kernel
-that the NumPy backend otherwise runs as array passes plus a Python-level
-patience loop: the clean-class screen and the LNDS of every dirty class.
-The backend hands it one candidate's class-sorted ``B`` projection at a
-time (see ``NumpyBackend._native_counts``).
+``_kernels.c`` holds the two count-only kernels of the discovery loop, one
+per validator:
 
-The first :func:`oc_kernel` call in a process compiles the source with
+* ``oc_removal_count`` fuses the two steps of Algorithm 2's AOC count that
+  the NumPy backend otherwise runs as array passes plus a Python-level
+  patience loop: the clean-class screen and the LNDS of every dirty class.
+  The backend hands it one candidate's class-sorted ``B`` projection at a
+  time (see ``NumpyBackend._native_counts``).
+* ``ofd_removal_count`` is TANE's ``g3`` AOFD count: one frequency pass per
+  class over one RHS rank column, through a reusable scratch of counters
+  (see ``NumpyBackend.ofd_removal_batch``).
+
+The first :func:`kernels` call in a process compiles the source with
 ``gcc -O2 -shared -fPIC`` into ``~/.cache/repro/`` and loads it with
 :mod:`ctypes`.  The library's file name carries a hash of the source, the
 build command and the machine type, so an edited source never loads a
@@ -20,7 +26,7 @@ group or others, is refused: loading from it would run code someone else
 could have written.
 
 Without a compiler, after a failed build or with a refused cache, one INFO
-line goes to the ``repro`` logger and :func:`oc_kernel` returns ``None``;
+line goes to the ``repro`` logger and :func:`kernels` returns ``None``;
 the NumPy backend then keeps its pure-NumPy kernels.  Results are identical
 either way.
 """
@@ -36,7 +42,7 @@ import platform
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,17 +50,22 @@ from repro.obs import get_logger
 
 log = get_logger("backend")
 
-SOURCE = Path(__file__).with_name("_oc_kernel.c")
+SOURCE = Path(__file__).with_name("_kernels.c")
 BUILD_COMMAND = ("gcc", "-O2", "-shared", "-fPIC")
 #: Marks the SHA-256 trailer :func:`_build` appends to the library.
-_TRAILER_MAGIC = b"repro-oc"
+_TRAILER_MAGIC = b"repro-kernels"
 _TRAILER_SIZE = len(_TRAILER_MAGIC) + hashlib.sha256().digest_size
 #: The C ``limit`` that stands for "no removal budget".
 _NO_LIMIT = int(np.iinfo(np.int64).max)
 
-#: ``removal_count(values, offsets, tails, limit) -> count``; see
-#: :func:`_bind`.
-OcKernel = Callable[[np.ndarray, np.ndarray, np.ndarray, Optional[int]], int]
+
+class Kernels(NamedTuple):
+    """The typed entry points of one loaded library; see :func:`_bind`."""
+
+    #: ``(values, offsets, tails, limit) -> count``
+    oc_removal_count: Callable[..., int]
+    #: ``(ranks, rows, offsets, freq, limit) -> count``
+    ofd_removal_count: Callable[..., int]
 
 
 def default_cache_dir() -> Path:
@@ -66,7 +77,7 @@ def library_path(cache_dir: Path) -> Path:
     """Where the library built from the current source lives in ``cache_dir``."""
     key = hashlib.sha256(SOURCE.read_bytes())
     key.update(" ".join((*BUILD_COMMAND, platform.machine())).encode())
-    return Path(cache_dir) / f"oc_kernel-{key.hexdigest()[:16]}.so"
+    return Path(cache_dir) / f"kernels-{key.hexdigest()[:16]}.so"
 
 
 def _refusal(cache_dir: Path) -> Optional[str]:
@@ -114,38 +125,55 @@ def _build(path: Path) -> None:
             os.unlink(temporary)
 
 
-def _bind(path: Path) -> OcKernel:
-    """Load the library and wrap its typed entry point."""
-    function = ctypes.CDLL(str(path)).oc_removal_count
-    array = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+def _bind(path: Path) -> Kernels:
+    """Load the library and wrap its typed entry points."""
+    library = ctypes.CDLL(str(path))
+    int64s = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    int32s = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
     scratch = np.ctypeslib.ndpointer(
         np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"
     )
     size = ctypes.c_int64
-    function.argtypes = [array, size, array, size, scratch, size, size]
-    function.restype = ctypes.c_int64
+    oc = library.oc_removal_count
+    oc.argtypes = [int64s, size, int64s, size, scratch, size, size]
+    ofd = library.ofd_removal_count
+    ofd.argtypes = [int32s, size, int64s, size, int64s, size, scratch, size, size]
+    oc.restype = ofd.restype = ctypes.c_int64
 
-    def removal_count(values, offsets, tails, limit):
+    def checked(count):
+        if count < 0:
+            raise ValueError("kernel inputs do not fit their arrays")
+        return count
+
+    def budget(limit):
+        return _NO_LIMIT if limit is None else int(limit)
+
+    def oc_removal_count(values, offsets, tails, limit):
         """Algorithm 2's removal count over the classes ``offsets`` cuts
         ``values`` into (each ``[A ASC, B ASC]``-ordered), stopping after
         the first class that takes it above ``limit``.  ``tails`` is
         scratch at least as long as the longest class."""
-        count = function(
+        return checked(oc(
             values, values.size, offsets, offsets.size - 1, tails, tails.size,
-            _NO_LIMIT if limit is None else int(limit),
-        )
-        if count < 0:
-            raise ValueError(
-                "class offsets do not fit the value or scratch arrays"
-            )
-        return count
+            budget(limit),
+        ))
 
-    return removal_count
+    def ofd_removal_count(ranks, rows, offsets, freq, limit):
+        """The ``g3`` removal count of the ``int32`` column ``ranks`` over
+        the classes ``offsets`` cuts ``rows`` into, stopping after the
+        first class that takes it above ``limit``.  ``freq`` is zeroed
+        scratch with one counter per rank; it is zeroed again on return."""
+        return checked(ofd(
+            ranks, ranks.size, rows, rows.size, offsets, offsets.size - 1,
+            freq, freq.size, budget(limit),
+        ))
+
+    return Kernels(oc_removal_count, ofd_removal_count)
 
 
-def load_oc_kernel(cache_dir: Optional[Path] = None) -> Optional[OcKernel]:
-    """Load the kernel from ``cache_dir`` (default: :func:`default_cache_dir`),
-    building it first when it is missing or damaged.
+def load_kernels(cache_dir: Optional[Path] = None) -> Optional[Kernels]:
+    """Load the kernels from ``cache_dir`` (default: :func:`default_cache_dir`),
+    building the library first when it is missing or damaged.
 
     Returns ``None``, after one INFO log line saying why, when there is no
     compiler, the build fails or the cache directory is refused.
@@ -163,12 +191,12 @@ def load_oc_kernel(cache_dir: Optional[Path] = None) -> Optional[OcKernel]:
         reason = f"gcc failed: {error.stderr.decode(errors='replace').strip()}"
     except (OSError, RuntimeError, subprocess.SubprocessError) as error:
         reason = str(error)
-    log.info("native OC kernel unavailable (%s); using the numpy kernels", reason)
+    log.info("native kernels unavailable (%s); using the numpy kernels", reason)
     return None
 
 
 @functools.lru_cache(maxsize=None)
-def oc_kernel() -> Optional[OcKernel]:
-    """This process's kernel, loaded (and built if needed) on the first
-    call; ``None`` when it is unavailable."""
-    return load_oc_kernel()
+def kernels() -> Optional[Kernels]:
+    """This process's kernels, loaded (and built if needed) on the first
+    call; ``None`` when they are unavailable."""
+    return load_kernels()

@@ -17,7 +17,9 @@ array operations:
 * the count-only OC kernels hand each candidate's class-sorted ``B``
   projection to the native screen+LNDS pass of :mod:`repro.backend.native`
   when it loaded, and otherwise screen clean classes with array passes and
-  run a padded multi-lane patience DP over the dirty ones.
+  run a padded multi-lane patience DP over the dirty ones;
+* the count-only ``g3`` kernel hands each RHS column to the native
+  frequency pass, and otherwise counts runs of one sort over every RHS.
 
 Parity contract: every method returns the same values, in the same order,
 with the same early-exit points as :class:`PythonBackend`.  One documented
@@ -61,7 +63,7 @@ class NumpyBackend(ComputeBackend):
 
     @property
     def oc_kernel_name(self) -> str:
-        return "native" if native.oc_kernel() is not None else "numpy"
+        return "native" if native.kernels() is not None else "numpy"
 
     # -- columns ---------------------------------------------------------------
 
@@ -484,10 +486,10 @@ class NumpyBackend(ComputeBackend):
         therefore the exceeded partial — is identical to the reference
         kernel's class-by-class accumulation.
         """
-        kernel = native.oc_kernel()
-        if kernel is not None:
+        library = native.kernels()
+        if library is not None:
             return self._native_counts(
-                kernel, classes, [(a_ranks, b_ranks)], limit
+                library.oc_removal_count, classes, [(a_ranks, b_ranks)], limit
             )[0]
         from repro.validation.lnds import lnds_length
 
@@ -562,9 +564,11 @@ class NumpyBackend(ComputeBackend):
         num_pairs = len(rank_pairs)
         if num_pairs == 0:
             return []
-        kernel = native.oc_kernel()
-        if kernel is not None:
-            return self._native_counts(kernel, classes, rank_pairs, limit)
+        library = native.kernels()
+        if library is not None:
+            return self._native_counts(
+                library.oc_removal_count, classes, rank_pairs, limit
+            )
         if not len(classes):
             return [(0, False)] * num_pairs
         rows, class_ids, lengths = self._columnar_classes(classes)
@@ -620,8 +624,7 @@ class NumpyBackend(ComputeBackend):
         rows, class_ids, lengths = self._columnar_classes(classes)
         if rows.size == 0:
             return [(0, False)] * len(rank_pairs)
-        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
         tails = np.empty(int(lengths.max()), dtype=np.int64)
         results: List[Tuple[int, bool]] = []
         for a_ranks, b_ranks in rank_pairs:
@@ -762,66 +765,61 @@ class NumpyBackend(ComputeBackend):
 
     def ofd_removal_batch(
         self, classes, rhs_ranks, limit: Optional[int] = None
-    ) -> List[Tuple[List[int], bool]]:
-        """Batched ``g3`` kernel: one shared context, many RHS columns.
+    ) -> List[Tuple[int, bool]]:
+        """Batched count-only ``g3`` kernel: one shared context, many RHS
+        columns.
 
-        All RHS columns are stacked into one ``(num_rhs, total)`` value
-        matrix and the per-class most-frequent-value selection (with the
-        reference first-occurrence tie-break) runs over every column at
-        once; only the final per-column row extraction loops in Python.
+        With the native kernels loaded, each column is one native frequency
+        pass over the context's classes, all sharing one zeroed scratch.
+        Without them, one sort over every column's ``(rhs, class, value)``
+        keys gives each value's frequency as a run length and each class's
+        keep count as its longest run.  Either way every entry, the partial
+        count of an exceeded column included, equals the reference kernel's
+        class-by-class result.
         """
         num_rhs = len(rhs_ranks)
         if num_rhs == 0:
             return []
         if not len(classes):
-            return [([], False)] * num_rhs
+            return [(0, False)] * num_rhs
         rows, class_ids, lengths = self._columnar_classes(classes)
         if rows.size == 0:
-            return [([], False)] * num_rhs
-        total = rows.size
-        num_classes = lengths.size
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        stacked = np.stack([self.to_native(ranks) for ranks in rhs_ranks])
-        values = stacked[:, rows].astype(np.int64)
-        base = int(values.max()) + 1 if values.size else 1
-        # Distinct (rhs, class, value) triples get distinct keys, so one
-        # np.unique counts the frequencies of every column's class/value
-        # combinations in a single sort.
-        keys = (
-            class_ids + np.arange(num_rhs, dtype=np.int64)[:, None] * num_classes
-        ) * base + values
-        _, inverse, key_counts = np.unique(
-            keys.ravel(), return_inverse=True, return_counts=True
-        )
-        flat_counts = key_counts[inverse.reshape(-1)]
-        flat_starts = (
-            np.arange(num_rhs, dtype=np.int64)[:, None] * total + starts[None, :]
-        ).ravel()
-        lengths_tiled = np.tile(lengths, num_rhs)
-        class_max = np.maximum.reduceat(flat_counts, flat_starts)
-        positions = np.tile(np.arange(total, dtype=np.int64), num_rhs)
-        candidates = np.where(
-            flat_counts == np.repeat(class_max, lengths_tiled), positions, total
-        )
-        first_best = np.minimum.reduceat(candidates, flat_starts)
-        keep_values = values[
-            np.repeat(np.arange(num_rhs, dtype=np.int64), num_classes), first_best
-        ]
-        removal_mask = (
-            values.ravel() != np.repeat(keep_values, lengths_tiled)
-        ).reshape(num_rhs, total)
-        results: List[Tuple[List[int], bool]] = []
-        for r in range(num_rhs):
-            mask = removal_mask[r]
-            removed_per_class = np.add.reduceat(mask.astype(np.int64), starts)
-            cumulative = np.cumsum(removed_per_class)
-            if limit is not None and cumulative[-1] > int(limit):
-                crossing = int(np.argmax(cumulative > int(limit)))
-                cut = int(starts[crossing] + lengths[crossing])
-                results.append((rows[:cut][mask[:cut]].tolist(), True))
-            else:
-                results.append((rows[mask].tolist(), False))
-        return results
+            return [(0, False)] * num_rhs
+        columns = [self.to_native(ranks) for ranks in rhs_ranks]
+        library = native.kernels()
+        if library is not None:
+            rows = np.ascontiguousarray(rows)
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            columns = [np.ascontiguousarray(c, dtype=np.int32) for c in columns]
+            # One counter per rank; the kernel leaves them zeroed for reuse.
+            freq = np.zeros(
+                max(int(c.max(initial=0)) for c in columns) + 1, dtype=np.int64
+            )
+            counts = [
+                library.ofd_removal_count(column, rows, offsets, freq, limit)
+                for column in columns
+            ]
+        else:
+            # Distinct (rhs, class, value) triples get distinct keys, ordered
+            # rhs-major: after one sort each value's frequency is a run
+            # length, and each class keeps its longest run.
+            num_classes = lengths.size
+            values = np.stack(columns)[:, rows].astype(np.int64)
+            base = int(values.max()) + 1
+            groups = class_ids + np.arange(num_rhs)[:, None] * num_classes
+            keys = np.sort((groups * base + values).ravel())
+            run_starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            keep = np.zeros(num_rhs * num_classes, dtype=np.int64)
+            np.maximum.at(keep, keys[run_starts] // base,
+                          np.diff(run_starts, append=keys.size))
+            cumulative = np.cumsum(
+                lengths - keep.reshape(num_rhs, num_classes), axis=1
+            )
+            # An exceeded column stops after the class that crosses the limit.
+            over = cumulative > (np.inf if limit is None else limit)
+            ends = np.where(over.any(axis=1), over.argmax(axis=1), num_classes - 1)
+            counts = cumulative[np.arange(num_rhs), ends]
+        return [(int(c), limit is not None and c > limit) for c in counts]
 
     def ofd_removal_rows(
         self, classes, value_ranks, limit: Optional[int] = None

@@ -116,9 +116,3 @@ class PythonBackend(ComputeBackend):
             for a_ranks, b_ranks in rank_pairs
         ]
 
-    def ofd_removal_batch(
-        self, classes, rhs_ranks, limit: Optional[int] = None
-    ) -> List[Tuple[List[int], bool]]:
-        from repro.validation.approx_ofd import aofd_removal_rows
-
-        return [aofd_removal_rows(classes, ranks, limit) for ranks in rhs_ranks]

@@ -590,10 +590,9 @@ class DiscoveryEngine:
                         outcome = (0, holds)
                         self._memo_store(key, 0, not holds, None)
                     else:
-                        removal, exceeded = self.backend.ofd_removal_rows(
-                            classes, value_ranks, self._kernel_limit
-                        )
-                        size = len(removal)
+                        size, exceeded = self.backend.ofd_removal_batch(
+                            classes, [value_ranks], self._kernel_limit
+                        )[0]
                         outcome = (
                             size, not exceeded and size <= self._removal_limit
                         )
@@ -812,8 +811,7 @@ class DiscoveryEngine:
                         batch = self.backend.ofd_removal_batch(
                             classes, rhs, self._kernel_limit
                         )
-                        for (i, key), (removal, exceeded) in zip(todo, batch):
-                            size = len(removal)
+                        for (i, key), (size, exceeded) in zip(todo, batch):
                             outcomes[i] = (
                                 size, not exceeded and size <= self._removal_limit
                             )

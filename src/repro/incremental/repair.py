@@ -128,12 +128,12 @@ def _adjust_counts_batched(memo, keys, patch, encoded) -> None:
     if ofd_approx:
         columns = [encoded.native_ranks(key[3]) for key in ofd_approx]
         removed_counts = (
-            [len(rows) for rows, _ in backend.ofd_removal_batch(
+            [count for count, _ in backend.ofd_removal_batch(
                 removed, columns, None)]
             if removed else [0] * len(columns)
         )
         added_counts = (
-            [len(rows) for rows, _ in backend.ofd_removal_batch(
+            [count for count, _ in backend.ofd_removal_batch(
                 added, columns, None)]
             if added else [0] * len(columns)
         )
@@ -203,7 +203,7 @@ def _count(kind, key, classes, encoded) -> int:
             classes, encoded.ranks(key[3]), encoded.ranks(key[4]), None
         )
         return len(removal)
-    removal, _ = backend.ofd_removal_rows(
-        classes, encoded.native_ranks(key[3]), None
-    )
-    return len(removal)
+    count, _ = backend.ofd_removal_batch(
+        classes, [encoded.native_ranks(key[3])], None
+    )[0]
+    return count

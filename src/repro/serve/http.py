@@ -625,6 +625,13 @@ class ResilientHTTPServer(ThreadingHTTPServer):
 
     service: ProfilerService = None  # type: ignore[assignment]
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        """Accept until :meth:`shutdown`.  ``shutdown`` waits for the accept
+        loop to notice it, up to ``poll_interval`` later, so a short poll
+        keeps :meth:`shutdown_gracefully`'s grace period from starting late
+        (the stdlib default of 0.5s outlasts short runs and short graces)."""
+        super().serve_forever(poll_interval)
+
     def shutdown_gracefully(
         self, grace_seconds: float = DEFAULT_SHUTDOWN_GRACE_SECONDS
     ) -> bool:

@@ -58,7 +58,7 @@ class TestEndpoints:
         if backend.name == "numpy":
             from repro.backend import native
 
-            expected = "native" if native.oc_kernel() is not None else "numpy"
+            expected = "native" if native.kernels() is not None else "numpy"
             assert payload["oc_kernel"] == expected
         cache = payload["result_cache"]
         assert set(cache) == {"hits", "misses", "entries"}
