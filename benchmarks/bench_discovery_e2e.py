@@ -1,9 +1,9 @@
-"""End-to-end discovery benchmark: batched scheduler and worker sharding.
+"""End-to-end discovery benchmark: backends and worker sharding.
 
 Unlike ``bench_validators_micro`` (single-candidate kernels), this suite
 times *whole* discovery runs on a generated flight-like workload and records
-the perf trajectory the ROADMAP asks for: per-candidate vs level-synchronous
-batched scheduling, python vs numpy backend, 1 vs 4 worker processes, and a
+the perf trajectory the ROADMAP asks for: python vs numpy backend, 1, 2 and
+4 worker processes, and a
 threshold sweep through a cold (one-shot per ε) vs warm
 (:meth:`repro.discovery.session.Profiler.sweep`) session.
 
@@ -43,24 +43,21 @@ THRESHOLD = 0.1
 SWEEP_THRESHOLDS = [0.06, 0.09, 0.12, 0.15]
 SWEEP_BACKEND = "numpy" if "numpy" in available_backends() else "python"
 
-#: (backend, batched, workers) — per-candidate vs batched on both backends,
-#: plus the worker-scaling curve (w1/w2/w4) of the pipelined sharded path
-#: on the fastest backend: rank columns stay resident in the worker
-#: processes (shipped once per dataset version) and OC context groups are
-#: dispatched asynchronously while the coordinator validates OFDs.
-CASES = [("python", False, 1), ("python", True, 1)]
+#: (backend, workers) — in-process on both backends, plus the
+#: worker-scaling curve (w1/w2/w4) of the sharded path on the fastest
+#: backend: rank columns stay resident in the worker processes (shipped once
+#: per dataset version) and OC context groups are dispatched asynchronously
+#: while the coordinator validates OFDs.
+CASES = [("python", 1)]
 if "numpy" in available_backends():
-    CASES += [
-        ("numpy", False, 1), ("numpy", True, 1),
-        ("numpy", True, 2), ("numpy", True, 4),
-    ]
+    CASES += [("numpy", 1), ("numpy", 2), ("numpy", 4)]
 
 RESULTS = {}
 
 
 def _case_id(case):
-    backend, batched, workers = case
-    return f"{backend}-{'batched' if batched else 'percand'}-w{workers}"
+    backend, workers = case
+    return f"{backend}-w{workers}"
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +70,13 @@ def relation():
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_discovery_e2e(relation, case):
-    backend, batched, workers = case
+    backend, workers = case
     relation.encoded(backend)  # encoding is shared; time the discovery itself
     measurement = measure_discovery(
         relation,
         "aod-optimal",
         threshold=THRESHOLD,
         backend=backend,
-        batch_validation=batched,
         num_workers=workers,
         label=_case_id(case),
     )
@@ -118,7 +114,6 @@ def test_discovery_planner(relation):
         "aod-optimal",
         threshold=THRESHOLD,
         backend=SWEEP_BACKEND,
-        batch_validation=True,
         num_workers=PLANNER_MAX_WORKERS,
         plan="auto",
         label=f"{SWEEP_BACKEND}-planner-auto-w{PLANNER_MAX_WORKERS}",
@@ -229,8 +224,7 @@ def test_observability_overhead(relation):
 
     relation.encoded(SWEEP_BACKEND)
     kwargs = dict(
-        threshold=THRESHOLD, backend=SWEEP_BACKEND,
-        batch_validation=True, num_workers=1,
+        threshold=THRESHOLD, backend=SWEEP_BACKEND, num_workers=1,
     )
     off = min(
         (measure_discovery(relation, "aod-optimal", label="obs-off", **kwargs)
@@ -303,8 +297,8 @@ def _report(figure_report):
     yield
     if not RESULTS:
         return
-    # Hard acceptance bar: every scheduling mode, backend and worker count
-    # discovers the same dependencies.
+    # Hard acceptance bar: every backend and worker count discovers the
+    # same dependencies.
     reference = _signature(next(iter(RESULTS.values())))
     for case, measurement in RESULTS.items():
         assert _signature(measurement) == reference, (
@@ -320,13 +314,7 @@ def _report(figure_report):
             for measurement in RESULTS.values()]
     if planner is not None:
         rows.append(planner.as_row() | {"rows": NUM_ROWS})
-    speedups = {}
-    for backend in ("python", "numpy"):
-        per_candidate = RESULTS.get((backend, False, 1))
-        batched = RESULTS.get((backend, True, 1))
-        if per_candidate and batched and batched.seconds > 0:
-            speedups[backend] = round(per_candidate.seconds / batched.seconds, 2)
-    # The worker-scaling curve of the pipelined sharded path (ISSUE-5):
+    # The worker-scaling curve of the sharded path (ISSUE-5):
     # seconds per worker count, normalised against the in-process w1 run.
     # Whether w4 can actually *win* depends on the hardware: worker
     # processes overlap with the coordinator's partition building and OFD
@@ -335,14 +323,14 @@ def _report(figure_report):
     # (column-plane-reduced) dispatch overhead.  cpu_count is recorded so
     # readers can interpret the numbers.
     worker_scaling = {"cpu_count": os.cpu_count()}
-    baseline = RESULTS.get(("numpy", True, 1))
+    baseline = RESULTS.get(("numpy", 1))
     if baseline is not None:
-        for backend, batched, workers in RESULTS:
-            if backend == "numpy" and batched:
-                measurement = RESULTS[(backend, batched, workers)]
+        for backend, workers in RESULTS:
+            if backend == "numpy":
+                measurement = RESULTS[(backend, workers)]
                 worker_scaling[f"w{workers}"] = {
                     "seconds": round(measurement.seconds, 4),
-                    "pipelined": measurement.pipelined,
+                    "num_workers": measurement.num_workers,
                     "speedup_vs_w1": round(
                         baseline.seconds / measurement.seconds, 2
                     ) if measurement.seconds > 0 else None,
@@ -355,7 +343,6 @@ def _report(figure_report):
                     f"{NUM_ATTRIBUTES} attributes, threshold {THRESHOLD}",
         "quick_mode": QUICK,
         "runs": rows,
-        "batched_speedup": speedups,
         "worker_scaling": worker_scaling,
     }
     # The planner record (ISSUE-8 acceptance): planner wall-clock against
@@ -413,17 +400,17 @@ def _report(figure_report):
     write_bench_summary(report_path, results_dir / "summary.txt")
 
     # The ISSUE-5 acceptance bar, meaningful only with the cores to overlap
-    # on: sharded-and-pipelined must beat in-process.  Checked *after* the
+    # on: sharded must beat in-process.  Checked *after* the
     # JSON is written, so a failed bar never discards the measurements
     # needed to diagnose it.
-    w4 = RESULTS.get(("numpy", True, 4))
+    w4 = RESULTS.get(("numpy", 4))
     if (not QUICK and w4 is not None and baseline is not None
             and (os.cpu_count() or 1) >= 4):
         assert w4.seconds < baseline.seconds, worker_scaling
 
     cases = list(RESULTS)
     figure_report(
-        "End-to-end discovery: per-candidate vs batched vs sharded",
+        "End-to-end discovery: in-process vs sharded",
         "configuration",
         [_case_id(case) for case in cases],
         {
@@ -435,8 +422,7 @@ def _report(figure_report):
         notes=[
             f"workload: flight-like, {NUM_ROWS} rows, threshold {THRESHOLD}",
             "identical OC/OFD sets across all configurations (asserted)",
-            f"batched speedup vs per-candidate: {speedups}",
-            f"worker scaling (pipelined, column plane): {worker_scaling}",
+            f"worker scaling (column plane): {worker_scaling}",
         ]
         + (
             [

@@ -149,16 +149,6 @@ class ComputeBackend(abc.ABC):
         """Algorithm 2's minimal AOC removal rows over all context classes."""
 
     @abc.abstractmethod
-    def oc_optimal_removal_count(
-        self,
-        classes: Sequence[Sequence[int]],
-        a_ranks,
-        b_ranks,
-        limit: Optional[int] = None,
-    ) -> Tuple[int, bool]:
-        """Size of the minimal AOC removal set (count-only fast path)."""
-
-    @abc.abstractmethod
     def oc_greedy_removal_rows(
         self,
         classes: Sequence[Sequence[int]],
@@ -197,15 +187,16 @@ class ComputeBackend(abc.ABC):
     # The level-synchronous scheduler groups all surviving candidates of a
     # lattice level by context and dispatches each group through one call, so
     # the context's partition, columnar view and sort infrastructure are paid
-    # once per group instead of once per candidate.  The defaults below loop
-    # over the single-candidate kernels; backends override them with genuinely
-    # batched implementations.
+    # once per group instead of once per candidate.  A single candidate is a
+    # batch of one.  The OFD default loops over the rows kernel; backends
+    # override it with a genuinely batched implementation.
     #
     # Parity contract for both batch kernels: each returns one ``(count,
     # exceeded)`` per candidate, and entry ``i`` aligns with input ``i``.
     # The ``exceeded`` flag must be *exact* (``True`` iff the candidate's
     # full removal set is larger than ``limit``), and whenever ``exceeded``
-    # is ``False`` the count must equal the single-candidate kernel's.
+    # is ``False`` the count must equal ``len`` of the matching rows
+    # kernel's removal set.
     # ``ofd_removal_batch`` goes further: an exceeded entry carries the
     # class-by-class partial, ``len`` of the rows ``ofd_removal_rows``
     # returns under the same ``limit``.  The OC batch may abandon an
@@ -213,6 +204,7 @@ class ComputeBackend(abc.ABC):
     # *some* value above ``limit``.  Discovery only consumes ``(valid,
     # size-if-valid)``, which is identical either way.
 
+    @abc.abstractmethod
     def oc_optimal_removal_count_batch(
         self,
         classes: Sequence[Sequence[int]],
@@ -221,10 +213,6 @@ class ComputeBackend(abc.ABC):
     ) -> List[Tuple[int, bool]]:
         """Minimal AOC removal counts for many ``(A, B)`` rank-column pairs
         sharing one context (Algorithm 2, batched across candidates)."""
-        return [
-            self.oc_optimal_removal_count(classes, a_ranks, b_ranks, limit)
-            for a_ranks, b_ranks in rank_pairs
-        ]
 
     def ofd_removal_batch(
         self,

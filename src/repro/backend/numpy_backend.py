@@ -474,50 +474,6 @@ class NumpyBackend(ComputeBackend):
         return self._lnds_removal_rows(classes, a_ranks, b_ranks, limit,
                                        descending_b=False)
 
-    def oc_optimal_removal_count(
-        self, classes, a_ranks, b_ranks, limit: Optional[int] = None
-    ) -> Tuple[int, bool]:
-        """Count-only Algorithm 2: a batch of one on the native kernel.
-
-        Without it, one fused-key sort orders every class and a single
-        vectorised pass finds the *dirty* classes; the patience step then
-        runs only on those, in class order.  Clean classes contribute zero
-        removals, so the count observed at every early-exit check — and
-        therefore the exceeded partial — is identical to the reference
-        kernel's class-by-class accumulation.
-        """
-        library = native.kernels()
-        if library is not None:
-            return self._native_counts(
-                library.oc_removal_count, classes, [(a_ranks, b_ranks)], limit
-            )[0]
-        from repro.validation.lnds import lnds_length
-
-        if not len(classes):
-            return 0, False
-        rows, class_ids, lengths = self._columnar_classes(classes)
-        if rows.size == 0:
-            return 0, False
-        a_values = self.to_native(a_ranks)[rows].astype(np.int64)
-        b_values = self.to_native(b_ranks)[rows].astype(np.int64)
-        b_sorted = self._fused_b_sorted(
-            lengths.size, class_ids, a_values, b_values
-        )
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        viol = np.zeros(b_sorted.size, dtype=bool)
-        viol[:-1] = (np.diff(b_sorted) < 0) & self._interior_mask(lengths)
-        dirty = np.add.reduceat(viol, starts) > 0
-        if not dirty.any():
-            return 0, False
-        ends = starts + lengths
-        count = 0
-        for index in np.nonzero(dirty)[0]:
-            values = b_sorted[starts[index]:ends[index]].tolist()
-            count += len(values) - lnds_length(values)
-            if limit is not None and count > limit:
-                return count, True
-        return count, False
-
     def oc_greedy_removal_rows(
         self, classes, a_ranks, b_ranks, limit: Optional[int] = None
     ) -> Tuple[List[int], bool]:

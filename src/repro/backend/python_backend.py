@@ -74,13 +74,6 @@ class PythonBackend(ComputeBackend):
 
         return optimal_removal_rows(classes, a_ranks, b_ranks, limit)
 
-    def oc_optimal_removal_count(
-        self, classes, a_ranks, b_ranks, limit: Optional[int] = None
-    ) -> Tuple[int, bool]:
-        from repro.validation.approx_oc_optimal import optimal_removal_count
-
-        return optimal_removal_count(classes, a_ranks, b_ranks, limit)
-
     def oc_greedy_removal_rows(
         self, classes, a_ranks, b_ranks, limit: Optional[int] = None
     ) -> Tuple[List[int], bool]:

@@ -53,12 +53,8 @@ class DiscoveryMeasurement:
     result: DiscoveryResult
     #: Which compute backend produced this measurement (resolved name).
     backend: str = "python"
-    #: Whether the level-synchronous batched scheduler was active.
-    batched: bool = True
-    #: Worker processes sharding batched OC validation (1 = in-process).
+    #: Worker processes sharding OC validation (1 = in-process).
     num_workers: int = 1
-    #: Whether level validation overlapped workers with coordinator work.
-    pipelined: bool = False
     #: Execution-planning mode ("fixed" or "auto", see :mod:`repro.planner`).
     plan: str = "fixed"
 
@@ -67,9 +63,7 @@ class DiscoveryMeasurement:
         return {
             "label": self.label,
             "backend": self.backend,
-            "batched": self.batched,
             "workers": self.num_workers,
-            "pipelined": self.pipelined,
             "plan": self.plan,
             "seconds": round(self.seconds, 4),
             "ocs": self.num_ocs,
@@ -88,16 +82,14 @@ def measure_discovery(
     time_limit_seconds: Optional[float] = None,
     label: Optional[str] = None,
     backend: Optional[str] = None,
-    batch_validation: bool = True,
     num_workers: int = 1,
-    pipeline_validation: bool = True,
     plan: str = "fixed",
 ) -> DiscoveryMeasurement:
     """Run discovery in one of the paper's three modes and time it.
 
     ``mode`` is ``"od"`` (exact discovery, the "OD" series), ``"aod-optimal"``
     or ``"aod-iterative"``.  ``backend`` selects the compute backend,
-    ``batch_validation`` / ``num_workers`` the scheduling mode; all three are
+    ``num_workers`` and ``plan`` the execution strategy; all three are
     recorded on the measurement so reports can attribute every number to the
     configuration that produced it.
     """
@@ -106,9 +98,7 @@ def measure_discovery(
         max_level=max_level,
         time_limit_seconds=time_limit_seconds,
         backend=backend,
-        batch_validation=batch_validation,
         num_workers=num_workers,
-        pipeline_validation=pipeline_validation,
         plan=plan,
     )
     if mode == "od":
@@ -137,9 +127,7 @@ def measure_discovery(
         validation_share=result.stats.validation_share,
         result=result,
         backend=result.stats.backend,
-        batched=result.stats.batched,
         num_workers=result.stats.num_workers,
-        pipelined=result.stats.pipelined,
         plan=result.stats.plan_mode,
     )
 

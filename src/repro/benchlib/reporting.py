@@ -122,14 +122,11 @@ def render_bench_summary(payload: Mapping[str, object]) -> str:
     if isinstance(runs, list) and runs:
         notes = [f"workload: {payload.get('workload')}",
                  "identical OC/OFD sets across all configurations (asserted)"]
-        if payload.get("batched_speedup"):
-            notes.append("batched speedup vs per-candidate: "
-                         f"{payload['batched_speedup']}")
         if payload.get("worker_scaling"):
-            notes.append("worker scaling (pipelined, column plane): "
+            notes.append("worker scaling (column plane): "
                          f"{payload['worker_scaling']}")
         blocks.append("\n".join(
-            ["=== End-to-end discovery: per-candidate vs batched vs sharded ===",
+            ["=== End-to-end discovery: in-process vs sharded ===",
              format_table(
                  ["configuration", "seconds", "validation share"],
                  [[run.get("label"), f"{run.get('seconds', 0.0):.3f}",

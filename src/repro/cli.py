@@ -17,7 +17,7 @@ approximation thresholds (the paper's Exp-3 loop) and prints the series.
 CSV rows and revalidate incrementally (see :mod:`repro.incremental`),
 reporting revoked/added dependencies and, with ``--verify-cold``, checking
 the result against a cold re-discovery.  ``serve`` exposes the same
-sessions over stdlib HTTP (see :mod:`repro.service`).
+sessions over stdlib HTTP (see :mod:`repro.serve`).
 
 The historical single-command form ``repro-discover data.csv ...`` keeps
 working: an invocation whose first argument is not a subcommand is routed
@@ -79,7 +79,7 @@ def _engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="shard batched OC validation across N worker processes "
+        help="shard OC validation across N worker processes "
              "(default 1: in-process)",
     )
     parser.add_argument(
@@ -90,19 +90,9 @@ def _engine_options(parser: argparse.ArgumentParser) -> None:
              "--workers)",
     )
     parser.add_argument(
-        "--no-batch", action="store_true",
-        help="disable the level-synchronous batched validation scheduler "
-             "(per-candidate reference path; identical results)",
-    )
-    parser.add_argument(
-        "--no-pipeline", action="store_true",
-        help="disable pipelined level validation (synchronous worker "
-             "dispatch; identical results; only meaningful with --workers)",
-    )
-    parser.add_argument(
         "--plan", choices=PLAN_MODES, default="fixed",
         help="execution planning: 'auto' lets the adaptive planner pick "
-             "workers/pipelining/shard sizes per level from a calibrated "
+             "workers/shard sizes per level from a calibrated "
              "cost model (identical results); 'fixed' (default) runs "
              "exactly the configured knobs",
     )
@@ -369,9 +359,7 @@ def _request_from_args(args) -> DiscoveryRequest:
         attributes=args.attributes,
         max_level=args.max_level,
         time_limit_seconds=args.time_limit,
-        batch_validation=not args.no_batch,
         num_workers=DiscoveryRequest.pin_workers(args.workers),
-        pipeline_validation=not args.no_pipeline,
         worker_timeout=args.worker_timeout,
         plan=args.plan,
     )
@@ -420,9 +408,7 @@ def _cmd_sweep(args) -> int:
         attributes=args.attributes,
         max_level=args.max_level,
         time_limit_seconds=args.time_limit,
-        batch_validation=not args.no_batch,
         num_workers=DiscoveryRequest.pin_workers(args.workers),
-        pipeline_validation=not args.no_pipeline,
         worker_timeout=args.worker_timeout,
         plan=args.plan,
     )

@@ -27,7 +27,6 @@ def discover_ods(
     time_limit_seconds: Optional[float] = None,
     find_ofds: bool = True,
     backend: Optional[str] = None,
-    batch_validation: bool = True,
     num_workers: int = 1,
 ) -> DiscoveryResult:
     """Discover all minimal *exact* canonical ODs (OCs and OFDs).
@@ -48,7 +47,6 @@ def discover_ods(
         max_level=max_level,
         time_limit_seconds=time_limit_seconds,
         find_ofds=find_ofds,
-        batch_validation=batch_validation,
         num_workers=DiscoveryRequest.pin_workers(num_workers),
     )
     with Profiler(relation, backend=backend, num_workers=num_workers,
@@ -66,7 +64,6 @@ def discover_aods(
     time_limit_seconds: Optional[float] = None,
     find_ofds: bool = True,
     backend: Optional[str] = None,
-    batch_validation: bool = True,
     num_workers: int = 1,
 ) -> DiscoveryResult:
     """Discover all minimal *approximate* canonical ODs w.r.t. ``threshold``.
@@ -80,8 +77,7 @@ def discover_aods(
     validator:
         ``"optimal"`` for the paper's LNDS-based Algorithm 2 (default) or
         ``"iterative"`` for the greedy baseline it replaces.
-    attributes, max_level, time_limit_seconds, find_ofds, batch_validation, \
-num_workers:
+    attributes, max_level, time_limit_seconds, find_ofds, num_workers:
         See :class:`repro.discovery.DiscoveryConfig`.
 
     Examples
@@ -99,7 +95,6 @@ num_workers:
         max_level=max_level,
         time_limit_seconds=time_limit_seconds,
         find_ofds=find_ofds,
-        batch_validation=batch_validation,
         num_workers=DiscoveryRequest.pin_workers(num_workers),
     )
     with Profiler(relation, backend=backend, num_workers=num_workers,

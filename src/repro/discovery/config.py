@@ -27,8 +27,8 @@ VALIDATOR_KINDS = ("exact", "optimal", "iterative")
 
 #: Execution-planning modes accepted by :class:`DiscoveryConfig.plan`:
 #: ``"fixed"`` runs exactly the configured knobs, ``"auto"`` lets the
-#: adaptive planner (:mod:`repro.planner`) choose workers / pipelining /
-#: shard floors per level within the configured ceilings.
+#: adaptive planner (:mod:`repro.planner`) choose workers and shard floors
+#: per level within the configured ceilings.
 PLAN_MODES = ("fixed", "auto")
 
 
@@ -80,29 +80,16 @@ class DiscoveryConfig:
         name (``"python"`` / ``"numpy"`` / ``"auto"``), or ``None`` to defer
         to the ``REPRO_BACKEND`` environment variable / auto-detection.
         Every backend produces identical discovery results.
-    batch_validation:
-        Level-synchronous batched scheduling (the default): each level's
-        surviving candidates are grouped by context and validated through
-        the backend's batch kernels.  ``False`` restores the per-candidate
-        loop (the reference path, kept for A/B benchmarking).  Both
-        schedules produce identical discovery results.
     num_workers:
-        Shard batched OC validation across this many worker processes
-        (equivalence classes of a context are independent, so workers merge
-        by summing removal counts).  ``1`` (the default) validates
-        in-process; values above 1 require ``batch_validation`` and only
-        take effect for the LNDS-based ``optimal`` validator on approximate
-        runs — exact and iterative validation never consults the pool.
-        Every worker count produces identical discovery results.
-    pipeline_validation:
-        Pipelined level validation (the default): with worker processes
-        active, every OC context group of a level is submitted to the pool
-        asynchronously and the coordinator validates the level's OFD
-        candidates (and builds their partitions) while the workers drain,
-        joining at the level barrier.  ``False`` restores the synchronous
-        group-at-a-time dispatch (kept for A/B benchmarking).  Both
-        schedules produce identical discovery results; without workers the
-        flag has no effect.
+        Shard OC validation across this many worker processes (equivalence
+        classes of a context are independent, so workers merge by summing
+        removal counts).  ``1`` (the default) validates in-process; values
+        above 1 only take effect for the LNDS-based ``optimal`` validator
+        on approximate runs — exact and iterative validation never
+        consults the pool.  With workers, each level's OC groups are
+        submitted up front and the coordinator validates the level's OFD
+        candidates while the workers drain.  Every worker count produces
+        identical discovery results.
     worker_timeout:
         Optional per-job deadline in seconds for pool-dispatched validation
         shards.  A job past it is treated as a worker death: the worker is
@@ -114,10 +101,9 @@ class DiscoveryConfig:
         the configured knobs.  ``"auto"`` consults the adaptive planner
         (:mod:`repro.planner`) at every level boundary: it may degrade the
         level to in-process validation when parallelism cannot pay (e.g.
-        on a 1-core host), toggle pipelining, and tune the pool's shard
-        cost floors — within the configured ceilings (``num_workers`` is
-        the most workers the planner may use), and always with
-        byte-identical results.  Decisions are recorded on
+        on a 1-core host) and tune the pool's shard cost floors — within
+        the configured ceilings (``num_workers`` is the most workers the
+        planner may use), and always with byte-identical results.  Decisions are recorded on
         :class:`~repro.discovery.stats.DiscoveryStatistics`.
     """
 
@@ -131,9 +117,7 @@ class DiscoveryConfig:
     prune_exhausted_nodes: bool = True
     progress_callback: Optional[object] = None
     backend: Optional[object] = None
-    batch_validation: bool = True
     num_workers: int = 1
-    pipeline_validation: bool = True
     worker_timeout: Optional[float] = None
     plan: str = "fixed"
 
@@ -160,11 +144,6 @@ class DiscoveryConfig:
             raise ValueError("max_level must be at least 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if self.num_workers > 1 and not self.batch_validation:
-            raise ValueError(
-                "num_workers > 1 requires batch_validation: the worker shards "
-                "are dispatched by the level-synchronous scheduler"
-            )
         if self.worker_timeout is not None and self.worker_timeout <= 0:
             raise ValueError(
                 f"worker_timeout must be positive, got {self.worker_timeout}"
@@ -216,9 +195,7 @@ class DiscoveryRequest:
     find_ofds: bool = True
     aggressive_ofd_pruning: bool = True
     prune_exhausted_nodes: bool = True
-    batch_validation: bool = True
     num_workers: Optional[int] = None
-    pipeline_validation: bool = True
     worker_timeout: Optional[float] = None
     plan: str = "fixed"
 
@@ -275,8 +252,7 @@ class DiscoveryRequest:
                self.worker_timeout is None or is_number(self.worker_timeout),
                "a number or null")
         for name in ("find_ofds", "aggressive_ofd_pruning",
-                     "prune_exhausted_nodes", "batch_validation",
-                     "pipeline_validation"):
+                     "prune_exhausted_nodes"):
             expect(name, getattr(self, name),
                    isinstance(getattr(self, name), bool), "a boolean")
 
@@ -287,9 +263,7 @@ class DiscoveryRequest:
         """Request-level worker count for an explicit user choice.
 
         ``1`` (the default) maps to ``None`` — defer to the session —
-        while any other count is pinned on the request, so invalid
-        combinations (e.g. with ``batch_validation=False``) are rejected
-        rather than quietly resolved to a serial run.
+        while any other count is pinned on the request.
         """
         return num_workers if num_workers != 1 else None
 
@@ -317,17 +291,11 @@ class DiscoveryRequest:
 
         ``backend`` / ``num_workers`` / ``progress_callback`` are the
         session-owned parameters; a request-level ``num_workers`` overrides
-        the session default.  A session default above 1 quietly resolves to
-        1 for runs that cannot use the worker pool anyway
-        (``batch_validation=False``) — only an *explicitly pinned* invalid
-        combination is rejected.
+        the session default.
         """
-        if self.num_workers is not None:
-            effective_workers = self.num_workers
-        elif not self.batch_validation:
-            effective_workers = 1
-        else:
-            effective_workers = num_workers
+        effective_workers = (
+            self.num_workers if self.num_workers is not None else num_workers
+        )
         return DiscoveryConfig(
             threshold=self.threshold,
             validator=self.validator,
@@ -337,9 +305,7 @@ class DiscoveryRequest:
             find_ofds=self.find_ofds,
             aggressive_ofd_pruning=self.aggressive_ofd_pruning,
             prune_exhausted_nodes=self.prune_exhausted_nodes,
-            batch_validation=self.batch_validation,
             num_workers=effective_workers,
-            pipeline_validation=self.pipeline_validation,
             worker_timeout=self.worker_timeout,
             plan=self.plan,
             backend=backend,
@@ -359,9 +325,7 @@ class DiscoveryRequest:
             find_ofds=config.find_ofds,
             aggressive_ofd_pruning=config.aggressive_ofd_pruning,
             prune_exhausted_nodes=config.prune_exhausted_nodes,
-            batch_validation=config.batch_validation,
             num_workers=config.num_workers,
-            pipeline_validation=config.pipeline_validation,
             worker_timeout=config.worker_timeout,
             plan=config.plan,
         )

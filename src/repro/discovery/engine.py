@@ -13,35 +13,28 @@ The AOC validation step is pluggable (``exact`` / ``optimal`` /
 framework is identical across the three series of Figures 2-4; only the
 validator changes.
 
-Validation itself runs in one of two scheduling modes:
+Validation runs level-synchronously: all surviving candidates of a level
+are pruned first, then grouped by context and dispatched through the
+backend's batch kernels, so each context's partition, columnar view and
+sort infrastructure are paid once per level instead of once per candidate.
+Reordering is sound because within one level no discovery can influence
+another candidate's pruning decision: rule 1 consults strictly smaller
+contexts and rule 4 consults contexts two attributes smaller, both of which
+were settled at earlier levels.  Outcomes are recorded in candidate order,
+so results do not depend on the order groups were validated in.
 
-* **level-synchronous batched** (the default): all surviving candidates of a
-  level are pruned first, then grouped by context and dispatched through the
-  backend's batch kernels, so each context's partition, columnar view and
-  sort infrastructure are paid once per level instead of once per candidate.
-  Reordering is sound because within one level no discovery can influence
-  another candidate's pruning decision: rule 1 consults strictly smaller
-  contexts and rule 4 consults contexts two attributes smaller, both of
-  which were settled at earlier levels — so the batched schedule produces
-  byte-identical results to the sequential one (enforced by
-  ``tests/discovery/test_batched_scheduler.py``).
-* **per-candidate** (``batch_validation=False``): the original loop, kept as
-  the reference path and for A/B benchmarking.
-
-With ``num_workers > 1`` the batched OC groups are sharded across a
-process pool through a worker-resident *column plane* (see
+With ``num_workers > 1`` the OC groups are sharded across a process pool
+through a worker-resident *column plane* (see
 :mod:`repro.validation.distributed`): rank columns cross the process
 boundary at most once per worker per dataset version, and subsequent
-dispatches ship only column references plus class offsets.  On top of that
-transport the scheduler is **pipelined** by default
-(``pipeline_validation``): every OC context group of a level is submitted
-to the pool asynchronously up front, the coordinator validates the level's
-OFD candidates — building their partitions — while the workers drain, and
-the level joins at a barrier before outcomes are recorded in job order.
-Within one level no validation outcome can influence another candidate's
-pruning (see above), and outcome recording stays in collection order, so
-the pipelined schedule produces byte-identical results — including the
-statistics counters — to the synchronous one.
+dispatches ship only column references plus class offsets.  Every OC
+context group of a level is submitted to the pool asynchronously up front,
+the coordinator validates the level's OFD candidates — building their
+partitions — while the workers drain, and the level joins at a barrier
+before outcomes are recorded in job order.  Results, statistics counters
+included, are byte-identical to an in-process run (enforced by
+``tests/discovery/test_batched_scheduler.py`` and
+``tests/discovery/test_pipelined_scheduler.py``).
 
 Streaming
 ---------
@@ -187,13 +180,12 @@ def memo_outcome(entry, limit: Optional[int]) -> Optional[Outcome]:
 def config_uses_shard_pool(config: DiscoveryConfig) -> bool:
     """Whether a run with ``config`` dispatches to worker processes.
 
-    Only the LNDS-based optimal validator on approximate batched runs
-    consults the pool; exact and iterative runs stay serial regardless of
+    Only the LNDS-based optimal validator on approximate runs consults the
+    pool; exact and iterative runs stay serial regardless of
     ``num_workers``.
     """
     return (
         config.num_workers > 1
-        and config.batch_validation
         and config.validator == "optimal"
         and not config.is_exact
     )
@@ -240,21 +232,14 @@ class DiscoveryEngine:
         self._owns_partitions = partitions is None
         self.knowledge = KnowledgeBase()
         self._uses_shard_pool = config_uses_shard_pool(self.config)
-        self._pipelined = (
-            self._uses_shard_pool and self.config.pipeline_validation
-        )
         self.stats = DiscoveryStatistics(
             backend=self.backend.name,
-            batched=self.config.batch_validation,
             num_workers=self.config.num_workers if self._uses_shard_pool else 1,
-            pipelined=self._pipelined,
             plan_mode=self.config.plan,
         )
         # The adaptive planner (plan="auto"): session-injected when warm, or
-        # calibrated here for one-shot runs.  It only steers the batched
-        # scheduler — the per-candidate path has no strategy choices to make.
-        if self.config.plan == "auto" and planner is None \
-                and self.config.batch_validation:
+        # calibrated here for one-shot runs.
+        if self.config.plan == "auto" and planner is None:
             from repro.planner import build_planner
 
             planner = build_planner(
@@ -262,13 +247,11 @@ class DiscoveryEngine:
                 max_workers=(
                     self.config.num_workers if self._uses_shard_pool else 1
                 ),
-                pipeline=self.config.pipeline_validation,
             )
         self._planner = planner if self.config.plan == "auto" else None
         # Per-level execution knobs the planner may override (reset at every
-        # level boundary by _process_level_batched).
+        # level boundary by _plan_level).
         self._active_plane = None
-        self._level_pipeline = False
         self._level_shard_floor: Optional[float] = None
         self._level_inline_cost: Optional[float] = None
         self.result = DiscoveryResult(
@@ -316,9 +299,8 @@ class DiscoveryEngine:
 
         ``cancellation`` is any object exposing ``cancelled() -> bool``
         (e.g. :class:`repro.discovery.session.CancellationToken`); it is
-        polled alongside the time limit before every node (per-candidate
-        schedule) or context group (batched schedule), so both interrupts
-        take effect mid-level.  The final event is always
+        polled alongside the time limit before every context group, so
+        both interrupts take effect mid-level.  The final event is always
         :class:`~repro.discovery.events.RunCompleted`; an engine-owned
         worker pool is shut down even when the stream is abandoned early or
         the run raises.
@@ -460,13 +442,7 @@ class DiscoveryEngine:
                     current[key]
                     for key in sorted(current, key=lambda s: tuple(sorted(s)))
                 ]
-                if self.config.batch_validation:
-                    self._process_level_batched(ordered)
-                else:
-                    for node in ordered:
-                        self._check_interrupt()
-                        self._process_node(node)
-                        self.stats.nodes_processed += 1
+                self._process_level(ordered)
                 level_elapsed = time.perf_counter() - level_started
                 split = {
                     "oc": self.stats.oc_validation_seconds - oc_seconds_before,
@@ -537,12 +513,7 @@ class DiscoveryEngine:
             current = next_level
             level += 1
 
-    # -- node processing ---------------------------------------------------------
-
-    def _process_node(self, node: LatticeNode) -> None:
-        ofd_jobs, oc_jobs = self._collect_node_jobs(node)
-        self._process_ofd_jobs(ofd_jobs)
-        self._process_oc_jobs(oc_jobs)
+    # -- level validation ----------------------------------------------------------
 
     def _collect_node_jobs(
         self, node: LatticeNode
@@ -550,10 +521,9 @@ class DiscoveryEngine:
         """Apply the pruning rules and collect the node's surviving
         candidates, in the order validation must record them.
 
-        Shared by both schedules — pruning decisions cannot depend on
-        discoveries made later in the same level (see the module
-        docstring), so checking them all up front is equivalent to the
-        interleaved checks of the original per-candidate loop.
+        Pruning decisions cannot depend on discoveries made later in the
+        same level (see the module docstring), so checking them all up
+        front is equivalent to interleaving them with validation.
         """
         ofd_jobs: List[OFDJob] = []
         oc_jobs: List[OCJob] = []
@@ -576,52 +546,15 @@ class DiscoveryEngine:
                 oc_jobs.append((node, pair, a, b, context))
         return ofd_jobs, oc_jobs
 
-    def _process_ofd_jobs(self, ofd_jobs: Sequence[OFDJob]) -> None:
-        for node_, attribute, context in ofd_jobs:
-            self._check_interrupt()
-            key = ofd_memo_key(self.config, context, attribute)
-            outcome = self._memo_lookup(key)
-            if outcome is None:
-                classes = self._context_classes(context)
-                value_ranks = self.encoded.native_ranks(attribute)
-                with PhaseTimer(self.stats, "ofd_validation_seconds"):
-                    if self.config.is_exact:
-                        holds = self.backend.ofd_holds(classes, value_ranks)
-                        outcome = (0, holds)
-                        self._memo_store(key, 0, not holds, None)
-                    else:
-                        size, exceeded = self.backend.ofd_removal_batch(
-                            classes, [value_ranks], self._kernel_limit
-                        )[0]
-                        outcome = (
-                            size, not exceeded and size <= self._removal_limit
-                        )
-                        self._memo_store(key, size, exceeded, self._kernel_limit)
-            self._record_ofd_outcome(node_, attribute, context, outcome)
-
-    def _process_oc_jobs(self, oc_jobs: Sequence[OCJob]) -> None:
-        for node_, pair, a, b, context in oc_jobs:
-            self._check_interrupt()
-            key = oc_memo_key(self.config, context, a, b)
-            outcome = self._memo_lookup(key)
-            if outcome is None:
-                classes = self._context_classes(context)
-                with PhaseTimer(self.stats, "oc_validation_seconds"):
-                    outcome = self._validate_oc(classes, a, b, key)
-            self._record_oc_outcome(node_, pair, a, b, context, outcome)
-
-    # -- level-synchronous batched scheduling -------------------------------------
-
-    def _process_level_batched(self, nodes: List[LatticeNode]) -> None:
+    def _process_level(self, nodes: List[LatticeNode]) -> None:
         """Prune, then validate a whole level's candidates context by context.
 
         Phase 1 applies the pruning rules and collects every surviving
-        candidate in the sequential path's order.  Phase 2 groups the jobs
-        by context and dispatches each group through the backend's batch
-        kernels (building each context's partition and columnar view
-        exactly once).  Phase 3 records the outcomes in collection order,
-        so the result lists and knowledge base end up byte-identical to the
-        per-candidate schedule.
+        candidate in node order.  Phase 2 groups the jobs by context and
+        validates each group with one kernel dispatch (building each
+        context's partition and columnar view exactly once).  Phase 3
+        records the outcomes in collection order, so the result lists and
+        knowledge base do not depend on how the groups were scheduled.
         """
         ofd_jobs: List[OFDJob] = []
         oc_jobs: List[OCJob] = []
@@ -635,18 +568,11 @@ class DiscoveryEngine:
         plan = self._plan_level(nodes, oc_jobs)
         level_started = time.perf_counter()
         try:
-            if self._level_pipeline:
-                self._validate_level_pipelined(
-                    ofd_jobs, ofd_outcomes, oc_jobs, oc_outcomes
-                )
-            else:
-                self._validate_ofd_jobs(ofd_jobs, ofd_outcomes)
-                self._validate_oc_jobs(oc_jobs, oc_outcomes)
+            self._validate_level(ofd_jobs, ofd_outcomes, oc_jobs, oc_outcomes)
         finally:
             # On a mid-level interrupt (deadline or cancellation) the
-            # context groups validated so far are still recorded (matching
-            # the per-candidate schedule's incremental recording) before
-            # the exception unwinds.
+            # context groups validated so far are still recorded before the
+            # exception unwinds.
             for (node, attribute, context), outcome in zip(ofd_jobs, ofd_outcomes):
                 if outcome is not None:
                     self._record_ofd_outcome(node, attribute, context, outcome)
@@ -655,8 +581,7 @@ class DiscoveryEngine:
                     self._record_oc_outcome(*job, outcome)
         # Nodes count as processed once their level's validation completed
         # (a mid-level interrupt leaves them uncounted rather than
-        # overstating progress — the per-candidate schedule counts node by
-        # node).
+        # overstating progress).
         self.stats.nodes_processed += len(nodes)
         if plan is not None:
             # Completed level: fold the observed wall-clock back into the
@@ -672,12 +597,11 @@ class DiscoveryEngine:
         """Set the level's execution knobs; returns the plan (or ``None``).
 
         Without a planner the knobs mirror the fixed configuration exactly.
-        With one, the level may be degraded to in-process validation,
-        pipelining toggled, and the pool's shard-cost floors overridden —
-        strategy only, results are byte-identical either way.
+        With one, the level may be degraded to in-process validation and
+        the pool's shard-cost floors overridden — strategy only, results
+        are byte-identical either way.
         """
         self._active_plane = self._plane
-        self._level_pipeline = self._plane is not None and self._pipelined
         self._level_shard_floor = None
         self._level_inline_cost = None
         if self._planner is None:
@@ -692,217 +616,177 @@ class DiscoveryEngine:
         )
         if self._plane is not None and not plan.use_workers:
             self._active_plane = None
-        self._level_pipeline = (
-            self._active_plane is not None and self._pipelined and plan.pipeline
-        )
         self._level_shard_floor = plan.min_shard_cost
         self._level_inline_cost = plan.inline_group_cost
         return plan
 
-    def _validate_level_pipelined(
+    def _validate_level(
         self,
         ofd_jobs: Sequence[OFDJob],
         ofd_outcomes: List[Optional[Outcome]],
         oc_jobs: Sequence[OCJob],
         oc_outcomes: List[Optional[Outcome]],
     ) -> None:
-        """Overlap worker-side OC validation with coordinator-side work.
+        """Validate one level's jobs, filling the outcome lists in place.
 
-        Every OC context group is submitted to the worker pool up front
-        (non-blocking — the column plane makes each dispatch a compact
-        message); the coordinator then validates the level's OFD jobs
-        in-process while the workers drain, and finally joins the groups in
-        submission order.  Memo keys are unique within a level and outcomes
-        are recorded by the caller in collection order, so the result —
-        counters included — is byte-identical to the synchronous schedule.
-
-        Only the ``optimal`` validator reaches this path
-        (:func:`config_uses_shard_pool`); on an interrupt the in-flight
-        groups are abandoned so their late results never leak into a later
-        run on the same pool.
+        With an active column plane, every OC context group is submitted
+        to the worker pool up front (non-blocking); the coordinator then
+        validates the level's OFD jobs in-process while the workers drain,
+        and finally harvests the groups in submission order.  On an
+        interrupt the in-flight groups are abandoned so their late results
+        never leak into a later run on the same pool.  Without a plane the
+        OFD groups run first and the OC groups follow on the backend's
+        batch kernels.  Memo keys are unique within a level and the caller
+        records outcomes in collection order, so both orders produce
+        byte-identical results, counters included.
         """
+        plane = self._active_plane
         in_flight: List[Tuple[List[Tuple[int, tuple]], object]] = []
         try:
-            for context, indices in self._group_by_context(
-                [job[4] for job in oc_jobs]
+            if plane is None:
+                self._validate_ofd_jobs(ofd_jobs, ofd_outcomes)
+            for context, todo in self._memo_misses(
+                [job[4] for job in oc_jobs],
+                lambda i, context: oc_memo_key(
+                    self.config, context, oc_jobs[i][2], oc_jobs[i][3]
+                ),
+                oc_outcomes,
             ):
-                self._check_interrupt()
-                todo: List[Tuple[int, tuple]] = []
-                for i in indices:
-                    key = oc_memo_key(
-                        self.config, context, oc_jobs[i][2], oc_jobs[i][3]
-                    )
-                    hit = self._memo_lookup(key)
-                    if hit is not None:
-                        oc_outcomes[i] = hit
-                    else:
-                        todo.append((i, key))
-                if todo:
-                    classes = self._context_classes(context)
+                classes = self._context_classes(context)
+                pairs = [(oc_jobs[i][2], oc_jobs[i][3]) for i, _ in todo]
+                if plane is None:
+                    with self._tracer.span(
+                        "oc-batch", parent=self._level_span, pairs=len(todo)
+                    ), PhaseTimer(self.stats, "oc_validation_seconds"):
+                        counts, limit_used = self._oc_counts(classes, pairs)
+                    self._settle(todo, counts, limit_used, oc_outcomes)
+                else:
                     with self._tracer.span(
                         "oc-submit", parent=self._level_span, pairs=len(todo)
-                    ):
-                        with PhaseTimer(self.stats, "oc_validation_seconds"):
-                            pending = self._active_plane.submit(
-                                classes,
-                                [
-                                    (oc_jobs[i][2], oc_jobs[i][3])
-                                    for i, _ in todo
-                                ],
-                                self._kernel_limit,
-                                timeout=self.config.worker_timeout,
-                                min_shard_cost=self._level_shard_floor,
-                                inline_group_cost=self._level_inline_cost,
-                            )
-                    self.stats.oc_batches += 1
+                    ), PhaseTimer(self.stats, "oc_validation_seconds"):
+                        pending = plane.submit(
+                            classes, pairs, self._kernel_limit,
+                            timeout=self.config.worker_timeout,
+                            min_shard_cost=self._level_shard_floor,
+                            inline_group_cost=self._level_inline_cost,
+                        )
                     in_flight.append((todo, pending))
+                self.stats.oc_batches += 1
+            if plane is None:
+                return
             self._validate_ofd_jobs(ofd_jobs, ofd_outcomes)
             while in_flight:
                 self._check_interrupt()
                 todo, pending = in_flight.pop(0)
                 with self._tracer.span(
                     "oc-harvest", parent=self._level_span, pairs=len(todo)
-                ):
-                    with PhaseTimer(self.stats, "oc_validation_seconds"):
-                        batch = self._active_plane.harvest(pending)
-                for (i, key), (count, exceeded) in zip(todo, batch):
-                    oc_outcomes[i] = (
-                        count, not exceeded and count <= self._removal_limit
-                    )
-                    self._memo_store(key, count, exceeded, self._kernel_limit)
+                ), PhaseTimer(self.stats, "oc_validation_seconds"):
+                    counts = plane.harvest(pending)
+                self._settle(todo, counts, self._kernel_limit, oc_outcomes)
         except BaseException:
             for _, pending in in_flight:
-                self._active_plane.abandon(pending)
+                plane.abandon(pending)
             raise
 
-    def _group_by_context(self, contexts: Sequence[AttributeSet]):
+    def _memo_misses(self, contexts: Sequence[AttributeSet], key_of, outcomes):
+        """Yield ``(context, todo)`` per context group that needs a kernel.
+
+        Groups come in a deterministic order (results are order-independent
+        because outcomes are recorded separately, in job order).  The
+        interrupt check runs before every group; memo hits fill
+        ``outcomes`` directly and ``todo`` lists the misses as
+        ``(job index, memo key)``.  A group served entirely from the memo
+        is skipped.
+        """
         groups: Dict[AttributeSet, List[int]] = {}
         for index, context in enumerate(contexts):
             groups.setdefault(context, []).append(index)
-        # Deterministic group order; results are order-independent because
-        # outcomes are recorded separately, in job order.
-        return [(key, groups[key]) for key in sorted(groups, key=lambda s: tuple(sorted(s)))]
+        for context in sorted(groups, key=lambda s: tuple(sorted(s))):
+            self._check_interrupt()
+            todo: List[Tuple[int, tuple]] = []
+            for i in groups[context]:
+                key = key_of(i, context)
+                hit = self._memo_lookup(key)
+                if hit is not None:
+                    outcomes[i] = hit
+                else:
+                    todo.append((i, key))
+            if todo:
+                yield context, todo
+
+    def _settle(
+        self, todo, counts, limit_used: Optional[int],
+        outcomes: List[Optional[Outcome]],
+    ) -> None:
+        """Turn one group's kernel ``(count, exceeded)`` pairs into outcomes
+        and memo entries.  ``limit_used`` is ``None`` for exact checks,
+        whose ``exceeded`` means "does not hold"."""
+        for (i, key), (count, exceeded) in zip(todo, counts):
+            self._memo_store(key, count, exceeded, limit_used)
+            if limit_used is None:
+                outcomes[i] = (count, not exceeded)
+            else:
+                outcomes[i] = (
+                    count, not exceeded and count <= self._removal_limit
+                )
 
     def _validate_ofd_jobs(
         self, jobs: Sequence[OFDJob], outcomes: List[Optional[Outcome]]
     ) -> None:
-        for context, indices in self._group_by_context([job[2] for job in jobs]):
-            self._check_interrupt()
-            todo: List[Tuple[int, tuple]] = []
-            for i in indices:
-                key = ofd_memo_key(self.config, context, jobs[i][1])
-                hit = self._memo_lookup(key)
-                if hit is not None:
-                    outcomes[i] = hit
+        for context, todo in self._memo_misses(
+            [job[2] for job in jobs],
+            lambda i, context: ofd_memo_key(self.config, context, jobs[i][1]),
+            outcomes,
+        ):
+            classes = self._context_classes(context)
+            rhs = [self.encoded.native_ranks(jobs[i][1]) for i, _ in todo]
+            with self._tracer.span(
+                "ofd-batch", parent=self._level_span, candidates=len(todo)
+            ), PhaseTimer(self.stats, "ofd_validation_seconds"):
+                if self.config.is_exact:
+                    holds = self.backend.ofd_holds_batch(classes, rhs)
+                    counts, limit_used = [(0, not h) for h in holds], None
                 else:
-                    todo.append((i, key))
-            if todo:
-                classes = self._context_classes(context)
-                rhs = [self.encoded.native_ranks(jobs[i][1]) for i, _ in todo]
-                with self._tracer.span(
-                    "ofd-batch", parent=self._level_span, candidates=len(todo)
-                ), PhaseTimer(self.stats, "ofd_validation_seconds"):
-                    if self.config.is_exact:
-                        batch = self.backend.ofd_holds_batch(classes, rhs)
-                        for (i, key), holds in zip(todo, batch):
-                            outcomes[i] = (0, holds)
-                            self._memo_store(key, 0, not holds, None)
-                    else:
-                        batch = self.backend.ofd_removal_batch(
-                            classes, rhs, self._kernel_limit
-                        )
-                        for (i, key), (size, exceeded) in zip(todo, batch):
-                            outcomes[i] = (
-                                size, not exceeded and size <= self._removal_limit
-                            )
-                            self._memo_store(
-                                key, size, exceeded, self._kernel_limit
-                            )
-                # Counts kernel dispatches: a group served entirely from
-                # the memo ran no batch kernel and is not counted.
-                self.stats.ofd_batches += 1
+                    counts = self.backend.ofd_removal_batch(
+                        classes, rhs, self._kernel_limit
+                    )
+                    limit_used = self._kernel_limit
+            self._settle(todo, counts, limit_used, outcomes)
+            self.stats.ofd_batches += 1
 
-    def _validate_oc_jobs(
-        self, jobs: Sequence[OCJob], outcomes: List[Optional[Outcome]]
-    ) -> None:
-        tag = self._oc_validator_tag()
-        for context, indices in self._group_by_context([job[4] for job in jobs]):
-            self._check_interrupt()
-            todo: List[Tuple[int, tuple]] = []
-            for i in indices:
-                key = oc_memo_key(self.config, context, jobs[i][2], jobs[i][3])
-                hit = self._memo_lookup(key)
-                if hit is not None:
-                    outcomes[i] = hit
-                else:
-                    todo.append((i, key))
-            if todo:
-                classes = self._context_classes(context)
-                with self._tracer.span(
-                    "oc-batch", parent=self._level_span, pairs=len(todo)
-                ), PhaseTimer(self.stats, "oc_validation_seconds"):
-                    if tag == "exact":
-                        batch = self.backend.oc_holds_batch(
-                            classes,
-                            [
-                                (
-                                    self.encoded.native_ranks(jobs[i][2]),
-                                    self.encoded.native_ranks(jobs[i][3]),
-                                )
-                                for i, _ in todo
-                            ],
-                        )
-                        for (i, key), holds in zip(todo, batch):
-                            outcomes[i] = (0, holds)
-                            self._memo_store(key, 0, not holds, None)
-                    elif tag == "optimal":
-                        if self._active_plane is not None:
-                            batch = self._active_plane.oc_counts_batch(
-                                classes,
-                                [(jobs[i][2], jobs[i][3]) for i, _ in todo],
-                                self._kernel_limit,
-                                timeout=self.config.worker_timeout,
-                                min_shard_cost=self._level_shard_floor,
-                                inline_group_cost=self._level_inline_cost,
-                            )
-                        else:
-                            batch = self.backend.oc_optimal_removal_count_batch(
-                                classes,
-                                [
-                                    (
-                                        self.encoded.native_ranks(jobs[i][2]),
-                                        self.encoded.native_ranks(jobs[i][3]),
-                                    )
-                                    for i, _ in todo
-                                ],
-                                self._kernel_limit,
-                            )
-                        for (i, key), (count, exceeded) in zip(todo, batch):
-                            outcomes[i] = (
-                                count, not exceeded and count <= self._removal_limit
-                            )
-                            self._memo_store(
-                                key, count, exceeded, self._kernel_limit
-                            )
-                    else:
-                        # Algorithm 1 stays row-at-a-time by design (the
-                        # paper's quadratic strawman); it still benefits from
-                        # the shared context partition.
-                        for i, key in todo:
-                            removal, exceeded = self.backend.oc_greedy_removal_rows(
-                                classes,
-                                self.encoded.ranks(jobs[i][2]),
-                                self.encoded.ranks(jobs[i][3]),
-                                self._kernel_limit,
-                            )
-                            size = len(removal)
-                            outcomes[i] = (
-                                size, not exceeded and size <= self._removal_limit
-                            )
-                            self._memo_store(
-                                key, size, exceeded, self._kernel_limit
-                            )
-                self.stats.oc_batches += 1
+    def _oc_counts(self, classes, pairs: Sequence[Tuple[str, str]]):
+        """In-process OC kernel dispatch for one context group.
+
+        Returns ``(counts, limit_used)`` in the shape :meth:`_settle`
+        takes.
+        """
+        tag = oc_validator_tag(self.config)
+        if tag == "exact":
+            holds = self.backend.oc_holds_batch(classes, [
+                (self.encoded.native_ranks(a), self.encoded.native_ranks(b))
+                for a, b in pairs
+            ])
+            return [(0, not h) for h in holds], None
+        if tag == "optimal":
+            # The engine only records removal sizes, and Algorithm 2's
+            # per-class contributions are minimal, so the count-only kernel
+            # (no subsequence reconstruction) returns the same numbers.
+            counts = self.backend.oc_optimal_removal_count_batch(classes, [
+                (self.encoded.native_ranks(a), self.encoded.native_ranks(b))
+                for a, b in pairs
+            ], self._kernel_limit)
+            return counts, self._kernel_limit
+        # Algorithm 1 stays row-at-a-time by design (the paper's quadratic
+        # strawman) on canonical lists in every backend; it still benefits
+        # from the shared context partition.
+        counts = []
+        for a, b in pairs:
+            removal, exceeded = self.backend.oc_greedy_removal_rows(
+                classes, self.encoded.ranks(a), self.encoded.ranks(b),
+                self._kernel_limit,
+            )
+            counts.append((len(removal), exceeded))
+        return counts, self._kernel_limit
 
     # -- outcome recording --------------------------------------------------------
 
@@ -969,50 +853,6 @@ class DiscoveryEngine:
             DependencyFound(level=node.level, kind="oc", dependency=found)
         )
         node.oc_candidates.discard(pair)
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _oc_validator_tag(self) -> str:
-        """The effective OC validation mode (memo key component)."""
-        return oc_validator_tag(self.config)
-
-    def _validate_oc(self, classes, a: str, b: str, memo_key=None):
-        """Dispatch to the configured AOC validator.
-
-        Returns ``(removal_size, valid)``; stores the kernel outcome in the
-        session memo (when one is attached) under ``memo_key``.
-        """
-        if self._oc_validator_tag() == "exact":
-            holds = self.backend.oc_holds(
-                classes, self.encoded.native_ranks(a), self.encoded.native_ranks(b)
-            )
-            if memo_key is not None:
-                self._memo_store(memo_key, 0, not holds, None)
-            return 0, holds
-        if self.config.validator == "optimal":
-            # The engine only records removal sizes, and Algorithm 2's
-            # per-class contributions are minimal, so the count-only kernel
-            # (no subsequence reconstruction) returns the same numbers.
-            removal_size, exceeded = self.backend.oc_optimal_removal_count(
-                classes,
-                self.encoded.native_ranks(a),
-                self.encoded.native_ranks(b),
-                self._kernel_limit,
-            )
-        else:
-            # Algorithm 1 runs row-at-a-time on canonical lists in every
-            # backend; hand it the cached lists rather than native arrays.
-            removal, exceeded = self.backend.oc_greedy_removal_rows(
-                classes,
-                self.encoded.ranks(a),
-                self.encoded.ranks(b),
-                self._kernel_limit,
-            )
-            removal_size = len(removal)
-        if memo_key is not None:
-            self._memo_store(memo_key, removal_size, exceeded, self._kernel_limit)
-        valid = not exceeded and removal_size <= self._removal_limit
-        return removal_size, valid
 
     # -- session validation memo --------------------------------------------------
 

@@ -15,9 +15,9 @@ against it:
   spawned lazily and reused until :meth:`Profiler.close`, together with its
   **column plane**: rank columns ship to each worker process once per
   dataset version and stay resident there, so repeated runs (and the
-  pipelined scheduler's async group dispatches) send only column
-  references; :meth:`Profiler.extend` advances the resident columns by
-  shipping only the appended-row deltas,
+  scheduler's async group dispatches) send only column references;
+  :meth:`Profiler.extend` advances the resident columns by shipping only
+  the appended-row deltas,
 * a **validation memo** mapping candidates to their kernel outcomes, so a
   sweep revalidates only what a new removal budget actually changes
   (soundness rules in ``DiscoveryEngine._memo_lookup``; memoised runs stay
@@ -610,7 +610,7 @@ class Profiler:
             # engine spawns (and closes) a pool of its own for this one
             # run rather than thrashing the session's warm pool.
         planner = None
-        if config.plan == "auto" and config.batch_validation:
+        if config.plan == "auto":
             planner = self._ensure_planner(plane)
         return DiscoveryEngine(
             self.relation,
@@ -634,7 +634,6 @@ class Profiler:
             self._planner = build_planner(
                 backend=self.backend,
                 max_workers=self.num_workers,
-                pipeline=True,
                 pool=None if plane is None else plane.pool,
             )
         return self._planner

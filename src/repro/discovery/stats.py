@@ -56,17 +56,11 @@ class DiscoveryStatistics:
     validation_memo_hits: int = 0
     #: Name of the compute backend that executed the run's hot paths.
     backend: str = "python"
-    #: Whether the level-synchronous batched scheduler was active.
-    batched: bool = True
-    #: Worker processes sharding batched OC validation (1 = in-process).
+    #: Worker processes sharding OC validation (1 = in-process).
     num_workers: int = 1
-    #: Whether level validation was pipelined (OC groups submitted to the
-    #: worker pool asynchronously, OFD validation overlapped).  Always
-    #: ``False`` for in-process runs, which have nothing to overlap with.
-    pipelined: bool = False
-    #: Context groups dispatched through the batched OC kernel path.
+    #: Context groups dispatched to an OC kernel (in-process or pool).
     oc_batches: int = 0
-    #: Context groups dispatched through the batched OFD kernel path.
+    #: Context groups dispatched to the OFD batch kernel.
     ofd_batches: int = 0
     #: Validation worker processes that died (or were retired by the
     #: per-job timeout) during this run; the pool recovered from each.
@@ -126,9 +120,7 @@ class DiscoveryStatistics:
             "cancelled": self.cancelled,
             "validation_memo_hits": self.validation_memo_hits,
             "backend": self.backend,
-            "batched": self.batched,
             "num_workers": self.num_workers,
-            "pipelined": self.pipelined,
             "oc_batches": self.oc_batches,
             "ofd_batches": self.ofd_batches,
             "worker_deaths": self.worker_deaths,

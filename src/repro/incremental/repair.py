@@ -146,8 +146,8 @@ def _adjust_counts_batched(memo, keys, patch, encoded) -> None:
             count, _, limit_used = memo[key]
             adjusted_count = (
                 count
-                - _count("oc", key, removed, encoded)
-                + _count("oc", key, added, encoded)
+                - _greedy_count(key, removed, encoded)
+                + _greedy_count(key, added, encoded)
             )
             memo[key] = (adjusted_count, False, limit_used)
 
@@ -182,28 +182,15 @@ def _holds(kind, key, classes, encoded) -> bool:
     return backend.ofd_holds(classes, encoded.native_ranks(key[3]))
 
 
-def _count(kind, key, classes, encoded) -> int:
-    """A candidate's exact removal contribution over ``classes`` alone."""
+def _greedy_count(key, classes, encoded) -> int:
+    """An iterative-validator OC's removal contribution over ``classes``.
+
+    Algorithm 1 (greedy) is per-class independent as well; it runs on
+    canonical rank lists, mirroring the engine's dispatch.
+    """
     if not classes:
         return 0
-    backend = encoded.backend
-    if kind == "oc":
-        tag = key[1]
-        if tag == "optimal":
-            count, _ = backend.oc_optimal_removal_count(
-                classes,
-                encoded.native_ranks(key[3]),
-                encoded.native_ranks(key[4]),
-                None,
-            )
-            return count
-        # Algorithm 1 (greedy) is per-class independent as well; it runs on
-        # canonical rank lists, mirroring the engine's dispatch.
-        removal, _ = backend.oc_greedy_removal_rows(
-            classes, encoded.ranks(key[3]), encoded.ranks(key[4]), None
-        )
-        return len(removal)
-    count, _ = backend.ofd_removal_batch(
-        classes, [encoded.native_ranks(key[3])], None
-    )[0]
-    return count
+    removal, _ = encoded.backend.oc_greedy_removal_rows(
+        classes, encoded.ranks(key[3]), encoded.ranks(key[4]), None
+    )
+    return len(removal)

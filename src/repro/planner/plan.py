@@ -6,8 +6,8 @@ calibrated :class:`~repro.planner.model.CostModel`, answers
 level's actual wall-clock back into the model via ``observe_level``.
 
 Plans change *how* results are computed, never *what* is computed: every
-strategy the planner can choose (in-process vs pooled, pipelined vs
-synchronous, any shard composition) is already proven byte-identical by
+strategy the planner can choose (in-process vs pooled, any shard
+composition) is already proven byte-identical by
 the differential suites, so the planner needs no correctness reasoning —
 only cost ranking.
 """
@@ -44,7 +44,6 @@ class ExecutionPlan:
     level: int
     use_workers: bool
     num_workers: int
-    pipeline: bool
     min_shard_cost: int
     inline_group_cost: int
     cost_units: float
@@ -56,7 +55,6 @@ class ExecutionPlan:
             "level": self.level,
             "use_workers": self.use_workers,
             "num_workers": self.num_workers,
-            "pipeline": self.pipeline,
             "min_shard_cost": self.min_shard_cost,
             "inline_group_cost": self.inline_group_cost,
             "cost_units": round(self.cost_units, 1),
@@ -72,11 +70,9 @@ class ExecutionPlanner:
         self,
         model: CostModel,
         max_workers: int = 1,
-        pipeline_requested: bool = True,
     ) -> None:
         self.model = model
         self.max_workers = max(1, int(max_workers))
-        self.pipeline_requested = bool(pipeline_requested)
         self.created_at = time.time()
         self.decisions: List[Dict[str, object]] = []
         self.levels_planned = 0
@@ -104,7 +100,6 @@ class ExecutionPlanner:
             "scope": "run",
             "use_workers": False,
             "num_workers": 1,
-            "pipeline": False,
             "reason": (
                 f"pool not spawned: {self.model.cpu_count} core(s) for "
                 f"{num_workers} requested worker(s), parallelism cannot pay"
@@ -161,7 +156,6 @@ class ExecutionPlanner:
             level=level,
             use_workers=use_workers,
             num_workers=workers,
-            pipeline=use_workers and self.pipeline_requested,
             min_shard_cost=model.min_shard_cost(),
             inline_group_cost=model.inline_group_cost(),
             cost_units=float(cost_units),
@@ -211,7 +205,6 @@ class ExecutionPlanner:
             "model": self.model.as_dict(),
             "preferred_backend": preferred_backend(self.model),
             "max_workers": self.max_workers,
-            "pipeline_requested": self.pipeline_requested,
             "calibration_age_seconds": round(
                 max(0.0, time.time() - self.created_at), 3
             ),
@@ -224,13 +217,10 @@ class ExecutionPlanner:
 def build_planner(
     backend=None,
     max_workers: int = 1,
-    pipeline: bool = True,
     pool=None,
     model: Optional[CostModel] = None,
 ) -> ExecutionPlanner:
     """Calibrate (or accept) a cost model and wrap it in a planner."""
     if model is None:
         model = calibrate(backend=backend, pool=pool)
-    return ExecutionPlanner(
-        model, max_workers=max_workers, pipeline_requested=pipeline
-    )
+    return ExecutionPlanner(model, max_workers=max_workers)

@@ -1,7 +1,7 @@
 """Resilient HTTP serving for the discovery engine.
 
-This package is the serve layer's home; ``repro.service`` remains as a
-thin compatibility shim re-exporting the public surface.
+This package is the serve layer; its public surface is re-exported here
+(``from repro.serve import ProfilerService, make_server``).
 
 Modules
 -------

@@ -44,21 +44,15 @@ from repro.validation.approx_od import (
     validate_list_aod,
 )
 from repro.validation.bidirectional import best_polarity, validate_aboc_optimal
-from repro.validation.distributed import (
-    ShardedValidationPool,
-    assign_classes_to_workers,
-    validate_aoc_distributed,
-)
+from repro.validation.distributed import ShardedValidationPool
 
 __all__ = [
     "FenwickTree",
     "ShardedValidationPool",
     "ValidationResult",
-    "assign_classes_to_workers",
     "best_polarity",
     "count_inversions",
     "validate_aboc_optimal",
-    "validate_aoc_distributed",
     "iterative_removal_rows",
     "lis_indices",
     "lis_length",

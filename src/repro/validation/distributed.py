@@ -4,32 +4,20 @@ The conclusions propose extending approximate OC discovery "to distributed
 settings, similar to [Saxena, Golab, Ilyas, PVLDB 2019]".  The key
 observation that makes this easy for canonical OCs is that equivalence
 classes of the context are completely independent: each worker can validate
-its share of the classes locally and ship only a removal *count* (or the
-removal rows, for repair) to the coordinator, which adds them up and applies
-the global threshold.
-
-Two execution modes are provided for the single-candidate entry point:
-
-* ``"simulated"`` — workers run in-process.  This exercises and tests the
-  partitioning / merging logic (which classes go where, how counts combine)
-  without any transport, and is deterministic and dependency-free.
-* ``"process"`` — workers are real OS processes behind a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Each worker runs the
-  configured compute backend's per-class kernels on its shard; the
-  coordinator merges the reports exactly as in the simulated mode, so both
-  modes (and every worker count) produce identical results.
+its share of the classes locally and ship only a removal *count* to the
+coordinator, which adds them up and applies the global threshold.
 
 The worker-resident column plane
 --------------------------------
 
-:class:`ShardedValidationPool` is the engine-facing variant: persistent
-worker processes, each running a small message loop, validate whole context
-groups (one shared context, many candidate rank pairs).  Groups below a
-cost floor run in-process; larger ones split into contiguous,
-cost-balanced class shards (``_plan_shards``) dispatched to the
-least-loaded workers.  The coordinator merges per-shard removal counts by
-summation, which is order-independent, so results are identical for every
-worker count and scheduling mode.
+:class:`ShardedValidationPool` runs persistent worker processes, each a
+small message loop validating whole context groups (one shared context,
+many candidate rank pairs).  Groups below a cost floor run in-process;
+larger ones split into contiguous, cost-balanced class shards
+(``_plan_shards``) dispatched to the least-loaded workers.  The
+coordinator merges per-shard removal counts by summation, which is
+order-independent, so results are identical for every worker count and
+shard composition.
 
 What makes the pool pay off below ~100k rows is that rank columns are
 *worker-resident*: each worker process keeps a cache of rank columns keyed
@@ -105,27 +93,20 @@ import time as time_module
 import traceback
 from dataclasses import dataclass, field
 from itertools import chain
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend import BackendSpec, resolve_backend
 from repro.dataset.encoding import EXTEND_APPENDED
-from repro.dataset.partition import PartitionCache
-from repro.dataset.relation import Relation
-from repro.dependencies.oc import CanonicalOC
 from repro.obs import get_logger, get_metrics, get_tracer
-from repro.validation.common import context_classes, removal_limit, validation_backend
-from repro.validation.result import ValidationResult
 
 _log = get_logger("validation.pool")
-
-#: Execution modes accepted by :func:`validate_aoc_distributed`.
-EXECUTION_MODES = ("simulated", "process")
 
 #: Exit code used by injected worker faults (recognisable in test output).
 _FAULT_EXIT_CODE = 86
 
 #: Worker tracebacks are truncated to this many characters before crossing
-#: the result queue: a pathological repr (huge arrays in locals) must not
+#: the result pipe: a pathological repr (huge arrays in locals) must not
 #: turn an error report into a multi-megabyte pickle.
 MAX_TRACEBACK_CHARS = 8192
 
@@ -140,7 +121,7 @@ DEFAULT_INLINE_GROUP_COST = 32_768
 #: :data:`DEFAULT_INLINE_GROUP_COST`.
 DEFAULT_MIN_SHARD_COST = 65_536
 
-#: Seconds a blocked harvest waits on the result queue between liveness
+#: Seconds a blocked harvest waits on the result pipes between liveness
 #: sweeps — the upper bound on how long a worker death can go unnoticed
 #: while a coordinator thread is parked waiting for results.
 LIVENESS_SWEEP_INTERVAL_SECONDS = 0.1
@@ -217,8 +198,8 @@ class FaultPlan:
 class WorkerJobError(RuntimeError):
     """A validation job failed inside a worker (or its inline fallback).
 
-    Carries the structured error report the worker shipped across the
-    result queue — plane id, dataset version, shard size, candidate pair
+    Carries the structured error report the worker shipped across its
+    result pipe — plane id, dataset version, shard size, candidate pair
     names, and the (truncated) worker-side traceback — so callers can log
     and route the failure without parsing a string.
     """
@@ -263,75 +244,10 @@ def _error_report(plane_id, version, shard, pair_names) -> Dict[str, object]:
     }
 
 
-@dataclass
-class WorkerReport:
-    """What one worker sends back to the coordinator."""
-
-    worker_id: int
-    num_classes: int
-    num_rows: int
-    removal_rows: List[int] = field(default_factory=list)
-
-    @property
-    def removal_count(self) -> int:
-        return len(self.removal_rows)
-
-
-@dataclass
-class DistributedValidationOutcome:
-    """Coordinator-side result of a distributed validation."""
-
-    result: ValidationResult
-    worker_reports: List[WorkerReport]
-
-    @property
-    def num_workers(self) -> int:
-        return len(self.worker_reports)
-
-    @property
-    def max_worker_share(self) -> float:
-        """Largest fraction of grouped rows assigned to a single worker —
-        the load-balance metric a real deployment would monitor."""
-        total = sum(report.num_rows for report in self.worker_reports)
-        if total == 0:
-            return 0.0
-        return max(report.num_rows for report in self.worker_reports) / total
-
-
 def _class_cost(class_rows: Sequence[int]) -> float:
     """Validation cost estimate of one class in ``m log m`` units."""
     size = len(class_rows)
     return size * (1 + max(size, 2).bit_length())
-
-
-def assign_classes_to_workers(
-    classes: Sequence[Sequence[int]], num_workers: int
-) -> List[List[Sequence[int]]]:
-    """Greedy longest-processing-time assignment of classes to workers.
-
-    Classes are handed out largest-first to the currently least-loaded
-    worker, the standard makespan heuristic; load is measured in
-    ``m log m`` validation cost units.
-    """
-    if num_workers < 1:
-        raise ValueError("num_workers must be at least 1")
-    assignments: List[List[Sequence[int]]] = [[] for _ in range(num_workers)]
-    loads = [0.0] * num_workers
-    ordered = sorted(classes, key=len, reverse=True)
-    for class_rows in ordered:
-        target = loads.index(min(loads))
-        assignments[target].append(class_rows)
-        loads[target] += _class_cost(class_rows)
-    return assignments
-
-
-# -- worker entry points (module-level so they pickle for process pools) --------
-
-
-def _worker_removal_rows(backend, assigned, a_ranks, b_ranks) -> List[int]:
-    """One worker's share of Algorithm 2: removal rows of its classes."""
-    removal, _ = backend.oc_optimal_removal_rows(assigned, a_ranks, b_ranks, None)
-    return removal
 
 
 class ClassShard:
@@ -466,7 +382,7 @@ class TracedOutcome:
         self.outcome, self.spans = state
 
 
-def _plane_worker_main(task_queue, result_queue, backend, fault=None) -> None:
+def _plane_worker_main(task_queue, results, backend, fault=None) -> None:
     """Message loop of one persistent pool worker process.
 
     The worker keeps its column cache across jobs: ``columns`` maps
@@ -531,19 +447,17 @@ def _plane_worker_main(task_queue, result_queue, backend, fault=None) -> None:
                         "num_pairs": len(pair_names),
                     }])
                 if not drop_result:
-                    result_queue.put(("result", job_id, outcome))
+                    results.send(("result", job_id, outcome))
             except BaseException:
-                result_queue.put((
+                results.send((
                     "error", job_id,
                     _error_report(plane_id, version, shard, pair_names),
                 ))
             if exit_after:
-                # Flush the feeder thread so the result actually crosses
+                # The result was sent synchronously above, so it crosses
                 # before the process vanishes (the "died after finishing"
                 # scenario: the coordinator must consume the result, or
                 # discard-and-recompute it, without hanging either way).
-                result_queue.close()
-                result_queue.join_thread()
                 os._exit(_FAULT_EXIT_CODE)
         elif kind == "delta":
             _, plane_id, old_version, new_version, appended, _dropped = message
@@ -564,18 +478,29 @@ def _plane_worker_main(task_queue, result_queue, backend, fault=None) -> None:
 
 
 class _WorkerHandle:
-    """Coordinator-side handle for one persistent worker process."""
+    """Coordinator-side handle for one persistent worker process.
 
-    __slots__ = ("process", "queue", "columns", "load", "slot", "seq", "dead")
+    Each worker sends its results over its own pipe.  A shared result
+    queue would serialise every worker's writes behind one cross-process
+    lock, and a worker killed while holding it (its feeder thread blocked
+    on a full pipe) would stall every other worker's results for good.
+    """
 
-    def __init__(self, ctx, backend, result_queue, slot=0, seq=0, fault=None) -> None:
+    __slots__ = ("process", "queue", "results", "columns", "load", "slot",
+                 "seq", "dead", "silent")
+
+    def __init__(self, ctx, backend, slot=0, seq=0, fault=None) -> None:
         self.queue = ctx.Queue()
+        self.results, sender = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_plane_worker_main,
-            args=(self.queue, result_queue, backend, fault),
+            args=(self.queue, sender, backend, fault),
             daemon=True,
         )
         self.process.start()
+        # Only the worker holds the sending end, so its death turns a
+        # half-sent message into EOF instead of a read that never returns.
+        sender.close()
         #: ``(plane_id, attribute) -> version`` the worker holds resident.
         self.columns: Dict[Tuple[int, str], int] = {}
         #: Estimated cost of the worker's in-flight shards (load balancing).
@@ -587,6 +512,8 @@ class _WorkerHandle:
         #: Set by the supervisor once the death has been processed, so a
         #: handle is reaped exactly once.
         self.dead = False
+        #: Set when the result pipe reports EOF: nothing more will arrive.
+        self.silent = False
 
 
 class _JobRecord:
@@ -752,19 +679,6 @@ class ColumnPlane:
         """Drop an in-flight group's results (interrupted runs)."""
         self._pool.abandon(pending)
 
-    def oc_counts_batch(
-        self, classes, pair_names, limit: Optional[int] = None,
-        timeout: Optional[float] = None,
-        min_shard_cost: Optional[float] = None,
-        inline_group_cost: Optional[float] = None,
-    ) -> List[Tuple[int, bool]]:
-        """Synchronous submit + harvest convenience."""
-        return self.harvest(self.submit(
-            classes, pair_names, limit, timeout,
-            min_shard_cost=min_shard_cost,
-            inline_group_cost=inline_group_cost,
-        ))
-
     def release(self) -> None:
         """Free this plane's worker-resident columns (idempotent)."""
         if self._released:
@@ -775,7 +689,7 @@ class ColumnPlane:
 
 
 class ShardedValidationPool:
-    """Persistent worker processes sharding batched OC validation by class.
+    """Persistent worker processes sharding OC validation by class.
 
     The discovery engine (or a :class:`~repro.discovery.session.Profiler`
     session, or ``repro serve`` across *all* its datasets) feeds the pool
@@ -783,9 +697,7 @@ class ShardedValidationPool:
     validated in-process; a larger one is split by :meth:`_plan_shards`
     into at most ``num_workers`` contiguous, cost-balanced class shards (no
     shard below :data:`MIN_SHARD_COST`) dispatched to the currently
-    least-loaded workers — :func:`assign_classes_to_workers`'s LPT
-    assignment serves only the single-candidate
-    :func:`validate_aoc_distributed` path.  Every shard runs the backend's
+    least-loaded workers.  Every shard runs the backend's
     :meth:`~repro.backend.base.ComputeBackend.oc_optimal_removal_count_batch`
     and the coordinator sums the per-shard counts.  Summation is
     order-independent, so results are identical for every worker count and
@@ -857,7 +769,6 @@ class ShardedValidationPool:
             self.SWEEP_INTERVAL_SECONDS = sweep_interval
         self._fault_plan = fault_plan
         self._next_worker_seq = 0
-        self._result_queue = ctx.Queue()
         self._workers: Optional[List[_WorkerHandle]] = [
             self._spawn_handle(slot) for slot in range(num_workers)
         ]
@@ -895,8 +806,7 @@ class ShardedValidationPool:
         self._next_worker_seq += 1
         fault = self._fault_plan.fault_for(seq) if self._fault_plan else None
         return _WorkerHandle(
-            self._ctx, self.backend, self._result_queue,
-            slot=slot, seq=seq, fault=fault,
+            self._ctx, self.backend, slot=slot, seq=seq, fault=fault,
         )
 
     @property
@@ -950,6 +860,8 @@ class ShardedValidationPool:
         with self._lock:
             self.stats["deltas"] += 1
             for worker in self._workers:
+                if worker.dead:
+                    continue  # a degraded pool keeps its dead handles
                 for key in [k for k in worker.columns if k[0] == plane_id]:
                     if worker.columns[key] == old_version and key[1] in appended:
                         worker.columns[key] = new_version
@@ -963,6 +875,8 @@ class ShardedValidationPool:
             return
         with self._lock:
             for worker in self._workers:
+                if worker.dead:
+                    continue
                 for key in [k for k in worker.columns if k[0] == plane_id]:
                     del worker.columns[key]
                 worker.queue.put(("release", plane_id))
@@ -1053,8 +967,9 @@ class ShardedValidationPool:
 
         The plane-less path: columns are deduplicated within the call but
         ship with every dispatch (and every group is dispatched, however
-        small).  Kept for callers outside a discovery session, and as the
-        reference for the plane path's results."""
+        small).  The planner's calibration probe
+        (:mod:`repro.planner.calibrate`) measures dispatch overhead with
+        it."""
         self._require_open()
         num_pairs = len(rank_pairs)
         if num_pairs == 0:
@@ -1091,8 +1006,7 @@ class ShardedValidationPool:
         Returns ``(shards, total_cost, needed_row)`` where ``shards`` is a
         list of ``(ClassShard, cost)`` pairs and ``needed_row`` the largest
         row id any class touches (``-1`` for empty groups).  Contiguous
-        class ranges — rather than the LPT assignment the per-candidate
-        validator uses — keep the packing a pair of array slices on the
+        class ranges keep the packing a pair of array slices on the
         columnar fast path; summation merging makes the composition
         invisible in results.  ``min_shard_cost`` overrides the pool's
         shard-cost floor for this plan only; any composition yields the
@@ -1281,6 +1195,13 @@ class ShardedValidationPool:
         """Recover from one worker death: invalidate, respawn, requeue."""
         worker.dead = True
         worker.load = 0.0
+        # Results it flushed before dying are dropped with its pipe: every
+        # in-flight shard of it is requeued below under a fresh id.  Jobs
+        # still queued to it are never read, so its queue's feeder thread
+        # must not hold up interpreter exit on a full pipe.
+        worker.results.close()
+        worker.queue.close()
+        worker.queue.cancel_join_thread()
         # The resident-column cache died with the process; a replacement
         # refills lazily through the ordinary ship-on-miss path.
         worker.columns.clear()
@@ -1507,51 +1428,64 @@ class ShardedValidationPool:
                     self._discarded.add(record.job_id)
 
     def _wait_result(self, record: _JobRecord):
-        # Another harvesting thread may pull this job's message off the
-        # shared result queue and buffer it, so the buffer is rechecked on
-        # a short poll.  All buffer mutations happen under the lock, and
-        # the discarded-check runs at *store* time inside it, so a result
-        # arriving concurrently with abandon() is either dropped here or
-        # deleted by _settle_jobs — never leaked.
+        # Every message goes through the ``_results`` buffer, so another
+        # harvesting thread may receive this job's result first; the
+        # buffer is rechecked on every pass.  All buffer mutations happen
+        # under the lock, and the discarded-check runs at *store* time
+        # inside it, so a result arriving concurrently with abandon() is
+        # either dropped here or deleted by _settle_jobs — never leaked.
         #
         # ``record.job_id`` is re-read under the lock on every pass: a
         # supervision sweep may requeue (or inline-run) the job under a
         # fresh id while this thread waits, in which case the result shows
         # up in the buffer like any out-of-order arrival.
-        kind = payload = None
-        found = False
-        while not found:
+        while True:
             with self._lock:
                 if record.job_id in self._results:
                     kind, payload = self._results.pop(record.job_id)
                     break
+                self._require_open()
+                readers = {
+                    worker.results: worker for worker in self._workers
+                    if not worker.dead and not worker.silent
+                }
             try:
-                arrived = self._result_queue.get(
-                    timeout=self.SWEEP_INTERVAL_SECONDS
-                )
-            except queue_module.Empty:
-                # Idle tick: the liveness check.  A dead worker's shards
-                # are requeued (or run inline) by the sweep, so this wait
-                # always terminates — through a replacement worker, the
-                # coordinator itself, or a raised respawn failure.
-                with self._lock:
-                    self._sweep_locked()
-                continue
+                ready = wait(list(readers), timeout=self.SWEEP_INTERVAL_SECONDS)
+            except OSError:
+                continue  # a reader was closed by a concurrent death
             with self._lock:
-                arrived_kind, arrived_id, arrived_payload = arrived
-                self._inflight.pop(arrived_id, None)
-                if arrived_id in self._discarded:
-                    self._discarded.discard(arrived_id)
-                elif arrived_id == record.job_id:
-                    kind, payload = arrived_kind, arrived_payload
-                    found = True
-                else:
-                    self._results[arrived_id] = (arrived_kind, arrived_payload)
+                if not ready:
+                    # Idle tick: the liveness check.  A dead worker's
+                    # shards are requeued (or run inline) by the sweep, so
+                    # this wait always terminates — through a replacement
+                    # worker, the coordinator itself, or a raised respawn
+                    # failure.
+                    self._sweep_locked()
+                for conn in ready:
+                    self._receive_locked(readers[conn])
         if kind == "error":
             if isinstance(payload, dict):
                 raise WorkerJobError(payload)
             raise RuntimeError(f"validation worker failed:\n{payload}")
         return payload
+
+    def _receive_locked(self, worker: _WorkerHandle) -> None:
+        """Buffer one message from ``worker``'s result pipe (lock held)."""
+        if worker.dead or worker.silent:
+            return
+        try:
+            if not worker.results.poll():
+                return  # another harvesting thread took it
+            kind, job_id, payload = worker.results.recv()
+        except (EOFError, OSError):
+            # The worker exited; the liveness sweep recovers its shards.
+            worker.silent = True
+            return
+        self._inflight.pop(job_id, None)
+        if job_id in self._discarded:
+            self._discarded.discard(job_id)
+        else:
+            self._results[job_id] = (kind, payload)
 
     # -- freshness guards --------------------------------------------------------
 
@@ -1617,17 +1551,19 @@ class ShardedValidationPool:
                 worker.queue.put_nowait(("stop",))
             except (OSError, ValueError, queue_module.Full):
                 pass  # pragma: no cover - teardown race / wedged queue
-        # Drain straggling results so worker feeder threads never block on a
-        # full pipe while trying to exit (abandoned jobs still produce
-        # results nobody reads).
+        # Drain straggling results so no worker blocks on a full pipe while
+        # trying to exit (abandoned jobs still produce results nobody
+        # reads).
         deadline = time_module.monotonic() + 10.0
-        while any(w.process.is_alive() for w in workers):
+        draining = [w.results for w in workers if not w.results.closed]
+        while draining and any(w.process.is_alive() for w in workers):
             if time_module.monotonic() > deadline:
                 break
-            try:
-                self._result_queue.get(timeout=0.05)
-            except queue_module.Empty:
-                pass
+            for conn in wait(draining, timeout=0.05):
+                try:
+                    conn.recv()
+                except (EOFError, OSError):
+                    draining.remove(conn)
         for worker in workers:
             worker.process.join(timeout=1.0)
             if worker.process.is_alive():  # pragma: no cover - stuck worker
@@ -1640,8 +1576,7 @@ class ShardedValidationPool:
                     worker.process.join(timeout=1.0)
             worker.queue.close()
             worker.queue.cancel_join_thread()
-        self._result_queue.close()
-        self._result_queue.cancel_join_thread()
+            worker.results.close()
         self._results.clear()
         self._discarded.clear()
         self._inflight.clear()
@@ -1652,79 +1587,3 @@ class ShardedValidationPool:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def validate_aoc_distributed(
-    relation: Relation,
-    oc: CanonicalOC,
-    num_workers: int = 4,
-    threshold: Optional[float] = None,
-    partition_cache: Optional[PartitionCache] = None,
-    backend: BackendSpec = None,
-    execution: str = "simulated",
-) -> DistributedValidationOutcome:
-    """Validate an AOC with distributed workers; equivalent to Algorithm 2.
-
-    Every worker runs the per-class LNDS kernel on its assigned classes and
-    reports its removal rows; the coordinator merges the reports, applies
-    the threshold and produces the same :class:`ValidationResult` the
-    centralised validator would.
-
-    ``backend`` selects the compute backend the workers run on; like
-    :func:`~repro.validation.common.validation_backend`, it defaults to the
-    supplied partition cache's backend so discovery-driven validations stay
-    on one backend.  ``execution`` picks the transport: ``"simulated"``
-    (in-process workers) or ``"process"`` (a real
-    :class:`~concurrent.futures.ProcessPoolExecutor`); both produce
-    identical outcomes.
-    """
-    if execution not in EXECUTION_MODES:
-        raise ValueError(
-            f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
-        )
-    resolved = validation_backend(backend, partition_cache)
-    encoded = relation.encoded(resolved)
-    a_ranks = encoded.native_ranks(oc.a)
-    b_ranks = encoded.native_ranks(oc.b)
-    classes = context_classes(relation, oc.context, partition_cache, resolved)
-    assignments = assign_classes_to_workers(list(classes), num_workers)
-
-    if execution == "process":
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=num_workers) as executor:
-            futures = [
-                executor.submit(
-                    _worker_removal_rows, resolved, assigned, a_ranks, b_ranks
-                )
-                for assigned in assignments
-            ]
-            removals = [future.result() for future in futures]
-    else:
-        removals = [
-            _worker_removal_rows(resolved, assigned, a_ranks, b_ranks)
-            for assigned in assignments
-        ]
-
-    reports = [
-        WorkerReport(
-            worker_id=worker_id,
-            num_classes=len(assigned),
-            num_rows=sum(len(c) for c in assigned),
-            removal_rows=removal,
-        )
-        for worker_id, (assigned, removal) in enumerate(zip(assignments, removals))
-    ]
-
-    merged = frozenset(
-        row for report in reports for row in report.removal_rows
-    )
-    limit = removal_limit(relation.num_rows, threshold)
-    exceeded = limit is not None and len(merged) > limit
-    result = ValidationResult(
-        dependency=oc,
-        num_rows=relation.num_rows,
-        removal_rows=merged,
-        threshold=threshold,
-        exceeded_threshold=exceeded,
-    )
-    return DistributedValidationOutcome(result=result, worker_reports=reports)

@@ -208,8 +208,11 @@ class TestKernelParity:
             python_backend.ofd_holds(classes, b)
         assert numpy_backend.oc_optimal_removal_rows(classes, native_a, native_b, limit) == \
             python_backend.oc_optimal_removal_rows(classes, a, b, limit)
-        assert numpy_backend.oc_optimal_removal_count(classes, native_a, native_b, limit) == \
-            python_backend.oc_optimal_removal_count(classes, a, b, limit)
+        assert numpy_backend.oc_optimal_removal_count_batch(
+            classes, [(native_a, native_b)], limit
+        ) == python_backend.oc_optimal_removal_count_batch(
+            classes, [(a, b)], limit
+        )
         assert numpy_backend.oc_greedy_removal_rows(classes, native_a, native_b, limit) == \
             python_backend.oc_greedy_removal_rows(classes, a, b, limit)
         assert numpy_backend.od_removal_rows(classes, native_a, native_b, limit) == \

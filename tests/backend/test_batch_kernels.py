@@ -80,10 +80,10 @@ class TestOcCountBatch:
             native = _native_pairs(backend, pairs)
             batch = backend.oc_optimal_removal_count_batch(classes, native, None)
             for (a, b), (count, over) in zip(native, batch):
-                single_count, single_over = backend.oc_optimal_removal_count(
-                    classes, a, b, None
+                [single] = backend.oc_optimal_removal_count_batch(
+                    classes, [(a, b)], None
                 )
-                assert (count, over) == (single_count, single_over)
+                assert (count, over) == single
 
     def test_empty_inputs(self):
         for backend_name in BACKENDS:

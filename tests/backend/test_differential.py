@@ -162,6 +162,8 @@ class TestLndsOracle:
         classes = [list(range(len(values)))]
         a = backend.to_native(list(range(len(values))))
         b = backend.to_native(values)
-        count, exceeded = backend.oc_optimal_removal_count(classes, a, b)
+        [(count, exceeded)] = backend.oc_optimal_removal_count_batch(
+            classes, [(a, b)]
+        )
         assert not exceeded
         assert count == len(values) - lnds_length_quadratic(values)

@@ -66,8 +66,8 @@ def _assert_matches_reference(classes, a, b):
             classes, native_pairs, limit
         ) == expected
         assert [
-            NUMPY.oc_optimal_removal_count(classes, x, y, limit)
-            for x, y in native_pairs
+            NUMPY.oc_optimal_removal_count_batch(classes, [pair], limit)[0]
+            for pair in native_pairs
         ] == expected
 
 

@@ -142,12 +142,11 @@ class TestBenchSummary:
     PAYLOAD = {
         "workload": "flight-like, 2000 rows, threshold 0.1",
         "runs": [
-            {"label": "python-batched-w1", "seconds": 0.35,
+            {"label": "python-w1", "seconds": 0.35,
              "validation_share": 0.84},
-            {"label": "numpy-batched-w1", "seconds": 0.21,
+            {"label": "numpy-w1", "seconds": 0.21,
              "validation_share": 0.85},
         ],
-        "batched_speedup": {"python": 1.09},
         "sweep": {"thresholds": [0.06, 0.09], "backend": "numpy",
                   "cold_seconds": 1.0, "warm_seconds": 0.5, "speedup": 2.0,
                   "memo_hits": [0, 9]},
@@ -164,7 +163,7 @@ class TestBenchSummary:
 
         text = render_bench_summary(self.PAYLOAD)
         assert "do not edit" in text
-        assert "numpy-batched-w1" in text
+        assert "numpy-w1" in text
         assert "Session sweep" in text
         assert "Observability overhead" in text
         assert "0.02" in text

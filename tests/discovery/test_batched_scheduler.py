@@ -3,16 +3,25 @@
 Acceptance bar for the batched validation path: byte-identical
 ``DiscoveryResult``s — the same OCs/OFDs with the same removal sizes,
 approximation factors, levels and interestingness scores, in the same order
-— across scheduler on/off, both backends, and worker counts 1/2/4.
+— against a per-candidate reference schedule (the ``per_candidate``
+fixture), against an in-process python-backend run for both backends and
+worker counts 1/2/4, and against the exhaustive brute-force oracle.
 """
 
 import pytest
 
 from repro.backend import available_backends
 from repro.dataset.examples import employee_salary_table
-from repro.dataset.generators import generate_flight_like, generate_ncvoter_like
+from repro.dataset.generators import (
+    generate_flight_like,
+    generate_ncvoter_like,
+    generate_random_table,
+)
 from repro.discovery.api import discover, discover_aods
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.engine import DiscoveryEngine
+from repro.validation.distributed import ShardedValidationPool
+from test_engine import _oracle_ocs, _oracle_ofds, _reported_ocs, _reported_ofds
 
 BACKENDS = available_backends()
 
@@ -49,20 +58,13 @@ def _assert_identical(result, reference):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_batched_equals_per_candidate(workload, config_name, backend):
+def test_batched_equals_per_candidate(workload, config_name, backend,
+                                      per_candidate):
     relation = WORKLOADS[workload]
-    reference = discover(
-        relation,
-        DiscoveryConfig(backend=backend, batch_validation=False,
-                        **CONFIGS[config_name]),
-    )
-    batched = discover(
-        relation,
-        DiscoveryConfig(backend=backend, batch_validation=True,
-                        **CONFIGS[config_name]),
-    )
+    config = dict(backend=backend, **CONFIGS[config_name])
+    reference = per_candidate(relation, DiscoveryConfig(**config))
+    batched = discover(relation, DiscoveryConfig(**config))
     _assert_identical(batched, reference)
-    assert batched.stats.batched and not reference.stats.batched
     if CONFIGS[config_name].get("validator") != "exact":
         assert batched.stats.oc_batches > 0
         assert batched.stats.ofd_batches > 0
@@ -80,15 +82,70 @@ def test_batched_equals_per_candidate(workload, config_name, backend):
         batched.stats.ofd_candidates_pruned
         == reference.stats.ofd_candidates_pruned
     )
+    assert batched.stats.nodes_processed == reference.stats.nodes_processed
+
+
+_PYTHON_REFERENCE = {}
+
+
+def _python_in_process(config_name):
+    """The in-process python-backend run over the flight workload (cached)."""
+    if config_name not in _PYTHON_REFERENCE:
+        _PYTHON_REFERENCE[config_name] = discover(
+            WORKLOADS["flight"],
+            DiscoveryConfig(backend="python", **CONFIGS[config_name]),
+        )
+    return _PYTHON_REFERENCE[config_name]
+
+
+@pytest.mark.parametrize("config_name", ["exact", "optimal-10", "iterative-10"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("num_workers", [1, 2, 4])
+def test_matches_python_in_process(num_workers, backend, config_name):
+    reference = _python_in_process(config_name)
+    result = discover(
+        WORKLOADS["flight"],
+        DiscoveryConfig(backend=backend, num_workers=num_workers,
+                        **CONFIGS[config_name]),
+    )
+    _assert_identical(result, reference)
+    for name in ("oc_candidates_validated", "ofd_candidates_validated",
+                 "oc_candidates_pruned", "ofd_candidates_pruned",
+                 "nodes_processed", "oc_batches", "ofd_batches"):
+        assert getattr(result.stats, name) == getattr(reference.stats, name)
+    # Only the LNDS-based optimal validator consults the pool.
+    pooled = num_workers > 1 and config_name == "optimal-10"
+    assert result.stats.num_workers == (num_workers if pooled else 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pooled_run_matches_oracle(seed):
+    """A two-worker run on the full lattice reports exactly the minimal
+    dependencies the brute-force oracle derives."""
+    relation = generate_random_table(60, 4, cardinality=3, seed=seed)
+    attributes = relation.attribute_names
+    with ShardedValidationPool(2) as pool:
+        # Force every group through the workers: the table is tiny.
+        pool.INLINE_GROUP_COST = 0
+        pool.MIN_SHARD_COST = 1
+        result = DiscoveryEngine(
+            relation,
+            DiscoveryConfig(threshold=0.1, num_workers=2,
+                            prune_exhausted_nodes=False),
+            shard_pool=pool,
+        ).run()
+        assert pool.stats["jobs"] > 0
+    assert result.stats.num_workers == 2
+    assert _reported_ocs(result) == _oracle_ocs(relation, attributes, 0.1)
+    assert _reported_ofds(result) == _oracle_ofds(relation, attributes, 0.1)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_workers", [2, 4])
-def test_sharded_workers_equal_sequential(backend, num_workers):
+def test_sharded_workers_equal_sequential(backend, num_workers, per_candidate):
     relation = WORKLOADS["flight"]
-    reference = discover(
-        relation,
-        DiscoveryConfig(threshold=0.1, backend=backend, batch_validation=False),
+    reference = per_candidate(
+        relation, DiscoveryConfig(threshold=0.1, backend=backend)
     )
     sharded = discover(
         relation,
@@ -98,27 +155,28 @@ def test_sharded_workers_equal_sequential(backend, num_workers):
     assert sharded.stats.num_workers == num_workers
 
 
-def test_api_exposes_workers_and_batching():
+def test_api_exposes_workers_and_batching(per_candidate):
+    """The one-shot API runs the batched schedule, in-process or sharded."""
     relation = WORKLOADS["table1"]
-    reference = discover_aods(relation, threshold=0.15)
-    unbatched = discover_aods(relation, threshold=0.15, batch_validation=False)
+    reference = per_candidate(relation, DiscoveryConfig(threshold=0.15))
+    default = discover_aods(relation, threshold=0.15)
     sharded = discover_aods(relation, threshold=0.15, num_workers=2)
-    _assert_identical(unbatched, reference)
+    _assert_identical(default, reference)
     _assert_identical(sharded, reference)
+    assert sharded.stats.num_workers == 2
 
 
-def test_workers_require_batched_scheduler():
-    with pytest.raises(ValueError, match="batch_validation"):
-        DiscoveryConfig(num_workers=2, batch_validation=False)
+def test_num_workers_must_be_positive():
     with pytest.raises(ValueError, match="num_workers"):
         DiscoveryConfig(num_workers=0)
+    with pytest.raises(ValueError, match="num_workers"):
+        DiscoveryRequest(num_workers=-1)
 
 
-def test_find_ofds_disabled_still_identical():
+def test_find_ofds_disabled_still_identical(per_candidate):
     relation = WORKLOADS["flight"]
-    reference = discover(
-        relation,
-        DiscoveryConfig(threshold=0.1, find_ofds=False, batch_validation=False),
+    reference = per_candidate(
+        relation, DiscoveryConfig(threshold=0.1, find_ofds=False)
     )
     batched = discover(
         relation, DiscoveryConfig(threshold=0.1, find_ofds=False)

@@ -19,14 +19,14 @@ class TestDiscoveryRequest:
         config = request.to_config()
         assert config.threshold == 0.0
         assert config.validator == "optimal"
-        assert config.batch_validation
         assert config.num_workers == 1
+        assert config.plan == "fixed"
 
     def test_round_trip_through_config(self):
         request = DiscoveryRequest(
             threshold=0.2, validator="iterative", attributes=["a", "b"],
             max_level=3, time_limit_seconds=1.5, find_ofds=False,
-            batch_validation=True, num_workers=2,
+            num_workers=2, plan="auto",
         )
         config = request.to_config()
         assert DiscoveryRequest.from_config(config) == request
@@ -57,18 +57,23 @@ class TestDiscoveryRequest:
         with pytest.raises(ValueError):
             DiscoveryRequest(threshold=0.1, validator="exact")
         with pytest.raises(ValueError):
-            DiscoveryRequest(num_workers=2, batch_validation=False)
+            DiscoveryRequest(num_workers=0)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             DiscoveryRequest.from_dict({"threshold": 0.1, "treshold": 0.2})
 
+    @pytest.mark.parametrize("name", ["batch_validation", "pipeline_validation"])
+    def test_removed_schedule_fields_are_unknown(self, name):
+        with pytest.raises(ValueError, match=f"unknown.*{name}"):
+            DiscoveryRequest.from_dict({"threshold": 0.1, name: True})
+
     def test_wrongly_typed_values_rejected(self):
         """JSON string booleans must not silently flip run semantics."""
         with pytest.raises(ValueError, match="find_ofds"):
             DiscoveryRequest.from_dict({"find_ofds": "false"})
-        with pytest.raises(ValueError, match="batch_validation"):
-            DiscoveryRequest.from_dict({"batch_validation": "no"})
+        with pytest.raises(ValueError, match="prune_exhausted_nodes"):
+            DiscoveryRequest.from_dict({"prune_exhausted_nodes": "no"})
         with pytest.raises(ValueError, match="threshold"):
             DiscoveryRequest.from_dict({"threshold": "0.1"})
         with pytest.raises(ValueError, match="max_level"):
@@ -81,9 +86,10 @@ class TestDiscoveryRequest:
             DiscoveryRequest.from_dict({"attributes": "ab"})
 
     def test_explicit_workers_without_batching_rejected_by_wrappers(self):
+        """The wrappers take no schedule switch."""
         from repro.discovery.api import discover_aods
 
-        with pytest.raises(ValueError, match="batch_validation"):
+        with pytest.raises(TypeError, match="batch_validation"):
             discover_aods(employee_salary_table(), num_workers=4,
                           batch_validation=False)
 
@@ -124,7 +130,8 @@ class TestDiscoveryResultJson:
         restored = DiscoveryResult.from_json(result.to_json())
         assert restored.config.threshold == result.config.threshold
         assert restored.config.validator == result.config.validator
-        assert restored.config.batch_validation == result.config.batch_validation
+        assert restored.config.num_workers == result.config.num_workers
+        assert restored.config.plan == result.config.plan
         # Live objects don't cross the boundary; the backend travels by name.
         assert restored.stats.backend == result.stats.backend
 

@@ -1,9 +1,10 @@
 """Pipelined level validation must be invisible in results.
 
-Acceptance bars from the PR-5 issue:
+Acceptance bars:
 
-* pipelined vs synchronous worker scheduling produces identical
-  ``DiscoveryResult``s *including the statistics counters*;
+* pooled runs (OC groups submitted up front, harvested after the OFD pass)
+  and in-process runs (every group validated synchronously) produce
+  identical ``DiscoveryResult``s *including the statistics counters*;
 * after ``Profiler.extend``, a reused worker pool serves the new dataset
   version correctly — extend → discover is byte-identical to a cold
   discovery over the concatenated table, workers on, both backends;
@@ -21,14 +22,15 @@ from repro.discovery.session import CancellationToken, Profiler
 
 BACKENDS = available_backends()
 
-#: Statistics fields that must be identical across scheduling modes (the
-#: timers and the mode flag itself are the only legitimate differences).
+#: Statistics fields that must be identical between pooled and in-process
+#: runs (the timers and the worker count are the only legitimate
+#: differences).
 COUNTER_FIELDS = (
     "oc_candidates_validated", "ofd_candidates_validated",
     "oc_candidates_pruned", "ofd_candidates_pruned",
     "nodes_processed", "nodes_pruned", "levels_processed",
     "nodes_per_level", "timed_out", "cancelled", "validation_memo_hits",
-    "backend", "batched", "num_workers", "oc_batches", "ofd_batches",
+    "backend", "oc_batches", "ofd_batches",
 )
 
 
@@ -52,24 +54,22 @@ def _assert_identical(result, reference):
 @pytest.mark.parametrize("num_workers", [2, 4])
 def test_pipelined_equals_synchronous(backend, num_workers):
     synchronous = discover(
-        RELATION,
-        DiscoveryConfig(threshold=0.1, backend=backend,
-                        num_workers=num_workers, pipeline_validation=False),
+        RELATION, DiscoveryConfig(threshold=0.1, backend=backend),
     )
     pipelined = discover(
         RELATION,
         DiscoveryConfig(threshold=0.1, backend=backend,
-                        num_workers=num_workers, pipeline_validation=True),
+                        num_workers=num_workers),
     )
     _assert_identical(pipelined, synchronous)
-    assert pipelined.stats.pipelined and not synchronous.stats.pipelined
+    assert pipelined.stats.num_workers == num_workers
+    assert synchronous.stats.num_workers == 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_pipelined_equals_per_candidate_reference(backend):
-    reference = discover(
-        RELATION,
-        DiscoveryConfig(threshold=0.1, backend=backend, batch_validation=False),
+def test_pipelined_equals_per_candidate_reference(backend, per_candidate):
+    reference = per_candidate(
+        RELATION, DiscoveryConfig(threshold=0.1, backend=backend)
     )
     pipelined = discover(
         RELATION, DiscoveryConfig(threshold=0.1, backend=backend, num_workers=2)
@@ -79,8 +79,17 @@ def test_pipelined_equals_per_candidate_reference(backend):
 
 
 def test_pipelined_inert_without_workers():
-    result = discover(RELATION, DiscoveryConfig(threshold=0.1))
-    assert not result.stats.pipelined
+    """An in-process run validates every OC group synchronously: no group
+    is submitted or harvested, each one is an ``oc-batch`` span."""
+    from repro.obs import Tracer, use_tracer
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = discover(RELATION, DiscoveryConfig(threshold=0.1))
+    names = {span.name for span in tracer.finished_spans()}
+    assert "oc-batch" in names
+    assert not names & {"oc-submit", "oc-harvest"}
+    assert result.stats.num_workers == 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -181,13 +190,10 @@ def test_cancelled_pipelined_run_leaves_pool_usable():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_exact_discovery_batched_through_holds_batch(backend):
-    """Exact mode now routes through the group-level holds kernels; results
+def test_exact_discovery_batched_through_holds_batch(backend, per_candidate):
+    """Exact mode routes through the group-level holds kernels; results
     and counters must keep matching the per-candidate reference."""
-    reference = discover(
-        RELATION,
-        DiscoveryConfig.exact(backend=backend, batch_validation=False),
-    )
+    reference = per_candidate(RELATION, DiscoveryConfig.exact(backend=backend))
     batched = discover(RELATION, DiscoveryConfig.exact(backend=backend))
     assert batched.ocs == reference.ocs
     assert batched.ofds == reference.ofds
@@ -196,12 +202,3 @@ def test_exact_discovery_batched_through_holds_batch(backend):
                  "nodes_per_level"):
         assert getattr(batched.stats, name) == getattr(reference.stats, name)
 
-
-def test_pipeline_flag_round_trips_through_request():
-    request = DiscoveryRequest(threshold=0.1, pipeline_validation=False)
-    assert not request.to_config().pipeline_validation
-    rebuilt = DiscoveryRequest.from_json(request.to_json())
-    assert rebuilt == request
-    assert DiscoveryRequest.from_config(
-        DiscoveryConfig(pipeline_validation=False)
-    ).pipeline_validation is False

@@ -95,20 +95,18 @@ class TestProfilerEquivalence:
         _assert_identical(via_kwargs, via_request)
         _assert_identical(overridden, via_request)
 
-    def test_unbatched_request_runs_on_multi_worker_session(self):
+    def test_poolless_request_runs_on_multi_worker_session(self):
         """A session default of num_workers>1 must not break runs that
-        cannot use the pool; only an explicitly pinned combination fails."""
+        cannot use the pool (the iterative validator never consults it)."""
         relation = WORKLOADS["table1"]
         reference = discover_aods(relation, threshold=0.15,
-                                  batch_validation=False)
+                                  validator="iterative")
         with Profiler(relation, num_workers=4) as session:
             result = session.discover(DiscoveryRequest(
-                threshold=0.15, batch_validation=False
+                threshold=0.15, validator="iterative"
             ))
         _assert_identical(result, reference)
         assert result.stats.num_workers == 1
-        with pytest.raises(ValueError, match="batch_validation"):
-            DiscoveryRequest(batch_validation=False, num_workers=4)
 
     def test_closed_session_rejects_runs(self):
         session = Profiler(WORKLOADS["table1"])

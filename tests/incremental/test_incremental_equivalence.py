@@ -205,9 +205,11 @@ def test_memo_adjustment_matches_fresh_kernels(backend):
                 continue
             classes = session.partitions.get_by_names(sorted(key[2]))
             if key[0] == "oc" and key[1] == "optimal":
-                fresh, _ = session.backend.oc_optimal_removal_count(
-                    classes, encoded.native_ranks(key[3]),
-                    encoded.native_ranks(key[4]), None,
+                [(fresh, _)] = session.backend.oc_optimal_removal_count_batch(
+                    classes,
+                    [(encoded.native_ranks(key[3]),
+                      encoded.native_ranks(key[4]))],
+                    None,
                 )
             elif key[0] == "ofd" and key[1] == "approx":
                 removal, _ = session.backend.ofd_removal_rows(

@@ -55,11 +55,11 @@ def test_removal_counts_never_decrease_under_append(backend_name):
 
         a_native = backend.to_native(a)
         b_native = backend.to_native(b)
-        old_count, _ = backend.oc_optimal_removal_count(
-            old_classes, a_native, b_native, None
+        [(old_count, _)] = backend.oc_optimal_removal_count_batch(
+            old_classes, [(a_native, b_native)], None
         )
-        new_count, _ = backend.oc_optimal_removal_count(
-            grown_classes, a_native, b_native, None
+        [(new_count, _)] = backend.oc_optimal_removal_count_batch(
+            grown_classes, [(a_native, b_native)], None
         )
         assert new_count >= old_count
 

@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro.dataset.examples import employee_salary_table
-from repro.service import ProfilerService, make_server
+from repro.serve import ProfilerService, make_server
 
 
 @pytest.fixture()

@@ -64,14 +64,12 @@ def test_auto_plan_matches_fixed_pooled_pipelined(backend):
         RELATION,
         DiscoveryConfig(
             threshold=0.1, backend=backend, num_workers=2,
-            pipeline_validation=True,
         ),
     )
     auto = discover(
         RELATION,
         DiscoveryConfig(
-            threshold=0.1, backend=backend, num_workers=2,
-            pipeline_validation=True, plan="auto",
+            threshold=0.1, backend=backend, num_workers=2, plan="auto",
         ),
     )
     _assert_identical(auto, fixed)

@@ -137,7 +137,6 @@ def test_build_planner_accepts_prebuilt_model():
         cpu_count=2, kernel_unit_seconds=1e-7,
         dispatch_overhead_seconds=1e-3,
     )
-    planner = build_planner(max_workers=3, pipeline=False, model=model)
+    planner = build_planner(max_workers=3, model=model)
     assert planner.model is model
     assert planner.max_workers == 3
-    assert not planner.pipeline_requested

@@ -27,16 +27,14 @@ class TestParser:
 
     def test_discover_scheduling_flags(self):
         args = build_parser().parse_args(["discover", "data.csv"])
-        assert args.workers == 1 and not args.no_batch
-        assert not args.no_pipeline
+        assert args.workers == 1 and args.plan == "fixed"
         args = build_parser().parse_args(
-            ["discover", "data.csv", "--workers", "4", "--no-batch"]
+            ["discover", "data.csv", "--workers", "4", "--plan", "auto"]
         )
-        assert args.workers == 4 and args.no_batch
-        args = build_parser().parse_args(
-            ["discover", "data.csv", "--workers", "2", "--no-pipeline"]
-        )
-        assert args.no_pipeline
+        assert args.workers == 4 and args.plan == "auto"
+        for removed in ("--no-batch", "--no-pipeline"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["discover", "data.csv", removed])
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep", "data.csv"])
@@ -121,9 +119,11 @@ class TestDiscoverCommand:
         assert main(["discover", "--demo", "--validator", "iterative"]) == 0
 
     def test_no_batch_run(self, capsys):
-        assert main(["discover", "--demo", "--threshold", "0.15",
-                     "--no-batch"]) == 0
-        assert "Discovered:" in capsys.readouterr().out
+        """There is one validation schedule: ``--no-batch`` is unknown."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["discover", "--demo", "--threshold", "0.15", "--no-batch"])
+        assert excinfo.value.code == 2
+        assert "--no-batch" in capsys.readouterr().err
 
     def test_workers_run(self, capsys):
         assert main(["discover", "--demo", "--threshold", "0.15",
@@ -131,9 +131,10 @@ class TestDiscoverCommand:
         assert "Discovered:" in capsys.readouterr().out
 
     def test_workers_without_batching_is_an_error(self, capsys):
-        assert main(["discover", "--demo", "--workers", "2",
-                     "--no-batch"]) == 2
-        assert "batch_validation" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["discover", "--demo", "--workers", "2", "--no-batch"])
+        assert excinfo.value.code == 2
+        assert "--no-batch" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -12,7 +12,7 @@ from repro.dataset.examples import employee_salary_table
 from repro.discovery.api import discover_aods
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.results import DiscoveryResult
-from repro.service import ProfilerService, ServiceError, make_server
+from repro.serve import ProfilerService, ServiceError, make_server
 from repro.validation.distributed import RESILIENCE_COUNTERS
 
 
@@ -150,6 +150,14 @@ class TestEndpoints:
                   {"dataset": "demo", "request": {"bogus_field": 1}})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("name", ["batch_validation", "pipeline_validation"])
+    def test_removed_schedule_fields_are_400(self, server_url, name):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server_url + "/discover",
+                  {"dataset": "demo", "request": {"threshold": 0.1, name: True}})
+        assert excinfo.value.code == 400
+        assert name in json.loads(excinfo.value.read())["error"]
+
     def test_engine_errors_become_400_not_dropped_connections(self, server_url):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server_url + "/discover", {
@@ -168,17 +176,19 @@ class TestEndpoints:
         assert excinfo.value.code == 400
         assert "server-side" in json.loads(excinfo.value.read())["error"]
 
-    def test_unbatched_result_replays_cleanly(self):
-        """A multi-worker server's non-batched results embed num_workers=1;
-        replaying that request must be accepted (it never touches the pool)."""
+    def test_poolless_result_replays_cleanly(self):
+        """A multi-worker server's results embed its worker count even when
+        the run never touched the pool; replaying that request must be
+        accepted."""
         service = ProfilerService(num_workers=2)
         service.add_dataset("demo", employee_salary_table())
         try:
             result = service.discover("demo", DiscoveryRequest(
-                threshold=0.15, batch_validation=False
+                threshold=0.15, validator="iterative"
             ))
+            assert result.stats.num_workers == 1
             echoed = DiscoveryRequest.from_dict(result.to_dict()["request"])
-            assert echoed.num_workers == 1
+            assert echoed.num_workers == 2
             replay = service.discover("demo", echoed)
             assert replay.ocs == result.ocs
             with pytest.raises(ServiceError):

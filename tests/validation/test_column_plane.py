@@ -53,12 +53,12 @@ def test_columns_ship_once_per_worker_per_version(backend):
     with ShardedValidationPool(2, backend=resolved) as pool:
         _force_dispatch(pool)
         plane = pool.new_plane(encoded)
-        first = plane.oc_counts_batch(classes, pairs, None)
+        first = plane.harvest(plane.submit(classes, pairs, None))
         shipped_after_first = pool.stats["columns_shipped"]
         assert first == expected
         # Every later dispatch of the same columns is reference-only.
         for _ in range(3):
-            assert plane.oc_counts_batch(classes, pairs, None) == expected
+            assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["columns_shipped"] == shipped_after_first
         assert pool.stats["column_refs"] > 0
 
@@ -81,11 +81,11 @@ def test_apply_delta_ships_only_appended_rows(backend):
     with ShardedValidationPool(2, backend=resolved) as pool:
         _force_dispatch(pool)
         plane = pool.new_plane(encoded)
-        plane.oc_counts_batch(classes, pairs, None)  # make columns resident
+        plane.harvest(plane.submit(classes, pairs, None))  # make columns resident
         shipped_before = pool.stats["columns_shipped"]
         plane.apply_delta(extended, modes, relation_rows)
         assert pool.stats["deltas"] == 1
-        got = plane.oc_counts_batch(extended_classes, pairs, None)
+        got = plane.harvest(plane.submit(extended_classes, pairs, None))
         assert got == expected
         if all(modes[name] == "appended" for name in pairs[0]):
             # The appended fast path never re-ships the base column.
@@ -102,7 +102,7 @@ def test_stale_classes_rejected_after_delta(backend):
         plane = pool.new_plane(encoded)
         beyond = [[0, encoded.num_rows + 5]]
         with pytest.raises(RuntimeError, match="stale rank column"):
-            plane.oc_counts_batch(beyond, [(names[1], names[2])], None)
+            plane.harvest(plane.submit(beyond, [(names[1], names[2])], None))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -121,11 +121,11 @@ def test_bind_to_different_encoding_invalidates(backend):
     with ShardedValidationPool(2, backend=resolved) as pool:
         _force_dispatch(pool)
         plane = pool.new_plane(encoded)
-        plane.oc_counts_batch(classes, [(names[1], names[2])], None)
+        plane.harvest(plane.submit(classes, [(names[1], names[2])], None))
         plane.bind(other)
-        assert plane.oc_counts_batch(
+        assert plane.harvest(plane.submit(
             other_classes, [(names[1], names[2])], None
-        ) == expected
+        )) == expected
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -134,13 +134,13 @@ def test_release_frees_bookkeeping_and_pool_survives(backend):
     with ShardedValidationPool(2, backend=resolved) as pool:
         _force_dispatch(pool)
         plane = pool.new_plane(encoded)
-        plane.oc_counts_batch(classes, [(names[1], names[2])], None)
+        plane.harvest(plane.submit(classes, [(names[1], names[2])], None))
         plane.release()
         plane.release()  # idempotent
         # A fresh plane over the same pool works from scratch.
         fresh = pool.new_plane(encoded)
         assert fresh.plane_id != plane.plane_id
-        assert fresh.oc_counts_batch(classes, [(names[1], names[2])], None) \
+        assert fresh.harvest(fresh.submit(classes, [(names[1], names[2])], None)) \
             == resolved.oc_optimal_removal_count_batch(
                 classes,
                 [
@@ -169,7 +169,7 @@ def test_abandoned_groups_never_poison_later_harvests(backend):
         pending = plane.submit(classes, pairs, None)
         plane.abandon(pending)
         plane.abandon(pending)  # idempotent
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -200,7 +200,7 @@ def test_abandon_races_dying_worker(backend):
         plane.abandon(pending)
         # The next dispatch sweeps the death and respawns; the abandoned
         # shards must not be resurrected.
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["worker_deaths"] == 1
         assert pool.stats["respawns"] == 1
         assert pool.stats["requeued_shards"] == 0
@@ -247,7 +247,7 @@ def test_concurrent_threads_share_one_pool():
             plane = pool.new_plane(encoded)
             try:
                 for _ in range(10):
-                    if plane.oc_counts_batch(classes, pairs, None) != expected:
+                    if plane.harvest(plane.submit(classes, pairs, None)) != expected:
                         failures.append("result mismatch")
             except BaseException as error:  # noqa: BLE001 - recorded for assert
                 failures.append(repr(error))
@@ -270,7 +270,7 @@ def test_harvest_error_settles_worker_load():
             pool.oc_counts_batch([[0, 1]], [([0, "bad"], [0, 1])], None)
         assert all(worker.load == 0 for worker in pool._workers)
         plane = pool.new_plane(encoded)
-        plane.oc_counts_batch(classes, [(names[1], names[2])], None)
+        plane.harvest(plane.submit(classes, [(names[1], names[2])], None))
         assert all(worker.load == 0 for worker in pool._workers)
 
 

@@ -1,9 +1,7 @@
 """Distributed validation: backend plumbing and the multiprocess path.
 
-Covers the ROADMAP follow-up (workers accept a ``backend`` argument,
-defaulting to a supplied partition cache's backend) and the real
-``ProcessPoolExecutor`` execution mode, which must be outcome-identical to
-the simulated one for every worker count.
+The worker pool honours its ``backend`` argument, and its worker processes
+must return the in-process kernel's counts for every worker count.
 """
 
 import pytest
@@ -12,11 +10,10 @@ from repro.backend import available_backends, get_backend
 from repro.dataset.generators import generate_planted_oc_table
 from repro.dataset.partition import PartitionCache
 from repro.dependencies.oc import CanonicalOC
+from repro.discovery.config import DiscoveryRequest
+from repro.discovery.session import Profiler
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
-from repro.validation.distributed import (
-    ShardedValidationPool,
-    validate_aoc_distributed,
-)
+from repro.validation.distributed import ShardedValidationPool
 
 BACKENDS = available_backends()
 
@@ -27,49 +24,72 @@ def _planted():
     return workload.relation, CanonicalOC(planted.context, planted.a, planted.b)
 
 
+def _plane_counts(pool, relation, context, pairs, limit=None):
+    """Counts of ``pairs`` in ``context`` through a column plane on ``pool``."""
+    encoded = relation.encoded(pool.backend)
+    classes = PartitionCache(encoded, backend=pool.backend).get_by_names(
+        sorted(context)
+    )
+    plane = pool.new_plane(encoded)
+    try:
+        return plane.harvest(plane.submit(classes, pairs, limit))
+    finally:
+        plane.release()
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_argument_honoured(backend):
     relation, oc = _planted()
     central = validate_aoc_optimal(relation, oc, backend=backend)
-    outcome = validate_aoc_distributed(
-        relation, oc, num_workers=3, backend=backend
-    )
-    assert outcome.result.removal_rows == central.removal_rows
-    assert outcome.num_workers == 3
+    with ShardedValidationPool(3, backend=backend, inline_group_cost=0,
+                               min_shard_cost=1) as pool:
+        assert pool.backend.name == backend
+        counts = _plane_counts(pool, relation, oc.context, [(oc.a, oc.b)])
+        assert pool.stats["jobs"] > 0
+    assert counts == [(central.removal_size, False)]
 
 
 def test_backend_defaults_to_partition_cache_backend():
+    """A session's worker pool runs the backend its partition cache was
+    built with, and its plane reproduces the validator's removal size."""
     relation, oc = _planted()
-    backend = get_backend("python")
-    cache = PartitionCache(relation.encoded(backend), backend=backend)
-    outcome = validate_aoc_distributed(relation, oc, partition_cache=cache)
-    central = validate_aoc_optimal(relation, oc, partition_cache=cache)
-    assert outcome.result.removal_rows == central.removal_rows
+    with Profiler(relation, backend="python", num_workers=2) as session:
+        session.discover(DiscoveryRequest(threshold=0.1))
+        cache = session.partitions
+        pool = session._pool
+        assert pool.backend.name == cache.backend.name == "python"
+        central = validate_aoc_optimal(relation, oc, partition_cache=cache)
+        counts = _plane_counts(pool, relation, oc.context, [(oc.a, oc.b)])
+    assert counts == [(central.removal_size, False)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_workers", [1, 2, 4])
 def test_process_execution_matches_simulated(backend, num_workers):
+    """Worker processes return exactly the in-process kernel's counts, for
+    every worker count and removal budget."""
     relation, oc = _planted()
-    simulated = validate_aoc_distributed(
-        relation, oc, num_workers=num_workers, backend=backend,
-        execution="simulated",
+    resolved = get_backend(backend)
+    encoded = relation.encoded(resolved)
+    classes = PartitionCache(encoded, backend=resolved).get_by_names(
+        sorted(oc.context)
     )
-    process = validate_aoc_distributed(
-        relation, oc, num_workers=num_workers, backend=backend,
-        execution="process",
-    )
-    assert process.result == simulated.result
-    assert process.result.removal_rows == simulated.result.removal_rows
-    assert [r.removal_rows for r in process.worker_reports] == [
-        r.removal_rows for r in simulated.worker_reports
-    ]
-
-
-def test_unknown_execution_mode_rejected():
-    relation, oc = _planted()
-    with pytest.raises(ValueError, match="execution"):
-        validate_aoc_distributed(relation, oc, execution="carrier-pigeon")
+    names = [(oc.a, oc.b), (oc.b, oc.a)]
+    pairs = [(encoded.native_ranks(a), encoded.native_ranks(b))
+             for a, b in names]
+    with ShardedValidationPool(num_workers, backend=resolved,
+                               inline_group_cost=0, min_shard_cost=1) as pool:
+        for limit in (None, 0, 40):
+            simulated = resolved.oc_optimal_removal_count_batch(
+                classes, pairs, limit
+            )
+            process = _plane_counts(pool, relation, oc.context, names, limit)
+            assert [over for _, over in process] == \
+                [over for _, over in simulated]
+            for (s_count, over), (p_count, _) in zip(simulated, process):
+                if not over:
+                    assert p_count == s_count
+        assert pool.stats["jobs"] > 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

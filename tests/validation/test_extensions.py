@@ -1,5 +1,6 @@
 """Tests for the extension modules: bidirectional OCs, distributed
-validation and hybrid sampling (the paper's §5 future-work directions)."""
+validation through the worker pool and hybrid sampling (the paper's §5
+future-work directions)."""
 
 from itertools import combinations
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dataset.examples import employee_salary_table
 from repro.dataset.generators import generate_ncvoter_like, generate_planted_oc_table
+from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
 from repro.dependencies.bidirectional import BidirectionalOC
 from repro.dependencies.oc import CanonicalOC
@@ -18,10 +20,8 @@ from repro.discovery.sampling import (
 )
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
 from repro.validation.bidirectional import best_polarity, validate_aboc_optimal
-from repro.validation.distributed import (
-    assign_classes_to_workers,
-    validate_aoc_distributed,
-)
+from repro.validation.common import removal_limit
+from repro.validation.distributed import ShardedValidationPool
 
 
 class TestBidirectionalOCObject:
@@ -100,17 +100,38 @@ class TestBidirectionalValidation:
         assert not validate_aboc_optimal(table, boc, threshold=0.3).is_valid
 
 
+def _pooled_count(relation, oc, pool, limit=None):
+    """Validate ``oc`` through a column plane on ``pool``."""
+    encoded = relation.encoded(pool.backend)
+    classes = PartitionCache(encoded, backend=pool.backend).get_by_names(
+        sorted(oc.context)
+    )
+    plane = pool.new_plane(encoded)
+    try:
+        return plane.harvest(plane.submit(classes, [(oc.a, oc.b)], limit))[0]
+    finally:
+        plane.release()
+
+
+def _dispatching_pool(num_workers):
+    """A pool that sends every group to its workers (tiny test tables)."""
+    return ShardedValidationPool(
+        num_workers, backend="python", inline_group_cost=0, min_shard_cost=1
+    )
+
+
 class TestDistributedValidation:
     def test_matches_centralised_validator(self):
         workload = generate_ncvoter_like(400, num_attributes=8, seed=5)
         relation = workload.relation
-        for planted in workload.planted_ocs:
-            oc = CanonicalOC(planted.context, planted.a, planted.b)
-            central = validate_aoc_optimal(relation, oc)
-            for num_workers in (1, 3, 8):
-                distributed = validate_aoc_distributed(relation, oc, num_workers)
-                assert distributed.result.removal_size == central.removal_size
-                assert distributed.num_workers == num_workers
+        ocs = [CanonicalOC(p.context, p.a, p.b) for p in workload.planted_ocs]
+        for num_workers in (1, 3):
+            with _dispatching_pool(num_workers) as pool:
+                for oc in ocs:
+                    central = validate_aoc_optimal(relation, oc)
+                    count, exceeded = _pooled_count(relation, oc, pool)
+                    assert (count, exceeded) == (central.removal_size, False)
+                assert pool.stats["jobs"] > 0
 
     def test_with_context_and_threshold(self):
         workload = generate_planted_oc_table(
@@ -118,38 +139,44 @@ class TestDistributedValidation:
         )
         (planted,) = workload.planted_ocs
         oc = CanonicalOC(planted.context, planted.a, planted.b)
-        outcome = validate_aoc_distributed(
-            workload.relation, oc, num_workers=4, threshold=0.15
-        )
-        assert outcome.result.is_valid
-        assert outcome.result.removal_size == 30
-        total_assigned = sum(r.num_classes for r in outcome.worker_reports)
-        assert total_assigned == 6
+        limit = removal_limit(workload.relation.num_rows, 0.15)
+        with _dispatching_pool(4) as pool:
+            count, exceeded = _pooled_count(workload.relation, oc, pool, limit)
+            assert 1 <= pool.stats["jobs"] <= 4
+        assert not exceeded
+        assert count == 30
 
     def test_threshold_rejection(self):
         table = employee_salary_table()
-        outcome = validate_aoc_distributed(
-            table, CanonicalOC([], "sal", "tax"), num_workers=2, threshold=0.1
-        )
-        assert not outcome.result.is_valid
+        limit = removal_limit(table.num_rows, 0.1)
+        with _dispatching_pool(2) as pool:
+            count, exceeded = _pooled_count(
+                table, CanonicalOC([], "sal", "tax"), pool, limit
+            )
+        assert exceeded and count > limit
 
     def test_assignment_balances_load(self):
         classes = [list(range(i)) for i in (50, 40, 30, 5, 5, 5, 5)]
-        assignments = assign_classes_to_workers(classes, 3)
-        assert sum(len(a) for a in assignments) == len(classes)
-        sizes = [sum(len(c) for c in worker) for worker in assignments]
-        assert max(sizes) <= 60  # the two largest classes are not co-located
+        with _dispatching_pool(3) as pool:
+            shards, _, _ = pool._plan_shards(classes)
+        assert sum(len(shard) for shard, _ in shards) == len(classes)
+        sizes = [sum(len(rows) for rows in shard) for shard, _ in shards]
+        assert len(sizes) == 3
+        assert max(sizes) <= 70  # the two largest classes are not co-located
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            assign_classes_to_workers([[1, 2]], 0)
+            ShardedValidationPool(0)
 
     def test_max_worker_share(self):
         table = employee_salary_table()
-        outcome = validate_aoc_distributed(
-            table, CanonicalOC([], "sal", "tax"), num_workers=2
-        )
-        assert 0.0 < outcome.max_worker_share <= 1.0
+        with _dispatching_pool(2) as pool:
+            encoded = table.encoded(pool.backend)
+            classes = PartitionCache(encoded, backend=pool.backend) \
+                .get_by_names(["pos"])
+            shards, _, _ = pool._plan_shards(classes)
+        sizes = [sum(len(rows) for rows in shard) for shard, _ in shards]
+        assert 0.0 < max(sizes) / sum(sizes) <= 1.0
 
 
 class TestHybridSampling:

@@ -3,9 +3,10 @@
 Acceptance bars from the PR-7 issue, driven through the test-only
 :class:`~repro.validation.distributed.FaultPlan`:
 
-* killing any worker at randomized points during batched, pipelined, and
-  incremental (post-``extend``) discovery yields results byte-identical to
-  the in-process run, with no hang (every test carries a wall-clock bound);
+* killing any worker at randomized points during pooled (memoised or
+  one-shot budget) and incremental (post-``extend``) discovery yields
+  results byte-identical to the in-process run, with no hang (every test
+  carries a wall-clock bound);
 * a shard that kills workers twice is quarantined and validated on the
   coordinator;
 * a dropped result message is recovered through the per-job timeout;
@@ -15,6 +16,7 @@ Acceptance bars from the PR-7 issue, driven through the test-only
   ``DiscoveryResult.stats``.
 """
 
+import os
 import random
 import time
 
@@ -112,12 +114,13 @@ def _baseline(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", [1, 2, 5, 9])
-@pytest.mark.parametrize("pipelined", [True, False])
-def test_discovery_survives_randomized_worker_kill(backend, seed, pipelined):
-    """Batched and pipelined discovery, a worker killed at a randomized
-    point: byte-identical results, bounded recovery, counters surfaced."""
+@pytest.mark.parametrize("memo", [True, False])
+def test_discovery_survives_randomized_worker_kill(backend, seed, memo):
+    """Pooled discovery, with the session memo's slack removal budget or
+    the one-shot tight one, a worker killed at a randomized point:
+    byte-identical results, bounded recovery, counters surfaced."""
     reference = _baseline(backend)
-    request = DiscoveryRequest(threshold=0.1, pipeline_validation=pipelined)
+    request = DiscoveryRequest(threshold=0.1)
     plan = _randomized_kill_plan(seed)
     killed_mid_job = any(
         fault.exit_before_job is not None
@@ -126,7 +129,8 @@ def test_discovery_survives_randomized_worker_kill(backend, seed, pipelined):
     start = time.monotonic()
     with _faulty_pool(backend, plan) as pool:
         with Profiler(
-            RELATION, backend=backend, num_workers=2, shard_pool=pool
+            RELATION, backend=backend, num_workers=2, shard_pool=pool,
+            cache_validations=memo,
         ) as session:
             result = session.discover(request)
         deaths = pool.stats["worker_deaths"]
@@ -195,13 +199,49 @@ def test_requeued_shards_match_and_count(backend):
     plan = FaultPlan(worker_faults={0: WorkerFault(exit_before_job=0)})
     with _faulty_pool(backend, plan) as pool:
         plane = pool.new_plane(encoded)
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["worker_deaths"] == 1
         assert pool.stats["respawns"] == 1
         assert pool.stats["requeued_shards"] >= 1
         # The pool stays fully usable afterwards.
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["worker_deaths"] == 1
+
+
+def test_killed_workers_with_backed_up_results_do_not_stall_the_pool():
+    """Workers SIGKILLed while blocked sending results nobody is reading yet
+    (a large result fills the pipe mid-message): their shards recover on
+    replacements and every pending group still harvests correctly."""
+    import signal
+    import threading
+
+    encoded, classes, pairs, _ = _simple_workload("python")
+    classes = classes[:4]
+    # ~100 KB results: more than a pipe holds, so each worker blocks
+    # mid-send on its first job while the groups go unharvested.
+    many = pairs * 10_000
+    resolved = get_backend("python")
+    expected = resolved.oc_optimal_removal_count_batch(
+        classes,
+        [(encoded.native_ranks(a), encoded.native_ranks(b)) for a, b in many],
+        None,
+    )
+    with _force_dispatch(ShardedValidationPool(2, backend="python")) as pool:
+        plane = pool.new_plane(encoded)
+        pending = [plane.submit(classes, many, None) for _ in range(3)]
+        time.sleep(1.0)
+        for worker in list(pool._workers):
+            os.kill(worker.process.pid, signal.SIGKILL)
+        harvested = []
+        harvester = threading.Thread(
+            target=lambda: harvested.extend(plane.harvest(p) for p in pending),
+            daemon=True,
+        )
+        harvester.start()
+        harvester.join(RECOVERY_DEADLINE_SECONDS)
+        assert not harvester.is_alive(), "harvest stalled after the kills"
+        assert harvested == [expected] * 3
+        assert pool.stats["worker_deaths"] >= 2
 
 
 def test_poison_shard_quarantined_after_two_deaths():
@@ -216,14 +256,14 @@ def test_poison_shard_quarantined_after_two_deaths():
     plan.on_event = lambda event, detail: events.append(event)
     with _faulty_pool("python", plan, num_workers=1) as pool:
         plane = pool.new_plane(encoded)
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["worker_deaths"] == 2
         assert pool.stats["quarantined_shards"] >= 1
         assert pool.stats["inline_fallbacks"] >= 1
         assert not pool.degraded
         assert "quarantine" in events
         # The seq-2 replacement is healthy; the pool keeps dispatching.
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
 
 
 def test_exit_after_job_recovers_on_next_dispatch():
@@ -233,8 +273,8 @@ def test_exit_after_job_recovers_on_next_dispatch():
     plan = FaultPlan(worker_faults={0: WorkerFault(exit_after_job=0)})
     with _faulty_pool("python", plan, num_workers=1) as pool:
         plane = pool.new_plane(encoded)
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["worker_deaths"] == 1
         assert pool.stats["respawns"] == 1
 
@@ -250,7 +290,7 @@ def test_dropped_result_recovered_through_timeout():
         "python", plan, num_workers=1, worker_timeout=1.0
     ) as pool:
         plane = pool.new_plane(encoded)
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["worker_timeouts"] >= 1
         assert pool.stats["worker_deaths"] >= 1
     assert time.monotonic() - start < RECOVERY_DEADLINE_SECONDS
@@ -266,13 +306,13 @@ def test_repeated_respawn_failure_degrades_to_in_process():
     )
     with _faulty_pool("python", plan, num_workers=1) as pool:
         plane = pool.new_plane(encoded)
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.degraded
         assert pool.stats["worker_deaths"] == 1
         assert pool.stats["respawns"] == 0
         assert pool.stats["inline_fallbacks"] >= 1
         # Degraded mode survives: later groups run on the coordinator.
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         snapshot = pool.resilience_stats()
         assert snapshot["degraded"] is True
         assert snapshot["worker_deaths"] == 1
@@ -289,7 +329,7 @@ def test_delayed_respawn_still_recovers():
     start = time.monotonic()
     with _faulty_pool("python", plan, num_workers=2) as pool:
         plane = pool.new_plane(encoded)
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["respawns"] == 1
     assert time.monotonic() - start < RECOVERY_DEADLINE_SECONDS
 

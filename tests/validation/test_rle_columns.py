@@ -131,11 +131,11 @@ def test_pool_results_identical_with_rle_transport(backend):
     with ShardedValidationPool(2, backend=resolved) as pool:
         _force_dispatch(pool)
         plane = pool.new_plane(encoded)
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["columns_rle"] > 0  # `g` shipped run-encoded
         # Resident reuse: identical results, nothing re-shipped.
         shipped = pool.stats["columns_shipped"]
-        assert plane.oc_counts_batch(classes, pairs, None) == expected
+        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats["columns_shipped"] == shipped
 
 
@@ -164,18 +164,18 @@ def test_pool_reuse_after_extend_reships_fresh_columns(backend):
     with ShardedValidationPool(2, backend=resolved) as pool:
         _force_dispatch(pool)
         plane = pool.new_plane(encoded)
-        plane.oc_counts_batch(classes, pairs, None)
+        plane.harvest(plane.submit(classes, pairs, None))
         delta = {"g": [4] * 8, "a": [2] * 8, "b": [0] * 8}
         extended, modes = encoded.extend(delta)
         grown = classes + [[num_rows, num_rows + 1]]
         # Still bound to the old encoding: its columns (run-encoded `g`
         # included) cannot cover the appended rows.
         with pytest.raises(RuntimeError, match="stale rank column"):
-            plane.oc_counts_batch(grown, pairs, None)
+            plane.harvest(plane.submit(grown, pairs, None))
         plane.apply_delta(extended, modes, num_rows)
         expected = resolved.oc_optimal_removal_count_batch(
             grown,
             [(extended.native_ranks("g"), extended.native_ranks("a"))],
             None,
         )
-        assert plane.oc_counts_batch(grown, pairs, None) == expected
+        assert plane.harvest(plane.submit(grown, pairs, None)) == expected
