@@ -18,6 +18,11 @@ in the same order, the same early-exit points under a removal budget.  The
 differential tests in ``tests/backend`` enforce this on full discovery
 runs, so downstream layers may pick a backend purely on speed.
 
+There is no separate exact-check kernel.  An exact OC or OFD holds iff
+its minimal removal count is 0 (the paper's ``ε = 0`` special case), so
+exact checks call the count kernels with ``limit=0`` and read the
+``exceeded`` flag: ``not exceeded`` means "holds".
+
 A backend also defines the *native* representation of a rank column (a
 plain ``list`` for Python, an ``int32`` ``ndarray`` for NumPy).  Kernels
 accept native columns; :meth:`ComputeBackend.to_native` converts on the
@@ -100,42 +105,6 @@ class ComputeBackend(abc.ABC):
     def partition_product(self, left: Partition, right: Partition) -> Partition:
         """Compute ``Pi_{X ∪ Y}`` from two stripped partitions."""
 
-    # -- exact checks ----------------------------------------------------------
-
-    @abc.abstractmethod
-    def oc_holds(self, classes: Sequence[Sequence[int]], a_ranks, b_ranks) -> bool:
-        """Exact OC check (no swap in any context class)."""
-
-    @abc.abstractmethod
-    def ofd_holds(self, classes: Sequence[Sequence[int]], value_ranks) -> bool:
-        """Exact OFD check (RHS constant within every context class)."""
-
-    # -- batched exact checks ----------------------------------------------------
-    #
-    # Like the batched removal kernels below, these serve the level-synchronous
-    # scheduler: all exact candidates sharing a context are checked through one
-    # call, so the context's columnar view and sort infrastructure are paid
-    # once per group.  Entry ``i`` of the result aligns with input ``i`` and
-    # must equal the corresponding single-candidate check exactly.
-
-    def oc_holds_batch(
-        self,
-        classes: Sequence[Sequence[int]],
-        rank_pairs: Sequence[Tuple[object, object]],
-    ) -> List[bool]:
-        """Exact OC checks for many ``(A, B)`` rank-column pairs sharing one
-        context."""
-        return [self.oc_holds(classes, a_ranks, b_ranks)
-                for a_ranks, b_ranks in rank_pairs]
-
-    def ofd_holds_batch(
-        self,
-        classes: Sequence[Sequence[int]],
-        rhs_ranks: Sequence[object],
-    ) -> List[bool]:
-        """Exact OFD checks for many RHS rank columns sharing one context."""
-        return [self.ofd_holds(classes, ranks) for ranks in rhs_ranks]
-
     # -- removal-set kernels ---------------------------------------------------
 
     @abc.abstractmethod
@@ -200,9 +169,12 @@ class ComputeBackend(abc.ABC):
     # ``ofd_removal_batch`` goes further: an exceeded entry carries the
     # class-by-class partial, ``len`` of the rows ``ofd_removal_rows``
     # returns under the same ``limit``.  The OC batch may abandon an
-    # exceeded candidate mid-kernel, so its partial is only guaranteed to be
-    # *some* value above ``limit``.  Discovery only consumes ``(valid,
-    # size-if-valid)``, which is identical either way.
+    # exceeded candidate mid-kernel (or before its LNDS pass, once its
+    # dirty classes alone outnumber ``limit``), so its partial is only
+    # guaranteed to be *some* value above ``limit``.  Discovery only
+    # consumes ``(valid, size-if-valid)``, which is identical either way.
+    # At ``limit=0`` the exact ``exceeded`` flag is the exact check:
+    # ``not exceeded`` iff the dependency holds with no removals.
 
     @abc.abstractmethod
     def oc_optimal_removal_count_batch(

@@ -354,82 +354,6 @@ class NumpyBackend(ComputeBackend):
                 return removal, True
         return removal, False
 
-    # -- exact checks ----------------------------------------------------------
-
-    def oc_holds(self, classes, a_ranks, b_ranks) -> bool:
-        if not len(classes):
-            return True
-        a = self.to_native(a_ranks)
-        b = self.to_native(b_ranks)
-        rows, class_ids, lengths = self._columnar_classes(classes)
-        a_values = a[rows]
-        b_values = b[rows].astype(np.int64)
-        combined = class_ids * (int(a_values.max(initial=0)) + 1) + a_values
-        order = np.lexsort((b_values, combined))
-        b_sorted = b_values[order]
-        interior = self._interior_mask(lengths)
-        return bool(np.all(np.diff(b_sorted)[interior] >= 0))
-
-    def ofd_holds(self, classes, value_ranks) -> bool:
-        if not len(classes):
-            return True
-        ranks = self.to_native(value_ranks)
-        rows, _, lengths = self._columnar_classes(classes)
-        values = ranks[rows].astype(np.int64)
-        interior = self._interior_mask(lengths)
-        return bool(np.all(np.diff(values)[interior] == 0))
-
-    def oc_holds_batch(self, classes, rank_pairs) -> List[bool]:
-        """Batched exact OC checks: one shared context, many rank pairs.
-
-        The context's columnar view and interior mask are built once; per
-        pair one fused-key sort orders every class and a single vectorised
-        comparison detects any in-class descent — the same screening the
-        batched count kernel runs, without the LNDS step.
-        """
-        num_pairs = len(rank_pairs)
-        if num_pairs == 0:
-            return []
-        if not len(classes):
-            return [True] * num_pairs
-        rows, class_ids, lengths = self._columnar_classes(classes)
-        if rows.size == 0:
-            return [True] * num_pairs
-        interior = self._interior_mask(lengths)
-        results: List[bool] = []
-        for a_ranks, b_ranks in rank_pairs:
-            a_values = self.to_native(a_ranks)[rows].astype(np.int64)
-            b_values = self.to_native(b_ranks)[rows].astype(np.int64)
-            b_sorted = self._fused_b_sorted(
-                lengths.size, class_ids, a_values, b_values
-            )
-            results.append(bool(np.all(np.diff(b_sorted)[interior] >= 0)))
-        return results
-
-    def ofd_holds_batch(self, classes, rhs_ranks) -> List[bool]:
-        """Batched exact OFD checks: one shared context, many RHS columns.
-
-        All RHS columns are stacked into one value matrix and the
-        constant-within-class test runs over every column at once.
-        """
-        num_rhs = len(rhs_ranks)
-        if num_rhs == 0:
-            return []
-        if not len(classes):
-            return [True] * num_rhs
-        rows, _, lengths = self._columnar_classes(classes)
-        if rows.size < 2:
-            return [True] * num_rhs
-        # Gather each column down to the grouped rows *before* stacking:
-        # stripped partitions usually cover a fraction of the table.
-        values = np.stack(
-            [self.to_native(ranks)[rows] for ranks in rhs_ranks]
-        ).astype(np.int64)
-        changed = (values[:, 1:] != values[:, :-1]) & self._interior_mask(
-            lengths
-        )[None, :]
-        return [not bool(flag) for flag in np.any(changed, axis=1)]
-
     @staticmethod
     def _interior_mask(lengths: np.ndarray) -> np.ndarray:
         """Adjacent-pair mask that is ``False`` across class boundaries.
@@ -451,7 +375,7 @@ class NumpyBackend(ComputeBackend):
         """The ``B`` projection of every class ordered by ``[class, A ASC,
         B ASC]``.
 
-        Counts and holds checks never need row identities, so the
+        Counts never need row identities, so the
         ``(class, A, B)`` triple is fused into one int64 key and
         value-sorted — cheaper than a two-pass lexsort followed by a
         gather.  Falls back to the lexsort when the fused key would
@@ -512,8 +436,11 @@ class NumpyBackend(ComputeBackend):
         per pair, one sort orders every class and a single vectorised
         pass finds the *dirty* classes (those whose ``B`` projection is not
         already non-decreasing — during discovery the vast majority are
-        clean and contribute nothing).  The dirty segments of **all** pairs
-        are then pushed through the segmented multi-class LNDS kernel
+        clean and contribute nothing).  Every dirty class removes at least
+        one row, so a pair with more dirty classes than ``limit`` is
+        exceeded without any LNDS work; at ``limit=0`` (exact checks) that
+        is every pair that does not hold.  The dirty segments of the other
+        pairs are then pushed through the segmented multi-class LNDS kernel
         together, so the patience step advances every class of every
         candidate simultaneously instead of looping per class in Python.
         """
@@ -548,7 +475,12 @@ class NumpyBackend(ComputeBackend):
             viol = np.zeros(b_sorted.size, dtype=bool)
             viol[:-1] = (np.diff(b_sorted) < 0) & interior
             dirty = np.add.reduceat(viol, starts) > 0
-            if not dirty.any():
+            num_dirty = int(np.count_nonzero(dirty))
+            if num_dirty == 0:
+                continue
+            if limit is not None and num_dirty > limit:
+                counts[pair_id] = limit + 1
+                exceeded[pair_id] = True
                 continue
             seg_chunks.append(b_sorted[np.repeat(dirty, lengths)])
             dirty_lengths = lengths[dirty]

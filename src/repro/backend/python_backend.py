@@ -53,18 +53,6 @@ class PythonBackend(ComputeBackend):
     def partition_product(self, left: Partition, right: Partition) -> Partition:
         return left.product_partition(right)
 
-    # -- exact checks ----------------------------------------------------------
-
-    def oc_holds(self, classes, a_ranks, b_ranks) -> bool:
-        from repro.validation.exact_oc import oc_holds_in_classes
-
-        return oc_holds_in_classes(classes, a_ranks, b_ranks)
-
-    def ofd_holds(self, classes, value_ranks) -> bool:
-        from repro.validation.exact_ofd import ofd_holds_in_classes
-
-        return ofd_holds_in_classes(classes, value_ranks)
-
     # -- removal-set kernels ---------------------------------------------------
 
     def oc_optimal_removal_rows(

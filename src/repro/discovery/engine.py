@@ -641,6 +641,7 @@ class DiscoveryEngine:
         byte-identical results, counters included.
         """
         plane = self._active_plane
+        oc_exact = oc_validator_tag(self.config) == "exact"
         in_flight: List[Tuple[List[Tuple[int, tuple]], object]] = []
         try:
             if plane is None:
@@ -658,8 +659,8 @@ class DiscoveryEngine:
                     with self._tracer.span(
                         "oc-batch", parent=self._level_span, pairs=len(todo)
                     ), PhaseTimer(self.stats, "oc_validation_seconds"):
-                        counts, limit_used = self._oc_counts(classes, pairs)
-                    self._settle(todo, counts, limit_used, oc_outcomes)
+                        counts = self._oc_counts(classes, pairs)
+                    self._settle(todo, counts, oc_exact, oc_outcomes)
                 else:
                     with self._tracer.span(
                         "oc-submit", parent=self._level_span, pairs=len(todo)
@@ -682,7 +683,7 @@ class DiscoveryEngine:
                     "oc-harvest", parent=self._level_span, pairs=len(todo)
                 ), PhaseTimer(self.stats, "oc_validation_seconds"):
                     counts = plane.harvest(pending)
-                self._settle(todo, counts, self._kernel_limit, oc_outcomes)
+                self._settle(todo, counts, oc_exact, oc_outcomes)
         except BaseException:
             for _, pending in in_flight:
                 plane.abandon(pending)
@@ -715,20 +716,24 @@ class DiscoveryEngine:
                 yield context, todo
 
     def _settle(
-        self, todo, counts, limit_used: Optional[int],
-        outcomes: List[Optional[Outcome]],
+        self, todo, counts, exact: bool, outcomes: List[Optional[Outcome]],
     ) -> None:
         """Turn one group's kernel ``(count, exceeded)`` pairs into outcomes
-        and memo entries.  ``limit_used`` is ``None`` for exact checks,
-        whose ``exceeded`` means "does not hold"."""
+        and memo entries.
+
+        Every kernel ran at ``self._kernel_limit``.  For an ``exact`` check
+        that limit is 0, so ``exceeded`` means "does not hold"; its count
+        is dropped and the memo keeps the boolean shape ``(0, failed,
+        None)``.
+        """
+        limit_used = None if exact else self._kernel_limit
         for (i, key), (count, exceeded) in zip(todo, counts):
+            if exact:
+                count = 0
             self._memo_store(key, count, exceeded, limit_used)
-            if limit_used is None:
-                outcomes[i] = (count, not exceeded)
-            else:
-                outcomes[i] = (
-                    count, not exceeded and count <= self._removal_limit
-                )
+            outcomes[i] = (
+                count, not exceeded and count <= self._removal_limit
+            )
 
     def _validate_ofd_jobs(
         self, jobs: Sequence[OFDJob], outcomes: List[Optional[Outcome]]
@@ -743,39 +748,24 @@ class DiscoveryEngine:
             with self._tracer.span(
                 "ofd-batch", parent=self._level_span, candidates=len(todo)
             ), PhaseTimer(self.stats, "ofd_validation_seconds"):
-                if self.config.is_exact:
-                    holds = self.backend.ofd_holds_batch(classes, rhs)
-                    counts, limit_used = [(0, not h) for h in holds], None
-                else:
-                    counts = self.backend.ofd_removal_batch(
-                        classes, rhs, self._kernel_limit
-                    )
-                    limit_used = self._kernel_limit
-            self._settle(todo, counts, limit_used, outcomes)
+                counts = self.backend.ofd_removal_batch(
+                    classes, rhs, self._kernel_limit
+                )
+            self._settle(todo, counts, self.config.is_exact, outcomes)
             self.stats.ofd_batches += 1
 
     def _oc_counts(self, classes, pairs: Sequence[Tuple[str, str]]):
-        """In-process OC kernel dispatch for one context group.
-
-        Returns ``(counts, limit_used)`` in the shape :meth:`_settle`
-        takes.
-        """
-        tag = oc_validator_tag(self.config)
-        if tag == "exact":
-            holds = self.backend.oc_holds_batch(classes, [
-                (self.encoded.native_ranks(a), self.encoded.native_ranks(b))
-                for a, b in pairs
-            ])
-            return [(0, not h) for h in holds], None
-        if tag == "optimal":
+        """In-process OC kernel dispatch for one context group: one
+        ``(count, exceeded)`` per pair, at ``self._kernel_limit``."""
+        if oc_validator_tag(self.config) != "iterative":
             # The engine only records removal sizes, and Algorithm 2's
             # per-class contributions are minimal, so the count-only kernel
-            # (no subsequence reconstruction) returns the same numbers.
-            counts = self.backend.oc_optimal_removal_count_batch(classes, [
+            # (no subsequence reconstruction) returns the same numbers.  An
+            # exact check is the same kernel at limit 0.
+            return self.backend.oc_optimal_removal_count_batch(classes, [
                 (self.encoded.native_ranks(a), self.encoded.native_ranks(b))
                 for a, b in pairs
             ], self._kernel_limit)
-            return counts, self._kernel_limit
         # Algorithm 1 stays row-at-a-time by design (the paper's quadratic
         # strawman) on canonical lists in every backend; it still benefits
         # from the shared context partition.
@@ -786,7 +776,7 @@ class DiscoveryEngine:
                 self._kernel_limit,
             )
             counts.append((len(removal), exceeded))
-        return counts, self._kernel_limit
+        return counts
 
     # -- outcome recording --------------------------------------------------------
 

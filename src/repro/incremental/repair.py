@@ -174,12 +174,17 @@ def _batched_oc_counts(backend, removed, added, pairs) -> List[int]:
 
 
 def _holds(kind, key, classes, encoded) -> bool:
+    """An exact check over ``classes``: a removal count at limit 0."""
     backend = encoded.backend
     if kind == "oc":
-        return backend.oc_holds(
-            classes, encoded.native_ranks(key[3]), encoded.native_ranks(key[4])
+        [(_, exceeded)] = backend.oc_optimal_removal_count_batch(classes, [
+            (encoded.native_ranks(key[3]), encoded.native_ranks(key[4]))
+        ], 0)
+    else:
+        [(_, exceeded)] = backend.ofd_removal_batch(
+            classes, [encoded.native_ranks(key[3])], 0
         )
-    return backend.ofd_holds(classes, encoded.native_ranks(key[3]))
+    return not exceeded
 
 
 def _greedy_count(key, classes, encoded) -> int:

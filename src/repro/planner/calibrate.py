@@ -9,10 +9,11 @@ clock — so each probe is a few milliseconds of synthetic work:
   process lifetime (the kernel's throughput does not drift).
 * :func:`probe_dispatch_overhead` round-trips one deliberately tiny shard
   through a live :class:`~repro.validation.distributed.ShardedValidationPool`
-  (the plane-less path dispatches unconditionally, so the measurement is a
-  true process round-trip).  Without a pool it falls back to a
-  conservative default — overestimating dispatch cost only makes the
-  planner more reluctant to parallelise, which is the safe direction.
+  (each repetition opens a fresh column plane and submits with no inline
+  floor, so it ships its columns and makes a true process round-trip).
+  Without a pool it falls back to a conservative default — overestimating
+  dispatch cost only makes the planner more reluctant to parallelise,
+  which is the safe direction.
 
 Probes use deterministic synthetic data (no RNG): calibration must never
 perturb result reproducibility, and the timings themselves are the only
@@ -26,6 +27,7 @@ import time
 from typing import Dict, Optional
 
 from repro.backend import available_backends, resolve_backend
+from repro.dataset.relation import Relation
 
 from .model import CostModel, cost_units
 
@@ -94,21 +96,30 @@ def probe_backend_units() -> Dict[str, float]:
 def probe_dispatch_overhead(pool=None) -> float:
     """Per-shard round-trip seconds through ``pool`` (fallback default).
 
-    Uses the pool's plane-less :meth:`oc_counts_batch`, which dispatches
-    every group regardless of size, with a single 8-row class — so the
-    measured time is almost entirely transport, not kernel.
+    Each repetition opens a fresh column plane over an 8-row, two-column
+    encoded relation and submits its single class with no inline floor, so
+    the group is dispatched and its columns ship with it — the measured
+    time is almost entirely transport, not kernel.
     """
     if pool is None or getattr(pool, "closed", True) \
             or getattr(pool, "degraded", False):
         return DEFAULT_DISPATCH_OVERHEAD_SECONDS
-    classes = [list(range(8))]
     a = list(range(8))
-    b = list(reversed(a))
+    encoded = Relation.from_columns(
+        {"a": a, "b": list(reversed(a))}
+    ).encoded(pool.backend)
+    classes = [a]
     best = float("inf")
     try:
         for _ in range(PROBE_REPEATS):
             start = time.perf_counter()
-            pool.oc_counts_batch(classes, [(a, b)], None)
+            plane = pool.new_plane(encoded)
+            try:
+                plane.harvest(plane.submit(
+                    classes, [("a", "b")], None, inline_group_cost=0
+                ))
+            finally:
+                plane.release()
             best = min(best, time.perf_counter() - start)
     except Exception:
         # A sick pool must not take the planner down with it; keep the

@@ -413,26 +413,20 @@ def _plane_worker_main(task_queue, results, backend, fault=None) -> None:
                 exit_after = fault.exit_after_job == ordinal
             ordinal += 1
             try:
-                if plane_id is None:
-                    resolved = {
-                        name: _materialize_column(column)
-                        for name, column in shipped.items()
-                    }
-                else:
-                    for name, column in shipped.items():
-                        columns[(plane_id, name)] = (
-                            version, _materialize_column(column)
+                for name, column in shipped.items():
+                    columns[(plane_id, name)] = (
+                        version, _materialize_column(column)
+                    )
+                resolved = {}
+                for name in set(chain.from_iterable(pair_names)):
+                    entry = columns.get((plane_id, name))
+                    if entry is None or entry[0] != version:
+                        raise RuntimeError(
+                            f"worker is missing column {name!r} at "
+                            f"dataset version {version} (coordinator "
+                            "bookkeeping out of sync)"
                         )
-                    resolved = {}
-                    for name in set(chain.from_iterable(pair_names)):
-                        entry = columns.get((plane_id, name))
-                        if entry is None or entry[0] != version:
-                            raise RuntimeError(
-                                f"worker is missing column {name!r} at "
-                                f"dataset version {version} (coordinator "
-                                "bookkeeping out of sync)"
-                            )
-                        resolved[name] = entry[1]
+                    resolved[name] = entry[1]
                 pairs = [(resolved[a], resolved[b]) for a, b in pair_names]
                 kernel_started = time_module.time() if timing else 0.0
                 outcome = backend.oc_optimal_removal_count_batch(
@@ -521,20 +515,20 @@ class _JobRecord:
 
     Everything needed to *re*-dispatch (or inline-run) the shard after a
     worker death travels with the record: the packed shard, the candidate
-    pair names and limit, and either the plane (columns re-resolved through
-    the ordinary ship-on-miss path) or the ad-hoc column dict.  ``job_id``
-    changes on every (re)dispatch — ids are never reused, so a late result
-    from a presumed-dead worker can always be told apart and discarded.
+    pair names and limit, and the plane its columns are re-resolved through
+    (the ordinary ship-on-miss path).  ``job_id`` changes on every
+    (re)dispatch — ids are never reused, so a late result from a
+    presumed-dead worker can always be told apart and discarded.
     """
 
     __slots__ = (
         "job_id", "worker", "cost", "shard", "pair_names", "limit",
-        "plane", "version", "needed_names", "columns", "deaths",
+        "plane", "version", "needed_names", "deaths",
         "dispatched_at", "dispatched_wall", "trace_parent", "timeout",
     )
 
     def __init__(self, shard, cost, pair_names, limit, plane, version,
-                 needed_names, columns, timeout) -> None:
+                 needed_names, timeout) -> None:
         self.job_id = -1
         self.worker: Optional[_WorkerHandle] = None
         self.cost = cost
@@ -544,7 +538,6 @@ class _JobRecord:
         self.plane = plane
         self.version = version
         self.needed_names = needed_names
-        self.columns = columns
         self.deaths = 0
         self.dispatched_at = 0.0
         #: Wall-clock twin of ``dispatched_at`` (monotonic drives timeouts;
@@ -712,9 +705,9 @@ class ShardedValidationPool:
     Rank columns travel through :class:`ColumnPlane` namespaces and stay
     resident in the worker processes (see the module docstring); the
     ``stats`` dict counts ``columns_shipped`` vs ``column_refs`` so callers
-    can observe the ship-once behaviour.  :meth:`oc_counts_batch` remains as
-    the plane-less path for ad-hoc column pairs: columns ship with every
-    dispatch, exactly like the pre-plane pool.
+    can observe the ship-once behaviour.  Every job resolves its columns
+    through a plane: there is one job shape, whether a worker, a requeue
+    or the coordinator's inline recovery runs it.
 
     Dispatch and bookkeeping are guarded by one coordinator-side lock, so
     multiple threads may drive the pool concurrently (``repro serve``
@@ -949,56 +942,12 @@ class ShardedValidationPool:
         records = [
             _JobRecord(
                 shard, cost, list(pair_names), limit, plane, plane.version,
-                needed_names, None, resolved_timeout,
+                needed_names, resolved_timeout,
             )
             for shard, cost in shards
         ]
         self._dispatch_records(pending, records)
         return pending
-
-    def oc_counts_batch(
-        self,
-        classes: Sequence[Sequence[int]],
-        rank_pairs: Sequence[Tuple[object, object]],
-        limit: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> List[Tuple[int, bool]]:
-        """Batched minimal-removal counts for ad-hoc rank columns.
-
-        The plane-less path: columns are deduplicated within the call but
-        ship with every dispatch (and every group is dispatched, however
-        small).  The planner's calibration probe
-        (:mod:`repro.planner.calibrate`) measures dispatch overhead with
-        it."""
-        self._require_open()
-        num_pairs = len(rank_pairs)
-        if num_pairs == 0:
-            return []
-        self._check_column_freshness(classes, rank_pairs)
-        columns: Dict[str, object] = {}
-        name_of: Dict[int, str] = {}
-        pair_names: List[Tuple[str, str]] = []
-        for a_ranks, b_ranks in rank_pairs:
-            refs = []
-            for ranks in (a_ranks, b_ranks):
-                key = id(ranks)
-                if key not in name_of:
-                    name_of[key] = f"c{len(name_of)}"
-                    columns[name_of[key]] = ranks
-                refs.append(name_of[key])
-            pair_names.append((refs[0], refs[1]))
-        pending = PendingGroup(num_pairs=num_pairs, limit=limit)
-        shards, _, _ = self._plan_shards(list(classes))
-        resolved_timeout = timeout if timeout is not None else self.worker_timeout
-        records = [
-            _JobRecord(
-                shard, cost, pair_names, limit, None, 0,
-                sorted(columns), columns, resolved_timeout,
-            )
-            for shard, cost in shards
-        ]
-        self._dispatch_records(pending, records)
-        return self.harvest(pending)
 
     def _plan_shards(self, classes, min_shard_cost: Optional[float] = None):
         """Pack ``classes`` into cost-balanced contiguous shards.
@@ -1116,24 +1065,19 @@ class ShardedValidationPool:
         worker = min(
             (w for w in self._workers if not w.dead), key=lambda w: w.load
         )
-        if record.plane is not None:
-            plane = record.plane
-            plane_id = plane.plane_id
-            shipped: Dict[str, object] = {}
-            for name in record.needed_names:
-                key = (plane_id, name)
-                if worker.columns.get(key) != record.version:
-                    column = plane.transport_column(name)
-                    shipped[name] = column
-                    worker.columns[key] = record.version
-                    self.stats["columns_shipped"] += 1
-                    if hasattr(column, "starts"):
-                        self.stats["columns_rle"] += 1
-                else:
-                    self.stats["column_refs"] += 1
-        else:
-            plane_id = None
-            shipped = record.columns
+        plane_id = record.plane.plane_id
+        shipped: Dict[str, object] = {}
+        for name in record.needed_names:
+            key = (plane_id, name)
+            if worker.columns.get(key) != record.version:
+                column = record.plane.transport_column(name)
+                shipped[name] = column
+                worker.columns[key] = record.version
+                self.stats["columns_shipped"] += 1
+                if hasattr(column, "starts"):
+                    self.stats["columns_rle"] += 1
+            else:
+                self.stats["column_refs"] += 1
         job_id = self._next_job_id
         self._next_job_id += 1
         record.job_id = job_id
@@ -1292,16 +1236,9 @@ class ShardedValidationPool:
         just without the parallelism.
         """
         try:
-            if record.plane is not None:
-                resolved = {
-                    name: record.plane.column(name)
-                    for name in record.needed_names
-                }
-            else:
-                resolved = {
-                    name: _materialize_column(column)
-                    for name, column in record.columns.items()
-                }
+            resolved = {
+                name: record.plane.column(name) for name in record.needed_names
+            }
             pairs = [(resolved[a], resolved[b]) for a, b in record.pair_names]
             outcome = self.backend.oc_optimal_removal_count_batch(
                 record.shard, pairs, record.limit
@@ -1309,8 +1246,8 @@ class ShardedValidationPool:
             payload: Tuple[str, object] = ("result", outcome)
         except BaseException:
             payload = ("error", _error_report(
-                record.plane.plane_id if record.plane is not None else None,
-                record.version, record.shard, record.pair_names,
+                record.plane.plane_id, record.version, record.shard,
+                record.pair_names,
             ))
         job_id = self._next_job_id
         self._next_job_id += 1
@@ -1490,48 +1427,23 @@ class ShardedValidationPool:
     # -- freshness guards --------------------------------------------------------
 
     @staticmethod
-    def _needed_row(classes) -> int:
-        flat = getattr(classes, "row_indices", None)
-        if flat is not None:
-            # CSR partition: one pass over the flat row vector (classes are
-            # first-row ordered, so the last *element* is not the maximum).
-            if len(flat) == 0:
-                return -1
-            return int(flat.max()) if hasattr(flat, "max") else max(flat)
-        needed = -1
-        for rows in classes:
-            if len(rows) and rows[-1] > needed:
-                needed = rows[-1]
-        return needed
+    def _assert_column_covers(column, needed_row: int, name: str) -> None:
+        """The single stale-column rule: refuse a column shorter than the
+        rows it must cover.
 
-    @staticmethod
-    def _assert_column_covers(column, needed_row: int, name: str = "") -> None:
-        """The single stale-column rule both dispatch paths enforce."""
+        A pool outlives discovery runs and, with incremental maintenance,
+        dataset *versions*: after ``Profiler.extend`` the encoded relation
+        has more rows, and a column captured before the append would
+        silently index out of range (or wrap around) on the workers.
+        """
         if needed_row < 0 or len(column) > needed_row:
             return
-        label = f" {name!r}" if name else ""
         raise RuntimeError(
-            f"stale rank column{label}: {len(column)} entries cannot "
+            f"stale rank column {name!r}: {len(column)} entries cannot "
             f"cover row {needed_row}; the encoded relation grew "
             "after this column was captured — refresh columns "
             "from the current encoding before revalidating"
         )
-
-    @staticmethod
-    def _check_column_freshness(classes, rank_pairs) -> None:
-        """Refuse to ship rank columns shorter than the rows they must cover.
-
-        A pool outlives discovery runs — and, with incremental maintenance,
-        dataset *versions*: after ``Profiler.extend`` the encoded relation
-        has more rows, and any stale column captured before the append
-        would silently index out of range (or worse, wrap around) on the
-        workers.  Class row lists are sorted, so the last row of each class
-        is its maximum; every column must cover the overall maximum.
-        """
-        needed = ShardedValidationPool._needed_row(classes)
-        for a_ranks, b_ranks in rank_pairs:
-            for ranks in (a_ranks, b_ranks):
-                ShardedValidationPool._assert_column_covers(ranks, needed)
 
     # -- lifecycle ---------------------------------------------------------------
 

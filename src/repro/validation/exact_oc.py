@@ -67,18 +67,21 @@ def validate_exact_oc(
 
     The returned :class:`ValidationResult` has an empty removal set when the
     OC holds; otherwise ``exceeded_threshold`` is set with a zero threshold,
-    mirroring the exact-discovery special case ``ε = 0``.
+    mirroring the exact-discovery special case ``ε = 0``: the check is the
+    backend's removal count at limit 0.
     """
     backend = validation_backend(backend, partition_cache)
     encoded = relation.encoded(backend)
     a_ranks = encoded.native_ranks(oc.a)
     b_ranks = encoded.native_ranks(oc.b)
     classes = context_classes(relation, oc.context, partition_cache, backend)
-    holds = backend.oc_holds(classes, a_ranks, b_ranks)
+    [(_, exceeded)] = backend.oc_optimal_removal_count_batch(
+        classes, [(a_ranks, b_ranks)], 0
+    )
     return ValidationResult(
         dependency=oc,
         num_rows=relation.num_rows,
         removal_rows=frozenset(),
         threshold=0.0,
-        exceeded_threshold=not holds,
+        exceeded_threshold=exceeded,
     )

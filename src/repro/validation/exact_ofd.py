@@ -35,16 +35,17 @@ def validate_exact_ofd(
     partition_cache: Optional[PartitionCache] = None,
     backend=None,
 ) -> ValidationResult:
-    """Validate an OFD exactly (the attribute must be constant per class)."""
+    """Validate an OFD exactly (the attribute must be constant per class):
+    the backend's removal count at limit 0."""
     backend = validation_backend(backend, partition_cache)
     encoded = relation.encoded(backend)
     value_ranks = encoded.native_ranks(ofd.attribute)
     classes = context_classes(relation, ofd.context, partition_cache, backend)
-    holds = backend.ofd_holds(classes, value_ranks)
+    [(_, exceeded)] = backend.ofd_removal_batch(classes, [value_ranks], 0)
     return ValidationResult(
         dependency=ofd,
         num_rows=relation.num_rows,
         removal_rows=frozenset(),
         threshold=0.0,
-        exceeded_threshold=not holds,
+        exceeded_threshold=exceeded,
     )

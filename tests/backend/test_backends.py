@@ -25,6 +25,8 @@ from repro.backend.python_backend import PythonBackend
 from repro.dataset.encoding import encode_column
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
+from repro.validation.exact_oc import oc_holds_in_classes
+from repro.validation.exact_ofd import ofd_holds_in_classes
 
 numpy = pytest.importorskip("numpy")
 
@@ -202,10 +204,19 @@ class TestKernelParity:
         native_b = numpy_backend.to_native(b)
         limit = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
 
-        assert numpy_backend.oc_holds(classes, native_a, native_b) == \
-            python_backend.oc_holds(classes, a, b)
-        assert numpy_backend.ofd_holds(classes, native_b) == \
-            python_backend.ofd_holds(classes, b)
+        # Exact checks are counts at limit 0.
+        for backend, oc_pair, ofd_column in (
+            (numpy_backend, (native_a, native_b), native_b),
+            (python_backend, (a, b), b),
+        ):
+            [(_, oc_broken)] = backend.oc_optimal_removal_count_batch(
+                classes, [oc_pair], 0
+            )
+            assert oc_broken == (not oc_holds_in_classes(classes, a, b))
+            [(_, ofd_broken)] = backend.ofd_removal_batch(
+                classes, [ofd_column], 0
+            )
+            assert ofd_broken == (not ofd_holds_in_classes(classes, b))
         assert numpy_backend.oc_optimal_removal_rows(classes, native_a, native_b, limit) == \
             python_backend.oc_optimal_removal_rows(classes, a, b, limit)
         assert numpy_backend.oc_optimal_removal_count_batch(
@@ -223,8 +234,10 @@ class TestKernelParity:
     def test_empty_classes(self):
         assert numpy_backend.oc_optimal_removal_rows([], [], []) == ([], False)
         assert numpy_backend.ofd_removal_rows([], []) == ([], False)
-        assert numpy_backend.oc_holds([], [], []) is True
-        assert numpy_backend.ofd_holds([], []) is True
+        assert numpy_backend.oc_optimal_removal_count_batch(
+            [], [([], [])], 0
+        ) == [(0, False)]
+        assert numpy_backend.ofd_removal_batch([], [[]], 0) == [(0, False)]
 
     def test_removal_rows_are_python_ints(self):
         # frozenset members of ValidationResult must compare and hash like

@@ -15,9 +15,13 @@ import random
 import pytest
 
 from repro.backend import get_backend
+from repro.validation.exact_oc import oc_holds_in_classes
+from repro.validation.exact_ofd import ofd_holds_in_classes
 from repro.validation.lnds import lnds_length_quadratic
 
 numpy = pytest.importorskip("numpy")
+
+from repro.backend import native  # noqa: E402 - imports numpy
 
 BACKENDS = ("python", "numpy")
 
@@ -143,56 +147,76 @@ class TestOcCountBatch:
         assert ref == got
 
 
+def _exact_check_backends():
+    """The python backend, then numpy on whichever kernels this host loaded,
+    then numpy on the fallback kernels (native library forced to ``None``)."""
+    yield get_backend("python")
+    yield get_backend("numpy")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "kernels", lambda: None)
+        yield get_backend("numpy")
+
+
 class TestExactHoldsBatch:
-    """The batched exact checks must equal the single-candidate checks —
-    across both backends, and for numpy against the python reference."""
+    """An exact check is a removal count at limit 0: ``not exceeded`` from
+    either batch kernel, batched or as a batch of one, must equal the
+    independent reference checks ``oc_holds_in_classes`` /
+    ``ofd_holds_in_classes`` — on python, native numpy and the fallback."""
 
     def test_oc_holds_batch_matches_single_and_reference(self):
         rng = random.Random(777)
-        py, nq = get_backend("python"), get_backend("numpy")
         for _ in range(40):
             n = rng.randrange(4, 120)
             classes, pairs = _random_instance(rng, n)
-            ref = [py.oc_holds(classes, a, b) for a, b in pairs]
-            assert py.oc_holds_batch(classes, pairs) == ref
-            native = _native_pairs(nq, pairs)
-            got = nq.oc_holds_batch(classes, native)
-            assert got == ref
-            for (a, b), holds in zip(native, got):
-                assert nq.oc_holds(classes, a, b) == holds
+            ref = [oc_holds_in_classes(classes, a, b) for a, b in pairs]
+            for backend in _exact_check_backends():
+                native_pairs = _native_pairs(backend, pairs)
+                batch = backend.oc_optimal_removal_count_batch(
+                    classes, native_pairs, 0
+                )
+                assert [not over for _, over in batch] == ref
+                assert all(count == 0 for count, over in batch if not over)
+                for pair, (_, over) in zip(native_pairs, batch):
+                    [(_, single)] = backend.oc_optimal_removal_count_batch(
+                        classes, [pair], 0
+                    )
+                    assert single == over
 
     def test_ofd_holds_batch_matches_single_and_reference(self):
         rng = random.Random(778)
-        py, nq = get_backend("python"), get_backend("numpy")
         for _ in range(40):
             n = rng.randrange(4, 120)
             classes, pairs = _random_instance(rng, n)
             rhs = [a for a, _ in pairs]
-            ref = [py.ofd_holds(classes, ranks) for ranks in rhs]
-            assert py.ofd_holds_batch(classes, rhs) == ref
-            rhs_native = [nq.to_native(r) for r in rhs]
-            got = nq.ofd_holds_batch(classes, rhs_native)
-            assert got == ref
-            for ranks, holds in zip(rhs_native, got):
-                assert nq.ofd_holds(classes, ranks) == holds
+            ref = [ofd_holds_in_classes(classes, ranks) for ranks in rhs]
+            for backend in _exact_check_backends():
+                rhs_native = [backend.to_native(r) for r in rhs]
+                batch = backend.ofd_removal_batch(classes, rhs_native, 0)
+                assert [not over for _, over in batch] == ref
+                assert all(count == 0 for count, over in batch if not over)
+                for ranks, entry in zip(rhs_native, batch):
+                    assert backend.ofd_removal_batch(
+                        classes, [ranks], 0
+                    ) == [entry]
 
     def test_constant_rhs_holds(self):
         classes = [[0, 1], [2, 3, 4]]
-        for backend_name in BACKENDS:
-            backend = get_backend(backend_name)
+        for backend in _exact_check_backends():
             constant = backend.to_native([7] * 5)
             varying = backend.to_native([0, 1, 0, 0, 0])
-            assert backend.ofd_holds_batch(classes, [constant, varying]) \
-                == [True, False]
+            assert backend.ofd_removal_batch(
+                classes, [constant, varying], 0
+            ) == [(0, False), (1, True)]
 
     def test_empty_inputs(self):
-        for backend_name in BACKENDS:
-            backend = get_backend(backend_name)
-            assert backend.oc_holds_batch([], []) == []
-            assert backend.ofd_holds_batch([], []) == []
+        for backend in _exact_check_backends():
+            assert backend.oc_optimal_removal_count_batch([], [], 0) == []
+            assert backend.ofd_removal_batch([], [], 0) == []
             ranks = backend.to_native([0, 1, 2])
-            assert backend.oc_holds_batch([], [(ranks, ranks)]) == [True]
-            assert backend.ofd_holds_batch([], [ranks]) == [True]
+            assert backend.oc_optimal_removal_count_batch(
+                [], [(ranks, ranks)], 0
+            ) == [(0, False)]
+            assert backend.ofd_removal_batch([], [ranks], 0) == [(0, False)]
 
 
 class TestOfdRemovalBatch:

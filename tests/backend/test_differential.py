@@ -54,6 +54,8 @@ CONFIGS = {
     "optimal-10": dict(threshold=0.1, validator="optimal"),
     "optimal-30": dict(threshold=0.3, validator="optimal"),
     "iterative-10": dict(threshold=0.1, validator="iterative", max_level=3),
+    # Exact OFD checks beside a non-exact OC tag (greedy at limit 0).
+    "iterative-0": dict(threshold=0.0, validator="iterative"),
 }
 
 

@@ -66,3 +66,37 @@ def test_the_ofd_batch_runs_on_the_numpy_fallback(monkeypatch):
         classes, [backend.to_native(ranks) for ranks in rhs], 4
     ) == expected
     assert sorts == [3 * 50]
+
+
+def test_the_dirty_class_bound_skips_the_lnds_pass(monkeypatch):
+    """Every dirty class removes at least one row, so a pair with more dirty
+    classes than ``limit`` is exceeded before the LNDS pass; only pairs
+    within the bound reach ``_segmented_lnds_counts``."""
+    backend = get_backend("numpy")
+    owners = []
+    real = type(backend)._segmented_lnds_counts
+
+    def spy(self, seg_values, seg_lengths, seg_owners, *args):
+        owners.append(sorted(set(seg_owners.tolist())))
+        return real(self, seg_values, seg_lengths, seg_owners, *args)
+
+    monkeypatch.setattr(type(backend), "_segmented_lnds_counts", spy)
+    classes = [[0, 1], [2, 3], [4, 5]]
+    a = backend.to_native([0, 1] * 3)
+    all_dirty = backend.to_native([1, 0] * 3)
+    one_dirty = backend.to_native([1, 0, 0, 1, 0, 1])
+    assert backend.oc_optimal_removal_count_batch(
+        classes, [(a, all_dirty)], 0
+    ) == [(1, True)]
+    assert backend.oc_optimal_removal_count_batch(
+        classes, [(a, all_dirty)], 2
+    ) == [(3, True)]
+    assert owners == []
+    assert backend.oc_optimal_removal_count_batch(
+        classes, [(a, all_dirty), (a, one_dirty)], 1
+    ) == [(2, True), (1, False)]
+    assert owners == [[1]]
+    assert backend.oc_optimal_removal_count_batch(
+        classes, [(a, all_dirty)], 3
+    ) == [(3, False)]
+    assert owners == [[1], [0]]

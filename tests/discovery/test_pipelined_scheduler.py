@@ -191,8 +191,9 @@ def test_cancelled_pipelined_run_leaves_pool_usable():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_exact_discovery_batched_through_holds_batch(backend, per_candidate):
-    """Exact mode routes through the group-level holds kernels; results
-    and counters must keep matching the per-candidate reference."""
+    """Exact mode routes each context group through the batch count
+    kernels at limit 0; results and counters must keep matching the
+    per-candidate reference."""
     reference = per_candidate(RELATION, DiscoveryConfig.exact(backend=backend))
     batched = discover(RELATION, DiscoveryConfig.exact(backend=backend))
     assert batched.ocs == reference.ocs

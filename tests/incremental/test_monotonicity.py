@@ -67,8 +67,17 @@ def test_removal_counts_never_decrease_under_append(backend_name):
         new_ofd, _ = backend.ofd_removal_rows(grown_classes, a_native, None)
         assert len(new_ofd) >= len(old_ofd)
 
-        # Exact checks are monotone too: once broken, never repaired.
-        if not backend.oc_holds(old_classes, a_native, b_native):
-            assert not backend.oc_holds(grown_classes, a_native, b_native)
-        if not backend.ofd_holds(old_classes, a_native):
-            assert not backend.ofd_holds(grown_classes, a_native)
+        # Exact checks (counts at limit 0) are monotone too: once broken,
+        # never repaired.
+        [(_, old_broken)] = backend.oc_optimal_removal_count_batch(
+            old_classes, [(a_native, b_native)], 0
+        )
+        [(_, new_broken)] = backend.oc_optimal_removal_count_batch(
+            grown_classes, [(a_native, b_native)], 0
+        )
+        assert new_broken or not old_broken
+        [(_, old_broken)] = backend.ofd_removal_batch(old_classes, [a_native], 0)
+        [(_, new_broken)] = backend.ofd_removal_batch(
+            grown_classes, [a_native], 0
+        )
+        assert new_broken or not old_broken

@@ -12,6 +12,7 @@ are the orderings the planner relies on:
 
 import pytest
 
+from repro.backend import available_backends
 from repro.planner import CostModel, cost_units
 from repro.planner.model import (
     INLINE_PAYOFF_RATIO,
@@ -146,3 +147,18 @@ def test_as_dict_is_json_ready():
         "min_shard_cost", "inline_group_cost", "backend_unit_seconds",
     ):
         assert key in payload
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_dispatch_probe_round_trips_through_fresh_planes(backend):
+    """Every probe repetition ships its columns to a worker and back; the
+    probe's planes are released, so no column stays resident."""
+    from repro.planner.calibrate import PROBE_REPEATS, probe_dispatch_overhead
+    from repro.validation.distributed import ShardedValidationPool
+
+    with ShardedValidationPool(1, backend=backend) as pool:
+        assert probe_dispatch_overhead(pool) > 0
+        assert pool.stats["jobs"] == PROBE_REPEATS
+        assert pool.stats["inline_groups"] == 0
+        assert pool.stats["columns_shipped"] == 2 * PROBE_REPEATS
+        assert all(not worker.columns for worker in pool._workers)

@@ -14,6 +14,8 @@ from repro.backend import available_backends, get_backend
 from repro.dataset.generators import generate_planted_oc_table
 from repro.validation.distributed import ClassShard, ShardedValidationPool
 
+from _plane_stub import stub_plane_counts
+
 BACKENDS = available_backends()
 
 
@@ -267,7 +269,10 @@ def test_harvest_error_settles_worker_load():
     with ShardedValidationPool(2, backend=resolved) as pool:
         _force_dispatch(pool)
         with pytest.raises(RuntimeError, match="validation worker failed"):
-            pool.oc_counts_batch([[0, 1]], [([0, "bad"], [0, 1])], None)
+            stub_plane_counts(
+                pool, {"bad": [0, "bad"], "b": [0, 1]}, [[0, 1]],
+                [("bad", "b")],
+            )
         assert all(worker.load == 0 for worker in pool._workers)
         plane = pool.new_plane(encoded)
         plane.harvest(plane.submit(classes, [(names[1], names[2])], None))
@@ -277,13 +282,12 @@ def test_harvest_error_settles_worker_load():
 def test_worker_error_surfaces_as_runtime_error():
     """A kernel crash in a worker reaches the coordinator as a RuntimeError
     carrying the worker traceback, and the pool remains usable."""
+    columns = {"bad": [0, "bad"], "a": [0, 1], "b": [1, 0]}
     with ShardedValidationPool(1, backend="python") as pool:
         with pytest.raises(RuntimeError, match="validation worker failed"):
-            # Rank column too short for the class rows: the worker's kernel
-            # raises IndexError (the inline path has no freshness metadata
-            # to pre-check against beyond column length, which passes here
-            # because the list covers the rows but holds a bad type).
-            pool.oc_counts_batch([[0, 1]], [([0, "bad"], [0, 1])], None)
-        assert pool.oc_counts_batch(
-            [[0, 1]], [([0, 1], [1, 0])], None
-        ) == [(1, False)]
+            # The column covers the class rows, so the stale-column guard
+            # passes it; the worker's kernel then fails comparing a rank
+            # with a string.
+            stub_plane_counts(pool, columns, [[0, 1]], [("bad", "b")])
+        assert stub_plane_counts(pool, columns, [[0, 1]], [("a", "b")]) \
+            == [(1, False)]

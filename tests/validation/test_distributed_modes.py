@@ -15,6 +15,8 @@ from repro.discovery.session import Profiler
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
 from repro.validation.distributed import ShardedValidationPool
 
+from _plane_stub import stub_plane_counts
+
 BACKENDS = available_backends()
 
 
@@ -100,14 +102,19 @@ def test_sharded_pool_counts_match_batch_kernel(backend):
     names = relation.attribute_names
     cache = PartitionCache(encoded, backend=resolved)
     classes = cache.get_by_names([names[0]])
+    pair_names = [(names[1], names[2]), (names[2], names[1])]
     pairs = [
-        (encoded.native_ranks(names[1]), encoded.native_ranks(names[2])),
-        (encoded.native_ranks(names[2]), encoded.native_ranks(names[1])),
+        (encoded.native_ranks(a), encoded.native_ranks(b))
+        for a, b in pair_names
     ]
     for limit in (None, 5, 10_000):
         local = resolved.oc_optimal_removal_count_batch(classes, pairs, limit)
-        with ShardedValidationPool(2, backend=resolved) as pool:
-            sharded = pool.oc_counts_batch(classes, pairs, limit)
+        with ShardedValidationPool(2, backend=resolved,
+                                   inline_group_cost=0) as pool:
+            sharded = _plane_counts(
+                pool, relation, [names[0]], pair_names, limit
+            )
+            assert pool.stats["jobs"] > 0
         assert len(sharded) == len(local)
         for (l_count, l_over), (s_count, s_over) in zip(local, sharded):
             assert l_over == s_over
@@ -119,9 +126,10 @@ def test_sharded_pool_counts_match_batch_kernel(backend):
 
 def test_sharded_pool_empty_group():
     with ShardedValidationPool(2, backend="python") as pool:
-        assert pool.oc_counts_batch([], [], 3) == []
-        ranks = [0, 1, 2, 3]
-        assert pool.oc_counts_batch([], [(ranks, ranks)], 3) == [(0, False)]
+        columns = {"a": [0, 1, 2, 3]}
+        assert stub_plane_counts(pool, columns, [], [], 3) == []
+        assert stub_plane_counts(pool, columns, [], [("a", "a")], 3) \
+            == [(0, False)]
 
 
 def test_sharded_pool_rejects_stale_columns():
@@ -130,16 +138,19 @@ def test_sharded_pool_rejects_stale_columns():
     row ids — the pool must refuse to ship it to the workers instead of
     silently mis-indexing."""
     with ShardedValidationPool(2, backend="python") as pool:
-        fresh = list(range(6))
-        stale = list(range(4))  # captured before two rows were appended
+        columns = {
+            "a": list(range(6)),
+            "b": list(range(6)),
+            "stale": list(range(4)),  # captured before two rows were appended
+        }
         classes = [[0, 1], [4, 5]]
-        assert pool.oc_counts_batch(classes, [(fresh, fresh)], None) \
+        assert stub_plane_counts(pool, columns, classes, [("a", "b")]) \
             == [(0, False)]
-        with pytest.raises(RuntimeError, match="stale rank column"):
-            pool.oc_counts_batch(classes, [(stale, fresh)], None)
-        with pytest.raises(RuntimeError, match="stale rank column"):
-            pool.oc_counts_batch(classes, [(fresh, stale)], None)
+        with pytest.raises(RuntimeError, match="stale rank column 'stale'"):
+            stub_plane_counts(pool, columns, classes, [("stale", "b")])
+        with pytest.raises(RuntimeError, match="stale rank column 'stale'"):
+            stub_plane_counts(pool, columns, classes, [("a", "stale")])
         # Classes that never reach the appended rows still accept the
         # shorter column: it covers everything they index.
-        assert pool.oc_counts_batch([[0, 1]], [(stale, stale)], None) \
+        assert stub_plane_counts(pool, columns, [[0, 1]], [("stale", "stale")]) \
             == [(0, False)]

@@ -33,6 +33,8 @@ from repro.validation.distributed import (
     WorkerJobError,
 )
 
+from _plane_stub import StubEncoding, stub_plane_counts
+
 BACKENDS = available_backends()
 
 #: No recovery scenario in this file is allowed to take this long — the
@@ -361,18 +363,24 @@ def test_worker_job_error_carries_structured_report():
     """A kernel crash inside a worker surfaces as WorkerJobError with the
     shard context attached (not just a traceback string)."""
     with ShardedValidationPool(1, backend="python") as pool:
+        plane = pool.new_plane(
+            StubEncoding(bad=[0, "bad"], a=[0, 1], b=[1, 0])
+        )
         with pytest.raises(WorkerJobError, match="validation worker failed") as info:
-            pool.oc_counts_batch([[0, 1]], [([0, "bad"], [0, 1])], None)
+            plane.harvest(plane.submit(
+                [[0, 1]], [("bad", "b")], None, inline_group_cost=0
+            ))
         error = info.value
         assert error.num_classes == 1
         assert error.num_rows == 2
-        assert error.pair_names == [("c0", "c1")]
-        assert error.plane_id is None
+        assert error.pair_names == [("bad", "b")]
+        assert error.plane_id == plane.plane_id
+        assert error.dataset_version == plane.version
         assert "Traceback" in error.worker_traceback
         # The pool survives the failure.
-        assert pool.oc_counts_batch(
-            [[0, 1]], [([0, 1], [1, 0])], None
-        ) == [(1, False)]
+        assert plane.harvest(plane.submit(
+            [[0, 1]], [("a", "b")], None, inline_group_cost=0
+        )) == [(1, False)]
 
 
 def test_inline_fallback_errors_are_structured_too():
@@ -384,7 +392,10 @@ def test_inline_fallback_errors_are_structured_too():
     )
     with _faulty_pool("python", plan, num_workers=1) as pool:
         with pytest.raises(WorkerJobError, match="validation worker failed"):
-            pool.oc_counts_batch([[0, 1]], [([0, "bad"], [0, 1])], None)
+            stub_plane_counts(
+                pool, {"bad": [0, "bad"], "b": [0, 1]}, [[0, 1]],
+                [("bad", "b")],
+            )
         assert pool.degraded
 
 
