@@ -1,4 +1,4 @@
-"""Ablation benches for the framework's design choices (DESIGN.md §4/§5).
+"""Ablation benches for the framework's design choices.
 
 Three switches are ablated on the same workload:
 

@@ -8,6 +8,11 @@ materialisation plus the normalising list constructor — exactly what
 ``_split_segments`` used to do).  The ``partition`` record merged into
 ``benchmarks/results/BENCH_discovery.json`` carries the timings and the
 ``product_speedup_vs_list`` ratio the CI smoke job checks.
+
+Its ``refine`` sub-record is the measured basis of the NumPy backend's
+scatter-vs-sort branch: at several grouped-row fractions m / n it times a
+refinement and a four-pair OC count batch once by scattering cached row
+orders (native kernels) and once by sorting.
 """
 
 import json
@@ -30,6 +35,9 @@ NUM_ATTRIBUTES = 6
 REPEATS = 3 if QUICK else 5
 DELTA_ROWS = max(4, NUM_ROWS // 100)
 BACKENDS = available_backends()
+
+#: Grouped-row fractions m / n of the refine record.
+REFINE_FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0)
 
 #: backend -> {"build_s": ..., "product_s": ..., "apply_delta_s": ...}
 RESULTS = {}
@@ -175,6 +183,100 @@ def test_partition_apply_delta(workload, backend_name):
     RESULTS.setdefault(backend_name, {})["apply_delta_s"] = round(
         min(timings), 5
     )
+
+
+def _classes_covering(partition: Partition, fraction: float, rng) -> Partition:
+    """Randomly chosen classes of ``partition`` holding about ``fraction``
+    of its rows, the shape of an ``apply_delta`` sub-partition."""
+    import numpy as np
+
+    lengths = np.diff(partition.class_offsets)
+    shuffled = rng.permutation(lengths.size)
+    wanted = fraction * partition.num_rows
+    count = int(np.searchsorted(np.cumsum(lengths[shuffled]), wanted)) + 1
+    chosen = np.sort(shuffled[:count])
+    rows = np.concatenate([
+        partition.row_indices[partition.class_offsets[c]:
+                              partition.class_offsets[c + 1]]
+        for c in chosen
+    ])
+    return Partition.from_csr(
+        rows, np.concatenate(([0], np.cumsum(lengths[chosen]))),
+        partition.num_rows,
+    )
+
+
+def test_refine_scatter_vs_sort(workload, monkeypatch):
+    """Scatter against sort at several m / n, for refinement and OC."""
+    if "numpy" not in BACKENDS:
+        pytest.skip("numpy is not installed")
+    import numpy as np
+
+    from repro.backend import native
+    from repro.backend.numpy_backend import NumpyBackend
+
+    base, _ = workload
+    backend = get_backend("numpy")
+    record = {
+        "kernel": "native" if native.kernels() is not None else "numpy",
+        "refine_scatter_fraction": NumpyBackend._REFINE_SCATTER_FRACTION,
+        "oc_scatter_fraction": NumpyBackend._OC_SCATTER_FRACTION,
+    }
+    encoded = base.encoded(backend)
+    names = base.attribute_names
+    # The context of the first attribute groups every row of the table.
+    context = backend.partition_single(
+        encoded.native_ranks_by_index(0), NUM_ROWS
+    )
+    column = encoded.native_ranks_by_index(1)
+    pairs = [(names[a], names[b]) for a, b in ((1, 2), (2, 3), (3, 4), (4, 5))]
+    rank_pairs = [
+        (encoded.native_ranks(a), encoded.native_ranks(b)) for a, b in pairs
+    ]
+    pair_orders = [
+        lambda a=a, b=b: encoded.pair_order(a, b) for a, b in pairs
+    ]
+    for order in pair_orders:  # cached orders are built once per encoding
+        order()
+    encoded.row_order_by_index(1)
+
+    def timed(side, classes):
+        fraction = 0.0 if side == "scatter" else float("inf")
+        monkeypatch.setattr(NumpyBackend, "_REFINE_SCATTER_FRACTION", fraction)
+        monkeypatch.setattr(NumpyBackend, "_OC_SCATTER_FRACTION", fraction)
+
+        def refine():
+            classes._columnar = None  # time the columnar view every call
+            return backend.partition_refine(
+                classes, column, lambda: encoded.row_order_by_index(1)
+            )
+
+        def oc():
+            return backend.oc_optimal_removal_count_batch(
+                classes, rank_pairs, None, pair_orders
+            )
+
+        return (
+            time_best_of(refine, REPEATS), time_best_of(oc, REPEATS),
+            refine(), oc(),
+        )
+
+    points = []
+    rng = np.random.default_rng(5)
+    # Without the native kernels there is no scatter to time.
+    for fraction in REFINE_FRACTIONS if record["kernel"] == "native" else ():
+        classes = _classes_covering(context, fraction, rng)
+        scatter = timed("scatter", classes)
+        sort = timed("sort", classes)
+        assert scatter[2:] == sort[2:]  # parity first, speed second
+        points.append({
+            "fraction": round(classes.row_indices.size / NUM_ROWS, 4),
+            "refine_scatter_s": round(scatter[0], 6),
+            "refine_sort_s": round(sort[0], 6),
+            "oc_scatter_s": round(scatter[1], 6),
+            "oc_sort_s": round(sort[1], 6),
+        })
+    BASELINE["refine"] = dict(record, oc_pairs=len(pairs), points=points)
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -11,10 +11,10 @@ suite) — it is never appended to, so repeated runs cannot accumulate
 duplicate blocks the way the old append-on-report flow did.
 
 The workloads are synthetic, scaled-down stand-ins for the paper's
-``flight`` and ``ncvoter`` datasets (see DESIGN.md); the absolute numbers
-differ from the paper's Java/Xeon setup, but the *shape* of every series —
-who wins, by roughly what factor, where the curves cross — is what the
-suite regenerates and what EXPERIMENTS.md records.
+``flight`` and ``ncvoter`` datasets; the absolute numbers differ from the
+paper's Java/Xeon setup, but the *shape* of every series — who wins, by
+roughly what factor, where the curves cross — is what the suite
+regenerates.
 """
 
 from __future__ import annotations

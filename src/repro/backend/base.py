@@ -32,7 +32,7 @@ boundary for callers that hold canonical lists.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
@@ -98,8 +98,16 @@ class ComputeBackend(abc.ABC):
         return build_partition_from_row_keys(keys, num_rows)
 
     @abc.abstractmethod
-    def partition_refine(self, partition: Partition, native_ranks) -> Partition:
-        """Refine ``Pi_X`` by an encoded column: ``Pi_{X ∪ {A}}``."""
+    def partition_refine(
+        self, partition: Partition, native_ranks, row_order=None
+    ) -> Partition:
+        """Refine ``Pi_X`` by an encoded column: ``Pi_{X ∪ {A}}``.
+
+        ``row_order``, when given, is a zero-argument callable returning the
+        column's cached row order
+        (:meth:`~repro.dataset.encoding.EncodedRelation.row_order_by_index`).
+        A backend may call it to refine without sorting, or ignore it.
+        """
 
     @abc.abstractmethod
     def partition_product(self, left: Partition, right: Partition) -> Partition:
@@ -182,9 +190,16 @@ class ComputeBackend(abc.ABC):
         classes: Sequence[Sequence[int]],
         rank_pairs: Sequence[Tuple[object, object]],
         limit: Optional[int] = None,
+        pair_orders: Optional[Sequence[Callable[[], object]]] = None,
     ) -> List[Tuple[int, bool]]:
         """Minimal AOC removal counts for many ``(A, B)`` rank-column pairs
-        sharing one context (Algorithm 2, batched across candidates)."""
+        sharing one context (Algorithm 2, batched across candidates).
+
+        ``pair_orders``, when given, holds one zero-argument callable per
+        pair returning its cached ``(A, B, row)`` row order
+        (:meth:`~repro.dataset.encoding.EncodedRelation.pair_order`).  A
+        backend may call them to skip the per-class sort, or ignore them.
+        """
 
     def ofd_removal_batch(
         self,

@@ -1,7 +1,7 @@
-"""The native removal-count kernels, built on first use and loaded via ctypes.
+"""The native kernels, built on first use and loaded via ctypes.
 
 ``_kernels.c`` holds the two count-only kernels of the discovery loop, one
-per validator:
+per validator, and the scatter of sorted partitions:
 
 * ``oc_removal_count`` fuses the two steps of Algorithm 2's AOC count that
   the NumPy backend otherwise runs as array passes plus a Python-level
@@ -11,6 +11,12 @@ per validator:
 * ``ofd_removal_count`` is TANE's ``g3`` AOFD count: one frequency pass per
   class over one RHS rank column, through a reusable scratch of counters
   (see ``NumpyBackend.ofd_removal_batch``).
+* ``scatter_classes`` walks a cached row order of the whole table (see
+  ``EncodedRelation.row_order_by_index`` and ``pair_order``) and appends
+  each grouped row, or its value, to its class's bucket: every class comes
+  out sorted in O(n).  Partition refinement takes the buckets of rows; an
+  OC batch takes each pair's buckets of ``B`` values and counts them in the
+  same call, as ``oc_removal_count`` would.
 
 The first :func:`kernels` call in a process compiles the source with
 ``gcc -O2 -shared -fPIC`` into ``~/.cache/repro/`` and loads it with
@@ -42,7 +48,7 @@ import platform
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,6 +72,9 @@ class Kernels(NamedTuple):
     oc_removal_count: Callable[..., int]
     #: ``(ranks, rows, offsets, freq, limit) -> count``
     ofd_removal_count: Callable[..., int]
+    #: ``(class_of, offsets, out, orders, values=None, tails=None,
+    #: limit=None) -> [count per order]``
+    scatter_classes: Callable[..., List[int]]
 
 
 def default_cache_dir() -> Path:
@@ -138,7 +147,13 @@ def _bind(path: Path) -> Kernels:
     oc.argtypes = [int64s, size, int64s, size, scratch, size, size]
     ofd = library.ofd_removal_count
     ofd.argtypes = [int32s, size, int64s, size, int64s, size, scratch, size, size]
-    oc.restype = ofd.restype = ctypes.c_int64
+    # The scatter runs once per OC candidate, so its arrays are checked in
+    # Python and passed as bare addresses: with ndpointer conversion a call
+    # cost ~45 us before any work, half as much as walking a 16k-row order.
+    scatter = library.scatter_classes
+    address = ctypes.c_void_p
+    scatter.argtypes = [address, size] * 7 + [size]
+    oc.restype = ofd.restype = scatter.restype = ctypes.c_int64
 
     def checked(count):
         if count < 0:
@@ -168,7 +183,55 @@ def _bind(path: Path) -> Kernels:
             freq, freq.size, budget(limit),
         ))
 
-    return Kernels(oc_removal_count, ofd_removal_count)
+    def pointer(array, dtype, writable=False):
+        """The address of a C-contiguous 1-d ``dtype`` array."""
+        if not (
+            isinstance(array, np.ndarray) and array.dtype == dtype
+            and array.ndim == 1 and array.flags.c_contiguous
+            and (array.flags.writeable or not writable)
+        ):
+            raise ValueError(
+                f"expected a C-contiguous 1-d {np.dtype(dtype)} array"
+                + (", writable" if writable else "")
+            )
+        return array.ctypes.data
+
+    def scatter_classes(class_of, offsets, out, orders, values=None,
+                        tails=None, limit=None):
+        """Per ``int32`` row permutation in ``orders``, append each grouped
+        row to its class's bucket in ``out``, walking the permutation.
+
+        ``class_of`` (``int32``) maps every row to its class, ``-1`` for
+        rows in no class, and is left as it was; ``offsets`` cuts ``out``
+        into one bucket per class.  With ``values`` (one ``int32`` column
+        per order) a bucket gets ``values[i][row]`` instead of the row.
+        With ``tails`` each scatter is then counted as in
+        :func:`oc_removal_count`.  Returns one count per order (0 without
+        ``tails``).  A wrong dtype or layout raises ``ValueError`` like any
+        other input that does not fit."""
+        cursor = np.empty(max(offsets.size, 1), dtype=np.int64)
+        shared = (
+            pointer(class_of, np.int32, True), class_of.size,
+            pointer(offsets, np.int64), offsets.size - 1,
+            cursor.ctypes.data, cursor.size,
+        )
+        sink = (
+            pointer(out, np.int64, True), out.size,
+            *((None, -1) if tails is None
+              else (pointer(tails, np.int64, True), tails.size)),
+            budget(limit),
+        )
+        counts = []
+        for i, order in enumerate(orders):
+            column = (None, -1) if values is None else (
+                pointer(values[i], np.int32), values[i].size
+            )
+            counts.append(checked(scatter(
+                pointer(order, np.int32), order.size, *shared, *column, *sink
+            )))
+        return counts
+
+    return Kernels(oc_removal_count, ofd_removal_count, scatter_classes)
 
 
 def load_kernels(cache_dir: Optional[Path] = None) -> Optional[Kernels]:

@@ -8,16 +8,16 @@ array operations:
   the semantics — including first-appearance tie-breaks for values whose
   sort keys collide — are preserved exactly);
 * partition construction/refinement via stable argsort / lexsort over rank
-  columns, splitting on group boundaries;
-* the LNDS removal-set kernels order *all* equivalence classes of a context
-  with one ``lexsort`` and then run the (inherently sequential) patience
-  step per class through the exact same :mod:`repro.validation.lnds`
-  routines the reference backend uses, so the chosen subsequence — and
-  therefore the removal rows — are identical by construction;
+  columns, splitting on group boundaries.  With the native kernels of
+  :mod:`repro.backend.native`, a refinement whose classes group enough of
+  the rows instead scatters the new attribute's cached row order into the
+  classes (sorted partitions), in O(n) and without a sort;
 * the count-only OC kernels hand each candidate's class-sorted ``B``
-  projection to the native screen+LNDS pass of :mod:`repro.backend.native`
-  when it loaded, and otherwise screen clean classes with array passes and
-  run a padded multi-lane patience DP over the dirty ones;
+  projection to the native screen+LNDS pass when it loaded, the classes
+  sorted by a scatter of the pair's cached ``(A, B, row)`` order or, for
+  classes that group few rows, by one fused-key sort.  Otherwise they
+  screen clean classes with array passes and run a padded multi-lane
+  patience DP over the dirty ones;
 * the count-only ``g3`` kernel hands each RHS column to the native
   frequency pass, and otherwise counts runs of one sort over every RHS.
 
@@ -47,6 +47,20 @@ from repro.dataset.schema import AttributeType
 _FLOAT_SAFE_INT = 1 << 53
 
 _NUMERIC_TYPES = (AttributeType.INTEGER, AttributeType.FLOAT)
+
+
+def stable_rank_order(ranks: np.ndarray) -> np.ndarray:
+    """``np.argsort(ranks, kind="stable")`` for non-negative ``int32`` ranks.
+
+    NumPy's stable sort is a radix sort on 16-bit integers but a timsort
+    on wider ones, ~10x slower at 16k rows.  Ranks are dense codes, so they
+    sort as one or two 16-bit digits, least significant first.
+    """
+    if int(ranks.max(initial=0)) < 1 << 16:
+        return np.argsort(ranks.astype(np.uint16), kind="stable")
+    order = np.argsort((ranks & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (ranks[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]
 
 
 def _empty_partition(num_rows: int) -> Partition:
@@ -164,7 +178,7 @@ class NumpyBackend(ComputeBackend):
         ranks = self.to_native(native_ranks)
         if ranks.size == 0:
             return _empty_partition(num_rows)
-        order = np.argsort(ranks, kind="stable")
+        order = stable_rank_order(ranks)
         return self._csr_partition(
             order, (ranks[order].astype(np.int64),), num_rows
         )
@@ -190,11 +204,28 @@ class NumpyBackend(ComputeBackend):
             order, tuple(column[order] for column in columns), num_rows
         )
 
-    def partition_refine(self, partition: Partition, native_ranks) -> Partition:
+    def partition_refine(
+        self, partition: Partition, native_ranks, row_order=None
+    ) -> Partition:
         ranks = self.to_native(native_ranks)
         if partition.num_classes == 0:
             return _empty_partition(partition.num_rows)
-        rows, class_ids, _ = self._columnar_classes(partition)
+        rows, class_ids, lengths = self._columnar_classes(partition)
+        scatter = self._scatter_kernel(
+            rows.size, ranks.size, row_order, self._REFINE_SCATTER_FRACTION
+        )
+        if scatter is not None:
+            # The column's (rank, row) order bucketed by class is exactly
+            # the (class, rank, row) sort below, without sorting.
+            sorted_rows = np.empty(rows.size, dtype=np.int64)
+            scatter(
+                self._class_map(ranks.size, rows, class_ids),
+                self._offsets(lengths), sorted_rows, [row_order()],
+            )
+            return self._csr_partition(
+                sorted_rows, (class_ids, ranks[sorted_rows]),
+                partition.num_rows,
+            )
         values = ranks[rows].astype(np.int64)
         order = np.lexsort((values, class_ids))
         return self._csr_partition(
@@ -302,57 +333,33 @@ class NumpyBackend(ComputeBackend):
 
     # -- shared kernel plumbing ------------------------------------------------
 
-    def _sorted_class_segments(self, classes, a_ranks, b_ranks, descending_b: bool):
-        """One ``lexsort`` over all classes → per-class ``(rows, b_values)``.
+    #: A scatter walks a cached order over all n rows, the sort it replaces
+    #: only the m grouped ones: below these m / n the sort is cheaper.  The
+    #: refine's two-key lexsort loses from m / n ~ 0.2 on; the OC's one-key
+    #: sort is cheaper, so its scatter only wins from ~ 0.4.  The ``refine``
+    #: record of ``benchmarks/bench_partition_micro.py`` times both sides.
+    _REFINE_SCATTER_FRACTION = 0.2
+    _OC_SCATTER_FRACTION = 0.4
 
-        Classes come back in input order, each ordered by ``[A ASC, B ASC]``
-        (or ``B DESC`` ties when ``descending_b``), with ties falling back
-        to ascending row order — matching the stable reference sorts.
-        """
-        a = self.to_native(a_ranks)
-        b = self.to_native(b_ranks)
-        rows, class_ids, lengths = self._columnar_classes(classes)
-        a_values = a[rows]
-        b_values = b[rows].astype(np.int64)
-        # Fold (class, A) into one int64 key: ranks are non-negative and
-        # bounded by the row count, so class_id * (max_a + 1) + a cannot
-        # overflow and sorts exactly like the (class, A) pair.
-        combined = class_ids * (int(a_values.max(initial=0)) + 1) + a_values
-        tie_break = -b_values if descending_b else b_values
-        order = np.lexsort((tie_break, combined))
-        rows_sorted = rows[order]
-        b_sorted = b_values[order]
-        offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
-        for i in range(lengths.size):
-            start, end = offsets[i], offsets[i + 1]
-            yield rows_sorted[start:end], b_sorted[start:end]
+    @staticmethod
+    def _scatter_kernel(num_grouped: int, num_rows: int, order, fraction):
+        """The native scatter when a cached order is on offer and worth
+        walking, else ``None`` (then the caller sorts, as without gcc)."""
+        if order is None or num_grouped < fraction * num_rows:
+            return None
+        library = native.kernels()
+        return None if library is None else library.scatter_classes
 
-    def _lnds_removal_rows(
-        self, classes, a_ranks, b_ranks, limit: Optional[int], descending_b: bool
-    ) -> Tuple[List[int], bool]:
-        from repro.validation.lnds import lnds_indices
+    @staticmethod
+    def _class_map(num_rows: int, rows: np.ndarray, class_ids: np.ndarray):
+        """Per-call ``int32`` row -> class map, ``-1`` for rows in no class."""
+        class_of = np.full(num_rows, -1, dtype=np.int32)
+        class_of[rows] = class_ids
+        return class_of
 
-        if not len(classes):
-            return [], False
-        removal: List[int] = []
-        for seg_rows, seg_values in self._sorted_class_segments(
-            classes, a_ranks, b_ranks, descending_b
-        ):
-            # Clean classes (the common case during discovery) have a fully
-            # non-decreasing projection: the LNDS is the whole class and the
-            # removal contribution is empty — no need to run the patience DP.
-            if seg_values.size < 2 or bool(np.all(np.diff(seg_values) >= 0)):
-                continue
-            values = seg_values.tolist()
-            kept = set(lnds_indices(values))
-            removal.extend(
-                row
-                for position, row in enumerate(seg_rows.tolist())
-                if position not in kept
-            )
-            if limit is not None and len(removal) > limit:
-                return removal, True
-        return removal, False
+    @staticmethod
+    def _offsets(lengths: np.ndarray) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(lengths)))
 
     @staticmethod
     def _interior_mask(lengths: np.ndarray) -> np.ndarray:
@@ -392,18 +399,25 @@ class NumpyBackend(ComputeBackend):
 
     # -- removal-set kernels ---------------------------------------------------
 
+    # The single-candidate OC/OD rows kernels are off the discovery path,
+    # which only counts, so they run the reference implementations on
+    # materialised lists.  A vectorised sort in front of the per-class
+    # patience step paid off only on one huge class (2x on the empty
+    # context at 16k rows) and tied or lost on real contexts; Algorithm 1's
+    # per-removal update loop is sequential by nature.
+
     def oc_optimal_removal_rows(
         self, classes, a_ranks, b_ranks, limit: Optional[int] = None
     ) -> Tuple[List[int], bool]:
-        return self._lnds_removal_rows(classes, a_ranks, b_ranks, limit,
-                                       descending_b=False)
+        from repro.validation.approx_oc_optimal import optimal_removal_rows
+
+        return optimal_removal_rows(
+            classes, self._as_list(a_ranks), self._as_list(b_ranks), limit
+        )
 
     def oc_greedy_removal_rows(
         self, classes, a_ranks, b_ranks, limit: Optional[int] = None
     ) -> Tuple[List[int], bool]:
-        # Algorithm 1 is the paper's quadratic baseline; its per-removal
-        # update loop is inherently sequential, so it runs through the
-        # reference implementation on materialised lists.
         from repro.validation.approx_oc_iterative import iterative_removal_rows
 
         return iterative_removal_rows(
@@ -413,8 +427,11 @@ class NumpyBackend(ComputeBackend):
     def od_removal_rows(
         self, classes, a_ranks, b_ranks, limit: Optional[int] = None
     ) -> Tuple[List[int], bool]:
-        return self._lnds_removal_rows(classes, a_ranks, b_ranks, limit,
-                                       descending_b=True)
+        from repro.validation.approx_od import od_removal_rows
+
+        return od_removal_rows(
+            classes, self._as_list(a_ranks), self._as_list(b_ranks), limit
+        )
 
     # -- batched removal kernels ------------------------------------------------
 
@@ -427,12 +444,14 @@ class NumpyBackend(ComputeBackend):
     _DP_MIN_SEGMENTS = 32
 
     def oc_optimal_removal_count_batch(
-        self, classes, rank_pairs, limit: Optional[int] = None
+        self, classes, rank_pairs, limit: Optional[int] = None,
+        pair_orders=None,
     ) -> List[Tuple[int, bool]]:
         """Batched Algorithm 2 counts: one shared context, many rank pairs.
 
-        With the native kernel loaded, each pair is one fused-key sort plus
-        one native screen+LNDS pass (:meth:`_native_counts`).  Without it,
+        With the native kernels loaded, each pair is one native screen+LNDS
+        pass over its classes sorted by a scatter of the pair's cached order
+        or by a fused-key sort (:meth:`_native_counts`).  Without them,
         per pair, one sort orders every class and a single vectorised
         pass finds the *dirty* classes (those whose ``B`` projection is not
         already non-decreasing — during discovery the vast majority are
@@ -450,7 +469,7 @@ class NumpyBackend(ComputeBackend):
         library = native.kernels()
         if library is not None:
             return self._native_counts(
-                library.oc_removal_count, classes, rank_pairs, limit
+                library, classes, rank_pairs, limit, pair_orders
             )
         if not len(classes):
             return [(0, False)] * num_pairs
@@ -498,32 +517,54 @@ class NumpyBackend(ComputeBackend):
         return [(int(c), bool(e)) for c, e in zip(counts, exceeded)]
 
     def _native_counts(
-        self, kernel, classes, rank_pairs, limit: Optional[int]
+        self, library, classes, rank_pairs, limit: Optional[int], pair_orders
     ) -> List[Tuple[int, bool]]:
-        """Per pair, one fused-key sort and one native screen+LNDS pass.
+        """Per pair, one native screen+LNDS pass over the classes in
+        ``[A ASC, B ASC]`` order.
 
-        The kernel walks the classes in order and stops after the first one
-        that takes the count above ``limit``, so every entry — the partial
-        count of an exceeded pair included — equals the reference kernel's
-        class-by-class result.
+        Given the pairs' cached orders and classes that group enough of the
+        rows, one native call per pair scatters its order into the class
+        buckets, writing ``B``, and counts them.  Otherwise a
+        fused-key sort orders the classes.  The kernel walks the classes in
+        order and stops after the first one that takes the count above
+        ``limit``, so every entry, the partial count of an exceeded pair
+        included, equals the reference kernel's class-by-class result.
         """
         if not len(classes):
             return [(0, False)] * len(rank_pairs)
         rows, class_ids, lengths = self._columnar_classes(classes)
         if rows.size == 0:
             return [(0, False)] * len(rank_pairs)
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        offsets = self._offsets(lengths)
         tails = np.empty(int(lengths.max()), dtype=np.int64)
-        results: List[Tuple[int, bool]] = []
-        for a_ranks, b_ranks in rank_pairs:
-            b_sorted = self._fused_b_sorted(
-                lengths.size, class_ids,
-                self.to_native(a_ranks)[rows].astype(np.int64),
-                self.to_native(b_ranks)[rows].astype(np.int64),
+        columns = [
+            (self.to_native(a_ranks), self.to_native(b_ranks))
+            for a_ranks, b_ranks in rank_pairs
+        ]
+        num_rows = columns[0][1].size
+        scatter = self._scatter_kernel(
+            rows.size, num_rows, pair_orders, self._OC_SCATTER_FRACTION
+        )
+        if scatter is not None:
+            counts = scatter(
+                self._class_map(num_rows, rows, class_ids), offsets,
+                np.empty(rows.size, dtype=np.int64),
+                [order() for order in pair_orders],
+                [np.ascontiguousarray(b, dtype=np.int32) for _, b in columns],
+                tails, limit,
             )
-            count = kernel(b_sorted, offsets, tails, limit)
-            results.append((count, limit is not None and count > limit))
-        return results
+        else:
+            counts = []
+            for a_ranks, b_ranks in columns:
+                b_sorted = self._fused_b_sorted(
+                    lengths.size, class_ids,
+                    a_ranks[rows].astype(np.int64),
+                    b_ranks[rows].astype(np.int64),
+                )
+                counts.append(
+                    library.oc_removal_count(b_sorted, offsets, tails, limit)
+                )
+        return [(count, limit is not None and count > limit) for count in counts]
 
     def _segmented_lnds_counts(
         self,
@@ -677,7 +718,7 @@ class NumpyBackend(ComputeBackend):
         library = native.kernels()
         if library is not None:
             rows = np.ascontiguousarray(rows)
-            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            offsets = self._offsets(lengths)
             columns = [np.ascontiguousarray(c, dtype=np.int32) for c in columns]
             # One counter per rank; the kernel leaves them zeroed for reuse.
             freq = np.zeros(

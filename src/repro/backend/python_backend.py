@@ -47,7 +47,9 @@ class PythonBackend(ComputeBackend):
 
         return build_partition_single(native_ranks, num_rows)
 
-    def partition_refine(self, partition: Partition, native_ranks) -> Partition:
+    def partition_refine(
+        self, partition: Partition, native_ranks, row_order=None
+    ) -> Partition:
         return partition.product(native_ranks)
 
     def partition_product(self, left: Partition, right: Partition) -> Partition:
@@ -86,7 +88,8 @@ class PythonBackend(ComputeBackend):
     # -- batched removal kernels ------------------------------------------------
 
     def oc_optimal_removal_count_batch(
-        self, classes, rank_pairs, limit: Optional[int] = None
+        self, classes, rank_pairs, limit: Optional[int] = None,
+        pair_orders=None,
     ) -> List[Tuple[int, bool]]:
         # Reference semantics: the batch is exactly a loop of sequential
         # kernels, so each entry carries the sequential early-exit partials.

@@ -3,8 +3,8 @@
 The paper's experiments fix a dataset (flight or ncvoter), a number of
 tuples, a number of attributes and an approximation threshold.  A
 :class:`WorkloadSpec` captures that tuple of parameters; :func:`make_workload`
-materialises the corresponding synthetic relation (see DESIGN.md for the
-substitution rationale).
+materialises the corresponding synthetic relation, a stand-in for the
+paper's dataset (see :mod:`repro.dataset.generators`).
 """
 
 from __future__ import annotations

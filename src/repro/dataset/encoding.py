@@ -213,6 +213,10 @@ class EncodedRelation:
         # Keyed per EncodedRelation, so `extend` — which returns a fresh
         # instance — naturally invalidates every cached transport column.
         self._transport: Dict[int, object] = {}
+        # Row orders for the sorted-partition kernels, built on first use
+        # and invalidated the same way: attribute index -> sigma, (A, B)
+        # index pair -> pi.  See `row_order_by_index` / `pair_order`.
+        self._orders: Dict[object, object] = {}
         if native_columns is not None:
             for index, native in enumerate(native_columns):
                 if native is not None:
@@ -401,6 +405,44 @@ class EncodedRelation:
             cached = run_length_encode(native) or native
             self._transport[index] = cached
         return cached
+
+    def row_order_by_index(self, index: int):
+        """Every row in ``(rank, row)`` order of the column at ``index``.
+
+        An ``int32`` NumPy permutation built by one stable radix argsort on
+        first use and cached.  Only the NumPy backend's native kernels read row
+        orders (see ``NumpyBackend.partition_refine``); like the transport
+        forms they are per instance, so the encoding :meth:`extend` returns
+        builds its own.
+        """
+        import numpy as np
+
+        from repro.backend.numpy_backend import stable_rank_order
+
+        order = self._orders.get(index)
+        if order is None:
+            ranks = self.native_ranks_by_index(index)
+            order = stable_rank_order(ranks).astype(np.int32)
+            self._orders[index] = order
+        return order
+
+    def pair_order(self, a: str, b: str):
+        """Every row in ``(A, B, row)`` order, the sort Algorithm 2 gives
+        each context class, as a cached ``int32`` permutation.
+
+        Derived from ``B``'s row order by one stable radix sort on ``A``,
+        never a two-key lexsort.
+        """
+        from repro.backend.numpy_backend import stable_rank_order
+
+        key = (self.schema.index_of(a), self.schema.index_of(b))
+        order = self._orders.get(key)
+        if order is None:
+            by_b = self.row_order_by_index(key[1])
+            a_ranks = self.native_ranks_by_index(key[0])
+            order = by_b[stable_rank_order(a_ranks[by_b])]
+            self._orders[key] = order
+        return order
 
     def dictionary(self, attribute: str) -> List[object]:
         """Return the rank-to-value dictionary for ``attribute``."""

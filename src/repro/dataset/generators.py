@@ -8,7 +8,7 @@ The paper evaluates on two real datasets that are not redistributable here:
   attributes).
 
 These generators produce synthetic relations with the structural properties
-the algorithms are actually sensitive to (see DESIGN.md §2, substitutions):
+the algorithms are actually sensitive to:
 
 * a mix of low-cardinality categorical, high-cardinality categorical and
   numeric columns,

@@ -707,10 +707,17 @@ class PartitionCache:
             partition = self._cache[best_subset]
             remaining = sorted(key - best_subset)
         for index in remaining:
-            partition = self._backend.partition_refine(
-                partition, self._native_ranks(index)
-            )
+            partition = self._refine(partition, index)
         return partition
+
+    def _refine(self, partition: Partition, index: int) -> Partition:
+        """``partition`` refined by attribute ``index``, offering the
+        backend the column's cached row order."""
+        encoded = self._encoded
+        return self._backend.partition_refine(
+            partition, self._native_ranks(index),
+            lambda: encoded.row_order_by_index(index),
+        )
 
     def _native_ranks(self, index: int):
         getter = getattr(self._encoded, "native_ranks_by_index", None)
@@ -847,9 +854,7 @@ class PartitionCache:
         )
         rebuilt = touched
         for index in sorted(key - base_key):
-            rebuilt = self._backend.partition_refine(
-                rebuilt, self._native_ranks(index)
-            )
+            rebuilt = self._refine(rebuilt, index)
         carried, replaced = _split_by_touched(
             old_partition, member, new_num_rows
         )

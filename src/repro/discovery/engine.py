@@ -75,6 +75,7 @@ long-lived state so repeated runs over the same relation stay warm:
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -762,10 +763,13 @@ class DiscoveryEngine:
             # per-class contributions are minimal, so the count-only kernel
             # (no subsequence reconstruction) returns the same numbers.  An
             # exact check is the same kernel at limit 0.
+            encoded = self.encoded
             return self.backend.oc_optimal_removal_count_batch(classes, [
-                (self.encoded.native_ranks(a), self.encoded.native_ranks(b))
+                (encoded.native_ranks(a), encoded.native_ranks(b))
                 for a, b in pairs
-            ], self._kernel_limit)
+            ], self._kernel_limit, [
+                functools.partial(encoded.pair_order, a, b) for a, b in pairs
+            ])
         # Algorithm 1 stays row-at-a-time by design (the paper's quadratic
         # strawman) on canonical lists in every backend; it still benefits
         # from the shared context partition.

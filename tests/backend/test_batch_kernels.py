@@ -10,11 +10,18 @@ multi-class LNDS kernel is additionally checked against the quadratic oracle
 through the padded-DP code path (many short segments at once).
 """
 
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backend import get_backend
+from repro.dataset.partition import Partition, PartitionCache
+from repro.dataset.relation import Relation
+from repro.discovery.api import discover_aods
+from repro.discovery.session import Profiler
+from repro.validation.approx_oc_optimal import optimal_removal_count
 from repro.validation.exact_oc import oc_holds_in_classes
 from repro.validation.exact_ofd import ofd_holds_in_classes
 from repro.validation.lnds import lnds_length_quadratic
@@ -22,6 +29,10 @@ from repro.validation.lnds import lnds_length_quadratic
 numpy = pytest.importorskip("numpy")
 
 from repro.backend import native  # noqa: E402 - imports numpy
+from repro.backend.numpy_backend import (  # noqa: E402
+    NumpyBackend,
+    stable_rank_order,
+)
 
 BACKENDS = ("python", "numpy")
 
@@ -247,3 +258,184 @@ class TestOfdRemovalBatch:
             assert backend.ofd_removal_batch([], [], None) == []
             ranks = backend.to_native([0, 0, 1])
             assert backend.ofd_removal_batch([], [ranks], 1) == [(0, False)]
+
+
+# -- sorted partitions --------------------------------------------------------
+#
+# With the native kernels, refinement and OC counts scatter a cached row
+# order instead of sorting once the grouped rows are a large enough share
+# of all rows.  Both sides of that branch must equal the python backend.
+
+BRANCH_SIDES = ("scatter", "sort")
+
+
+@contextlib.contextmanager
+def _branch_side(side):
+    """Force one side of the scatter-vs-sort branch for every m / n."""
+    fraction = 0.0 if side == "scatter" else float("inf")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NumpyBackend, "_REFINE_SCATTER_FRACTION", fraction)
+        patch.setattr(NumpyBackend, "_OC_SCATTER_FRACTION", fraction)
+        yield
+
+
+@st.composite
+def _sorted_partition_relations(draw):
+    """Small relations whose columns have ties, nulls (rank 0), a constant
+    value (one class spanning every row) or all-distinct values."""
+    n = draw(st.integers(2, 40))
+    columns = {}
+    for i in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["ties", "nulls", "constant", "distinct"]))
+        if kind == "constant":
+            column = [draw(st.integers(0, 3))] * n
+        elif kind == "distinct":
+            column = draw(st.permutations(range(n)))
+        else:
+            cell = st.integers(0, 3)
+            if kind == "nulls":
+                cell = st.one_of(st.none(), cell)
+            column = draw(st.lists(cell, min_size=n, max_size=n))
+        columns[f"c{i}"] = column
+    return Relation.from_columns(columns)
+
+
+def _contexts(relation):
+    """The empty (pair-only) context, every single attribute and the pair
+    of the first two attributes."""
+    names = relation.attribute_names
+    return [[]] + [[name] for name in names] + [names[:2]]
+
+
+def _assert_oc_counts_match(reference, got, limit):
+    """Exact equality, partials included, on the native kernels; the
+    batch contract (exact flag, count when within ``limit``) otherwise."""
+    if native.kernels() is not None:
+        assert got == reference
+        return
+    assert [over for _, over in got] == [over for _, over in reference]
+    for (ref_count, over), (got_count, _) in zip(reference, got):
+        assert got_count == ref_count if not over else got_count > limit
+
+
+@pytest.mark.parametrize("side", BRANCH_SIDES)
+@given(relation=_sorted_partition_relations())
+@settings(max_examples=60, deadline=None)
+def test_sorted_partitions_match_the_python_backend(side, relation):
+    py, nq = get_backend("python"), get_backend("numpy")
+    names = relation.attribute_names
+    with _branch_side(side):
+        encoded = relation.encoded(nq)
+        reference_encoded = relation.encoded(py)
+        cache = PartitionCache(encoded, backend=nq)
+        reference_cache = PartitionCache(reference_encoded, backend=py)
+        for context in _contexts(relation):
+            classes = cache.get_by_names(context)
+            assert classes == reference_cache.get_by_names(context)
+            pairs = [(a, b) for a in names for b in names
+                     if a != b and a not in context and b not in context]
+            if not pairs:
+                continue
+            class_lists = list(classes)
+            full = [
+                optimal_removal_count(class_lists, reference_encoded.ranks(a),
+                                      reference_encoded.ranks(b))[0]
+                for a, b in pairs
+            ]
+            for limit in [None, 0] + sorted({max(c - 1, 0) for c in full}):
+                reference = [
+                    optimal_removal_count(
+                        class_lists, reference_encoded.ranks(a),
+                        reference_encoded.ranks(b), limit,
+                    )
+                    for a, b in pairs
+                ]
+                got = nq.oc_optimal_removal_count_batch(
+                    classes,
+                    [(encoded.native_ranks(a), encoded.native_ranks(b))
+                     for a, b in pairs],
+                    limit,
+                    [lambda a=a, b=b: encoded.pair_order(a, b)
+                     for a, b in pairs],
+                )
+                _assert_oc_counts_match(reference, got, limit)
+
+
+def test_the_branch_sides_take_their_paths(monkeypatch):
+    """At fraction 0 every refine and OC batch scatters (when the native
+    kernels loaded); at infinity none does."""
+    calls = []
+    library = native.kernels()
+    if library is not None:
+        real = library.scatter_classes
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[3]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            native, "kernels", lambda: library._replace(scatter_classes=spy)
+        )
+    relation = Relation.from_columns(
+        {"a": [0, 0, 1, 1, 2], "b": [1, 1, 0, 0, 3], "c": [4, 3, 2, 1, 0]}
+    )
+    nq = get_backend("numpy")
+    for side, scatters in (("sort", []), ("scatter", [1, 2])):
+        with _branch_side(side):
+            encoded = relation.encoded(nq)
+            cache = PartitionCache(encoded, backend=nq)
+            assert cache.get_by_names(["a", "b"]) == Partition(
+                [[0, 1], [2, 3]], 5
+            )
+            nq.oc_optimal_removal_count_batch(
+                cache.get_by_names(["a"]),
+                [(encoded.native_ranks("b"), encoded.native_ranks("c"))] * 2,
+                None,
+                [lambda: encoded.pair_order("b", "c")] * 2,
+            )
+        if library is not None:
+            assert calls == scatters
+        calls.clear()
+
+
+@pytest.mark.parametrize("top", [1, 3, (1 << 16) - 1, 1 << 16, (1 << 31) - 1])
+def test_stable_rank_order_is_a_stable_argsort(top):
+    """One 16-bit radix digit below 2^16, two from there on."""
+    rng = numpy.random.default_rng(top)
+    ranks = rng.integers(0, top, 500, endpoint=True).astype(numpy.int32)
+    ranks[:3] = [0, top, top]
+    assert stable_rank_order(ranks).tolist() == numpy.argsort(
+        ranks, kind="stable"
+    ).tolist()
+
+
+@pytest.mark.parametrize("side", BRANCH_SIDES)
+def test_discover_extend_discover_equals_a_cold_python_run(side):
+    """Row orders live on the encoding, and ``extend`` returns a fresh one:
+    the second discovery must read orders of the extended rows, never
+    stale ones of the first encoding."""
+    rng = random.Random(41)
+
+    def rows(count):
+        return [
+            [rng.randrange(6), rng.randrange(4), rng.choice([None, 1, 2]),
+             rng.randrange(8)]
+            for _ in range(count)
+        ]
+
+    first, appended = rows(60), rows(25)
+    columns = {f"c{i}": [row[i] for row in first] for i in range(4)}
+    relation = Relation.from_columns(columns)
+    with _branch_side(side), Profiler(relation, backend="numpy") as profiler:
+        profiler.discover(threshold=0.1)
+        profiler.extend(appended)
+        warm = profiler.discover(threshold=0.1)
+    cold = discover_aods(
+        Relation.from_columns({
+            name: values + [row[i] for row in appended]
+            for i, (name, values) in enumerate(columns.items())
+        }),
+        threshold=0.1, backend="python",
+    )
+    assert warm.ocs == cold.ocs
+    assert warm.ofds == cold.ofds

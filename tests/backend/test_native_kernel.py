@@ -281,6 +281,71 @@ class TestBinding:
             KERNELS.ofd_removal_count(ranks, rows, offsets, freq, None)
 
 
+    @needs_kernel
+    @pytest.mark.parametrize("case", [
+        "repeated-row", "row-past-rows", "negative-row", "short-order",
+        "class-id-at-num-classes", "class-id-below-minus-one",
+        "offsets-below-bucket", "offsets-above-bucket", "offsets-past-out",
+        "no-offsets", "short-values", "order-dtype", "class-map-dtype",
+        "values-dtype", "strided-order", "read-only-class-map",
+    ])
+    def test_scatter_inputs_that_do_not_fit_raise(self, case):
+        """Each bad input to the sorted-partition scatter raises
+        ``ValueError``.  ``out`` sits between two guard slots in one buffer,
+        so a write out of bounds would change a guard, and the class map
+        is left as it was."""
+        order = numpy.array([4, 1, 3, 0, 2, 5], dtype=numpy.int32)
+        class_of = numpy.array([0, 1, 0, -1, 1, 0], dtype=numpy.int32)
+        offsets = numpy.array([0, 3, 5], dtype=numpy.int64)
+        values = numpy.array([9, 8, 7, 6, 5, 4], dtype=numpy.int32)
+        buffer = numpy.full(offsets[-1] + 2, 77, dtype=numpy.int64)
+        out = buffer[1:-1]
+        scatter = KERNELS.scatter_classes
+        assert scatter(class_of, offsets, out, [order]) == [0]
+        assert out.tolist() == [0, 2, 5, 4, 1]
+        assert scatter(class_of, offsets, out, [order], [values]) == [0]
+        assert out.tolist() == [9, 7, 4, 5, 8]
+        tails = numpy.empty(3, dtype=numpy.int64)
+        assert scatter(class_of, offsets, out, [order], [values], tails) == [2]
+        if case == "repeated-row":
+            order[3] = 4
+        elif case == "row-past-rows":
+            order[1] = order.size
+        elif case == "negative-row":
+            order[0] = -1
+        elif case == "short-order":
+            order = order[:-1]
+        elif case == "class-id-at-num-classes":
+            class_of[3] = offsets.size - 1
+        elif case == "class-id-below-minus-one":
+            class_of[3] = -2
+        elif case == "offsets-below-bucket":
+            offsets[1] = 2
+        elif case == "offsets-above-bucket":
+            offsets[1] = 4
+        elif case == "offsets-past-out":
+            offsets[2] = out.size + 1
+        elif case == "no-offsets":
+            offsets = offsets[:0]
+        elif case == "short-values":
+            values = values[:-1]
+        elif case == "order-dtype":
+            order = order.astype(numpy.int64)
+        elif case == "class-map-dtype":
+            class_of = class_of.astype(numpy.int64)
+        elif case == "values-dtype":
+            values = values.astype(numpy.int64)
+        elif case == "strided-order":
+            order = numpy.repeat(order, 2)[::2]
+        else:
+            class_of.flags.writeable = False
+        before = class_of.copy()
+        with pytest.raises(ValueError):
+            scatter(class_of, offsets, out, [order], [values], tails)
+        assert buffer[0] == buffer[-1] == 77
+        assert class_of.tolist() == before.tolist()
+
+
 class TestLoader:
     def test_without_a_compiler_the_numpy_path_runs(
         self, tmp_path, monkeypatch, caplog

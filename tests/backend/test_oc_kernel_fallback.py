@@ -20,6 +20,9 @@ from test_batch_kernels import (  # noqa: E402,F401 - collected again here
     TestExactHoldsBatch,
     TestOcCountBatch,
     TestOfdRemovalBatch,
+    test_discover_extend_discover_equals_a_cold_python_run,
+    test_sorted_partitions_match_the_python_backend,
+    test_the_branch_sides_take_their_paths,
 )
 from test_differential import (  # noqa: E402,F401 - collected again here
     test_discovery_results_identical,
