@@ -11,8 +11,11 @@ materialisation plus the normalising list constructor — exactly what
 
 Its ``refine`` sub-record is the measured basis of the NumPy backend's
 scatter-vs-sort branch: at several grouped-row fractions m / n it times a
-refinement and a four-pair OC count batch once by scattering cached row
-orders (native kernels) and once by sorting.
+refinement once by scattering the cached row order (native kernels) and
+once by sorting.  The ``oc`` sub-record times a four-pair OC count batch
+at the same m / n, with no removal budget and with the ε = 0.1 budget of
+discovery, on whichever kernels loaded and on the NumPy fallback, after
+asserting that both equal the python backend, partials included.
 """
 
 import json
@@ -206,12 +209,26 @@ def _classes_covering(partition: Partition, fraction: float, rng) -> Partition:
     )
 
 
-def test_refine_scatter_vs_sort(workload, monkeypatch):
-    """Scatter against sort at several m / n, for refinement and OC."""
-    if "numpy" not in BACKENDS:
-        pytest.skip("numpy is not installed")
+def _context_and_samples(base, fraction_points):
+    """The context grouping every row (that of the first attribute) and
+    one sub-partition per m / n point."""
     import numpy as np
 
+    backend = get_backend("numpy")
+    encoded = base.encoded(backend)
+    context = backend.partition_single(
+        encoded.native_ranks_by_index(0), NUM_ROWS
+    )
+    rng = np.random.default_rng(5)
+    return encoded, [
+        _classes_covering(context, fraction, rng) for fraction in fraction_points
+    ]
+
+
+def test_refine_scatter_vs_sort(workload, monkeypatch):
+    """Scatter against sort at several m / n, for refinement."""
+    if "numpy" not in BACKENDS:
+        pytest.skip("numpy is not installed")
     from repro.backend import native
     from repro.backend.numpy_backend import NumpyBackend
 
@@ -220,30 +237,16 @@ def test_refine_scatter_vs_sort(workload, monkeypatch):
     record = {
         "kernel": "native" if native.kernels() is not None else "numpy",
         "refine_scatter_fraction": NumpyBackend._REFINE_SCATTER_FRACTION,
-        "oc_scatter_fraction": NumpyBackend._OC_SCATTER_FRACTION,
     }
-    encoded = base.encoded(backend)
-    names = base.attribute_names
-    # The context of the first attribute groups every row of the table.
-    context = backend.partition_single(
-        encoded.native_ranks_by_index(0), NUM_ROWS
-    )
+    # Without the native kernels there is no scatter to time.
+    fractions = REFINE_FRACTIONS if record["kernel"] == "native" else ()
+    encoded, samples = _context_and_samples(base, fractions)
     column = encoded.native_ranks_by_index(1)
-    pairs = [(names[a], names[b]) for a, b in ((1, 2), (2, 3), (3, 4), (4, 5))]
-    rank_pairs = [
-        (encoded.native_ranks(a), encoded.native_ranks(b)) for a, b in pairs
-    ]
-    pair_orders = [
-        lambda a=a, b=b: encoded.pair_order(a, b) for a, b in pairs
-    ]
-    for order in pair_orders:  # cached orders are built once per encoding
-        order()
-    encoded.row_order_by_index(1)
+    encoded.row_order_by_index(1)  # cached orders are built once per encoding
 
     def timed(side, classes):
         fraction = 0.0 if side == "scatter" else float("inf")
         monkeypatch.setattr(NumpyBackend, "_REFINE_SCATTER_FRACTION", fraction)
-        monkeypatch.setattr(NumpyBackend, "_OC_SCATTER_FRACTION", fraction)
 
         def refine():
             classes._columnar = None  # time the columnar view every call
@@ -251,32 +254,81 @@ def test_refine_scatter_vs_sort(workload, monkeypatch):
                 classes, column, lambda: encoded.row_order_by_index(1)
             )
 
-        def oc():
-            return backend.oc_optimal_removal_count_batch(
-                classes, rank_pairs, None, pair_orders
-            )
-
-        return (
-            time_best_of(refine, REPEATS), time_best_of(oc, REPEATS),
-            refine(), oc(),
-        )
+        return time_best_of(refine, REPEATS), refine()
 
     points = []
-    rng = np.random.default_rng(5)
-    # Without the native kernels there is no scatter to time.
-    for fraction in REFINE_FRACTIONS if record["kernel"] == "native" else ():
-        classes = _classes_covering(context, fraction, rng)
+    for classes in samples:
         scatter = timed("scatter", classes)
         sort = timed("sort", classes)
-        assert scatter[2:] == sort[2:]  # parity first, speed second
+        assert scatter[1] == sort[1]  # parity first, speed second
         points.append({
             "fraction": round(classes.row_indices.size / NUM_ROWS, 4),
             "refine_scatter_s": round(scatter[0], 6),
             "refine_sort_s": round(sort[0], 6),
-            "oc_scatter_s": round(scatter[1], 6),
-            "oc_sort_s": round(sort[1], 6),
         })
-    BASELINE["refine"] = dict(record, oc_pairs=len(pairs), points=points)
+    BASELINE["refine"] = dict(record, points=points)
+
+
+def test_oc_count_batch(workload, monkeypatch):
+    """The OC count batch at the same m / n as the refine record."""
+    if "numpy" not in BACKENDS:
+        pytest.skip("numpy is not installed")
+    from repro.backend import native
+
+    base, _ = workload
+    backend, reference = get_backend("numpy"), get_backend("python")
+    library = native.kernels()
+    record = {"kernel": "native" if library is not None else "numpy"}
+    encoded, samples = _context_and_samples(base, REFINE_FRACTIONS)
+    names = base.attribute_names
+    pairs = [(names[a], names[b]) for a, b in ((1, 2), (2, 3), (3, 4), (4, 5))]
+    rank_pairs = [
+        (encoded.native_ranks(a), encoded.native_ranks(b)) for a, b in pairs
+    ]
+    reference_encoded = base.encoded(reference)
+    reference_pairs = [
+        (reference_encoded.ranks(a), reference_encoded.ranks(b))
+        for a, b in pairs
+    ]
+    budget = NUM_ROWS // 10  # the removal budget of ε = 0.1
+
+    def timed(classes, limit):
+        def oc():
+            return backend.oc_optimal_removal_count_batch(
+                classes, rank_pairs, limit
+            )
+
+        return time_best_of(oc, REPEATS), oc()
+
+    points = []
+    for classes in samples:
+        point = {"fraction": round(classes.row_indices.size / NUM_ROWS, 4)}
+        class_lists = list(classes)
+        for label, limit in (("", None), ("_budget", budget)):
+            expected = reference.oc_optimal_removal_count_batch(
+                class_lists, reference_pairs, limit
+            )
+            kernel_s, counts = timed(classes, limit)
+            with monkeypatch.context() as patch:
+                patch.setattr(native, "kernels", lambda: None)
+                fallback_s, fallback = timed(classes, limit)
+            # Parity first, speed second: the native kernel matches the
+            # reference partials included; the fallback honours the batch
+            # contract (exact flag, count when within the budget).
+            if library is not None:
+                assert counts == expected
+            assert [over for _, over in fallback] == [
+                over for _, over in expected
+            ]
+            assert [c for c, over in fallback if not over] == [
+                c for c, over in expected if not over
+            ]
+            point[f"oc{label}_s"] = round(kernel_s, 6)
+            point[f"oc{label}_fallback_s"] = round(fallback_s, 6)
+        points.append(point)
+    BASELINE["oc"] = dict(
+        record, oc_pairs=len(pairs), budget=budget, points=points
+    )
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -1,112 +1,257 @@
 /* Count-only removal kernels for the two validators of the discovery loop,
- * and the scatter that feeds them and partition refinement sorted rows.
+ * and the scatter of sorted partitions that feeds partition refinement.
  *
  * Both counts walk a context's equivalence classes in order and stop after
- * the first class that takes the count above `limit`, so the returned count
- * equals the class-by-class reference, partials included.  Every entry
- * returns -1 instead of reading or writing out of bounds when an input does
- * not fit.
+ * the first class that takes the count above `limit`, so each returned
+ * count equals the class-by-class reference, partials included.  Every
+ * entry returns -1 instead of reading or writing out of bounds when an
+ * input does not fit.
  */
 #include <stdint.h>
+#include <string.h>
 
-/* Algorithm 2 (AOC): fused screen + LNDS.
- *
- * `values` holds the B projection of every equivalence class, each class
- * already ordered by [A ASC, B ASC]; class c is values[offsets[c] ..
- * offsets[c + 1]).  A class whose projection is non-decreasing removes
- * nothing (the screen); any other class adds `length - LNDS(length)`,
- * computed with the patience DP into `tails`.
- *
- * Returns -1 when the offsets do not describe `num_values` values or a
- * class is longer than `num_tails`.
- */
-int64_t oc_removal_count(const int64_t *values, int64_t num_values,
-                         const int64_t *offsets, int64_t num_classes,
-                         int64_t *tails, int64_t num_tails, int64_t limit)
+/* Classes are rows[offsets[c] .. offsets[c + 1]) for c < num_classes.
+ * Returns 0 when every class lies inside the rows and every row indexes a
+ * column of `column_length` entries, else -1. */
+static int64_t check_classes(const int64_t *rows, int64_t num_rows,
+                             const int64_t *offsets, int64_t num_classes,
+                             int64_t column_length)
 {
-    int64_t count = 0;
     if (num_classes < 0)
         return -1;
-    for (int64_t c = 0; c < num_classes; c++) {
-        int64_t start = offsets[c], n = offsets[c + 1] - start;
-        if (start < 0 || n < 0 || start + n > num_values)
+    for (int64_t c = 0; c < num_classes; c++)
+        if (offsets[c] < 0 || offsets[c + 1] < offsets[c]
+            || offsets[c + 1] > num_rows)
             return -1;
-        const int64_t *v = values + start;
-        int64_t i = 1;
-        while (i < n && v[i - 1] <= v[i])
-            i++;
-        if (i < n) {
-            /* The non-decreasing prefix v[0 .. i) is its own tails array. */
-            if (n > num_tails)
-                return -1;
-            int64_t len = i;
-            for (int64_t k = 0; k < i; k++)
-                tails[k] = v[k];
-            for (; i < n; i++) {
-                int64_t x = v[i], lo = 0, hi = len;
-                while (lo < hi) { /* bisect_right: first tail > x */
-                    int64_t mid = lo + ((hi - lo) >> 1);
-                    if (tails[mid] <= x)
-                        lo = mid + 1;
-                    else
-                        hi = mid;
-                }
-                tails[lo] = x;
-                if (lo == len)
-                    len++;
-            }
-            count += n - len;
-        }
-        if (count > limit)
-            break;
-    }
-    return count;
+    for (int64_t i = 0; i < num_rows; i++)
+        if (rows[i] < 0 || rows[i] >= column_length)
+            return -1;
+    return 0;
 }
 
-/* TANE's g3 (AOFD): per class, every row not carrying the class's most
- * frequent RHS value is removed.
- *
- * Class c is the rows rows[offsets[c] .. offsets[c + 1]) of the `ranks`
- * column.  `freq` is `num_freq` zeroed counters, one per rank; each class
- * counts its ranks there and zeroes them again before the next, so `freq`
- * is all zeroes on return, on the -1 path too, and can be reused.
- *
- * Returns -1 when the offsets do not describe `num_rows` row indices, a row
- * index is outside `ranks`, or a rank is outside `freq`.
- */
-int64_t ofd_removal_count(const int32_t *ranks, int64_t num_ranks,
-                          const int64_t *rows, int64_t num_rows,
-                          const int64_t *offsets, int64_t num_classes,
-                          int64_t *freq, int64_t num_freq, int64_t limit)
+/* Classes up to this size are insertion-sorted, larger ones radix-sorted. */
+#define INSERTION_MAX 32
+
+static int bit_length(uint64_t x)
 {
-    int64_t count = 0;
-    if (num_classes < 0)
-        return -1;
-    for (int64_t c = 0; c < num_classes; c++) {
-        int64_t start = offsets[c], end = offsets[c + 1];
-        if (start < 0 || end < start || end > num_rows)
-            return -1;
-        int64_t best = 0, i;
-        for (i = start; i < end; i++) {
-            int64_t row = rows[i];
-            if (row < 0 || row >= num_ranks)
-                break;
-            int64_t rank = ranks[row];
-            if (rank < 0 || rank >= num_freq)
-                break;
-            if (++freq[rank] > best)
-                best = freq[rank];
-        }
-        /* rows[start .. i) passed the checks, so they index freq safely. */
-        for (int64_t k = start; k < i; k++)
-            freq[ranks[rows[k]]] = 0;
-        if (i < end)
-            return -1;
-        count += (end - start) - best;
-        if (count > limit)
-            break;
+    return x ? 64 - __builtin_clzll(x) : 0;
+}
+
+static void insertion_sort(uint64_t *keys, int64_t n)
+{
+    for (int64_t i = 1; i < n; i++) {
+        uint64_t x = keys[i];
+        int64_t j = i;
+        for (; j > 0 && keys[j - 1] > x; j--)
+            keys[j] = keys[j - 1];
+        keys[j] = x;
     }
-    return count;
+}
+
+/* 8-bit LSD radix sort of the low `bits` bits of keys[0 .. n), ping-ponging
+ * with `other`; returns whichever of the two holds the sorted keys.  A pass
+ * whose digit is the same in every key is skipped. */
+static uint64_t *radix_sort(uint64_t *keys, uint64_t *other, int64_t n,
+                            int bits)
+{
+    int64_t count[256];
+    for (int shift = 0; shift < bits; shift += 8) {
+        memset(count, 0, sizeof count);
+        for (int64_t i = 0; i < n; i++)
+            count[(keys[i] >> shift) & 0xFF]++;
+        if (count[keys[0] >> shift & 0xFF] == n)
+            continue;
+        for (int64_t d = 0, sum = 0; d < 256; d++) {
+            int64_t size = count[d];
+            count[d] = sum;
+            sum += size;
+        }
+        for (int64_t i = 0; i < n; i++)
+            other[count[(keys[i] >> shift) & 0xFF]++] = keys[i];
+        uint64_t *swap = keys;
+        keys = other;
+        other = swap;
+    }
+    return keys;
+}
+
+/* Removals of Algorithm 2 for one sorted class: n - LNDS of the values
+ * keys[i] & mask.  A class whose values are non-decreasing removes nothing
+ * (the screen); otherwise the patience DP runs in `tails`.  A value at or
+ * above the last tail is appended; within a non-decreasing run the insert
+ * position only moves right, so it is galloped for from the previous one. */
+static int64_t class_removals(const uint64_t *keys, int64_t n, uint64_t mask,
+                              uint64_t *tails)
+{
+    int64_t i = 1;
+    while (i < n && (keys[i - 1] & mask) <= (keys[i] & mask))
+        i++;
+    if (i >= n)
+        return 0;
+    /* The non-decreasing prefix is its own tails array. */
+    int64_t len = i, pos = i - 1;
+    for (int64_t k = 0; k < i; k++)
+        tails[k] = keys[k] & mask;
+    uint64_t prev = tails[pos];
+    for (; i < n; i++) {
+        uint64_t x = keys[i] & mask;
+        if (x >= tails[len - 1]) {
+            tails[len] = x;
+            pos = len++;
+            prev = x;
+            continue;
+        }
+        /* bisect_right: the first tail > x lies in [lo, hi]. */
+        int64_t lo = 0, hi = pos;
+        if (x >= prev) {
+            /* tails[pos] == prev <= x < tails[len - 1] */
+            lo = hi = pos + 1;
+            for (int64_t step = 1; tails[hi] <= x; step <<= 1) {
+                lo = hi + 1;
+                hi = hi + step < len - 1 ? hi + step : len - 1;
+            }
+        }
+        while (lo < hi) {
+            int64_t mid = lo + ((hi - lo) >> 1);
+            if (tails[mid] <= x)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        tails[lo] = x;
+        pos = lo;
+        prev = x;
+    }
+    return n - len;
+}
+
+/* Algorithm 2 (AOC) for a batch of (A, B) rank-column pairs over one
+ * context, each class sorted on demand.
+ *
+ * Pair p is columns[pairs[2p]] as A and columns[pairs[2p + 1]] as B, each
+ * an int32 rank column of `column_length` entries.  Per pair, each class in
+ * order is gathered through `rows` into one key per row, (A, B) less the
+ * class's minima, packed with bit widths from the class's own maxima; the
+ * keys, unless already in order, are sorted, which orders the class by
+ * [A ASC, B ASC], and the class adds length - LNDS(B) to the pair's count
+ * (see class_removals).  A two-row class is decided without keys.  The
+ * pair stops after the first class that takes its count above `limit`,
+ * and counts[p] receives the count.
+ *
+ * `scratch` holds two slots per row of the longest class.  Returns 0, or
+ * -1 when the classes do not fit (see check_classes), a pair names no
+ * column, a rank is negative or the scratch is too short.
+ */
+int64_t oc_removal_batch(const int64_t *rows, int64_t num_rows,
+                         const int64_t *offsets, int64_t num_classes,
+                         const int32_t *const *columns, int64_t num_columns,
+                         int64_t column_length,
+                         const int64_t *pairs, int64_t num_pairs,
+                         uint64_t *scratch, int64_t num_scratch,
+                         int64_t limit, int64_t *counts)
+{
+    if (check_classes(rows, num_rows, offsets, num_classes, column_length))
+        return -1;
+    for (int64_t p = 0; p < 2 * num_pairs; p++)
+        if (pairs[p] < 0 || pairs[p] >= num_columns)
+            return -1;
+    for (int64_t p = 0; p < num_pairs; p++) {
+        const int32_t *a = columns[pairs[2 * p]], *b = columns[pairs[2 * p + 1]];
+        int64_t count = 0;
+        for (int64_t c = 0; c < num_classes && count <= limit; c++) {
+            const int64_t *members = rows + offsets[c];
+            int64_t n = offsets[c + 1] - offsets[c];
+            if (n < 2)
+                continue;
+            if (n == 2) {
+                /* One row goes iff A and B order the two oppositely. */
+                int64_t x0 = a[members[0]], x1 = a[members[1]];
+                int64_t y0 = b[members[0]], y1 = b[members[1]];
+                if ((x0 | x1 | y0 | y1) < 0)
+                    return -1;
+                count += (x0 - x1) * (y0 - y1) < 0;
+                continue;
+            }
+            if (n > num_scratch / 2)
+                return -1;
+            int32_t a_min = INT32_MAX, a_max = 0, b_min = INT32_MAX, b_max = 0;
+            for (int64_t i = 0; i < n; i++) {
+                int32_t x = a[members[i]], y = b[members[i]];
+                if ((x | y) < 0)
+                    return -1;
+                a_min = x < a_min ? x : a_min;
+                a_max = x > a_max ? x : a_max;
+                b_min = y < b_min ? y : b_min;
+                b_max = y > b_max ? y : b_max;
+            }
+            int b_bits = bit_length((uint64_t)(b_max - b_min));
+            uint64_t *keys = scratch, *other = scratch + n;
+            int sorted = 1;
+            for (int64_t i = 0; i < n; i++) {
+                keys[i] = (uint64_t)(a[members[i]] - a_min) << b_bits
+                          | (uint64_t)(b[members[i]] - b_min);
+                sorted &= i == 0 || keys[i - 1] <= keys[i];
+            }
+            if (!sorted) {
+                if (n <= INSERTION_MAX)
+                    insertion_sort(keys, n);
+                else
+                    keys = radix_sort(keys, other, n, b_bits + bit_length(
+                        (uint64_t)(a_max - a_min)));
+            }
+            count += class_removals(keys, n, ((uint64_t)1 << b_bits) - 1,
+                                    keys == scratch ? scratch + n : scratch);
+        }
+        counts[p] = count;
+    }
+    return 0;
+}
+
+/* TANE's g3 (AOFD) for a batch of RHS rank columns over one context: per
+ * class, every row not carrying the class's most frequent RHS value is
+ * removed.
+ *
+ * Each of the `num_columns` int32 columns has `column_length` entries; the
+ * classes are as in check_classes.  `freq` is `num_freq` zeroed counters,
+ * one per rank; each class counts its ranks there and zeroes them again
+ * before the next, so `freq` is all zeroes on return, on the -1 path too,
+ * and can be reused.  Column k stops after the first class that takes its
+ * count above `limit`, and counts[k] receives the count.
+ *
+ * Returns 0, or -1 when the classes do not fit or a rank is outside `freq`.
+ */
+int64_t ofd_removal_count(const int64_t *rows, int64_t num_rows,
+                          const int64_t *offsets, int64_t num_classes,
+                          const int32_t *const *columns, int64_t num_columns,
+                          int64_t column_length,
+                          int64_t *freq, int64_t num_freq,
+                          int64_t limit, int64_t *counts)
+{
+    if (check_classes(rows, num_rows, offsets, num_classes, column_length))
+        return -1;
+    for (int64_t k = 0; k < num_columns; k++) {
+        const int32_t *ranks = columns[k];
+        int64_t count = 0;
+        for (int64_t c = 0; c < num_classes && count <= limit; c++) {
+            int64_t start = offsets[c], end = offsets[c + 1];
+            int64_t best = 0, i;
+            for (i = start; i < end; i++) {
+                int64_t rank = ranks[rows[i]];
+                if (rank < 0 || rank >= num_freq)
+                    break;
+                if (++freq[rank] > best)
+                    best = freq[rank];
+            }
+            /* rows[start .. i) passed the check, so they index freq safely. */
+            for (int64_t j = start; j < i; j++)
+                freq[ranks[rows[j]]] = 0;
+            if (i < end)
+                return -1;
+            count += (end - start) - best;
+        }
+        counts[k] = count;
+    }
+    return 0;
 }
 
 /* Sorted partitions: bucket the grouped rows of a partition by class, in
@@ -115,19 +260,15 @@ int64_t ofd_removal_count(const int32_t *ranks, int64_t num_ranks,
  * `order` is a permutation of the `num_rows` rows (for instance every row
  * in (C, row) order).  `class_of` maps each row to its class, or -1 for a
  * row in no class.  Walking `order`, each grouped row is appended to its
- * class's bucket out[offsets[c] .. offsets[c + 1]); with num_values >= 0
- * the row's value values[row] is written instead of the row itself.  Each
- * bucket thus lists its class in `order`'s order.  `cursor` is scratch with
- * one slot per class plus one.
- *
- * With num_tails >= 0 the buckets are then screened and counted as in
- * oc_removal_count, and that count is returned; otherwise 0.
+ * class's bucket out[offsets[c] .. offsets[c + 1]), so each bucket lists
+ * its class in `order`'s order.  `cursor` is scratch with one slot per
+ * class plus one.
  *
  * The walk marks each visited row's class id in `class_of`, which detects
  * a repeated row; the marks are undone before returning, on the -1 path
- * too.  Returns -1 when `order` is not a permutation of the rows, `values`
- * is shorter than the rows, a class id is outside [-1, num_classes), or
- * the offsets do not cut `num_out` slots into one bucket per class member.
+ * too.  Returns 0, or -1 when `order` is not a permutation of the rows, a
+ * class id is outside [-1, num_classes), or the offsets do not cut
+ * `num_out` slots into one bucket per class member.
  */
 #define VISITED(c) ((int32_t)(INT32_MIN + 1 + (c))) /* < -1 for c >= -1 */
 
@@ -135,14 +276,11 @@ int64_t scatter_classes(const int32_t *order, int64_t num_order,
                         int32_t *class_of, int64_t num_rows,
                         const int64_t *offsets, int64_t num_classes,
                         int64_t *cursor, int64_t num_cursor,
-                        const int32_t *values, int64_t num_values,
-                        int64_t *out, int64_t num_out,
-                        int64_t *tails, int64_t num_tails, int64_t limit)
+                        int64_t *out, int64_t num_out)
 {
     int64_t status = 0, sink;
     if (num_classes < 0 || num_classes > INT32_MAX - 2
-        || num_cursor <= num_classes || num_order != num_rows
-        || (num_values >= 0 && num_values < num_rows))
+        || num_cursor <= num_classes || num_order != num_rows)
         return -1;
     /* cursor[c + 1] counts class c's members, cursor[0] the other rows. */
     for (int64_t c = 0; c <= num_classes; c++)
@@ -171,14 +309,11 @@ int64_t scatter_classes(const int32_t *order, int64_t num_order,
         int32_t c = class_of[row];
         class_of[row] = VISITED(c);
         int64_t slot = cursor[c + 1]++;
-        *(c >= 0 ? out + slot : &sink) = num_values >= 0 ? values[row] : row;
+        *(c >= 0 ? out + slot : &sink) = row;
     }
     /* Only marks are below -1: every entry was checked above. */
     for (int64_t row = 0; row < num_rows; row++)
         if (class_of[row] < -1)
             class_of[row] -= VISITED(0);
-    if (status == 0 && num_tails >= 0)
-        status = oc_removal_count(out, num_out, offsets, num_classes,
-                                  tails, num_tails, limit);
     return status;
 }

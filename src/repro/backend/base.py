@@ -32,7 +32,7 @@ boundary for callers that hold canonical lists.
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
@@ -190,16 +190,9 @@ class ComputeBackend(abc.ABC):
         classes: Sequence[Sequence[int]],
         rank_pairs: Sequence[Tuple[object, object]],
         limit: Optional[int] = None,
-        pair_orders: Optional[Sequence[Callable[[], object]]] = None,
     ) -> List[Tuple[int, bool]]:
         """Minimal AOC removal counts for many ``(A, B)`` rank-column pairs
-        sharing one context (Algorithm 2, batched across candidates).
-
-        ``pair_orders``, when given, holds one zero-argument callable per
-        pair returning its cached ``(A, B, row)`` row order
-        (:meth:`~repro.dataset.encoding.EncodedRelation.pair_order`).  A
-        backend may call them to skip the per-class sort, or ignore them.
-        """
+        sharing one context (Algorithm 2, batched across candidates)."""
 
     def ofd_removal_batch(
         self,

@@ -3,20 +3,25 @@
 ``_kernels.c`` holds the two count-only kernels of the discovery loop, one
 per validator, and the scatter of sorted partitions:
 
-* ``oc_removal_count`` fuses the two steps of Algorithm 2's AOC count that
-  the NumPy backend otherwise runs as array passes plus a Python-level
-  patience loop: the clean-class screen and the LNDS of every dirty class.
-  The backend hands it one candidate's class-sorted ``B`` projection at a
-  time (see ``NumpyBackend._native_counts``).
+* ``oc_removal_batch`` is Algorithm 2's AOC count for a whole context
+  batch in one call.  Per pair and per class, in order, it gathers the
+  ``(A, B)`` ranks of the class's rows into one packed key each, sorts the
+  keys (insertion sort up to 32 rows, 8-bit LSD radix above), screens the
+  class and runs a galloping patience LNDS over ``B`` if it is dirty.  A
+  pair stops after the class that takes it over the removal budget, so it
+  pays only for the classes it inspects (see
+  ``NumpyBackend._native_counts``).
 * ``ofd_removal_count`` is TANE's ``g3`` AOFD count: one frequency pass per
-  class over one RHS rank column, through a reusable scratch of counters
-  (see ``NumpyBackend.ofd_removal_batch``).
+  class and RHS rank column, every column of a batch in one call, through
+  a reusable scratch of counters (see ``NumpyBackend.ofd_removal_batch``).
 * ``scatter_classes`` walks a cached row order of the whole table (see
-  ``EncodedRelation.row_order_by_index`` and ``pair_order``) and appends
-  each grouped row, or its value, to its class's bucket: every class comes
-  out sorted in O(n).  Partition refinement takes the buckets of rows; an
-  OC batch takes each pair's buckets of ``B`` values and counts them in the
-  same call, as ``oc_removal_count`` would.
+  ``EncodedRelation.row_order_by_index``) and appends each grouped row to
+  its class's bucket: every class comes out sorted in O(n), which
+  partition refinement takes instead of a lexsort.
+
+Each entry runs once per batch or refinement, so the bindings check dtype
+and layout in Python and pass bare addresses rather than paying for
+``ndpointer`` conversion on every call.
 
 The first :func:`kernels` call in a process compiles the source with
 ``gcc -O2 -shared -fPIC`` into ``~/.cache/repro/`` and loads it with
@@ -47,6 +52,7 @@ import os
 import platform
 import subprocess
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional
 
@@ -68,13 +74,12 @@ _NO_LIMIT = int(np.iinfo(np.int64).max)
 class Kernels(NamedTuple):
     """The typed entry points of one loaded library; see :func:`_bind`."""
 
-    #: ``(values, offsets, tails, limit) -> count``
-    oc_removal_count: Callable[..., int]
-    #: ``(ranks, rows, offsets, freq, limit) -> count``
-    ofd_removal_count: Callable[..., int]
-    #: ``(class_of, offsets, out, orders, values=None, tails=None,
-    #: limit=None) -> [count per order]``
-    scatter_classes: Callable[..., List[int]]
+    #: ``(rows, offsets, pairs, scratch, limit) -> [count per pair]``
+    oc_removal_batch: Callable[..., List[int]]
+    #: ``(columns, rows, offsets, freq, limit) -> [count per column]``
+    ofd_removal_count: Callable[..., List[int]]
+    #: ``(class_of, offsets, out, order) -> None``
+    scatter_classes: Callable[..., None]
 
 
 def default_cache_dir() -> Path:
@@ -135,53 +140,30 @@ def _build(path: Path) -> None:
 
 
 def _bind(path: Path) -> Kernels:
-    """Load the library and wrap its typed entry points."""
+    """Load the library and wrap its typed entry points.
+
+    Every entry runs once per context batch or refinement, so its arrays
+    are checked here and passed as bare addresses: ``ndpointer`` conversion
+    cost ~30-45 us per call before any work.
+    """
     library = ctypes.CDLL(str(path))
-    int64s = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    int32s = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-    scratch = np.ctypeslib.ndpointer(
-        np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE"
-    )
-    size = ctypes.c_int64
-    oc = library.oc_removal_count
-    oc.argtypes = [int64s, size, int64s, size, scratch, size, size]
+    size, address = ctypes.c_int64, ctypes.c_void_p
+    oc = library.oc_removal_batch
+    oc.argtypes = [address, size] * 2 + [address, size, size, address, size,
+                                         address, size, size, address]
     ofd = library.ofd_removal_count
-    ofd.argtypes = [int32s, size, int64s, size, int64s, size, scratch, size, size]
-    # The scatter runs once per OC candidate, so its arrays are checked in
-    # Python and passed as bare addresses: with ndpointer conversion a call
-    # cost ~45 us before any work, half as much as walking a 16k-row order.
+    ofd.argtypes = [address, size] * 2 + [address, size, size, address, size,
+                                          size, address]
     scatter = library.scatter_classes
-    address = ctypes.c_void_p
-    scatter.argtypes = [address, size] * 7 + [size]
+    scatter.argtypes = [address, size] * 5
     oc.restype = ofd.restype = scatter.restype = ctypes.c_int64
 
-    def checked(count):
-        if count < 0:
+    def checked(status):
+        if status < 0:
             raise ValueError("kernel inputs do not fit their arrays")
-        return count
 
     def budget(limit):
         return _NO_LIMIT if limit is None else int(limit)
-
-    def oc_removal_count(values, offsets, tails, limit):
-        """Algorithm 2's removal count over the classes ``offsets`` cuts
-        ``values`` into (each ``[A ASC, B ASC]``-ordered), stopping after
-        the first class that takes it above ``limit``.  ``tails`` is
-        scratch at least as long as the longest class."""
-        return checked(oc(
-            values, values.size, offsets, offsets.size - 1, tails, tails.size,
-            budget(limit),
-        ))
-
-    def ofd_removal_count(ranks, rows, offsets, freq, limit):
-        """The ``g3`` removal count of the ``int32`` column ``ranks`` over
-        the classes ``offsets`` cuts ``rows`` into, stopping after the
-        first class that takes it above ``limit``.  ``freq`` is zeroed
-        scratch with one counter per rank; it is zeroed again on return."""
-        return checked(ofd(
-            ranks, ranks.size, rows, rows.size, offsets, offsets.size - 1,
-            freq, freq.size, budget(limit),
-        ))
 
     def pointer(array, dtype, writable=False):
         """The address of a C-contiguous 1-d ``dtype`` array."""
@@ -196,42 +178,77 @@ def _bind(path: Path) -> Kernels:
             )
         return array.ctypes.data
 
-    def scatter_classes(class_of, offsets, out, orders, values=None,
-                        tails=None, limit=None):
-        """Per ``int32`` row permutation in ``orders``, append each grouped
-        row to its class's bucket in ``out``, walking the permutation.
+    def classes(rows, offsets):
+        """The ``(rows, offsets)`` CSR arguments: ``offsets`` cuts the
+        ``int64`` ``rows`` into one class each."""
+        return (
+            pointer(rows, np.int64), rows.size,
+            pointer(offsets, np.int64), offsets.size - 1,
+        )
+
+    def table(columns):
+        """The address array and common length of ``int32`` columns."""
+        addresses = np.array(
+            [pointer(column, np.int32) for column in columns], dtype=np.uintp
+        )
+        lengths = {column.size for column in columns}
+        if len(lengths) > 1:
+            raise ValueError("rank columns differ in length")
+        return addresses, addresses.size, lengths.pop() if lengths else 0
+
+    def oc_removal_batch(rows, offsets, pairs, scratch, limit):
+        """Algorithm 2's removal count of each ``(A, B)`` pair of ``int32``
+        rank columns over the classes ``offsets`` cuts ``rows`` into, each
+        class sorted by ``[A ASC, B ASC]`` on demand, stopping after the
+        first class that takes it above ``limit``.  ``scratch`` (``int64``)
+        holds two slots per row of the longest class."""
+        # Pairs share columns: each distinct one is checked once.
+        ends = list(chain.from_iterable(pairs))
+        distinct = list({id(column): column for column in ends}.values())
+        position = {id(column): i for i, column in enumerate(distinct)}
+        addresses, num_columns, length = table(distinct)
+        ends = np.array([position[id(column)] for column in ends], dtype=np.int64)
+        counts = np.empty(len(pairs), dtype=np.int64)
+        checked(oc(
+            *classes(rows, offsets), addresses.ctypes.data, num_columns,
+            length, ends.ctypes.data, len(pairs),
+            pointer(scratch, np.int64, True), scratch.size, budget(limit),
+            counts.ctypes.data,
+        ))
+        return counts.tolist()
+
+    def ofd_removal_count(columns, rows, offsets, freq, limit):
+        """The ``g3`` removal count of each ``int32`` rank column in
+        ``columns`` over the classes ``offsets`` cuts ``rows`` into,
+        stopping after the first class that takes it above ``limit``.
+        ``freq`` is zeroed ``int64`` scratch with one counter per rank; it
+        is zeroed again on return."""
+        addresses, num_columns, length = table(columns)
+        counts = np.empty(num_columns, dtype=np.int64)
+        checked(ofd(
+            *classes(rows, offsets), addresses.ctypes.data, num_columns,
+            length, pointer(freq, np.int64, True), freq.size, budget(limit),
+            counts.ctypes.data,
+        ))
+        return counts.tolist()
+
+    def scatter_classes(class_of, offsets, out, order):
+        """Walk the ``int32`` row permutation ``order`` and append each
+        grouped row to its class's bucket in ``out``.
 
         ``class_of`` (``int32``) maps every row to its class, ``-1`` for
         rows in no class, and is left as it was; ``offsets`` cuts ``out``
-        into one bucket per class.  With ``values`` (one ``int32`` column
-        per order) a bucket gets ``values[i][row]`` instead of the row.
-        With ``tails`` each scatter is then counted as in
-        :func:`oc_removal_count`.  Returns one count per order (0 without
-        ``tails``).  A wrong dtype or layout raises ``ValueError`` like any
-        other input that does not fit."""
+        into one bucket per class."""
         cursor = np.empty(max(offsets.size, 1), dtype=np.int64)
-        shared = (
+        checked(scatter(
+            pointer(order, np.int32), order.size,
             pointer(class_of, np.int32, True), class_of.size,
             pointer(offsets, np.int64), offsets.size - 1,
             cursor.ctypes.data, cursor.size,
-        )
-        sink = (
             pointer(out, np.int64, True), out.size,
-            *((None, -1) if tails is None
-              else (pointer(tails, np.int64, True), tails.size)),
-            budget(limit),
-        )
-        counts = []
-        for i, order in enumerate(orders):
-            column = (None, -1) if values is None else (
-                pointer(values[i], np.int32), values[i].size
-            )
-            counts.append(checked(scatter(
-                pointer(order, np.int32), order.size, *shared, *column, *sink
-            )))
-        return counts
+        ))
 
-    return Kernels(oc_removal_count, ofd_removal_count, scatter_classes)
+    return Kernels(oc_removal_batch, ofd_removal_count, scatter_classes)
 
 
 def load_kernels(cache_dir: Optional[Path] = None) -> Optional[Kernels]:

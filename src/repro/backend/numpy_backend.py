@@ -12,13 +12,13 @@ array operations:
   :mod:`repro.backend.native`, a refinement whose classes group enough of
   the rows instead scatters the new attribute's cached row order into the
   classes (sorted partitions), in O(n) and without a sort;
-* the count-only OC kernels hand each candidate's class-sorted ``B``
-  projection to the native screen+LNDS pass when it loaded, the classes
-  sorted by a scatter of the pair's cached ``(A, B, row)`` order or, for
-  classes that group few rows, by one fused-key sort.  Otherwise they
-  screen clean classes with array passes and run a padded multi-lane
-  patience DP over the dirty ones;
-* the count-only ``g3`` kernel hands each RHS column to the native
+* the count-only OC kernels hand a whole context batch to one native call
+  when it loaded, which sorts each class of each pair on demand, screens
+  and counts it, and stops at the class that crosses the removal budget.
+  Otherwise they sort every class by one fused-key sort, screen clean
+  classes with array passes and run a padded multi-lane patience DP over
+  the dirty ones;
+* the count-only ``g3`` kernel hands a batch's RHS columns to one native
   frequency pass, and otherwise counts runs of one sort over every RHS.
 
 Parity contract: every method returns the same values, in the same order,
@@ -211,16 +211,17 @@ class NumpyBackend(ComputeBackend):
         if partition.num_classes == 0:
             return _empty_partition(partition.num_rows)
         rows, class_ids, lengths = self._columnar_classes(partition)
-        scatter = self._scatter_kernel(
-            rows.size, ranks.size, row_order, self._REFINE_SCATTER_FRACTION
-        )
-        if scatter is not None:
+        library = None
+        if (row_order is not None
+                and rows.size >= self._REFINE_SCATTER_FRACTION * ranks.size):
+            library = native.kernels()
+        if library is not None:
             # The column's (rank, row) order bucketed by class is exactly
             # the (class, rank, row) sort below, without sorting.
             sorted_rows = np.empty(rows.size, dtype=np.int64)
-            scatter(
+            library.scatter_classes(
                 self._class_map(ranks.size, rows, class_ids),
-                self._offsets(lengths), sorted_rows, [row_order()],
+                self._offsets(lengths), sorted_rows, row_order(),
             )
             return self._csr_partition(
                 sorted_rows, (class_ids, ranks[sorted_rows]),
@@ -333,22 +334,11 @@ class NumpyBackend(ComputeBackend):
 
     # -- shared kernel plumbing ------------------------------------------------
 
-    #: A scatter walks a cached order over all n rows, the sort it replaces
-    #: only the m grouped ones: below these m / n the sort is cheaper.  The
-    #: refine's two-key lexsort loses from m / n ~ 0.2 on; the OC's one-key
-    #: sort is cheaper, so its scatter only wins from ~ 0.4.  The ``refine``
-    #: record of ``benchmarks/bench_partition_micro.py`` times both sides.
+    #: A scatter walks a cached order over all n rows, the lexsort it
+    #: replaces only the m grouped ones: below m / n ~ 0.2 the lexsort is
+    #: cheaper.  The ``refine`` record of
+    #: ``benchmarks/bench_partition_micro.py`` times both sides.
     _REFINE_SCATTER_FRACTION = 0.2
-    _OC_SCATTER_FRACTION = 0.4
-
-    @staticmethod
-    def _scatter_kernel(num_grouped: int, num_rows: int, order, fraction):
-        """The native scatter when a cached order is on offer and worth
-        walking, else ``None`` (then the caller sorts, as without gcc)."""
-        if order is None or num_grouped < fraction * num_rows:
-            return None
-        library = native.kernels()
-        return None if library is None else library.scatter_classes
 
     @staticmethod
     def _class_map(num_rows: int, rows: np.ndarray, class_ids: np.ndarray):
@@ -444,14 +434,13 @@ class NumpyBackend(ComputeBackend):
     _DP_MIN_SEGMENTS = 32
 
     def oc_optimal_removal_count_batch(
-        self, classes, rank_pairs, limit: Optional[int] = None,
-        pair_orders=None,
+        self, classes, rank_pairs, limit: Optional[int] = None
     ) -> List[Tuple[int, bool]]:
         """Batched Algorithm 2 counts: one shared context, many rank pairs.
 
-        With the native kernels loaded, each pair is one native screen+LNDS
-        pass over its classes sorted by a scatter of the pair's cached order
-        or by a fused-key sort (:meth:`_native_counts`).  Without them,
+        With the native kernels loaded, one native call sorts each class of
+        each pair on demand and counts it, stopping at the class that
+        crosses ``limit`` (:meth:`_native_counts`).  Without them,
         per pair, one sort orders every class and a single vectorised
         pass finds the *dirty* classes (those whose ``B`` projection is not
         already non-decreasing — during discovery the vast majority are
@@ -468,9 +457,7 @@ class NumpyBackend(ComputeBackend):
             return []
         library = native.kernels()
         if library is not None:
-            return self._native_counts(
-                library, classes, rank_pairs, limit, pair_orders
-            )
+            return self._native_counts(library, classes, rank_pairs, limit)
         if not len(classes):
             return [(0, False)] * num_pairs
         rows, class_ids, lengths = self._columnar_classes(classes)
@@ -517,53 +504,33 @@ class NumpyBackend(ComputeBackend):
         return [(int(c), bool(e)) for c, e in zip(counts, exceeded)]
 
     def _native_counts(
-        self, library, classes, rank_pairs, limit: Optional[int], pair_orders
+        self, library, classes, rank_pairs, limit: Optional[int]
     ) -> List[Tuple[int, bool]]:
-        """Per pair, one native screen+LNDS pass over the classes in
-        ``[A ASC, B ASC]`` order.
-
-        Given the pairs' cached orders and classes that group enough of the
-        rows, one native call per pair scatters its order into the class
-        buckets, writing ``B``, and counts them.  Otherwise a
-        fused-key sort orders the classes.  The kernel walks the classes in
-        order and stops after the first one that takes the count above
-        ``limit``, so every entry, the partial count of an exceeded pair
-        included, equals the reference kernel's class-by-class result.
+        """One native call for the whole batch: per pair, each class is
+        gathered, sorted by ``[A ASC, B ASC]`` and counted with the screen
+        and patience LNDS, in order, until the class that takes the count
+        above ``limit``.  Every entry, the partial count of an exceeded
+        pair included, equals the reference kernel's class-by-class result,
+        and the classes after the crossing one are never touched.  The same
+        call serves in-process contexts, pool workers' ``ClassShard``s and
+        incremental repair's class lists.
         """
         if not len(classes):
             return [(0, False)] * len(rank_pairs)
-        rows, class_ids, lengths = self._columnar_classes(classes)
+        rows, _, lengths = self._columnar_classes(classes)
         if rows.size == 0:
             return [(0, False)] * len(rank_pairs)
-        offsets = self._offsets(lengths)
-        tails = np.empty(int(lengths.max()), dtype=np.int64)
-        columns = [
-            (self.to_native(a_ranks), self.to_native(b_ranks))
-            for a_ranks, b_ranks in rank_pairs
-        ]
-        num_rows = columns[0][1].size
-        scatter = self._scatter_kernel(
-            rows.size, num_rows, pair_orders, self._OC_SCATTER_FRACTION
-        )
-        if scatter is not None:
-            counts = scatter(
-                self._class_map(num_rows, rows, class_ids), offsets,
-                np.empty(rows.size, dtype=np.int64),
-                [order() for order in pair_orders],
-                [np.ascontiguousarray(b, dtype=np.int32) for _, b in columns],
-                tails, limit,
+        pairs = [
+            tuple(
+                np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
+                for ranks in pair
             )
-        else:
-            counts = []
-            for a_ranks, b_ranks in columns:
-                b_sorted = self._fused_b_sorted(
-                    lengths.size, class_ids,
-                    a_ranks[rows].astype(np.int64),
-                    b_ranks[rows].astype(np.int64),
-                )
-                counts.append(
-                    library.oc_removal_count(b_sorted, offsets, tails, limit)
-                )
+            for pair in rank_pairs
+        ]
+        counts = library.oc_removal_batch(
+            np.ascontiguousarray(rows), self._offsets(lengths), pairs,
+            np.empty(2 * int(lengths.max()), dtype=np.int64), limit,
+        )
         return [(count, limit is not None and count > limit) for count in counts]
 
     def _segmented_lnds_counts(
@@ -698,11 +665,11 @@ class NumpyBackend(ComputeBackend):
         """Batched count-only ``g3`` kernel: one shared context, many RHS
         columns.
 
-        With the native kernels loaded, each column is one native frequency
-        pass over the context's classes, all sharing one zeroed scratch.
-        Without them, one sort over every column's ``(rhs, class, value)``
-        keys gives each value's frequency as a run length and each class's
-        keep count as its longest run.  Either way every entry, the partial
+        With the native kernels loaded, one native call makes a frequency
+        pass per column over the context's classes, all sharing one zeroed
+        scratch.  Without them, one sort over every column's ``(rhs, class,
+        value)`` keys gives each value's frequency as a run length and each
+        class's keep count as its longest run.  Either way every entry, the partial
         count of an exceeded column included, equals the reference kernel's
         class-by-class result.
         """
@@ -717,17 +684,15 @@ class NumpyBackend(ComputeBackend):
         columns = [self.to_native(ranks) for ranks in rhs_ranks]
         library = native.kernels()
         if library is not None:
-            rows = np.ascontiguousarray(rows)
-            offsets = self._offsets(lengths)
             columns = [np.ascontiguousarray(c, dtype=np.int32) for c in columns]
             # One counter per rank; the kernel leaves them zeroed for reuse.
             freq = np.zeros(
                 max(int(c.max(initial=0)) for c in columns) + 1, dtype=np.int64
             )
-            counts = [
-                library.ofd_removal_count(column, rows, offsets, freq, limit)
-                for column in columns
-            ]
+            counts = library.ofd_removal_count(
+                columns, np.ascontiguousarray(rows), self._offsets(lengths),
+                freq, limit,
+            )
         else:
             # Distinct (rhs, class, value) triples get distinct keys, ordered
             # rhs-major: after one sort each value's frequency is a run

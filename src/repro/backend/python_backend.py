@@ -88,8 +88,7 @@ class PythonBackend(ComputeBackend):
     # -- batched removal kernels ------------------------------------------------
 
     def oc_optimal_removal_count_batch(
-        self, classes, rank_pairs, limit: Optional[int] = None,
-        pair_orders=None,
+        self, classes, rank_pairs, limit: Optional[int] = None
     ) -> List[Tuple[int, bool]]:
         # Reference semantics: the batch is exactly a loop of sequential
         # kernels, so each entry carries the sequential early-exit partials.

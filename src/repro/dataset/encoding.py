@@ -213,10 +213,10 @@ class EncodedRelation:
         # Keyed per EncodedRelation, so `extend` — which returns a fresh
         # instance — naturally invalidates every cached transport column.
         self._transport: Dict[int, object] = {}
-        # Row orders for the sorted-partition kernels, built on first use
-        # and invalidated the same way: attribute index -> sigma, (A, B)
-        # index pair -> pi.  See `row_order_by_index` / `pair_order`.
-        self._orders: Dict[object, object] = {}
+        # Row orders for the sorted-partition scatter, built on first use
+        # and invalidated the same way: attribute index -> every row in
+        # (rank, row) order, int32, 4 bytes a row.  See `row_order_by_index`.
+        self._orders: Dict[int, object] = {}
         if native_columns is not None:
             for index, native in enumerate(native_columns):
                 if native is not None:
@@ -410,10 +410,11 @@ class EncodedRelation:
         """Every row in ``(rank, row)`` order of the column at ``index``.
 
         An ``int32`` NumPy permutation built by one stable radix argsort on
-        first use and cached.  Only the NumPy backend's native kernels read row
-        orders (see ``NumpyBackend.partition_refine``); like the transport
-        forms they are per instance, so the encoding :meth:`extend` returns
-        builds its own.
+        first use and cached, 4 bytes a row.  Only the NumPy backend's
+        native refinement scatter reads row orders (see
+        ``NumpyBackend.partition_refine``); the OC kernel sorts each class
+        on demand instead.  Like the transport forms they are per instance,
+        so the encoding :meth:`extend` returns builds its own.
         """
         import numpy as np
 
@@ -424,24 +425,6 @@ class EncodedRelation:
             ranks = self.native_ranks_by_index(index)
             order = stable_rank_order(ranks).astype(np.int32)
             self._orders[index] = order
-        return order
-
-    def pair_order(self, a: str, b: str):
-        """Every row in ``(A, B, row)`` order, the sort Algorithm 2 gives
-        each context class, as a cached ``int32`` permutation.
-
-        Derived from ``B``'s row order by one stable radix sort on ``A``,
-        never a two-key lexsort.
-        """
-        from repro.backend.numpy_backend import stable_rank_order
-
-        key = (self.schema.index_of(a), self.schema.index_of(b))
-        order = self._orders.get(key)
-        if order is None:
-            by_b = self.row_order_by_index(key[1])
-            a_ranks = self.native_ranks_by_index(key[0])
-            order = by_b[stable_rank_order(a_ranks[by_b])]
-            self._orders[key] = order
         return order
 
     def dictionary(self, attribute: str) -> List[object]:

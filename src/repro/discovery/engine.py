@@ -75,7 +75,6 @@ long-lived state so repeated runs over the same relation stay warm:
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -767,9 +766,7 @@ class DiscoveryEngine:
             return self.backend.oc_optimal_removal_count_batch(classes, [
                 (encoded.native_ranks(a), encoded.native_ranks(b))
                 for a, b in pairs
-            ], self._kernel_limit, [
-                functools.partial(encoded.pair_order, a, b) for a, b in pairs
-            ])
+            ], self._kernel_limit)
         # Algorithm 1 stays row-at-a-time by design (the paper's quadratic
         # strawman) on canonical lists in every backend; it still benefits
         # from the shared context partition.

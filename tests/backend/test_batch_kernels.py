@@ -262,20 +262,21 @@ class TestOfdRemovalBatch:
 
 # -- sorted partitions --------------------------------------------------------
 #
-# With the native kernels, refinement and OC counts scatter a cached row
-# order instead of sorting once the grouped rows are a large enough share
-# of all rows.  Both sides of that branch must equal the python backend.
+# With the native kernels, refinement scatters the new attribute's cached
+# row order instead of sorting once the grouped rows are a large enough
+# share of all rows.  Both sides of that branch must equal the python
+# backend.  OC counts take no row order: they sort each class on demand.
 
 BRANCH_SIDES = ("scatter", "sort")
 
 
 @contextlib.contextmanager
 def _branch_side(side):
-    """Force one side of the scatter-vs-sort branch for every m / n."""
+    """Force one side of the refinement's scatter-vs-sort branch for every
+    m / n."""
     fraction = 0.0 if side == "scatter" else float("inf")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(NumpyBackend, "_REFINE_SCATTER_FRACTION", fraction)
-        patch.setattr(NumpyBackend, "_OC_SCATTER_FRACTION", fraction)
         yield
 
 
@@ -301,10 +302,124 @@ def _sorted_partition_relations(draw):
 
 
 def _contexts(relation):
-    """The empty (pair-only) context, every single attribute and the pair
-    of the first two attributes."""
+    """The empty context, every single attribute, every pair of attributes
+    and all of them: each refinement level the cache builds."""
     names = relation.attribute_names
-    return [[]] + [[name] for name in names] + [names[:2]]
+    return (
+        [[]] + [[name] for name in names]
+        + [[a, b] for i, a in enumerate(names) for b in names[i + 1:]]
+        + [names]
+    )
+
+
+@pytest.mark.parametrize("side", BRANCH_SIDES)
+@given(relation=_sorted_partition_relations())
+@settings(max_examples=60, deadline=None)
+def test_sorted_partitions_match_the_python_backend(side, relation):
+    py, nq = get_backend("python"), get_backend("numpy")
+    with _branch_side(side):
+        encoded, reference = relation.encoded(nq), relation.encoded(py)
+        cache = PartitionCache(encoded, backend=nq)
+        reference_cache = PartitionCache(reference, backend=py)
+        for context in _contexts(relation):
+            assert cache.get_by_names(context) == \
+                reference_cache.get_by_names(context)
+        for name in relation.attribute_names:
+            for index in range(len(relation.attribute_names)):
+                assert nq.partition_refine(
+                    cache.get_by_names([name]),
+                    encoded.native_ranks_by_index(index),
+                    lambda index=index: encoded.row_order_by_index(index),
+                ) == py.partition_refine(
+                    reference_cache.get_by_names([name]),
+                    reference.ranks_by_index(index),
+                )
+
+
+def test_the_branch_sides_take_their_paths(monkeypatch):
+    """At fraction 0 every refinement scatters (when the native kernels
+    loaded); at infinity none does.  OC counts never scatter."""
+    calls = []
+    library = native.kernels()
+    if library is not None:
+        real = library.scatter_classes
+
+        def spy(*args, **kwargs):
+            calls.append(args[3].size)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            native, "kernels", lambda: library._replace(scatter_classes=spy)
+        )
+    relation = Relation.from_columns(
+        {"a": [0, 0, 1, 1, 2], "b": [1, 1, 0, 0, 3], "c": [4, 3, 2, 1, 0]}
+    )
+    nq = get_backend("numpy")
+    for side, scatters in (("sort", []), ("scatter", [5])):
+        with _branch_side(side):
+            encoded = relation.encoded(nq)
+            cache = PartitionCache(encoded, backend=nq)
+            assert cache.get_by_names(["a", "b"]) == Partition(
+                [[0, 1], [2, 3]], 5
+            )
+            assert nq.oc_optimal_removal_count_batch(
+                cache.get_by_names(["a"]),
+                [(encoded.native_ranks("b"), encoded.native_ranks("c"))] * 2,
+                None,
+            ) == [(0, False)] * 2
+        if library is not None:
+            assert calls == scatters
+        calls.clear()
+
+
+def test_every_class_form_takes_the_one_native_oc_path(monkeypatch):
+    """A cached partition (in-process), a pool worker's ``ClassShard`` and
+    the class lists of incremental repair all reach the same native call,
+    and its counts, partials included, equal the python backend's."""
+    from repro.validation.distributed import ClassShard
+
+    calls = []
+    library = native.kernels()
+    if library is not None:
+        real = library.oc_removal_batch
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            native, "kernels", lambda: library._replace(oc_removal_batch=spy)
+        )
+    rng = random.Random(31)
+    n = 400
+    relation = Relation.from_columns({
+        "ctx": [rng.randrange(4) for _ in range(n)],
+        "a": [rng.randrange(50) for _ in range(n)],
+        "b": [rng.randrange(50) for _ in range(n)],
+    })
+    py, nq = get_backend("python"), get_backend("numpy")
+    encoded = relation.encoded(nq)
+    partition = PartitionCache(encoded, backend=nq).get_by_names(["ctx"])
+    class_lists = [list(rows) for rows in partition]
+    forms = [
+        partition,
+        ClassShard.pack(class_lists, as_arrays=True),
+        class_lists,
+    ]
+    pairs = [("a", "b"), ("b", "a")]
+    for limit in (None, 0, 40):
+        expected = py.oc_optimal_removal_count_batch(class_lists, [
+            (relation.encoded(py).ranks(a), relation.encoded(py).ranks(b))
+            for a, b in pairs
+        ], limit)
+        for classes in forms:
+            got = nq.oc_optimal_removal_count_batch(classes, [
+                (encoded.native_ranks(a), encoded.native_ranks(b))
+                for a, b in pairs
+            ], limit)
+            _assert_oc_counts_match(expected, got, limit)
+    if library is not None:
+        assert calls == [len(pairs)] * 3 * len(forms)
 
 
 def _assert_oc_counts_match(reference, got, limit):
@@ -316,86 +431,6 @@ def _assert_oc_counts_match(reference, got, limit):
     assert [over for _, over in got] == [over for _, over in reference]
     for (ref_count, over), (got_count, _) in zip(reference, got):
         assert got_count == ref_count if not over else got_count > limit
-
-
-@pytest.mark.parametrize("side", BRANCH_SIDES)
-@given(relation=_sorted_partition_relations())
-@settings(max_examples=60, deadline=None)
-def test_sorted_partitions_match_the_python_backend(side, relation):
-    py, nq = get_backend("python"), get_backend("numpy")
-    names = relation.attribute_names
-    with _branch_side(side):
-        encoded = relation.encoded(nq)
-        reference_encoded = relation.encoded(py)
-        cache = PartitionCache(encoded, backend=nq)
-        reference_cache = PartitionCache(reference_encoded, backend=py)
-        for context in _contexts(relation):
-            classes = cache.get_by_names(context)
-            assert classes == reference_cache.get_by_names(context)
-            pairs = [(a, b) for a in names for b in names
-                     if a != b and a not in context and b not in context]
-            if not pairs:
-                continue
-            class_lists = list(classes)
-            full = [
-                optimal_removal_count(class_lists, reference_encoded.ranks(a),
-                                      reference_encoded.ranks(b))[0]
-                for a, b in pairs
-            ]
-            for limit in [None, 0] + sorted({max(c - 1, 0) for c in full}):
-                reference = [
-                    optimal_removal_count(
-                        class_lists, reference_encoded.ranks(a),
-                        reference_encoded.ranks(b), limit,
-                    )
-                    for a, b in pairs
-                ]
-                got = nq.oc_optimal_removal_count_batch(
-                    classes,
-                    [(encoded.native_ranks(a), encoded.native_ranks(b))
-                     for a, b in pairs],
-                    limit,
-                    [lambda a=a, b=b: encoded.pair_order(a, b)
-                     for a, b in pairs],
-                )
-                _assert_oc_counts_match(reference, got, limit)
-
-
-def test_the_branch_sides_take_their_paths(monkeypatch):
-    """At fraction 0 every refine and OC batch scatters (when the native
-    kernels loaded); at infinity none does."""
-    calls = []
-    library = native.kernels()
-    if library is not None:
-        real = library.scatter_classes
-
-        def spy(*args, **kwargs):
-            calls.append(len(args[3]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(
-            native, "kernels", lambda: library._replace(scatter_classes=spy)
-        )
-    relation = Relation.from_columns(
-        {"a": [0, 0, 1, 1, 2], "b": [1, 1, 0, 0, 3], "c": [4, 3, 2, 1, 0]}
-    )
-    nq = get_backend("numpy")
-    for side, scatters in (("sort", []), ("scatter", [1, 2])):
-        with _branch_side(side):
-            encoded = relation.encoded(nq)
-            cache = PartitionCache(encoded, backend=nq)
-            assert cache.get_by_names(["a", "b"]) == Partition(
-                [[0, 1], [2, 3]], 5
-            )
-            nq.oc_optimal_removal_count_batch(
-                cache.get_by_names(["a"]),
-                [(encoded.native_ranks("b"), encoded.native_ranks("c"))] * 2,
-                None,
-                [lambda: encoded.pair_order("b", "c")] * 2,
-            )
-        if library is not None:
-            assert calls == scatters
-        calls.clear()
 
 
 @pytest.mark.parametrize("top", [1, 3, (1 << 16) - 1, 1 << 16, (1 << 31) - 1])

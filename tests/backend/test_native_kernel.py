@@ -3,9 +3,10 @@
 Parity here is stronger than the batch-kernel contract in
 ``repro.backend.base``: each native count *and* its early-exit partial
 equal the python backend's class-by-class reference (``optimal_removal_count``
-for OCs, ``len`` of ``aofd_removal_rows`` for OFDs).  The binding tests
-show that inputs which do not fit their arrays raise instead of reaching
-memory out of bounds.  The loader tests show that no compiler, a damaged
+for OCs, ``len`` of ``aofd_removal_rows`` for OFDs), whatever the class
+sizes (both sorts of the OC entry), rank widths and limits, and a pooled
+run equals an in-process one.  The binding tests show that inputs which do
+not fit their arrays raise instead of reaching memory out of bounds.  The loader tests show that no compiler, a damaged
 cached library, concurrent first use and an unsafe cache directory each
 end in a working NumPy backend, never in loading a library that could be
 wrong.
@@ -97,6 +98,122 @@ class TestParity:
         )
 
 
+#: The largest int32 rank: two of them pack into a 62-bit sort key.
+_TOP = (1 << 31) - 1
+_OC_KINDS = ("random", "ties", "equal", "sorted", "reversed")
+
+
+@st.composite
+def _oc_instances(draw):
+    """Classes on both sides of the 32-row insertion-sort cutoff, each of
+    one kind (random, tie-heavy, all-equal ``B``, sorted, reversed) with
+    ranks up to a drawn top, ``2^31 - 1`` included."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    class_members = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 70))
+        kind = draw(st.sampled_from(_OC_KINDS))
+        top = draw(st.sampled_from([1, 4, 300, 70000, _TOP]))
+        if kind == "ties":
+            levels = [0, top // 2, top]
+            members = [(rng.choice(levels), rng.choice(levels)) for _ in range(n)]
+        elif kind == "equal":
+            value = rng.randint(0, top)
+            members = [(rng.randint(0, top), value) for _ in range(n)]
+        else:
+            members = [(rng.randint(0, top), rng.randint(0, top)) for _ in range(n)]
+            if kind != "random":
+                a = sorted(x for x, _ in members)
+                b = sorted((y for _, y in members), reverse=kind == "reversed")
+                members = list(zip(a, b))
+        class_members.append(members)
+    return class_members
+
+
+def _native_oc(classes, pairs, limit, scratch=None):
+    """The native AOC entry called directly on ``classes``."""
+    columns = [
+        tuple(numpy.array(column, dtype=numpy.int32) for column in pair)
+        for pair in pairs
+    ]
+    if scratch is None:
+        longest = max((len(cls) for cls in classes), default=0)
+        scratch = numpy.empty(2 * longest, dtype=numpy.int64)
+    return KERNELS.oc_removal_batch(*_csr(classes), columns, scratch, limit)
+
+
+class TestOcBatchParity:
+    """``oc_removal_batch`` sorts each class on demand (insertion sort up
+    to 32 rows, radix above) and stops at the class that crosses the
+    limit: its counts, partials included, equal the reference."""
+
+    @needs_kernel
+    @given(_oc_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_partials_equal_the_reference(self, class_members):
+        classes, a, b = _columns(class_members)
+        _assert_matches_reference(classes, a, b)
+        pairs = [(a, b), (b, a)]
+        for limit in (None, 0, 5):
+            assert _native_oc(classes, pairs, limit) == [
+                optimal_removal_count(classes, x, y, limit)[0] for x, y in pairs
+            ]
+
+    @needs_kernel
+    def test_a_5000_row_class_with_31_bit_ranks(self):
+        rng = random.Random(23)
+        big = [(rng.randint(0, _TOP), rng.randint(0, _TOP)) for _ in range(5000)]
+        ties = [(rng.randrange(3), rng.randrange(3)) for _ in range(40)]
+        _assert_matches_reference(*_columns([ties, big, ties[:20], [(0, 1)]]))
+
+    @needs_kernel
+    def test_stops_at_the_class_that_crosses_the_limit(self):
+        """A negative rank in a later class is never read once an earlier
+        class took the count over the limit."""
+        classes, a, b = _columns([[(0, 1), (1, 0)], [(0, 0), (1, 1)]])
+        b[3] = -1
+        assert _native_oc(classes, [(a, b)], 0) == [1]
+        with pytest.raises(ValueError):
+            _native_oc(classes, [(a, b)], 1)
+
+    @needs_kernel
+    def test_a_pooled_run_equals_the_in_process_run(self):
+        from repro.dataset.partition import PartitionCache
+        from repro.validation.distributed import ShardedValidationPool
+
+        relation = generate_flight_like(
+            1500, num_attributes=5, error_rate=0.1, seed=5
+        ).relation
+        encoded = relation.encoded(NUMPY)
+        names = relation.attribute_names
+        classes = PartitionCache(encoded, backend=NUMPY).get_by_names(names[:1])
+        pairs = [(a, b) for a in names[1:] for b in names[1:] if a != b]
+        rank_pairs = [
+            (encoded.native_ranks(a), encoded.native_ranks(b)) for a, b in pairs
+        ]
+        with ShardedValidationPool(
+            2, backend=NUMPY, inline_group_cost=0, min_shard_cost=1
+        ) as pool:
+            plane = pool.new_plane(encoded)
+            for limit in (None, 0, 30):
+                expected = NUMPY.oc_optimal_removal_count_batch(
+                    classes, rank_pairs, limit
+                )
+                got = plane.harvest(plane.submit(classes, pairs, limit))
+                # Shards sum their own partials: past the limit only the
+                # flag is comparable.
+                assert [over for _, over in got] == [
+                    over for _, over in expected
+                ]
+                assert [c for c, over in got if not over] == [
+                    c for c, over in expected if not over
+                ]
+                if limit is None:
+                    assert got == expected
+            assert pool.stats["jobs"] > 0
+            assert pool.stats["inline_groups"] == 0
+
+
 def _ofd_columns(class_values):
     """Classes of consecutive rows plus their RHS rank column, from one
     value list per class."""
@@ -107,14 +224,20 @@ def _ofd_columns(class_values):
     return classes, ranks
 
 
-def _native_ofd(classes, ranks, limit, freq=None):
-    """The native ``g3`` entry called directly on ``classes``."""
+def _csr(classes):
+    """``(rows, offsets)`` int64 arrays of a list of classes."""
     rows = numpy.array([row for cls in classes for row in cls], dtype=numpy.int64)
     offsets = numpy.cumsum([0] + [len(cls) for cls in classes], dtype=numpy.int64)
+    return rows, offsets
+
+
+def _native_ofd(classes, ranks, limit, freq=None):
+    """The native ``g3`` entry called directly on ``classes``."""
     column = numpy.array(ranks, dtype=numpy.int32)
     if freq is None:
         freq = numpy.zeros(max(ranks, default=0) + 1, dtype=numpy.int64)
-    return KERNELS.ofd_removal_count(column, rows, offsets, freq, limit)
+    [count] = KERNELS.ofd_removal_count([column], *_csr(classes), freq, limit)
+    return count
 
 
 def _assert_ofd_matches_reference(classes, ranks):
@@ -153,6 +276,21 @@ class TestOfdParity:
         _assert_ofd_matches_reference(
             *_ofd_columns([[0, 0, 1], long_class, [2, 2]])
         )
+
+    @needs_kernel
+    def test_one_call_counts_every_column(self):
+        rng = random.Random(19)
+        classes, ranks = _ofd_columns(
+            [[rng.randrange(5) for _ in range(rng.randrange(1, 20))]
+             for _ in range(30)]
+        )
+        columns = [ranks, ranks[::-1], [0] * len(ranks)]
+        freq = numpy.zeros(5, dtype=numpy.int64)
+        for limit in (None, 0, 7):
+            assert KERNELS.ofd_removal_count(
+                [numpy.array(c, dtype=numpy.int32) for c in columns],
+                *_csr(classes), freq, limit,
+            ) == [_native_ofd(classes, c, limit) for c in columns]
 
     @needs_kernel
     def test_back_to_back_calls_share_one_scratch(self):
@@ -207,20 +345,74 @@ def test_discovery_is_byte_identical_on_both_kernels(kernel, flight_2k, monkeypa
 class TestBinding:
     @needs_kernel
     def test_rejects_wrong_dtype_layout_and_sizes(self):
-        kernel = KERNELS.oc_removal_count
-        values = numpy.array([3, 1, 2], dtype=numpy.int64)
+        kernel = KERNELS.oc_removal_batch
+        a = numpy.array([0, 1, 2], dtype=numpy.int32)
+        b = numpy.array([3, 1, 2], dtype=numpy.int32)
+        rows = numpy.arange(3, dtype=numpy.int64)
         offsets = numpy.array([0, 3], dtype=numpy.int64)
-        tails = numpy.empty(3, dtype=numpy.int64)
-        assert kernel(values, offsets, tails, None) == 1
-        assert kernel(values, offsets, tails, 0) == 1
-        with pytest.raises(ctypes.ArgumentError):
-            kernel(values.astype(numpy.int32), offsets, tails, None)
-        with pytest.raises(ctypes.ArgumentError):
-            kernel(numpy.arange(6, dtype=numpy.int64)[::2], offsets, tails, None)
+        scratch = numpy.empty(6, dtype=numpy.int64)
+        assert kernel(rows, offsets, [(a, b)], scratch, None) == [1]
+        assert kernel(rows, offsets, [(a, b)], scratch, 0) == [1]
+        for bad in (
+            (rows, offsets, [(a.astype(numpy.int64), b)], scratch),
+            (rows, offsets, [(a, numpy.repeat(b, 2)[::2])], scratch),
+            (rows.astype(numpy.int32), offsets, [(a, b)], scratch),
+            (rows, offsets, [(a, b)], scratch.astype(numpy.int32)),
+            (rows, offsets, [(a, b)], scratch[:5]),
+            (rows, numpy.array([0, 4], dtype=numpy.int64), [(a, b)], scratch),
+        ):
+            with pytest.raises(ValueError):
+                kernel(*bad, None)
+
+    @needs_kernel
+    @pytest.mark.parametrize("case", [
+        "negative-rank", "row-past-column", "negative-row",
+        "decreasing-offsets", "offsets-past-rows", "no-offsets",
+        "short-scratch", "length-mismatch", "rank-dtype", "rows-dtype",
+        "strided-column", "read-only-scratch",
+    ])
+    def test_oc_inputs_that_do_not_fit_raise(self, case):
+        """Each bad input to the AOC entry raises ``ValueError``.  The
+        scratch sits inside a buffer of guard slots: a write out of bounds
+        would change a guard."""
+        a = numpy.array([0, 1, 2, 0, 1, 2], dtype=numpy.int32)
+        b = numpy.array([2, 1, 0, 1, 1, 0], dtype=numpy.int32)
+        rows = numpy.arange(6, dtype=numpy.int64)
+        offsets = numpy.array([0, 3, 6], dtype=numpy.int64)
+        buffer = numpy.full(10, 77, dtype=numpy.int64)
+        scratch = buffer[2:8]
+        kernel = KERNELS.oc_removal_batch
+        assert kernel(rows, offsets, [(a, b), (b, a)], scratch, None) == [3, 3]
+        buffer[:] = 77
+        if case == "negative-rank":
+            a[4] = -1
+        elif case == "row-past-column":
+            rows[3] = a.size
+        elif case == "negative-row":
+            rows[1] = -1
+        elif case == "decreasing-offsets":
+            offsets[2] = 2
+        elif case == "offsets-past-rows":
+            offsets[2] = rows.size + 1
+        elif case == "no-offsets":
+            offsets = offsets[:0]
+        elif case == "short-scratch":
+            scratch = buffer[2:7]
+        elif case == "length-mismatch":
+            b = b[:-1].copy()
+        elif case == "rank-dtype":
+            b = b.astype(numpy.int64)
+        elif case == "rows-dtype":
+            rows = rows.astype(numpy.int32)
+        elif case == "strided-column":
+            a = numpy.repeat(a, 2)[::2]
+        else:
+            scratch.flags.writeable = False
         with pytest.raises(ValueError):
-            kernel(values, numpy.array([0, 4], dtype=numpy.int64), tails, None)
-        with pytest.raises(ValueError):
-            kernel(values, offsets, tails[:2], None)
+            kernel(rows, offsets, [(a, b), (b, a)], scratch, None)
+        outside = numpy.ones(buffer.size, dtype=bool)
+        outside[2:2 + scratch.size] = False
+        assert (buffer[outside] == 77).all()
 
     @needs_kernel
     @pytest.mark.parametrize("case", [
@@ -238,7 +430,7 @@ class TestBinding:
         buffer = numpy.full(ranks.size + 3, 7, dtype=numpy.int64)
         freq = buffer[1:-1]
         freq[:] = 0
-        assert KERNELS.ofd_removal_count(ranks, rows, offsets, freq, None) == 2
+        assert KERNELS.ofd_removal_count([ranks], rows, offsets, freq, None) == [2]
         if case == "rank-at-scratch-size":
             ranks[2] = freq.size
         elif case == "negative-rank":
@@ -256,38 +448,42 @@ class TestBinding:
         else:
             offsets = offsets[:0]
         with pytest.raises(ValueError):
-            KERNELS.ofd_removal_count(ranks, rows, offsets, freq, None)
+            KERNELS.ofd_removal_count([ranks], rows, offsets, freq, None)
         assert buffer[0] == buffer[-1] == 7
         assert not freq.any()
 
     @needs_kernel
     def test_ofd_rejects_wrong_dtype_and_layout(self):
+        """The arrays are checked in Python and passed as bare addresses."""
         ranks = numpy.array([1, 1, 0], dtype=numpy.int32)
         rows = numpy.arange(3, dtype=numpy.int64)
         offsets = numpy.array([0, 3], dtype=numpy.int64)
         freq = numpy.zeros(4, dtype=numpy.int64)
-        assert KERNELS.ofd_removal_count(ranks, rows, offsets, freq, 0) == 1
-        with pytest.raises(ctypes.ArgumentError):
+        assert KERNELS.ofd_removal_count([ranks], rows, offsets, freq, 0) == [1]
+        with pytest.raises(ValueError):
             KERNELS.ofd_removal_count(
-                ranks.astype(numpy.int64), rows, offsets, freq, None
+                [ranks.astype(numpy.int64)], rows, offsets, freq, None
             )
-        with pytest.raises(ctypes.ArgumentError):
+        with pytest.raises(ValueError):
             KERNELS.ofd_removal_count(
-                ranks, numpy.arange(6, dtype=numpy.int64)[::2], offsets, freq,
-                None,
+                [ranks], numpy.arange(6, dtype=numpy.int64)[::2], offsets,
+                freq, None,
+            )
+        with pytest.raises(ValueError):
+            KERNELS.ofd_removal_count(
+                [ranks, ranks[:2].copy()], rows, offsets, freq, None
             )
         freq.flags.writeable = False
-        with pytest.raises(ctypes.ArgumentError):
-            KERNELS.ofd_removal_count(ranks, rows, offsets, freq, None)
-
+        with pytest.raises(ValueError):
+            KERNELS.ofd_removal_count([ranks], rows, offsets, freq, None)
 
     @needs_kernel
     @pytest.mark.parametrize("case", [
         "repeated-row", "row-past-rows", "negative-row", "short-order",
         "class-id-at-num-classes", "class-id-below-minus-one",
         "offsets-below-bucket", "offsets-above-bucket", "offsets-past-out",
-        "no-offsets", "short-values", "order-dtype", "class-map-dtype",
-        "values-dtype", "strided-order", "read-only-class-map",
+        "no-offsets", "order-dtype", "class-map-dtype", "strided-order",
+        "read-only-class-map",
     ])
     def test_scatter_inputs_that_do_not_fit_raise(self, case):
         """Each bad input to the sorted-partition scatter raises
@@ -297,16 +493,11 @@ class TestBinding:
         order = numpy.array([4, 1, 3, 0, 2, 5], dtype=numpy.int32)
         class_of = numpy.array([0, 1, 0, -1, 1, 0], dtype=numpy.int32)
         offsets = numpy.array([0, 3, 5], dtype=numpy.int64)
-        values = numpy.array([9, 8, 7, 6, 5, 4], dtype=numpy.int32)
         buffer = numpy.full(offsets[-1] + 2, 77, dtype=numpy.int64)
         out = buffer[1:-1]
         scatter = KERNELS.scatter_classes
-        assert scatter(class_of, offsets, out, [order]) == [0]
+        scatter(class_of, offsets, out, order)
         assert out.tolist() == [0, 2, 5, 4, 1]
-        assert scatter(class_of, offsets, out, [order], [values]) == [0]
-        assert out.tolist() == [9, 7, 4, 5, 8]
-        tails = numpy.empty(3, dtype=numpy.int64)
-        assert scatter(class_of, offsets, out, [order], [values], tails) == [2]
         if case == "repeated-row":
             order[3] = 4
         elif case == "row-past-rows":
@@ -327,21 +518,17 @@ class TestBinding:
             offsets[2] = out.size + 1
         elif case == "no-offsets":
             offsets = offsets[:0]
-        elif case == "short-values":
-            values = values[:-1]
         elif case == "order-dtype":
             order = order.astype(numpy.int64)
         elif case == "class-map-dtype":
             class_of = class_of.astype(numpy.int64)
-        elif case == "values-dtype":
-            values = values.astype(numpy.int64)
         elif case == "strided-order":
             order = numpy.repeat(order, 2)[::2]
         else:
             class_of.flags.writeable = False
         before = class_of.copy()
         with pytest.raises(ValueError):
-            scatter(class_of, offsets, out, [order], [values], tails)
+            scatter(class_of, offsets, out, order)
         assert buffer[0] == buffer[-1] == 77
         assert class_of.tolist() == before.tolist()
 
@@ -393,15 +580,16 @@ class TestLoader:
         assert kernels is not None
         assert loaded == [target.read_bytes()]
         assert len(loaded[0]) > len(good) // 2
-        values = numpy.array([2, 1], dtype=numpy.int64)
+        column = numpy.array([2, 1], dtype=numpy.int32)
+        rows = numpy.arange(2, dtype=numpy.int64)
         offsets = numpy.array([0, 2], dtype=numpy.int64)
-        assert kernels.oc_removal_count(
-            values, offsets, numpy.empty(2, dtype=numpy.int64), None
-        ) == 1
+        assert kernels.oc_removal_batch(
+            rows, offsets, [(rows.astype(numpy.int32), column)],
+            numpy.empty(4, dtype=numpy.int64), None,
+        ) == [1]
         assert kernels.ofd_removal_count(
-            numpy.array([2, 1], dtype=numpy.int32), numpy.arange(2),
-            offsets, numpy.zeros(3, dtype=numpy.int64), None,
-        ) == 1
+            [column], rows, offsets, numpy.zeros(3, dtype=numpy.int64), None,
+        ) == [1]
 
     @needs_gcc
     def test_two_processes_doing_first_use_at_once_both_load(self, tmp_path):
