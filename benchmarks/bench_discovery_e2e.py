@@ -85,47 +85,6 @@ def test_discovery_e2e(relation, case):
     assert measurement.num_ocs > 0 and measurement.num_ofds > 0
 
 
-PLANNER_RESULT = {}
-#: Worker ceiling handed to the planner leg: the planner may use up to
-#: this many workers — or degrade to in-process when the calibrated cost
-#: model says parallelism cannot pay (the expected choice on 1-core CI).
-PLANNER_MAX_WORKERS = 4
-
-
-def test_discovery_planner(relation):
-    """The adaptive-planner leg: ``plan="auto"`` with the full knob space.
-
-    Measured against every fixed configuration in ``_report``: the planner
-    must land within 10% of the best fixed configuration and strictly beat
-    the worst (asserted by the CI bench-smoke job from the ``planner``
-    record), while discovering the identical dependency sets (asserted
-    here via the shared signature check).
-
-    Calibration is pre-warmed: sessions calibrate once and reuse the model
-    across runs, so the leg measures the planner's steady-state execution
-    strategy, not the one-time micro-probe cost (which is cached
-    process-wide anyway)."""
-    from repro.planner import calibrate
-
-    calibrate(backend=SWEEP_BACKEND)
-    relation.encoded(SWEEP_BACKEND)
-    measurement = measure_discovery(
-        relation,
-        "aod-optimal",
-        threshold=THRESHOLD,
-        backend=SWEEP_BACKEND,
-        num_workers=PLANNER_MAX_WORKERS,
-        plan="auto",
-        label=f"{SWEEP_BACKEND}-planner-auto-w{PLANNER_MAX_WORKERS}",
-    )
-    PLANNER_RESULT["planner"] = measurement
-    assert not measurement.timed_out
-    assert measurement.plan == "auto"
-    assert measurement.result.stats.planner_decisions, (
-        "the planner leg must record per-level decisions"
-    )
-
-
 SWEEP_RESULT = {}
 
 
@@ -304,16 +263,9 @@ def _report(figure_report):
         assert _signature(measurement) == reference, (
             f"{_case_id(case)} diverged from the reference result"
         )
-    planner = PLANNER_RESULT.get("planner")
-    if planner is not None:
-        assert _signature(planner) == reference, (
-            "the planner leg diverged from the fixed-configuration result"
-        )
 
     rows = [measurement.as_row() | {"rows": NUM_ROWS}
             for measurement in RESULTS.values()]
-    if planner is not None:
-        rows.append(planner.as_row() | {"rows": NUM_ROWS})
     # The worker-scaling curve of the sharded path (ISSUE-5):
     # seconds per worker count, normalised against the in-process w1 run.
     # Whether w4 can actually *win* depends on the hardware: worker
@@ -345,35 +297,6 @@ def _report(figure_report):
         "runs": rows,
         "worker_scaling": worker_scaling,
     }
-    # The planner record (ISSUE-8 acceptance): planner wall-clock against
-    # every fixed configuration on this host.  CI asserts the planner is
-    # within 10% of the best fixed configuration and strictly beats the
-    # worst one.
-    if planner is not None:
-        fixed_seconds = {
-            _case_id(case): round(m.seconds, 4) for case, m in RESULTS.items()
-        }
-        best_id = min(fixed_seconds, key=fixed_seconds.get)
-        worst_id = max(fixed_seconds, key=fixed_seconds.get)
-        payload["planner"] = {
-            "label": planner.label,
-            "seconds": round(planner.seconds, 4),
-            "backend": planner.backend,
-            "max_workers": PLANNER_MAX_WORKERS,
-            "cpu_count": os.cpu_count(),
-            "fixed": fixed_seconds,
-            "best_fixed": {
-                "case": best_id, "seconds": fixed_seconds[best_id]
-            },
-            "worst_fixed": {
-                "case": worst_id, "seconds": fixed_seconds[worst_id]
-            },
-            "vs_best": round(planner.seconds / fixed_seconds[best_id], 3)
-            if fixed_seconds[best_id] > 0 else None,
-            "vs_worst": round(planner.seconds / fixed_seconds[worst_id], 3)
-            if fixed_seconds[worst_id] > 0 else None,
-            "decisions": planner.result.stats.planner_decisions,
-        }
     sweep = SWEEP_RESULT.get("sweep")
     if sweep is not None:
         payload["sweep"] = sweep.as_row() | {"rows": NUM_ROWS}
@@ -424,17 +347,6 @@ def _report(figure_report):
             "identical OC/OFD sets across all configurations (asserted)",
             f"worker scaling (column plane): {worker_scaling}",
         ]
-        + (
-            [
-                f"planner (auto, ceiling w{PLANNER_MAX_WORKERS}): "
-                f"{planner.seconds:.3f}s vs best fixed "
-                f"{payload['planner']['best_fixed']['case']} "
-                f"{payload['planner']['best_fixed']['seconds']:.3f}s "
-                f"(ratio {payload['planner']['vs_best']})"
-            ]
-            if planner is not None
-            else []
-        )
         + (
             [
                 f"session sweep {SWEEP_THRESHOLDS} ({sweep.backend}): "

@@ -55,8 +55,6 @@ class DiscoveryMeasurement:
     backend: str = "python"
     #: Worker processes sharding OC validation (1 = in-process).
     num_workers: int = 1
-    #: Execution-planning mode ("fixed" or "auto", see :mod:`repro.planner`).
-    plan: str = "fixed"
 
     def as_row(self) -> Dict[str, object]:
         """Flatten to a dict for the reporting tables."""
@@ -64,7 +62,6 @@ class DiscoveryMeasurement:
             "label": self.label,
             "backend": self.backend,
             "workers": self.num_workers,
-            "plan": self.plan,
             "seconds": round(self.seconds, 4),
             "ocs": self.num_ocs,
             "ofds": self.num_ofds,
@@ -83,14 +80,13 @@ def measure_discovery(
     label: Optional[str] = None,
     backend: Optional[str] = None,
     num_workers: int = 1,
-    plan: str = "fixed",
 ) -> DiscoveryMeasurement:
     """Run discovery in one of the paper's three modes and time it.
 
     ``mode`` is ``"od"`` (exact discovery, the "OD" series), ``"aod-optimal"``
-    or ``"aod-iterative"``.  ``backend`` selects the compute backend,
-    ``num_workers`` and ``plan`` the execution strategy; all three are
-    recorded on the measurement so reports can attribute every number to the
+    or ``"aod-iterative"``.  ``backend`` selects the compute backend and
+    ``num_workers`` the execution strategy; both are recorded on the
+    measurement so reports can attribute every number to the
     configuration that produced it.
     """
     common = dict(
@@ -99,7 +95,6 @@ def measure_discovery(
         time_limit_seconds=time_limit_seconds,
         backend=backend,
         num_workers=num_workers,
-        plan=plan,
     )
     if mode == "od":
         config = DiscoveryConfig.exact(**common)
@@ -128,7 +123,6 @@ def measure_discovery(
         result=result,
         backend=result.stats.backend,
         num_workers=result.stats.num_workers,
-        plan=result.stats.plan_mode,
     )
 
 

@@ -136,27 +136,6 @@ def render_bench_summary(payload: Mapping[str, object]) -> str:
             + [f"  note: {note}" for note in notes]
         ))
 
-    planner = payload.get("planner")
-    if isinstance(planner, Mapping):
-        best = planner.get("best_fixed") or {}
-        worst = planner.get("worst_fixed") or {}
-        blocks.append("\n".join([
-            "=== Adaptive planner vs fixed configurations ===",
-            format_table(
-                ["configuration", "seconds"],
-                [[planner.get("label"), f"{planner.get('seconds', 0.0):.3f}"]]
-                + [[case, f"{seconds:.3f}"] for case, seconds
-                   in sorted((planner.get("fixed") or {}).items())],
-            ),
-            "",
-            f"  note: best fixed {best.get('case')} {best.get('seconds')}s "
-            f"(planner ratio {planner.get('vs_best')}); worst fixed "
-            f"{worst.get('case')} {worst.get('seconds')}s "
-            f"(ratio {planner.get('vs_worst')})",
-            f"  note: cpu_count {planner.get('cpu_count')}, worker ceiling "
-            f"{planner.get('max_workers')}",
-        ]))
-
     sweep = payload.get("sweep")
     if isinstance(sweep, Mapping):
         blocks.append(

@@ -39,7 +39,7 @@ from repro.applications.outlier_detection import detect_outliers
 from repro.backend import BACKEND_CHOICES, BACKEND_ENV_VAR
 from repro.dataset.csv_io import read_csv
 from repro.dataset.examples import employee_salary_table
-from repro.discovery.config import PLAN_MODES, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.session import Profiler
 from repro.obs import configure_logging
 from repro.obs.log import ENV_VAR as LOG_LEVEL_ENV_VAR
@@ -88,13 +88,6 @@ def _engine_options(parser: argparse.ArgumentParser) -> None:
              "is treated as a worker death and recovered without changing "
              "results (default: wait indefinitely; only meaningful with "
              "--workers)",
-    )
-    parser.add_argument(
-        "--plan", choices=PLAN_MODES, default="fixed",
-        help="execution planning: 'auto' lets the adaptive planner pick "
-             "workers/shard sizes per level from a calibrated "
-             "cost model (identical results); 'fixed' (default) runs "
-             "exactly the configured knobs",
     )
     parser.add_argument(
         "--attributes", nargs="*", default=None,
@@ -361,7 +354,6 @@ def _request_from_args(args) -> DiscoveryRequest:
         time_limit_seconds=args.time_limit,
         num_workers=DiscoveryRequest.pin_workers(args.workers),
         worker_timeout=args.worker_timeout,
-        plan=args.plan,
     )
     if args.exact:
         return DiscoveryRequest.exact(**common)
@@ -410,7 +402,6 @@ def _cmd_sweep(args) -> int:
         time_limit_seconds=args.time_limit,
         num_workers=DiscoveryRequest.pin_workers(args.workers),
         worker_timeout=args.worker_timeout,
-        plan=args.plan,
     )
     start = time.perf_counter()
     with _session(relation, args) as session:

@@ -16,6 +16,7 @@ Two related types live here:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields as _dataclass_fields
 from typing import Dict, List, Optional, Sequence
 
@@ -24,12 +25,6 @@ from repro.backend import BACKEND_CHOICES, ComputeBackend
 
 #: The validator names accepted by :class:`DiscoveryConfig.validator`.
 VALIDATOR_KINDS = ("exact", "optimal", "iterative")
-
-#: Execution-planning modes accepted by :class:`DiscoveryConfig.plan`:
-#: ``"fixed"`` runs exactly the configured knobs, ``"auto"`` lets the
-#: adaptive planner (:mod:`repro.planner`) choose workers and shard floors
-#: per level within the configured ceilings.
-PLAN_MODES = ("fixed", "auto")
 
 
 @dataclass
@@ -52,9 +47,10 @@ class DiscoveryConfig:
     max_level:
         Optional cap on the lattice level (attribute-set size) explored.
     time_limit_seconds:
-        Optional wall-clock budget; when exceeded the run stops early and
-        the result is marked ``timed_out`` (this models the paper's 24-hour
-        cut-off for the iterative algorithm).
+        Optional wall-clock budget in seconds (finite and positive); when
+        exceeded the run stops early and the result is marked
+        ``timed_out`` (this models the paper's 24-hour cut-off for the
+        iterative algorithm).
     find_ofds:
         Whether OFD candidates are validated and reported.  The paper's
         experiments focus on OCs; OFD validation is cheap and enabled by
@@ -89,22 +85,15 @@ class DiscoveryConfig:
         consults the pool.  With workers, each level's OC groups are
         submitted up front and the coordinator validates the level's OFD
         candidates while the workers drain.  Every worker count produces
-        identical discovery results.
+        identical discovery results; on a 1-core host a pool only adds
+        process overhead, so values above 1 are slower there.
     worker_timeout:
-        Optional per-job deadline in seconds for pool-dispatched validation
-        shards.  A job past it is treated as a worker death: the worker is
-        retired and the shard is recovered (requeued, or validated on the
-        coordinator) without changing results.  ``None`` (the default)
-        waits indefinitely; only meaningful when ``num_workers > 1``.
-    plan:
-        Execution-planning mode.  ``"fixed"`` (the default) runs exactly
-        the configured knobs.  ``"auto"`` consults the adaptive planner
-        (:mod:`repro.planner`) at every level boundary: it may degrade the
-        level to in-process validation when parallelism cannot pay (e.g.
-        on a 1-core host) and tune the pool's shard cost floors — within
-        the configured ceilings (``num_workers`` is the most workers the
-        planner may use), and always with byte-identical results.  Decisions are recorded on
-        :class:`~repro.discovery.stats.DiscoveryStatistics`.
+        Optional per-job deadline in seconds (finite and positive) for
+        pool-dispatched validation shards.  A job past it is treated as a
+        worker death: the worker is retired and the shard is recovered
+        (requeued, or validated on the coordinator) without changing
+        results.  ``None`` (the default) waits indefinitely; only
+        meaningful when ``num_workers > 1``.
     """
 
     threshold: float = 0.0
@@ -119,7 +108,6 @@ class DiscoveryConfig:
     backend: Optional[object] = None
     num_workers: int = 1
     worker_timeout: Optional[float] = None
-    plan: str = "fixed"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
@@ -144,14 +132,13 @@ class DiscoveryConfig:
             raise ValueError("max_level must be at least 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if self.worker_timeout is not None and self.worker_timeout <= 0:
-            raise ValueError(
-                f"worker_timeout must be positive, got {self.worker_timeout}"
-            )
-        if self.plan not in PLAN_MODES:
-            raise ValueError(
-                f"plan must be one of {PLAN_MODES}, got {self.plan!r}"
-            )
+        for name in ("time_limit_seconds", "worker_timeout"):
+            # NaN compares False with everything, so test the accepted range.
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be a finite number > 0 or None, got {value}"
+                )
 
     @property
     def is_exact(self) -> bool:
@@ -197,7 +184,6 @@ class DiscoveryRequest:
     prune_exhausted_nodes: bool = True
     num_workers: Optional[int] = None
     worker_timeout: Optional[float] = None
-    plan: str = "fixed"
 
     def __post_init__(self) -> None:
         if self.attributes is not None:
@@ -233,7 +219,6 @@ class DiscoveryRequest:
                "a number")
         expect("validator", self.validator, isinstance(self.validator, str),
                "a string")
-        expect("plan", self.plan, isinstance(self.plan, str), "a string")
         if self.attributes is not None:
             expect("attributes", self.attributes,
                    all(isinstance(a, str) for a in self.attributes),
@@ -307,7 +292,6 @@ class DiscoveryRequest:
             prune_exhausted_nodes=self.prune_exhausted_nodes,
             num_workers=effective_workers,
             worker_timeout=self.worker_timeout,
-            plan=self.plan,
             backend=backend,
             progress_callback=progress_callback,
         )
@@ -327,7 +311,6 @@ class DiscoveryRequest:
             prune_exhausted_nodes=config.prune_exhausted_nodes,
             num_workers=config.num_workers,
             worker_timeout=config.worker_timeout,
-            plan=config.plan,
         )
 
     # -- JSON boundary -----------------------------------------------------------

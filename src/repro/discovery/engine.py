@@ -209,7 +209,6 @@ class DiscoveryEngine:
         shard_pool=None,
         column_plane=None,
         validation_memo: Optional[dict] = None,
-        planner=None,
     ):
         self.relation = relation
         self.config = config or DiscoveryConfig()
@@ -235,25 +234,7 @@ class DiscoveryEngine:
         self.stats = DiscoveryStatistics(
             backend=self.backend.name,
             num_workers=self.config.num_workers if self._uses_shard_pool else 1,
-            plan_mode=self.config.plan,
         )
-        # The adaptive planner (plan="auto"): session-injected when warm, or
-        # calibrated here for one-shot runs.
-        if self.config.plan == "auto" and planner is None:
-            from repro.planner import build_planner
-
-            planner = build_planner(
-                backend=self.backend,
-                max_workers=(
-                    self.config.num_workers if self._uses_shard_pool else 1
-                ),
-            )
-        self._planner = planner if self.config.plan == "auto" else None
-        # Per-level execution knobs the planner may override (reset at every
-        # level boundary by _plan_level).
-        self._active_plane = None
-        self._level_shard_floor: Optional[float] = None
-        self._level_inline_cost: Optional[float] = None
         self.result = DiscoveryResult(
             config=self.config,
             num_rows=relation.num_rows,
@@ -313,31 +294,13 @@ class DiscoveryEngine:
             "run",
             backend=self.backend.name,
             num_workers=self.stats.num_workers,
-            plan=self.config.plan,
             num_rows=self.relation.num_rows,
         )
         own_pool = None
         temp_plane = None
         pool = None
         pool_counters_before: Dict[str, int] = {}
-        spawn_pool = self._uses_shard_pool
-        if (
-            spawn_pool
-            and self._planner is not None
-            and self._external_plane is None
-            and self._external_pool is None
-            and not self._planner.use_pool(self.config.num_workers)
-        ):
-            # Run-scope degradation: the calibrated model says no level can
-            # profit from workers on this host, so don't pay the process
-            # spawns for a pool the per-level plans would never use.  A
-            # session-owned pool/plane is already spawned — binding it is
-            # free, so only an engine-owned pool is skipped.
-            spawn_pool = False
-            self.stats.planner_decisions.append(
-                self._planner.record_pool_veto(self.config.num_workers)
-            )
-        if spawn_pool:
+        if self._uses_shard_pool:
             if self._external_plane is not None:
                 # Session-owned plane: columns shipped by earlier runs (and
                 # delta-patched by extends) are still resident.
@@ -385,7 +348,6 @@ class DiscoveryEngine:
             if own_pool is not None:
                 own_pool.close()
             self._plane = None
-            self._active_plane = None
             self.stats.total_seconds = time.perf_counter() - start
             self._tracer.end_span(self._run_span)
             self._run_span = None
@@ -397,11 +359,6 @@ class DiscoveryEngine:
                 self._metrics.counter(
                     "repro_engine_ofd_candidates_total"
                 ).inc(self.stats.ofd_candidates_validated)
-            if self._planner is not None:
-                # Session-lived planners keep learning across runs: the
-                # finished run's validation_share refines the factor that
-                # maps predicted validation time to level wall-clock.
-                self._planner.observe_run(self.stats)
         # A mid-level interrupt leaves the partial level's recorded
         # discoveries undrained; stream them before closing the run.
         yield from self._drain_found()
@@ -565,8 +522,6 @@ class DiscoveryEngine:
             oc_jobs.extend(node_oc_jobs)
         ofd_outcomes: List[Optional[Outcome]] = [None] * len(ofd_jobs)
         oc_outcomes: List[Optional[Outcome]] = [None] * len(oc_jobs)
-        plan = self._plan_level(nodes, oc_jobs)
-        level_started = time.perf_counter()
         try:
             self._validate_level(ofd_jobs, ofd_outcomes, oc_jobs, oc_outcomes)
         finally:
@@ -583,42 +538,6 @@ class DiscoveryEngine:
         # (a mid-level interrupt leaves them uncounted rather than
         # overstating progress).
         self.stats.nodes_processed += len(nodes)
-        if plan is not None:
-            # Completed level: fold the observed wall-clock back into the
-            # cost model and record the decision (with predicted-vs-actual)
-            # on the run's statistics.  Interrupted levels unwind through
-            # the finally block above and are not observed.
-            record = self._planner.observe_level(
-                plan, time.perf_counter() - level_started
-            )
-            self.stats.planner_decisions.append(record)
-
-    def _plan_level(self, nodes: List[LatticeNode], oc_jobs: List[OCJob]):
-        """Set the level's execution knobs; returns the plan (or ``None``).
-
-        Without a planner the knobs mirror the fixed configuration exactly.
-        With one, the level may be degraded to in-process validation and
-        the pool's shard-cost floors overridden — strategy only, results
-        are byte-identical either way.
-        """
-        self._active_plane = self._plane
-        self._level_shard_floor = None
-        self._level_inline_cost = None
-        if self._planner is None:
-            return None
-        from repro.planner import cost_units
-
-        per_candidate = cost_units(self.relation.num_rows)
-        plan = self._planner.plan_level(
-            level=nodes[0].level if nodes else 0,
-            cost_units=len(oc_jobs) * per_candidate,
-            workers_available=self._plane is not None,
-        )
-        if self._plane is not None and not plan.use_workers:
-            self._active_plane = None
-        self._level_shard_floor = plan.min_shard_cost
-        self._level_inline_cost = plan.inline_group_cost
-        return plan
 
     def _validate_level(
         self,
@@ -640,7 +559,7 @@ class DiscoveryEngine:
         records outcomes in collection order, so both orders produce
         byte-identical results, counters included.
         """
-        plane = self._active_plane
+        plane = self._plane
         oc_exact = oc_validator_tag(self.config) == "exact"
         in_flight: List[Tuple[List[Tuple[int, tuple]], object]] = []
         try:
@@ -668,8 +587,6 @@ class DiscoveryEngine:
                         pending = plane.submit(
                             classes, pairs, self._kernel_limit,
                             timeout=self.config.worker_timeout,
-                            min_shard_cost=self._level_shard_floor,
-                            inline_group_cost=self._level_inline_cost,
                         )
                     in_flight.append((todo, pending))
                 self.stats.oc_batches += 1

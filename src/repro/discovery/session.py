@@ -247,10 +247,6 @@ class Profiler:
         self._active_streams = 0
         #: Every append applied to this session, in order.
         self._delta_log: List[DeltaSummary] = []
-        #: Session-lived adaptive planner (lazy; see :mod:`repro.planner`):
-        #: calibrated on the first ``plan="auto"`` run, refined by every
-        #: later one.  ``None`` until an auto run happens.
-        self._planner = None
         #: Canonical request JSON -> baseline of the last completed run.
         #: LRU-bounded: losing a baseline only means a later
         #: `discover_incremental` for that request degrades to a cold run
@@ -609,41 +605,13 @@ class Profiler:
             # else: the request pinned a different worker count — the
             # engine spawns (and closes) a pool of its own for this one
             # run rather than thrashing the session's warm pool.
-        planner = None
-        if config.plan == "auto":
-            planner = self._ensure_planner(plane)
         return DiscoveryEngine(
             self.relation,
             config,
             partitions=self.partitions,
             column_plane=plane,
             validation_memo=self._memo,
-            planner=planner,
         )
-
-    def _ensure_planner(self, plane=None):
-        """Calibrate the session's adaptive planner on first auto run.
-
-        When the run will use the session's warm pool, the dispatch
-        overhead is probed through that actual pool (a tiny round-trip);
-        poolless sessions calibrate against the conservative default.
-        """
-        if self._planner is None:
-            from repro.planner import build_planner
-
-            self._planner = build_planner(
-                backend=self.backend,
-                max_workers=self.num_workers,
-                pool=None if plane is None else plane.pool,
-            )
-        return self._planner
-
-    def planner_info(self) -> Optional[Dict[str, object]]:
-        """The planner's model/decision snapshot (``None`` before the
-        first ``plan="auto"`` run); surfaced on ``/healthz``."""
-        if self._planner is None:
-            return None
-        return self._planner.snapshot()
 
     def _ensure_pool(self):
         from repro.validation.distributed import ShardedValidationPool

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields as _dataclass_fields
-from typing import Dict, List
+from typing import Dict
 
 
 def _stat_fields():
@@ -72,13 +72,6 @@ class DiscoveryStatistics:
     #: Shards validated on the coordinator as a recovery fallback
     #: (quarantined shards and shards of a degraded pool).
     inline_fallbacks: int = 0
-    #: Execution-planning mode the run was configured with
-    #: (``"fixed"`` or ``"auto"``, see :mod:`repro.planner`).
-    plan_mode: str = "fixed"
-    #: One record per planned level when ``plan_mode == "auto"``: the
-    #: chosen strategy plus the cost model's predicted-vs-actual seconds
-    #: (see :meth:`repro.planner.plan.ExecutionPlanner.observe_level`).
-    planner_decisions: List[Dict[str, object]] = field(default_factory=list)
 
     # -- derived ---------------------------------------------------------------
 
@@ -127,8 +120,6 @@ class DiscoveryStatistics:
             "respawns": self.respawns,
             "requeued_shards": self.requeued_shards,
             "inline_fallbacks": self.inline_fallbacks,
-            "plan_mode": self.plan_mode,
-            "planner_decisions": [dict(d) for d in self.planner_decisions],
         }
 
     @classmethod

@@ -6,7 +6,7 @@ the CLI) opt in.  The CLI wires ``--log-level`` and the
 ``REPRO_LOG_LEVEL`` environment variable through :func:`configure`.
 
 The recovery paths that used to heal silently — worker death/respawn,
-shard quarantine, pool degradation, planner pool-spawn vetoes — emit
+shard quarantine, pool degradation — emit
 WARN/INFO records through :func:`get_logger`.
 """
 

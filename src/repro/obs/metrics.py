@@ -6,11 +6,11 @@ serve``) or as a plain dict (the ``metrics`` section of ``/healthz``).
 
 The default registry is :data:`NOOP_REGISTRY`: every instrument handed
 out is a shared do-nothing object, so instrumentation sites in the
-engine, pool, and planner cost two attribute lookups and a no-op call
-when metrics are off.  The serve layer installs a real registry at
+engine and pool cost two attribute lookups and a no-op call when metrics
+are off.  The serve layer installs a real registry at
 startup (:func:`enable_metrics`), which also pre-registers the standard
 metric families (:data:`STANDARD_METRICS`) so a scrape sees the full
-schema — pool resilience, planner error, cache traffic — from the first
+schema — pool resilience, queue wait, cache traffic — from the first
 request, not only after the matching code path has fired.
 
 Locking is deliberately cheap: one small lock per instrument, taken only
@@ -299,12 +299,6 @@ STANDARD_METRICS: Tuple[Tuple[str, str, str], ...] = (
      "Dispatch-to-harvest latency per shard job"),
     ("histogram", "repro_pool_queue_wait_seconds",
      "Dispatch-to-kernel-start wait per shard job"),
-    ("counter", "repro_planner_levels_total",
-     "Levels planned-and-observed by the adaptive planner"),
-    ("counter", "repro_planner_pool_vetoes_total",
-     "Run-scope pool spawns vetoed by the planner"),
-    ("histogram", "repro_planner_abs_error_seconds",
-     "Absolute planner prediction error per observed level"),
     ("counter", "repro_result_cache_hits_total",
      "Serve-layer result cache hits"),
     ("counter", "repro_result_cache_misses_total",

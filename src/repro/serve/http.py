@@ -6,7 +6,7 @@ Endpoints (JSON in, JSON out; no dependencies beyond the stdlib):
     ``{"status": "ok"|"draining", "backend": <name>, "oc_kernel":
     "native"|"numpy"|"python", "datasets": <count>, "result_cache":
     {...}, "admission": {...}, "lifecycle": {...}, "resilience": {...},
-    "planner": {...}, "metrics": {...}}``.  The admission block reports
+    "metrics": {...}}``.  The admission block reports
     queue depth/cap configuration, live in-flight counts, per-dataset
     queue state and every admission decision counter; the lifecycle block
     carries upload/eviction/deadline/disconnect counters, the TTL setting
@@ -14,7 +14,7 @@ Endpoints (JSON in, JSON out; no dependencies beyond the stdlib):
 
 ``GET /metrics``
     Prometheus text exposition of the process-wide registry — engine,
-    pool-resilience, planner, cache families plus the serve families
+    pool-resilience, cache families plus the serve families
     (admissions, rejections, queue-wait and request-latency histograms,
     deadline timeouts, disconnect cancellations, lifecycle counters).
 
@@ -356,7 +356,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "admission": self.service.admission.snapshot(),
                     "lifecycle": self.service.lifecycle_stats(),
                     "resilience": self.service.resilience_stats(),
-                    "planner": self.service.planner_stats(),
                     "metrics": self.service.metrics_snapshot(),
                 })
             elif self.path == "/metrics":

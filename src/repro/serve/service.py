@@ -138,8 +138,8 @@ class ProfilerService:
         self._sweep_stop = threading.Event()
         self._sweep_thread: Optional[threading.Thread] = None
         # Serving is the surface observability exists for: install the
-        # process-wide metrics registry (idempotent) so engine, pool, and
-        # planner instrumentation lands in /metrics and /healthz.
+        # process-wide metrics registry (idempotent) so engine and pool
+        # instrumentation lands in /metrics and /healthz.
         enable_metrics()
         # One worker pool serves every dataset (its kernels are
         # dataset-agnostic).  Spawn it NOW, while the process is still
@@ -583,25 +583,6 @@ class ProfilerService:
         snapshot: Dict[str, object] = {key: 0 for key in RESILIENCE_COUNTERS}
         snapshot["degraded"] = False
         return snapshot
-
-    def planner_stats(self) -> Dict[str, object]:
-        """Per-dataset execution-planner snapshots for ``/healthz``.
-
-        Stable schema: datasets that have never served a ``plan="auto"``
-        run report ``null`` (no planner has been calibrated for them), so
-        monitoring can always read the block.
-        """
-        with self._registry_lock:
-            per_dataset: Dict[str, object] = {
-                name: profiler.planner_info()
-                for name, profiler in self._profilers.items()
-            }
-        return {
-            "calibrated": sum(
-                1 for info in per_dataset.values() if info is not None
-            ),
-            "datasets": per_dataset,
-        }
 
     def _refresh_gauges(self) -> None:
         """Set the scrape-time gauges from current service state."""

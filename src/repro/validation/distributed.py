@@ -112,12 +112,12 @@ MAX_TRACEBACK_CHARS = 8192
 
 #: Default cost floor (in ``m log m`` units, see :func:`_class_cost`) below
 #: which a whole context group is validated in-process at submission instead
-#: of crossing the process boundary.  Overridable per pool (constructor),
-#: per pool instance (attribute), or per submit (execution planner).
+#: of crossing the process boundary.  Overridable per pool (constructor)
+#: or per pool instance (attribute).
 DEFAULT_INLINE_GROUP_COST = 32_768
 
 #: Default minimum shard cost: a group splits into at most ``num_workers``
-#: shards of no less than this.  Same three override channels as
+#: shards of no less than this.  Same two override channels as
 #: :data:`DEFAULT_INLINE_GROUP_COST`.
 DEFAULT_MIN_SHARD_COST = 65_536
 
@@ -655,14 +655,10 @@ class ColumnPlane:
     def submit(
         self, classes, pair_names, limit: Optional[int] = None,
         timeout: Optional[float] = None,
-        min_shard_cost: Optional[float] = None,
-        inline_group_cost: Optional[float] = None,
     ) -> PendingGroup:
         """Dispatch one context group asynchronously (see pool docs)."""
         return self._pool.submit_oc_group(self, classes, pair_names, limit,
-                                          timeout=timeout,
-                                          min_shard_cost=min_shard_cost,
-                                          inline_group_cost=inline_group_cost)
+                                          timeout=timeout)
 
     def harvest(self, pending: PendingGroup) -> List[Tuple[int, bool]]:
         """Block until ``pending``'s shards merged; returns per-pair counts."""
@@ -888,8 +884,6 @@ class ShardedValidationPool:
     def submit_oc_group(
         self, plane: ColumnPlane, classes, pair_names,
         limit: Optional[int] = None, timeout: Optional[float] = None,
-        min_shard_cost: Optional[float] = None,
-        inline_group_cost: Optional[float] = None,
     ) -> PendingGroup:
         """Dispatch one context group's shards without waiting.
 
@@ -901,19 +895,13 @@ class ShardedValidationPool:
         are validated in-process instead and return already settled.
 
         ``timeout`` overrides the pool's ``worker_timeout`` for this
-        group's jobs (seconds per job; ``None`` inherits the pool default);
-        ``min_shard_cost`` / ``inline_group_cost`` override the pool's cost
-        knobs for this group only (the execution planner's channel).
+        group's jobs (seconds per job; ``None`` inherits the pool default).
         """
         self._require_open()
         pending = PendingGroup(num_pairs=len(pair_names), limit=limit)
         if pending.num_pairs == 0:
             return pending
-        inline_floor = inline_group_cost if inline_group_cost is not None \
-            else self.INLINE_GROUP_COST
-        shards, total_cost, needed_row = self._plan_shards(
-            classes, min_shard_cost=min_shard_cost
-        )
+        shards, total_cost, needed_row = self._plan_shards(classes)
         needed_names = sorted(set(chain.from_iterable(pair_names)))
         for name in needed_names:
             # The guard runs on the transport form: a RunLengthColumn's
@@ -925,14 +913,14 @@ class ShardedValidationPool:
             )
         if not shards:
             return pending
-        if self._degraded or total_cost < inline_floor:
+        if self._degraded or total_cost < self.INLINE_GROUP_COST:
             pairs = [
                 (plane.column(a), plane.column(b)) for a, b in pair_names
             ]
             pending.inline = self.backend.oc_optimal_removal_count_batch(
                 classes, pairs, limit
             )
-            if self._degraded and total_cost >= inline_floor:
+            if self._degraded and total_cost >= self.INLINE_GROUP_COST:
                 with self._lock:
                     self.stats["inline_fallbacks"] += 1
             else:
@@ -949,7 +937,7 @@ class ShardedValidationPool:
         self._dispatch_records(pending, records)
         return pending
 
-    def _plan_shards(self, classes, min_shard_cost: Optional[float] = None):
+    def _plan_shards(self, classes):
         """Pack ``classes`` into cost-balanced contiguous shards.
 
         Returns ``(shards, total_cost, needed_row)`` where ``shards`` is a
@@ -957,14 +945,10 @@ class ShardedValidationPool:
         row id any class touches (``-1`` for empty groups).  Contiguous
         class ranges keep the packing a pair of array slices on the
         columnar fast path; summation merging makes the composition
-        invisible in results.  ``min_shard_cost`` overrides the pool's
-        shard-cost floor for this plan only; any composition yields the
-        same merged counts.
+        invisible in results.
         """
-        shard_floor = min_shard_cost if min_shard_cost is not None \
-            else self.MIN_SHARD_COST
         if self._pack_arrays:
-            return self._plan_shards_arrays(classes, shard_floor)
+            return self._plan_shards_arrays(classes)
         class_lists = classes.classes if hasattr(classes, "classes") \
             else list(classes)
         if not class_lists:
@@ -976,7 +960,7 @@ class ShardedValidationPool:
             if len(rows) and rows[-1] > needed_row:
                 needed_row = rows[-1]
         total = float(sum(costs))
-        target = max(total / self.num_workers, float(shard_floor))
+        target = max(total / self.num_workers, float(self.MIN_SHARD_COST))
         shards: List[Tuple[ClassShard, float]] = []
         chunk: List[Sequence[int]] = []
         acc = 0.0
@@ -990,7 +974,7 @@ class ShardedValidationPool:
             shards.append((ClassShard.pack(chunk, False), acc))
         return shards, total, needed_row
 
-    def _plan_shards_arrays(self, classes, shard_floor: float):
+    def _plan_shards_arrays(self, classes):
         """Columnar shard planning: two array slices per shard.
 
         Reuses (and caches) the partition's flattened columnar view, so
@@ -1013,7 +997,7 @@ class ShardedValidationPool:
         total = float(cum[-1])
         num_shards = min(
             self.num_workers,
-            max(1, -(-int(total) // max(int(shard_floor), 1))),
+            max(1, -(-int(total) // max(int(self.MIN_SHARD_COST), 1))),
         )
         if num_shards > 1:
             targets = total * np.arange(1, num_shards) / num_shards

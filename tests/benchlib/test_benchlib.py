@@ -170,7 +170,6 @@ class TestBenchSummary:
         # Records the payload does not carry are skipped, not rendered
         # empty (a partial run still produces a clean summary).
         assert "Partition micro-benchmarks" not in text
-        assert "Adaptive planner" not in text
 
     def test_write_regenerates_instead_of_appending(self, tmp_path):
         import json

@@ -17,7 +17,6 @@ class PerCandidateEngine(DiscoveryEngine):
     """
 
     def _process_level(self, nodes):
-        self._plan_level(nodes, [])
         for node in nodes:
             self._check_interrupt()
             ofd_jobs, oc_jobs = self._collect_node_jobs(node)

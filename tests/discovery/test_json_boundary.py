@@ -20,13 +20,12 @@ class TestDiscoveryRequest:
         assert config.threshold == 0.0
         assert config.validator == "optimal"
         assert config.num_workers == 1
-        assert config.plan == "fixed"
 
     def test_round_trip_through_config(self):
         request = DiscoveryRequest(
             threshold=0.2, validator="iterative", attributes=["a", "b"],
             max_level=3, time_limit_seconds=1.5, find_ofds=False,
-            num_workers=2, plan="auto",
+            num_workers=2,
         )
         config = request.to_config()
         assert DiscoveryRequest.from_config(config) == request
@@ -58,12 +57,26 @@ class TestDiscoveryRequest:
             DiscoveryRequest(threshold=0.1, validator="exact")
         with pytest.raises(ValueError):
             DiscoveryRequest(num_workers=0)
+        # json.loads accepts bare NaN / Infinity: a NaN deadline would never
+        # fire and a negative one fires at once.
+        for name, value in [
+            ("time_limit_seconds", -1), ("time_limit_seconds", 0),
+            ("time_limit_seconds", float("nan")),
+            ("time_limit_seconds", float("inf")),
+            ("worker_timeout", float("nan")), ("worker_timeout", float("inf")),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                DiscoveryRequest.from_json(
+                    json.dumps({"threshold": 0.1, name: value})
+                )
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             DiscoveryRequest.from_dict({"threshold": 0.1, "treshold": 0.2})
 
-    @pytest.mark.parametrize("name", ["batch_validation", "pipeline_validation"])
+    @pytest.mark.parametrize(
+        "name", ["batch_validation", "pipeline_validation", "plan"]
+    )
     def test_removed_schedule_fields_are_unknown(self, name):
         with pytest.raises(ValueError, match=f"unknown.*{name}"):
             DiscoveryRequest.from_dict({"threshold": 0.1, name: True})
@@ -131,7 +144,6 @@ class TestDiscoveryResultJson:
         assert restored.config.threshold == result.config.threshold
         assert restored.config.validator == result.config.validator
         assert restored.config.num_workers == result.config.num_workers
-        assert restored.config.plan == result.config.plan
         # Live objects don't cross the boundary; the backend travels by name.
         assert restored.stats.backend == result.stats.backend
 

@@ -85,9 +85,9 @@ def test_bootstrap_preregisters_the_standard_families():
     text = registry.render_prometheus()
     for _kind, name, _help in STANDARD_METRICS:
         assert name in text
-    # The planner-error family is visible before any traffic (acceptance
-    # bar: a scrape sees the full schema from the first request).
-    assert "repro_planner_abs_error_seconds_bucket" in text
+    # A histogram family is visible before any traffic (acceptance bar:
+    # a scrape sees the full schema from the first request).
+    assert "repro_pool_queue_wait_seconds_bucket" in text
 
 
 def test_enable_metrics_is_idempotent():

@@ -2,7 +2,7 @@
 
 Drives a live ``ThreadingHTTPServer`` (port 0) with a pooled service and
 asserts the Prometheus exposition carries the engine, pool-resilience,
-planner-error, and cache families the observability issue requires.
+queue-wait, and cache families.
 """
 
 import json
@@ -61,7 +61,6 @@ def test_metrics_exposition_after_pooled_discovery(server):
         "repro_pool_worker_deaths_total",
         "repro_pool_respawns_total",
         "repro_pool_requeued_shards_total",
-        "repro_planner_abs_error_seconds_bucket",
         "repro_pool_queue_wait_seconds_bucket",
     ):
         assert family in text, family

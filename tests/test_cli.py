@@ -27,12 +27,12 @@ class TestParser:
 
     def test_discover_scheduling_flags(self):
         args = build_parser().parse_args(["discover", "data.csv"])
-        assert args.workers == 1 and args.plan == "fixed"
+        assert args.workers == 1
         args = build_parser().parse_args(
-            ["discover", "data.csv", "--workers", "4", "--plan", "auto"]
+            ["discover", "data.csv", "--workers", "4"]
         )
-        assert args.workers == 4 and args.plan == "auto"
-        for removed in ("--no-batch", "--no-pipeline"):
+        assert args.workers == 4
+        for removed in ("--no-batch", "--no-pipeline", "--plan"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["discover", "data.csv", removed])
 

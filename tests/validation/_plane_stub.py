@@ -21,11 +21,12 @@ class StubEncoding:
 
 def stub_plane_counts(pool, columns, classes, pair_names, limit=None):
     """Counts of ``pair_names`` over ``classes`` through a fresh plane over
-    ``columns``; the group is dispatched however small it is."""
+    ``columns``.  Build ``pool`` with ``inline_group_cost=0`` to dispatch
+    the group however small it is."""
     plane = pool.new_plane(StubEncoding(**columns))
     try:
         return plane.harvest(
-            plane.submit(classes, pair_names, limit, inline_group_cost=0)
+            plane.submit(classes, pair_names, limit)
         )
     finally:
         plane.release()

@@ -283,7 +283,8 @@ def test_worker_error_surfaces_as_runtime_error():
     """A kernel crash in a worker reaches the coordinator as a RuntimeError
     carrying the worker traceback, and the pool remains usable."""
     columns = {"bad": [0, "bad"], "a": [0, 1], "b": [1, 0]}
-    with ShardedValidationPool(1, backend="python") as pool:
+    with ShardedValidationPool(1, backend="python",
+                               inline_group_cost=0) as pool:
         with pytest.raises(RuntimeError, match="validation worker failed"):
             # The column covers the class rows, so the stale-column guard
             # passes it; the worker's kernel then fails comparing a rank

@@ -125,7 +125,8 @@ def test_sharded_pool_counts_match_batch_kernel(backend):
 
 
 def test_sharded_pool_empty_group():
-    with ShardedValidationPool(2, backend="python") as pool:
+    with ShardedValidationPool(2, backend="python",
+                               inline_group_cost=0) as pool:
         columns = {"a": [0, 1, 2, 3]}
         assert stub_plane_counts(pool, columns, [], [], 3) == []
         assert stub_plane_counts(pool, columns, [], [("a", "a")], 3) \
@@ -137,7 +138,8 @@ def test_sharded_pool_rejects_stale_columns():
     relation, a column captured before the append no longer covers the new
     row ids — the pool must refuse to ship it to the workers instead of
     silently mis-indexing."""
-    with ShardedValidationPool(2, backend="python") as pool:
+    with ShardedValidationPool(2, backend="python",
+                               inline_group_cost=0) as pool:
         columns = {
             "a": list(range(6)),
             "b": list(range(6)),

@@ -362,13 +362,14 @@ def test_degraded_session_run_is_byte_identical():
 def test_worker_job_error_carries_structured_report():
     """A kernel crash inside a worker surfaces as WorkerJobError with the
     shard context attached (not just a traceback string)."""
-    with ShardedValidationPool(1, backend="python") as pool:
+    with ShardedValidationPool(1, backend="python",
+                               inline_group_cost=0) as pool:
         plane = pool.new_plane(
             StubEncoding(bad=[0, "bad"], a=[0, 1], b=[1, 0])
         )
         with pytest.raises(WorkerJobError, match="validation worker failed") as info:
             plane.harvest(plane.submit(
-                [[0, 1]], [("bad", "b")], None, inline_group_cost=0
+                [[0, 1]], [("bad", "b")], None
             ))
         error = info.value
         assert error.num_classes == 1
@@ -379,7 +380,7 @@ def test_worker_job_error_carries_structured_report():
         assert "Traceback" in error.worker_traceback
         # The pool survives the failure.
         assert plane.harvest(plane.submit(
-            [[0, 1]], [("a", "b")], None, inline_group_cost=0
+            [[0, 1]], [("a", "b")], None
         )) == [(1, False)]
 
 
