@@ -194,6 +194,11 @@ class ComputeBackend(abc.ABC):
         """Minimal AOC removal counts for many ``(A, B)`` rank-column pairs
         sharing one context (Algorithm 2, batched across candidates)."""
 
+    def prepare_classes(self, classes) -> None:
+        """Build the views of ``classes`` that the batch kernels cache on
+        it, so a later kernel call on another thread only reads them.
+        Backends that cache nothing keep this no-op."""
+
     def ofd_removal_batch(
         self,
         classes: Sequence[Sequence[int]],

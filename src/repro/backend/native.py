@@ -23,6 +23,12 @@ Each entry runs once per batch or refinement, so the bindings check dtype
 and layout in Python and pass bare addresses rather than paying for
 ``ndpointer`` conversion on every call.
 
+The library is loaded with ``ctypes.CDLL``, which releases the GIL for the
+duration of each call.  In-process discovery relies on that: its
+``LocalPlane`` (``repro.discovery.engine``) counts OC groups on threads
+while the coordinator keeps working, so do not switch to ``ctypes.PyDLL``,
+which holds the GIL and would serialise them again.
+
 The first :func:`kernels` call in a process compiles the source with
 ``gcc -O2 -shared -fPIC`` into ``~/.cache/repro/`` and loads it with
 :mod:`ctypes`.  The library's file name carries a hash of the source, the

@@ -252,6 +252,10 @@ class NumpyBackend(ComputeBackend):
             rows[order], (class_ids[order], other[order]), left.num_rows
         )
 
+    def prepare_classes(self, classes) -> None:
+        if isinstance(classes, Partition):
+            self._columnar_classes(classes)
+
     @staticmethod
     def _columnar_classes(classes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flatten a class container into ``(rows, class_ids, lengths)`` arrays.

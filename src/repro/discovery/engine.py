@@ -23,17 +23,19 @@ contexts and rule 4 consults contexts two attributes smaller, both of which
 were settled at earlier levels.  Outcomes are recorded in candidate order,
 so results do not depend on the order groups were validated in.
 
-With ``num_workers > 1`` the OC groups are sharded across a process pool
-through a worker-resident *column plane* (see
+Every run validates a level on one schedule: each OC context group is
+submitted to a *plane* up front, the coordinator validates the level's OFD
+candidates — building their partitions — while the plane counts, and the
+groups are harvested in submission order before outcomes are recorded in
+job order.  With ``num_workers > 1`` the plane is a worker-resident
+*column plane* over a process pool (see
 :mod:`repro.validation.distributed`): rank columns cross the process
 boundary at most once per worker per dataset version, and subsequent
-dispatches ship only column references plus class offsets.  Every OC
-context group of a level is submitted to the pool asynchronously up front,
-the coordinator validates the level's OFD candidates — building their
-partitions — while the workers drain, and the level joins at a barrier
-before outcomes are recorded in job order.  Results, statistics counters
-included, are byte-identical to an in-process run (enforced by
-``tests/discovery/test_batched_scheduler.py`` and
+dispatches ship only column references plus class offsets.  Otherwise it
+is a :class:`LocalPlane`, which counts the groups on threads of the
+coordinator's process while the native kernel releases the GIL.  Results,
+statistics counters included, are byte-identical between the two (enforced
+by ``tests/discovery/test_batched_scheduler.py`` and
 ``tests/discovery/test_pipelined_scheduler.py``).
 
 Streaming
@@ -75,8 +77,13 @@ long-lived state so repeated runs over the same relation stay warm:
 
 from __future__ import annotations
 
+import functools
+import os
 import time
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.backend import resolve_backend
 from repro.dataset.partition import PartitionCache
@@ -191,6 +198,56 @@ def config_uses_shard_pool(config: DiscoveryConfig) -> bool:
     )
 
 
+class LocalPlane:
+    """One run's in-process OC plane: context groups counted on threads.
+
+    It keeps the ``submit`` / ``harvest`` / ``abandon`` contract of
+    :class:`~repro.validation.distributed.ColumnPlane`, so pooled and
+    in-process runs share one validation schedule.  ``prepare(classes,
+    pair_names, limit)`` runs on the submitting thread, resolves every
+    lazily built input there and returns the call that counts the group;
+    that call only reads, so it may run on a plane thread while the
+    coordinator goes on.  The native kernels release the GIL (they are
+    called through ``ctypes.CDLL``), which is where the overlap comes from.
+
+    With no ``threads`` there is no executor: each group is counted inline
+    at submit and handed back as a settled future.
+    """
+
+    def __init__(self, prepare: Callable[..., Callable[[], list]],
+                 threads: int) -> None:
+        self._prepare = prepare
+        self._executor = (
+            ThreadPoolExecutor(threads, thread_name_prefix="repro-oc")
+            if threads else None
+        )
+
+    def submit(self, classes, pair_names, limit: Optional[int] = None,
+               timeout: Optional[float] = None) -> Future:
+        """Start counting one context group (``timeout`` is for worker
+        processes and unused here)."""
+        count = self._prepare(classes, pair_names, limit)
+        if self._executor is not None:
+            return self._executor.submit(count)
+        settled: Future = Future()
+        settled.set_result(count())
+        return settled
+
+    def harvest(self, pending: Future) -> List[Tuple[int, bool]]:
+        """Block until ``pending`` is counted; a kernel error re-raises."""
+        return pending.result()
+
+    def abandon(self, pending: Future) -> None:
+        """Drop a group that will not be harvested (a running one finishes
+        and its result is discarded)."""
+        pending.cancel()
+
+    def close(self) -> None:
+        """Stop the threads, waiting for any group still running."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+
+
 class DiscoveryEngine:
     """Runs one OD / AOD discovery over a relation.
 
@@ -283,8 +340,8 @@ class DiscoveryEngine:
         polled alongside the time limit before every context group, so
         both interrupts take effect mid-level.  The final event is always
         :class:`~repro.discovery.events.RunCompleted`; an engine-owned
-        worker pool is shut down even when the stream is abandoned early or
-        the run raises.
+        worker pool and the run's :class:`LocalPlane` threads are shut down
+        even when the stream is abandoned early or the run raises.
         """
         start = time.perf_counter()
         if self.config.time_limit_seconds is not None:
@@ -298,6 +355,7 @@ class DiscoveryEngine:
         )
         own_pool = None
         temp_plane = None
+        local_plane = None
         pool = None
         pool_counters_before: Dict[str, int] = {}
         if self._uses_shard_pool:
@@ -320,6 +378,9 @@ class DiscoveryEngine:
                     pool = own_pool
                 temp_plane = pool.new_plane(self.encoded)
                 self._plane = temp_plane
+        else:
+            local_plane = LocalPlane(self._oc_group_count, self._oc_threads())
+            self._plane = local_plane
         if pool is not None:
             from repro.validation.distributed import RESILIENCE_COUNTERS
 
@@ -336,6 +397,8 @@ class DiscoveryEngine:
         except _RunCancelled:
             self.stats.cancelled = True
         finally:
+            if local_plane is not None:
+                local_plane.close()
             if temp_plane is not None and own_pool is None:
                 # Free the per-run columns on a pool we do not own.
                 temp_plane.release()
@@ -548,23 +611,19 @@ class DiscoveryEngine:
     ) -> None:
         """Validate one level's jobs, filling the outcome lists in place.
 
-        With an active column plane, every OC context group is submitted
-        to the worker pool up front (non-blocking); the coordinator then
-        validates the level's OFD jobs in-process while the workers drain,
-        and finally harvests the groups in submission order.  On an
-        interrupt the in-flight groups are abandoned so their late results
-        never leak into a later run on the same pool.  Without a plane the
-        OFD groups run first and the OC groups follow on the backend's
-        batch kernels.  Memo keys are unique within a level and the caller
-        records outcomes in collection order, so both orders produce
-        byte-identical results, counters included.
+        Every OC context group is submitted to the run's plane up front
+        (non-blocking); the coordinator then validates the level's OFD jobs
+        while the plane counts, and finally harvests the groups in
+        submission order.  On an interrupt the in-flight groups are
+        abandoned so their late results never leak into a later run on the
+        same pool.  Memo keys are unique within a level and the caller
+        records outcomes in collection order, so results do not depend on
+        the plane, counters included.
         """
         plane = self._plane
         oc_exact = oc_validator_tag(self.config) == "exact"
         in_flight: List[Tuple[List[Tuple[int, tuple]], object]] = []
         try:
-            if plane is None:
-                self._validate_ofd_jobs(ofd_jobs, ofd_outcomes)
             for context, todo in self._memo_misses(
                 [job[4] for job in oc_jobs],
                 lambda i, context: oc_memo_key(
@@ -574,24 +633,15 @@ class DiscoveryEngine:
             ):
                 classes = self._context_classes(context)
                 pairs = [(oc_jobs[i][2], oc_jobs[i][3]) for i, _ in todo]
-                if plane is None:
-                    with self._tracer.span(
-                        "oc-batch", parent=self._level_span, pairs=len(todo)
-                    ), PhaseTimer(self.stats, "oc_validation_seconds"):
-                        counts = self._oc_counts(classes, pairs)
-                    self._settle(todo, counts, oc_exact, oc_outcomes)
-                else:
-                    with self._tracer.span(
-                        "oc-submit", parent=self._level_span, pairs=len(todo)
-                    ), PhaseTimer(self.stats, "oc_validation_seconds"):
-                        pending = plane.submit(
-                            classes, pairs, self._kernel_limit,
-                            timeout=self.config.worker_timeout,
-                        )
-                    in_flight.append((todo, pending))
+                with self._tracer.span(
+                    "oc-submit", parent=self._level_span, pairs=len(todo)
+                ), PhaseTimer(self.stats, "oc_validation_seconds"):
+                    pending = plane.submit(
+                        classes, pairs, self._kernel_limit,
+                        timeout=self.config.worker_timeout,
+                    )
+                in_flight.append((todo, pending))
                 self.stats.oc_batches += 1
-            if plane is None:
-                return
             self._validate_ofd_jobs(ofd_jobs, ofd_outcomes)
             while in_flight:
                 self._check_interrupt()
@@ -671,30 +721,63 @@ class DiscoveryEngine:
             self._settle(todo, counts, self.config.is_exact, outcomes)
             self.stats.ofd_batches += 1
 
-    def _oc_counts(self, classes, pairs: Sequence[Tuple[str, str]]):
-        """In-process OC kernel dispatch for one context group: one
-        ``(count, exceeded)`` per pair, at ``self._kernel_limit``."""
+    def _oc_threads(self) -> int:
+        """Threads of the run's :class:`LocalPlane`: one per usable core,
+        none (inline) on one core or when the OC count holds the GIL (the
+        numpy and python kernels, Algorithm 1).
+
+        None either for a warm session run, whose memo already holds
+        outcomes: it sends few, small groups to a kernel, and in ``repro
+        serve`` it runs beside other requests, whose core a plane thread
+        would take (on a 2-core host, plane threads raised serve-mix's
+        discover p50 by 15%).  Asking for the kernel name loads the native
+        library here, on the coordinator.
+        """
+        if self._memo or oc_validator_tag(self.config) == "iterative" \
+                or self.backend.oc_kernel_name != "native":
+            return 0
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        return cores if cores > 1 else 0
+
+    def _oc_group_count(
+        self, classes, pairs: Sequence[Tuple[str, str]], limit: Optional[int]
+    ) -> Callable[[], List[Tuple[int, bool]]]:
+        """Resolve one OC context group's inputs on the calling thread and
+        return the call that counts it: one ``(count, exceeded)`` per pair,
+        at ``limit``.  The call reads only what was resolved here."""
+        encoded = self.encoded
         if oc_validator_tag(self.config) != "iterative":
             # The engine only records removal sizes, and Algorithm 2's
             # per-class contributions are minimal, so the count-only kernel
             # (no subsequence reconstruction) returns the same numbers.  An
             # exact check is the same kernel at limit 0.
-            encoded = self.encoded
-            return self.backend.oc_optimal_removal_count_batch(classes, [
+            rank_pairs = [
                 (encoded.native_ranks(a), encoded.native_ranks(b))
                 for a, b in pairs
-            ], self._kernel_limit)
+            ]
+            self.backend.prepare_classes(classes)
+            return functools.partial(
+                self.backend.oc_optimal_removal_count_batch,
+                classes, rank_pairs, limit,
+            )
         # Algorithm 1 stays row-at-a-time by design (the paper's quadratic
         # strawman) on canonical lists in every backend; it still benefits
         # from the shared context partition.
-        counts = []
-        for a, b in pairs:
-            removal, exceeded = self.backend.oc_greedy_removal_rows(
-                classes, self.encoded.ranks(a), self.encoded.ranks(b),
-                self._kernel_limit,
-            )
-            counts.append((len(removal), exceeded))
-        return counts
+        rank_pairs = [(encoded.ranks(a), encoded.ranks(b)) for a, b in pairs]
+
+        def count():
+            counts = []
+            for a_ranks, b_ranks in rank_pairs:
+                removal, exceeded = self.backend.oc_greedy_removal_rows(
+                    classes, a_ranks, b_ranks, limit
+                )
+                counts.append((len(removal), exceeded))
+            return counts
+
+        return count
 
     # -- outcome recording --------------------------------------------------------
 

@@ -58,6 +58,7 @@ and the shared pool deterministically.
 from __future__ import annotations
 
 import json
+import math
 import select
 import socket
 import struct
@@ -312,8 +313,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(
                 400, f"deadline_seconds must be a number, got {deadline!r}"
             )
-        if deadline <= 0:
-            raise ServiceError(400, "deadline_seconds must be positive")
+        # json.loads lets bare NaN / Infinity through, and NaN compares
+        # False with everything, so test the accepted range.
+        if not (math.isfinite(deadline) and deadline > 0):
+            raise ServiceError(
+                400, f"deadline_seconds must be a finite number > 0, "
+                f"got {deadline!r}"
+            )
         return float(deadline)
 
     def _path_only(self) -> str:

@@ -1028,8 +1028,8 @@ class ShardedValidationPool:
         # sweep runs first so no job is handed to an already-dead worker.
         tracer = get_tracer()
         if tracer.enabled:
-            # Capture the submit-site span (oc-submit / oc-batch) as the
-            # parent for every shard-dispatch span of this group.
+            # Capture the submit-site span (oc-submit) as the parent for
+            # every shard-dispatch span of this group.
             parent = tracer.current_span_id()
             for record in records:
                 record.trace_parent = parent

@@ -63,7 +63,9 @@ class TestDiscoveryRequest:
             ("time_limit_seconds", -1), ("time_limit_seconds", 0),
             ("time_limit_seconds", float("nan")),
             ("time_limit_seconds", float("inf")),
+            ("time_limit_seconds", float("-inf")),
             ("worker_timeout", float("nan")), ("worker_timeout", float("inf")),
+            ("worker_timeout", float("-inf")),
         ]:
             with pytest.raises(ValueError, match=name):
                 DiscoveryRequest.from_json(

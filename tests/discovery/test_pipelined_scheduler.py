@@ -1,10 +1,11 @@
 """Pipelined level validation must be invisible in results.
 
-Acceptance bars:
+Every run submits its OC groups up front and harvests them after the OFD
+pass: pooled runs to worker processes, in-process runs to a thread-backed
+local plane.  Acceptance bars:
 
-* pooled runs (OC groups submitted up front, harvested after the OFD pass)
-  and in-process runs (every group validated synchronously) produce
-  identical ``DiscoveryResult``s *including the statistics counters*;
+* pooled and in-process runs produce identical ``DiscoveryResult``s
+  *including the statistics counters*;
 * after ``Profiler.extend``, a reused worker pool serves the new dataset
   version correctly — extend → discover is byte-identical to a cold
   discovery over the concatenated table, workers on, both backends;
@@ -79,16 +80,17 @@ def test_pipelined_equals_per_candidate_reference(backend, per_candidate):
 
 
 def test_pipelined_inert_without_workers():
-    """An in-process run validates every OC group synchronously: no group
-    is submitted or harvested, each one is an ``oc-batch`` span."""
+    """Without workers no pool exists, yet the schedule is the same: every
+    OC group is submitted to the run's local plane and harvested after the
+    OFD pass, and no synchronous ``oc-batch`` span remains."""
     from repro.obs import Tracer, use_tracer
 
     tracer = Tracer()
     with use_tracer(tracer):
         result = discover(RELATION, DiscoveryConfig(threshold=0.1))
     names = {span.name for span in tracer.finished_spans()}
-    assert "oc-batch" in names
-    assert not names & {"oc-submit", "oc-harvest"}
+    assert {"oc-submit", "oc-harvest"} <= names
+    assert "oc-batch" not in names
     assert result.stats.num_workers == 1
 
 

@@ -188,10 +188,9 @@ def test_worker_spans_cross_the_process_boundary():
     kernels = [s for s in spans if s.name == "shard-kernel"]
     assert dispatches and kernels
 
-    submit_names = {"oc-submit", "oc-batch"}
     for dispatch in dispatches:
         assert dispatch.track is None  # recorded on the coordinator
-        assert by_id[dispatch.parent_id].name in submit_names
+        assert by_id[dispatch.parent_id].name == "oc-submit"
     worker_pids = set()
     for kernel in kernels:
         assert by_id[kernel.parent_id].name == "shard-dispatch"

@@ -131,7 +131,9 @@ class TestEndpoints:
             ("time_limit_seconds", -1), ("time_limit_seconds", 0),
             ("time_limit_seconds", float("nan")),
             ("time_limit_seconds", float("inf")),
+            ("time_limit_seconds", float("-inf")),
             ("worker_timeout", float("nan")), ("worker_timeout", float("inf")),
+            ("worker_timeout", float("-inf")),
         ]:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(server_url + "/discover", {
@@ -140,6 +142,16 @@ class TestEndpoints:
                 })
             assert excinfo.value.code == 400, (name, value)
             assert name in json.loads(excinfo.value.read())["error"]
+        # Same literals for the HTTP-level deadline: NaN would never fire.
+        for value in (-1, 0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(server_url + "/discover", {
+                    "dataset": "demo", "deadline_seconds": value,
+                    "request": {"threshold": 0.1},
+                })
+            assert excinfo.value.code == 400, value
+            error = json.loads(excinfo.value.read())["error"]
+            assert "deadline_seconds" in error, value
 
     @pytest.mark.parametrize(
         "name", ["batch_validation", "pipeline_validation", "plan"]
