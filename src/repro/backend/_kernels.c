@@ -1,5 +1,5 @@
 /* Count-only removal kernels for the two validators of the discovery loop,
- * and the scatter of sorted partitions that feeds partition refinement.
+ * and partition refinement over sorted partitions.
  *
  * Both counts walk a context's equivalence classes in order and stop after
  * the first class that takes the count above `limit`, so each returned
@@ -254,66 +254,98 @@ int64_t ofd_removal_count(const int64_t *rows, int64_t num_rows,
     return 0;
 }
 
-/* Sorted partitions: bucket the grouped rows of a partition by class, in
- * the order of a cached row order, in O(n) and without a sort.
+/* Sorted partitions: partition refinement in one pass over a cached row
+ * order, without a sort.
  *
- * `order` is a permutation of the `num_rows` rows (for instance every row
- * in (C, row) order).  `class_of` maps each row to its class, or -1 for a
- * row in no class.  Walking `order`, each grouped row is appended to its
- * class's bucket out[offsets[c] .. offsets[c + 1]), so each bucket lists
- * its class in `order`'s order.  `cursor` is scratch with one slot per
- * class plus one.
+ * The parent partition's classes are rows[offsets[c] .. offsets[c + 1]) for
+ * c < num_classes, over the `num_ranks` rows of the int32 rank column
+ * `ranks`; `order` lists every row in (rank, row) order.  Walking `order`,
+ * each parent row is appended to its class's bucket, so every bucket lists
+ * its class in (rank, row) order.  Each bucket is then cut where the rank
+ * changes, and the runs of two or more rows are the child classes, each
+ * ascending; singletons are dropped.  The child classes are written to
+ * out_rows / out_offsets in canonical order, by first row: the first row
+ * of each run is marked with the run's number in the row-indexed `mark`,
+ * and one walk over the rows emits the runs in row order.
  *
- * The walk marks each visited row's class id in `class_of`, which detects
- * a repeated row; the marks are undone before returning, on the -1 path
- * too.  Returns 0, or -1 when `order` is not a permutation of the rows, a
- * class id is outside [-1, num_classes), or the offsets do not cut
- * `num_out` slots into one bucket per class member.
+ * `mark` is scratch with one slot per row, `work` scratch with num_rows
+ * (bucket) slots plus max(num_classes, num_rows) (cursor, then run) slots;
+ * out_offsets needs one slot per child class plus one.  Returns the number
+ * of child classes, their rows out_rows[0 .. out_offsets[k]), or -1 when
+ * the classes do not fit (see check_classes), two classes share a row,
+ * `order` is not a permutation of the rows, or an array is too short.
  */
 #define VISITED(c) ((int32_t)(INT32_MIN + 1 + (c))) /* < -1 for c >= -1 */
 
-int64_t scatter_classes(const int32_t *order, int64_t num_order,
-                        int32_t *class_of, int64_t num_rows,
-                        const int64_t *offsets, int64_t num_classes,
-                        int64_t *cursor, int64_t num_cursor,
-                        int64_t *out, int64_t num_out)
+int64_t refine_partition(const int64_t *rows, int64_t num_rows,
+                         const int64_t *offsets, int64_t num_classes,
+                         const int32_t *ranks, int64_t num_ranks,
+                         const int32_t *order, int64_t num_order,
+                         int32_t *mark, int64_t num_mark,
+                         int32_t *work, int64_t num_work,
+                         int64_t *out_rows, int64_t num_out_rows,
+                         int64_t *out_offsets, int64_t num_out_offsets)
 {
-    int64_t status = 0, sink;
-    if (num_classes < 0 || num_classes > INT32_MAX - 2
-        || num_cursor <= num_classes || num_order != num_rows)
+    if (num_ranks > INT32_MAX || num_classes > INT32_MAX - 2
+        || num_order != num_ranks || num_mark < num_ranks
+        || num_out_offsets < 1
+        || check_classes(rows, num_rows, offsets, num_classes, num_ranks)
+        || num_work < num_rows + (num_classes > num_rows ? num_classes
+                                                         : num_rows))
         return -1;
-    /* cursor[c + 1] counts class c's members, cursor[0] the other rows. */
-    for (int64_t c = 0; c <= num_classes; c++)
-        cursor[c] = 0;
-    for (int64_t row = 0; row < num_rows; row++) {
-        int32_t c = class_of[row];
-        if (c < -1 || c >= num_classes)
-            return -1;
-        cursor[c + 1]++;
-    }
-    /* From here on cursor[c + 1] is class c's next slot. */
+    int32_t *bucket = work, *cursor = work + num_rows, *runs = cursor;
+    /* mark[row] is the row's parent class, -1 for a row in none. */
+    for (int64_t row = 0; row < num_ranks; row++)
+        mark[row] = -1;
     for (int64_t c = 0; c < num_classes; c++) {
-        if (offsets[c] < 0 || offsets[c + 1] > num_out
-            || offsets[c + 1] - offsets[c] != cursor[c + 1])
-            return -1;
-        cursor[c + 1] = offsets[c];
+        cursor[c] = (int32_t)offsets[c];
+        for (int64_t i = offsets[c]; i < offsets[c + 1]; i++) {
+            if (mark[rows[i]] != -1)
+                return -1; /* a row in two classes, or twice in one */
+            mark[rows[i]] = (int32_t)c;
+        }
     }
-    /* Every bucket fits its class and a repeated row is caught before it
-     * is written, so no write leaves its bucket. */
+    /* A visited row is marked below -1, so a repeat is caught before it is
+     * written: each class's bucket receives exactly its distinct members. */
     for (int64_t i = 0; i < num_order; i++) {
         int64_t row = order[i];
-        if (row < 0 || row >= num_rows || class_of[row] < -1) {
-            status = -1; /* out of range, or visited before */
-            break;
-        }
-        int32_t c = class_of[row];
-        class_of[row] = VISITED(c);
-        int64_t slot = cursor[c + 1]++;
-        *(c >= 0 ? out + slot : &sink) = row;
+        if (row < 0 || row >= num_ranks || mark[row] < -1)
+            return -1; /* out of range, or visited before */
+        int32_t c = mark[row];
+        mark[row] = VISITED(c);
+        if (c >= 0)
+            bucket[cursor[c]++] = (int32_t)row;
     }
-    /* Only marks are below -1: every entry was checked above. */
-    for (int64_t row = 0; row < num_rows; row++)
-        if (class_of[row] < -1)
-            class_of[row] -= VISITED(0);
-    return status;
+    /* The cursors are spent; runs[2j], runs[2j + 1] are the start and length
+     * of child class j in `bucket`, and only first rows are marked >= 0. */
+    int64_t num_runs = 0;
+    for (int64_t c = 0; c < num_classes; c++) {
+        for (int64_t i = offsets[c], end = offsets[c + 1], j; i < end; i = j) {
+            int32_t rank = ranks[bucket[i]];
+            for (j = i + 1; j < end && ranks[bucket[j]] == rank; j++)
+                ;
+            if (j - i < 2)
+                continue;
+            mark[bucket[i]] = (int32_t)num_runs;
+            runs[2 * num_runs] = (int32_t)i;
+            runs[2 * num_runs + 1] = (int32_t)(j - i);
+            num_runs++;
+        }
+    }
+    if (num_out_offsets <= num_runs)
+        return -1;
+    int64_t total = 0, k = 0;
+    out_offsets[0] = 0;
+    for (int64_t row = 0; row < num_ranks; row++) {
+        if (mark[row] < 0)
+            continue;
+        const int32_t *run = runs + 2 * (int64_t)mark[row];
+        if (run[1] > num_out_rows - total)
+            return -1;
+        for (int32_t i = 0; i < run[1]; i++)
+            out_rows[total + i] = bucket[run[0] + i];
+        total += run[1];
+        out_offsets[++k] = total;
+    }
+    return num_runs;
 }

@@ -86,8 +86,13 @@ class ComputeBackend(abc.ABC):
         return Partition.unit(num_rows)
 
     @abc.abstractmethod
-    def partition_single(self, native_ranks, num_rows: int) -> Partition:
-        """Build the stripped partition of a single encoded column."""
+    def partition_single(
+        self, native_ranks, num_rows: int, row_order=None
+    ) -> Partition:
+        """Build the stripped partition of a single encoded column.
+
+        ``row_order`` is as in :meth:`partition_refine`.
+        """
 
     def partition_from_row_keys(
         self, keys: Sequence[Tuple[int, ...]], num_rows: int
@@ -193,11 +198,6 @@ class ComputeBackend(abc.ABC):
     ) -> List[Tuple[int, bool]]:
         """Minimal AOC removal counts for many ``(A, B)`` rank-column pairs
         sharing one context (Algorithm 2, batched across candidates)."""
-
-    def prepare_classes(self, classes) -> None:
-        """Build the views of ``classes`` that the batch kernels cache on
-        it, so a later kernel call on another thread only reads them.
-        Backends that cache nothing keep this no-op."""
 
     def ofd_removal_batch(
         self,

@@ -1,7 +1,7 @@
 """The native kernels, built on first use and loaded via ctypes.
 
 ``_kernels.c`` holds the two count-only kernels of the discovery loop, one
-per validator, and the scatter of sorted partitions:
+per validator, and partition refinement over sorted partitions:
 
 * ``oc_removal_batch`` is Algorithm 2's AOC count for a whole context
   batch in one call.  Per pair and per class, in order, it gathers the
@@ -14,10 +14,14 @@ per validator, and the scatter of sorted partitions:
 * ``ofd_removal_count`` is TANE's ``g3`` AOFD count: one frequency pass per
   class and RHS rank column, every column of a batch in one call, through
   a reusable scratch of counters (see ``NumpyBackend.ofd_removal_batch``).
-* ``scatter_classes`` walks a cached row order of the whole table (see
-  ``EncodedRelation.row_order_by_index``) and appends each grouped row to
-  its class's bucket: every class comes out sorted in O(n), which
-  partition refinement takes instead of a lexsort.
+* ``refine_partition`` refines a partition by one rank column in a single
+  call: it walks the column's cached ``(rank, row)`` order (see
+  ``EncodedRelation.row_order_by_index``), buckets each parent class's rows
+  in that order, cuts every bucket where the rank changes, drops the
+  singletons and writes the child classes in canonical order, by first
+  row, through a row-indexed mark array: O(n) and no sort (see
+  ``NumpyBackend.partition_refine``; level-1 partitions are the unit
+  partition refined the same way).
 
 Each entry runs once per batch or refinement, so the bindings check dtype
 and layout in Python and pass bare addresses rather than paying for
@@ -84,8 +88,9 @@ class Kernels(NamedTuple):
     oc_removal_batch: Callable[..., List[int]]
     #: ``(columns, rows, offsets, freq, limit) -> [count per column]``
     ofd_removal_count: Callable[..., List[int]]
-    #: ``(class_of, offsets, out, order) -> None``
-    scatter_classes: Callable[..., None]
+    #: ``(rows, offsets, ranks, order, mark, out_rows, out_offsets)
+    #: -> number of child classes``
+    refine_partition: Callable[..., int]
 
 
 def default_cache_dir() -> Path:
@@ -160,9 +165,9 @@ def _bind(path: Path) -> Kernels:
     ofd = library.ofd_removal_count
     ofd.argtypes = [address, size] * 2 + [address, size, size, address, size,
                                           size, address]
-    scatter = library.scatter_classes
-    scatter.argtypes = [address, size] * 5
-    oc.restype = ofd.restype = scatter.restype = ctypes.c_int64
+    refine = library.refine_partition
+    refine.argtypes = [address, size] * 8
+    oc.restype = ofd.restype = refine.restype = ctypes.c_int64
 
     def checked(status):
         if status < 0:
@@ -238,23 +243,31 @@ def _bind(path: Path) -> Kernels:
         ))
         return counts.tolist()
 
-    def scatter_classes(class_of, offsets, out, order):
-        """Walk the ``int32`` row permutation ``order`` and append each
-        grouped row to its class's bucket in ``out``.
+    def refine_partition(rows, offsets, ranks, order, mark, out_rows,
+                         out_offsets):
+        """Refine the classes ``offsets`` cuts ``rows`` into by the
+        ``int32`` rank column ``ranks``, walking ``order``, the ``int32``
+        permutation of every row in ``(rank, row)`` order.
 
-        ``class_of`` (``int32``) maps every row to its class, ``-1`` for
-        rows in no class, and is left as it was; ``offsets`` cuts ``out``
-        into one bucket per class."""
-        cursor = np.empty(max(offsets.size, 1), dtype=np.int64)
-        checked(scatter(
+        The child classes, in canonical form (ascending, ordered by first
+        row, no singletons), go to the ``int64`` arrays ``out_rows`` and
+        ``out_offsets``; returns their number.  ``mark`` is ``int32``
+        scratch with one slot per row.  Parent classes that share a row
+        raise ``ValueError``."""
+        work = np.empty(rows.size + max(offsets.size - 1, rows.size),
+                        dtype=np.int32)
+        num_classes = refine(
+            *classes(rows, offsets), pointer(ranks, np.int32), ranks.size,
             pointer(order, np.int32), order.size,
-            pointer(class_of, np.int32, True), class_of.size,
-            pointer(offsets, np.int64), offsets.size - 1,
-            cursor.ctypes.data, cursor.size,
-            pointer(out, np.int64, True), out.size,
-        ))
+            pointer(mark, np.int32, True), mark.size,
+            work.ctypes.data, work.size,
+            pointer(out_rows, np.int64, True), out_rows.size,
+            pointer(out_offsets, np.int64, True), out_offsets.size,
+        )
+        checked(num_classes)
+        return num_classes
 
-    return Kernels(oc_removal_batch, ofd_removal_count, scatter_classes)
+    return Kernels(oc_removal_batch, ofd_removal_count, refine_partition)
 
 
 def load_kernels(cache_dir: Optional[Path] = None) -> Optional[Kernels]:

@@ -4,14 +4,17 @@ Rank columns are dense ``int32`` arrays; the hot loops become vectorised
 array operations:
 
 * encoding via ``np.unique(return_inverse=True)`` on clean homogeneous
-  columns (dirty mixed-type columns fall back to the reference encoder, so
-  the semantics — including first-appearance tie-breaks for values whose
-  sort keys collide — are preserved exactly);
+  columns, found by one scan of the value types (dirty mixed-type columns
+  fall back to the reference encoder, so the semantics — including
+  first-appearance tie-breaks for values whose sort keys collide — are
+  preserved exactly);
 * partition construction/refinement via stable argsort / lexsort over rank
   columns, splitting on group boundaries.  With the native kernels of
   :mod:`repro.backend.native`, a refinement whose classes group enough of
-  the rows instead scatters the new attribute's cached row order into the
-  classes (sorted partitions), in O(n) and without a sort;
+  the rows is instead one native call that walks the new attribute's
+  cached row order (sorted partitions) and writes the child partition in
+  canonical form, in O(n) and without a sort; a single-column partition is
+  the unit partition refined the same way;
 * the count-only OC kernels hand a whole context batch to one native call
   when it loaded, which sorts each class of each pair on demand, screens
   and counts it, and stops at the class that crosses the removal budget.
@@ -107,45 +110,39 @@ class NumpyBackend(ComputeBackend):
         because ``True == 1`` merges across types) and the sort key is
         injective on the values (no NaN, ints within float precision).
         """
-        all_int = all_float = all_str = True
-        present: List[object] = []
-        for value in values:
-            if value is None:
-                continue
-            kind = type(value)
-            if kind is int:
-                all_float = all_str = False
-            elif kind is float:
-                all_int = all_str = False
-            elif kind is str:
-                all_int = all_float = False
-                if "\0" in value:
-                    # NumPy's fixed-width unicode dtype ignores trailing NUL
-                    # characters in comparisons, which would merge strings
-                    # the reference encoder keeps distinct.
-                    return None
-            else:
-                return None
-            if not (all_int or all_float or all_str):
-                return None
-            present.append(value)
-        if not present:
-            return None  # empty / all-None columns: let the reference handle it
-        if all_int and attr_type in _NUMERIC_TYPES:
+        # One C-level scan for the column's value types; None is filtered
+        # out only when it occurs.
+        kinds = set(map(type, values))
+        present = values
+        if type(None) in kinds:
+            kinds.discard(type(None))
+            present = [value for value in values if value is not None]
+        if len(kinds) != 1:
+            return None  # empty, all-None or mixed: the reference handles it
+        (kind,) = kinds
+        numeric = attr_type in _NUMERIC_TYPES
+        if kind is int and numeric:
             try:
                 array = np.array(present, dtype=np.int64)
             except OverflowError:
                 return None
             if int(np.abs(array).max()) >= _FLOAT_SAFE_INT:
                 return None
-        elif all_float and attr_type in _NUMERIC_TYPES:
+        elif kind is float and numeric:
             array = np.array(present, dtype=np.float64)
             if np.isnan(array).any():
                 return None
-        elif all_str and attr_type not in _NUMERIC_TYPES:
+        elif kind is str and not numeric:
+            # NumPy's fixed-width unicode dtype ignores trailing NUL
+            # characters in comparisons, which would merge strings the
+            # reference encoder keeps distinct.
+            if "\0" in "".join(present):
+                return None
             array = np.array(present, dtype=np.str_)
         else:
-            return None  # type/declared-type mismatch: reference coercion rules apply
+            # bool (True == 1 merges across types), any other type, or a
+            # type/declared-type mismatch: reference coercion rules apply.
+            return None
         uniques, inverse = np.unique(array, return_inverse=True)
         inverse = inverse.astype(np.int32).reshape(-1)
         if len(present) == len(values):
@@ -174,13 +171,23 @@ class NumpyBackend(ComputeBackend):
             num_rows,
         )
 
-    def partition_single(self, native_ranks, num_rows: int) -> Partition:
+    def partition_single(
+        self, native_ranks, num_rows: int, row_order=None
+    ) -> Partition:
         ranks = self.to_native(native_ranks)
         if ranks.size == 0:
             return _empty_partition(num_rows)
-        order = stable_rank_order(ranks)
-        return self._csr_partition(
-            order, (ranks[order].astype(np.int64),), num_rows
+        library = self._refine_kernels(row_order, ranks.size, ranks.size)
+        if library is None:
+            order = stable_rank_order(ranks)
+            return self._csr_partition(
+                order, (ranks[order].astype(np.int64),), num_rows
+            )
+        # The unit partition refined by the column, through the same call
+        # as every refinement: the row order built here is the one later
+        # refinements by the column reuse.
+        return self._native_refine(
+            library, self.partition_unit(num_rows), ranks, row_order()
         )
 
     def partition_from_row_keys(self, keys, num_rows: int) -> Partition:
@@ -210,23 +217,12 @@ class NumpyBackend(ComputeBackend):
         ranks = self.to_native(native_ranks)
         if partition.num_classes == 0:
             return _empty_partition(partition.num_rows)
-        rows, class_ids, lengths = self._columnar_classes(partition)
-        library = None
-        if (row_order is not None
-                and rows.size >= self._REFINE_SCATTER_FRACTION * ranks.size):
-            library = native.kernels()
+        library = self._refine_kernels(
+            row_order, len(partition.row_indices), ranks.size
+        )
         if library is not None:
-            # The column's (rank, row) order bucketed by class is exactly
-            # the (class, rank, row) sort below, without sorting.
-            sorted_rows = np.empty(rows.size, dtype=np.int64)
-            library.scatter_classes(
-                self._class_map(ranks.size, rows, class_ids),
-                self._offsets(lengths), sorted_rows, row_order(),
-            )
-            return self._csr_partition(
-                sorted_rows, (class_ids, ranks[sorted_rows]),
-                partition.num_rows,
-            )
+            return self._native_refine(library, partition, ranks, row_order())
+        rows, class_ids, _ = self._columnar_classes(partition)
         values = ranks[rows].astype(np.int64)
         order = np.lexsort((values, class_ids))
         return self._csr_partition(
@@ -252,13 +248,72 @@ class NumpyBackend(ComputeBackend):
             rows[order], (class_ids[order], other[order]), left.num_rows
         )
 
-    def prepare_classes(self, classes) -> None:
+    @classmethod
+    def _refine_kernels(cls, row_order, num_grouped: int, num_rows: int):
+        """The native kernels when a refinement of ``num_grouped`` of
+        ``num_rows`` rows is offered a ``row_order`` and should take them,
+        else ``None``."""
+        if (row_order is None
+                or num_grouped < cls._REFINE_SCATTER_FRACTION * num_rows):
+            return None
+        return native.kernels()
+
+    def _native_refine(
+        self, library, partition: Partition, ranks, order
+    ) -> Partition:
+        """``partition`` refined by ``ranks`` in one native call that
+        walks the column's ``(rank, row)`` ``order``: each class bucketed
+        in that order is exactly the ``(class, rank, row)`` sort of the
+        lexsort path, without sorting, and the call writes the child
+        partition in canonical form."""
+        rows, offsets = self._csr(partition)
+        out_rows = np.empty(rows.size, dtype=np.int64)
+        out_offsets = np.empty(rows.size // 2 + 1, dtype=np.int64)
+        num_classes = library.refine_partition(
+            rows, offsets, np.ascontiguousarray(ranks, dtype=np.int32), order,
+            np.empty(ranks.size, dtype=np.int32), out_rows, out_offsets,
+        )
+        total = int(out_offsets[num_classes])
+        return Partition.from_csr(
+            out_rows if total == rows.size else out_rows[:total].copy(),
+            out_offsets[:num_classes + 1].copy(), partition.num_rows,
+        )
+
+    @staticmethod
+    def _csr(classes) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, offsets)``: a class container as the ``int64`` CSR
+        arrays the native kernels read, ``offsets`` cutting ``rows`` into
+        one class each.
+
+        A :class:`Partition` hands over its own ``row_indices`` and
+        ``class_offsets`` (already ``int64`` arrays under this backend, so
+        nothing is built); a pool worker's
+        :class:`~repro.validation.distributed.ClassShard` its cached
+        :meth:`~repro.validation.distributed.ClassShard.csr`; raw lists of
+        row lists (incremental repair) are concatenated.
+        """
         if isinstance(classes, Partition):
-            self._columnar_classes(classes)
+            return (
+                np.ascontiguousarray(classes.row_indices, dtype=np.int64),
+                np.ascontiguousarray(classes.class_offsets, dtype=np.int64),
+            )
+        if hasattr(classes, "csr"):
+            return classes.csr()
+        class_lists = list(classes)
+        lengths = np.fromiter(
+            (len(c) for c in class_lists), dtype=np.int64, count=len(class_lists)
+        )
+        rows = np.fromiter(
+            chain.from_iterable(class_lists), dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        return rows, np.concatenate(([0], np.cumsum(lengths)))
 
     @staticmethod
     def _columnar_classes(classes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten a class container into ``(rows, class_ids, lengths)`` arrays.
+        """Flatten a class container into ``(rows, class_ids, lengths)``
+        arrays, the layout of the lexsort refinement, of products and of
+        the pure-NumPy kernels that run without the native library.
 
         :class:`Partition` objects already hold the flat CSR layout, so the
         columnar view is derived from the offset arrays with no per-class
@@ -338,22 +393,12 @@ class NumpyBackend(ComputeBackend):
 
     # -- shared kernel plumbing ------------------------------------------------
 
-    #: A scatter walks a cached order over all n rows, the lexsort it
-    #: replaces only the m grouped ones: below m / n ~ 0.2 the lexsort is
-    #: cheaper.  The ``refine`` record of
+    #: The native refinement walks a cached order over all n rows, the
+    #: lexsort it replaces only the m grouped ones: below m / n ~ 0.075 the
+    #: lexsort is cheaper (the crossover is ~0.05 at 16k rows, ~0.075 at
+    #: 64k).  The ``refine`` record of
     #: ``benchmarks/bench_partition_micro.py`` times both sides.
-    _REFINE_SCATTER_FRACTION = 0.2
-
-    @staticmethod
-    def _class_map(num_rows: int, rows: np.ndarray, class_ids: np.ndarray):
-        """Per-call ``int32`` row -> class map, ``-1`` for rows in no class."""
-        class_of = np.full(num_rows, -1, dtype=np.int32)
-        class_of[rows] = class_ids
-        return class_of
-
-    @staticmethod
-    def _offsets(lengths: np.ndarray) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(lengths)))
+    _REFINE_SCATTER_FRACTION = 0.075
 
     @staticmethod
     def _interior_mask(lengths: np.ndarray) -> np.ndarray:
@@ -521,9 +566,7 @@ class NumpyBackend(ComputeBackend):
         """
         if not len(classes):
             return [(0, False)] * len(rank_pairs)
-        rows, _, lengths = self._columnar_classes(classes)
-        if rows.size == 0:
-            return [(0, False)] * len(rank_pairs)
+        rows, offsets = self._csr(classes)
         pairs = [
             tuple(
                 np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
@@ -532,8 +575,8 @@ class NumpyBackend(ComputeBackend):
             for pair in rank_pairs
         ]
         counts = library.oc_removal_batch(
-            np.ascontiguousarray(rows), self._offsets(lengths), pairs,
-            np.empty(2 * int(lengths.max()), dtype=np.int64), limit,
+            rows, offsets, pairs,
+            np.empty(2 * int(np.diff(offsets).max()), dtype=np.int64), limit,
         )
         return [(count, limit is not None and count > limit) for count in counts]
 
@@ -682,22 +725,22 @@ class NumpyBackend(ComputeBackend):
             return []
         if not len(classes):
             return [(0, False)] * num_rhs
-        rows, class_ids, lengths = self._columnar_classes(classes)
-        if rows.size == 0:
-            return [(0, False)] * num_rhs
         columns = [self.to_native(ranks) for ranks in rhs_ranks]
         library = native.kernels()
         if library is not None:
+            rows, offsets = self._csr(classes)
             columns = [np.ascontiguousarray(c, dtype=np.int32) for c in columns]
             # One counter per rank; the kernel leaves them zeroed for reuse.
             freq = np.zeros(
                 max(int(c.max(initial=0)) for c in columns) + 1, dtype=np.int64
             )
             counts = library.ofd_removal_count(
-                columns, np.ascontiguousarray(rows), self._offsets(lengths),
-                freq, limit,
+                columns, rows, offsets, freq, limit
             )
         else:
+            rows, class_ids, lengths = self._columnar_classes(classes)
+            if rows.size == 0:
+                return [(0, False)] * num_rhs
             # Distinct (rhs, class, value) triples get distinct keys, ordered
             # rhs-major: after one sort each value's frequency is a run
             # length, and each class keeps its longest run.

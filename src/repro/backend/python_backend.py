@@ -40,7 +40,9 @@ class PythonBackend(ComputeBackend):
 
     # -- partitions ------------------------------------------------------------
 
-    def partition_single(self, native_ranks, num_rows: int) -> Partition:
+    def partition_single(
+        self, native_ranks, num_rows: int, row_order=None
+    ) -> Partition:
         # The module-level builder, not Partition.single: the classmethod
         # routes through the *default* backend, which may not be this one.
         from repro.dataset.partition import build_partition_single

@@ -213,7 +213,7 @@ class EncodedRelation:
         # Keyed per EncodedRelation, so `extend` — which returns a fresh
         # instance — naturally invalidates every cached transport column.
         self._transport: Dict[int, object] = {}
-        # Row orders for the sorted-partition scatter, built on first use
+        # Row orders for the native partition refinement, built on first use
         # and invalidated the same way: attribute index -> every row in
         # (rank, row) order, int32, 4 bytes a row.  See `row_order_by_index`.
         self._orders: Dict[int, object] = {}
@@ -411,9 +411,10 @@ class EncodedRelation:
 
         An ``int32`` NumPy permutation built by one stable radix argsort on
         first use and cached, 4 bytes a row.  Only the NumPy backend's
-        native refinement scatter reads row orders (see
-        ``NumpyBackend.partition_refine``); the OC kernel sorts each class
-        on demand instead.  Like the transport forms they are per instance,
+        native refinement reads row orders (see
+        ``NumpyBackend.partition_refine``), level-1 builds included, so the
+        argsort runs once per attribute; the OC kernel sorts each class on
+        demand instead.  Like the transport forms they are per instance,
         so the encoding :meth:`extend` returns builds its own.
         """
         import numpy as np

@@ -86,9 +86,10 @@ class Partition:
         self.num_rows = num_rows
         self._classes: Optional[List[List[int]]] = kept
         # Backend-owned columnar view (concatenated NumPy row/class-id
-        # arrays), built lazily by the first vectorised kernel that touches
-        # this partition and reused by all later candidates sharing the
-        # context.  Not part of equality/repr.
+        # arrays), built lazily by the lexsort refinement or a pure-NumPy
+        # kernel (the native kernels read the CSR arrays themselves) and
+        # reused by all later candidates sharing the context.  Not part of
+        # equality/repr.
         self._columnar = None
 
     # -- construction ----------------------------------------------------------
@@ -688,9 +689,7 @@ class PartitionCache:
             return self._backend.partition_unit(self._encoded.num_rows)
         if len(key) == 1:
             (index,) = key
-            return self._backend.partition_single(
-                self._native_ranks(index), self._encoded.num_rows
-            )
+            return self._single(index, self._encoded.num_rows)
         # Prefer extending the largest cached proper subset; fall back to
         # refining attribute by attribute.
         best_subset: Optional[FrozenSet[int]] = None
@@ -709,6 +708,15 @@ class PartitionCache:
         for index in remaining:
             partition = self._refine(partition, index)
         return partition
+
+    def _single(self, index: int, num_rows: int) -> Partition:
+        """The partition of attribute ``index`` alone, offering the
+        backend the column's cached row order."""
+        encoded = self._encoded
+        return self._backend.partition_single(
+            self._native_ranks(index), num_rows,
+            lambda: encoded.row_order_by_index(index),
+        )
 
     def _refine(self, partition: Partition, index: int) -> Partition:
         """``partition`` refined by attribute ``index``, offering the
@@ -792,9 +800,7 @@ class PartitionCache:
                     patched = self._backend.partition_unit(new_num_rows)
                 else:
                     (index,) = key
-                    patched = self._backend.partition_single(
-                        self._native_ranks(index), new_num_rows
-                    )
+                    patched = self._single(index, new_num_rows)
                 removed, added = _diff_partitions(old_partition, patched)
             else:
                 base_key = self._best_patch_base(key, by_size, patches.dropped)

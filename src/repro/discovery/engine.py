@@ -758,7 +758,6 @@ class DiscoveryEngine:
                 (encoded.native_ranks(a), encoded.native_ranks(b))
                 for a, b in pairs
             ]
-            self.backend.prepare_classes(classes)
             return functools.partial(
                 self.backend.oc_optimal_removal_count_batch,
                 classes, rank_pairs, limit,

@@ -257,18 +257,20 @@ class ClassShard:
     lists (reference backend) or as two flat arrays — concatenated rows plus
     per-class lengths (*class offsets*) — whose binary pickle is a fraction
     of a list-of-lists'.  On the worker the shard quacks like a class
-    sequence for the row-at-a-time kernels (``len`` / iteration) and exposes
-    :meth:`columnar_view` for the vectorised NumPy kernels, which consume
-    the flat arrays directly without ever materialising per-class lists.
+    sequence for the row-at-a-time kernels (``len`` / iteration), exposes
+    :meth:`csr` for the native kernels and :meth:`columnar_view` for the
+    pure-NumPy ones, which consume the flat arrays directly without ever
+    materialising per-class lists.
     """
 
-    __slots__ = ("_class_lists", "_rows", "_lengths", "_view")
+    __slots__ = ("_class_lists", "_rows", "_lengths", "_view", "_flat")
 
     def __init__(self, class_lists=None, rows=None, lengths=None) -> None:
         self._class_lists = class_lists
         self._rows = rows
         self._lengths = lengths
         self._view = None
+        self._flat = None
 
     @classmethod
     def pack(cls, class_lists: Sequence[Sequence[int]], as_arrays: bool) -> "ClassShard":
@@ -303,24 +305,40 @@ class ClassShard:
             ]
         return iter(self._class_lists)
 
+    def _rows_and_lengths(self):
+        """``(rows, lengths)`` as ``int64`` arrays."""
+        import numpy as np
+
+        if self._rows is not None:
+            return self._rows.astype(np.int64), self._lengths
+        lengths = np.fromiter(
+            (len(rows) for rows in self._class_lists), dtype=np.int64,
+            count=len(self._class_lists),
+        )
+        rows = np.fromiter(
+            chain.from_iterable(self._class_lists), dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        return rows, lengths
+
+    def csr(self):
+        """``(rows, offsets)`` int64 arrays, the CSR layout the native
+        kernels read (see ``NumpyBackend._csr``)."""
+        if self._flat is None:
+            import numpy as np
+
+            rows, lengths = self._rows_and_lengths()
+            self._flat = (rows, np.concatenate(([0], np.cumsum(lengths))))
+        return self._flat
+
     def columnar_view(self):
-        """``(rows, class_ids, lengths)`` int64 arrays (the NumPy backend's
-        flattened class layout — see ``NumpyBackend._columnar_classes``)."""
+        """``(rows, class_ids, lengths)`` int64 arrays (the pure-NumPy
+        kernels' flattened class layout — see
+        ``NumpyBackend._columnar_classes``)."""
         if self._view is None:
             import numpy as np
 
-            if self._rows is not None:
-                rows = self._rows.astype(np.int64)
-                lengths = self._lengths
-            else:
-                lengths = np.fromiter(
-                    (len(rows) for rows in self._class_lists), dtype=np.int64,
-                    count=len(self._class_lists),
-                )
-                rows = np.fromiter(
-                    chain.from_iterable(self._class_lists), dtype=np.int64,
-                    count=int(lengths.sum()),
-                )
+            rows, lengths = self._rows_and_lengths()
             class_ids = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
             self._view = (rows, class_ids, lengths)
         return self._view
@@ -330,7 +348,7 @@ class ClassShard:
 
     def __setstate__(self, state) -> None:
         self._class_lists, self._rows, self._lengths = state
-        self._view = None
+        self._view = self._flat = None
 
 
 def _extend_resident_column(column, appended_ranks):
@@ -977,17 +995,14 @@ class ShardedValidationPool:
     def _plan_shards_arrays(self, classes):
         """Columnar shard planning: two array slices per shard.
 
-        Reuses (and caches) the partition's flattened columnar view, so
-        planning a group is a handful of vector operations instead of a
-        Python pass over every class.
+        Reads the partition's CSR arrays as they are, so planning a group
+        is a handful of vector operations instead of a Python pass over
+        every class.
         """
         import numpy as np
 
-        # The backend's columnar view: for a CSR Partition this is derived
-        # straight from (and cached on) the flat offset arrays, for a
-        # ClassShard its pre-flattened arrays — no per-class Python lists
-        # on any of the engine-facing paths.
-        rows, _, lengths = self.backend._columnar_classes(classes)
+        rows, offsets = self.backend._csr(classes)
+        lengths = np.diff(offsets)
         if lengths.size == 0:
             return [], 0.0, -1
         needed_row = int(rows.max()) if rows.size else -1
@@ -1006,7 +1021,6 @@ class ShardedValidationPool:
                 + [int(lengths.size)]
         else:
             edges = [0, int(lengths.size)]
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
         shards: List[Tuple[ClassShard, float]] = []
         for a, b in zip(edges[:-1], edges[1:]):
             if a == b:

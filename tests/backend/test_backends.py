@@ -125,6 +125,43 @@ class TestEncodingParity:
         assert dictionary == reference_dict
         assert len(set(reference_ranks)) == 3  # 'a' and 'a\0' stay distinct
 
+    @pytest.mark.parametrize(
+        "values, attr_type, fast",
+        [
+            ([], AttributeType.INTEGER, False),
+            ([None, None, None], AttributeType.STRING, False),
+            ([None, None], AttributeType.INTEGER, False),
+            ([1, "a", 2], AttributeType.STRING, False),
+            ([1, 2.5, None, 3], AttributeType.FLOAT, False),
+            ([True, False, None, True], AttributeType.BOOLEAN, False),
+            ([1, True, 0], AttributeType.INTEGER, False),
+            ([1.0, float("nan"), None, 0.5], AttributeType.FLOAT, False),
+            (["a", None, "a\0", "b"], AttributeType.STRING, False),
+            (["\0", "a"], AttributeType.STRING, False),
+            ([1 << 53, 1, None], AttributeType.INTEGER, False),
+            ([-(1 << 53), 3], AttributeType.FLOAT, False),
+            ([1 << 70, 1], AttributeType.INTEGER, False),
+            ([3, 1, 2], AttributeType.STRING, False),
+            (["1", "2"], AttributeType.INTEGER, False),
+            ([(1 << 53) - 1, None, -((1 << 53) - 1), 0], AttributeType.INTEGER, True),
+            ([3, None, 1, 3], AttributeType.FLOAT, True),
+            ([0.5, None, -1.0, 0.5], AttributeType.FLOAT, True),
+            (["b", None, "a", "b"], AttributeType.STRING, True),
+            (["b", "a", ""], AttributeType.BOOLEAN, True),
+        ],
+    )
+    def test_fast_path_decisions_match_reference(self, values, attr_type, fast):
+        """Which columns take the vectorised path, and which fall back to
+        the reference encoder: all-None, mixed, bool, NaN, NUL-bearing and
+        beyond-2^53 columns fall back, and every column encodes exactly as
+        the reference does."""
+        encoded = numpy_backend._encode_fast(values, attr_type)
+        assert (encoded is not None) == fast
+        reference_ranks, reference_dict = encode_column(values, attr_type)
+        _, dictionary, native = numpy_backend.encode_column(values, attr_type)
+        assert native.tolist() == reference_ranks
+        assert dictionary == reference_dict
+
     def test_fast_path_produces_int32_native(self):
         _, _, native = numpy_backend.encode_column(
             list(range(100, 0, -1)), AttributeType.INTEGER

@@ -337,25 +337,27 @@ def test_sorted_partitions_match_the_python_backend(side, relation):
 
 
 def test_the_branch_sides_take_their_paths(monkeypatch):
-    """At fraction 0 every refinement scatters (when the native kernels
-    loaded); at infinity none does.  OC counts never scatter."""
+    """At fraction 0 every refinement, the level-1 build (the unit partition
+    refined by one column) included, takes the native call (when the native
+    kernels loaded); at infinity none does.  OC counts never refine."""
     calls = []
     library = native.kernels()
     if library is not None:
-        real = library.scatter_classes
+        real = library.refine_partition
 
         def spy(*args, **kwargs):
             calls.append(args[3].size)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(
-            native, "kernels", lambda: library._replace(scatter_classes=spy)
+            native, "kernels", lambda: library._replace(refine_partition=spy)
         )
     relation = Relation.from_columns(
         {"a": [0, 0, 1, 1, 2], "b": [1, 1, 0, 0, 3], "c": [4, 3, 2, 1, 0]}
     )
     nq = get_backend("numpy")
-    for side, scatters in (("sort", []), ("scatter", [5])):
+    # Building {a, b} refines the unit partition by a, then that by b.
+    for side, refines in (("sort", []), ("scatter", [5, 5])):
         with _branch_side(side):
             encoded = relation.encoded(nq)
             cache = PartitionCache(encoded, backend=nq)
@@ -368,8 +370,73 @@ def test_the_branch_sides_take_their_paths(monkeypatch):
                 None,
             ) == [(0, False)] * 2
         if library is not None:
-            assert calls == scatters
+            assert calls == refines
         calls.clear()
+
+
+@st.composite
+def _refine_cases(draw):
+    """A rank column with ties and a parent partition to refine by it:
+    no classes, singletons only, one class of every row, or random classes
+    (singletons included) grouping m of the n rows, with m / n drawn on
+    either side of ``_REFINE_SCATTER_FRACTION``."""
+    n = draw(st.integers(1, 60))
+    top = draw(st.integers(0, 5))
+    ranks = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["empty", "singletons", "all-rows", "random"]))
+    cut = int(NumpyBackend._REFINE_SCATTER_FRACTION * n)
+    if draw(st.booleans()):
+        m = draw(st.integers(0, cut))
+    else:
+        m = draw(st.integers(min(cut + 1, n), n))
+    chosen = draw(st.permutations(range(n)))[:m]
+    if shape == "empty":
+        classes = []
+    elif shape == "singletons":
+        classes = [[row] for row in chosen]
+    elif shape == "all-rows":
+        classes = [list(range(n))]
+    else:
+        classes, i = [], 0
+        while i < m:
+            size = draw(st.integers(1, 6))
+            classes.append(sorted(chosen[i:i + size]))
+            i += size
+    classes.sort(key=lambda rows: rows[0])
+    return n, ranks, classes
+
+
+@given(case=_refine_cases())
+@settings(max_examples=200, deadline=None)
+def test_native_refine_matches_the_lexsort_and_the_python_backend(case):
+    """The one native refinement call, the lexsort path and the python
+    backend build the same canonical partition, array for array, on both
+    sides of the scatter fraction and at its default."""
+    n, ranks, classes = case
+    py, nq = get_backend("python"), get_backend("numpy")
+    offsets = [0]
+    for rows in classes:
+        offsets.append(offsets[-1] + len(rows))
+    flat = [row for rows in classes for row in rows]
+    expected = py.partition_refine(Partition.from_csr(flat, offsets, n), ranks)
+    column = nq.to_native(ranks)
+    sides = [contextlib.nullcontext(), _branch_side("sort")]
+    if native.kernels() is not None:
+        sides.append(_branch_side("scatter"))
+    for side in sides:
+        with side:
+            got = nq.partition_refine(
+                Partition.from_csr(
+                    numpy.array(flat, dtype=numpy.int64),
+                    numpy.array(offsets, dtype=numpy.int64), n,
+                ),
+                column,
+                lambda: stable_rank_order(column).astype(numpy.int32),
+            )
+        assert got == expected
+        assert got.row_indices.dtype == got.class_offsets.dtype == numpy.int64
+        assert got.row_indices.tolist() == list(expected.row_indices)
+        assert got.class_offsets.tolist() == list(expected.class_offsets)
 
 
 def test_every_class_form_takes_the_one_native_oc_path(monkeypatch):

@@ -480,57 +480,75 @@ class TestBinding:
     @needs_kernel
     @pytest.mark.parametrize("case", [
         "repeated-row", "row-past-rows", "negative-row", "short-order",
-        "class-id-at-num-classes", "class-id-below-minus-one",
+        "parent-row-past-rows", "negative-parent-row", "overlapping-classes",
         "offsets-below-bucket", "offsets-above-bucket", "offsets-past-out",
-        "no-offsets", "order-dtype", "class-map-dtype", "strided-order",
-        "read-only-class-map",
+        "short-out-offsets", "no-offsets", "order-dtype", "class-map-dtype",
+        "strided-order", "read-only-class-map",
     ])
     def test_scatter_inputs_that_do_not_fit_raise(self, case):
-        """Each bad input to the sorted-partition scatter raises
-        ``ValueError``.  ``out`` sits between two guard slots in one buffer,
-        so a write out of bounds would change a guard, and the class map
-        is left as it was."""
-        order = numpy.array([4, 1, 3, 0, 2, 5], dtype=numpy.int32)
-        class_of = numpy.array([0, 1, 0, -1, 1, 0], dtype=numpy.int32)
-        offsets = numpy.array([0, 3, 5], dtype=numpy.int64)
-        buffer = numpy.full(offsets[-1] + 2, 77, dtype=numpy.int64)
-        out = buffer[1:-1]
-        scatter = KERNELS.scatter_classes
-        scatter(class_of, offsets, out, order)
-        assert out.tolist() == [0, 2, 5, 4, 1]
+        """Each bad input to the native refinement raises ``ValueError``.
+
+        The ``order`` cases repeat a row, name one outside the table, drop
+        one or pass a strided or ``int64`` array; the parent cases name a
+        row outside the table, put a row in two classes, cut a bucket with
+        decreasing offsets or past the rows, or pass no offsets; the
+        row-indexed class map (``mark``) is the wrong dtype or read-only.
+        ``out_rows`` and ``out_offsets`` each sit between guard slots in one
+        buffer, so a write out of bounds would change a guard; the
+        ``offsets-past-out`` and ``short-out-offsets`` cases leave them one
+        slot too short for the child partition."""
+        ranks = numpy.array([1, 0, 1, 2, 0, 1], dtype=numpy.int32)
+        order = numpy.array([1, 4, 0, 2, 5, 3], dtype=numpy.int32)
+        rows = numpy.array([0, 2, 3, 5, 1, 4], dtype=numpy.int64)
+        offsets = numpy.array([0, 4, 6], dtype=numpy.int64)
+        mark = numpy.empty(ranks.size, dtype=numpy.int32)
+        row_buffer = numpy.full(rows.size + 2, 77, dtype=numpy.int64)
+        offset_buffer = numpy.full(rows.size // 2 + 3, 77, dtype=numpy.int64)
+        out_rows, out_offsets = row_buffer[1:-1], offset_buffer[1:-1]
+        refine = KERNELS.refine_partition
+        assert refine(
+            rows, offsets, ranks, order, mark, out_rows, out_offsets
+        ) == 2
+        assert out_rows[:5].tolist() == [0, 2, 5, 1, 4]
+        assert out_offsets[:3].tolist() == [0, 3, 5]
         if case == "repeated-row":
-            order[3] = 4
+            order[5] = 1
         elif case == "row-past-rows":
             order[1] = order.size
         elif case == "negative-row":
             order[0] = -1
         elif case == "short-order":
             order = order[:-1]
-        elif case == "class-id-at-num-classes":
-            class_of[3] = offsets.size - 1
-        elif case == "class-id-below-minus-one":
-            class_of[3] = -2
+        elif case == "parent-row-past-rows":
+            rows[5] = ranks.size
+        elif case == "negative-parent-row":
+            rows[1] = -1
+        elif case == "overlapping-classes":
+            rows[4] = 0
         elif case == "offsets-below-bucket":
-            offsets[1] = 2
+            offsets[2] = 3
         elif case == "offsets-above-bucket":
-            offsets[1] = 4
+            offsets[2] = rows.size + 1
         elif case == "offsets-past-out":
-            offsets[2] = out.size + 1
+            out_rows = row_buffer[1:5]
+        elif case == "short-out-offsets":
+            out_offsets = offset_buffer[1:3]
         elif case == "no-offsets":
             offsets = offsets[:0]
         elif case == "order-dtype":
             order = order.astype(numpy.int64)
         elif case == "class-map-dtype":
-            class_of = class_of.astype(numpy.int64)
+            mark = mark.astype(numpy.int64)
         elif case == "strided-order":
             order = numpy.repeat(order, 2)[::2]
         else:
-            class_of.flags.writeable = False
-        before = class_of.copy()
+            mark.flags.writeable = False
+        row_buffer[:] = offset_buffer[:] = 77
         with pytest.raises(ValueError):
-            scatter(class_of, offsets, out, order)
-        assert buffer[0] == buffer[-1] == 77
-        assert class_of.tolist() == before.tolist()
+            refine(rows, offsets, ranks, order, mark, out_rows, out_offsets)
+        for buffer, out in ((row_buffer, out_rows),
+                            (offset_buffer, out_offsets)):
+            assert buffer[0] == 77 and (buffer[1 + out.size:] == 77).all()
 
 
 class TestLoader:

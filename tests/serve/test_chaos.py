@@ -22,6 +22,7 @@ import urllib.request
 
 import pytest
 
+from repro.dataset.partition import PartitionCache
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.session import Profiler
 from repro.serve import HttpFaultInjector, ProfilerService
@@ -321,7 +322,17 @@ class TestGracefulShutdown:
         # No worker processes survive shutdown.
         assert multiprocessing.active_children() == []
 
-    def test_past_grace_cancels_inflight_work(self, slow_relation):
+    def test_past_grace_cancels_inflight_work(self, slow_relation, monkeypatch):
+        # The run must still be going when the grace period ends, however
+        # fast discovery has become: each partition lookup is held briefly
+        # (~550 lookups a run), so the run outlasts shutdown plus grace.
+        real_get = PartitionCache.get
+
+        def slow_get(cache, *args, **kwargs):
+            time.sleep(0.002)
+            return real_get(cache, *args, **kwargs)
+
+        monkeypatch.setattr(PartitionCache, "get", slow_get)
         service = ProfilerService()
         service.add_dataset("slow", slow_relation)
         outcome = {}
