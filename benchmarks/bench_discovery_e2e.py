@@ -1,9 +1,9 @@
-"""End-to-end discovery benchmark: backends and worker sharding.
+"""End-to-end discovery benchmark: backends and worker counts.
 
 Unlike ``bench_validators_micro`` (single-candidate kernels), this suite
 times *whole* discovery runs on a generated flight-like workload and records
-the perf trajectory the ROADMAP asks for: python vs numpy backend, 1, 2 and
-4 worker processes, and a
+the perf trajectory the ROADMAP asks for: python vs numpy backend,
+``num_workers`` 1, 2 and 4 (the cap on the OC plane's threads), and a
 threshold sweep through a cold (one-shot per ε) vs warm
 (:meth:`repro.discovery.session.Profiler.sweep`) session.
 
@@ -43,11 +43,10 @@ THRESHOLD = 0.1
 SWEEP_THRESHOLDS = [0.06, 0.09, 0.12, 0.15]
 SWEEP_BACKEND = "numpy" if "numpy" in available_backends() else "python"
 
-#: (backend, workers) — in-process on both backends, plus the
-#: worker-scaling curve (w1/w2/w4) of the sharded path on the fastest
-#: backend: rank columns stay resident in the worker processes (shipped once
-#: per dataset version) and OC context groups are dispatched asynchronously
-#: while the coordinator validates OFDs.
+#: (backend, workers) — the default on both backends, plus the w1/w2/w4
+#: legs on the fastest backend.  ``num_workers > 1`` caps the threads that
+#: count OC context groups while the coordinator validates OFDs, never
+#: above the usable cores; w1 runs one thread per core.
 CASES = [("python", 1)]
 if "numpy" in available_backends():
     CASES += [("numpy", 1), ("numpy", 2), ("numpy", 4)]
@@ -266,13 +265,9 @@ def _report(figure_report):
 
     rows = [measurement.as_row() | {"rows": NUM_ROWS}
             for measurement in RESULTS.values()]
-    # The worker-scaling curve of the sharded path (ISSUE-5):
-    # seconds per worker count, normalised against the in-process w1 run.
-    # Whether w4 can actually *win* depends on the hardware: worker
-    # processes overlap with the coordinator's partition building and OFD
-    # validation, which needs real cores — on a single-CPU runner the
-    # overlap degenerates to timesharing and the curve only measures the
-    # (column-plane-reduced) dispatch overhead.  cpu_count is recorded so
+    # Seconds per worker count, normalised against the w1 run.  A cap at
+    # or above the usable cores runs the same plane as w1, so on small
+    # hosts the legs only differ by noise; cpu_count is recorded so
     # readers can interpret the numbers.
     worker_scaling = {"cpu_count": os.cpu_count()}
     baseline = RESULTS.get(("numpy", 1))
@@ -322,18 +317,9 @@ def _report(figure_report):
 
     write_bench_summary(report_path, results_dir / "summary.txt")
 
-    # The ISSUE-5 acceptance bar, meaningful only with the cores to overlap
-    # on: sharded must beat in-process.  Checked *after* the
-    # JSON is written, so a failed bar never discards the measurements
-    # needed to diagnose it.
-    w4 = RESULTS.get(("numpy", 4))
-    if (not QUICK and w4 is not None and baseline is not None
-            and (os.cpu_count() or 1) >= 4):
-        assert w4.seconds < baseline.seconds, worker_scaling
-
     cases = list(RESULTS)
     figure_report(
-        "End-to-end discovery: in-process vs sharded",
+        "End-to-end discovery: backends and worker counts",
         "configuration",
         [_case_id(case) for case in cases],
         {
@@ -345,7 +331,7 @@ def _report(figure_report):
         notes=[
             f"workload: flight-like, {NUM_ROWS} rows, threshold {THRESHOLD}",
             "identical OC/OFD sets across all configurations (asserted)",
-            f"worker scaling (column plane): {worker_scaling}",
+            f"worker scaling (thread cap): {worker_scaling}",
         ]
         + (
             [

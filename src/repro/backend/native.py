@@ -28,9 +28,9 @@ and layout in Python and pass bare addresses rather than paying for
 ``ndpointer`` conversion on every call.
 
 The library is loaded with ``ctypes.CDLL``, which releases the GIL for the
-duration of each call.  In-process discovery relies on that: its
-``LocalPlane`` (``repro.discovery.engine``) counts OC groups on threads
-while the coordinator keeps working, so do not switch to ``ctypes.PyDLL``,
+duration of each call.  Discovery relies on that: its OC plane
+(``repro.validation.distributed``) counts OC groups on threads while the
+coordinator keeps working, so do not switch to ``ctypes.PyDLL``,
 which holds the GIL and would serialise them again.
 
 The first :func:`kernels` call in a process compiles the source with
@@ -38,8 +38,8 @@ The first :func:`kernels` call in a process compiles the source with
 :mod:`ctypes`.  The library's file name carries a hash of the source, the
 build command and the machine type, so an edited source never loads a
 stale build.  The compiler writes a temporary file that is renamed into
-place, so processes doing first use at once (pool workers, test runners,
-benchmark probes) each load a complete library.  A SHA-256 trailer is
+place, so processes doing first use at once (test runners, benchmark
+probes) each load a complete library.  A SHA-256 trailer is
 appended to the library (the dynamic loader ignores trailing bytes); a
 file whose trailer does not match, such as a truncated one, is rebuilt and
 never loaded.  A cache directory owned by another user, or writable by

@@ -287,18 +287,14 @@ class NumpyBackend(ComputeBackend):
 
         A :class:`Partition` hands over its own ``row_indices`` and
         ``class_offsets`` (already ``int64`` arrays under this backend, so
-        nothing is built); a pool worker's
-        :class:`~repro.validation.distributed.ClassShard` its cached
-        :meth:`~repro.validation.distributed.ClassShard.csr`; raw lists of
-        row lists (incremental repair) are concatenated.
+        nothing is built); raw lists of row lists (incremental repair) are
+        concatenated.
         """
         if isinstance(classes, Partition):
             return (
                 np.ascontiguousarray(classes.row_indices, dtype=np.int64),
                 np.ascontiguousarray(classes.class_offsets, dtype=np.int64),
             )
-        if hasattr(classes, "csr"):
-            return classes.csr()
         class_lists = list(classes)
         lengths = np.fromiter(
             (len(c) for c in class_lists), dtype=np.int64, count=len(class_lists)
@@ -319,10 +315,8 @@ class NumpyBackend(ComputeBackend):
         columnar view is derived from the offset arrays with no per-class
         Python objects; the result is cached on the partition because
         candidates share contexts heavily during the level-wise search.
-        Objects exposing a ``columnar_view()`` (e.g. the worker-side
-        :class:`~repro.validation.distributed.ClassShard`) hand over their
-        pre-flattened arrays directly; raw lists of row lists (kernel inputs
-        from the repair path) are concatenated.
+        Raw lists of row lists (kernel inputs from the repair path) are
+        concatenated.
         """
         if isinstance(classes, Partition):
             cached = classes._columnar
@@ -347,8 +341,6 @@ class NumpyBackend(ComputeBackend):
             columnar = (rows, class_ids, lengths)
             classes._columnar = columnar
             return columnar
-        if hasattr(classes, "columnar_view"):
-            return classes.columnar_view()
         class_lists = list(classes)
         lengths = np.fromiter(
             (len(c) for c in class_lists), dtype=np.int64, count=len(class_lists)
@@ -561,8 +553,8 @@ class NumpyBackend(ComputeBackend):
         above ``limit``.  Every entry, the partial count of an exceeded
         pair included, equals the reference kernel's class-by-class result,
         and the classes after the crossing one are never touched.  The same
-        call serves in-process contexts, pool workers' ``ClassShard``s and
-        incremental repair's class lists.
+        call serves discovery's context partitions and incremental
+        repair's class lists.
         """
         if not len(classes):
             return [(0, False)] * len(rank_pairs)

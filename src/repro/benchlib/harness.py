@@ -53,7 +53,7 @@ class DiscoveryMeasurement:
     result: DiscoveryResult
     #: Which compute backend produced this measurement (resolved name).
     backend: str = "python"
-    #: Worker processes sharding OC validation (1 = in-process).
+    #: The run's ``stats.num_workers`` (the OC plane's thread cap).
     num_workers: int = 1
 
     def as_row(self) -> Dict[str, object]:
@@ -130,7 +130,7 @@ def measure_discovery(
 class SweepMeasurement:
     """Cold-vs-warm comparison of a threshold sweep (the session API's
     headline win: one :class:`~repro.discovery.session.Profiler` reusing
-    partitions, pools and validation outcomes across ε values)."""
+    partitions and validation outcomes across ε values)."""
 
     thresholds: List[float]
     #: One fresh engine per threshold (the pre-session one-shot pattern).

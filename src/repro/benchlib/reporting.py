@@ -123,10 +123,10 @@ def render_bench_summary(payload: Mapping[str, object]) -> str:
         notes = [f"workload: {payload.get('workload')}",
                  "identical OC/OFD sets across all configurations (asserted)"]
         if payload.get("worker_scaling"):
-            notes.append("worker scaling (column plane): "
+            notes.append("worker scaling (thread cap): "
                          f"{payload['worker_scaling']}")
         blocks.append("\n".join(
-            ["=== End-to-end discovery: in-process vs sharded ===",
+            ["=== End-to-end discovery: backends and worker counts ===",
              format_table(
                  ["configuration", "seconds", "validation share"],
                  [[run.get("label"), f"{run.get('seconds', 0.0):.3f}",

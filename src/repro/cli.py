@@ -79,15 +79,8 @@ def _engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="shard OC validation across N worker processes "
-             "(default 1: in-process)",
-    )
-    parser.add_argument(
-        "--worker-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job deadline for worker validation shards; a job past it "
-             "is treated as a worker death and recovered without changing "
-             "results (default: wait indefinitely; only meaningful with "
-             "--workers)",
+        help="count OC groups on at most N threads, never more than the "
+             "usable cores (default 1: one thread per core)",
     )
     parser.add_argument(
         "--attributes", nargs="*", default=None,
@@ -147,10 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     discover.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="record a span trace of the run (coordinator phases plus "
-             "worker-side shard kernels) and write it to PATH as "
-             "Chrome-trace JSON (load in chrome://tracing or Perfetto); "
-             "results are unaffected",
+        help="record a span trace of the run's phases and write it to "
+             "PATH as Chrome-trace JSON (load in chrome://tracing or "
+             "Perfetto); results are unaffected",
     )
     discover.set_defaults(func=_cmd_discover)
 
@@ -217,13 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes per session (default 1)",
-    )
-    serve.add_argument(
-        "--worker-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job deadline for worker validation shards; a job past it "
-             "is treated as a worker death and recovered (default: wait "
-             "indefinitely)",
+        help="cap on each cold run's OC threads, never more than the "
+             "usable cores (default 1: one thread per core)",
     )
     serve.add_argument(
         "--max-memo-entries", type=int, default=None, metavar="N",
@@ -341,7 +328,6 @@ def _session(relation, args, warm: bool = True) -> Profiler:
     # and a single-run memo would never be reused.
     return Profiler(
         relation, backend=args.backend, num_workers=args.workers,
-        worker_timeout=args.worker_timeout,
         cache_validations=warm, retain_partitions=warm,
     )
 
@@ -353,7 +339,6 @@ def _request_from_args(args) -> DiscoveryRequest:
         max_level=args.max_level,
         time_limit_seconds=args.time_limit,
         num_workers=DiscoveryRequest.pin_workers(args.workers),
-        worker_timeout=args.worker_timeout,
     )
     if args.exact:
         return DiscoveryRequest.exact(**common)
@@ -401,7 +386,6 @@ def _cmd_sweep(args) -> int:
         max_level=args.max_level,
         time_limit_seconds=args.time_limit,
         num_workers=DiscoveryRequest.pin_workers(args.workers),
-        worker_timeout=args.worker_timeout,
     )
     start = time.perf_counter()
     with _session(relation, args) as session:
@@ -514,7 +498,6 @@ def _cmd_serve(args) -> int:
     auth_token = args.auth_token or os.environ.get("REPRO_SERVE_TOKEN") or None
     service = ProfilerService(
         backend=args.backend, num_workers=args.workers,
-        worker_timeout=args.worker_timeout,
         max_memo_entries=args.max_memo_entries,
         max_cached_partitions=args.max_cached_partitions,
         queue_depth=(args.queue_depth if args.queue_depth is not None

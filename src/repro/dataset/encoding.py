@@ -24,25 +24,23 @@ from repro.dataset.schema import AttributeType, Schema
 EXTEND_APPENDED = "appended"
 EXTEND_REMAPPED = "remapped"
 
-#: Columns shorter than this never benefit from run-length transport: the
+#: Columns shorter than this never benefit from run-length encoding: the
 #: run bookkeeping outweighs the dense payload.
 RLE_MIN_ROWS = 256
-#: A column is run-encoded for transport only when it has at most
+#: A column is run-encoded only when it has at most
 #: ``num_rows / RLE_MIN_SHRINK`` runs, i.e. the encoding is at least this
 #: many times smaller than the dense form.
 RLE_MIN_SHRINK = 4
 
 
 class RunLengthColumn:
-    """A rank column stored as value runs (transport encoding).
+    """A rank column stored as value runs.
 
     ``starts[i]`` is the first row of run ``i`` (``starts[0] == 0``,
     strictly increasing) and ``values[i]`` its rank; the decoded column has
-    ``length`` rows.  Used to shrink the bytes shipped to validation
-    workers for low-cardinality clustered columns; workers materialise the
-    dense form on receipt, so kernels never see this type.  ``__len__`` is
-    the *decoded* length, which keeps every row-coverage guard (e.g. the
-    pool's stale-column check) working unchanged on the encoded form.
+    ``length`` rows, which is also ``__len__``.  It shrinks low-cardinality
+    clustered columns; kernels never see this type (:meth:`decode` gives
+    the dense form).
     """
 
     __slots__ = ("starts", "values", "length")
@@ -91,8 +89,8 @@ def run_length_encode(column) -> Optional[RunLengthColumn]:
     """Run-encode a rank column if that genuinely shrinks it.
 
     Returns ``None`` when the column is too short or has too many runs to
-    be worth shipping encoded (see :data:`RLE_MIN_ROWS` /
-    :data:`RLE_MIN_SHRINK`); callers then ship the dense form.
+    be worth encoding (see :data:`RLE_MIN_ROWS` /
+    :data:`RLE_MIN_SHRINK`); callers then keep the dense form.
     """
     num_rows = len(column)
     if num_rows < RLE_MIN_ROWS:
@@ -208,14 +206,10 @@ class EncodedRelation:
         self._dictionaries: List[List[object]] = [list(d) for d in dictionaries]
         self.num_rows = num_rows
         self._native: Dict[int, object] = {}
-        # index -> transport form of the native column (RunLengthColumn when
-        # run encoding shrinks it enough, else the dense native column).
-        # Keyed per EncodedRelation, so `extend` — which returns a fresh
-        # instance — naturally invalidates every cached transport column.
-        self._transport: Dict[int, object] = {}
-        # Row orders for the native partition refinement, built on first use
-        # and invalidated the same way: attribute index -> every row in
-        # (rank, row) order, int32, 4 bytes a row.  See `row_order_by_index`.
+        # Row orders for the native partition refinement, built on first
+        # use: attribute index -> every row in (rank, row) order, int32, 4
+        # bytes a row.  Keyed per EncodedRelation, so `extend` — which
+        # returns a fresh instance — drops them.  See `row_order_by_index`.
         self._orders: Dict[int, object] = {}
         if native_columns is not None:
             for index, native in enumerate(native_columns):
@@ -387,25 +381,6 @@ class EncodedRelation:
             self._native[index] = native
         return native
 
-    def transport_ranks(self, attribute: str):
-        """Return the rank column in its cheapest transport form.
-
-        Low-cardinality clustered columns come back as a
-        :class:`RunLengthColumn`; everything else as the dense native
-        column.  Only for *shipping* (e.g. to validation workers, which
-        materialise on receipt) — kernels take native columns.
-        """
-        return self.transport_ranks_by_index(self.schema.index_of(attribute))
-
-    def transport_ranks_by_index(self, index: int):
-        """Transport form of the rank column at schema position ``index``."""
-        cached = self._transport.get(index)
-        if cached is None:
-            native = self.native_ranks_by_index(index)
-            cached = run_length_encode(native) or native
-            self._transport[index] = cached
-        return cached
-
     def row_order_by_index(self, index: int):
         """Every row in ``(rank, row)`` order of the column at ``index``.
 
@@ -414,8 +389,8 @@ class EncodedRelation:
         native refinement reads row orders (see
         ``NumpyBackend.partition_refine``), level-1 builds included, so the
         argsort runs once per attribute; the OC kernel sorts each class on
-        demand instead.  Like the transport forms they are per instance,
-        so the encoding :meth:`extend` returns builds its own.
+        demand instead.  They are per instance, so the encoding
+        :meth:`extend` returns builds its own.
         """
         import numpy as np
 

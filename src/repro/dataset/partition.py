@@ -25,9 +25,8 @@ Invariants: rows are ascending within a class, every class has >= 2 rows,
 and classes are ordered by their first row (firsts are unique because
 classes are disjoint).  The arrays are plain lists under the reference
 backend and ``int64`` NumPy arrays under the vectorised one — this is the
-exact layout the distributed validators ship to workers, so shard planning
-and kernel dispatch slice the arrays directly without ever materialising
-per-class Python lists.  The legacy list-of-lists view survives as the lazy
+exact layout the native kernels read, so kernel dispatch never
+materialises per-class Python lists.  The legacy list-of-lists view survives as the lazy
 :attr:`Partition.classes` compatibility property for tests, baselines and
 other cold consumers.
 """
@@ -167,8 +166,8 @@ class Partition:
     def classes(self) -> List[List[int]]:
         """Legacy list-of-lists view of the classes (lazy compatibility).
 
-        Hot paths never touch this: construction, products, delta patching,
-        shard planning and the vectorised kernels all work on the flat CSR
+        Hot paths never touch this: construction, products, delta patching
+        and the vectorised kernels all work on the flat CSR
         arrays.  The materialised lists are cached for repeat consumers.
         """
         if self._classes is None:

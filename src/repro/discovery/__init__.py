@@ -16,7 +16,7 @@ ordinary OD discovery (the ``ε = 0`` special case).
 Public entry points:
 
 * :class:`Profiler` — a long-lived session owning the encoded relation,
-  partition cache and worker pool; runs many discoveries
+  partition cache and validation memo; runs many discoveries
   (:meth:`~Profiler.discover`, :meth:`~Profiler.sweep`,
   :meth:`~Profiler.iter_events`) against warm state,
 * :class:`DiscoveryRequest` — the JSON-serialisable description of one run

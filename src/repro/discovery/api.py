@@ -5,7 +5,7 @@ These are thin wrappers over a one-shot
 session, runs a single :class:`~repro.discovery.config.DiscoveryRequest`
 against it and tears it down again.  Code that profiles the same relation
 repeatedly (threshold sweeps, serving) should hold a ``Profiler`` instead —
-it amortises encoding, partitions and the worker pool across runs, with
+it amortises encoding, partitions and validation outcomes across runs, with
 byte-identical per-run results.
 """
 

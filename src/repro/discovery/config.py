@@ -77,23 +77,15 @@ class DiscoveryConfig:
         to the ``REPRO_BACKEND`` environment variable / auto-detection.
         Every backend produces identical discovery results.
     num_workers:
-        Shard OC validation across this many worker processes (equivalence
-        classes of a context are independent, so workers merge by summing
-        removal counts).  ``1`` (the default) validates in-process; values
-        above 1 only take effect for the LNDS-based ``optimal`` validator
-        on approximate runs — exact and iterative validation never
-        consults the pool.  With workers, each level's OC groups are
-        submitted up front and the coordinator validates the level's OFD
-        candidates while the workers drain.  Every worker count produces
-        identical discovery results; on a 1-core host a pool only adds
-        process overhead, so values above 1 are slower there.
-    worker_timeout:
-        Optional per-job deadline in seconds (finite and positive) for
-        pool-dispatched validation shards.  A job past it is treated as a
-        worker death: the worker is retired and the shard is recovered
-        (requeued, or validated on the coordinator) without changing
-        results.  ``None`` (the default) waits indefinitely; only
-        meaningful when ``num_workers > 1``.
+        Caps the threads that count a run's OC context groups.  Each run
+        counts them on one thread per usable core; a value above 1 caps
+        that at ``num_workers``, and fewer than two threads means the
+        groups are counted inline.  ``1`` (the default) leaves one thread
+        per core.  Warm session runs, the iterative validator and the
+        non-native kernels (which hold the GIL) always count inline.
+        Every value produces identical discovery results; only the
+        LNDS-based ``optimal`` validator on approximate runs reports it
+        in ``stats.num_workers`` (others report 1).
     """
 
     threshold: float = 0.0
@@ -107,7 +99,6 @@ class DiscoveryConfig:
     progress_callback: Optional[object] = None
     backend: Optional[object] = None
     num_workers: int = 1
-    worker_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
@@ -132,13 +123,13 @@ class DiscoveryConfig:
             raise ValueError("max_level must be at least 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        for name in ("time_limit_seconds", "worker_timeout"):
-            # NaN compares False with everything, so test the accepted range.
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be a finite number > 0 or None, got {value}"
-                )
+        # NaN compares False with everything, so test the accepted range.
+        value = self.time_limit_seconds
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                "time_limit_seconds must be a finite number > 0 or None, "
+                f"got {value}"
+            )
 
     @property
     def is_exact(self) -> bool:
@@ -166,12 +157,12 @@ class DiscoveryRequest:
     so they can cross a service boundary unchanged: the CLI, the
     :class:`~repro.discovery.session.Profiler` session API and the
     ``repro serve`` HTTP mode all speak this type.  Session-owned concerns
-    (which compute backend, how many worker processes, progress callbacks)
+    (which compute backend, the plane's thread cap, progress callbacks)
     are supplied when the request is resolved against a session via
     :meth:`to_config`.
 
     Fields mirror :class:`DiscoveryConfig`; ``num_workers`` is optional and
-    ``None`` defers to the session's worker count.
+    ``None`` defers to the session's default.
     """
 
     threshold: float = 0.0
@@ -183,7 +174,6 @@ class DiscoveryRequest:
     aggressive_ofd_pruning: bool = True
     prune_exhausted_nodes: bool = True
     num_workers: Optional[int] = None
-    worker_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.attributes is not None:
@@ -232,9 +222,6 @@ class DiscoveryRequest:
         expect("time_limit_seconds", self.time_limit_seconds,
                self.time_limit_seconds is None or is_number(
                    self.time_limit_seconds),
-               "a number or null")
-        expect("worker_timeout", self.worker_timeout,
-               self.worker_timeout is None or is_number(self.worker_timeout),
                "a number or null")
         for name in ("find_ofds", "aggressive_ofd_pruning",
                      "prune_exhausted_nodes"):
@@ -291,7 +278,6 @@ class DiscoveryRequest:
             aggressive_ofd_pruning=self.aggressive_ofd_pruning,
             prune_exhausted_nodes=self.prune_exhausted_nodes,
             num_workers=effective_workers,
-            worker_timeout=self.worker_timeout,
             backend=backend,
             progress_callback=progress_callback,
         )
@@ -310,7 +296,6 @@ class DiscoveryRequest:
             aggressive_ofd_pruning=config.aggressive_ofd_pruning,
             prune_exhausted_nodes=config.prune_exhausted_nodes,
             num_workers=config.num_workers,
-            worker_timeout=config.worker_timeout,
         )
 
     # -- JSON boundary -----------------------------------------------------------

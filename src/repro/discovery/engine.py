@@ -27,15 +27,13 @@ Every run validates a level on one schedule: each OC context group is
 submitted to a *plane* up front, the coordinator validates the level's OFD
 candidates — building their partitions — while the plane counts, and the
 groups are harvested in submission order before outcomes are recorded in
-job order.  With ``num_workers > 1`` the plane is a worker-resident
-*column plane* over a process pool (see
-:mod:`repro.validation.distributed`): rank columns cross the process
-boundary at most once per worker per dataset version, and subsequent
-dispatches ship only column references plus class offsets.  Otherwise it
-is a :class:`LocalPlane`, which counts the groups on threads of the
-coordinator's process while the native kernel releases the GIL.  Results,
-statistics counters included, are byte-identical between the two (enforced
-by ``tests/discovery/test_batched_scheduler.py`` and
+job order.  The plane (:class:`~repro.validation.distributed.ColumnPlane`)
+counts the groups on threads of the coordinator's process while the
+native kernel releases the GIL: one thread per usable core, at most
+``num_workers`` of them when ``num_workers > 1``, inline when that leaves
+fewer than two (see :meth:`DiscoveryEngine._oc_threads`).  Results,
+statistics counters included, are byte-identical for every thread count
+(enforced by ``tests/discovery/test_batched_scheduler.py`` and
 ``tests/discovery/test_pipelined_scheduler.py``).
 
 Streaming
@@ -61,13 +59,6 @@ long-lived state so repeated runs over the same relation stay warm:
 * ``partitions`` — a shared :class:`~repro.dataset.partition.PartitionCache`.
   The engine then skips its per-level eviction (the session keeps partitions
   for later runs).
-* ``column_plane`` — a shared
-  :class:`~repro.validation.distributed.ColumnPlane` over the session's
-  worker pool; the engine binds it to its encoding and reuses the columns
-  already resident in the workers.  ``shard_pool`` injects a bare shared
-  pool instead (the engine then opens a per-run plane on it and releases it
-  when the run ends).  The engine never closes an external pool (its owner
-  does).
 * ``validation_memo`` — a dict memoising validation outcomes keyed by
   ``(kind, validator, context, ...)``.  Entries record the removal count,
   the exceeded flag and the removal budget they were computed under, and
@@ -80,7 +71,6 @@ from __future__ import annotations
 import functools
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import (
     Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -115,6 +105,7 @@ from repro.discovery.results import DiscoveredOC, DiscoveredOFD, DiscoveryResult
 from repro.discovery.stats import DiscoveryStatistics, PhaseTimer
 from repro.obs import get_metrics, get_tracer
 from repro.validation.common import removal_limit
+from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
 AttributeSet = FrozenSet[str]
 
@@ -184,75 +175,11 @@ def memo_outcome(entry, limit: Optional[int]) -> Optional[Outcome]:
     return None
 
 
-def config_uses_shard_pool(config: DiscoveryConfig) -> bool:
-    """Whether a run with ``config`` dispatches to worker processes.
-
-    Only the LNDS-based optimal validator on approximate runs consults the
-    pool; exact and iterative runs stay serial regardless of
-    ``num_workers``.
-    """
-    return (
-        config.num_workers > 1
-        and config.validator == "optimal"
-        and not config.is_exact
-    )
-
-
-class LocalPlane:
-    """One run's in-process OC plane: context groups counted on threads.
-
-    It keeps the ``submit`` / ``harvest`` / ``abandon`` contract of
-    :class:`~repro.validation.distributed.ColumnPlane`, so pooled and
-    in-process runs share one validation schedule.  ``prepare(classes,
-    pair_names, limit)`` runs on the submitting thread, resolves every
-    lazily built input there and returns the call that counts the group;
-    that call only reads, so it may run on a plane thread while the
-    coordinator goes on.  The native kernels release the GIL (they are
-    called through ``ctypes.CDLL``), which is where the overlap comes from.
-
-    With no ``threads`` there is no executor: each group is counted inline
-    at submit and handed back as a settled future.
-    """
-
-    def __init__(self, prepare: Callable[..., Callable[[], list]],
-                 threads: int) -> None:
-        self._prepare = prepare
-        self._executor = (
-            ThreadPoolExecutor(threads, thread_name_prefix="repro-oc")
-            if threads else None
-        )
-
-    def submit(self, classes, pair_names, limit: Optional[int] = None,
-               timeout: Optional[float] = None) -> Future:
-        """Start counting one context group (``timeout`` is for worker
-        processes and unused here)."""
-        count = self._prepare(classes, pair_names, limit)
-        if self._executor is not None:
-            return self._executor.submit(count)
-        settled: Future = Future()
-        settled.set_result(count())
-        return settled
-
-    def harvest(self, pending: Future) -> List[Tuple[int, bool]]:
-        """Block until ``pending`` is counted; a kernel error re-raises."""
-        return pending.result()
-
-    def abandon(self, pending: Future) -> None:
-        """Drop a group that will not be harvested (a running one finishes
-        and its result is discarded)."""
-        pending.cancel()
-
-    def close(self) -> None:
-        """Stop the threads, waiting for any group still running."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-
-
 class DiscoveryEngine:
     """Runs one OD / AOD discovery over a relation.
 
     The engine is single-use: construct, consume :meth:`iter_events` (or
-    call :meth:`run`), read the result.  ``partitions`` / ``shard_pool`` /
+    call :meth:`run`), read the result.  ``partitions`` /
     ``validation_memo`` inject session-owned state (see the module
     docstring); when omitted the engine owns everything itself.
     """
@@ -263,8 +190,6 @@ class DiscoveryEngine:
         config: Optional[DiscoveryConfig] = None,
         *,
         partitions: Optional[PartitionCache] = None,
-        shard_pool=None,
-        column_plane=None,
         validation_memo: Optional[dict] = None,
     ):
         self.relation = relation
@@ -287,10 +212,15 @@ class DiscoveryEngine:
         # engine-owned cache is evicted level by level.
         self._owns_partitions = partitions is None
         self.knowledge = KnowledgeBase()
-        self._uses_shard_pool = config_uses_shard_pool(self.config)
+        # The configured count on optimal approximate runs, 1 elsewhere:
+        # the value earlier releases recorded, so stats stay comparable.
         self.stats = DiscoveryStatistics(
             backend=self.backend.name,
-            num_workers=self.config.num_workers if self._uses_shard_pool else 1,
+            num_workers=(
+                self.config.num_workers
+                if self.config.validator == "optimal"
+                and not self.config.is_exact else 1
+            ),
         )
         self.result = DiscoveryResult(
             config=self.config,
@@ -307,9 +237,7 @@ class DiscoveryEngine:
         )
         self._deadline: Optional[float] = None
         self._cancellation = None
-        self._plane = None
-        self._external_pool = shard_pool
-        self._external_plane = column_plane
+        self._plane: Optional[ColumnPlane] = None
         self._memo = validation_memo
         self._found_events: List[DiscoveryEvent] = []
         # Observability handles, captured once per engine (= per run).  Both
@@ -339,9 +267,9 @@ class DiscoveryEngine:
         (e.g. :class:`repro.discovery.session.CancellationToken`); it is
         polled alongside the time limit before every context group, so
         both interrupts take effect mid-level.  The final event is always
-        :class:`~repro.discovery.events.RunCompleted`; an engine-owned
-        worker pool and the run's :class:`LocalPlane` threads are shut down
-        even when the stream is abandoned early or the run raises.
+        :class:`~repro.discovery.events.RunCompleted`; the run's plane
+        threads are shut down even when the stream is abandoned early or
+        the run raises.
         """
         start = time.perf_counter()
         if self.config.time_limit_seconds is not None:
@@ -353,43 +281,9 @@ class DiscoveryEngine:
             num_workers=self.stats.num_workers,
             num_rows=self.relation.num_rows,
         )
-        own_pool = None
-        temp_plane = None
-        local_plane = None
-        pool = None
-        pool_counters_before: Dict[str, int] = {}
-        if self._uses_shard_pool:
-            if self._external_plane is not None:
-                # Session-owned plane: columns shipped by earlier runs (and
-                # delta-patched by extends) are still resident.
-                self._plane = self._external_plane
-                self._plane.bind(self.encoded)
-                pool = self._plane.pool
-            else:
-                if self._external_pool is not None:
-                    pool = self._external_pool
-                else:
-                    from repro.validation.distributed import ShardedValidationPool
-
-                    own_pool = ShardedValidationPool(
-                        self.config.num_workers, backend=self.backend,
-                        worker_timeout=self.config.worker_timeout,
-                    )
-                    pool = own_pool
-                temp_plane = pool.new_plane(self.encoded)
-                self._plane = temp_plane
-        else:
-            local_plane = LocalPlane(self._oc_group_count, self._oc_threads())
-            self._plane = local_plane
-        if pool is not None:
-            from repro.validation.distributed import RESILIENCE_COUNTERS
-
-            # Pools outlive runs (sessions, repro serve), so the run's
-            # recovery counters are the delta over the pool's lifetime
-            # totals.
-            pool_counters_before = {
-                key: pool.stats.get(key, 0) for key in RESILIENCE_COUNTERS
-            }
+        threads = self._oc_threads()
+        pool = ShardedValidationPool(threads) if threads else None
+        self._plane = ColumnPlane(self._oc_group_count, pool)
         try:
             yield from self._iter_levels()
         except _TimeBudgetExceeded:
@@ -397,19 +291,8 @@ class DiscoveryEngine:
         except _RunCancelled:
             self.stats.cancelled = True
         finally:
-            if local_plane is not None:
-                local_plane.close()
-            if temp_plane is not None and own_pool is None:
-                # Free the per-run columns on a pool we do not own.
-                temp_plane.release()
             if pool is not None:
-                for key, before in pool_counters_before.items():
-                    if hasattr(self.stats, key):
-                        setattr(
-                            self.stats, key, pool.stats.get(key, 0) - before
-                        )
-            if own_pool is not None:
-                own_pool.close()
+                pool.close()
             self._plane = None
             self.stats.total_seconds = time.perf_counter() - start
             self._tracer.end_span(self._run_span)
@@ -615,8 +498,7 @@ class DiscoveryEngine:
         (non-blocking); the coordinator then validates the level's OFD jobs
         while the plane counts, and finally harvests the groups in
         submission order.  On an interrupt the in-flight groups are
-        abandoned so their late results never leak into a later run on the
-        same pool.  Memo keys are unique within a level and the caller
+        abandoned.  Memo keys are unique within a level and the caller
         records outcomes in collection order, so results do not depend on
         the plane, counters included.
         """
@@ -636,10 +518,7 @@ class DiscoveryEngine:
                 with self._tracer.span(
                     "oc-submit", parent=self._level_span, pairs=len(todo)
                 ), PhaseTimer(self.stats, "oc_validation_seconds"):
-                    pending = plane.submit(
-                        classes, pairs, self._kernel_limit,
-                        timeout=self.config.worker_timeout,
-                    )
+                    pending = plane.submit(classes, pairs, self._kernel_limit)
                 in_flight.append((todo, pending))
                 self.stats.oc_batches += 1
             self._validate_ofd_jobs(ofd_jobs, ofd_outcomes)
@@ -722,9 +601,14 @@ class DiscoveryEngine:
             self.stats.ofd_batches += 1
 
     def _oc_threads(self) -> int:
-        """Threads of the run's :class:`LocalPlane`: one per usable core,
-        none (inline) on one core or when the OC count holds the GIL (the
-        numpy and python kernels, Algorithm 1).
+        """Threads of the run's OC plane: one per usable core, at most
+        ``num_workers`` of them when ``num_workers > 1``; none (inline)
+        when that leaves fewer than two, or when the OC count holds the
+        GIL (the numpy and python kernels, Algorithm 1).
+
+        ``num_workers=1``, the default, does not mean one thread: a lone
+        plane thread only moves the counting off the coordinator, and at
+        16k x 10 it was ~25% slower than two.
 
         None either for a warm session run, whose memo already holds
         outcomes: it sends few, small groups to a kernel, and in ``repro
@@ -737,10 +621,12 @@ class DiscoveryEngine:
                 or self.backend.oc_kernel_name != "native":
             return 0
         if hasattr(os, "sched_getaffinity"):
-            cores = len(os.sched_getaffinity(0))
+            threads = len(os.sched_getaffinity(0))
         else:
-            cores = os.cpu_count() or 1
-        return cores if cores > 1 else 0
+            threads = os.cpu_count() or 1
+        if self.config.num_workers > 1:
+            threads = min(threads, self.config.num_workers)
+        return threads if threads > 1 else 0
 
     def _oc_group_count(
         self, classes, pairs: Sequence[Tuple[str, str]], limit: Optional[int]

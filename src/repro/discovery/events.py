@@ -112,8 +112,8 @@ class DatasetExtended:
     must_revalidate: int
     #: Previously rejected candidates whose rejection no longer transfers.
     newly_possible: int
-    #: The session's dataset version the stream runs against (stamps the
-    #: worker pool's resident columns; 0 = never extended).
+    #: The session's dataset version the stream runs against (0 = never
+    #: extended).
     dataset_version: int = 0
 
     def to_dict(self) -> Dict[str, object]:

@@ -2,7 +2,7 @@
 
 The one-shot entry points (:func:`repro.discovery.api.discover_aods` and
 friends) pay the full setup cost on every call: the relation is encoded,
-the partition cache rebuilt, and the worker pool re-spawned.  The paper's
+and the partition cache rebuilt.  The paper's
 core evaluation loop — discovery over the *same* table at many ε values
 (Exp-4/5/6 threshold sweeps) — repeats exactly that setup per threshold.
 
@@ -11,13 +11,6 @@ against it:
 
 * the **encoded relation** (order-preserving dictionary encoding),
 * a **partition cache** shared across runs and never evicted mid-session,
-* the **worker pool** (:class:`~repro.validation.distributed.ShardedValidationPool`),
-  spawned lazily and reused until :meth:`Profiler.close`, together with its
-  **column plane**: rank columns ship to each worker process once per
-  dataset version and stay resident there, so repeated runs (and the
-  scheduler's async group dispatches) send only column references;
-  :meth:`Profiler.extend` advances the resident columns by shipping only
-  the appended-row deltas,
 * a **validation memo** mapping candidates to their kernel outcomes, so a
   sweep revalidates only what a new removal budget actually changes
   (soundness rules in ``DiscoveryEngine._memo_lookup``; memoised runs stay
@@ -59,7 +52,7 @@ from repro.caching import BoundedLRU
 from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryRequest
-from repro.discovery.engine import DiscoveryEngine, config_uses_shard_pool
+from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.events import DiscoveryEvent, RunCompleted
 from repro.discovery.results import DiscoveryResult
 from repro.incremental.delta import DeltaSummary, rows_to_columns
@@ -157,10 +150,11 @@ class Profiler:
         Compute backend for every run of this session (instance, name, or
         ``None`` for the environment default).
     num_workers:
-        Default worker-process count for runs whose request does not pin
-        its own (``DiscoveryRequest.num_workers is None``).  The pool is
-        spawned lazily on the first run that needs it and reused until
-        :meth:`close`.
+        Default for runs whose request does not pin its own
+        (``DiscoveryRequest.num_workers is None``).  Values above 1 cap
+        the run's OC plane threads, which each run starts and stops
+        itself (see ``DiscoveryConfig.num_workers``); a warm run, whose
+        memo already holds outcomes, counts inline.
     cache_validations:
         Keep a cross-run memo of validation outcomes (default on).  Cold
         runs behave identically to the one-shot API; repeated runs and
@@ -172,18 +166,6 @@ class Profiler:
         cache and evicts it level by level, bounding peak memory exactly
         like the pre-session engine; the one-shot ``discover_*`` wrappers
         use this, since their session never runs twice.
-    shard_pool:
-        An externally-owned
-        :class:`~repro.validation.distributed.ShardedValidationPool` to
-        run on instead of spawning one.  The session never closes an
-        external pool; hosts serving many datasets share a single pool
-        across their sessions this way.  Must match ``num_workers``.
-    worker_timeout:
-        Default per-job deadline in seconds for the session-owned pool (a
-        job past it is treated as a worker death and recovered; see
-        ``DiscoveryConfig.worker_timeout``).  ``None`` waits indefinitely.
-        Request-level ``worker_timeout`` values still apply per run; this
-        default covers runs whose request leaves it unset.
     max_memo_entries:
         Optional LRU bound on the validation memo.  The memo's entries are
         tiny but grow with every distinct candidate ever validated; a
@@ -206,22 +188,14 @@ class Profiler:
         num_workers: int = 1,
         cache_validations: bool = True,
         retain_partitions: bool = True,
-        shard_pool=None,
-        worker_timeout: Optional[float] = None,
         max_memo_entries: Optional[int] = None,
         max_cached_partitions: Optional[int] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if shard_pool is not None and shard_pool.num_workers != num_workers:
-            raise ValueError(
-                f"external pool has {shard_pool.num_workers} workers, "
-                f"session wants {num_workers}"
-            )
         self.relation = relation
         self.backend = resolve_backend(backend)
         self.num_workers = num_workers
-        self.worker_timeout = worker_timeout
         self.encoded = relation.encoded(self.backend)
         self.partitions = (
             PartitionCache(
@@ -234,13 +208,6 @@ class Profiler:
         self._memo: Optional[BoundedLRU] = (
             BoundedLRU(max_memo_entries) if cache_validations else None
         )
-        self._pool = shard_pool
-        self._owns_pool = shard_pool is None
-        #: Worker-resident column namespace over the pool (lazy; see
-        #: :class:`repro.validation.distributed.ColumnPlane`): rank columns
-        #: ship to each worker once per dataset version and survive across
-        #: runs; :meth:`extend` advances them by shipping only the deltas.
-        self._plane = None
         #: Monotone dataset version: bumped by every :meth:`extend`.
         self._dataset_version = 0
         self._closed = False
@@ -422,11 +389,6 @@ class Profiler:
         self.relation = new_relation
         self.encoded = extended
         self._dataset_version += 1
-        if self._plane is not None:
-            # Advance the worker-resident columns: appended-mode columns
-            # ship only their delta ranks, remapped ones are dropped and
-            # re-shipped in full on next use — never a full re-broadcast.
-            self._plane.apply_delta(extended, modes, old_num_rows)
         summary = DeltaSummary(
             old_num_rows=old_num_rows,
             new_num_rows=new_relation.num_rows,
@@ -514,9 +476,6 @@ class Profiler:
     @property
     def dataset_version(self) -> int:
         """How many times :meth:`extend` has advanced this session's data.
-
-        The same version stamps the worker pool's resident columns, so a
-        reused pool can never serve a run from columns of another version.
         """
         return self._dataset_version
 
@@ -548,8 +507,6 @@ class Profiler:
         info["backend"] = self.backend.name
         info["num_appends"] = len(self._delta_log)
         info["dataset_version"] = self._dataset_version
-        if self._pool is not None and not self._pool.closed:
-            info["worker_pool"] = dict(self._pool.stats)
         return info
 
     @property
@@ -560,19 +517,8 @@ class Profiler:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the session-owned worker pool and mark the session
-        closed (idempotent).  Guaranteed to leave no worker processes
-        behind, no matter how the session's runs ended (exceptions,
-        cancellations, time limits); an externally-supplied pool is left
-        to its owner."""
-        if self._plane is not None and not self._owns_pool:
-            # A shared pool outlives this session: free the worker-resident
-            # columns of this dataset so the host can keep the pool warm.
-            self._plane.release()
-        self._plane = None
-        if self._pool is not None and self._owns_pool:
-            self._pool.close()
-        self._pool = None
+        """Mark the session closed (idempotent); later runs raise.  Each
+        run stops its own plane threads, so nothing outlives it."""
         self._closed = True
 
     def __enter__(self) -> "Profiler":
@@ -598,34 +544,9 @@ class Profiler:
             num_workers=self.num_workers,
             progress_callback=progress_callback,
         )
-        plane = None
-        if config_uses_shard_pool(config):
-            if config.num_workers == self.num_workers:
-                plane = self._ensure_plane()
-            # else: the request pinned a different worker count — the
-            # engine spawns (and closes) a pool of its own for this one
-            # run rather than thrashing the session's warm pool.
         return DiscoveryEngine(
             self.relation,
             config,
             partitions=self.partitions,
-            column_plane=plane,
             validation_memo=self._memo,
         )
-
-    def _ensure_pool(self):
-        from repro.validation.distributed import ShardedValidationPool
-
-        if self._pool is None:
-            self._pool = ShardedValidationPool(
-                self.num_workers, backend=self.backend,
-                worker_timeout=self.worker_timeout,
-            )
-            self._owns_pool = True
-        return self._pool
-
-    def _ensure_plane(self):
-        pool = self._ensure_pool()
-        if self._plane is None:
-            self._plane = pool.new_plane(self.encoded)
-        return self._plane

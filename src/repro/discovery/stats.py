@@ -56,22 +56,13 @@ class DiscoveryStatistics:
     validation_memo_hits: int = 0
     #: Name of the compute backend that executed the run's hot paths.
     backend: str = "python"
-    #: Worker processes sharding OC validation (1 = in-process).
+    #: The configured ``num_workers`` (the cap on OC plane threads) on
+    #: optimal approximate runs; 1 on every other run.
     num_workers: int = 1
-    #: Context groups dispatched to an OC kernel (in-process or pool).
+    #: Context groups dispatched to the OC kernel.
     oc_batches: int = 0
     #: Context groups dispatched to the OFD batch kernel.
     ofd_batches: int = 0
-    #: Validation worker processes that died (or were retired by the
-    #: per-job timeout) during this run; the pool recovered from each.
-    worker_deaths: int = 0
-    #: Replacement worker processes spawned during this run.
-    respawns: int = 0
-    #: In-flight shards re-dispatched to surviving workers after a death.
-    requeued_shards: int = 0
-    #: Shards validated on the coordinator as a recovery fallback
-    #: (quarantined shards and shards of a degraded pool).
-    inline_fallbacks: int = 0
 
     # -- derived ---------------------------------------------------------------
 
@@ -116,10 +107,6 @@ class DiscoveryStatistics:
             "num_workers": self.num_workers,
             "oc_batches": self.oc_batches,
             "ofd_batches": self.ofd_batches,
-            "worker_deaths": self.worker_deaths,
-            "respawns": self.respawns,
-            "requeued_shards": self.requeued_shards,
-            "inline_fallbacks": self.inline_fallbacks,
         }
 
     @classmethod

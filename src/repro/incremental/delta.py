@@ -30,8 +30,7 @@ class DeltaSummary:
     old_num_rows: int
     new_num_rows: int
     #: The session's dataset version after this append (bumped by every
-    #: :meth:`Profiler.extend`; also stamps the worker pool's resident
-    #: columns, so stale worker state can never serve a newer version).
+    #: :meth:`Profiler.extend`).
     dataset_version: int = 0
     #: Attribute name -> ``"appended"`` / ``"remapped"`` (see
     #: :meth:`repro.dataset.encoding.EncodedRelation.extend`).

@@ -5,8 +5,7 @@ low-cardinality attributes, a handful of appended rows lands inside *some*
 class of nearly every context, and purging every touched context would
 throw away almost the whole memo.  The saving grace is that every kernel
 the engine memoises is **class-additive** — a context's removal count is
-the sum of independent per-class contributions (exactly the property the
-distributed validators shard on) — and
+the sum of independent per-class contributions — and
 :meth:`~repro.dataset.partition.PartitionCache.apply_delta` reports the
 precise classes a delta removed and added per context.  So instead of
 dropping an affected entry we *adjust* it::

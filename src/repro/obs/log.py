@@ -5,9 +5,9 @@ All loggers live under the ``repro`` namespace and carry a
 the CLI) opt in.  The CLI wires ``--log-level`` and the
 ``REPRO_LOG_LEVEL`` environment variable through :func:`configure`.
 
-The recovery paths that used to heal silently — worker death/respawn,
-shard quarantine, pool degradation — emit
-WARN/INFO records through :func:`get_logger`.
+Paths that would otherwise degrade silently — the native kernels falling
+back to numpy, graceful-shutdown cancellations — emit WARN/INFO records
+through :func:`get_logger`.
 """
 
 from __future__ import annotations

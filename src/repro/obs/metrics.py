@@ -6,17 +6,17 @@ serve``) or as a plain dict (the ``metrics`` section of ``/healthz``).
 
 The default registry is :data:`NOOP_REGISTRY`: every instrument handed
 out is a shared do-nothing object, so instrumentation sites in the
-engine and pool cost two attribute lookups and a no-op call when metrics
+engine cost two attribute lookups and a no-op call when metrics
 are off.  The serve layer installs a real registry at
 startup (:func:`enable_metrics`), which also pre-registers the standard
 metric families (:data:`STANDARD_METRICS`) so a scrape sees the full
-schema — pool resilience, queue wait, cache traffic — from the first
+schema — engine levels, queue wait, cache traffic — from the first
 request, not only after the matching code path has fired.
 
 Locking is deliberately cheap: one small lock per instrument, taken only
 around the few arithmetic operations of an update.  Updates happen per
-batch / per job / per level — never per row — so the cost is noise even
-under the pooled serve path.
+batch / per level — never per row — so the cost is noise even under
+the serve path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Default histogram boundaries (seconds): spans dispatch latencies in the
+#: Default histogram boundaries (seconds): spans queue waits in the
 #: hundreds of microseconds up to multi-second levels.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -279,32 +279,10 @@ STANDARD_METRICS: Tuple[Tuple[str, str, str], ...] = (
      "OFD candidates validated across all runs"),
     ("histogram", "repro_level_seconds",
      "Wall-clock seconds per processed lattice level"),
-    ("counter", "repro_pool_groups_total",
-     "Validation groups submitted to the shard pool"),
-    ("counter", "repro_pool_jobs_total",
-     "Shard jobs dispatched to pool workers"),
-    ("counter", "repro_pool_worker_deaths_total",
-     "Pool worker processes that died unexpectedly"),
-    ("counter", "repro_pool_respawns_total",
-     "Pool workers respawned after a death"),
-    ("counter", "repro_pool_requeued_shards_total",
-     "Shard jobs requeued after losing their worker"),
-    ("counter", "repro_pool_inline_fallbacks_total",
-     "Shard jobs recovered by in-process execution"),
-    ("counter", "repro_pool_quarantined_shards_total",
-     "Shard jobs quarantined after repeated worker deaths"),
-    ("counter", "repro_pool_worker_timeouts_total",
-     "Shard jobs whose worker exceeded the dispatch timeout"),
-    ("histogram", "repro_pool_round_trip_seconds",
-     "Dispatch-to-harvest latency per shard job"),
-    ("histogram", "repro_pool_queue_wait_seconds",
-     "Dispatch-to-kernel-start wait per shard job"),
     ("counter", "repro_result_cache_hits_total",
      "Serve-layer result cache hits"),
     ("counter", "repro_result_cache_misses_total",
      "Serve-layer result cache misses"),
-    ("gauge", "repro_pool_degraded",
-     "1 when the shared validation pool has degraded to in-process"),
     ("gauge", "repro_datasets",
      "Datasets currently hosted by this serve process"),
     ("gauge", "repro_result_cache_entries",

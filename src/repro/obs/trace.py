@@ -2,23 +2,12 @@
 
 A :class:`Tracer` records *spans* — named wall-clock intervals with a
 parent link — for the phases of a discovery run: run → level → phase
-(candidate-gen / partition-product / OC-batch / OFD-batch / memo-repair)
-→ shard dispatch.  Parenting is contextvar-based inside one process
+(candidate-gen / partition-product / oc-submit / ofd-batch / oc-harvest /
+memo-repair).  Parenting is contextvar-based inside one process
 (``with tracer.span(...)`` nests automatically); spans that must outlive a
 generator frame (the run and level spans of the streaming engine) are
 managed explicitly via :meth:`Tracer.start_span` / :meth:`Tracer.end_span`
 with an explicit ``parent``.
-
-Cross-process propagation is cooperative: the coordinator never ships the
-tracer to workers.  Instead, dispatch messages carry a ``timing`` flag;
-workers record their kernel-execution interval as plain dicts and
-piggyback them on the shard result keyed by job id, and the coordinator
-re-parents them under the dispatching span via
-:meth:`Tracer.attach_worker_spans` (see
-:mod:`repro.validation.distributed`).  Worker spans carry the worker's
-pid, which becomes their track in the Chrome-trace export — one track per
-worker process, so pipelining overlap and dispatch latency are visible in
-Perfetto / ``chrome://tracing``.
 
 Zero-cost-when-off: the process default is :data:`NOOP_TRACER`, whose
 ``span()`` returns one shared no-op context manager and whose ``enabled``
@@ -26,10 +15,8 @@ flag gates every non-trivial instrumentation site.  Enabling tracing
 (``repro discover --trace out.json``, or :func:`set_tracer` /
 :func:`use_tracer` in code) never changes results — only observes them.
 
-All span timestamps are ``time.time()`` wall-clock seconds: unlike
-``perf_counter``, the wall clock is comparable across the coordinator and
-its worker processes on one host, which is what makes the merged timeline
-meaningful.
+All span timestamps are ``time.time()`` wall-clock seconds, exported
+relative to the tracer's creation.
 """
 
 from __future__ import annotations
@@ -40,7 +27,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 #: The active span id of the current (thread / task) context.  Shared by
 #: every Tracer instance: at most one tracer is installed at a time.
@@ -50,26 +37,19 @@ _CURRENT: contextvars.ContextVar = contextvars.ContextVar(
 
 
 class Span:
-    """One named wall-clock interval with a parent link.
+    """One named wall-clock interval with a parent link (``end`` is
+    ``None`` while the span is open)."""
 
-    ``track`` is ``None`` for coordinator-side spans and the worker's pid
-    for spans recorded inside a worker process (one export track per
-    worker).  ``end`` is ``None`` while the span is open.
-    """
-
-    __slots__ = ("span_id", "name", "parent_id", "start", "end", "attrs",
-                 "track")
+    __slots__ = ("span_id", "name", "parent_id", "start", "end", "attrs")
 
     def __init__(self, span_id: int, name: str, parent_id: Optional[int],
-                 start: float, attrs: Dict[str, object],
-                 track: Optional[int] = None) -> None:
+                 start: float, attrs: Dict[str, object]) -> None:
         self.span_id = span_id
         self.name = name
         self.parent_id = parent_id
         self.start = start
         self.end: Optional[float] = None
         self.attrs = attrs
-        self.track = track
 
     @property
     def duration(self) -> float:
@@ -163,14 +143,13 @@ class Tracer:
             self._finish(span)
 
     def record_span(self, name: str, start: float, end: float, parent=None,
-                    track: Optional[int] = None, **attrs) -> Span:
-        """Record an already-elapsed interval (e.g. a dispatch round-trip
-        reconstructed at harvest time).  Returns the recorded span so
-        callers can parent further spans under it."""
+                    **attrs) -> Span:
+        """Record an already-elapsed interval (e.g. a partition build
+        noticed after the fact).  Returns the recorded span so callers can
+        parent further spans under it."""
         span = self._begin(name, _parent_id(parent), attrs)
         span.start = start
         span.end = end
-        span.track = track
         with self._lock:
             self._spans.append(span)
         return span
@@ -178,27 +157,6 @@ class Tracer:
     def current_span_id(self) -> Optional[int]:
         """The contextvar-active span id (``None`` outside any span)."""
         return _CURRENT.get()
-
-    def attach_worker_spans(self, raw_spans: Iterable[Dict[str, object]],
-                            parent) -> List[Span]:
-        """Re-parent worker-recorded spans under a coordinator span.
-
-        ``raw_spans`` are the plain dicts a worker piggybacked on its shard
-        result: ``{"name", "start", "end", "pid", ...attrs}``.  Each
-        becomes a first-class span parented to ``parent`` (the dispatching
-        span), with the worker's pid as its track.
-        """
-        attached: List[Span] = []
-        parent_id = _parent_id(parent)
-        for raw in raw_spans:
-            attrs = {k: v for k, v in raw.items()
-                     if k not in ("name", "start", "end", "pid")}
-            attached.append(self.record_span(
-                str(raw.get("name", "worker")),
-                float(raw["start"]), float(raw["end"]),
-                parent=parent_id, track=raw.get("pid"), **attrs,
-            ))
-        return attached
 
     # -- introspection / export --------------------------------------------------
 
@@ -210,9 +168,8 @@ class Tracer:
     def chrome_trace(self) -> Dict[str, object]:
         """The trace in Chrome trace-event format (Perfetto-compatible).
 
-        One ``X`` (complete) event per span on the coordinator process;
-        coordinator spans share track (tid) 0, each worker process gets its
-        own track named after its pid.  Parent links travel in ``args``
+        One ``X`` (complete) event per span, all on the coordinator's
+        track (tid 0).  Parent links travel in ``args``
         (``span_id`` / ``parent_id``) — the timeline nests by containment,
         the ids make the exact tree machine-checkable.
         """
@@ -223,22 +180,14 @@ class Tracer:
             {"ph": "M", "name": "thread_name", "pid": pid, "tid": 0,
              "args": {"name": "coordinator"}},
         ]
-        named_tracks = set()
         for span in self.finished_spans():
-            tid = 0 if span.track is None else int(span.track)
-            if tid and tid not in named_tracks:
-                named_tracks.add(tid)
-                events.append({
-                    "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                    "args": {"name": f"worker-{tid}"},
-                })
             args: Dict[str, object] = dict(span.attrs)
             args["span_id"] = span.span_id
             if span.parent_id is not None:
                 args["parent_id"] = span.parent_id
             events.append({
                 "ph": "X", "cat": "repro", "name": span.name,
-                "pid": pid, "tid": tid,
+                "pid": pid, "tid": 0,
                 "ts": round((span.start - self.epoch) * 1e6, 3),
                 "dur": round(max(span.duration, 0.0) * 1e6, 3),
                 "args": args,
@@ -283,15 +232,11 @@ class NoopTracer:
     def end_span(self, span) -> None:
         return None
 
-    def record_span(self, name, start, end, parent=None, track=None,
-                    **attrs) -> None:
+    def record_span(self, name, start, end, parent=None, **attrs) -> None:
         return None
 
     def current_span_id(self) -> None:
         return None
-
-    def attach_worker_spans(self, raw_spans, parent) -> List[Span]:
-        return []
 
     def finished_spans(self) -> List[Span]:
         return []

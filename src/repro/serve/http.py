@@ -5,16 +5,15 @@ Endpoints (JSON in, JSON out; no dependencies beyond the stdlib):
 ``GET /healthz``
     ``{"status": "ok"|"draining", "backend": <name>, "oc_kernel":
     "native"|"numpy"|"python", "datasets": <count>, "result_cache":
-    {...}, "admission": {...}, "lifecycle": {...}, "resilience": {...},
-    "metrics": {...}}``.  The admission block reports
+    {...}, "admission": {...}, "lifecycle": {...}, "metrics": {...}}``.  The admission block reports
     queue depth/cap configuration, live in-flight counts, per-dataset
     queue state and every admission decision counter; the lifecycle block
     carries upload/eviction/deadline/disconnect counters, the TTL setting
     and whether lifecycle auth is required.
 
 ``GET /metrics``
-    Prometheus text exposition of the process-wide registry — engine,
-    pool-resilience, cache families plus the serve families
+    Prometheus text exposition of the process-wide registry — engine
+    and cache families plus the serve families
     (admissions, rejections, queue-wait and request-latency histograms,
     deadline timeouts, disconnect cancellations, lifecycle counters).
 
@@ -46,13 +45,13 @@ Endpoints (JSON in, JSON out; no dependencies beyond the stdlib):
 
 ``DELETE /datasets/<name>``
     Evict a dataset: the name disappears immediately, an executing run is
-    drained briefly then cancelled, the session closes and its
-    worker-resident columns are released.  Same bearer-token gate.
+    drained briefly then cancelled, and the session closes.  Same
+    bearer-token gate.
 
 Shutdown: :meth:`ResilientHTTPServer.shutdown_gracefully` stops accepting,
 refuses queued work with 503, drains executing runs within a bounded grace
 period (cancelling stragglers through their tokens), then closes sessions
-and the shared pool deterministically.
+deterministically.
 """
 
 from __future__ import annotations
@@ -361,7 +360,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "result_cache": self.service.result_cache_stats(),
                     "admission": self.service.admission.snapshot(),
                     "lifecycle": self.service.lifecycle_stats(),
-                    "resilience": self.service.resilience_stats(),
                     "metrics": self.service.metrics_snapshot(),
                 })
             elif self.path == "/metrics":
@@ -523,7 +521,7 @@ class _Handler(BaseHTTPRequestHandler):
             # handler thread die and drop the connection.
             self._send_error_json(400, str(error))
         except RuntimeError as error:
-            # Lifecycle faults (closed session/pool) are server-side: a
+            # Lifecycle faults (a closed session) are server-side: a
             # 5xx tells the client to retry, not to fix its request.
             self._send_error_json(500, str(error))
         finally:

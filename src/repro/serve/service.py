@@ -20,8 +20,7 @@ overload and churn, not just the happy path:
   Startup datasets are *pinned* (never TTL-evicted) unless asked otherwise.
 * **graceful shutdown** — :meth:`begin_drain` refuses new work,
   :meth:`shutdown_gracefully` drains or cancels in-flight runs within a
-  bounded grace period, then closes every session and the shared worker
-  pool deterministically.
+  bounded grace period, then closes every session deterministically.
 
 Everything observable lands in ``repro.obs``: admission and lifecycle
 counters, queue-wait and request-latency histograms, and the ``admission``
@@ -95,7 +94,6 @@ class ProfilerService:
         *,
         backend=None,
         num_workers: int = 1,
-        worker_timeout: Optional[float] = None,
         max_memo_entries: Optional[int] = None,
         max_cached_partitions: Optional[int] = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
@@ -106,7 +104,6 @@ class ProfilerService:
     ) -> None:
         self._backend = backend
         self._num_workers = num_workers
-        self._worker_timeout = worker_timeout
         # Per-session memory bounds, forwarded to every dataset's Profiler
         # (LRU eviction; evicted state is recomputed, results never change).
         self._max_memo_entries = max_memo_entries
@@ -119,7 +116,6 @@ class ProfilerService:
         self._profilers: Dict[str, Profiler] = {}
         self._pinned: Dict[str, bool] = {}
         self._last_used: Dict[str, float] = {}
-        self._pool = None
         # Result cache: dataset name -> canonical request JSON -> result.
         # Guarded by the admission gate (one run per dataset at a time);
         # invalidated by appends and LRU-bounded per dataset so ad-hoc
@@ -138,22 +134,9 @@ class ProfilerService:
         self._sweep_stop = threading.Event()
         self._sweep_thread: Optional[threading.Thread] = None
         # Serving is the surface observability exists for: install the
-        # process-wide metrics registry (idempotent) so engine and pool
+        # process-wide metrics registry (idempotent) so engine
         # instrumentation lands in /metrics and /healthz.
         enable_metrics()
-        # One worker pool serves every dataset (its kernels are
-        # dataset-agnostic).  Spawn it NOW, while the process is still
-        # single-threaded: runtime uploads arrive on handler threads, and
-        # forking a pool from one of those could inherit locks held by
-        # concurrent threads.
-        if self._num_workers > 1:
-            from repro.validation.distributed import ShardedValidationPool
-            from repro.backend import resolve_backend
-
-            self._pool = ShardedValidationPool(
-                self._num_workers, backend=resolve_backend(self._backend),
-                worker_timeout=self._worker_timeout,
-            )
         if dataset_ttl_seconds is not None:
             if dataset_ttl_seconds <= 0:
                 raise ValueError("dataset_ttl_seconds must be positive")
@@ -184,7 +167,6 @@ class ProfilerService:
             profiler = Profiler(
                 relation, backend=self._backend,
                 num_workers=self._num_workers,
-                shard_pool=self._pool,
                 max_memo_entries=self._max_memo_entries,
                 max_cached_partitions=self._max_cached_partitions,
             )
@@ -234,8 +216,7 @@ class ProfilerService:
 
         The dataset disappears from the registry immediately (new requests
         get 404, already-queued ones 410); an executing run is given
-        ``grace_seconds`` to finish and then cancelled.  The session's
-        worker-resident columns are released back to the shared pool.
+        ``grace_seconds`` to finish and then cancelled.
         """
         with self._registry_lock:
             profiler = self._profilers.pop(name, None)
@@ -375,14 +356,11 @@ class ProfilerService:
         return profiler
 
     def _check_request(self, request: DiscoveryRequest) -> None:
-        # Worker processes are a deployment concern (--workers on `repro
-        # serve`), not something a client may resize per request: honoring
-        # it would let any caller respawn — or arbitrarily grow — the
-        # server's warm process pool.  Two values are safe and accepted:
-        # the server's own setting (reuses the existing pool) and 1 (runs
-        # in-process, never touches the pool).  Served results only ever
-        # embed one of these in their request, so replaying a response's
-        # request always works.
+        # The thread cap is a deployment concern (--workers on `repro
+        # serve`), not something a client may change per request.  Two
+        # values are accepted: the server's own setting and 1 (the
+        # default).  Served results only ever embed one of these in their
+        # request, so replaying a response's request always works.
         if (request.num_workers is not None
                 and request.num_workers not in (1, self._num_workers)):
             raise ServiceError(
@@ -569,30 +547,11 @@ class ProfilerService:
         stats["draining"] = self.admission.draining
         return stats
 
-    def resilience_stats(self) -> Dict[str, object]:
-        """The shared pool's recovery counters for ``/healthz``.
-
-        Servers running without worker processes (``--workers 1``) report
-        all-zero counters and ``degraded: false`` — the schema is stable so
-        monitoring never has to special-case the serial deployment.
-        """
-        if self._pool is not None and not self._pool.closed:
-            return self._pool.resilience_stats()
-        from repro.validation.distributed import RESILIENCE_COUNTERS
-
-        snapshot: Dict[str, object] = {key: 0 for key in RESILIENCE_COUNTERS}
-        snapshot["degraded"] = False
-        return snapshot
-
     def _refresh_gauges(self) -> None:
         """Set the scrape-time gauges from current service state."""
         registry = get_metrics()
         if not registry.enabled:
             return
-        resilience = self.resilience_stats()
-        registry.gauge("repro_pool_degraded").set(
-            1 if resilience.get("degraded") else 0
-        )
         with self._registry_lock:
             datasets = len(self._profilers)
             entries = sum(len(cache) for cache in self._results.values())
@@ -629,7 +588,7 @@ class ProfilerService:
         3. past the grace, fire every active run's cancellation token and
            wait (bounded) for the engines to unwind at their next
            group-boundary check;
-        4. close sessions and the shared pool.
+        4. close the sessions.
 
         Returns ``True`` when everything drained without cancellation.
         """
@@ -647,7 +606,7 @@ class ProfilerService:
         return drained
 
     def close(self) -> None:
-        """Close every session and the shared worker pool (idempotent)."""
+        """Close every session (idempotent)."""
         with self._registry_lock:
             if self._closed:
                 return
@@ -663,6 +622,3 @@ class ProfilerService:
             self._sweep_thread = None
         for profiler in profilers:
             profiler.close()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None

@@ -44,11 +44,9 @@ from repro.validation.approx_od import (
     validate_list_aod,
 )
 from repro.validation.bidirectional import best_polarity, validate_aboc_optimal
-from repro.validation.distributed import ShardedValidationPool
 
 __all__ = [
     "FenwickTree",
-    "ShardedValidationPool",
     "ValidationResult",
     "best_polarity",
     "count_inversions",

@@ -440,11 +440,9 @@ def test_native_refine_matches_the_lexsort_and_the_python_backend(case):
 
 
 def test_every_class_form_takes_the_one_native_oc_path(monkeypatch):
-    """A cached partition (in-process), a pool worker's ``ClassShard`` and
-    the class lists of incremental repair all reach the same native call,
-    and its counts, partials included, equal the python backend's."""
-    from repro.validation.distributed import ClassShard
-
+    """A cached partition (discovery) and the class lists of incremental
+    repair both reach the same native call, and its counts, partials
+    included, equal the python backend's."""
     calls = []
     library = native.kernels()
     if library is not None:
@@ -468,11 +466,7 @@ def test_every_class_form_takes_the_one_native_oc_path(monkeypatch):
     encoded = relation.encoded(nq)
     partition = PartitionCache(encoded, backend=nq).get_by_names(["ctx"])
     class_lists = [list(rows) for rows in partition]
-    forms = [
-        partition,
-        ClassShard.pack(class_lists, as_arrays=True),
-        class_lists,
-    ]
+    forms = [partition, class_lists]
     pairs = [("a", "b"), ("b", "a")]
     for limit in (None, 0, 40):
         expected = py.oc_optimal_removal_count_batch(class_lists, [

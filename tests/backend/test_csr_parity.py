@@ -3,7 +3,7 @@
 The flat ``(row_indices, class_offsets)`` layout must be observationally
 identical to the legacy list-of-lists on every construction path —
 ``single``, ``from_row_keys``, ``unit``, refinement and products — on both
-backends, and the worker shard planner must slice it without loss.
+backends, and plane threads must count straight off it.
 """
 
 import pytest
@@ -155,26 +155,48 @@ def test_from_csr_is_adopted_verbatim():
     assert partition == Partition([[0, 1], [4, 6]], 8)
 
 
-def test_shard_planner_reconstructs_partition():
-    np = pytest.importorskip("numpy")
-    from repro.validation.distributed import ShardedValidationPool
+def test_plane_threads_count_csr_partitions_like_the_reference():
+    """Plane threads count OC pairs straight off a context partition's CSR
+    arrays; 1, 2 and 4 threads must give the python reference's counts on
+    every backend."""
+    for backend in BACKENDS:
+        _check_plane_counts(get_backend(backend))
+
+
+def _check_plane_counts(resolved):
+    from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
     relation = _workload()
-    resolved = get_backend("numpy")
-    cache = PartitionCache(relation.encoded(resolved), backend=resolved)
+    encoded = relation.encoded(resolved)
+    cache = PartitionCache(encoded, backend=resolved)
     partition = cache.get(frozenset([0]))
-    with ShardedValidationPool(3, backend=resolved) as pool:
-        pool.MIN_SHARD_COST = 1  # force multiple shards on a small table
-        shards, total, needed_row = pool._plan_shards(partition)
-    assert needed_row == max(_plain(partition.row_indices))
-    assert total > 0
-    reassembled = [list(rows) for shard, _ in shards for rows in shard]
-    assert reassembled == partition.classes
-    # Shard columnar views concatenate back to the partition's flat layout.
-    flat = np.concatenate(
-        [shard.columnar_view()[0] for shard, _ in shards]
+    names = relation.attribute_names[1:]
+    pairs = [(a, b) for a in names for b in names if a < b]
+
+    def prepare(classes, pair_names, limit):
+        rank_pairs = [(encoded.native_ranks(a), encoded.native_ranks(b))
+                      for a, b in pair_names]
+        return lambda: resolved.oc_optimal_removal_count_batch(
+            classes, rank_pairs, limit
+        )
+
+    python = get_backend("python")
+    python_encoded = relation.encoded(python)
+    reference = python.oc_optimal_removal_count_batch(
+        partition.classes,
+        [(python_encoded.ranks(a), python_encoded.ranks(b)) for a, b in pairs],
+        None,
     )
-    assert flat.tolist() == _plain(partition.row_indices)
+    for threads in (1, 2, 4):
+        pool = ShardedValidationPool(threads)
+        try:
+            plane = ColumnPlane(prepare, pool)
+            pending = [plane.submit(partition, [pair]) for pair in pairs]
+            counts = [plane.harvest(p)[0] for p in pending]
+        finally:
+            pool.close()
+        assert counts == reference, threads
+        assert pool.stats == {"groups": len(pairs), "jobs": len(pairs)}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -178,8 +178,13 @@ class TestOcBatchParity:
 
     @needs_kernel
     def test_a_pooled_run_equals_the_in_process_run(self):
+        """A group counted on two plane threads equals the same batch
+        counted on the calling thread, partials included."""
         from repro.dataset.partition import PartitionCache
-        from repro.validation.distributed import ShardedValidationPool
+        from repro.validation.distributed import (
+            ColumnPlane,
+            ShardedValidationPool,
+        )
 
         relation = generate_flight_like(
             1500, num_attributes=5, error_rate=0.1, seed=5
@@ -188,30 +193,24 @@ class TestOcBatchParity:
         names = relation.attribute_names
         classes = PartitionCache(encoded, backend=NUMPY).get_by_names(names[:1])
         pairs = [(a, b) for a in names[1:] for b in names[1:] if a != b]
-        rank_pairs = [
-            (encoded.native_ranks(a), encoded.native_ranks(b)) for a, b in pairs
-        ]
-        with ShardedValidationPool(
-            2, backend=NUMPY, inline_group_cost=0, min_shard_cost=1
-        ) as pool:
-            plane = pool.new_plane(encoded)
+
+        def prepare(classes, pair_names, limit):
+            rank_pairs = [(encoded.native_ranks(a), encoded.native_ranks(b))
+                          for a, b in pair_names]
+            return lambda: NUMPY.oc_optimal_removal_count_batch(
+                classes, rank_pairs, limit
+            )
+
+        with ShardedValidationPool(2) as pool:
+            plane = ColumnPlane(prepare, pool)
             for limit in (None, 0, 30):
-                expected = NUMPY.oc_optimal_removal_count_batch(
-                    classes, rank_pairs, limit
-                )
-                got = plane.harvest(plane.submit(classes, pairs, limit))
-                # Shards sum their own partials: past the limit only the
-                # flag is comparable.
-                assert [over for _, over in got] == [
-                    over for _, over in expected
-                ]
-                assert [c for c, over in got if not over] == [
-                    c for c, over in expected if not over
-                ]
-                if limit is None:
-                    assert got == expected
-            assert pool.stats["jobs"] > 0
-            assert pool.stats["inline_groups"] == 0
+                expected = prepare(classes, pairs, limit)()
+                pending = [plane.submit(classes, [pair], limit)
+                           for pair in pairs]
+                got = [count for p in pending for count in plane.harvest(p)]
+                assert got == expected
+            assert pool.stats == {"groups": 3 * len(pairs),
+                                  "jobs": 3 * len(pairs)}
 
 
 def _ofd_columns(class_values):

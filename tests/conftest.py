@@ -41,3 +41,50 @@ def ncvoter_small():
 def planted_workload():
     """A 200-row table with one planted AOC of factor 0.1."""
     return generate_planted_oc_table(200, approximation_factor=0.1, seed=11)
+
+
+class PlaneThreads:
+    """The OC plane thread count of every run (0 = counted inline)."""
+
+    #: Usable cores the ``plane_threads`` fixture pretends to have.
+    CORES = 8
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    @classmethod
+    def expected(cls, backend, config) -> int:
+        """The thread count a cold run of ``config`` uses."""
+        from repro.backend import resolve_backend
+
+        if config.validator == "iterative" \
+                or resolve_backend(backend).oc_kernel_name != "native":
+            return 0
+        threads = cls.CORES
+        if config.num_workers > 1:
+            threads = min(threads, config.num_workers)
+        return threads if threads > 1 else 0
+
+
+@pytest.fixture
+def plane_threads(monkeypatch):
+    """Pin the usable cores to :attr:`PlaneThreads.CORES` and record the
+    plane thread count of every run, so worker-count tests exercise real
+    thread counts on any host."""
+    import os
+
+    from repro.discovery.engine import DiscoveryEngine
+
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(PlaneThreads.CORES)),
+                        raising=False)
+    real = DiscoveryEngine._oc_threads
+    record = PlaneThreads()
+
+    def spy(self):
+        threads = real(self)
+        record.seen.append(threads)
+        return threads
+
+    monkeypatch.setattr(DiscoveryEngine, "_oc_threads", spy)
+    return record

@@ -4,8 +4,9 @@ Acceptance bar for the batched validation path: byte-identical
 ``DiscoveryResult``s — the same OCs/OFDs with the same removal sizes,
 approximation factors, levels and interestingness scores, in the same order
 — against a per-candidate reference schedule (the ``per_candidate``
-fixture), against an in-process python-backend run for both backends and
-worker counts 1/2/4, and against the exhaustive brute-force oracle.
+fixture), against a python-backend run for both backends and worker counts
+1/2/4 (which cap the OC plane at 8, 2 and 4 threads on a pinned 8-core
+view), and against the exhaustive brute-force oracle.
 """
 
 import pytest
@@ -20,7 +21,6 @@ from repro.dataset.generators import (
 from repro.discovery.api import discover, discover_aods
 from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
-from repro.validation.distributed import ShardedValidationPool
 from test_engine import _oracle_ocs, _oracle_ofds, _reported_ocs, _reported_ofds
 
 BACKENDS = available_backends()
@@ -103,40 +103,39 @@ def _python_in_process(config_name):
 @pytest.mark.parametrize("config_name", ["exact", "optimal-10", "iterative-10"])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_workers", [1, 2, 4])
-def test_matches_python_in_process(num_workers, backend, config_name):
+def test_matches_python_in_process(num_workers, backend, config_name,
+                                  plane_threads):
     reference = _python_in_process(config_name)
-    result = discover(
-        WORKLOADS["flight"],
-        DiscoveryConfig(backend=backend, num_workers=num_workers,
-                        **CONFIGS[config_name]),
-    )
+    config = DiscoveryConfig(backend=backend, num_workers=num_workers,
+                             **CONFIGS[config_name])
+    result = discover(WORKLOADS["flight"], config)
+    assert plane_threads.seen[-1] == plane_threads.expected(backend, config)
     _assert_identical(result, reference)
     for name in ("oc_candidates_validated", "ofd_candidates_validated",
                  "oc_candidates_pruned", "ofd_candidates_pruned",
                  "nodes_processed", "oc_batches", "ofd_batches"):
         assert getattr(result.stats, name) == getattr(reference.stats, name)
-    # Only the LNDS-based optimal validator consults the pool.
-    pooled = num_workers > 1 and config_name == "optimal-10"
-    assert result.stats.num_workers == (num_workers if pooled else 1)
+    # Only the LNDS-based optimal validator reports its worker count.
+    reported = num_workers > 1 and config_name == "optimal-10"
+    assert result.stats.num_workers == (num_workers if reported else 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_pooled_run_matches_oracle(seed):
-    """A two-worker run on the full lattice reports exactly the minimal
-    dependencies the brute-force oracle derives."""
+def test_pooled_run_matches_oracle(seed, plane_threads):
+    """A two-worker run (two plane threads with the native kernel) on the
+    full lattice reports exactly the minimal dependencies the brute-force
+    oracle derives."""
     relation = generate_random_table(60, 4, cardinality=3, seed=seed)
     attributes = relation.attribute_names
-    with ShardedValidationPool(2) as pool:
-        # Force every group through the workers: the table is tiny.
-        pool.INLINE_GROUP_COST = 0
-        pool.MIN_SHARD_COST = 1
-        result = DiscoveryEngine(
-            relation,
-            DiscoveryConfig(threshold=0.1, num_workers=2,
-                            prune_exhausted_nodes=False),
-            shard_pool=pool,
-        ).run()
-        assert pool.stats["jobs"] > 0
+    engine = DiscoveryEngine(
+        relation,
+        DiscoveryConfig(threshold=0.1, num_workers=2,
+                        prune_exhausted_nodes=False),
+    )
+    result = engine.run()
+    assert plane_threads.seen == [
+        plane_threads.expected(engine.backend, engine.config)
+    ]
     assert result.stats.num_workers == 2
     assert _reported_ocs(result) == _oracle_ocs(relation, attributes, 0.1)
     assert _reported_ofds(result) == _oracle_ofds(relation, attributes, 0.1)
@@ -144,21 +143,22 @@ def test_pooled_run_matches_oracle(seed):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_workers", [2, 4])
-def test_sharded_workers_equal_sequential(backend, num_workers, per_candidate):
+def test_sharded_workers_equal_sequential(backend, num_workers, per_candidate,
+                                         plane_threads):
     relation = WORKLOADS["flight"]
     reference = per_candidate(
         relation, DiscoveryConfig(threshold=0.1, backend=backend)
     )
-    sharded = discover(
-        relation,
-        DiscoveryConfig(threshold=0.1, backend=backend, num_workers=num_workers),
-    )
+    config = DiscoveryConfig(threshold=0.1, backend=backend,
+                             num_workers=num_workers)
+    sharded = discover(relation, config)
+    assert plane_threads.seen[-1] == plane_threads.expected(backend, config)
     _assert_identical(sharded, reference)
     assert sharded.stats.num_workers == num_workers
 
 
 def test_api_exposes_workers_and_batching(per_candidate):
-    """The one-shot API runs the batched schedule, in-process or sharded."""
+    """The one-shot API runs the batched schedule for any worker count."""
     relation = WORKLOADS["table1"]
     reference = per_candidate(relation, DiscoveryConfig(threshold=0.15))
     default = discover_aods(relation, threshold=0.15)

@@ -64,12 +64,19 @@ class TestDiscoveryRequest:
             ("time_limit_seconds", float("nan")),
             ("time_limit_seconds", float("inf")),
             ("time_limit_seconds", float("-inf")),
-            ("worker_timeout", float("nan")), ("worker_timeout", float("inf")),
-            ("worker_timeout", float("-inf")),
         ]:
             with pytest.raises(ValueError, match=name):
                 DiscoveryRequest.from_json(
                     json.dumps({"threshold": 0.1, name: value})
+                )
+        # The process pool's per-job deadline is gone: any value of it is
+        # an unknown field.
+        for value in (5.0, None, float("nan")):
+            with pytest.raises(ValueError,
+                               match="unknown DiscoveryRequest fields.*"
+                                     "worker_timeout"):
+                DiscoveryRequest.from_json(
+                    json.dumps({"threshold": 0.1, "worker_timeout": value})
                 )
 
     def test_unknown_fields_rejected(self):

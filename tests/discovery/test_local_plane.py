@@ -1,12 +1,17 @@
-"""The in-process plane: OC groups counted on threads must be invisible.
+"""The OC plane: OC groups counted on threads must be invisible.
 
-Runs without workers submit every OC context group to a thread-backed
-:class:`~repro.discovery.engine.LocalPlane`, which counts on the usable
-cores beside the coordinator's when the native kernel (which releases the
-GIL) does the counting, and inline otherwise.  Acceptance bars:
+Every run submits each OC context group to a
+:class:`~repro.validation.distributed.ColumnPlane`, which counts on one
+thread per usable core (at most ``num_workers`` of them when
+``num_workers > 1``) when the native kernel (which releases the GIL) does
+the counting, and inline otherwise.  Acceptance bars:
 
 * threaded and forced-inline runs give identical results *and counters*
-  for every validator and kernel (python, native, numpy fallback);
+  for every validator and kernel (python, native, numpy fallback) and for
+  ``num_workers`` 1, 2 and 4, one-shot and through a warm session's
+  discover → extend → discover;
+* ``num_workers`` above the core count never starts more threads than
+  there are usable cores;
 * a warm session run (its memo holds outcomes) counts inline;
 * a run cancelled with groups in flight leaves no thread behind, stores
   only harvested outcomes in the session memo, and the session's next run
@@ -19,6 +24,7 @@ import contextlib
 import os
 import sys
 import threading
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -28,10 +34,11 @@ from test_pipelined_scheduler import COUNTER_FIELDS
 from repro.backend import available_backends, get_backend
 from repro.dataset.generators import generate_flight_like
 from repro.dataset.relation import Relation
-from repro.discovery.api import discover
+from repro.discovery.api import discover, discover_aods, discover_ods
 from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
-from repro.discovery.engine import DiscoveryEngine, LocalPlane
+from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import Profiler
+from repro.validation.distributed import ColumnPlane
 
 #: ``(backend, native kernels forced off)`` per kernel leg.
 KERNEL_LEGS = [("python", False)]
@@ -43,6 +50,10 @@ VALIDATORS = {
     "exact": dict(threshold=0.0, validator="exact"),
     "iterative": dict(threshold=0.2, validator="iterative"),
 }
+
+#: Worker counts of the differential: one thread per core, and caps of two
+#: and four threads.
+WORKER_COUNTS = (1, 2, 4)
 
 
 def _cores(count):
@@ -87,6 +98,33 @@ def relations(draw):
     return Relation.from_columns(columns)
 
 
+def _assert_same(result, reference):
+    assert result.ocs == reference.ocs
+    assert result.ofds == reference.ofds
+    for name in COUNTER_FIELDS:
+        assert getattr(result.stats, name) == \
+            getattr(reference.stats, name), name
+
+
+def _one_shot(relation, validator, backend, num_workers):
+    """One run through the public API."""
+    if validator == "exact":
+        return discover_ods(relation, backend=backend, num_workers=num_workers)
+    options = VALIDATORS[validator]
+    return discover_aods(relation, threshold=options["threshold"],
+                         validator=options["validator"], backend=backend,
+                         num_workers=num_workers)
+
+
+def _warm_session(base, delta, validator, backend, num_workers):
+    """A warm session's discover → extend → discover."""
+    request = DiscoveryRequest(**VALIDATORS[validator])
+    with Profiler(base, backend=backend, num_workers=num_workers) as session:
+        first = session.discover(request)
+        session.extend(delta)
+        return first, session.discover(request)
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(relation=relations(), validator=st.sampled_from(sorted(VALIDATORS)))
@@ -97,17 +135,73 @@ def test_threaded_equals_inline(relation, validator):
         with _kernels_off(kernels_off):
             with _cores(1):
                 inline = discover(relation, config)
-            with _cores(4):
-                threaded = discover(relation, config)
-        assert threaded.ocs == inline.ocs
-        assert threaded.ofds == inline.ofds
-        for name in COUNTER_FIELDS:
-            assert getattr(threaded.stats, name) == \
-                getattr(inline.stats, name), name
+            for num_workers in WORKER_COUNTS:
+                with _cores(8):
+                    threaded = discover(
+                        relation, replace(config, num_workers=num_workers)
+                    )
+                    public = _one_shot(relation, validator, backend,
+                                       num_workers)
+                _assert_same(threaded, inline)
+                _assert_same(public, inline)
         if reference is None:
             reference = inline
         assert inline.ocs == reference.ocs, backend
         assert inline.ofds == reference.ofds, backend
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(relation=relations(), validator=st.sampled_from(sorted(VALIDATORS)),
+       data=st.data())
+def test_warm_session_extend_equals_inline(relation, validator, data):
+    """discover → extend → discover in one warm session: the cold first
+    run counts on the plane threads, the warm one inline; both equal the
+    forced-inline session's, counters and memo hits included."""
+    cut = data.draw(st.integers(1, relation.num_rows - 1))
+    base = Relation.from_columns({
+        name: relation.column(name)[:cut]
+        for name in relation.attribute_names
+    })
+    delta = [relation.row(i) for i in range(cut, relation.num_rows)]
+    for backend, kernels_off in KERNEL_LEGS:
+        with _kernels_off(kernels_off):
+            with _cores(1):
+                inline = _warm_session(base, delta, validator, backend, 1)
+            for num_workers in WORKER_COUNTS:
+                with _cores(8):
+                    threaded = _warm_session(base, delta, validator,
+                                             backend, num_workers)
+                for result, reference in zip(threaded, inline):
+                    _assert_same(result, reference)
+
+
+def test_workers_above_the_core_count_start_one_thread_per_core(monkeypatch):
+    """``num_workers=64``: no more live ``repro-oc`` threads than usable
+    cores at any kernel call, none after the run, and the results and
+    counters of an inline run."""
+    relation = generate_flight_like(
+        2000, num_attributes=6, error_rate=0.1, seed=11
+    ).relation
+    cores = len(os.sched_getaffinity(0))
+    backend = available_backends()[-1]
+    backend_cls = type(get_backend(backend))
+    real = backend_cls.oc_optimal_removal_count_batch
+    live = []
+
+    def spy(self, *args, **kwargs):
+        live.append(len(_plane_threads()))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch", spy)
+    many = discover_aods(relation, threshold=0.1, backend=backend,
+                         num_workers=64)
+    assert live and max(live) <= cores
+    assert not _plane_threads()
+    with _cores(1):
+        inline = discover_aods(relation, threshold=0.1, backend=backend)
+    _assert_same(many, inline)
+    assert many.stats.num_workers == 64
 
 
 def test_more_threads_than_cores_with_frequent_switches_equal_inline():
@@ -127,11 +221,7 @@ def test_more_threads_than_cores_with_frequent_switches_equal_inline():
             stressed = discover(relation, config)
     finally:
         sys.setswitchinterval(interval)
-    assert stressed.ocs == reference.ocs
-    assert stressed.ofds == reference.ofds
-    for name in COUNTER_FIELDS:
-        assert getattr(stressed.stats, name) == \
-            getattr(reference.stats, name), name
+    _assert_same(stressed, reference)
 
 
 @pytest.fixture
@@ -202,7 +292,7 @@ def test_cancel_with_groups_in_flight(monkeypatch):
     backend = available_backends()[-1]
     backend_cls = type(get_backend(backend))
     real_count = backend_cls.oc_optimal_removal_count_batch
-    real_submit = LocalPlane.submit
+    real_submit = ColumnPlane.submit
     armed, gate = threading.Event(), threading.Event()
     submitted = []
 
@@ -219,7 +309,7 @@ def test_cancel_with_groups_in_flight(monkeypatch):
 
     monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
                         gated_count)
-    monkeypatch.setattr(LocalPlane, "submit", submit)
+    monkeypatch.setattr(ColumnPlane, "submit", submit)
 
     class Token:
         in_flight_at_cancel = 0
@@ -267,7 +357,7 @@ def test_kernel_error_on_a_plane_thread_surfaces_at_harvest(monkeypatch):
     backend_cls = type(get_backend(backend))
     raised_on = []
     harvest_errors = []
-    real_harvest = LocalPlane.harvest
+    real_harvest = ColumnPlane.harvest
 
     def boom(self, *args, **kwargs):
         raised_on.append(threading.current_thread().name)
@@ -281,7 +371,7 @@ def test_kernel_error_on_a_plane_thread_surfaces_at_harvest(monkeypatch):
             raise
 
     monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch", boom)
-    monkeypatch.setattr(LocalPlane, "harvest", harvest)
+    monkeypatch.setattr(ColumnPlane, "harvest", harvest)
     relation = generate_flight_like(
         200, num_attributes=5, error_rate=0.1, seed=9
     ).relation

@@ -1,15 +1,14 @@
 """Pipelined level validation must be invisible in results.
 
-Every run submits its OC groups up front and harvests them after the OFD
-pass: pooled runs to worker processes, in-process runs to a thread-backed
-local plane.  Acceptance bars:
+Every run submits its OC groups up front to its thread plane and harvests
+them after the OFD pass.  Acceptance bars:
 
-* pooled and in-process runs produce identical ``DiscoveryResult``s
-  *including the statistics counters*;
-* after ``Profiler.extend``, a reused worker pool serves the new dataset
-  version correctly — extend → discover is byte-identical to a cold
-  discovery over the concatenated table, workers on, both backends;
-* an interrupted pipelined run leaves the session's pool usable.
+* runs capped at 2 and 4 plane threads produce ``DiscoveryResult``s
+  identical to the default run's, *including the statistics counters*;
+* after ``Profiler.extend``, plane threads count the patched partitions
+  correctly — extend → discover is byte-identical to a cold discovery
+  over the concatenated table, both backends;
+* an interrupted pipelined run leaves the session usable.
 """
 
 import pytest
@@ -23,9 +22,8 @@ from repro.discovery.session import CancellationToken, Profiler
 
 BACKENDS = available_backends()
 
-#: Statistics fields that must be identical between pooled and in-process
-#: runs (the timers and the worker count are the only legitimate
-#: differences).
+#: Statistics fields that must be identical across plane thread counts
+#: (the timers and the worker count are the only legitimate differences).
 COUNTER_FIELDS = (
     "oc_candidates_validated", "ofd_candidates_validated",
     "oc_candidates_pruned", "ofd_candidates_pruned",
@@ -53,15 +51,14 @@ def _assert_identical(result, reference):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_workers", [2, 4])
-def test_pipelined_equals_synchronous(backend, num_workers):
+def test_pipelined_equals_synchronous(backend, num_workers, plane_threads):
     synchronous = discover(
         RELATION, DiscoveryConfig(threshold=0.1, backend=backend),
     )
-    pipelined = discover(
-        RELATION,
-        DiscoveryConfig(threshold=0.1, backend=backend,
-                        num_workers=num_workers),
-    )
+    config = DiscoveryConfig(threshold=0.1, backend=backend,
+                             num_workers=num_workers)
+    pipelined = discover(RELATION, config)
+    assert plane_threads.seen[-1] == plane_threads.expected(backend, config)
     _assert_identical(pipelined, synchronous)
     assert pipelined.stats.num_workers == num_workers
     assert synchronous.stats.num_workers == 1
@@ -80,9 +77,9 @@ def test_pipelined_equals_per_candidate_reference(backend, per_candidate):
 
 
 def test_pipelined_inert_without_workers():
-    """Without workers no pool exists, yet the schedule is the same: every
-    OC group is submitted to the run's local plane and harvested after the
-    OFD pass, and no synchronous ``oc-batch`` span remains."""
+    """Without a worker count the schedule is the same: every OC group is
+    submitted to the run's plane and harvested after the OFD pass, and no
+    synchronous ``oc-batch`` span remains."""
     from repro.obs import Tracer, use_tracer
 
     tracer = Tracer()
@@ -95,16 +92,11 @@ def test_pipelined_inert_without_workers():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_extend_then_discover_on_reused_pool_matches_cold(backend, monkeypatch):
-    """Worker column-cache invalidation: after ``Profiler.extend`` the
-    session's warm pool must serve the new dataset version — byte-identical
-    to a cold session over the concatenated table, same worker count."""
-    from repro.validation.distributed import ShardedValidationPool
-
-    # The workload is small; force every group through the workers so the
-    # resident-column path (not the in-process shortcut) is what's tested.
-    monkeypatch.setattr(ShardedValidationPool, "INLINE_GROUP_COST", 0)
-    monkeypatch.setattr(ShardedValidationPool, "MIN_SHARD_COST", 1)
+def test_extend_then_discover_on_reused_pool_matches_cold(backend,
+                                                         plane_threads):
+    """After ``Profiler.extend`` the session's patched partitions, counted
+    on two plane threads (the memo is off, so every run is cold), must be
+    byte-identical to a cold session over the concatenated table."""
     base = generate_flight_like(
         260, num_attributes=6, error_rate=0.1, seed=7
     ).relation
@@ -114,14 +106,15 @@ def test_extend_then_discover_on_reused_pool_matches_cold(backend, monkeypatch):
     delta_rows = [donor.row(i) for i in range(260, 300)]
     request = DiscoveryRequest(threshold=0.1)
 
-    with Profiler(base, backend=backend, num_workers=2) as session:
+    with Profiler(base, backend=backend, num_workers=2,
+                  cache_validations=False) as session:
         warm_before = session.discover(request)
         assert warm_before.stats.num_workers == 2
         session.extend(delta_rows)
         assert session.dataset_version == 1
         warm_after = session.discover(request)
-        incremental = session.discover_incremental(request)
-        pool_stats = dict(session.cache_info()["worker_pool"])
+    config = request.to_config(backend=backend, num_workers=2)
+    assert plane_threads.seen == [plane_threads.expected(backend, config)] * 2
 
     concatenated = base.concat(Relation(
         base.schema,
@@ -133,14 +126,7 @@ def test_extend_then_discover_on_reused_pool_matches_cold(backend, monkeypatch):
     with Profiler(concatenated, backend=backend, num_workers=2) as cold:
         cold_result = cold.discover(request)
 
-    assert warm_after.ocs == cold_result.ocs
-    assert warm_after.ofds == cold_result.ofds
-    assert incremental.result.ocs == cold_result.ocs
-    assert incremental.result.ofds == cold_result.ofds
-    # The extend travelled to the workers as a delta, and the reused pool
-    # never re-shipped columns wholesale for appended-mode columns.
-    assert pool_stats["deltas"] == 1
-    assert pool_stats["column_refs"] > 0
+    _assert_identical(warm_after, cold_result)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -170,8 +156,8 @@ def test_repeated_extends_keep_reused_pool_correct(backend):
 
 
 def test_cancelled_pipelined_run_leaves_pool_usable():
-    """Cancel mid-run: the in-flight worker groups are abandoned and the
-    session's next run on the same pool is complete and correct."""
+    """Cancel mid-run: the in-flight groups are abandoned and the
+    session's next run is complete and correct."""
     relation = generate_flight_like(
         400, num_attributes=7, error_rate=0.1, seed=5
     ).relation

@@ -1,5 +1,5 @@
 """Tests for the session-oriented API: Profiler, sweeps, streaming events,
-cancellation and time limits, worker-pool lifecycle.
+cancellation and time limits, plane-thread lifecycle.
 
 The acceptance bar of the session API is *byte-identity*: per-threshold
 ``DiscoveryResult``s must be identical between the one-shot API, the
@@ -9,6 +9,7 @@ to an uninterrupted run.
 """
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -97,7 +98,7 @@ class TestProfilerEquivalence:
 
     def test_poolless_request_runs_on_multi_worker_session(self):
         """A session default of num_workers>1 must not break runs that
-        cannot use the pool (the iterative validator never consults it)."""
+        never use plane threads (the iterative validator counts inline)."""
         relation = WORKLOADS["table1"]
         reference = discover_aods(relation, threshold=0.15,
                                   validator="iterative")
@@ -328,40 +329,11 @@ class TestInterrupts:
         ]
 
 
+def _plane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-oc")]
+
+
 class TestPoolLifecycle:
-    def test_session_owns_one_pool_across_runs(self):
-        relation = WORKLOADS["flight"]
-        session = Profiler(relation, num_workers=2)
-        try:
-            first = session.discover(DiscoveryRequest(threshold=0.1))
-            pool = session._pool
-            assert pool is not None and not pool.closed
-            second = session.discover(DiscoveryRequest(threshold=0.1))
-            assert session._pool is pool  # reused, not respawned
-        finally:
-            session.close()
-        assert pool.closed
-        _assert_identical(second, first)
-        assert first.stats.num_workers == 2
-
-    def test_pool_survives_cancellation_until_close(self):
-        relation = WORKLOADS["flight"]
-        with Profiler(relation, num_workers=2) as session:
-            partial = session.discover(
-                DiscoveryRequest(threshold=0.1),
-                cancellation=_CountdownToken(4),
-            )
-            assert partial.cancelled
-            pool = session._pool
-            if pool is not None:  # cancelled before the pool was needed?
-                assert not pool.closed
-                # the session keeps working after the interrupt
-                assert session.discover(
-                    DiscoveryRequest(threshold=0.1)
-                ).num_ocs > 0
-        if pool is not None:
-            assert pool.closed
-
     def test_one_shot_api_leaves_no_worker_processes(self):
         relation = WORKLOADS["flight"]
         before = len(multiprocessing.active_children())
@@ -371,6 +343,7 @@ class TestPoolLifecycle:
         )
         assert result.timed_out or result.num_ocs >= 0
         assert len(multiprocessing.active_children()) <= before
+        assert not _plane_threads()
 
     def test_engine_owned_pool_closed_when_stream_abandoned(self):
         relation = WORKLOADS["flight"]
@@ -378,6 +351,7 @@ class TestPoolLifecycle:
         engine = DiscoveryEngine(relation, config)
         before = len(multiprocessing.active_children())
         stream = engine.iter_events()
-        next(stream)  # pool spawned lazily at stream start
+        next(stream)  # the plane's threads open at stream start
         stream.close()
         assert len(multiprocessing.active_children()) <= before
+        assert not _plane_threads()

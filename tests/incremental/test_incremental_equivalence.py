@@ -132,9 +132,11 @@ def test_exact_discovery_matches_cold_and_monotonicity(backend):
 
 
 @pytest.mark.skipif("numpy" not in BACKENDS, reason="needs the numpy backend")
-def test_append_sequence_matches_cold_with_workers():
-    """The sharded pool path must survive the encoded relation growing
-    between validation rounds (the stale-column regression)."""
+def test_append_sequence_matches_cold_with_workers(plane_threads):
+    """A two-worker session must survive the encoded relation growing
+    between validation rounds: its cold first run counts on two plane
+    threads, the incremental rerun inline, and the result equals a cold
+    two-thread run over the concatenated table."""
     base = generate_flight_like(260, num_attributes=6, error_rate=0.1,
                                 seed=6).relation
     donor = generate_flight_like(120, num_attributes=6, error_rate=0.2,
@@ -147,6 +149,10 @@ def test_append_sequence_matches_cold_with_workers():
         outcome = session.discover_incremental(request)
     cold = _cold_result(base, appended, "numpy", request, num_workers=2)
     assert _result_payload(outcome.result) == _result_payload(cold)
+    two = plane_threads.expected(
+        "numpy", request.to_config(backend="numpy", num_workers=2)
+    )
+    assert plane_threads.seen == [two, 0, two]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

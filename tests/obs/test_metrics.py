@@ -87,7 +87,8 @@ def test_bootstrap_preregisters_the_standard_families():
         assert name in text
     # A histogram family is visible before any traffic (acceptance bar:
     # a scrape sees the full schema from the first request).
-    assert "repro_pool_queue_wait_seconds_bucket" in text
+    assert "repro_level_seconds_bucket" in text
+    assert "repro_serve_queue_wait_seconds_bucket" in text
 
 
 def test_enable_metrics_is_idempotent():

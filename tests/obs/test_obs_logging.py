@@ -1,33 +1,20 @@
-"""Structured logging: namespace, configuration, and recovery-path records.
+"""Structured logging: namespace and configuration.
 
-The pool's silent self-healing paths (worker death, respawn, quarantine,
-degradation) previously recovered without a trace; the observability issue
-requires them to emit WARNING/INFO records under the ``repro`` namespace —
-while staying silent by default (NullHandler, library etiquette).
+Records go out under the ``repro`` namespace and stay silent by default
+(NullHandler, library etiquette).
 """
 
 import logging
 
 import pytest
 
-from repro.backend import available_backends, get_backend
-from repro.dataset.generators import generate_flight_like
-from repro.discovery.config import DiscoveryRequest
-from repro.discovery.session import Profiler
 from repro.obs import configure_logging, get_logger
 from repro.obs.log import ENV_VAR, resolve_level
-from repro.validation.distributed import (
-    FaultPlan,
-    ShardedValidationPool,
-    WorkerFault,
-)
-
-BACKEND = available_backends()[0]
 
 
 def test_loggers_live_under_the_repro_namespace():
-    logger = get_logger("validation.pool")
-    assert logger.name == "repro.validation.pool"
+    logger = get_logger("serve.http")
+    assert logger.name == "repro.serve.http"
     root = logging.getLogger("repro")
     assert any(
         isinstance(handler, logging.NullHandler) for handler in root.handlers
@@ -57,29 +44,3 @@ def test_configure_is_idempotent_and_unconfigured_is_a_noop(monkeypatch):
     assert len(added) == 1
     root.removeHandler(added[0])
     root.setLevel(logging.NOTSET)
-
-
-def test_worker_death_recovery_is_logged(caplog):
-    """A killed worker must leave a WARNING on the pool's logger (the
-    self-healing path used to be silent) — and an INFO for the respawn."""
-    relation = generate_flight_like(
-        300, num_attributes=5, error_rate=0.1, seed=3
-    ).relation
-    plan = FaultPlan(worker_faults={0: WorkerFault(exit_before_job=0)})
-    pool = ShardedValidationPool(
-        2, backend=get_backend(BACKEND), fault_plan=plan
-    )
-    pool.INLINE_GROUP_COST = 0
-    pool.MIN_SHARD_COST = 1
-    with caplog.at_level(logging.INFO, logger="repro.validation.pool"):
-        with pool:
-            with Profiler(
-                relation, backend=BACKEND, num_workers=2, shard_pool=pool
-            ) as session:
-                result = session.discover(DiscoveryRequest(threshold=0.1))
-            assert pool.stats["worker_deaths"] >= 1
-    assert result.num_ocs >= 0  # run survived the death
-    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-    assert any("died" in r.getMessage() for r in warnings)
-    infos = [r for r in caplog.records if r.levelno == logging.INFO]
-    assert any("respawned" in r.getMessage() for r in infos)

@@ -1,8 +1,8 @@
 """Serve-layer metrics: ``GET /metrics`` and the ``/healthz`` section.
 
-Drives a live ``ThreadingHTTPServer`` (port 0) with a pooled service and
-asserts the Prometheus exposition carries the engine, pool-resilience,
-queue-wait, and cache families.
+Drives a live ``ThreadingHTTPServer`` (port 0) with a two-worker service
+and asserts the Prometheus exposition carries the engine, queue-wait and
+cache families, and no process-pool family.
 """
 
 import json
@@ -58,12 +58,12 @@ def test_metrics_exposition_after_pooled_discovery(server):
     # Full schema before traffic would have reached these paths: the
     # standard families are pre-registered at enable time.
     for family in (
-        "repro_pool_worker_deaths_total",
-        "repro_pool_respawns_total",
-        "repro_pool_requeued_shards_total",
-        "repro_pool_queue_wait_seconds_bucket",
+        "repro_serve_admitted_total",
+        "repro_serve_rejected_429_total",
+        "repro_serve_queue_wait_seconds_bucket",
     ):
         assert family in text, family
+    assert "repro_pool_" not in text
 
     lines = text.splitlines()
     assert "repro_engine_runs_total 1" in lines
@@ -73,7 +73,6 @@ def test_metrics_exposition_after_pooled_discovery(server):
     # Scrape-time gauges reflect current service state.
     assert "repro_datasets 1" in lines
     assert "repro_result_cache_entries 1" in lines
-    assert "repro_pool_degraded 0" in lines
 
 
 def test_healthz_carries_the_metrics_section(server):
@@ -89,24 +88,3 @@ def test_healthz_carries_the_metrics_section(server):
     level = metrics["repro_level_seconds"]
     assert set(level) == {"count", "sum"}
     assert level["count"] >= 1
-
-
-def test_pool_counters_land_in_metrics_when_shards_dispatch(server):
-    """Force the tiny demo workload through the worker pool so the pool
-    job/group counters (and queue-wait observations) actually move."""
-    base, service = server
-    pool = service._pool
-    assert pool is not None
-    pool.INLINE_GROUP_COST = 0
-    pool.MIN_SHARD_COST = 1
-    _discover(base)
-    text, _ = _get(f"{base}/metrics")
-    values = {}
-    for line in text.splitlines():
-        if line and not line.startswith("#"):
-            name, _, value = line.rpartition(" ")
-            values[name] = float(value)
-    assert values["repro_pool_groups_total"] >= 1
-    assert values["repro_pool_jobs_total"] >= 1
-    assert values["repro_pool_round_trip_seconds_count"] >= 1
-    assert values["repro_pool_queue_wait_seconds_count"] >= 1

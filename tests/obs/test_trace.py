@@ -1,29 +1,27 @@
-"""Span tracing: nesting, worker re-parenting, export, and byte-identity.
+"""Span tracing: nesting, the OC plane's spans, export, and byte-identity.
 
 The acceptance bars of the observability issue:
 
 * the default tracer is the no-op singleton and records nothing;
 * a traced discovery produces a well-formed span tree — run → level →
   phase — with monotonic, non-overlapping level spans;
-* worker-recorded shard-kernel spans come back across the process
-  boundary and re-parent under the dispatching coordinator span, on a
-  per-worker track;
+* every OC group's ``oc-submit`` and ``oc-harvest`` spans sit under their
+  level, with two plane threads too;
 * the Chrome-trace export round-trips through JSON with the schema
   Perfetto expects;
 * tracing never changes discovery results (asserted differentially on
-  every available backend, in-process and pooled).
+  every available backend, with and without a worker count).
 """
 
 import json
 
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import available_backends
 from repro.dataset.generators import generate_flight_like
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.session import Profiler
 from repro.obs import NOOP_TRACER, Tracer, get_tracer, use_tracer
-from repro.validation.distributed import ShardedValidationPool
 
 BACKENDS = available_backends()
 
@@ -76,21 +74,6 @@ def test_start_end_span_does_not_touch_the_context():
     assert finished[0].attrs == {"level": 3}
 
 
-def test_attach_worker_spans_reparents_and_tracks():
-    tracer = Tracer()
-    parent = tracer.record_span("shard-dispatch", 1.0, 2.0, job_id=7)
-    attached = tracer.attach_worker_spans(
-        [{"name": "shard-kernel", "start": 1.2, "end": 1.8, "pid": 4242,
-          "num_pairs": 3}],
-        parent,
-    )
-    (kernel,) = attached
-    assert kernel.parent_id == parent.span_id
-    assert kernel.track == 4242
-    assert kernel.attrs == {"num_pairs": 3}
-    assert kernel.start == 1.2 and kernel.end == 1.8
-
-
 def test_use_tracer_restores_the_previous_tracer():
     before = get_tracer()
     with use_tracer(Tracer()) as tracer:
@@ -101,12 +84,11 @@ def test_use_tracer_restores_the_previous_tracer():
 # -- traced discovery ------------------------------------------------------------
 
 
-def _traced_run(backend, num_workers=1, shard_pool=None):
+def _traced_run(backend, num_workers=1):
     tracer = Tracer()
     with use_tracer(tracer):
         with Profiler(
             RELATION, backend=backend, num_workers=num_workers,
-            shard_pool=shard_pool,
         ) as session:
             result = session.discover(DiscoveryRequest(threshold=0.1))
     return tracer, result
@@ -169,36 +151,18 @@ def test_chrome_trace_export_schema(tmp_path):
         assert parent is None or parent in ids
 
 
-def test_worker_spans_cross_the_process_boundary():
-    """Pooled discovery must record shard-dispatch spans parented under
-    the dispatching coordinator span, with the worker's shard-kernel span
-    re-parented beneath them on the worker's own track."""
-    backend = BACKENDS[-1]
-    pool = ShardedValidationPool(2, backend=get_backend(backend))
-    # Zero the inline floors so the tiny test workload actually reaches
-    # the worker processes.
-    pool.INLINE_GROUP_COST = 0
-    pool.MIN_SHARD_COST = 1
-    with pool:
-        tracer, result = _traced_run(backend, num_workers=2, shard_pool=pool)
+def test_oc_plane_spans_sit_under_their_level():
+    """A two-worker run submits every OC group and harvests it under the
+    level span; no worker-process span is left."""
+    tracer, result = _traced_run(BACKENDS[-1], num_workers=2)
     spans = tracer.finished_spans()
     by_id = {s.span_id: s for s in spans}
-
-    dispatches = [s for s in spans if s.name == "shard-dispatch"]
-    kernels = [s for s in spans if s.name == "shard-kernel"]
-    assert dispatches and kernels
-
-    for dispatch in dispatches:
-        assert dispatch.track is None  # recorded on the coordinator
-        assert by_id[dispatch.parent_id].name == "oc-submit"
-    worker_pids = set()
-    for kernel in kernels:
-        assert by_id[kernel.parent_id].name == "shard-dispatch"
-        assert kernel.track is not None
-        worker_pids.add(kernel.track)
-    assert worker_pids, "kernel spans must carry their worker pid track"
-
-    # The pooled traced run still finds dependencies (sanity).
+    submits = [s for s in spans if s.name == "oc-submit"]
+    harvests = [s for s in spans if s.name == "oc-harvest"]
+    assert submits and len(harvests) == len(submits)
+    for span in submits + harvests:
+        assert by_id[span.parent_id].name == "level"
+    assert not [s for s in spans if s.name.startswith("shard-")]
     assert result.num_ocs > 0
 
 

@@ -35,6 +35,12 @@ class TestParser:
         for removed in ("--no-batch", "--no-pipeline", "--plan"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["discover", "data.csv", removed])
+        for command in ("discover", "serve"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(
+                    [command, "data.csv", "--worker-timeout", "5"]
+                )
+            assert excinfo.value.code == 2
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep", "data.csv"])

@@ -13,7 +13,6 @@ from repro.discovery.api import discover_aods
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.results import DiscoveryResult
 from repro.serve import ProfilerService, ServiceError, make_server
-from repro.validation.distributed import RESILIENCE_COUNTERS
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +61,8 @@ class TestEndpoints:
             assert payload["oc_kernel"] == expected
         cache = payload["result_cache"]
         assert set(cache) == {"hits", "misses", "entries"}
-        resilience = payload["resilience"]
-        assert set(resilience) == set(RESILIENCE_COUNTERS) | {"degraded"}
-        # The module fixture runs single-worker: no pool, no incidents.
-        assert resilience["degraded"] is False
-        assert all(resilience[key] == 0 for key in RESILIENCE_COUNTERS)
         assert "planner" not in payload
+        assert "resilience" not in payload
 
     def test_datasets_listing(self, server_url):
         status, payload = _get(server_url + "/datasets")
@@ -132,8 +127,6 @@ class TestEndpoints:
             ("time_limit_seconds", float("nan")),
             ("time_limit_seconds", float("inf")),
             ("time_limit_seconds", float("-inf")),
-            ("worker_timeout", float("nan")), ("worker_timeout", float("inf")),
-            ("worker_timeout", float("-inf")),
         ]:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(server_url + "/discover", {
@@ -142,6 +135,17 @@ class TestEndpoints:
                 })
             assert excinfo.value.code == 400, (name, value)
             assert name in json.loads(excinfo.value.read())["error"]
+        # The removed per-job pool deadline is an unknown field now.
+        for value in (5.0, None):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(server_url + "/discover", {
+                    "dataset": "demo",
+                    "request": {"threshold": 0.1, "worker_timeout": value},
+                })
+            assert excinfo.value.code == 400, value
+            error = json.loads(excinfo.value.read())["error"]
+            assert "unknown DiscoveryRequest fields" in error, error
+            assert "worker_timeout" in error, error
         # Same literals for the HTTP-level deadline: NaN would never fire.
         for value in (-1, 0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -183,8 +187,8 @@ class TestEndpoints:
 
     def test_poolless_result_replays_cleanly(self):
         """A multi-worker server's results embed its worker count even when
-        the run never touched the pool; replaying that request must be
-        accepted."""
+        the run never reports it (iterative validation); replaying that
+        request must be accepted."""
         service = ProfilerService(num_workers=2)
         service.add_dataset("demo", employee_salary_table())
         try:
@@ -261,21 +265,6 @@ class TestProfilerService:
         assert result.num_ocs > 0
         assert len(profiler.validation_memo) <= 7
         service.close()
-
-    def test_datasets_share_one_worker_pool(self):
-        service = ProfilerService(num_workers=2)
-        a = service.add_dataset("a", employee_salary_table())
-        b = service.add_dataset("b", employee_salary_table())
-        pool = service._pool
-        assert pool is not None and not pool.closed
-        assert a._pool is pool and b._pool is pool
-        # Sessions never close the shared pool; the service does.
-        a.close()
-        assert not pool.closed
-        result = service.discover("b", DiscoveryRequest(threshold=0.15))
-        assert result.num_ocs > 0
-        service.close()
-        assert pool.closed
 
     def test_warm_across_requests(self):
         service = ProfilerService()
@@ -406,43 +395,3 @@ class TestAppendEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(fresh_server + "/datasets/missing/append", {"rows": []})
         assert excinfo.value.code == 404
-
-
-class TestResilienceEndpoint:
-    """A worker death during service-driven discovery must surface in the
-    ``/healthz`` resilience block (own server: the shared module fixture
-    runs single-worker and must stay incident-free)."""
-
-    @pytest.fixture()
-    def pooled_server(self):
-        service = ProfilerService(num_workers=2)
-        service.add_dataset("demo", employee_salary_table())
-        # Force real dispatch so supervision has something to supervise
-        # on this tiny table.
-        service._pool.INLINE_GROUP_COST = 0
-        service._pool.MIN_SHARD_COST = 1
-        server = make_server(service, host="127.0.0.1", port=0)
-        port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield f"http://127.0.0.1:{port}", service
-        server.shutdown()
-        server.server_close()
-        service.close()
-        thread.join(timeout=5)
-
-    def test_healthz_reports_worker_death_and_respawn(self, pooled_server):
-        url, service = pooled_server
-        victim = service._pool._workers[0]
-        victim.process.terminate()
-        victim.process.join(5.0)
-        status, body = _post(url + "/discover", {
-            "dataset": "demo", "request": {"threshold": 0.15},
-        })
-        assert status == 200
-        status, payload = _get(url + "/healthz")
-        assert status == 200
-        resilience = payload["resilience"]
-        assert resilience["worker_deaths"] >= 1
-        assert resilience["respawns"] >= 1
-        assert resilience["degraded"] is False

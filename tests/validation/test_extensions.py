@@ -1,5 +1,5 @@
-"""Tests for the extension modules: bidirectional OCs, distributed
-validation through the worker pool and hybrid sampling (the paper's §5
+"""Tests for the extension modules: bidirectional OCs, class-parallel
+validation on the OC plane's threads and hybrid sampling (the paper's §5
 future-work directions)."""
 
 from itertools import combinations
@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import get_backend
 from repro.dataset.examples import employee_salary_table
 from repro.dataset.generators import generate_ncvoter_like, generate_planted_oc_table
 from repro.dataset.partition import PartitionCache
@@ -21,7 +22,7 @@ from repro.discovery.sampling import (
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
 from repro.validation.bidirectional import best_polarity, validate_aboc_optimal
 from repro.validation.common import removal_limit
-from repro.validation.distributed import ShardedValidationPool
+from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
 
 class TestBidirectionalOCObject:
@@ -101,23 +102,22 @@ class TestBidirectionalValidation:
 
 
 def _pooled_count(relation, oc, pool, limit=None):
-    """Validate ``oc`` through a column plane on ``pool``."""
-    encoded = relation.encoded(pool.backend)
-    classes = PartitionCache(encoded, backend=pool.backend).get_by_names(
+    """Validate ``oc`` through a plane on ``pool``'s threads."""
+    backend = get_backend("python")
+    encoded = relation.encoded(backend)
+    classes = PartitionCache(encoded, backend=backend).get_by_names(
         sorted(oc.context)
     )
-    plane = pool.new_plane(encoded)
-    try:
-        return plane.harvest(plane.submit(classes, [(oc.a, oc.b)], limit))[0]
-    finally:
-        plane.release()
 
+    def prepare(classes, pair_names, limit):
+        rank_pairs = [(encoded.ranks(a), encoded.ranks(b))
+                      for a, b in pair_names]
+        return lambda: backend.oc_optimal_removal_count_batch(
+            classes, rank_pairs, limit
+        )
 
-def _dispatching_pool(num_workers):
-    """A pool that sends every group to its workers (tiny test tables)."""
-    return ShardedValidationPool(
-        num_workers, backend="python", inline_group_cost=0, min_shard_cost=1
-    )
+    plane = ColumnPlane(prepare, pool)
+    return plane.harvest(plane.submit(classes, [(oc.a, oc.b)], limit))[0]
 
 
 class TestDistributedValidation:
@@ -125,13 +125,13 @@ class TestDistributedValidation:
         workload = generate_ncvoter_like(400, num_attributes=8, seed=5)
         relation = workload.relation
         ocs = [CanonicalOC(p.context, p.a, p.b) for p in workload.planted_ocs]
-        for num_workers in (1, 3):
-            with _dispatching_pool(num_workers) as pool:
+        for num_threads in (1, 3):
+            with ShardedValidationPool(num_threads) as pool:
                 for oc in ocs:
                     central = validate_aoc_optimal(relation, oc)
                     count, exceeded = _pooled_count(relation, oc, pool)
                     assert (count, exceeded) == (central.removal_size, False)
-                assert pool.stats["jobs"] > 0
+                assert pool.stats["jobs"] == len(ocs)
 
     def test_with_context_and_threshold(self):
         workload = generate_planted_oc_table(
@@ -140,43 +140,24 @@ class TestDistributedValidation:
         (planted,) = workload.planted_ocs
         oc = CanonicalOC(planted.context, planted.a, planted.b)
         limit = removal_limit(workload.relation.num_rows, 0.15)
-        with _dispatching_pool(4) as pool:
+        with ShardedValidationPool(4) as pool:
             count, exceeded = _pooled_count(workload.relation, oc, pool, limit)
-            assert 1 <= pool.stats["jobs"] <= 4
+            assert pool.stats == {"groups": 1, "jobs": 1}
         assert not exceeded
         assert count == 30
 
     def test_threshold_rejection(self):
         table = employee_salary_table()
         limit = removal_limit(table.num_rows, 0.1)
-        with _dispatching_pool(2) as pool:
+        with ShardedValidationPool(2) as pool:
             count, exceeded = _pooled_count(
                 table, CanonicalOC([], "sal", "tax"), pool, limit
             )
         assert exceeded and count > limit
 
-    def test_assignment_balances_load(self):
-        classes = [list(range(i)) for i in (50, 40, 30, 5, 5, 5, 5)]
-        with _dispatching_pool(3) as pool:
-            shards, _, _ = pool._plan_shards(classes)
-        assert sum(len(shard) for shard, _ in shards) == len(classes)
-        sizes = [sum(len(rows) for rows in shard) for shard, _ in shards]
-        assert len(sizes) == 3
-        assert max(sizes) <= 70  # the two largest classes are not co-located
-
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             ShardedValidationPool(0)
-
-    def test_max_worker_share(self):
-        table = employee_salary_table()
-        with _dispatching_pool(2) as pool:
-            encoded = table.encoded(pool.backend)
-            classes = PartitionCache(encoded, backend=pool.backend) \
-                .get_by_names(["pos"])
-            shards, _, _ = pool._plan_shards(classes)
-        sizes = [sum(len(rows) for rows in shard) for shard, _ in shards]
-        assert 0.0 < max(sizes) / sum(sizes) <= 1.0
 
 
 class TestHybridSampling:
