@@ -1,36 +1,37 @@
-"""The worker-resident column plane: ship once, patch by delta.
+"""The OC plane's threads read the coordinator's columns in place.
 
-The PR-5 transport contract: a rank column crosses the process boundary at
-most once per worker per dataset version; later group dispatches send only
-column references plus class offsets, and ``Profiler.extend``-style deltas
-ship only the appended ranks.  These tests drive
-:class:`repro.validation.distributed.ColumnPlane` directly against real
-encodings and check both the results and the shipping counters.
+:class:`repro.validation.distributed.ColumnPlane` counts each OC context
+group on a thread of a
+:class:`~repro.validation.distributed.ShardedValidationPool`, which runs
+inside the coordinator's process: every thread reads the rank columns the
+encoding already holds, so nothing is copied per thread, per group or per
+delta.  These tests drive the plane directly against real encodings and
+check the counts, the pool's counters and the ``submit`` / ``harvest`` /
+``abandon`` contract.
 """
+
+import threading
+import traceback
 
 import pytest
 
 from repro.backend import available_backends, get_backend
 from repro.dataset.generators import generate_planted_oc_table
-from repro.validation.distributed import ClassShard, ShardedValidationPool
-
-from _plane_stub import stub_plane_counts
+from repro.discovery.config import DiscoveryConfig
+from repro.discovery.engine import DiscoveryEngine
+from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
 BACKENDS = available_backends()
 
 
-def _force_dispatch(pool):
-    """Disable the in-process small-group shortcut so every group reaches
-    the workers (the tests' workloads are tiny by design)."""
-    pool.INLINE_GROUP_COST = 0
-    pool.MIN_SHARD_COST = 1
-    return pool
+def _relation():
+    return generate_planted_oc_table(
+        300, approximation_factor=0.1, seed=11
+    ).relation
 
 
 def _workload(backend):
-    relation = generate_planted_oc_table(
-        300, approximation_factor=0.1, seed=11
-    ).relation
+    relation = _relation()
     resolved = get_backend(backend)
     encoded = relation.encoded(resolved)
     names = relation.attribute_names
@@ -40,33 +41,65 @@ def _workload(backend):
     return resolved, encoded, names, classes
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_columns_ship_once_per_worker_per_version(backend):
-    resolved, encoded, names, classes = _workload(backend)
-    pairs = [(names[1], names[2]), (names[2], names[1])]
-    expected = resolved.oc_optimal_removal_count_batch(
+def _prepare(resolved, encoded):
+    """A plane ``prepare`` reading ``encoded``'s rank columns, as a run's
+    engine does."""
+    def prepare(classes, pair_names, limit):
+        pairs = [(encoded.native_ranks(a), encoded.native_ranks(b))
+                 for a, b in pair_names]
+        return lambda: resolved.oc_optimal_removal_count_batch(
+            classes, pairs, limit
+        )
+    return prepare
+
+
+def _expected(resolved, encoded, classes, pairs, limit=None):
+    return resolved.oc_optimal_removal_count_batch(
         classes,
         [
             (encoded.native_ranks(a), encoded.native_ranks(b))
             for a, b in pairs
         ],
-        None,
+        limit,
     )
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
-        plane = pool.new_plane(encoded)
-        first = plane.harvest(plane.submit(classes, pairs, None))
-        shipped_after_first = pool.stats["columns_shipped"]
-        assert first == expected
-        # Every later dispatch of the same columns is reference-only.
-        for _ in range(3):
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_columns_ship_once_per_worker_per_version(backend, monkeypatch):
+    """Nothing ships: every group a run's engine submits hands the kernel
+    the encoding's own column objects, however often it is dispatched."""
+    resolved, _, names, classes = _workload(backend)
+    engine = DiscoveryEngine(
+        _relation(), DiscoveryConfig(threshold=0.1, backend=backend)
+    )
+    encoded = engine.encoded
+    pairs = [(names[1], names[2]), (names[2], names[1])]
+    expected = _expected(resolved, encoded, classes, pairs)
+    backend_cls = type(resolved)
+    real_count = backend_cls.oc_optimal_removal_count_batch
+    seen = []
+
+    def recording_count(self, classes, rank_pairs, limit):
+        seen.extend(column for pair in rank_pairs for column in pair)
+        return real_count(self, classes, rank_pairs, limit)
+
+    monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
+                        recording_count)
+    with ShardedValidationPool(2) as pool:
+        plane = ColumnPlane(engine._oc_group_count, pool)
+        for _ in range(4):
             assert plane.harvest(plane.submit(classes, pairs, None)) == expected
-        assert pool.stats["columns_shipped"] == shipped_after_first
-        assert pool.stats["column_refs"] > 0
+        assert pool.stats == {"groups": 4, "jobs": 8}
+    resident = {id(encoded.native_ranks(name)) for name in names[1:3]}
+    assert len(seen) == 16
+    assert {id(column) for column in seen} == resident
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_apply_delta_ships_only_appended_rows(backend):
+    """A delta-extended encoding keeps the base rows of an appended column
+    and adds only the new ones; planes over the base and the grown
+    encoding share one pool and each count their own version."""
     resolved, encoded, names, classes = _workload(backend)
     pairs = [(names[1], names[2])]
     relation_rows = encoded.num_rows
@@ -74,100 +107,79 @@ def test_apply_delta_ships_only_appended_rows(backend):
         name: [encoded.decode(name, 0)] * 4 for name in names
     }
     extended, modes = encoded.extend(delta_columns)
+    assert extended.num_rows == relation_rows + 4
     extended_classes = classes + [[relation_rows, relation_rows + 2]]
-    expected = resolved.oc_optimal_removal_count_batch(
-        extended_classes,
-        [(extended.native_ranks(names[1]), extended.native_ranks(names[2]))],
-        None,
-    )
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
-        plane = pool.new_plane(encoded)
-        plane.harvest(plane.submit(classes, pairs, None))  # make columns resident
-        shipped_before = pool.stats["columns_shipped"]
-        plane.apply_delta(extended, modes, relation_rows)
-        assert pool.stats["deltas"] == 1
-        got = plane.harvest(plane.submit(extended_classes, pairs, None))
-        assert got == expected
-        if all(modes[name] == "appended" for name in pairs[0]):
-            # The appended fast path never re-ships the base column.
-            assert pool.stats["columns_shipped"] == shipped_before
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stale_classes_rejected_after_delta(backend):
-    """Classes indexing past the plane's current row count must be refused
-    (the worker would silently mis-index otherwise)."""
-    resolved, encoded, names, classes = _workload(backend)
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
-        plane = pool.new_plane(encoded)
-        beyond = [[0, encoded.num_rows + 5]]
-        with pytest.raises(RuntimeError, match="stale rank column"):
-            plane.harvest(plane.submit(beyond, [(names[1], names[2])], None))
+    expected = _expected(resolved, extended, extended_classes, pairs)
+    base_expected = _expected(resolved, encoded, classes, pairs)
+    for name in names:
+        if modes[name] == "appended":
+            assert list(extended.ranks(name)[:relation_rows]) \
+                == list(encoded.ranks(name))
+    with ShardedValidationPool(2) as pool:
+        base = ColumnPlane(_prepare(resolved, encoded), pool)
+        grown = ColumnPlane(_prepare(resolved, extended), pool)
+        assert base.harvest(base.submit(classes, pairs, None)) == base_expected
+        assert grown.harvest(grown.submit(extended_classes, pairs, None)) \
+            == expected
+        # The base encoding is untouched by the delta.
+        assert base.harvest(base.submit(classes, pairs, None)) == base_expected
+        assert len(encoded.native_ranks(names[1])) == relation_rows
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_bind_to_different_encoding_invalidates(backend):
+    """Planes over different encodings on one pool, their groups
+    interleaved, never read each other's columns."""
     resolved, encoded, names, classes = _workload(backend)
     other_relation = generate_planted_oc_table(
         120, approximation_factor=0.2, seed=23
     ).relation
     other = other_relation.encoded(resolved)
     other_classes = [[i, i + 1] for i in range(0, other.num_rows - 2, 2)]
-    expected = resolved.oc_optimal_removal_count_batch(
-        other_classes,
-        [(other.native_ranks(names[1]), other.native_ranks(names[2]))],
-        None,
-    )
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
-        plane = pool.new_plane(encoded)
-        plane.harvest(plane.submit(classes, [(names[1], names[2])], None))
-        plane.bind(other)
-        assert plane.harvest(plane.submit(
-            other_classes, [(names[1], names[2])], None
-        )) == expected
+    pairs = [(names[1], names[2])]
+    expected = _expected(resolved, encoded, classes, pairs)
+    other_expected = _expected(resolved, other, other_classes, pairs)
+    with ShardedValidationPool(2) as pool:
+        plane = ColumnPlane(_prepare(resolved, encoded), pool)
+        other_plane = ColumnPlane(_prepare(resolved, other), pool)
+        pending = [
+            (plane.submit(classes, pairs, None), expected),
+            (other_plane.submit(other_classes, pairs, None), other_expected),
+            (plane.submit(classes, pairs, None), expected),
+        ]
+        for group, want in pending:
+            assert plane.harvest(group) == want
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_release_frees_bookkeeping_and_pool_survives(backend):
+    """A dropped plane leaves the pool usable for a fresh one; ``close``
+    is idempotent and a closed pool refuses new groups."""
     resolved, encoded, names, classes = _workload(backend)
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
-        plane = pool.new_plane(encoded)
-        plane.harvest(plane.submit(classes, [(names[1], names[2])], None))
-        plane.release()
-        plane.release()  # idempotent
-        # A fresh plane over the same pool works from scratch.
-        fresh = pool.new_plane(encoded)
-        assert fresh.plane_id != plane.plane_id
-        assert fresh.harvest(fresh.submit(classes, [(names[1], names[2])], None)) \
-            == resolved.oc_optimal_removal_count_batch(
-                classes,
-                [
-                    (encoded.native_ranks(names[1]),
-                     encoded.native_ranks(names[2]))
-                ],
-                None,
-            )
+    pairs = [(names[1], names[2])]
+    expected = _expected(resolved, encoded, classes, pairs)
+    pool = ShardedValidationPool(2)
+    plane = ColumnPlane(_prepare(resolved, encoded), pool)
+    plane.harvest(plane.submit(classes, pairs, None))
+    del plane
+    fresh = ColumnPlane(_prepare(resolved, encoded), pool)
+    assert fresh.harvest(fresh.submit(classes, pairs, None)) == expected
+    assert pool.stats == {"groups": 2, "jobs": 2}
+    assert not pool.closed
+    pool.close()
+    pool.close()  # idempotent
+    assert pool.closed
+    with pytest.raises(RuntimeError, match="closed"):
+        fresh.submit(classes, pairs, None)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_abandoned_groups_never_poison_later_harvests(backend):
     resolved, encoded, names, classes = _workload(backend)
     pairs = [(names[1], names[2]), (names[0], names[1])]
-    expected = resolved.oc_optimal_removal_count_batch(
-        classes,
-        [
-            (encoded.native_ranks(a), encoded.native_ranks(b))
-            for a, b in pairs
-        ],
-        None,
-    )
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
-        plane = pool.new_plane(encoded)
+    expected = _expected(resolved, encoded, classes, pairs)
+    with ShardedValidationPool(2) as pool:
+        plane = ColumnPlane(_prepare(resolved, encoded), pool)
         pending = plane.submit(classes, pairs, None)
         plane.abandon(pending)
         plane.abandon(pending)  # idempotent
@@ -176,77 +188,54 @@ def test_abandoned_groups_never_poison_later_harvests(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_abandon_races_dying_worker(backend):
-    """``abandon`` against a worker that just died: the settled jobs must
-    stay settled when supervision discovers the corpse (no requeue of
-    abandoned work), and the respawned pool must still produce
-    byte-identical counts."""
+    """``abandon`` against a group still counting on its thread: the
+    group finishes and is discarded, later groups give byte-identical
+    counts, and ``close`` waits for the abandoned group to end."""
     resolved, encoded, names, classes = _workload(backend)
     pairs = [(names[1], names[2]), (names[0], names[1])]
-    expected = resolved.oc_optimal_removal_count_batch(
-        classes,
-        [
-            (encoded.native_ranks(a), encoded.native_ranks(b))
-            for a, b in pairs
-        ],
-        None,
-    )
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
-        plane = pool.new_plane(encoded)
+    expected = _expected(resolved, encoded, classes, pairs)
+    started, gate = threading.Event(), threading.Event()
+    finished = []
+    count_prepare = _prepare(resolved, encoded)
+
+    def gated_prepare(classes, pair_names, limit):
+        count = count_prepare(classes, pair_names, limit)
+
+        def gated():
+            started.set()
+            assert gate.wait(timeout=60)
+            finished.append(count())
+            return finished[-1]
+        return gated
+
+    pool = ShardedValidationPool(2)
+    try:
+        plane = ColumnPlane(gated_prepare, pool)
         pending = plane.submit(classes, pairs, None)
-        victim = pool._workers[0]
-        victim.process.terminate()
-        victim.process.join(5.0)
-        # Settle in-flight bookkeeping against the corpse before the
-        # supervisor has noticed the death.
+        assert started.wait(timeout=60)
         plane.abandon(pending)
-        # The next dispatch sweeps the death and respawns; the abandoned
-        # shards must not be resurrected.
-        assert plane.harvest(plane.submit(classes, pairs, None)) == expected
-        assert pool.stats["worker_deaths"] == 1
-        assert pool.stats["respawns"] == 1
-        assert pool.stats["requeued_shards"] == 0
-
-
-@pytest.mark.parametrize("as_arrays", [False, True])
-def test_class_shard_round_trip(as_arrays):
-    if as_arrays:
-        pytest.importorskip("numpy")
-    import pickle
-
-    classes = [[0, 3, 5], [1, 2], [7, 8, 9, 11]]
-    shard = pickle.loads(pickle.dumps(ClassShard.pack(classes, as_arrays)))
-    assert len(shard) == 3
-    assert [list(rows) for rows in shard] == classes
-    if as_arrays:
-        rows, class_ids, lengths = shard.columnar_view()
-        assert rows.tolist() == [0, 3, 5, 1, 2, 7, 8, 9, 11]
-        assert class_ids.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2]
-        assert lengths.tolist() == [3, 2, 4]
+        assert not pending.cancelled()  # already running: it finishes
+        quick = ColumnPlane(count_prepare, pool)
+        assert quick.harvest(quick.submit(classes, pairs, None)) == expected
+    finally:
+        gate.set()
+        pool.close()
+    assert finished == [expected]
+    assert pending.done()
 
 
 def test_concurrent_threads_share_one_pool():
-    """`repro serve` drives one pool from per-dataset handler threads:
-    concurrent submits/harvests on distinct planes must never cross
-    results or corrupt the per-worker column bookkeeping."""
-    import threading
-
+    """`repro serve` runs requests on per-dataset handler threads:
+    concurrent submits/harvests from distinct planes on one pool must never
+    cross results."""
     resolved, encoded, names, classes = _workload("python")
     pairs = [(names[1], names[2]), (names[2], names[1])]
-    expected = resolved.oc_optimal_removal_count_batch(
-        classes,
-        [
-            (encoded.native_ranks(a), encoded.native_ranks(b))
-            for a, b in pairs
-        ],
-        None,
-    )
+    expected = _expected(resolved, encoded, classes, pairs)
     failures = []
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
+    with ShardedValidationPool(2) as pool:
 
         def hammer():
-            plane = pool.new_plane(encoded)
+            plane = ColumnPlane(_prepare(resolved, encoded), pool)
             try:
                 for _ in range(10):
                     if plane.harvest(plane.submit(classes, pairs, None)) != expected:
@@ -259,36 +248,53 @@ def test_concurrent_threads_share_one_pool():
             thread.start()
         for thread in threads:
             thread.join()
+        assert pool.stats == {"groups": 40, "jobs": 80}
     assert not failures
 
 
 def test_harvest_error_settles_worker_load():
-    """A failing shard must not leave load accounting inflated: later
-    dispatch decisions (and abandons) depend on it returning to zero."""
+    """A failing group must not cost the pool a thread: after it raises at
+    harvest, more groups than there are threads still count."""
     resolved, encoded, names, classes = _workload("python")
-    with ShardedValidationPool(2, backend=resolved) as pool:
-        _force_dispatch(pool)
-        with pytest.raises(RuntimeError, match="validation worker failed"):
-            stub_plane_counts(
-                pool, {"bad": [0, "bad"], "b": [0, 1]}, [[0, 1]],
-                [("bad", "b")],
-            )
-        assert all(worker.load == 0 for worker in pool._workers)
-        plane = pool.new_plane(encoded)
-        plane.harvest(plane.submit(classes, [(names[1], names[2])], None))
-        assert all(worker.load == 0 for worker in pool._workers)
+    pairs = [(names[1], names[2])]
+    expected = _expected(resolved, encoded, classes, pairs)
+    columns = {"bad": [0, "bad"], "b": [0, 1]}
+
+    def bad_prepare(classes, pair_names, limit):
+        rank_pairs = [(columns[a], columns[b]) for a, b in pair_names]
+        return lambda: resolved.oc_optimal_removal_count_batch(
+            classes, rank_pairs, limit
+        )
+
+    with ShardedValidationPool(2) as pool:
+        bad = ColumnPlane(bad_prepare, pool)
+        with pytest.raises(TypeError):
+            bad.harvest(bad.submit([[0, 1]], [("bad", "b")], None))
+        plane = ColumnPlane(_prepare(resolved, encoded), pool)
+        pending = [plane.submit(classes, pairs, None) for _ in range(4)]
+        assert [plane.harvest(group) for group in pending] == [expected] * 4
 
 
 def test_worker_error_surfaces_as_runtime_error():
-    """A kernel crash in a worker reaches the coordinator as a RuntimeError
-    carrying the worker traceback, and the pool remains usable."""
-    columns = {"bad": [0, "bad"], "a": [0, 1], "b": [1, 0]}
-    with ShardedValidationPool(1, backend="python",
-                               inline_group_cost=0) as pool:
-        with pytest.raises(RuntimeError, match="validation worker failed"):
-            # The column covers the class rows, so the stale-column guard
-            # passes it; the worker's kernel then fails comparing a rank
-            # with a string.
-            stub_plane_counts(pool, columns, [[0, 1]], [("bad", "b")])
-        assert stub_plane_counts(pool, columns, [[0, 1]], [("a", "b")]) \
-            == [(1, False)]
+    """A kernel crash on a plane thread reaches the coordinator at harvest
+    as the kernel's RuntimeError, carrying the thread's traceback, and the
+    pool remains usable."""
+    resolved, encoded, names, classes = _workload("python")
+    pairs = [(names[1], names[2])]
+
+    def crashing_kernel():
+        raise RuntimeError("kernel crashed")
+
+    def prepare(classes, pair_names, limit):
+        if pair_names == [("bad", "b")]:
+            return crashing_kernel
+        return _prepare(resolved, encoded)(classes, pair_names, limit)
+
+    with ShardedValidationPool(1) as pool:
+        plane = ColumnPlane(prepare, pool)
+        with pytest.raises(RuntimeError, match="kernel crashed") as info:
+            plane.harvest(plane.submit([[0, 1]], [("bad", "b")], None))
+        frames = traceback.extract_tb(info.value.__traceback__)
+        assert frames[-1].name == "crashing_kernel"
+        assert plane.harvest(plane.submit(classes, pairs, None)) \
+            == _expected(resolved, encoded, classes, pairs)

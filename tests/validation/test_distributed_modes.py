@@ -1,21 +1,21 @@
-"""Distributed validation: backend plumbing and the multiprocess path.
+"""The OC plane's threads: backend plumbing and counts.
 
-The worker pool honours its ``backend`` argument, and its worker processes
-must return the in-process kernel's counts for every worker count.
+A run's :class:`~repro.validation.distributed.ColumnPlane` counts its OC
+context groups with the backend the run was given, on the threads of a
+:class:`~repro.validation.distributed.ShardedValidationPool`; for every
+thread count the counts must be the in-process kernel's.
 """
 
 import pytest
 
 from repro.backend import available_backends, get_backend
-from repro.dataset.generators import generate_planted_oc_table
-from repro.dataset.partition import PartitionCache
+from repro.dataset.generators import generate_flight_like, generate_planted_oc_table
 from repro.dependencies.oc import CanonicalOC
-from repro.discovery.config import DiscoveryRequest
+from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import Profiler
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
-from repro.validation.distributed import ShardedValidationPool
-
-from _plane_stub import stub_plane_counts
+from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
 BACKENDS = available_backends()
 
@@ -26,82 +26,102 @@ def _planted():
     return workload.relation, CanonicalOC(planted.context, planted.a, planted.b)
 
 
-def _plane_counts(pool, relation, context, pairs, limit=None):
-    """Counts of ``pairs`` in ``context`` through a column plane on ``pool``."""
-    encoded = relation.encoded(pool.backend)
-    classes = PartitionCache(encoded, backend=pool.backend).get_by_names(
-        sorted(context)
+def _engine(relation, backend):
+    return DiscoveryEngine(
+        relation, DiscoveryConfig(threshold=0.1, backend=backend)
     )
-    plane = pool.new_plane(encoded)
-    try:
-        return plane.harvest(plane.submit(classes, pairs, limit))
-    finally:
-        plane.release()
+
+
+def _plane_counts(pool, engine, context, pairs, limit=None):
+    """Counts of ``pairs`` in ``context`` through a plane on ``pool``,
+    prepared the way ``engine`` prepares its groups."""
+    classes = engine.partitions.get_by_names(sorted(context))
+    plane = ColumnPlane(engine._oc_group_count, pool)
+    return plane.harvest(plane.submit(classes, pairs, limit))
+
+
+def _column_prepare(backend, columns):
+    """A plane ``prepare`` over hand-written rank columns."""
+    def prepare(classes, pair_names, limit):
+        pairs = [(columns[a], columns[b]) for a, b in pair_names]
+        return lambda: backend.oc_optimal_removal_count_batch(
+            classes, pairs, limit
+        )
+    return prepare
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_backend_argument_honoured(backend):
     relation, oc = _planted()
     central = validate_aoc_optimal(relation, oc, backend=backend)
-    with ShardedValidationPool(3, backend=backend, inline_group_cost=0,
-                               min_shard_cost=1) as pool:
-        assert pool.backend.name == backend
-        counts = _plane_counts(pool, relation, oc.context, [(oc.a, oc.b)])
-        assert pool.stats["jobs"] > 0
+    engine = _engine(relation, backend)
+    assert engine.backend.name == backend
+    with ShardedValidationPool(3) as pool:
+        counts = _plane_counts(pool, engine, oc.context, [(oc.a, oc.b)])
+        assert pool.stats == {"groups": 1, "jobs": 1}
     assert counts == [(central.removal_size, False)]
 
 
-def test_backend_defaults_to_partition_cache_backend():
-    """A session's worker pool runs the backend its partition cache was
-    built with, and its plane reproduces the validator's removal size."""
+def test_backend_defaults_to_partition_cache_backend(monkeypatch):
+    """A session's runs count on the backend its partition cache was built
+    with, and their plane reproduces the validator's removal size."""
     relation, oc = _planted()
+    prepares = []
+    real_init = ColumnPlane.__init__
+
+    def spy(self, prepare, pool=None):
+        prepares.append(prepare)
+        real_init(self, prepare, pool)
+
+    monkeypatch.setattr(ColumnPlane, "__init__", spy)
     with Profiler(relation, backend="python", num_workers=2) as session:
         session.discover(DiscoveryRequest(threshold=0.1))
         cache = session.partitions
-        pool = session._pool
-        assert pool.backend.name == cache.backend.name == "python"
+        (prepare,) = prepares
+        engine = prepare.__self__
+        assert engine.backend is cache.backend
+        assert engine.backend.name == "python"
         central = validate_aoc_optimal(relation, oc, partition_cache=cache)
-        counts = _plane_counts(pool, relation, oc.context, [(oc.a, oc.b)])
+        with ShardedValidationPool(2) as pool:
+            plane = ColumnPlane(prepare, pool)
+            counts = plane.harvest(plane.submit(
+                cache.get_by_names(sorted(oc.context)), [(oc.a, oc.b)]
+            ))
     assert counts == [(central.removal_size, False)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_workers", [1, 2, 4])
 def test_process_execution_matches_simulated(backend, num_workers):
-    """Worker processes return exactly the in-process kernel's counts, for
-    every worker count and removal budget."""
+    """Plane threads return exactly the in-process kernel's counts, for
+    every thread count and removal budget."""
     relation, oc = _planted()
     resolved = get_backend(backend)
-    encoded = relation.encoded(resolved)
-    classes = PartitionCache(encoded, backend=resolved).get_by_names(
-        sorted(oc.context)
-    )
+    engine = _engine(relation, backend)
+    encoded = engine.encoded
+    classes = engine.partitions.get_by_names(sorted(oc.context))
     names = [(oc.a, oc.b), (oc.b, oc.a)]
     pairs = [(encoded.native_ranks(a), encoded.native_ranks(b))
              for a, b in names]
-    with ShardedValidationPool(num_workers, backend=resolved,
-                               inline_group_cost=0, min_shard_cost=1) as pool:
+    with ShardedValidationPool(num_workers) as pool:
         for limit in (None, 0, 40):
             simulated = resolved.oc_optimal_removal_count_batch(
                 classes, pairs, limit
             )
-            process = _plane_counts(pool, relation, oc.context, names, limit)
-            assert [over for _, over in process] == \
-                [over for _, over in simulated]
-            for (s_count, over), (p_count, _) in zip(simulated, process):
-                if not over:
-                    assert p_count == s_count
-        assert pool.stats["jobs"] > 0
+            threaded = _plane_counts(pool, engine, oc.context, names, limit)
+            inline = _plane_counts(None, engine, oc.context, names, limit)
+            assert threaded == inline == simulated
+        assert pool.stats == {"groups": 3, "jobs": 6}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sharded_pool_counts_match_batch_kernel(backend):
     relation, _ = _planted()
     resolved = get_backend(backend)
-    encoded = relation.encoded(resolved)
+    engine = _engine(relation, backend)
+    encoded = engine.encoded
     names = relation.attribute_names
-    cache = PartitionCache(encoded, backend=resolved)
-    classes = cache.get_by_names([names[0]])
+    classes = engine.partitions.get_by_names([names[0]])
     pair_names = [(names[1], names[2]), (names[2], names[1])]
     pairs = [
         (encoded.native_ranks(a), encoded.native_ranks(b))
@@ -109,50 +129,67 @@ def test_sharded_pool_counts_match_batch_kernel(backend):
     ]
     for limit in (None, 5, 10_000):
         local = resolved.oc_optimal_removal_count_batch(classes, pairs, limit)
-        with ShardedValidationPool(2, backend=resolved,
-                                   inline_group_cost=0) as pool:
-            sharded = _plane_counts(
-                pool, relation, [names[0]], pair_names, limit
+        with ShardedValidationPool(2) as pool:
+            threaded = _plane_counts(
+                pool, engine, [names[0]], pair_names, limit
             )
-            assert pool.stats["jobs"] > 0
-        assert len(sharded) == len(local)
-        for (l_count, l_over), (s_count, s_over) in zip(local, sharded):
-            assert l_over == s_over
+            assert pool.stats["jobs"] == len(pair_names)
+        assert len(threaded) == len(local)
+        for (l_count, l_over), (t_count, t_over) in zip(local, threaded):
+            assert l_over == t_over
             if not l_over:
-                assert l_count == s_count
+                assert l_count == t_count
             elif limit is not None:
-                assert s_count > limit
+                assert t_count > limit
 
 
 def test_sharded_pool_empty_group():
-    with ShardedValidationPool(2, backend="python",
-                               inline_group_cost=0) as pool:
-        columns = {"a": [0, 1, 2, 3]}
-        assert stub_plane_counts(pool, columns, [], [], 3) == []
-        assert stub_plane_counts(pool, columns, [], [("a", "a")], 3) \
+    backend = get_backend("python")
+    plane_columns = {"a": [0, 1, 2, 3]}
+    with ShardedValidationPool(2) as pool:
+        plane = ColumnPlane(_column_prepare(backend, plane_columns), pool)
+        assert plane.harvest(plane.submit([], [], 3)) == []
+        assert plane.harvest(plane.submit([], [("a", "a")], 3)) \
             == [(0, False)]
+        assert pool.stats == {"groups": 2, "jobs": 1}
 
 
-def test_sharded_pool_rejects_stale_columns():
+def test_sharded_pool_rejects_stale_columns(monkeypatch):
     """Incremental regression: after ``Profiler.extend`` grows the encoded
     relation, a column captured before the append no longer covers the new
-    row ids — the pool must refuse to ship it to the workers instead of
-    silently mis-indexing."""
-    with ShardedValidationPool(2, backend="python",
-                               inline_group_cost=0) as pool:
-        columns = {
-            "a": list(range(6)),
-            "b": list(range(6)),
-            "stale": list(range(4)),  # captured before two rows were appended
-        }
-        classes = [[0, 1], [4, 5]]
-        assert stub_plane_counts(pool, columns, classes, [("a", "b")]) \
-            == [(0, False)]
-        with pytest.raises(RuntimeError, match="stale rank column 'stale'"):
-            stub_plane_counts(pool, columns, classes, [("stale", "b")])
-        with pytest.raises(RuntimeError, match="stale rank column 'stale'"):
-            stub_plane_counts(pool, columns, classes, [("a", "stale")])
-        # Classes that never reach the appended rows still accept the
-        # shorter column: it covers everything they index.
-        assert stub_plane_counts(pool, columns, [[0, 1]], [("stale", "stale")]) \
-            == [(0, False)]
+    row ids.  Every group the next run hands its plane threads must read
+    columns of the grown encoding, and its results must equal a cold run's
+    over the grown table."""
+    monkeypatch.setattr(DiscoveryEngine, "_oc_threads", lambda self: 2)
+    backend = BACKENDS[-1]
+    base = generate_flight_like(
+        260, num_attributes=5, error_rate=0.1, seed=7
+    ).relation
+    donor = generate_flight_like(
+        300, num_attributes=5, error_rate=0.1, seed=13
+    ).relation
+    delta_rows = [donor.row(i) for i in range(260, 300)]
+    request = DiscoveryRequest(threshold=0.1)
+    backend_cls = type(get_backend(backend))
+    real_count = backend_cls.oc_optimal_removal_count_batch
+    column_lengths = set()
+
+    def recording_count(self, classes, pairs, limit):
+        column_lengths.update(len(column) for pair in pairs for column in pair)
+        return real_count(self, classes, pairs, limit)
+
+    with Profiler(base, backend=backend, cache_validations=False) as session:
+        session.discover(request)
+        session.extend(delta_rows)
+        monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
+                            recording_count)
+        grown = session.discover(request)
+        num_rows = session.relation.num_rows
+    monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
+                        real_count)
+    assert num_rows == 300
+    assert column_lengths == {num_rows}
+    with Profiler(session.relation, backend=backend) as cold:
+        reference = cold.discover(request)
+    assert grown.ocs == reference.ocs
+    assert grown.ofds == reference.ofds
