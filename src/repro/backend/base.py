@@ -3,16 +3,23 @@
 The discovery framework spends essentially all of its time in three hot
 paths: order-preserving dictionary encoding, stripped-partition
 construction/refinement (the TANE-style PLI machinery) and the per-class
-LNDS removal-set kernels.  Each of those admits two interchangeable
+removal-count kernels (Algorithm 2's LNDS count for OCs, the ``g3`` count
+for OFDs).  Encoding and partitions have two interchangeable
 implementations:
 
 * :class:`~repro.backend.python_backend.PythonBackend` wraps the original
   pure-Python row-at-a-time code and serves as the reference semantics;
 * :class:`~repro.backend.numpy_backend.NumpyBackend` keeps rank columns as
   dense ``int32`` arrays and replaces the per-row loops with vectorised
-  sorts, groupings and batched kernels.
+  sorts and groupings, or native refinements.
 
-Both implementations must be observationally identical: the same
+The removal kernels have one reference implementation, the row-at-a-time
+loops defined here on the base class.  The python backend runs them as
+they are; the NumPy backend replaces the two count batches with the
+native kernels of :mod:`repro.backend.native` when that library is
+loaded, and runs the reference loops otherwise.
+
+Both backends must be observationally identical: the same
 :class:`~repro.dataset.partition.Partition` classes, the same removal rows
 in the same order, the same early-exit points under a removal budget.  The
 differential tests in ``tests/backend`` enforce this on full discovery
@@ -26,7 +33,8 @@ exact checks call the count kernels with ``limit=0`` and read the
 A backend also defines the *native* representation of a rank column (a
 plain ``list`` for Python, an ``int32`` ``ndarray`` for NumPy).  Kernels
 accept native columns; :meth:`ComputeBackend.to_native` converts on the
-boundary for callers that hold canonical lists.
+boundary for callers that hold canonical lists, and the reference loops
+convert native columns back to lists on entry.
 """
 
 from __future__ import annotations
@@ -56,8 +64,9 @@ class ComputeBackend(abc.ABC):
     @property
     def oc_kernel_name(self) -> str:
         """Which implementation runs the count-only OC and OFD removal
-        kernels (reported as ``oc_kernel`` on ``/healthz``)."""
-        return self.name
+        kernels (reported as ``oc_kernel`` on ``/healthz``): ``"python"``
+        for the reference loops, ``"native"`` for the native library."""
+        return "python"
 
     # -- columns ---------------------------------------------------------------
 
@@ -119,8 +128,17 @@ class ComputeBackend(abc.ABC):
         """Compute ``Pi_{X ∪ Y}`` from two stripped partitions."""
 
     # -- removal-set kernels ---------------------------------------------------
+    #
+    # The reference loops, the one concrete implementation of every removal
+    # kernel: the python backend always runs them, the NumPy backend runs
+    # them for the rows kernels (off the discovery path, which only counts)
+    # and for the count batches whenever the native library is not loaded.
+    # Algorithm 1's per-removal update loop is sequential by nature, so the
+    # greedy kernel stays row-at-a-time everywhere.  The kernel imports are
+    # deferred to call time: the validation modules import ``repro.backend``
+    # for backend resolution, so importing them at module load would create
+    # a cycle.
 
-    @abc.abstractmethod
     def oc_optimal_removal_rows(
         self,
         classes: Sequence[Sequence[int]],
@@ -129,8 +147,12 @@ class ComputeBackend(abc.ABC):
         limit: Optional[int] = None,
     ) -> Tuple[List[int], bool]:
         """Algorithm 2's minimal AOC removal rows over all context classes."""
+        from repro.validation.approx_oc_optimal import optimal_removal_rows
 
-    @abc.abstractmethod
+        return optimal_removal_rows(
+            classes, _as_list(a_ranks), _as_list(b_ranks), limit
+        )
+
     def oc_greedy_removal_rows(
         self,
         classes: Sequence[Sequence[int]],
@@ -138,14 +160,13 @@ class ComputeBackend(abc.ABC):
         b_ranks,
         limit: Optional[int] = None,
     ) -> Tuple[List[int], bool]:
-        """Algorithm 1's greedy (non-minimal) AOC removal rows.
+        """Algorithm 1's greedy (non-minimal) AOC removal rows."""
+        from repro.validation.approx_oc_iterative import iterative_removal_rows
 
-        The greedy baseline is row-at-a-time on every backend; callers
-        should pass canonical rank lists (native arrays are accepted but
-        converted).
-        """
+        return iterative_removal_rows(
+            classes, _as_list(a_ranks), _as_list(b_ranks), limit
+        )
 
-    @abc.abstractmethod
     def od_removal_rows(
         self,
         classes: Sequence[Sequence[int]],
@@ -154,8 +175,12 @@ class ComputeBackend(abc.ABC):
         limit: Optional[int] = None,
     ) -> Tuple[List[int], bool]:
         """Minimal removal rows for a canonical AOD ``X: A ↦→ B``."""
+        from repro.validation.approx_od import od_removal_rows
 
-    @abc.abstractmethod
+        return od_removal_rows(
+            classes, _as_list(a_ranks), _as_list(b_ranks), limit
+        )
+
     def ofd_removal_rows(
         self,
         classes: Sequence[Sequence[int]],
@@ -163,33 +188,31 @@ class ComputeBackend(abc.ABC):
         limit: Optional[int] = None,
     ) -> Tuple[List[int], bool]:
         """Minimal removal rows for an approximate OFD."""
+        from repro.validation.approx_ofd import aofd_removal_rows
+
+        return aofd_removal_rows(classes, _as_list(value_ranks), limit)
 
     # -- batched removal kernels -------------------------------------------------
     #
     # The level-synchronous scheduler groups all surviving candidates of a
     # lattice level by context and dispatches each group through one call, so
-    # the context's partition, columnar view and sort infrastructure are paid
-    # once per group instead of once per candidate.  A single candidate is a
-    # batch of one.  The OFD default loops over the rows kernel; backends
-    # override it with a genuinely batched implementation.
+    # the context's partition is paid once per group instead of once per
+    # candidate.  A single candidate is a batch of one.  The reference batch
+    # is exactly a loop of sequential kernels; the NumPy backend overrides
+    # both with one native call when its library is loaded.
     #
     # Parity contract for both batch kernels: each returns one ``(count,
     # exceeded)`` per candidate, and entry ``i`` aligns with input ``i``.
     # The ``exceeded`` flag must be *exact* (``True`` iff the candidate's
-    # full removal set is larger than ``limit``), and whenever ``exceeded``
-    # is ``False`` the count must equal ``len`` of the matching rows
-    # kernel's removal set.
-    # ``ofd_removal_batch`` goes further: an exceeded entry carries the
-    # class-by-class partial, ``len`` of the rows ``ofd_removal_rows``
-    # returns under the same ``limit``.  The OC batch may abandon an
-    # exceeded candidate mid-kernel (or before its LNDS pass, once its
-    # dirty classes alone outnumber ``limit``), so its partial is only
-    # guaranteed to be *some* value above ``limit``.  Discovery only
-    # consumes ``(valid, size-if-valid)``, which is identical either way.
-    # At ``limit=0`` the exact ``exceeded`` flag is the exact check:
-    # ``not exceeded`` iff the dependency holds with no removals.
+    # full removal set is larger than ``limit``), and an exceeded entry
+    # carries the class-by-class partial: the count up to and including the
+    # first class that takes it above ``limit``, as the reference loop stops
+    # there.  Whenever ``exceeded`` is ``False`` the count equals ``len`` of
+    # the matching rows kernel's removal set.  Discovery only consumes
+    # ``(valid, size-if-valid)``.  At ``limit=0`` the exact ``exceeded``
+    # flag is the exact check: ``not exceeded`` iff the dependency holds
+    # with no removals.
 
-    @abc.abstractmethod
     def oc_optimal_removal_count_batch(
         self,
         classes: Sequence[Sequence[int]],
@@ -198,6 +221,14 @@ class ComputeBackend(abc.ABC):
     ) -> List[Tuple[int, bool]]:
         """Minimal AOC removal counts for many ``(A, B)`` rank-column pairs
         sharing one context (Algorithm 2, batched across candidates)."""
+        from repro.validation.approx_oc_optimal import optimal_removal_count
+
+        return [
+            optimal_removal_count(
+                classes, _as_list(a_ranks), _as_list(b_ranks), limit
+            )
+            for a_ranks, b_ranks in rank_pairs
+        ]
 
     def ofd_removal_batch(
         self,
@@ -216,3 +247,13 @@ class ComputeBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
+
+
+def _as_list(ranks) -> List[int]:
+    """A rank column as the plain list the reference loops index: identity
+    on lists, ``tolist()`` on arrays (scalar indexing into an array is
+    several times slower and yields NumPy scalars)."""
+    if isinstance(ranks, list):
+        return ranks
+    tolist = getattr(ranks, "tolist", None)
+    return tolist() if tolist is not None else list(ranks)

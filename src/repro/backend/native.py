@@ -10,7 +10,7 @@ per validator, and partition refinement over sorted partitions:
   class and runs a galloping patience LNDS over ``B`` if it is dirty.  A
   pair stops after the class that takes it over the removal budget, so it
   pays only for the classes it inspects (see
-  ``NumpyBackend._native_counts``).
+  ``NumpyBackend.oc_optimal_removal_count_batch``).
 * ``ofd_removal_count`` is TANE's ``g3`` AOFD count: one frequency pass per
   class and RHS rank column, every column of a batch in one call, through
   a reusable scratch of counters (see ``NumpyBackend.ofd_removal_batch``).
@@ -48,8 +48,9 @@ could have written.
 
 Without a compiler, after a failed build or with a refused cache, one INFO
 line goes to the ``repro`` logger and :func:`kernels` returns ``None``;
-the NumPy backend then keeps its pure-NumPy kernels.  Results are identical
-either way.
+the NumPy backend then counts with the reference loops of
+:class:`~repro.backend.base.ComputeBackend`, about as slow as the python
+backend, and refines partitions by lexsort.  Results are identical either way.
 """
 
 from __future__ import annotations
@@ -290,7 +291,9 @@ def load_kernels(cache_dir: Optional[Path] = None) -> Optional[Kernels]:
         reason = f"gcc failed: {error.stderr.decode(errors='replace').strip()}"
     except (OSError, RuntimeError, subprocess.SubprocessError) as error:
         reason = str(error)
-    log.info("native kernels unavailable (%s); using the numpy kernels", reason)
+    log.info(
+        "native kernels unavailable (%s); using the reference kernels", reason
+    )
     return None
 
 

@@ -85,10 +85,10 @@ class Partition:
         self.num_rows = num_rows
         self._classes: Optional[List[List[int]]] = kept
         # Backend-owned columnar view (concatenated NumPy row/class-id
-        # arrays), built lazily by the lexsort refinement or a pure-NumPy
-        # kernel (the native kernels read the CSR arrays themselves) and
-        # reused by all later candidates sharing the context.  Not part of
-        # equality/repr.
+        # arrays), built lazily by the NumPy lexsort refinement or a
+        # partition product (the native kernels read the CSR arrays
+        # themselves) and reused by all later refinements of the same
+        # partition.  Not part of equality/repr.
         self._columnar = None
 
     # -- construction ----------------------------------------------------------

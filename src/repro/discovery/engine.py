@@ -604,7 +604,7 @@ class DiscoveryEngine:
         """Threads of the run's OC plane: one per usable core, at most
         ``num_workers`` of them when ``num_workers > 1``; none (inline)
         when that leaves fewer than two, or when the OC count holds the
-        GIL (the numpy and python kernels, Algorithm 1).
+        GIL (the reference loops, Algorithm 1).
 
         ``num_workers=1``, the default, does not mean one thread: a lone
         plane thread only moves the counting off the coordinator, and at

@@ -4,7 +4,7 @@ Endpoints (JSON in, JSON out; no dependencies beyond the stdlib):
 
 ``GET /healthz``
     ``{"status": "ok"|"draining", "backend": <name>, "oc_kernel":
-    "native"|"numpy"|"python", "datasets": <count>, "result_cache":
+    "native"|"python", "datasets": <count>, "result_cache":
     {...}, "admission": {...}, "lifecycle": {...}, "metrics": {...}}``.  The admission block reports
     queue depth/cap configuration, live in-flight counts, per-dataset
     queue state and every admission decision counter; the lifecycle block

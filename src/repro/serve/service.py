@@ -296,7 +296,7 @@ class ProfilerService:
 
     def compute_info(self) -> Dict[str, str]:
         """The compute backend new sessions get and its OC kernel
-        (``"native"``, ``"numpy"`` or ``"python"``), for ``/healthz``."""
+        (``"native"`` or ``"python"``), for ``/healthz``."""
         from repro.backend import resolve_backend
 
         backend = resolve_backend(self._backend)

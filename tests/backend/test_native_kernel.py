@@ -1,15 +1,16 @@
 """The native kernels: exact parity with the reference, and a safe loader.
 
-Parity here is stronger than the batch-kernel contract in
-``repro.backend.base``: each native count *and* its early-exit partial
-equal the python backend's class-by-class reference (``optimal_removal_count``
-for OCs, ``len`` of ``aofd_removal_rows`` for OFDs), whatever the class
-sizes (both sorts of the OC entry), rank widths and limits, and a pooled
-run equals an in-process one.  The binding tests show that inputs which do
-not fit their arrays raise instead of reaching memory out of bounds.  The loader tests show that no compiler, a damaged
-cached library, concurrent first use and an unsafe cache directory each
-end in a working NumPy backend, never in loading a library that could be
-wrong.
+Parity here is the batch-kernel contract of ``repro.backend.base``: each
+native count *and* its early-exit partial equal the class-by-class
+reference loop (``optimal_removal_count`` for OCs, ``len`` of
+``aofd_removal_rows`` for OFDs), whatever the class sizes (both sorts of
+the OC entry), rank widths and limits, and a group counted on plane
+threads equals the same batch counted inline.  The binding tests show that
+inputs which do not fit their arrays raise instead of reaching memory out
+of bounds.  The loader tests show that no compiler, a damaged cached
+library, concurrent first use and an unsafe cache directory each end in a
+working NumPy backend on the reference loops, never in loading a library
+that could be wrong.
 """
 
 import ctypes
@@ -90,8 +91,9 @@ class TestParity:
 
     @needs_kernel
     def test_class_longer_than_the_padded_dp_lane_cap(self):
+        """A 3000-row class between two small ones: far above the native
+        OC entry's insertion-sort cutoff, so it is radix-sorted."""
         rng = random.Random(7)
-        # 3000 rows: above the 2048-element lanes of the NumPy fallback.
         long_class = [(rng.randrange(50), rng.randrange(50)) for _ in range(3000)]
         _assert_matches_reference(
             *_columns([[(1, 2), (1, 1)], long_class, [(0, 0)]])
@@ -331,11 +333,13 @@ def _signature(result):
 
 @pytest.mark.parametrize("kernel", ["native", "numpy"])
 def test_discovery_is_byte_identical_on_both_kernels(kernel, flight_2k, monkeypatch):
+    """The numpy backend with its native library, and without it (``numpy``:
+    the reference loops count, so the kernel reports ``python``)."""
     if kernel == "numpy":
         monkeypatch.setattr(native, "kernels", lambda: None)
     elif KERNELS is None:
         pytest.skip("the native kernels are unavailable on this host")
-    assert NUMPY.oc_kernel_name == kernel
+    assert NUMPY.oc_kernel_name == ("python" if kernel == "numpy" else kernel)
     relation, reference = flight_2k
     result = discover_aods(relation, threshold=0.1, backend="numpy")
     assert _signature(result) == _signature(reference)
@@ -563,7 +567,7 @@ class TestLoader:
         ]
         assert list((tmp_path / "cache").iterdir()) == []
         monkeypatch.setattr(native, "kernels", lambda: handle)
-        assert NUMPY.oc_kernel_name == "numpy"
+        assert NUMPY.oc_kernel_name == "python"
         rng = random.Random(11)
         classes, a, b = _columns([
             [(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(1, 40))]

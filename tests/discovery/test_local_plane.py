@@ -7,9 +7,9 @@ thread per usable core (at most ``num_workers`` of them when
 the counting, and inline otherwise.  Acceptance bars:
 
 * threaded and forced-inline runs give identical results *and counters*
-  for every validator and kernel (python, native, numpy fallback) and for
-  ``num_workers`` 1, 2 and 4, one-shot and through a warm session's
-  discover → extend → discover;
+  for every validator and kernel (python, native, numpy without the native
+  library) and for ``num_workers`` 1, 2 and 4, one-shot and through a warm
+  session's discover → extend → discover;
 * ``num_workers`` above the core count never starts more threads than
   there are usable cores;
 * a warm session run (its memo holds outcomes) counts inline;
@@ -64,7 +64,8 @@ def _cores(count):
 
 
 def _kernels_off(off):
-    """Force the numpy fallback (no compiled library) when ``off``."""
+    """Force the numpy backend onto the reference loops (no compiled
+    library) when ``off``."""
     if not off:
         return contextlib.nullcontext()
     from repro.backend import native

@@ -3,7 +3,7 @@
 For any append sequence, ``Profiler.extend`` + ``discover_incremental``
 must produce a ``DiscoveryResult`` byte-identical (everything except run
 statistics) to a cold discovery over the concatenated table, on every
-backend, with and without worker processes.  On top of that, the
+backend, with the OC plane inline and on its threads.  On top of that, the
 monotonicity argument is pinned down: appends never shrink removal counts,
 so at a fixed removal budget (ε = 0) a dependency can only be revoked when
 its own context was touched, and still-valid classifications are never

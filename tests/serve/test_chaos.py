@@ -10,7 +10,8 @@ Asserts the resilience contract end to end against a real server:
 * injected response faults (stall, drop, TCP reset, kill-mid-stream)
   never take the server down for subsequent clients;
 * graceful shutdown drains in-flight work within the grace period and
-  leaks no worker processes.
+  leaves no child process behind (discovery starts none; its OC plane
+  runs on threads).
 """
 
 import json
@@ -319,7 +320,7 @@ class TestGracefulShutdown:
                 socket.create_connection(
                     ("127.0.0.1", server.server_address[1]), timeout=2
                 )
-        # No worker processes survive shutdown.
+        # No child process survives shutdown; discovery never starts one.
         assert multiprocessing.active_children() == []
 
     def test_past_grace_cancels_inflight_work(self, slow_relation, monkeypatch):

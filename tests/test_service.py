@@ -57,7 +57,7 @@ class TestEndpoints:
         if backend.name == "numpy":
             from repro.backend import native
 
-            expected = "native" if native.kernels() is not None else "numpy"
+            expected = "native" if native.kernels() is not None else "python"
             assert payload["oc_kernel"] == expected
         cache = payload["result_cache"]
         assert set(cache) == {"hits", "misses", "entries"}

@@ -4,12 +4,14 @@ The key properties are those of Theorems 3.3 and 3.4's setting:
 
 * the returned set is a removal set (the OC holds after dropping it), and
 * it is minimal (checked against a brute-force oracle on small inputs via
-  hypothesis).
+  hypothesis), and so is every kernel's count: python, native numpy and
+  numpy without the native library.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import available_backends, get_backend
 from repro.dataset.examples import employee_salary_table, tuple_ids_to_rows
 from repro.dataset.generators import generate_planted_oc_table
 from repro.dataset.partition import PartitionCache
@@ -103,26 +105,62 @@ small_tables = st.lists(
 )
 
 
+def _batch_counts(relation, oc, limit):
+    """``oc_optimal_removal_count_batch`` for ``oc`` under ``limit`` on
+    every kernel, by label: the python backend, numpy on whichever kernels
+    this host loaded, and numpy with the native library forced to ``None``
+    (when numpy is installed)."""
+    counts = {}
+
+    def count(label, backend):
+        encoded = relation.encoded(backend)
+        classes = PartitionCache(encoded, backend=backend).get_by_names(oc.context)
+        [counts[label]] = backend.oc_optimal_removal_count_batch(
+            classes, [(encoded.native_ranks(oc.a), encoded.native_ranks(oc.b))],
+            limit,
+        )
+
+    count("python", get_backend("python"))
+    if "numpy" in available_backends():
+        from repro.backend import native
+
+        count("numpy", get_backend("numpy"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "kernels", lambda: None)
+            count("numpy-no-compiler", get_backend("numpy"))
+    return counts
+
+
+def _assert_minimal(relation, oc, limit):
+    """Algorithm 2's removal set is valid and minimal, and every count
+    kernel agrees with the swap-based exhaustive search, which shares no
+    code with them: the exact size with no budget, the exact ``exceeded``
+    flag under ``limit``."""
+    minimal = minimal_removal_size_bruteforce(relation, oc)
+    result = validate_aoc_optimal(relation, oc)
+    assert removal_set_is_valid(relation, oc, result.removal_rows)
+    assert result.removal_size == minimal
+    for label, (size, over) in _batch_counts(relation, oc, None).items():
+        assert (size, over) == (minimal, False), label
+    for label, (size, over) in _batch_counts(relation, oc, limit).items():
+        assert over == (minimal > limit), label
+        assert size == minimal if not over else size > limit, label
+
+
 class TestMinimalityProperty:
     """Theorem 3.3, checked against exhaustive search on small tables."""
 
     @settings(max_examples=60, deadline=None)
-    @given(small_tables)
-    def test_removal_set_is_valid_and_minimal_empty_context(self, rows):
+    @given(small_tables, st.integers(0, 9))
+    def test_removal_set_is_valid_and_minimal_empty_context(self, rows, limit):
         relation = Relation.from_rows(rows, ["a", "b", "c"])
-        oc = CanonicalOC([], "a", "b")
-        result = validate_aoc_optimal(relation, oc)
-        assert removal_set_is_valid(relation, oc, result.removal_rows)
-        assert result.removal_size == minimal_removal_size_bruteforce(relation, oc)
+        _assert_minimal(relation, CanonicalOC([], "a", "b"), limit)
 
     @settings(max_examples=40, deadline=None)
-    @given(small_tables)
-    def test_removal_set_is_valid_and_minimal_with_context(self, rows):
+    @given(small_tables, st.integers(0, 9))
+    def test_removal_set_is_valid_and_minimal_with_context(self, rows, limit):
         relation = Relation.from_rows(rows, ["a", "b", "c"])
-        oc = CanonicalOC(["c"], "a", "b")
-        result = validate_aoc_optimal(relation, oc)
-        assert removal_set_is_valid(relation, oc, result.removal_rows)
-        assert result.removal_size == minimal_removal_size_bruteforce(relation, oc)
+        _assert_minimal(relation, CanonicalOC(["c"], "a", "b"), limit)
 
 
 class TestKernelFunctions:
