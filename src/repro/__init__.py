@@ -50,7 +50,7 @@ The package is organised as follows:
 
 ``repro.incremental``
     Incremental maintenance of discovered dependency sets under row
-    appends: delta encoding, per-context partition patching, per-class
+    appends: delta encoding, in-place partition rebuilds, per-class
     repair of memoised validation outcomes, and the
     :class:`~repro.incremental.IncrementalEngine` that classifies and
     revalidates only what a delta can have changed — byte-identical to

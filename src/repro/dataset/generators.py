@@ -59,10 +59,6 @@ class PlantedOC:
     context: Tuple[str, ...] = ()
     approx_rows: frozenset = frozenset()
 
-    @property
-    def planted_rate(self) -> float:
-        return len(self.approx_rows)
-
 
 @dataclass
 class GeneratedWorkload:

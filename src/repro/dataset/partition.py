@@ -41,7 +41,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -143,30 +142,13 @@ class Partition:
 
         return resolve_backend(None).partition_from_row_keys(keys, len(keys))
 
-    @classmethod
-    def _from_sorted_classes(
-        cls, classes: List[List[int]], num_rows: int
-    ) -> "Partition":
-        """Internal fast path: adopt class lists whose rows are already
-        sorted ascending and all of length >= 2, skipping the per-class
-        normalisation."""
-        classes.sort(key=lambda rows: rows[0])
-        flat: List[int] = []
-        offsets: List[int] = [0]
-        for rows in classes:
-            flat.extend(rows)
-            offsets.append(len(flat))
-        partition = cls.from_csr(flat, offsets, num_rows)
-        partition._classes = classes
-        return partition
-
     # -- properties ------------------------------------------------------------
 
     @property
     def classes(self) -> List[List[int]]:
         """Legacy list-of-lists view of the classes (lazy compatibility).
 
-        Hot paths never touch this: construction, products, delta patching
+        Hot paths never touch this: construction, products, append repair
         and the vectorised kernels all work on the flat CSR
         arrays.  The materialised lists are cached for repeat consumers.
         """
@@ -339,41 +321,6 @@ def build_partition_from_row_keys(
     return _partition_from_groups(list(groups.values()), num_rows)
 
 
-class DeltaPatches:
-    """Outcome of :meth:`PartitionCache.apply_delta`.
-
-    ``affected`` — keys whose stripped classes changed; ``class_patches``
-    maps each of them to ``(removed, added)`` class lists (what the delta
-    replaced); ``dropped`` — keys evicted because nothing was left to patch
-    them from.
-    """
-
-    __slots__ = ("affected", "dropped", "class_patches")
-
-    def __init__(self) -> None:
-        self.affected: Set[FrozenSet[int]] = set()
-        self.dropped: Set[FrozenSet[int]] = set()
-        self.class_patches: Dict[
-            FrozenSet[int], Tuple[List[List[int]], List[List[int]]]
-        ] = {}
-
-
-def _class_diff(
-    old_classes: Sequence[Sequence[int]], new_classes: Sequence[Sequence[int]]
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """Symmetric difference of two class lists: ``(removed, added)``.
-
-    Classes that survive a delta untouched appear in both lists and drop
-    out, so downstream repair only ever re-runs kernels on classes whose
-    membership genuinely changed.
-    """
-    old_set = {tuple(rows) for rows in old_classes}
-    new_set = {tuple(rows) for rows in new_classes}
-    removed = [list(rows) for rows in old_classes if tuple(rows) not in new_set]
-    added = [list(rows) for rows in new_classes if tuple(rows) not in old_set]
-    return removed, added
-
-
 def _gather_segments(rows, offsets, ids):
     """Concatenate the classes ``ids`` selects out of a CSR array pair.
 
@@ -390,103 +337,6 @@ def _gather_segments(rows, offsets, ids):
     return rows[flat], lengths
 
 
-def _select_partition(rows, offsets, ids, num_rows: int) -> Partition:
-    """Partition made of the classes ``ids`` selects (ids ascending)."""
-    import numpy as np
-
-    flat, lengths = _gather_segments(rows, offsets, ids)
-    new_offsets = np.concatenate(
-        ([0], np.cumsum(lengths))
-    ).astype(np.int64, copy=False)
-    return Partition.from_csr(flat, new_offsets, num_rows)
-
-
-def _diff_partitions(
-    old: Partition, new: Partition
-) -> Tuple[List[List[int]], List[List[int]]]:
-    """Symmetric difference of two partitions' classes: ``(removed, added)``.
-
-    Both partitions keep their classes ordered by (unique) first row, so a
-    two-pointer merge over the offset arrays pairs classes up without
-    materialising the ones that survived unchanged — only genuinely changed
-    classes become Python lists for the repair kernels.
-    """
-    o_rows, o_offsets = old.row_indices, old.class_offsets
-    n_rows, n_offsets = new.row_indices, new.class_offsets
-    if not isinstance(o_rows, list) and not isinstance(n_rows, list):
-        return _diff_partitions_arrays(o_rows, o_offsets, n_rows, n_offsets)
-    o_rows, o_offsets = _plain(o_rows), _plain(o_offsets)
-    n_rows, n_offsets = _plain(n_rows), _plain(n_offsets)
-    removed: List[List[int]] = []
-    added: List[List[int]] = []
-    i = j = 0
-    num_old, num_new = len(o_offsets) - 1, len(n_offsets) - 1
-    while i < num_old and j < num_new:
-        old_first = o_rows[o_offsets[i]]
-        new_first = n_rows[n_offsets[j]]
-        if old_first < new_first:
-            removed.append(o_rows[o_offsets[i]:o_offsets[i + 1]])
-            i += 1
-        elif new_first < old_first:
-            added.append(n_rows[n_offsets[j]:n_offsets[j + 1]])
-            j += 1
-        else:
-            old_class = o_rows[o_offsets[i]:o_offsets[i + 1]]
-            new_class = n_rows[n_offsets[j]:n_offsets[j + 1]]
-            if old_class != new_class:
-                removed.append(old_class)
-                added.append(new_class)
-            i += 1
-            j += 1
-    while i < num_old:
-        removed.append(o_rows[o_offsets[i]:o_offsets[i + 1]])
-        i += 1
-    while j < num_new:
-        added.append(n_rows[n_offsets[j]:n_offsets[j + 1]])
-        j += 1
-    return removed, added
-
-
-def _diff_partitions_arrays(o_rows, o_offsets, n_rows, n_offsets):
-    """Vectorised :func:`_diff_partitions` over ``int64`` CSR arrays.
-
-    Classes are matched by first row (unique and ascending on both sides);
-    matched pairs differ when their lengths differ or any element does —
-    checked with one segmented comparison over all equal-length pairs.
-    """
-    import numpy as np
-
-    o_firsts = o_rows[o_offsets[:-1]]
-    n_firsts = n_rows[n_offsets[:-1]]
-    position = np.searchsorted(n_firsts, o_firsts)
-    matched = position < n_firsts.size
-    if n_firsts.size:
-        safe = np.minimum(position, n_firsts.size - 1)
-        matched &= n_firsts[safe] == o_firsts
-    o_match = np.nonzero(matched)[0]
-    n_match = position[o_match]
-    o_lengths = np.diff(o_offsets)
-    n_lengths = np.diff(n_offsets)
-    changed = o_lengths[o_match] != n_lengths[n_match]
-    same_length = np.nonzero(~changed)[0]
-    if same_length.size:
-        left, lengths = _gather_segments(o_rows, o_offsets, o_match[same_length])
-        right, _ = _gather_segments(n_rows, n_offsets, n_match[same_length])
-        starts = np.cumsum(lengths) - lengths
-        changed[same_length] = np.add.reduceat(left != right, starts) > 0
-    removed_ids = np.sort(
-        np.concatenate([np.nonzero(~matched)[0], o_match[changed]])
-    )
-    new_unmatched = np.ones(n_firsts.size, dtype=bool)
-    new_unmatched[n_match] = False
-    added_ids = np.sort(
-        np.concatenate([np.nonzero(new_unmatched)[0], n_match[changed]])
-    )
-    removed = _segments_as_lists(o_rows, o_offsets, removed_ids)
-    added = _segments_as_lists(n_rows, n_offsets, added_ids)
-    return removed, added
-
-
 def _segments_as_lists(rows, offsets, ids) -> List[List[int]]:
     """Materialise the selected classes as plain row lists."""
     return [
@@ -494,118 +344,48 @@ def _segments_as_lists(rows, offsets, ids) -> List[List[int]]:
     ]
 
 
-def _merge_disjoint(a: Partition, b: Partition, num_rows: int) -> Partition:
-    """Merge two partitions with disjoint classes, ordered by first row."""
-    if a.num_classes == 0:
-        return Partition.from_csr(b.row_indices, b.class_offsets, num_rows)
-    if b.num_classes == 0:
-        return Partition.from_csr(a.row_indices, a.class_offsets, num_rows)
-    a_rows, a_offsets = a.row_indices, a.class_offsets
-    b_rows, b_offsets = b.row_indices, b.class_offsets
-    if not isinstance(a_rows, list) and not isinstance(b_rows, list):
-        import numpy as np
-
-        rows_all = np.concatenate([a_rows, b_rows])
-        starts = np.concatenate([a_offsets[:-1], b_offsets[:-1] + a_rows.size])
-        lengths = np.concatenate([np.diff(a_offsets), np.diff(b_offsets)])
-        order = np.argsort(rows_all[starts], kind="stable")
-        starts, lengths = starts[order], lengths[order]
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        flat = np.repeat(starts - offsets[:-1], lengths) + np.arange(
-            int(offsets[-1])
-        )
-        return Partition.from_csr(rows_all[flat], offsets, num_rows)
-    a_rows, a_offsets = _plain(a_rows), _plain(a_offsets)
-    b_rows, b_offsets = _plain(b_rows), _plain(b_offsets)
-    flat: List[int] = []
-    offsets: List[int] = [0]
-    i = j = 0
-    num_a, num_b = len(a_offsets) - 1, len(b_offsets) - 1
-    while i < num_a or j < num_b:
-        take_a = j >= num_b or (
-            i < num_a and a_rows[a_offsets[i]] < b_rows[b_offsets[j]]
-        )
-        if take_a:
-            flat.extend(a_rows[a_offsets[i]:a_offsets[i + 1]])
-            i += 1
-        else:
-            flat.extend(b_rows[b_offsets[j]:b_offsets[j + 1]])
-            j += 1
-        offsets.append(len(flat))
-    return Partition.from_csr(flat, offsets, num_rows)
+#: The ``(removed, added)`` classes an append replaced in one context.
+ClassPatch = Tuple[List[List[int]], List[List[int]]]
 
 
-def _touched_base_classes(base: Partition, old_num_rows: int,
-                          new_num_rows: int):
-    """Select the base classes a delta touched, plus a membership tester.
+def _appended_classes(
+    old: Partition, new: Partition, old_num_rows: int
+) -> ClassPatch:
+    """The classes an append replaced: ``(removed, added)``.
 
-    A base class is *touched* iff it contains an appended row — class rows
-    are ascending, so its last row decides.  Returns ``(touched, member)``
-    where ``touched`` is the sub-partition of those classes (over the new
-    row count) and ``member`` tests whether an old row id lies in a touched
-    class (a boolean mask for array partitions, a set for list ones).
+    ``new`` is ``old``'s context over the relation with rows appended past
+    ``old_num_rows``.  Appending never splits a class, so every class of
+    ``old`` lies inside one class of ``new``: a class of ``new`` changed
+    iff it holds an appended row (rows ascend, so its last row decides),
+    and a class of ``old`` changed iff its first row lies in such a class.
+    Only the changed classes become row lists.
     """
-    rows, offsets = base.row_indices, base.class_offsets
-    if not isinstance(rows, list):
+    o_rows, o_offsets = old.row_indices, old.class_offsets
+    n_rows, n_offsets = new.row_indices, new.class_offsets
+    if not isinstance(o_rows, list) and not isinstance(n_rows, list):
         import numpy as np
 
-        lasts = rows[offsets[1:] - 1]
-        ids = np.nonzero(lasts >= old_num_rows)[0]
-        touched = _select_partition(rows, offsets, ids, new_num_rows)
+        added_ids = np.nonzero(n_rows[n_offsets[1:] - 1] >= old_num_rows)[0]
+        grown, _ = _gather_segments(n_rows, n_offsets, added_ids)
         member = np.zeros(old_num_rows, dtype=bool)
-        touched_rows = touched.row_indices
-        member[touched_rows[touched_rows < old_num_rows]] = True
-        return touched, member
-    flat: List[int] = []
-    t_offsets: List[int] = [0]
-    member: Set[int] = set()
-    for i in range(len(offsets) - 1):
-        if rows[offsets[i + 1] - 1] >= old_num_rows:
-            segment = rows[offsets[i]:offsets[i + 1]]
-            flat.extend(segment)
-            t_offsets.append(len(flat))
-            member.update(segment)
-    return Partition.from_csr(flat, t_offsets, new_num_rows), member
-
-
-def _split_by_touched(old: Partition, member, new_num_rows: int):
-    """Split ``old``'s classes into ``(carried, replaced)`` partitions.
-
-    An old class lies inside exactly one base class; its first row (always
-    below the old row count) tells whether that base class was touched.
-    """
-    rows, offsets = old.row_indices, old.class_offsets
-    if not isinstance(rows, list) and not isinstance(member, set):
-        import numpy as np
-
-        firsts = rows[offsets[:-1]]
-        replaced_mask = member[firsts]
-        carried = _select_partition(
-            rows, offsets, np.nonzero(~replaced_mask)[0], new_num_rows
-        )
-        replaced = _select_partition(
-            rows, offsets, np.nonzero(replaced_mask)[0], old.num_rows
-        )
-        return carried, replaced
-    contains = member.__contains__ if isinstance(member, set) else (
-        lambda row: bool(member[row])
-    )
-    rows, offsets = _plain(rows), _plain(offsets)
-    c_flat: List[int] = []
-    c_offsets: List[int] = [0]
-    r_flat: List[int] = []
-    r_offsets: List[int] = [0]
-    for i in range(len(offsets) - 1):
-        segment = rows[offsets[i]:offsets[i + 1]]
-        if contains(segment[0]):
-            r_flat.extend(segment)
-            r_offsets.append(len(r_flat))
-        else:
-            c_flat.extend(segment)
-            c_offsets.append(len(c_flat))
-    carried = Partition.from_csr(c_flat, c_offsets, new_num_rows)
-    replaced = Partition.from_csr(r_flat, r_offsets, old.num_rows)
-    return carried, replaced
+        member[grown[grown < old_num_rows]] = True
+        removed_ids = np.nonzero(member[o_rows[o_offsets[:-1]]])[0]
+        return (_segments_as_lists(o_rows, o_offsets, removed_ids),
+                _segments_as_lists(n_rows, n_offsets, added_ids))
+    o_rows, o_offsets = _plain(o_rows), _plain(o_offsets)
+    n_rows, n_offsets = _plain(n_rows), _plain(n_offsets)
+    added = [
+        n_rows[n_offsets[i]:n_offsets[i + 1]]
+        for i in range(len(n_offsets) - 1)
+        if n_rows[n_offsets[i + 1] - 1] >= old_num_rows
+    ]
+    member = {row for rows in added for row in rows}
+    removed = [
+        o_rows[o_offsets[i]:o_offsets[i + 1]]
+        for i in range(len(o_offsets) - 1)
+        if o_rows[o_offsets[i]] in member
+    ]
+    return removed, added
 
 
 class PartitionCache:
@@ -625,8 +405,8 @@ class PartitionCache:
     eviction (``None`` — the default — retains everything): long-lived
     sessions over wide schemas use it to cap the cache's O(rows)-per-context
     memory.  Evicted partitions are rebuilt on demand, so results never
-    change; only :meth:`apply_delta`'s ability to patch (rather than drop)
-    an entry depends on what is still cached.
+    change; an append (:meth:`apply_delta`) rebuilds exactly the entries
+    still cached.
     """
 
     def __init__(
@@ -744,40 +524,30 @@ class PartitionCache:
 
     # -- incremental maintenance -------------------------------------------------
 
-    def apply_delta(self, encoded_relation, old_num_rows: int) -> "DeltaPatches":
-        """Rebind to an extended encoding and patch every cached partition.
+    def apply_delta(
+        self, encoded_relation, old_num_rows: int
+    ) -> Dict[FrozenSet[int], ClassPatch]:
+        """Rebind to an extended encoding and rebuild every cached partition.
 
         ``encoded_relation`` is the delta-encoded relation produced by
         :meth:`~repro.dataset.encoding.EncodedRelation.extend` (same schema,
-        ``num_rows >= old_num_rows``).  Every cached partition is brought up
-        to the new row count by a per-context merge: contexts are processed
-        smallest-first, and a context ``X`` reuses the already-patched
-        partition of a cached proper subset ``B`` — only ``B``-classes that
-        contain an appended row can gain or change ``X``-classes (appending
-        rows never splits an equivalence class), so only those classes are
-        re-split on ``X \\ B``.  No full rebuild, and the stripped-away old
-        singletons never need scanning: any old singleton that an appended
-        row joins is already inside one of the touched ``B``-classes.
+        ``num_rows >= old_num_rows``).  Cached keys are rebuilt in place,
+        smallest first, through :meth:`_build` — the code a cache miss runs
+        — so each key refines the largest cached proper subset, which is
+        already rebuilt because it is smaller.  No second copy of the cache
+        is held.  Under ``max_entries`` a key a rebuild evicts is skipped,
+        and a rebuild with no cached subset caches a single-attribute key
+        afresh, which nothing compares with its old classes.
 
-        The whole merge happens on the flat CSR arrays: touched classes are
-        gathered into a sub-partition, re-split through the backend's
-        ``partition_refine`` (the same vectorised path a cold build uses),
-        and stitched back between the untouched classes with one
-        first-row-ordered merge — no per-class Python lists.
-
-        The returned :class:`DeltaPatches` says per key what changed:
-        ``affected`` holds the keys whose *stripped classes* changed (their
-        validation outcomes may differ), with ``class_patches`` recording
-        exactly which classes disappeared and which replaced them — every
-        kernel is class-additive, so memoised counts for affected contexts
-        can be *adjusted* by re-running kernels on just those classes (see
-        :mod:`repro.incremental.repair`).  ``dropped`` holds keys that had
-        to be evicted because no cached subset was left to patch from
-        (their effect on validations is unknown, so callers must treat them
-        as affected without a patch).  Keys in neither set kept identical
-        class lists, so memoised removal counts for them remain exact; the
-        re-encoded rank columns only ever differ from the old ones by an
-        order-preserving bijection, which no kernel can observe.
+        Returns ``{key: (removed, added)}`` for the rebuilt keys whose
+        *stripped classes* changed: the classes the delta replaced and
+        those that replaced them.  Every kernel is class-additive, so
+        memoised counts for those contexts can be *adjusted* by re-running
+        kernels on just these classes (see :mod:`repro.incremental.repair`).
+        Rebuilt keys absent from the mapping kept identical class lists, so
+        memoised removal counts for them remain exact; the re-encoded rank
+        columns only ever differ from the old ones by an order-preserving
+        bijection, which no kernel can observe.
         """
         new_num_rows = encoded_relation.num_rows
         if new_num_rows < old_num_rows:
@@ -786,82 +556,16 @@ class PartitionCache:
                 f"cannot shrink to {new_num_rows}"
             )
         self._encoded = encoded_relation
-        patches = DeltaPatches()
+        patches: Dict[FrozenSet[int], ClassPatch] = {}
         if new_num_rows == old_num_rows:
             return patches
-        by_size: Dict[int, List[FrozenSet[int]]] = {}
-        for key in self._cache:
-            by_size.setdefault(len(key), []).append(key)
         for key in sorted(self._cache, key=len):
-            old_partition = self._cache[key]
-            if len(key) <= 1:
-                if not key:
-                    patched = self._backend.partition_unit(new_num_rows)
-                else:
-                    (index,) = key
-                    patched = self._single(index, new_num_rows)
-                removed, added = _diff_partitions(old_partition, patched)
-            else:
-                base_key = self._best_patch_base(key, by_size, patches.dropped)
-                if base_key is None:
-                    del self._cache[key]
-                    patches.dropped.add(key)
-                    continue
-                patched, removed, added = self._patch_from_base(
-                    key, base_key, old_partition, old_num_rows, new_num_rows
-                )
-            self._cache[key] = patched
+            old = self._cache.get(key)
+            if old is None:
+                continue  # evicted by an earlier rebuild under the bound
+            new = self._build(key)
+            self._cache[key] = new
+            removed, added = _appended_classes(old, new, old_num_rows)
             if removed or added:
-                patches.affected.add(key)
-                patches.class_patches[key] = (removed, added)
+                patches[key] = (removed, added)
         return patches
-
-    def _best_patch_base(
-        self,
-        key: FrozenSet[int],
-        by_size: Dict[int, List[FrozenSet[int]]],
-        dropped: Set[FrozenSet[int]],
-    ) -> Optional[FrozenSet[int]]:
-        """Largest cached, already-patched proper subset of ``key``.
-
-        ``by_size`` indexes the cached keys by length, so the search walks
-        the largest candidate subsets first and stops at the first hit
-        instead of scanning the whole cache per key (smaller-first
-        processing guarantees every smaller key is already patched).
-        """
-        for size in range(len(key) - 1, -1, -1):
-            for cached_key in by_size.get(size, ()):
-                if cached_key not in dropped and cached_key < key:
-                    return cached_key
-        return None
-
-    def _patch_from_base(
-        self,
-        key: FrozenSet[int],
-        base_key: FrozenSet[int],
-        old_partition: Partition,
-        old_num_rows: int,
-        new_num_rows: int,
-    ) -> Tuple[Partition, List[List[int]], List[List[int]]]:
-        """Merge appended rows into ``Pi_key`` using the patched base,
-        returning ``(patched, removed_classes, added_classes)``.
-
-        ``Pi_key`` refines ``Pi_base``: every (non-singleton) ``key``-class
-        lies inside a ``base``-class.  A ``key``-class can only gain rows or
-        newly form inside a ``base``-class that contains an appended row, so
-        the *touched* base classes are gathered into a sub-partition and
-        re-split on the remaining attributes through the backend's refine
-        kernel, while every other old class is carried over unchanged.
-        """
-        base = self._cache[base_key]
-        touched, member = _touched_base_classes(
-            base, old_num_rows, new_num_rows
-        )
-        rebuilt = touched
-        for index in sorted(key - base_key):
-            rebuilt = self._refine(rebuilt, index)
-        carried, replaced = _split_by_touched(
-            old_partition, member, new_num_rows
-        )
-        removed, added = _diff_partitions(replaced, rebuilt)
-        return _merge_disjoint(carried, rebuilt, new_num_rows), removed, added

@@ -104,7 +104,7 @@ class DatasetExtended:
     old_num_rows: int
     new_num_rows: int
     appended_rows: int
-    #: Contexts whose stripped classes changed (plus dropped partitions).
+    #: Cached contexts whose stripped classes changed, over all appends.
     affected_contexts: int
     #: Previous dependencies whose recorded outcome provably transfers.
     still_valid: int

@@ -32,7 +32,7 @@ cancellation — belong to the session and the call site.
 
 Sessions also survive their dataset *growing*: :meth:`Profiler.extend`
 appends rows while keeping every warm asset consistent (delta encoding,
-per-context partition patching, per-class memo repair — see
+in-place partition rebuilds, per-class memo repair — see
 :mod:`repro.incremental`), and :meth:`Profiler.discover_incremental`
 re-establishes a request's dependency set revalidating only what the
 appends could have changed, byte-identical to a cold run.  Long-lived
@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.backend import resolve_backend
 from repro.caching import BoundedLRU
@@ -334,8 +334,9 @@ class Profiler:
         into the session's :class:`~repro.dataset.encoding.EncodedRelation`
         (dictionaries grow monotonically; columns whose new values sort
         into the middle of the domain are remapped order-preservingly),
-        every retained partition is patched per context, and the validation
-        memo keeps exactly the entries the delta provably did not change.
+        every retained partition is rebuilt over the grown relation, and the
+        validation memo keeps exactly the entries the delta provably did not
+        change.
         The returned :class:`~repro.incremental.DeltaSummary` says what
         happened; :meth:`discover_incremental` then revalidates only the
         affected candidates.
@@ -344,7 +345,7 @@ class Profiler:
             raise RuntimeError("Profiler is closed")
         if self._active_streams:
             # A suspended iter_events generator holds an engine built
-            # against the current encoding; patching the shared partition
+            # against the current encoding; rebuilding the shared partition
             # cache under it would resume that engine onto row ids its
             # captured rank columns cannot cover (a deep kernel IndexError
             # far from the misuse).  Make the contract explicit instead.
@@ -359,32 +360,33 @@ class Profiler:
         delta_relation = Relation(schema, columns)
         new_relation = self.relation.concat(delta_relation)
         new_relation.adopt_encoding(extended)
-        affected_names: List[frozenset] = []
-        dropped_names: List[frozenset] = []
         patches_by_context: Dict[frozenset, tuple] = {}
+        tracked: Set[frozenset] = set()
         patched = 0
         if self.partitions is not None:
-            patches = self.partitions.apply_delta(extended, old_num_rows)
             names = schema.names
 
             def named(key):
                 return frozenset(names[i] for i in key)
 
-            affected_names = [named(key) for key in patches.affected]
-            dropped_names = [named(key) for key in patches.dropped]
+            # Under ``max_cached_partitions`` a rebuild can cache a key the
+            # cache had evicted; nothing compared it with its old classes,
+            # so only keys cached before and after the append are tracked.
+            before = set(self.partitions.cached_keys())
+            patches = self.partitions.apply_delta(extended, old_num_rows)
+            after = set(self.partitions.cached_keys())
             patches_by_context = {
-                named(key): patch
-                for key, patch in patches.class_patches.items()
+                named(key): patch for key, patch in patches.items()
             }
-            patched = sum(1 for _ in self.partitions.cached_keys())
+            tracked = {named(key) for key in before & after}
+            patched = len(after)
         with get_tracer().span(
             "memo-repair",
             appended_rows=new_relation.num_rows - old_num_rows,
             affected_contexts=len(patches_by_context),
-            dropped_contexts=len(dropped_names),
         ):
             invalidated, adjusted, retained = self._repair_memo(
-                extended, patches_by_context, dropped_names
+                extended, patches_by_context, tracked
             )
         self.relation = new_relation
         self.encoded = extended
@@ -394,8 +396,7 @@ class Profiler:
             new_num_rows=new_relation.num_rows,
             dataset_version=self._dataset_version,
             column_modes=modes,
-            affected_contexts=tuple(sorted(affected_names, key=sorted)),
-            dropped_contexts=tuple(sorted(dropped_names, key=sorted)),
+            affected_contexts=tuple(sorted(patches_by_context, key=sorted)),
             patched_partitions=patched,
             invalidated_memo_entries=invalidated,
             adjusted_memo_entries=adjusted,
@@ -434,14 +435,14 @@ class Profiler:
             progress_callback=progress_callback, cancellation=cancellation
         )
 
-    def _repair_memo(self, extended, patches_by_context, dropped_names):
+    def _repair_memo(self, extended, patches_by_context, tracked):
         """Repair or drop memo entries an append may have changed.
 
-        Entries of unaffected, still-cached contexts are kept as they are;
-        entries of affected contexts are adjusted per class (see
-        :mod:`repro.incremental.repair`); entries whose context is no
-        longer provably tracked (dropped or LRU-evicted partitions) are
-        purged.  Without a retained partition cache nothing is provable,
+        Entries of unaffected ``tracked`` contexts (cached across the
+        append) are kept as they are; entries of affected contexts are
+        adjusted per class (see :mod:`repro.incremental.repair`); entries of
+        any other context are purged, since nothing tracked what the append
+        did to it.  Without a retained partition cache nothing is provable,
         so everything goes.
         """
         if self._memo is None:
@@ -452,14 +453,7 @@ class Profiler:
             return invalidated, 0, 0
         from repro.incremental.repair import repair_memo
 
-        names = self.relation.schema.names
-        cached = {
-            frozenset(names[i] for i in key)
-            for key in self.partitions.cached_keys()
-        }
-        return repair_memo(
-            self._memo, extended, patches_by_context, dropped_names, cached
-        )
+        return repair_memo(self._memo, extended, patches_by_context, tracked)
 
     # -- incremental session state (read by repro.incremental) -------------------
 

@@ -10,11 +10,11 @@ consistent under row appends instead:
   stay valid (columns whose new values sort into the middle of the domain
   are remapped by an order-preserving bijection, which no kernel can
   observe);
-* **partition patching** —
-  :meth:`repro.dataset.partition.PartitionCache.apply_delta` merges the
-  appended row ids into every cached stripped partition per context
-  (smallest contexts first, re-splitting only the base classes the delta
-  touched) and reports exactly which contexts' classes changed;
+* **partition repair** —
+  :meth:`repro.dataset.partition.PartitionCache.apply_delta` rebuilds every
+  cached stripped partition over the grown relation (smallest contexts
+  first, each refining an already-rebuilt subset, as a cache miss does)
+  and reports exactly which contexts' classes changed;
 * **candidate-set repair** — :class:`IncrementalEngine` classifies the
   previous run's candidates into still-valid / must-revalidate /
   newly-possible using the append monotonicity argument (appending rows can

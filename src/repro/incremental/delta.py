@@ -20,11 +20,10 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 class DeltaSummary:
     """What one :meth:`Profiler.extend` call changed.
 
-    ``affected_contexts`` / ``dropped_contexts`` hold attribute-*name* sets:
-    contexts whose stripped equivalence classes changed, respectively whose
-    cached partitions had to be dropped (effect unknown — treated as
-    affected by every consumer).  A context absent from both sets kept
-    identical classes, so memoised validation outcomes for it remain exact.
+    ``affected_contexts`` holds attribute-*name* sets: the cached contexts
+    whose stripped equivalence classes changed.  A context cached across
+    the append and absent from it kept identical classes, so memoised
+    validation outcomes for it remain exact.
     """
 
     old_num_rows: int
@@ -36,8 +35,7 @@ class DeltaSummary:
     #: :meth:`repro.dataset.encoding.EncodedRelation.extend`).
     column_modes: Dict[str, str] = field(default_factory=dict)
     affected_contexts: Tuple[FrozenSet[str], ...] = ()
-    dropped_contexts: Tuple[FrozenSet[str], ...] = ()
-    #: Cached partitions brought up to date by per-context merge.
+    #: Cached partitions after the append, each rebuilt over the new rows.
     patched_partitions: int = 0
     #: Validation-memo entries purged because the delta may have changed them.
     invalidated_memo_entries: int = 0
@@ -63,9 +61,6 @@ class DeltaSummary:
             "column_modes": dict(self.column_modes),
             "affected_contexts": sorted(
                 sorted(context) for context in self.affected_contexts
-            ),
-            "dropped_contexts": sorted(
-                sorted(context) for context in self.dropped_contexts
             ),
             "patched_partitions": self.patched_partitions,
             "invalidated_memo_entries": self.invalidated_memo_entries,

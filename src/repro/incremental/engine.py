@@ -166,7 +166,7 @@ class IncrementalEngine:
     """Drives incremental rediscovery for one request on a warm session.
 
     Thin, stateless driver over a :class:`~repro.discovery.session.Profiler`:
-    the session owns the warm assets (extended encoding, patched partitions,
+    the session owns the warm assets (extended encoding, rebuilt partitions,
     purged memo, per-request baselines and the delta log); the engine reads
     them to classify, stream and reconcile.  Construct one per call — or
     use the :meth:`Profiler.discover_incremental` convenience wrapper.
@@ -294,8 +294,7 @@ class IncrementalEngine:
                 affected_contexts=len({
                     context
                     for delta in deltas
-                    for context in
-                    delta.affected_contexts + delta.dropped_contexts
+                    for context in delta.affected_contexts
                 }),
                 still_valid=plan.num_still_valid,
                 must_revalidate=plan.num_must_revalidate,

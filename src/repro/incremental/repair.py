@@ -23,7 +23,7 @@ the engine recomputes it only once the growing removal budget passes
 :data:`repro.discovery.engine.MEMO_LIMIT_SLACK`).
 
 Byte-identity is preserved because adjusted counts equal what a full
-kernel over the patched context would return (same per-class sums), and
+kernel over the rebuilt context would return (same per-class sums), and
 the engine's memo soundness rules treat them exactly like freshly computed
 outcomes.
 """
@@ -40,20 +40,17 @@ def repair_memo(
     memo,
     encoded,
     patches_by_context: Dict[FrozenSet[str], Tuple[list, list]],
-    unsafe_contexts: Sequence[FrozenSet[str]],
     cached_contexts: Sequence[FrozenSet[str]],
 ) -> RepairCounts:
     """Bring a session's validation memo in line with an applied delta.
 
     ``patches_by_context`` maps affected contexts (attribute-*name* sets) to
-    their ``(removed_classes, added_classes)`` patch; ``unsafe_contexts``
-    are contexts whose delta effect is unknown (dropped partitions);
-    ``cached_contexts`` are the contexts still present in the partition
-    cache (entries for anything else cannot be proven unchanged and are
+    their ``(removed_classes, added_classes)`` patch; ``cached_contexts``
+    are the contexts whose partitions stayed cached across the append
+    (entries for anything else cannot be proven unchanged and are
     dropped).  Mutates ``memo`` in place and returns
     ``(invalidated, adjusted, retained)``.
     """
-    unsafe = set(unsafe_contexts)
     cached = set(cached_contexts)
     # Adjusting costs two full (no-early-exit) kernel runs over the patch
     # classes; once a patch spans about the whole relation — the unit
@@ -91,7 +88,7 @@ def repair_memo(
                 invalidated += 1
             else:
                 pending.setdefault(context, []).append(key)
-        elif context in unsafe or context not in cached:
+        elif context not in cached:
             del memo[key]
             invalidated += 1
         else:

@@ -1,7 +1,7 @@
-"""Delta patching on the CSR layout: multi-append sequences stay exact.
+"""Append repair on the CSR layout: multi-append sequences stay exact.
 
-``test_partition_patch`` pins single-append parity; these tests drive the
-CSR patch path through *sequences* of appends — mixed class shapes, both
+``test_partition_patch`` pins single-append parity; these tests drive
+``apply_delta`` through *sequences* of appends — mixed class shapes, both
 backends — asserting after every step that each cached partition is
 byte-identical (offsets and rows, not just class lists) to a cold build
 over the concatenated relation.
@@ -56,8 +56,7 @@ def test_multi_append_sequence_matches_cold_build(backend):
         old_num_rows = relation.num_rows
         relation = relation.concat(Relation(relation.schema, delta))
         extended, _ = encoded.extend(delta)
-        patches = cache.apply_delta(extended, old_num_rows)
-        assert not patches.dropped
+        cache.apply_delta(extended, old_num_rows)
         encoded = extended
         cursor += chunk
         fresh = PartitionCache(relation.encoded(resolved), backend=resolved)
@@ -74,7 +73,7 @@ def test_multi_append_sequence_matches_cold_build(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_patch_after_partial_eviction_stays_exact(backend):
     """Eviction leaves a mixed cache (unit + the surviving big contexts);
-    patching must still route every key through a valid base."""
+    every key must still be rebuilt from a valid cached subset."""
     resolved = get_backend(backend)
     workload = generate_flight_like(
         100, num_attributes=4, error_rate=0.15, seed=41
@@ -93,8 +92,7 @@ def test_patch_after_partial_eviction_stays_exact(backend):
     delta_rel = donor.relation.take(range(100, 140))
     delta = {name: delta_rel.column(name) for name in names}
     extended, _ = encoded.extend(delta)
-    patches = cache.apply_delta(extended, relation.num_rows)
-    assert not patches.dropped  # unit is a valid base for every key
+    cache.apply_delta(extended, relation.num_rows)
     concatenated = relation.concat(Relation(relation.schema, delta))
     fresh = PartitionCache(concatenated.encoded(resolved), backend=resolved)
     for key in set(cache.cached_keys()):
@@ -120,8 +118,8 @@ def test_class_patches_reproduce_symmetric_difference(backend):
     for key in keys:
         old_set = {tuple(c) for c in before[key].classes}
         new_set = {tuple(c) for c in fresh.get(key).classes}
-        if key in patches.affected:
-            removed, added = patches.class_patches[key]
+        if key in patches:
+            removed, added = patches[key]
             assert {tuple(c) for c in removed} == old_set - new_set
             assert {tuple(c) for c in added} == new_set - old_set
             # Patch classes are plain row lists (picklable, kernel-ready).

@@ -1,15 +1,17 @@
-"""Partition patching: ``PartitionCache.apply_delta`` vs fresh rebuilds.
+"""Partition repair: ``PartitionCache.apply_delta`` vs fresh rebuilds.
 
 Every cached partition, after a delta, must equal the partition a brand-new
-cache would build over the concatenated relation — and the ``affected`` set
-must contain exactly the contexts whose stripped classes changed (that is
-the memo-invalidation contract: an unaffected context's memoised removal
-counts stay exact).
+cache would build over the concatenated relation — and the returned mapping
+must hold exactly the contexts whose stripped classes changed, each with the
+classes the delta removed and added (that is the memo-repair contract: an
+unaffected context's memoised removal counts stay exact).
 """
 
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.backend import available_backends
 from repro.dataset.encoding import EncodedRelation
@@ -35,22 +37,21 @@ def _patched_vs_fresh(base, delta_columns, backend, max_size=3):
     before = {key: cache.get(key) for key in keys}
     extended, _ = encoded.extend(delta_columns)
     patches = cache.apply_delta(extended, base.num_rows)
-    assert not patches.dropped  # every proper subset is cached here
 
     concatenated = base.concat(Relation(base.schema, delta_columns))
     fresh = PartitionCache(concatenated.encoded(backend), backend=backend)
     for key in keys:
         assert cache.get(key) == fresh.get(key), sorted(key)
         classes_changed = before[key].classes != fresh.get(key).classes
-        assert (key in patches.affected) == classes_changed, sorted(key)
-        if key in patches.affected:
+        assert (key in patches) == classes_changed, sorted(key)
+        if key in patches:
             # The class patch reproduces exactly the symmetric difference.
-            removed, added = patches.class_patches[key]
+            removed, added = patches[key]
             old_set = {tuple(c) for c in before[key].classes}
             new_set = {tuple(c) for c in fresh.get(key).classes}
             assert {tuple(c) for c in removed} == old_set - new_set
             assert {tuple(c) for c in added} == new_set - old_set
-    return patches.affected
+    return set(patches)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -97,23 +98,29 @@ def test_patch_matches_fresh_build_generated(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_missing_subset_drops_partition(backend):
+def test_missing_subset_is_rebuilt(backend):
     base = Relation.from_columns({
         "a": [1, 1, 2], "b": [5, 5, 6], "c": [7, 8, 7],
     })
     encoded = base.encoded(backend)
     cache = PartitionCache(encoded, backend=backend)
     abc = frozenset([0, 1, 2])
-    cache.get(abc)
-    cache.evict_level(3)  # drop every smaller context: nothing to patch from
-    extended, _ = encoded.extend({"a": [1], "b": [5], "c": [7]})
+    before = cache.get(abc)
+    cache.evict_level(3)  # drop every smaller context: no subset is cached
+    delta = {"a": [1], "b": [5], "c": [7]}
+    extended, _ = encoded.extend(delta)
     patches = cache.apply_delta(extended, base.num_rows)
-    assert patches.dropped == {abc}
-    assert abc not in set(cache.cached_keys())
-    # A later request rebuilds it against the extended encoding.
-    concatenated = base.concat(Relation(base.schema, {"a": [1], "b": [5], "c": [7]}))
+    assert abc in set(cache.cached_keys())
+    concatenated = base.concat(Relation(base.schema, delta))
     fresh = PartitionCache(concatenated.encoded(backend), backend=backend)
     assert cache.get(abc) == fresh.get(abc)
+    # Row 3 pairs with the old singleton row 0: one class appears.
+    removed, added = patches[abc]
+    old_set = {tuple(c) for c in before.classes}
+    new_set = {tuple(c) for c in fresh.get(abc).classes}
+    assert (old_set, new_set) == (set(), {(0, 3)})
+    assert {tuple(c) for c in removed} == old_set - new_set
+    assert {tuple(c) for c in added} == new_set - old_set
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -123,9 +130,7 @@ def test_empty_delta_is_a_no_op(backend):
     cache = PartitionCache(encoded, backend=backend)
     before = cache.get(frozenset([0]))
     extended, _ = encoded.extend({"a": []})
-    patches = cache.apply_delta(extended, base.num_rows)
-    assert patches.affected == set() and patches.dropped == set()
-    assert patches.class_patches == {}
+    assert cache.apply_delta(extended, base.num_rows) == {}
     assert cache.get(frozenset([0])) is before
 
 
@@ -135,3 +140,82 @@ def test_apply_delta_rejects_shrinking():
     cache = PartitionCache(encoded)
     with pytest.raises(ValueError, match="appends"):
         cache.apply_delta(encoded, 5)
+
+
+def _class_sets(rows, num_attributes, key):
+    """The stripped classes of ``key`` over ``rows``, grouped by hand."""
+    groups = {}
+    for row_id, row in enumerate(rows):
+        groups.setdefault(tuple(row[i] for i in sorted(key)), []).append(
+            row_id
+        )
+    return {tuple(g) for g in groups.values() if len(g) >= 2}
+
+
+@st.composite
+def _append_scenarios(draw):
+    """A tiny low-cardinality table, a sequence of appends, the keys to
+    cache and an optional LRU bound."""
+    num_attributes = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, 2)] * num_attributes)
+    base = draw(st.lists(row, min_size=1, max_size=8))
+    deltas = []
+    for _ in range(draw(st.integers(1, 3))):
+        # Empty deltas, copies of base rows and rows repeated within the
+        # delta all occur.
+        chunk = draw(st.lists(
+            st.one_of(st.sampled_from(base), row), max_size=4
+        ))
+        deltas.append(chunk * draw(st.integers(1, 2)))
+    subsets = [
+        frozenset(c)
+        for size in range(num_attributes + 1)
+        for c in combinations(range(num_attributes), size)
+    ]
+    keys = draw(st.lists(st.sampled_from(subsets), max_size=len(subsets)))
+    max_entries = draw(st.one_of(st.none(), st.integers(1, 4)))
+    return num_attributes, base, deltas, keys, max_entries
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=_append_scenarios())
+def test_append_sequences_match_fresh_builds(backend, scenario):
+    """After every append, each cached partition equals a fresh build and
+    the returned mapping holds exactly the changed keys, each with the
+    exact symmetric difference of its classes."""
+    num_attributes, rows, deltas, keys, max_entries = scenario
+    names = [f"a{i}" for i in range(num_attributes)]
+
+    def relation_of(table):
+        return Relation.from_columns({
+            name: [row[i] for row in table] for i, name in enumerate(names)
+        })
+
+    encoded = relation_of(rows).encoded(backend)
+    cache = PartitionCache(encoded, backend=backend, max_entries=max_entries)
+    for key in keys:
+        cache.get(key)
+    for delta in deltas:
+        before = set(cache.cached_keys())
+        extended, _ = encoded.extend({
+            name: [row[i] for row in delta] for i, name in enumerate(names)
+        })
+        patches = cache.apply_delta(extended, len(rows))
+        old_rows, rows, encoded = rows, rows + list(delta), extended
+        after = set(cache.cached_keys())
+        fresh = PartitionCache(relation_of(rows).encoded(backend),
+                               backend=backend)
+        for key in after:
+            assert cache.get(key) == fresh.get(key), sorted(key)
+        assert set(patches) <= before
+        for key in before:
+            old_set = _class_sets(old_rows, num_attributes, key)
+            new_set = _class_sets(rows, num_attributes, key)
+            if key in after:
+                assert (key in patches) == (old_set != new_set), sorted(key)
+            if key in patches:
+                removed, added = patches[key]
+                assert sorted(map(tuple, removed)) == sorted(old_set - new_set)
+                assert sorted(map(tuple, added)) == sorted(new_set - old_set)

@@ -3,7 +3,7 @@
 The LRU knobs exist so a long-lived ``repro serve`` session cannot grow
 without limit; they must bound state without ever changing results (evicted
 entries are recomputed), and the incremental path must stay correct when
-eviction removes the partitions it would otherwise patch.
+eviction removes the partitions an append rebuilds.
 """
 
 import pytest
@@ -71,9 +71,8 @@ def test_bounded_session_incremental_still_byte_identical(backend):
     ) as session:
         session.discover(request)
         summary = session.extend(rows)
-        # With partitions evicted, their memo entries must have gone too
-        # (the delta's effect on an unpatched context is unknown).
-        assert summary.dropped_contexts or summary.patched_partitions <= 3
+        # The append rebuilds only what the bound lets the cache keep.
+        assert summary.patched_partitions <= 3
         outcome = session.discover_incremental(request)
     columns = {name: [] for name in base.attribute_names}
     for row in rows:
@@ -99,6 +98,32 @@ def test_memo_disabled_extend_still_correct():
         assert summary.patched_partitions == 0
         outcome = session.discover_incremental(request)
     with Profiler(base.concat(base.take([0])), cache_validations=False,
+                  retain_partitions=False) as cold_session:
+        cold = cold_session.discover(request)
+    assert outcome.result.ocs == cold.ocs
+    assert outcome.result.ofds == cold.ofds
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed,bound", [(3, 2), (14, 3), (19, 2)])
+def test_rebuild_that_recaches_an_evicted_key_purges_its_memo(
+    backend, seed, bound
+):
+    """Under a tight bound, rebuilding a key with no cached subset caches
+    a single-attribute key the bound had evicted.  Nothing compared that
+    key's classes across the append, so its memo entries must go: kept,
+    they are stale counts and the incremental result is wrong."""
+    relation = generate_flight_like(70, num_attributes=4, error_rate=0.2,
+                                    seed=seed).relation
+    base = relation.take(range(50))
+    rows = [relation.row(i) for i in range(50, 70)]
+    request = DiscoveryRequest.approximate(0.1)
+    with Profiler(base, backend=backend,
+                  max_cached_partitions=bound) as session:
+        session.discover(request)
+        session.extend(rows)
+        outcome = session.discover_incremental(request)
+    with Profiler(relation, backend=backend, cache_validations=False,
                   retain_partitions=False) as cold_session:
         cold = cold_session.discover(request)
     assert outcome.result.ocs == cold.ocs
