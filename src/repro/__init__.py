@@ -50,11 +50,11 @@ The package is organised as follows:
 
 ``repro.incremental``
     Incremental maintenance of discovered dependency sets under row
-    appends: delta encoding, in-place partition rebuilds, per-class
-    repair of memoised validation outcomes, and the
-    :class:`~repro.incremental.IncrementalEngine` that classifies and
-    revalidates only what a delta can have changed — byte-identical to
-    cold rediscovery (``Profiler.extend`` / ``discover_incremental``,
+    appends: delta encoding, in-place partition rebuilds and per-class
+    repair of memoised validation outcomes, after which a warm run
+    recounts only what a delta can have changed and diffs the result
+    against the request's previous one — byte-identical to cold
+    rediscovery (``Profiler.extend`` / ``discover_incremental``,
     ``repro extend``, ``POST /datasets/<name>/append``).
 """
 

@@ -295,8 +295,8 @@ class NumpyBackend(ComputeBackend):
 
         A :class:`Partition` hands over its own ``row_indices`` and
         ``class_offsets`` (already ``int64`` arrays under this backend, so
-        nothing is built); raw lists of row lists (incremental repair) are
-        concatenated.
+        nothing is built); raw lists of row lists (one-off validations,
+        tests) are concatenated.
         """
         if isinstance(classes, Partition):
             return (
@@ -378,7 +378,7 @@ class NumpyBackend(ComputeBackend):
         pair included, equals the reference loop's class-by-class result,
         and the classes after the crossing one are never touched.  The same
         call serves discovery's context partitions and incremental
-        repair's class lists.
+        repair's class patches.
         """
         library = native.kernels()
         if library is None:

@@ -16,7 +16,8 @@ approximation thresholds (the paper's Exp-3 loop) and prints the series.
 ``extend`` demos evolving data: discover on the base CSV, append the delta
 CSV rows and revalidate incrementally (see :mod:`repro.incremental`),
 reporting revoked/added dependencies and, with ``--verify-cold``, checking
-the result against a cold re-discovery.  ``serve`` exposes the same
+the result against a cold re-discovery and the reported lists against the
+diff of the baseline and that cold result.  ``serve`` exposes the same
 sessions over stdlib HTTP (see :mod:`repro.serve`).
 
 The historical single-command form ``repro-discover data.csv ...`` keeps
@@ -194,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     extend.add_argument(
         "--verify-cold", action="store_true",
         help="also run a cold discovery over the concatenated table and "
-             "assert the incremental result is identical",
+             "assert the incremental result is identical and the revoked/"
+             "added lists equal the baseline-to-cold diff",
     )
     extend.set_defaults(func=_cmd_extend)
 
@@ -466,6 +468,7 @@ def _cmd_extend(args) -> int:
         # a verification run that reused it would hide encoding bugs and
         # skip the re-encoding cost a real cold run pays.
         from repro.dataset.relation import Relation
+        from repro.incremental.delta import diff_results
 
         concatenated = base.concat(Relation(
             base.schema,
@@ -478,6 +481,13 @@ def _cmd_extend(args) -> int:
         if (cold.ocs, cold.ofds) != (result.ocs, result.ofds):
             print("error: incremental result differs from the cold "
                   "re-discovery", file=sys.stderr)
+            return 1
+        reported = (outcome.revoked_ocs, outcome.revoked_ofds,
+                    outcome.added_ocs, outcome.added_ofds)
+        if reported != diff_results(baseline, cold):
+            print("error: revoked/added dependencies differ from the diff "
+                  "of the baseline and the cold re-discovery",
+                  file=sys.stderr)
             return 1
         speedup = (cold_seconds / incremental_seconds
                    if incremental_seconds > 0 else float("inf"))

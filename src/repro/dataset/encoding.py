@@ -24,97 +24,6 @@ from repro.dataset.schema import AttributeType, Schema
 EXTEND_APPENDED = "appended"
 EXTEND_REMAPPED = "remapped"
 
-#: Columns shorter than this never benefit from run-length encoding: the
-#: run bookkeeping outweighs the dense payload.
-RLE_MIN_ROWS = 256
-#: A column is run-encoded only when it has at most
-#: ``num_rows / RLE_MIN_SHRINK`` runs, i.e. the encoding is at least this
-#: many times smaller than the dense form.
-RLE_MIN_SHRINK = 4
-
-
-class RunLengthColumn:
-    """A rank column stored as value runs.
-
-    ``starts[i]`` is the first row of run ``i`` (``starts[0] == 0``,
-    strictly increasing) and ``values[i]`` its rank; the decoded column has
-    ``length`` rows, which is also ``__len__``.  It shrinks low-cardinality
-    clustered columns; kernels never see this type (:meth:`decode` gives
-    the dense form).
-    """
-
-    __slots__ = ("starts", "values", "length")
-
-    def __init__(self, starts, values, length: int) -> None:
-        self.starts = starts
-        self.values = values
-        self.length = length
-
-    def __len__(self) -> int:
-        return self.length
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.values)
-
-    def value_at(self, row: int) -> int:
-        """Rank at ``row`` via binary search over the run starts."""
-        from bisect import bisect_right
-
-        if not 0 <= row < self.length:
-            raise IndexError(row)
-        return self.values[bisect_right(self.starts, row) - 1]
-
-    def decode(self):
-        """Materialise the dense rank column (same type the encoder ships:
-        ndarray when the run values are an ndarray, list otherwise)."""
-        if hasattr(self.values, "tolist"):
-            import numpy as np
-
-            run_lengths = np.diff(
-                np.concatenate((self.starts, [self.length]))
-            )
-            return np.repeat(self.values, run_lengths)
-        dense = []
-        starts = list(self.starts) + [self.length]
-        for i, value in enumerate(self.values):
-            dense.extend([value] * (starts[i + 1] - starts[i]))
-        return dense
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"RunLengthColumn({self.num_runs} runs over {self.length} rows)"
-
-
-def run_length_encode(column) -> Optional[RunLengthColumn]:
-    """Run-encode a rank column if that genuinely shrinks it.
-
-    Returns ``None`` when the column is too short or has too many runs to
-    be worth encoding (see :data:`RLE_MIN_ROWS` /
-    :data:`RLE_MIN_SHRINK`); callers then keep the dense form.
-    """
-    num_rows = len(column)
-    if num_rows < RLE_MIN_ROWS:
-        return None
-    max_runs = num_rows // RLE_MIN_SHRINK
-    if hasattr(column, "tolist") and not isinstance(column, (list, tuple)):
-        import numpy as np
-
-        boundaries = np.nonzero(np.diff(column) != 0)[0] + 1
-        if boundaries.size + 1 > max_runs:
-            return None
-        starts = np.concatenate(([0], boundaries)).astype(np.int64)
-        return RunLengthColumn(starts, column[starts], num_rows)
-    starts = [0]
-    values = [column[0]]
-    for row in range(1, num_rows):
-        value = column[row]
-        if value != values[-1]:
-            if len(values) >= max_runs:
-                return None
-            starts.append(row)
-            values.append(value)
-    return RunLengthColumn(starts, values, num_rows)
-
 
 def _sort_key(value: object, attr_type: AttributeType):
     """Return a sortable key for ``value`` under ``attr_type``.

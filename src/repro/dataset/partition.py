@@ -321,31 +321,29 @@ def build_partition_from_row_keys(
     return _partition_from_groups(list(groups.values()), num_rows)
 
 
-def _gather_segments(rows, offsets, ids):
-    """Concatenate the classes ``ids`` selects out of a CSR array pair.
+def _select_classes(partition: Partition, ids) -> Partition:
+    """The sub-partition of an array-backed ``partition`` holding its
+    classes at the ascending indices ``ids``.
 
     Pure index arithmetic: ``starts - out_offsets`` repeated per element
     plus a flat ``arange`` turns the per-class slices into one gather.
     """
     import numpy as np
 
+    offsets = partition.class_offsets
     lengths = np.diff(offsets)[ids]
-    starts = offsets[:-1][ids]
-    out_starts = np.cumsum(lengths) - lengths
-    total = int(lengths.sum())
-    flat = np.repeat(starts - out_starts, lengths) + np.arange(total)
-    return rows[flat], lengths
+    out_offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out_offsets[1:])
+    flat = np.repeat(offsets[:-1][ids] - out_offsets[:-1], lengths) \
+        + np.arange(out_offsets[-1])
+    return Partition.from_csr(
+        partition.row_indices[flat], out_offsets, partition.num_rows
+    )
 
 
-def _segments_as_lists(rows, offsets, ids) -> List[List[int]]:
-    """Materialise the selected classes as plain row lists."""
-    return [
-        rows[offsets[i]:offsets[i + 1]].tolist() for i in ids.tolist()
-    ]
-
-
-#: The ``(removed, added)`` classes an append replaced in one context.
-ClassPatch = Tuple[List[List[int]], List[List[int]]]
+#: The ``(removed, added)`` classes an append replaced in one context, each
+#: side a sub-partition of the old / new partition.
+ClassPatch = Tuple[Partition, Partition]
 
 
 def _appended_classes(
@@ -358,20 +356,22 @@ def _appended_classes(
     ``old`` lies inside one class of ``new``: a class of ``new`` changed
     iff it holds an appended row (rows ascend, so its last row decides),
     and a class of ``old`` changed iff its first row lies in such a class.
-    Only the changed classes become row lists.
+    Each side keeps its partition's selected classes in order, so it is a
+    canonical partition the batch kernels read directly.
     """
     o_rows, o_offsets = old.row_indices, old.class_offsets
     n_rows, n_offsets = new.row_indices, new.class_offsets
     if not isinstance(o_rows, list) and not isinstance(n_rows, list):
         import numpy as np
 
-        added_ids = np.nonzero(n_rows[n_offsets[1:] - 1] >= old_num_rows)[0]
-        grown, _ = _gather_segments(n_rows, n_offsets, added_ids)
+        added = _select_classes(
+            new, np.nonzero(n_rows[n_offsets[1:] - 1] >= old_num_rows)[0]
+        )
+        grown = added.row_indices
         member = np.zeros(old_num_rows, dtype=bool)
         member[grown[grown < old_num_rows]] = True
         removed_ids = np.nonzero(member[o_rows[o_offsets[:-1]]])[0]
-        return (_segments_as_lists(o_rows, o_offsets, removed_ids),
-                _segments_as_lists(n_rows, n_offsets, added_ids))
+        return _select_classes(old, removed_ids), added
     o_rows, o_offsets = _plain(o_rows), _plain(o_offsets)
     n_rows, n_offsets = _plain(n_rows), _plain(n_offsets)
     added = [
@@ -385,7 +385,8 @@ def _appended_classes(
         for i in range(len(o_offsets) - 1)
         if o_rows[o_offsets[i]] in member
     ]
-    return removed, added
+    return (_partition_from_groups(removed, old.num_rows),
+            _partition_from_groups(added, new.num_rows))
 
 
 class PartitionCache:
@@ -541,7 +542,8 @@ class PartitionCache:
 
         Returns ``{key: (removed, added)}`` for the rebuilt keys whose
         *stripped classes* changed: the classes the delta replaced and
-        those that replaced them.  Every kernel is class-additive, so
+        those that replaced them, each side a :class:`Partition` of just
+        those classes.  Every kernel is class-additive, so
         memoised counts for those contexts can be *adjusted* by re-running
         kernels on just these classes (see :mod:`repro.incremental.repair`).
         Rebuilt keys absent from the mapping kept identical class lists, so

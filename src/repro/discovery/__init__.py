@@ -41,9 +41,7 @@ from repro.discovery.results import (
 )
 from repro.discovery.stats import DiscoveryStatistics
 from repro.discovery.events import (
-    DatasetExtended,
     DependencyFound,
-    DependencyRevoked,
     DiscoveryEvent,
     LevelCompleted,
     LevelStarted,
@@ -57,9 +55,7 @@ from repro.discovery.sampling import prefilter_candidates, validate_aoc_hybrid
 
 __all__ = [
     "CancellationToken",
-    "DatasetExtended",
     "DependencyFound",
-    "DependencyRevoked",
     "DiscoveredOC",
     "DiscoveredOFD",
     "DiscoveryConfig",

@@ -162,8 +162,10 @@ def memo_outcome(entry, limit: Optional[int]) -> Optional[Outcome]:
     Returns ``(removal_size, valid)`` when the entry transfers soundly to
     the given removal budget, ``None`` when it does not (an "over budget"
     verdict computed under a smaller budget says nothing about a larger
-    one).  This is the single soundness rule shared by the engine's
-    :meth:`DiscoveryEngine._memo_lookup` and the incremental classifier.
+    one).  This is the engine's one soundness rule
+    (:meth:`DiscoveryEngine._memo_lookup`); after an append it alone
+    decides which candidates :meth:`Profiler.discover_incremental`
+    recounts.
     """
     count, exceeded, limit_used = entry
     if limit_used is None:

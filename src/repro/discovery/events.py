@@ -92,69 +92,6 @@ class LevelCompleted:
 
 
 @dataclass(frozen=True)
-class DatasetExtended:
-    """Rows were appended to the profiled dataset (incremental discovery).
-
-    Emitted by :meth:`repro.incremental.IncrementalEngine.iter_events`
-    ahead of the regular level events, summarising what the appends since
-    the previous run changed and how the candidate set was classified for
-    repair (see :class:`repro.incremental.RepairPlan`).
-    """
-
-    old_num_rows: int
-    new_num_rows: int
-    appended_rows: int
-    #: Cached contexts whose stripped classes changed, over all appends.
-    affected_contexts: int
-    #: Previous dependencies whose recorded outcome provably transfers.
-    still_valid: int
-    #: Previous dependencies that need their kernels re-run.
-    must_revalidate: int
-    #: Previously rejected candidates whose rejection no longer transfers.
-    newly_possible: int
-    #: The session's dataset version the stream runs against (0 = never
-    #: extended).
-    dataset_version: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "event": "dataset_extended",
-            "old_num_rows": self.old_num_rows,
-            "new_num_rows": self.new_num_rows,
-            "appended_rows": self.appended_rows,
-            "dataset_version": self.dataset_version,
-            "affected_contexts": self.affected_contexts,
-            "still_valid": self.still_valid,
-            "must_revalidate": self.must_revalidate,
-            "newly_possible": self.newly_possible,
-        }
-
-
-@dataclass(frozen=True)
-class DependencyRevoked:
-    """A dependency from the previous run is no longer valid.
-
-    Appends can only increase removal counts, so minimal dependencies may
-    fall out of the maintained result; each one is reported with the
-    :class:`~repro.discovery.results.DiscoveredOC` /
-    :class:`~repro.discovery.results.DiscoveredOFD` it had in the previous
-    result.  Emitted just before the final :class:`RunCompleted` of an
-    incremental stream (never for cancelled or timed-out runs, whose
-    partial results say nothing about revocation).
-    """
-
-    kind: str
-    dependency: object
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "event": "dependency_revoked",
-            "kind": self.kind,
-            "dependency": self.dependency.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
 class RunCompleted:
     """The run finished (normally, cancelled, or timed out); always the
     final event of a stream.  Carries the complete
@@ -166,7 +103,6 @@ class RunCompleted:
         return {"event": "run_completed", "result": self.result.to_dict()}
 
 
-#: Union of every event type yielded by ``iter_events`` (incremental
-#: streams additionally interleave the dataset/revocation events).
+#: Union of every event type yielded by ``iter_events``.
 DiscoveryEvent = Union[LevelStarted, DependencyFound, LevelCompleted,
-                       DatasetExtended, DependencyRevoked, RunCompleted]
+                       RunCompleted]

@@ -24,7 +24,7 @@ Usage::
         for event in profiler.iter_events(DiscoveryRequest(threshold=0.2)):
             ...  # LevelStarted / DependencyFound / LevelCompleted / RunCompleted
         profiler.extend(new_rows)              # evolving data: delta-encode,
-        profiler.discover_incremental(threshold=0.1)  # patch, repair, rerun
+        profiler.discover_incremental(threshold=0.1)  # repair, rerun, diff
 
 Requests are plain :class:`~repro.discovery.config.DiscoveryRequest` values
 (JSON-serialisable); live concerns — backend, workers, progress callbacks,
@@ -33,9 +33,10 @@ cancellation — belong to the session and the call site.
 Sessions also survive their dataset *growing*: :meth:`Profiler.extend`
 appends rows while keeping every warm asset consistent (delta encoding,
 in-place partition rebuilds, per-class memo repair — see
-:mod:`repro.incremental`), and :meth:`Profiler.discover_incremental`
-re-establishes a request's dependency set revalidating only what the
-appends could have changed, byte-identical to a cold run.  Long-lived
+:mod:`repro.incremental`), and :meth:`Profiler.discover_incremental` is a
+warm :meth:`Profiler.discover`, which recounts only what the repaired memo
+cannot answer, plus a diff against the request's last completed result;
+its result is byte-identical to a cold run.  Long-lived
 serving sessions bound their memory with ``max_memo_entries`` /
 ``max_cached_partitions`` (LRU eviction, results unchanged).
 """
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.backend import resolve_backend
@@ -55,24 +56,17 @@ from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.events import DiscoveryEvent, RunCompleted
 from repro.discovery.results import DiscoveryResult
-from repro.incremental.delta import DeltaSummary, rows_to_columns
+from repro.incremental.delta import (
+    DeltaSummary,
+    IncrementalOutcome,
+    rows_to_columns,
+)
 from repro.obs import get_tracer
 
 
 #: Cap on per-request incremental baselines retained by a session (each is
 #: a full DiscoveryResult).  Evicting one is harmless — see `_baselines`.
 MAX_BASELINES = 64
-
-
-@dataclass(frozen=True)
-class _Baseline:
-    """The last completed result for one canonical request, together with
-    the dataset state it was computed against (row count and position in
-    the session's delta log)."""
-
-    delta_index: int
-    num_rows: int
-    result: DiscoveryResult
 
 
 class CancellationToken:
@@ -212,13 +206,13 @@ class Profiler:
         self._dataset_version = 0
         self._closed = False
         self._active_streams = 0
-        #: Every append applied to this session, in order.
-        self._delta_log: List[DeltaSummary] = []
-        #: Canonical request JSON -> baseline of the last completed run.
+        #: Appends that added at least one row.
+        self._num_appends = 0
+        #: Canonical request JSON -> the request's last completed result.
         #: LRU-bounded: losing a baseline only means a later
-        #: `discover_incremental` for that request degrades to a cold run
-        #: (which re-seeds it) — results never change, so a fixed cap keeps
-        #: ad-hoc request streams from growing session state without limit.
+        #: `discover_incremental` for that request reports no diff (and
+        #: re-seeds it) — results never change, so a fixed cap keeps ad-hoc
+        #: request streams from growing session state without limit.
         self._baselines: BoundedLRU = BoundedLRU(MAX_BASELINES)
 
     # -- discovery ---------------------------------------------------------------
@@ -239,13 +233,13 @@ class Profiler:
 
         A completed (not cancelled, not timed-out) run is remembered as the
         session's *baseline* for its canonical request, which is what
-        :meth:`discover_incremental` later diffs and repairs against.
+        :meth:`discover_incremental` later diffs against.
         """
         request = self._resolve_request(request, overrides)
         engine = self._engine(request, progress_callback)
         result = engine.run(cancellation)
         if not result.cancelled and not result.timed_out:
-            self._record_baseline(request.to_json(), result)
+            self._baselines[request.to_json()] = result
         return result
 
     def iter_events(
@@ -276,7 +270,7 @@ class Profiler:
                     if isinstance(event, RunCompleted):
                         result = event.result
                         if not result.cancelled and not result.timed_out:
-                            self._record_baseline(request.to_json(), result)
+                            self._baselines[request.to_json()] = result
                     yield event
             finally:
                 self._active_streams -= 1
@@ -338,8 +332,8 @@ class Profiler:
         validation memo keeps exactly the entries the delta provably did not
         change.
         The returned :class:`~repro.incremental.DeltaSummary` says what
-        happened; :meth:`discover_incremental` then revalidates only the
-        affected candidates.
+        happened; :meth:`discover_incremental` then recounts only what the
+        repaired memo cannot answer.
         """
         if self._closed:
             raise RuntimeError("Profiler is closed")
@@ -403,7 +397,7 @@ class Profiler:
             retained_memo_entries=retained,
         )
         if summary.num_appended:
-            self._delta_log.append(summary)
+            self._num_appends += 1
         return summary
 
     def discover_incremental(
@@ -413,27 +407,25 @@ class Profiler:
         progress_callback=None,
         cancellation=None,
         **overrides,
-    ):
+    ) -> IncrementalOutcome:
         """Re-establish the request's dependency set after :meth:`extend`.
 
-        Classifies the previous result's candidates (still-valid /
-        must-revalidate / newly-possible), revalidates only what the
-        appended rows can have changed, and returns an
-        :class:`~repro.incremental.IncrementalOutcome` whose ``result`` is
-        byte-identical to a cold discovery over the concatenated table.
-        Without a prior completed run for the (canonicalised) request this
-        degrades to a cold run that seeds the baseline.
+        A warm :meth:`discover`: :meth:`extend` already repaired the memo,
+        so the engine recounts only the candidates whose entries are gone
+        or whose verdicts do not transfer to the grown removal budget.
+        Returns an :class:`~repro.incremental.IncrementalOutcome` whose
+        ``result`` is byte-identical to a cold discovery over the
+        concatenated table, diffed against the (canonicalised) request's
+        last completed result; without one the diff is empty and the run
+        seeds it.
         """
-        from repro.incremental.engine import IncrementalEngine
-
-        if self._closed:
-            raise RuntimeError("Profiler is closed")
-        engine = IncrementalEngine(
-            self, self._resolve_request(request, overrides)
+        request = self._resolve_request(request, overrides)
+        previous = self._baselines.get(request.to_json())
+        result = self.discover(
+            request, progress_callback=progress_callback,
+            cancellation=cancellation,
         )
-        return engine.discover(
-            progress_callback=progress_callback, cancellation=cancellation
-        )
+        return IncrementalOutcome.between(previous, result)
 
     def _repair_memo(self, extended, patches_by_context, tracked):
         """Repair or drop memo entries an append may have changed.
@@ -455,7 +447,7 @@ class Profiler:
 
         return repair_memo(self._memo, extended, patches_by_context, tracked)
 
-    # -- incremental session state (read by repro.incremental) -------------------
+    # -- incremental session state ---------------------------------------------
 
     @property
     def validation_memo(self) -> Optional[BoundedLRU]:
@@ -463,25 +455,10 @@ class Profiler:
         return self._memo
 
     @property
-    def delta_log(self) -> List[DeltaSummary]:
-        """Every append applied to this session, oldest first."""
-        return self._delta_log
-
-    @property
     def dataset_version(self) -> int:
         """How many times :meth:`extend` has advanced this session's data.
         """
         return self._dataset_version
-
-    def _baseline(self, request_key: str) -> Optional[_Baseline]:
-        return self._baselines.get(request_key)
-
-    def _record_baseline(self, request_key: str, result: DiscoveryResult) -> None:
-        self._baselines[request_key] = _Baseline(
-            delta_index=len(self._delta_log),
-            num_rows=self.relation.num_rows,
-            result=result,
-        )
 
     # -- introspection -----------------------------------------------------------
 
@@ -499,7 +476,7 @@ class Profiler:
             self._memo.evictions if self._memo is not None else 0
         )
         info["backend"] = self.backend.name
-        info["num_appends"] = len(self._delta_log)
+        info["num_appends"] = self._num_appends
         info["dataset_version"] = self._dataset_version
         return info
 

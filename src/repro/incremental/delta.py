@@ -1,19 +1,34 @@
-"""Delta descriptions for incremental maintenance.
+"""What an append changed, for the session and for one request.
 
 A :class:`DeltaSummary` records what one append did to a session's warm
 state: how the relation grew, how each column's encoding absorbed the new
 values, which cached contexts' stripped classes changed (the only contexts
 whose validation outcomes the append can have altered), and how the
-validation memo was purged.  Summaries are plain data — they serialise for
-the service boundary and accumulate in the session's delta log so a later
-:meth:`~repro.discovery.session.Profiler.discover_incremental` can repair
-exactly what every append since its baseline may have broken.
+validation memo was repaired.  An :class:`IncrementalOutcome` records what
+the appends since a request's last completed run did to its dependency
+set.  Both are plain data that serialise for the service boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.discovery.results import (
+        DiscoveredOC,
+        DiscoveredOFD,
+        DiscoveryResult,
+    )
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,75 @@ class DeltaSummary:
             "adjusted_memo_entries": self.adjusted_memo_entries,
             "retained_memo_entries": self.retained_memo_entries,
         }
+
+
+@dataclass
+class IncrementalOutcome:
+    """One request's dependency set after appends, diffed against its
+    previous result.
+
+    ``result`` is the full :class:`~repro.discovery.results.DiscoveryResult`
+    over the extended table (byte-identical to a cold run); the revoked /
+    added lists diff it against ``previous``, the request's last completed
+    result, by dependency statement.  ``previous`` is ``None`` when the
+    session had none (the run seeded it), and the lists are empty then and
+    for a cancelled or timed-out run.
+    """
+
+    result: DiscoveryResult
+    previous: Optional[DiscoveryResult]
+    revoked_ocs: List[DiscoveredOC]
+    revoked_ofds: List[DiscoveredOFD]
+    added_ocs: List[DiscoveredOC]
+    added_ofds: List[DiscoveredOFD]
+
+    @classmethod
+    def between(
+        cls, previous: Optional[DiscoveryResult], result: DiscoveryResult
+    ) -> "IncrementalOutcome":
+        """Diff ``result`` against ``previous``; a partial (cancelled or
+        timed-out) result says nothing about revocation, so it gets none."""
+        diff = ([], [], [], [])
+        if (previous is not None
+                and not result.cancelled and not result.timed_out):
+            diff = diff_results(previous, result)
+        return cls(result, previous, *diff)
+
+    @property
+    def num_revoked(self) -> int:
+        return len(self.revoked_ocs) + len(self.revoked_ofds)
+
+    @property
+    def num_added(self) -> int:
+        return len(self.added_ocs) + len(self.added_ofds)
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "result": self.result.to_dict(),
+            "revoked_ocs": [found.to_dict() for found in self.revoked_ocs],
+            "revoked_ofds": [found.to_dict() for found in self.revoked_ofds],
+            "added_ocs": [found.to_dict() for found in self.added_ocs],
+            "added_ofds": [found.to_dict() for found in self.added_ofds],
+        }
+
+
+def diff_results(
+    previous: DiscoveryResult, current: DiscoveryResult
+) -> Tuple[List[DiscoveredOC], List[DiscoveredOFD],
+           List[DiscoveredOC], List[DiscoveredOFD]]:
+    """Statement-level diff: ``(revoked_ocs, revoked_ofds, added_ocs,
+    added_ofds)``.  Revoked entries carry the *previous* run's metadata,
+    added entries the current run's."""
+    old_ocs = {found.oc for found in previous.ocs}
+    old_ofds = {found.ofd for found in previous.ofds}
+    new_ocs = {found.oc for found in current.ocs}
+    new_ofds = {found.ofd for found in current.ofds}
+    return (
+        [found for found in previous.ocs if found.oc not in new_ocs],
+        [found for found in previous.ofds if found.ofd not in new_ofds],
+        [found for found in current.ocs if found.oc not in old_ocs],
+        [found for found in current.ofds if found.ofd not in old_ofds],
+    )
 
 
 def rows_to_columns(

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
+from repro.dataset.partition import ClassPatch
+
 #: (invalidated, adjusted, retained) counters returned by :func:`repair_memo`.
 RepairCounts = Tuple[int, int, int]
 
@@ -39,13 +41,14 @@ RepairCounts = Tuple[int, int, int]
 def repair_memo(
     memo,
     encoded,
-    patches_by_context: Dict[FrozenSet[str], Tuple[list, list]],
+    patches_by_context: Dict[FrozenSet[str], ClassPatch],
     cached_contexts: Sequence[FrozenSet[str]],
 ) -> RepairCounts:
     """Bring a session's validation memo in line with an applied delta.
 
     ``patches_by_context`` maps affected contexts (attribute-*name* sets) to
-    their ``(removed_classes, added_classes)`` patch; ``cached_contexts``
+    their ``(removed, added)`` class patch, each side a sub-partition the
+    batch kernels read as they read a context partition; ``cached_contexts``
     are the contexts whose partitions stayed cached across the append
     (entries for anything else cannot be proven unchanged and are
     dropped).  Mutates ``memo`` in place and returns
@@ -61,8 +64,8 @@ def repair_memo(
     oversized = {
         context
         for context, (removed, added) in patches_by_context.items()
-        if sum(len(rows) for rows in removed)
-        + sum(len(rows) for rows in added) >= encoded.num_rows
+        if removed.num_grouped_rows + added.num_grouped_rows
+        >= encoded.num_rows
     }
     invalidated = adjusted = retained = 0
     #: context -> list of memo keys whose counts await batched adjustment.

@@ -34,8 +34,12 @@ Endpoints (JSON in, JSON out; no dependencies beyond the stdlib):
     next group boundary, so abandoned requests stop burning CPU.
 
 ``POST /datasets/<name>/append``
-    As before (append + optional revalidation), now admission-queued and
-    deadline-aware like ``/discover``.
+    Body: ``{"rows": [...], "request": {...}}``, ``request`` optional.
+    Answers ``dataset`` and the append's ``delta`` summary; with a
+    request, also the revalidated ``result`` and its ``revoked_ocs`` /
+    ``revoked_ofds`` / ``added_ocs`` / ``added_ofds`` against the
+    request's previous result.  Admission-queued and deadline-aware like
+    ``/discover``.
 
 ``PUT /datasets/<name>``
     Upload a dataset: ``text/csv`` body (header row first) or JSON

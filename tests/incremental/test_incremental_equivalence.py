@@ -3,11 +3,11 @@
 For any append sequence, ``Profiler.extend`` + ``discover_incremental``
 must produce a ``DiscoveryResult`` byte-identical (everything except run
 statistics) to a cold discovery over the concatenated table, on every
-backend, with the OC plane inline and on its threads.  On top of that, the
-monotonicity argument is pinned down: appends never shrink removal counts,
-so at a fixed removal budget (ε = 0) a dependency can only be revoked when
-its own context was touched, and still-valid classifications are never
-revoked.
+backend, with the OC plane inline and on its threads.  The reported
+revoked / added dependencies must equal the statement diff of two cold
+runs, and the monotonicity argument is pinned down: appends never shrink
+removal counts, so at a fixed removal budget (ε = 0) a dependency can only
+be revoked when an append touched its own context.
 """
 
 import random
@@ -18,13 +18,8 @@ from repro.backend import available_backends
 from repro.dataset.generators import generate_flight_like, generate_ncvoter_like
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryRequest
-from repro.discovery.events import (
-    DatasetExtended,
-    DependencyRevoked,
-    RunCompleted,
-)
+from repro.discovery.events import RunCompleted
 from repro.discovery.session import Profiler
-from repro.incremental import IncrementalEngine
 
 BACKENDS = available_backends()
 
@@ -52,6 +47,21 @@ def _random_rows(schema, donor, rng, count):
                 row[column] = rng.choice(["", "~zzz", "AAA"]) + value
         rows.append(tuple(row))
     return rows
+
+
+def _statement_diff(before, after):
+    """``(revoked, added)`` as dependency dicts, in result order."""
+    def keyed(result):
+        return [(("oc", found.oc), found) for found in result.ocs] + [
+            (("ofd", found.ofd), found) for found in result.ofds
+        ]
+
+    old, new = keyed(before), keyed(after)
+    old_keys, new_keys = {key for key, _ in old}, {key for key, _ in new}
+    return (
+        [found.to_dict() for key, found in old if key not in new_keys],
+        [found.to_dict() for key, found in new if key not in old_keys],
+    )
 
 
 def _cold_result(base, appended_rows, backend, request, num_workers=1):
@@ -96,9 +106,8 @@ def test_randomized_append_sequence_matches_cold(backend, generator, threshold):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_exact_discovery_matches_cold_and_monotonicity(backend):
     """At ε = 0 the removal budget never grows, so the monotonicity
-    argument is fully observable: no still-valid dependency is ever
-    revoked, and every revoked dependency's own context was touched by
-    the delta."""
+    argument is fully observable: every revoked dependency's own context
+    was touched by an append."""
     base = generate_flight_like(200, num_attributes=6, error_rate=0.05,
                                 seed=4).relation
     donor = generate_flight_like(200, num_attributes=6, error_rate=0.4,
@@ -109,26 +118,21 @@ def test_exact_discovery_matches_cold_and_monotonicity(backend):
     with Profiler(base, backend=backend) as session:
         session.discover(request)
         appended = []
+        touched = set()
+        revoked = 0
         for _ in range(2):
             batch = _random_rows(base.schema, donor, rng, 12)
             appended.extend(batch)
-            session.extend(batch)
-            engine = IncrementalEngine(session, request)
-            plan = engine.classify()
-            still_valid_ocs = {found.oc for found in plan.still_valid_ocs}
-            still_valid_ofds = {found.ofd for found in plan.still_valid_ofds}
-            outcome = engine.discover()
+            touched.update(session.extend(batch).affected_contexts)
+            outcome = session.discover_incremental(request)
             cold = _cold_result(base, appended, backend, request)
             assert _result_payload(outcome.result) == _result_payload(cold)
             for found in outcome.revoked_ocs:
-                assert found.oc not in still_valid_ocs
+                assert found.oc.context in touched, found
             for found in outcome.revoked_ofds:
-                assert found.ofd not in still_valid_ofds
-            # With a fixed budget nothing previously rejected can return
-            # except through a revoked dependency's supersets becoming
-            # minimal — so every *added* dependency must be new minimal
-            # cover, not a resurrected candidate.
-            assert plan.new_removal_limit == plan.old_removal_limit == 0
+                assert found.ofd.context in touched, found
+            revoked += outcome.num_revoked
+        assert revoked > 0  # the dirty donor rows must break something
 
 
 @pytest.mark.skipif("numpy" not in BACKENDS, reason="needs the numpy backend")
@@ -230,29 +234,67 @@ def test_memo_adjustment_matches_fresh_kernels(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_incremental_event_stream_shape(backend):
+@pytest.mark.parametrize("request_", [
+    DiscoveryRequest.approximate(0.08),
+    DiscoveryRequest.exact(),
+], ids=["approx", "exact"])
+def test_reported_diff_matches_two_cold_runs(backend, request_):
+    """``revoked_*`` / ``added_*`` equal the statement diff of a cold run
+    over the table the request last completed on and a cold run over the
+    grown table, also when several appends lie between the two."""
     base = generate_flight_like(150, num_attributes=5, error_rate=0.1,
                                 seed=2).relation
     donor = generate_flight_like(80, num_attributes=5, error_rate=0.5,
                                  seed=44).relation
-    request = DiscoveryRequest.approximate(0.08)
+    rng = random.Random(5)
+    with Profiler(base, backend=backend) as session:
+        session.discover(request_)
+        previous, appended, changed = [], [], 0
+        for num_appends in (2, 1):
+            for _ in range(num_appends):
+                batch = _random_rows(base.schema, donor, rng, 15)
+                appended.extend(batch)
+                session.extend(batch)
+            outcome = session.discover_incremental(request_)
+            revoked, added = _statement_diff(
+                _cold_result(base, previous, backend, request_),
+                _cold_result(base, appended, backend, request_),
+            )
+            assert [found.to_dict() for found in
+                    outcome.revoked_ocs + outcome.revoked_ofds] == revoked
+            assert [found.to_dict() for found in
+                    outcome.added_ocs + outcome.added_ofds] == added
+            changed += len(revoked) + len(added)
+            previous = list(appended)
+    assert changed > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_memo_repair_accounts_for_every_entry(backend):
+    """On an unbounded memo every entry present before an append is
+    invalidated, adjusted or retained, exactly once, and only the adjusted
+    and retained ones are left."""
+    base = generate_flight_like(160, num_attributes=5, error_rate=0.1,
+                                seed=12).relation
+    donor = generate_flight_like(90, num_attributes=5, error_rate=0.3,
+                                 seed=37).relation
+    request = DiscoveryRequest.approximate(0.1)
     with Profiler(base, backend=backend) as session:
         session.discover(request)
-        session.extend([donor.row(i) for i in range(30)])
-        engine = IncrementalEngine(session, request)
-        events = list(engine.iter_events())
-    assert isinstance(events[0], DatasetExtended)
-    assert events[0].appended_rows == 30
-    assert isinstance(events[-1], RunCompleted)
-    revoked_positions = [
-        i for i, event in enumerate(events)
-        if isinstance(event, DependencyRevoked)
-    ]
-    # Revocations (if any) come right before the final RunCompleted.
-    for offset, position in enumerate(reversed(revoked_positions), start=2):
-        assert position == len(events) - offset
-    for event in events:
-        assert "event" in event.to_dict()
+        kinds = set()
+        for start in (0, 30, 60):
+            before = len(session.validation_memo)
+            summary = session.extend(
+                [donor.row(i) for i in range(start, start + 30)]
+            )
+            counts = (summary.invalidated_memo_entries,
+                      summary.adjusted_memo_entries,
+                      summary.retained_memo_entries)
+            assert sum(counts) == before
+            assert counts[1] + counts[2] == len(session.validation_memo)
+            kinds.update(i for i, count in enumerate(counts) if count)
+            session.discover_incremental(request)
+        assert kinds == {0, 1, 2}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -262,7 +304,7 @@ def test_without_baseline_degrades_to_cold(backend):
     request = DiscoveryRequest.approximate(0.1)
     with Profiler(base, backend=backend) as session:
         outcome = session.discover_incremental(request)
-        assert outcome.previous is None and outcome.plan is None
+        assert outcome.previous is None
         assert outcome.num_revoked == 0 and outcome.num_added == 0
         # The run seeded a baseline: a later incremental pass diffs it.
         session.extend([base.row(0)])
@@ -284,7 +326,6 @@ def test_streamed_run_seeds_the_baseline():
         session.extend([base.row(0)])
         outcome = session.discover_incremental(request)
         assert outcome.previous is streamed
-        assert outcome.plan is not None
 
 
 def test_extend_refused_while_a_stream_is_suspended():

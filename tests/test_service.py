@@ -361,7 +361,7 @@ class TestAppendEndpoint:
         assert payload["dataset"] == "demo"
         assert payload["delta"]["num_appended"] == 1
         assert payload["delta"]["new_num_rows"] == 10
-        assert "plan" in payload and "revoked_ocs" in payload
+        assert "revoked_ocs" in payload
         result = DiscoveryResult.from_dict(payload["result"])
         assert result.num_rows == 10
         status, health = _get(fresh_server + "/healthz")

@@ -1,19 +1,13 @@
-"""Run-length rank columns: encoding, decoding and random access.
+"""Clustered rank columns on the OC plane's threads.
 
-A low-cardinality clustered rank column can be stored as value runs
-(:class:`repro.dataset.encoding.RunLengthColumn`); decoding must give the
-dense column back exactly, and ``len`` is the decoded row count.  The OC
-plane's threads count such clustered columns like any other.
+A low-cardinality clustered rank column is a handful of value runs; the
+plane's threads count such columns like any other, and a plane over an
+``extend``-ed encoding reads the grown columns.
 """
 
 import pytest
 
 from repro.backend import available_backends, get_backend
-from repro.dataset.encoding import (
-    RLE_MIN_ROWS,
-    RunLengthColumn,
-    run_length_encode,
-)
 from repro.dataset.relation import Relation
 from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
@@ -21,8 +15,8 @@ BACKENDS = available_backends()
 
 
 def _clustered_relation(num_rows=400):
-    """Three columns: `g` clustered low-cardinality (run-length eligible),
-    `a` mildly dirty, `b` high-cardinality (stays dense)."""
+    """Three columns: `g` clustered low-cardinality (five runs), `a`
+    mildly dirty, `b` high-cardinality (one run per row)."""
     return Relation.from_columns({
         "g": [row // 80 for row in range(num_rows)],
         "a": [(row * 7) % 5 for row in range(num_rows)],
@@ -40,52 +34,15 @@ def _prepare(resolved, columns):
     return prepare
 
 
-# -- RunLengthColumn / run_length_encode ---------------------------------------
-
-
-def test_round_trip_list():
-    column = [0] * 100 + [1] * 200 + [0] * 100
-    encoded = run_length_encode(column)
-    assert isinstance(encoded, RunLengthColumn)
-    assert encoded.num_runs == 3
-    assert len(encoded) == 400
-    assert encoded.decode() == column
-
-
-def test_round_trip_ndarray():
-    np = pytest.importorskip("numpy")
-    column = np.repeat(np.arange(5, dtype=np.int32), 80)
-    encoded = run_length_encode(column)
-    assert isinstance(encoded, RunLengthColumn)
-    assert encoded.num_runs == 5
-    assert len(encoded) == 400
-    assert encoded.decode().tolist() == column.tolist()
-
-
-def test_value_at_binary_search():
-    column = [3] * 300 + [7] * 100
-    encoded = run_length_encode(column)
-    for row in (0, 299, 300, 399):
-        assert encoded.value_at(row) == column[row]
-    with pytest.raises(IndexError):
-        encoded.value_at(400)
-    with pytest.raises(IndexError):
-        encoded.value_at(-1)
-
-
-def test_short_or_fragmented_columns_stay_dense():
-    assert run_length_encode([0, 0, 1, 1]) is None  # below RLE_MIN_ROWS
-    fragmented = [row % 2 for row in range(RLE_MIN_ROWS)]
-    assert run_length_encode(fragmented) is None  # one run per 1-2 rows
-
-
-def test_run_length_column_pickles():
-    import pickle
-
-    encoded = run_length_encode([2] * 200 + [9] * 200)
-    clone = pickle.loads(pickle.dumps(encoded))
-    assert clone.decode() == encoded.decode()
-    assert len(clone) == len(encoded)
+def _runs(column):
+    """``[(value, length), ...]``: the column's maximal value runs."""
+    runs = []
+    for value in column:
+        if runs and runs[-1][0] == value:
+            runs[-1][1] += 1
+        else:
+            runs.append([value, 1])
+    return [tuple(run) for run in runs]
 
 
 # -- clustered columns on the OC plane's threads -------------------------------
@@ -93,17 +50,18 @@ def test_run_length_column_pickles():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_pool_results_identical_with_rle_transport(backend):
-    """Plane threads count a clustered column's run-length round trip
-    exactly like the dense column, group after group."""
+    """Plane threads count a column rebuilt from its value runs exactly
+    like the encoded column, group after group."""
     relation = _clustered_relation()
     resolved = get_backend(backend)
     encoded = relation.encoded(resolved)
-    assert run_length_encode(encoded.ranks("g")) is not None
-    assert run_length_encode(encoded.ranks("b")) is None
+    assert len(_runs(encoded.ranks("g"))) == 5
+    assert len(_runs(encoded.ranks("b"))) == relation.num_rows
 
     def round_tripped(name):
-        runs = run_length_encode(encoded.ranks(name))
-        dense = encoded.ranks(name) if runs is None else runs.decode()
+        dense = []
+        for value, length in _runs(encoded.ranks(name)):
+            dense.extend([value] * length)
         return resolved.to_native(dense)
 
     classes = [[i, i + 1] for i in range(0, relation.num_rows - 2, 2)]
