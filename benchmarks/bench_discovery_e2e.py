@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import available_backends
 from repro.benchlib.harness import (
     measure_discovery,
     measure_incremental,
@@ -41,15 +40,13 @@ THRESHOLD = 0.1
 #: An Exp-3-style grid around the paper's default ε = 10%; the warm session
 #: executes largest-first so removal counts transfer to every smaller budget.
 SWEEP_THRESHOLDS = [0.06, 0.09, 0.12, 0.15]
-SWEEP_BACKEND = "numpy" if "numpy" in available_backends() else "python"
+SWEEP_BACKEND = "numpy"
 
 #: (backend, workers) — the default on both backends, plus the w1/w2/w4
 #: legs on the fastest backend.  ``num_workers > 1`` caps the threads that
 #: count OC context groups while the coordinator validates OFDs, never
 #: above the usable cores; w1 runs one thread per core.
-CASES = [("python", 1)]
-if "numpy" in available_backends():
-    CASES += [("numpy", 1), ("numpy", 2), ("numpy", 4)]
+CASES = [("python", 1), ("numpy", 1), ("numpy", 2), ("numpy", 4)]
 
 RESULTS = {}
 

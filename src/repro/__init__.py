@@ -43,9 +43,10 @@ The package is organised as follows:
     regenerate every figure and table of the paper's evaluation section.
 
 ``repro.backend``
-    Pluggable columnar compute backends for the hot paths (encoding,
-    partitions, LNDS validation kernels): a pure-Python reference and a
-    vectorised NumPy implementation with identical semantics, selected via
+    The columnar compute backend for the hot paths (encoding, partitions,
+    LNDS validation kernels) in two configurations with identical
+    semantics: ``numpy`` (vectorised encoding, native kernels) and the
+    reference ``python`` (every fast path off), selected via
     ``--backend`` / ``REPRO_BACKEND`` / :func:`repro.backend.resolve_backend`.
 
 ``repro.incremental``
@@ -58,7 +59,7 @@ The package is organised as follows:
     ``repro extend``, ``POST /datasets/<name>/append``).
 """
 
-from repro.backend import available_backends, get_backend, resolve_backend
+from repro.backend import get_backend, resolve_backend
 from repro.dataset import Relation, Schema, Attribute, AttributeType
 from repro.dataset.examples import employee_salary_table
 from repro.dependencies import (
@@ -91,7 +92,6 @@ from repro.discovery import (
 __all__ = [
     "Attribute",
     "AttributeType",
-    "available_backends",
     "get_backend",
     "resolve_backend",
     "CancellationToken",

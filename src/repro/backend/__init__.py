@@ -1,4 +1,4 @@
-"""Pluggable columnar compute backends (see :mod:`repro.backend.base`).
+"""The compute backend (see :mod:`repro.backend.numpy_backend`).
 
 Backend selection
 -----------------
@@ -9,17 +9,20 @@ a :class:`ComputeBackend` instance, a registry name (``"python"`` /
 
 1. an explicit instance or name wins;
 2. ``None`` defers to the ``REPRO_BACKEND`` environment variable;
-3. unset (or ``"auto"``) picks NumPy when it is importable, else Python.
+3. unset (or ``"auto"``) means ``"numpy"``.
 
-NumPy is an *optional* dependency: the package imports and runs fully
-without it, and requesting ``"numpy"`` on a machine without NumPy raises a
-clear error instead of an import crash at startup.
+Both names select the one backend class, in one of two configurations:
+``"numpy"`` runs every fast path (vectorised encoding, and the native
+refine and count kernels when the library loads), ``"python"`` is the
+reference configuration with every fast path off (the reference encoder,
+the lexsort refine and the reference count loops).  NumPy is a required
+dependency.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Union
+from typing import Dict, Union
 
 from repro.backend.base import ComputeBackend
 
@@ -34,62 +37,32 @@ _instances: Dict[str, ComputeBackend] = {}
 BackendSpec = Union[None, str, ComputeBackend]
 
 
-def _numpy_importable() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def available_backends() -> List[str]:
-    """Names of the backends usable in this environment."""
-    names = ["python"]
-    if _numpy_importable():
-        names.append("numpy")
-    return names
-
-
 def default_backend_name() -> str:
     """The backend name used when nothing is requested explicitly.
 
-    Honours ``REPRO_BACKEND``; otherwise ``auto`` semantics (NumPy when
-    available, Python otherwise).
+    Honours ``REPRO_BACKEND``; otherwise ``"numpy"``.
     """
     requested = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
     if requested and requested != "auto":
         return requested
-    return "numpy" if _numpy_importable() else "python"
+    return "numpy"
 
 
 def get_backend(name: str) -> ComputeBackend:
     """Return the (singleton) backend registered under ``name``."""
     name = name.strip().lower()
     if name == "auto":
-        name = "numpy" if _numpy_importable() else "python"
-    cached = _instances.get(name)
-    if cached is not None:
-        return cached
-    if name == "python":
-        from repro.backend.python_backend import PythonBackend
-
-        backend: ComputeBackend = PythonBackend()
-    elif name == "numpy":
-        if not _numpy_importable():
-            raise RuntimeError(
-                "the 'numpy' compute backend was requested but numpy is not "
-                "installed; install the optional dependency (pip install "
-                "'.[numpy]') or select --backend python"
-            )
-        from repro.backend.numpy_backend import NumpyBackend
-
-        backend = NumpyBackend()
-    else:
+        name = "numpy"
+    if name not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown compute backend {name!r}; expected one of {BACKEND_CHOICES}"
         )
-    _instances[name] = backend
-    return backend
+    cached = _instances.get(name)
+    if cached is None:
+        from repro.backend.numpy_backend import NumpyBackend
+
+        cached = _instances[name] = NumpyBackend(reference=name == "python")
+    return cached
 
 
 def resolve_backend(spec: BackendSpec = None) -> ComputeBackend:
@@ -106,7 +79,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "BackendSpec",
     "ComputeBackend",
-    "available_backends",
     "default_backend_name",
     "get_backend",
     "resolve_backend",

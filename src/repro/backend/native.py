@@ -48,9 +48,10 @@ could have written.
 
 Without a compiler, after a failed build or with a refused cache, one INFO
 line goes to the ``repro`` logger and :func:`kernels` returns ``None``;
-the NumPy backend then counts with the reference loops of
-:class:`~repro.backend.base.ComputeBackend`, about as slow as the python
-backend, and refines partitions by lexsort.  Results are identical either way.
+the backend then counts with the reference loops of
+:class:`~repro.backend.base.ComputeBackend` and refines partitions by
+lexsort, as its ``"python"`` configuration always does.  Results are
+identical either way.
 """
 
 from __future__ import annotations

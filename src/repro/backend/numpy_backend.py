@@ -1,31 +1,34 @@
-"""The NumPy columnar backend.
+"""The compute backend: NumPy columns, CSR partitions, native kernels.
 
-Rank columns are dense ``int32`` arrays; the hot loops become vectorised
-array operations:
+Rank columns are dense ``int32`` arrays and partitions ``int64`` CSR
+arrays.  One class serves two configurations, picked by registry name:
 
-* encoding via ``np.unique(return_inverse=True)`` on clean homogeneous
-  columns, found by one scan of the value types (dirty mixed-type columns
-  fall back to the reference encoder, so the semantics — including
-  first-appearance tie-breaks for values whose sort keys collide — are
-  preserved exactly);
-* partition construction/refinement via stable argsort / lexsort over rank
-  columns, splitting on group boundaries.  With the native kernels of
-  :mod:`repro.backend.native`, a refinement whose classes group enough of
-  the rows is instead one native call that walks the new attribute's
-  cached row order (sorted partitions) and writes the child partition in
-  canonical form, in O(n) and without a sort; a single-column partition is
-  the unit partition refined the same way.  Below that fraction, and on
-  hosts without the library, the lexsort refines;
-* the count-only OC and ``g3`` kernels hand a whole context batch to one
-  native call: per pair, the OC call sorts each class on demand, screens
-  and counts it, and stops at the class that crosses the removal budget;
-  the ``g3`` call makes one frequency pass per RHS column.  Without the
-  library both batches, like the rows kernels always, run the base
-  class's reference loops on the columns as lists.
+* ``"numpy"`` (and ``"auto"``) is the fast one.  Clean homogeneous columns
+  encode via ``np.unique(return_inverse=True)``, found by one scan of the
+  value types (dirty mixed-type columns fall back to the reference
+  encoder, so the semantics — including first-appearance tie-breaks for
+  values whose sort keys collide — are preserved exactly).  With the
+  native kernels of :mod:`repro.backend.native`, a refinement whose
+  classes group enough of the rows is one native call that walks the new
+  attribute's cached row order (sorted partitions) and writes the child
+  partition in canonical form, in O(n) and without a sort; a
+  single-column partition is the unit partition refined the same way.
+  Below that fraction, and on hosts without the library, partitions
+  refine by a stable lexsort over rank columns, split on group
+  boundaries.  The count-only OC and ``g3`` kernels hand a whole context
+  batch to one native call: per pair, the OC call sorts each class on
+  demand, screens and counts it, and stops at the class that crosses the
+  removal budget; the ``g3`` call makes one frequency pass per RHS
+  column.  Without the library both batches, like the rows kernels
+  always, run the base class's reference loops on the columns as lists.
+* ``"python"`` is the reference configuration: every fast path is off.
+  It encodes with the reference encoder
+  (:func:`repro.dataset.encoding.encode_column`), refines by lexsort and
+  counts with the reference loops, even where the native library loads.
 
-Parity contract: every method returns the same values, in the same order,
-with the same early-exit points as :class:`PythonBackend`.  One documented
-exception: for float columns containing both ``-0.0`` and ``0.0`` the
+Parity contract: both configurations return the same values, in the
+same order, with the same early-exit points.  One documented exception:
+for float columns containing both ``-0.0`` and ``0.0`` the
 *representative* stored in the decode dictionary may differ (the ranks are
 still identical); such columns behave identically in all discovery and
 validation code, which only ever touches ranks.
@@ -39,9 +42,16 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backend import native
-from repro.backend.base import ComputeBackend, EncodedColumn
+from repro.backend.base import ComputeBackend
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
+
+#: ``(ranks, dictionary, native_column)`` as returned by ``encode_column``:
+#: ``ranks`` is the plain-list form of ``native_column`` (an ``int32``
+#: array), or ``None``, in which case
+#: :class:`~repro.dataset.encoding.EncodedRelation` derives the list lazily
+#: on first access.
+EncodedColumn = Tuple[Optional[List[int]], List[object], object]
 
 #: Largest magnitude at which ``float(int)`` is still injective; beyond it
 #: the reference encoder's float sort keys collide and break ties by first
@@ -66,22 +76,29 @@ def stable_rank_order(ranks: np.ndarray) -> np.ndarray:
 
 
 def _empty_partition(num_rows: int) -> Partition:
-    """A classless partition with array-typed CSR storage."""
-    return Partition.from_csr(
-        np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), num_rows
-    )
+    """A classless partition over ``num_rows`` rows."""
+    return Partition.from_csr([], [0], num_rows)
 
 
 class NumpyBackend(ComputeBackend):
-    """Vectorised backend over ``int32`` rank arrays."""
+    """The compute backend over ``int32`` rank arrays; ``reference``
+    selects the ``"python"`` configuration (see the module docstring)."""
 
-    name = "numpy"
+    def __init__(self, reference: bool = False) -> None:
+        self.reference = reference
+        #: Registry name (``"python"`` / ``"numpy"``).
+        self.name = "python" if reference else "numpy"
+
+    def _kernels(self):
+        """The native library, or ``None`` where the reference code runs."""
+        return None if self.reference else native.kernels()
 
     @property
     def oc_kernel_name(self) -> str:
-        if native.kernels() is not None:
-            return "native"
-        return super().oc_kernel_name
+        """Which implementation runs the count-only OC and OFD removal
+        kernels (reported as ``oc_kernel`` on ``/healthz``): ``"native"``
+        for the native library, ``"python"`` for the reference loops."""
+        return "python" if self._kernels() is None else "native"
 
     # -- columns ---------------------------------------------------------------
 
@@ -93,9 +110,10 @@ class NumpyBackend(ComputeBackend):
     def encode_column(
         self, values: Sequence[object], attr_type: AttributeType = AttributeType.STRING
     ) -> EncodedColumn:
-        encoded = self._encode_fast(values, attr_type)
-        if encoded is not None:
-            return encoded
+        if not self.reference:
+            encoded = self._encode_fast(values, attr_type)
+            if encoded is not None:
+                return encoded
         from repro.dataset.encoding import encode_column
 
         ranks, dictionary = encode_column(values, attr_type)
@@ -163,15 +181,6 @@ class NumpyBackend(ComputeBackend):
 
     # -- partitions ------------------------------------------------------------
 
-    def partition_unit(self, num_rows: int) -> Partition:
-        if num_rows <= 1:
-            return _empty_partition(num_rows)
-        return Partition.from_csr(
-            np.arange(num_rows, dtype=np.int64),
-            np.array([0, num_rows], dtype=np.int64),
-            num_rows,
-        )
-
     def partition_single(
         self, native_ranks, num_rows: int, row_order=None
     ) -> Partition:
@@ -188,28 +197,7 @@ class NumpyBackend(ComputeBackend):
         # as every refinement: the row order built here is the one later
         # refinements by the column reuse.
         return self._native_refine(
-            library, self.partition_unit(num_rows), ranks, row_order()
-        )
-
-    def partition_from_row_keys(self, keys, num_rows: int) -> Partition:
-        try:
-            key_matrix = np.asarray(keys, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            key_matrix = None
-        if key_matrix is None or key_matrix.ndim != 2:
-            # Ragged / non-integer keys: reference dict grouping.
-            return super().partition_from_row_keys(keys, num_rows)
-        if key_matrix.shape[0] == 0:
-            return _empty_partition(num_rows)
-        if key_matrix.shape[1] == 0:
-            return self.partition_unit(num_rows)
-        # lexsort keys last-first: reverse so the first tuple element is the
-        # most significant (any consistent total order groups equal tuples,
-        # but this keeps the sort deterministic and cache-friendly).
-        columns = tuple(key_matrix[:, i] for i in range(key_matrix.shape[1]))
-        order = np.lexsort(columns[::-1])
-        return self._csr_partition(
-            order, tuple(column[order] for column in columns), num_rows
+            library, Partition.unit(num_rows), ranks, row_order()
         )
 
     def partition_refine(
@@ -256,15 +244,14 @@ class NumpyBackend(ComputeBackend):
     #: ``benchmarks/bench_partition_micro.py`` times both sides.
     _REFINE_SCATTER_FRACTION = 0.075
 
-    @classmethod
-    def _refine_kernels(cls, row_order, num_grouped: int, num_rows: int):
+    def _refine_kernels(self, row_order, num_grouped: int, num_rows: int):
         """The native kernels when a refinement of ``num_grouped`` of
         ``num_rows`` rows is offered a ``row_order`` and should take them,
         else ``None``."""
         if (row_order is None
-                or num_grouped < cls._REFINE_SCATTER_FRACTION * num_rows):
+                or num_grouped < self._REFINE_SCATTER_FRACTION * num_rows):
             return None
-        return native.kernels()
+        return self._kernels()
 
     def _native_refine(
         self, library, partition: Partition, ranks, order
@@ -294,15 +281,11 @@ class NumpyBackend(ComputeBackend):
         one class each.
 
         A :class:`Partition` hands over its own ``row_indices`` and
-        ``class_offsets`` (already ``int64`` arrays under this backend, so
-        nothing is built); raw lists of row lists (one-off validations,
-        tests) are concatenated.
+        ``class_offsets``, so nothing is built; raw lists of row lists
+        (one-off validations, tests) are concatenated.
         """
         if isinstance(classes, Partition):
-            return (
-                np.ascontiguousarray(classes.row_indices, dtype=np.int64),
-                np.ascontiguousarray(classes.class_offsets, dtype=np.int64),
-            )
+            return classes.row_indices, classes.class_offsets
         class_lists = list(classes)
         lengths = np.fromiter(
             (len(c) for c in class_lists), dtype=np.int64, count=len(class_lists)
@@ -325,8 +308,8 @@ class NumpyBackend(ComputeBackend):
         cached = partition._columnar
         if cached is not None:
             return cached
-        rows = np.asarray(partition.row_indices, dtype=np.int64)
-        lengths = np.diff(np.asarray(partition.class_offsets, dtype=np.int64))
+        rows = partition.row_indices
+        lengths = np.diff(partition.class_offsets)
         class_ids = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
         partition._columnar = (rows, class_ids)
         return partition._columnar
@@ -380,7 +363,7 @@ class NumpyBackend(ComputeBackend):
         call serves discovery's context partitions and incremental
         repair's class patches.
         """
-        library = native.kernels()
+        library = self._kernels()
         if library is None:
             return super().oc_optimal_removal_count_batch(
                 classes, rank_pairs, limit
@@ -414,7 +397,7 @@ class NumpyBackend(ComputeBackend):
         the partial count of an exceeded column included, equals the
         reference loop's class-by-class result.
         """
-        library = native.kernels()
+        library = self._kernels()
         if library is None:
             return super().ofd_removal_batch(classes, rhs_ranks, limit)
         if not rhs_ranks:

@@ -304,9 +304,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (RuntimeError, ValueError, OSError) as error:
-        # e.g. an unknown REPRO_BACKEND value, --backend numpy without
-        # numpy installed, a missing CSV file, or a serve port already in
-        # use: print the message instead of a traceback.
+        # e.g. an unknown REPRO_BACKEND value, a missing CSV file, or a
+        # serve port already in use: print the message instead of a
+        # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

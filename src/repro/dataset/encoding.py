@@ -77,10 +77,9 @@ def encode_column(
 class EncodedRelation:
     """A relation encoded to per-column dense integer ranks.
 
-    The canonical representation of a rank column is a plain list of ints,
-    identical across compute backends; the encoding backend additionally
-    caches its *native* columnar form (e.g. ``int32`` NumPy arrays) for the
-    vectorised kernels.
+    Each rank column is held as an ``int32`` NumPy array (its *native*
+    form, which the kernels read) and as a plain list of ints; whichever
+    the encoder did not produce is derived on first access.
 
     Attributes
     ----------
@@ -274,7 +273,7 @@ class EncodedRelation:
         ranks = self._ranks[index]
         if ranks is None:
             native = self._native[index]
-            ranks = native.tolist() if hasattr(native, "tolist") else list(native)
+            ranks = native.tolist()
             self._ranks[index] = ranks
         return ranks
 
@@ -294,12 +293,11 @@ class EncodedRelation:
         """Every row in ``(rank, row)`` order of the column at ``index``.
 
         An ``int32`` NumPy permutation built by one stable radix argsort on
-        first use and cached, 4 bytes a row.  Only the NumPy backend's
-        native refinement reads row orders (see
-        ``NumpyBackend.partition_refine``), level-1 builds included, so the
-        argsort runs once per attribute; the OC kernel sorts each class on
-        demand instead.  They are per instance, so the encoding
-        :meth:`extend` returns builds its own.
+        first use and cached, 4 bytes a row.  Only the native refinement
+        reads row orders (see ``NumpyBackend.partition_refine``), level-1
+        builds included, so the argsort runs once per attribute; the OC
+        kernel sorts each class on demand instead.  They are per instance,
+        so the encoding :meth:`extend` returns builds its own.
         """
         import numpy as np
 

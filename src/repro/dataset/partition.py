@@ -8,13 +8,13 @@ so partitions are the central data structure of the discovery framework.
 
 Following TANE and FASTOD, partitions are stored *stripped*: singleton
 classes are dropped because a class with a single tuple can contain neither
-a swap nor a split.  Partition products (``Pi_{X ∪ Y}`` from ``Pi_X`` and
-``Pi_Y``) are computed with the standard probe-table refinement algorithm,
-which is linear in the number of tuples appearing in the stripped classes.
+a swap nor a split.  The compute backend builds them (single columns and
+refinements ``Pi_{X ∪ {A}}`` by one more rank column).
 
 Layout
 ------
-A partition is stored flat, in CSR (compressed sparse row) form:
+A partition is stored flat, in CSR (compressed sparse row) form, as two
+``int64`` NumPy arrays:
 
 * ``row_indices`` — the concatenation of every stripped class's row ids;
 * ``class_offsets`` — ``num_classes + 1`` offsets into ``row_indices``
@@ -23,16 +23,15 @@ A partition is stored flat, in CSR (compressed sparse row) form:
 
 Invariants: rows are ascending within a class, every class has >= 2 rows,
 and classes are ordered by their first row (firsts are unique because
-classes are disjoint).  The arrays are plain lists under the reference
-backend and ``int64`` NumPy arrays under the vectorised one — this is the
-exact layout the native kernels read, so kernel dispatch never
-materialises per-class Python lists.  The legacy list-of-lists view survives as the lazy
-:attr:`Partition.classes` compatibility property for tests, baselines and
-other cold consumers.
+classes are disjoint).  This is the exact layout the native kernels read,
+so kernel dispatch never materialises per-class Python lists.  The
+list-of-lists view survives as the lazy :attr:`Partition.classes` property
+for tests, baselines and other cold consumers.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import (
     Dict,
     FrozenSet,
@@ -46,10 +45,8 @@ from typing import (
 
 from repro.caching import BoundedLRU
 
-
-def _plain(sequence):
-    """A plain-list view of a CSR array (no-op for lists)."""
-    return sequence.tolist() if hasattr(sequence, "tolist") else sequence
+# NumPy is imported where it is used, not here: `import repro` then stays
+# ~90 ms and ~13 MiB lighter until the first partition is built.
 
 
 class Partition:
@@ -58,11 +55,11 @@ class Partition:
     Attributes
     ----------
     row_indices:
-        Concatenated row ids of every stripped class (list or ``int64``
-        array; see the module docstring for the layout invariants).
+        Concatenated row ids of every stripped class (an ``int64`` array;
+        see the module docstring for the layout invariants).
     class_offsets:
-        ``num_classes + 1`` offsets delimiting each class's slice of
-        ``row_indices``.
+        ``num_classes + 1`` ``int64`` offsets delimiting each class's slice
+        of ``row_indices``.
     num_rows:
         Total number of rows in the underlying relation (including rows in
         stripped singleton classes).
@@ -72,50 +69,44 @@ class Partition:
                  "_columnar")
 
     def __init__(self, classes: Sequence[Sequence[int]], num_rows: int) -> None:
-        kept = [sorted(c) for c in classes if len(c) >= 2]
-        kept.sort(key=lambda c: c[0])
-        flat: List[int] = []
-        offsets: List[int] = [0]
-        for rows in kept:
-            flat.extend(rows)
-            offsets.append(len(flat))
-        self.row_indices = flat
-        self.class_offsets = offsets
+        kept = sorted((sorted(c) for c in classes if len(c) >= 2),
+                      key=lambda c: c[0])
+        self._adopt(list(chain.from_iterable(kept)),
+                    [0, *accumulate(map(len, kept))], num_rows)
+
+    def _adopt(self, row_indices, class_offsets, num_rows: int) -> None:
+        import numpy as np
+
+        self.row_indices = np.ascontiguousarray(row_indices, dtype=np.int64)
+        self.class_offsets = np.ascontiguousarray(class_offsets, dtype=np.int64)
         self.num_rows = num_rows
-        self._classes: Optional[List[List[int]]] = kept
-        # Backend-owned columnar view (concatenated NumPy row/class-id
-        # arrays), built lazily by the NumPy lexsort refinement or a
-        # partition product (the native kernels read the CSR arrays
-        # themselves) and reused by all later refinements of the same
-        # partition.  Not part of equality/repr.
+        self._classes: Optional[List[List[int]]] = None
+        # Backend-owned columnar view (concatenated row/class-id arrays),
+        # built lazily by the lexsort refinement or a partition product
+        # (the native kernels read the CSR arrays themselves) and reused by
+        # all later refinements of the same partition.  Not part of
+        # equality/repr.
         self._columnar = None
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
     def from_csr(cls, row_indices, class_offsets, num_rows: int) -> "Partition":
-        """Adopt CSR arrays verbatim (trusted constructor).
+        """Adopt CSR arrays (trusted constructor).
 
-        The caller guarantees the layout invariants: ascending rows within
-        each class, every class of size >= 2, classes ordered by first row,
-        ``class_offsets[0] == 0``.
+        Contiguous ``int64`` arrays are adopted as they are; anything else
+        (lists, other dtypes) is converted.  The caller guarantees the
+        layout invariants: ascending rows within each class, every class of
+        size >= 2, classes ordered by first row, ``class_offsets[0] == 0``.
         """
         partition = cls.__new__(cls)
-        partition.row_indices = row_indices
-        partition.class_offsets = class_offsets
-        partition.num_rows = num_rows
-        partition._classes = None
-        partition._columnar = None
+        partition._adopt(row_indices, class_offsets, num_rows)
         return partition
 
     @classmethod
     def single(cls, ranks: Sequence[int]) -> "Partition":
-        """Build the partition of a single encoded column.
-
-        Routed through the default compute backend, so cold construction
-        uses the vectorised lexsort path whenever NumPy is active; the
-        pure-Python grouping lives in :func:`build_partition_single`.
-        """
+        """Build the partition of a single encoded column through the
+        default compute backend."""
         from repro.backend import resolve_backend
 
         return resolve_backend(None).partition_single(ranks, len(ranks))
@@ -127,34 +118,25 @@ class Partition:
         This is the context of level-2 OC candidates such as ``{}: A ~ B``
         and of level-1 OFD candidates such as ``{}: [] -> A``.
         """
+        import numpy as np
+
         if num_rows <= 1:
             return cls.from_csr([], [0], num_rows)
-        return cls.from_csr(list(range(num_rows)), [0, num_rows], num_rows)
-
-    @classmethod
-    def from_row_keys(cls, keys: Sequence[Tuple[int, ...]]) -> "Partition":
-        """Build a partition by grouping rows with equal key tuples.
-
-        Like :meth:`single`, construction goes through the default backend
-        (the NumPy backend lexsorts the stacked key columns).
-        """
-        from repro.backend import resolve_backend
-
-        return resolve_backend(None).partition_from_row_keys(keys, len(keys))
+        return cls.from_csr(np.arange(num_rows), [0, num_rows], num_rows)
 
     # -- properties ------------------------------------------------------------
 
     @property
     def classes(self) -> List[List[int]]:
-        """Legacy list-of-lists view of the classes (lazy compatibility).
+        """List-of-lists view of the classes (lazy).
 
-        Hot paths never touch this: construction, products, append repair
-        and the vectorised kernels all work on the flat CSR
-        arrays.  The materialised lists are cached for repeat consumers.
+        Hot paths never touch this: construction, refinement, append repair
+        and the kernels all work on the flat CSR arrays.  The materialised
+        lists are cached for repeat consumers.
         """
         if self._classes is None:
-            rows = _plain(self.row_indices)
-            offsets = _plain(self.class_offsets)
+            rows = self.row_indices.tolist()
+            offsets = self.class_offsets.tolist()
             self._classes = [
                 rows[offsets[i]:offsets[i + 1]]
                 for i in range(len(offsets) - 1)
@@ -195,12 +177,14 @@ class Partition:
         return self.num_classes
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         if not isinstance(other, Partition):
             return NotImplemented
         return (
             self.num_rows == other.num_rows
-            and _plain(self.class_offsets) == _plain(other.class_offsets)
-            and _plain(self.row_indices) == _plain(other.row_indices)
+            and np.array_equal(self.class_offsets, other.class_offsets)
+            and np.array_equal(self.row_indices, other.row_indices)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -209,121 +193,10 @@ class Partition:
             f"{self.num_rows} rows)"
         )
 
-    # -- refinement ------------------------------------------------------------
-
-    def product(self, ranks: Sequence[int]) -> "Partition":
-        """Refine this partition by an encoded column (reference algorithm).
-
-        ``self`` is ``Pi_X``; ``ranks`` is the rank column of an attribute
-        ``A``.  The result is ``Pi_{X ∪ {A}}``, computed by splitting every
-        class of ``Pi_X`` on the ranks of ``A``.
-        """
-        rows = _plain(self.row_indices)
-        offsets = _plain(self.class_offsets)
-        split: List[List[int]] = []
-        for i in range(len(offsets) - 1):
-            groups: Dict[int, List[int]] = {}
-            for position in range(offsets[i], offsets[i + 1]):
-                row = rows[position]
-                groups.setdefault(ranks[row], []).append(row)
-            split.extend(g for g in groups.values() if len(g) >= 2)
-        return _partition_from_groups(split, self.num_rows)
-
-    def product_partition(self, other: "Partition") -> "Partition":
-        """Compute ``Pi_{X ∪ Y}`` from ``Pi_X`` (self) and ``Pi_Y`` (other).
-
-        Standard TANE probe-table algorithm on stripped partitions.
-        """
-        if self.num_rows != other.num_rows:
-            raise ValueError("partitions are over relations of different sizes")
-        class_of = _row_owners(other)
-        rows = _plain(self.row_indices)
-        offsets = _plain(self.class_offsets)
-        split: List[List[int]] = []
-        for i in range(len(offsets) - 1):
-            groups: Dict[int, List[int]] = {}
-            for position in range(offsets[i], offsets[i + 1]):
-                row = rows[position]
-                other_class = class_of.get(row)
-                if other_class is None:
-                    continue  # row is a singleton in `other`, so also in the product
-                groups.setdefault(other_class, []).append(row)
-            split.extend(g for g in groups.values() if len(g) >= 2)
-        return _partition_from_groups(split, self.num_rows)
-
-    def refines(self, other: "Partition") -> bool:
-        """Return ``True`` iff every class of ``self`` is contained in a class
-        of ``other`` (i.e. ``self`` is at least as fine as ``other``)."""
-        class_of = _row_owners(other)
-        rows = _plain(self.row_indices)
-        offsets = _plain(self.class_offsets)
-        for i in range(len(offsets) - 1):
-            owners = set()
-            for position in range(offsets[i], offsets[i + 1]):
-                row = rows[position]
-                owners.add(class_of.get(row, ("singleton", row)))
-                if len(owners) > 1:
-                    return False
-        return True
-
-
-def _row_owners(partition: Partition) -> Dict[int, int]:
-    """Map each grouped row of ``partition`` to its class id."""
-    rows = _plain(partition.row_indices)
-    offsets = _plain(partition.class_offsets)
-    class_of: Dict[int, int] = {}
-    for class_id in range(len(offsets) - 1):
-        for position in range(offsets[class_id], offsets[class_id + 1]):
-            class_of[rows[position]] = class_id
-    return class_of
-
-
-def _partition_from_groups(groups: List[List[int]], num_rows: int) -> Partition:
-    """Partition from per-class row lists whose rows are already ascending.
-
-    Strips classes of size < 2, orders survivors by first row and lays them
-    out flat.  This is the shared tail of every pure-Python construction
-    path; the materialised lists are kept as the partition's cached legacy
-    view since they were paid for anyway.
-    """
-    kept = [rows for rows in groups if len(rows) >= 2]
-    kept.sort(key=lambda rows: rows[0])
-    flat: List[int] = []
-    offsets: List[int] = [0]
-    for rows in kept:
-        flat.extend(rows)
-        offsets.append(len(flat))
-    partition = Partition.from_csr(flat, offsets, num_rows)
-    partition._classes = kept
-    return partition
-
-
-def build_partition_single(ranks: Sequence[int], num_rows: int) -> Partition:
-    """Reference (pure-Python) construction of a single-column partition.
-
-    Kept separate from :meth:`Partition.single` — which routes through the
-    resolved default backend — so the Python backend can call the dict
-    grouping directly without recursing through backend resolution.
-    """
-    groups: Dict[int, List[int]] = {}
-    for row, rank in enumerate(ranks):
-        groups.setdefault(rank, []).append(row)
-    return _partition_from_groups(list(groups.values()), num_rows)
-
-
-def build_partition_from_row_keys(
-    keys: Sequence[Tuple[int, ...]], num_rows: int
-) -> Partition:
-    """Reference (pure-Python) grouping of rows by equal key tuples."""
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for row, key in enumerate(keys):
-        groups.setdefault(key, []).append(row)
-    return _partition_from_groups(list(groups.values()), num_rows)
-
 
 def _select_classes(partition: Partition, ids) -> Partition:
-    """The sub-partition of an array-backed ``partition`` holding its
-    classes at the ascending indices ``ids``.
+    """The sub-partition of ``partition`` holding its classes at the
+    ascending indices ``ids``.
 
     Pure index arithmetic: ``starts - out_offsets`` repeated per element
     plus a flat ``arange`` turns the per-class slices into one gather.
@@ -359,34 +232,18 @@ def _appended_classes(
     Each side keeps its partition's selected classes in order, so it is a
     canonical partition the batch kernels read directly.
     """
+    import numpy as np
+
     o_rows, o_offsets = old.row_indices, old.class_offsets
     n_rows, n_offsets = new.row_indices, new.class_offsets
-    if not isinstance(o_rows, list) and not isinstance(n_rows, list):
-        import numpy as np
-
-        added = _select_classes(
-            new, np.nonzero(n_rows[n_offsets[1:] - 1] >= old_num_rows)[0]
-        )
-        grown = added.row_indices
-        member = np.zeros(old_num_rows, dtype=bool)
-        member[grown[grown < old_num_rows]] = True
-        removed_ids = np.nonzero(member[o_rows[o_offsets[:-1]]])[0]
-        return _select_classes(old, removed_ids), added
-    o_rows, o_offsets = _plain(o_rows), _plain(o_offsets)
-    n_rows, n_offsets = _plain(n_rows), _plain(n_offsets)
-    added = [
-        n_rows[n_offsets[i]:n_offsets[i + 1]]
-        for i in range(len(n_offsets) - 1)
-        if n_rows[n_offsets[i + 1] - 1] >= old_num_rows
-    ]
-    member = {row for rows in added for row in rows}
-    removed = [
-        o_rows[o_offsets[i]:o_offsets[i + 1]]
-        for i in range(len(o_offsets) - 1)
-        if o_rows[o_offsets[i]] in member
-    ]
-    return (_partition_from_groups(removed, old.num_rows),
-            _partition_from_groups(added, new.num_rows))
+    added = _select_classes(
+        new, np.nonzero(n_rows[n_offsets[1:] - 1] >= old_num_rows)[0]
+    )
+    grown = added.row_indices
+    member = np.zeros(old_num_rows, dtype=bool)
+    member[grown[grown < old_num_rows]] = True
+    removed_ids = np.nonzero(member[o_rows[o_offsets[:-1]]])[0]
+    return _select_classes(old, removed_ids), added
 
 
 class PartitionCache:
@@ -397,10 +254,10 @@ class PartitionCache:
     cached partition of a subset with one more single-attribute partition,
     as in the TANE / FASTOD implementations.
 
-    Construction and refinement go through a pluggable compute backend
-    (defaulting to the encoded relation's); every backend produces
-    identical :class:`Partition` objects, so cache contents are
-    backend-agnostic.
+    Construction and refinement go through the compute backend (defaulting
+    to the encoded relation's); both of its configurations produce
+    identical :class:`Partition` objects (``int64`` CSR arrays), so cache
+    contents do not depend on the configuration.
 
     ``max_entries`` bounds the number of retained partitions with LRU
     eviction (``None`` — the default — retains everything): long-lived
@@ -466,7 +323,7 @@ class PartitionCache:
 
     def _build(self, key: FrozenSet[int]) -> Partition:
         if not key:
-            return self._backend.partition_unit(self._encoded.num_rows)
+            return Partition.unit(self._encoded.num_rows)
         if len(key) == 1:
             (index,) = key
             return self._single(index, self._encoded.num_rows)
@@ -494,7 +351,7 @@ class PartitionCache:
         backend the column's cached row order."""
         encoded = self._encoded
         return self._backend.partition_single(
-            self._native_ranks(index), num_rows,
+            encoded.native_ranks_by_index(index), num_rows,
             lambda: encoded.row_order_by_index(index),
         )
 
@@ -503,15 +360,9 @@ class PartitionCache:
         backend the column's cached row order."""
         encoded = self._encoded
         return self._backend.partition_refine(
-            partition, self._native_ranks(index),
+            partition, encoded.native_ranks_by_index(index),
             lambda: encoded.row_order_by_index(index),
         )
-
-    def _native_ranks(self, index: int):
-        getter = getattr(self._encoded, "native_ranks_by_index", None)
-        if getter is not None:
-            return getter(index)
-        return self._backend.to_native(self._encoded.ranks_by_index(index))
 
     def evict_level(self, level: int) -> None:
         """Drop cached partitions of attribute sets smaller than ``level``.

@@ -18,9 +18,8 @@ against, and they power the violation reports of
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.dataset.partition import Partition
 from repro.dataset.relation import Relation
 from repro.dependencies.nested_order import nested_compare
 from repro.dependencies.oc import CanonicalOC
@@ -29,18 +28,21 @@ from repro.dependencies.ofd import OFD
 
 
 def _context_classes(relation: Relation, context: Iterable[str]) -> List[List[int]]:
-    """Equivalence classes of the context, *including* singletons-free strip.
+    """Stripped equivalence classes of the context, grouped by hand.
 
     Singleton classes can contain no violating pair, so the stripped
-    partition is sufficient for violation enumeration.
+    classes are sufficient for violation enumeration.  Rows are grouped by
+    their rank tuples with a plain dict, not through the partition code
+    the discovery framework runs, so this ground truth shares none of it:
+    classes come out in first-row order, rows ascending.
     """
     context = list(context)
     encoded = relation.encoded()
-    if not context:
-        return list(Partition.unit(relation.num_rows))
-    keys = [tuple(encoded.ranks(a)[row] for a in context)
-            for row in range(relation.num_rows)]
-    return list(Partition.from_row_keys(keys))
+    columns = [encoded.ranks(a) for a in context]
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for row in range(relation.num_rows):
+        groups.setdefault(tuple(c[row] for c in columns), []).append(row)
+    return [rows for rows in groups.values() if len(rows) >= 2]
 
 
 def find_swaps(relation: Relation, oc: CanonicalOC) -> List[Tuple[int, int]]:

@@ -6,8 +6,8 @@ the CLI) opt in.  The CLI wires ``--log-level`` and the
 ``REPRO_LOG_LEVEL`` environment variable through :func:`configure`.
 
 Paths that would otherwise degrade silently — the native kernels falling
-back to numpy, graceful-shutdown cancellations — emit WARN/INFO records
-through :func:`get_logger`.
+back to the reference loops, graceful-shutdown cancellations — emit
+WARN/INFO records through :func:`get_logger`.
 """
 
 from __future__ import annotations

@@ -1,43 +1,58 @@
 """Unit tests for the compute-backend registry and kernel parity.
 
-The NumPy backend must be observationally identical to the pure-Python
-reference on every kernel: encoding (including dirty mixed-type columns),
-partition construction/refinement/products, exact checks and all
-removal-set kernels, including early-exit behaviour under a removal
-budget.  These tests compare the two implementations directly on
-randomised inputs; ``test_differential.py`` does the same at the level of
-whole discovery runs.
+The ``"numpy"`` configuration must be observationally identical to the
+``"python"`` reference configuration on every kernel: encoding (including
+dirty mixed-type columns), exact checks and all removal-set kernels,
+including early-exit behaviour under a removal budget.  Partition
+construction, refinement and products are checked against the
+hand-grouping oracle in both configurations.  These tests compare the
+implementations directly on randomised inputs; ``test_differential.py``
+does the same at the level of whole discovery runs.
 """
 
-import os
-
+import numpy
 import pytest
+from _partition_oracle import classes_of, group, product, refine
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import (
     BACKEND_ENV_VAR,
-    available_backends,
     default_backend_name,
     get_backend,
+    native,
     resolve_backend,
 )
-from repro.backend.python_backend import PythonBackend
+from repro.backend.numpy_backend import NumpyBackend
 from repro.dataset.encoding import encode_column
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
 from repro.validation.exact_oc import oc_holds_in_classes
 from repro.validation.exact_ofd import ofd_holds_in_classes
 
-numpy = pytest.importorskip("numpy")
-
 python_backend = get_backend("python")
 numpy_backend = get_backend("numpy")
+BOTH = (python_backend, numpy_backend)
 
 
 class TestRegistry:
-    def test_available_backends(self):
-        assert "python" in available_backends()
-        assert "numpy" in available_backends()
+    def test_python_names_the_reference_configuration(self, monkeypatch):
+        """Both names select the one backend class; ``python`` turns
+        every fast path off, even where the native library loads."""
+        assert type(python_backend) is type(numpy_backend) is NumpyBackend
+        assert (python_backend.name, numpy_backend.name) == ("python", "numpy")
+        assert python_backend.oc_kernel_name == "python"
+        expected = "python" if native.kernels() is None else "native"
+        assert numpy_backend.oc_kernel_name == expected
+
+        def no_fast_path(*args):
+            raise AssertionError("the reference configuration encoded fast")
+
+        monkeypatch.setattr(NumpyBackend, "_encode_fast", no_fast_path)
+        ranks, dictionary, column = python_backend.encode_column(
+            [3, 1, 3], AttributeType.INTEGER
+        )
+        assert ranks == [1, 0, 1] and dictionary == [1, 3]
+        assert column.dtype == numpy.int32
 
     def test_get_backend_is_singleton(self):
         assert get_backend("python") is get_backend("python")
@@ -47,7 +62,7 @@ class TestRegistry:
         assert get_backend("auto").name == "numpy"
 
     def test_resolve_instance_passthrough(self):
-        backend = PythonBackend()
+        backend = NumpyBackend()
         assert resolve_backend(backend) is backend
 
     def test_resolve_name(self):
@@ -178,12 +193,12 @@ class TestPartitionParity:
     @given(column=small_column)
     @settings(max_examples=60, deadline=None)
     def test_single(self, column):
-        expected = python_backend.partition_single(column, len(column))
-        actual = numpy_backend.partition_single(
-            numpy_backend.to_native(column), len(column)
-        )
-        assert actual == expected
-        assert actual.classes == expected.classes  # identical lists of ints
+        for backend in BOTH:
+            built = backend.partition_single(
+                backend.to_native(column), len(column)
+            )
+            assert classes_of(built) == group(column)
+            assert built.classes == group(column)  # identical lists of ints
 
     @given(base=small_column, refiner=small_column)
     @settings(max_examples=60, deadline=None)
@@ -191,30 +206,29 @@ class TestPartitionParity:
         size = min(len(base), len(refiner))
         base, refiner = base[:size], refiner[:size]
         partition = Partition.single(base)
-        expected = python_backend.partition_refine(partition, refiner)
-        actual = numpy_backend.partition_refine(
-            partition, numpy_backend.to_native(refiner)
-        )
-        assert actual == expected
+        for backend in BOTH:
+            refined = backend.partition_refine(
+                partition, backend.to_native(refiner)
+            )
+            assert classes_of(refined) == refine(group(base), refiner)
 
     @given(left=small_column, right=small_column)
     @settings(max_examples=60, deadline=None)
     def test_product(self, left, right):
         size = min(len(left), len(right))
         left, right = left[:size], right[:size]
-        expected = python_backend.partition_product(
-            Partition.single(left), Partition.single(right)
-        )
-        actual = numpy_backend.partition_product(
-            Partition.single(left), Partition.single(right)
-        )
-        assert actual == expected
+        for backend in BOTH:
+            result = backend.partition_product(
+                Partition.single(left), Partition.single(right)
+            )
+            assert classes_of(result) == product(group(left), group(right))
 
     def test_product_size_mismatch(self):
-        with pytest.raises(ValueError):
-            numpy_backend.partition_product(
-                Partition.single([0, 0]), Partition.single([0, 0, 0])
-            )
+        for backend in BOTH:
+            with pytest.raises(ValueError):
+                backend.partition_product(
+                    Partition.single([0, 0]), Partition.single([0, 0, 0])
+                )
 
 
 # -- validation kernel parity --------------------------------------------------

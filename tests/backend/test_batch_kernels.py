@@ -13,10 +13,13 @@ short classes at once and on one huge class beside many small ones.
 import contextlib
 import random
 
+import numpy
 import pytest
+from _partition_oracle import classes_of, group, refine
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import get_backend
+from repro.backend import get_backend, native
+from repro.backend.numpy_backend import NumpyBackend, stable_rank_order
 from repro.dataset.partition import Partition, PartitionCache
 from repro.dataset.relation import Relation
 from repro.discovery.api import discover_aods
@@ -25,14 +28,6 @@ from repro.validation.approx_oc_optimal import optimal_removal_count
 from repro.validation.exact_oc import oc_holds_in_classes
 from repro.validation.exact_ofd import ofd_holds_in_classes
 from repro.validation.lnds import lnds_length_quadratic
-
-numpy = pytest.importorskip("numpy")
-
-from repro.backend import native  # noqa: E402 - imports numpy
-from repro.backend.numpy_backend import (  # noqa: E402
-    NumpyBackend,
-    stable_rank_order,
-)
 
 BACKENDS = ("python", "numpy")
 
@@ -318,17 +313,26 @@ def test_sorted_partitions_match_the_python_backend(side, relation):
         cache = PartitionCache(encoded, backend=nq)
         reference_cache = PartitionCache(reference, backend=py)
         for context in _contexts(relation):
-            assert cache.get_by_names(context) == \
-                reference_cache.get_by_names(context)
+            built = cache.get_by_names(context)
+            assert built == reference_cache.get_by_names(context)
+            columns = [relation.column(name) for name in context]
+            assert classes_of(built) == group(
+                tuple(c[row] for c in columns)
+                for row in range(relation.num_rows)
+            )
         for name in relation.attribute_names:
-            for index in range(len(relation.attribute_names)):
-                assert nq.partition_refine(
+            for index, refiner in enumerate(relation.attribute_names):
+                refined = nq.partition_refine(
                     cache.get_by_names([name]),
                     encoded.native_ranks_by_index(index),
                     lambda index=index: encoded.row_order_by_index(index),
-                ) == py.partition_refine(
+                )
+                assert refined == py.partition_refine(
                     reference_cache.get_by_names([name]),
                     reference.ranks_by_index(index),
+                )
+                assert classes_of(refined) == refine(
+                    group(relation.column(name)), relation.column(refiner)
                 )
 
 
@@ -406,8 +410,8 @@ def _refine_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_native_refine_matches_the_lexsort_and_the_python_backend(case):
     """The one native refinement call, the lexsort path and the python
-    backend build the same canonical partition, array for array, on both
-    sides of the scatter fraction and at its default."""
+    backend build the oracle's canonical partition, array for array, on
+    both sides of the scatter fraction and at its default."""
     n, ranks, classes = case
     py, nq = get_backend("python"), get_backend("numpy")
     offsets = [0]
@@ -415,6 +419,7 @@ def test_native_refine_matches_the_lexsort_and_the_python_backend(case):
         offsets.append(offsets[-1] + len(rows))
     flat = [row for rows in classes for row in rows]
     expected = py.partition_refine(Partition.from_csr(flat, offsets, n), ranks)
+    assert classes_of(expected) == refine(classes, ranks)
     column = nq.to_native(ranks)
     sides = [contextlib.nullcontext(), _branch_side("sort")]
     if native.kernels() is not None:

@@ -1,33 +1,29 @@
-"""CSR partition layout: invariants and cross-backend parity.
+"""CSR partition layout: invariants and parity with the hand-grouping oracle.
 
-The flat ``(row_indices, class_offsets)`` layout must be observationally
-identical to the legacy list-of-lists on every construction path —
-``single``, ``from_row_keys``, ``unit``, refinement and products — on both
-backends, and plane threads must count straight off it.
+The flat ``(row_indices, class_offsets)`` layout must hold the classes the
+oracle groups by hand on every construction path — single columns,
+multi-attribute keys, ``unit``, refinement and products — in both backend
+configurations, and plane threads must count straight off it.
 """
 
+import numpy
 import pytest
+from _partition_oracle import classes_of, group, product
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 from repro.dataset.generators import generate_flight_like
-from repro.dataset.partition import (
-    Partition,
-    PartitionCache,
-    build_partition_from_row_keys,
-    build_partition_single,
-)
+from repro.dataset.partition import Partition, PartitionCache
+from repro.dataset.relation import Relation
 
-BACKENDS = available_backends()
-
-
-def _plain(sequence):
-    return sequence.tolist() if hasattr(sequence, "tolist") else list(sequence)
+BACKENDS = ["python", "numpy"]
 
 
 def _check_invariants(partition):
     """The layout contract every constructor must uphold."""
-    rows = _plain(partition.row_indices)
-    offsets = _plain(partition.class_offsets)
+    assert partition.row_indices.dtype == numpy.int64
+    assert partition.class_offsets.dtype == numpy.int64
+    rows = partition.row_indices.tolist()
+    offsets = partition.class_offsets.tolist()
     assert offsets[0] == 0
     assert offsets[-1] == len(rows)
     assert offsets == sorted(offsets)
@@ -50,60 +46,65 @@ def _workload():
     return relation
 
 
+def _rows(relation):
+    """The relation's raw cell values as row tuples."""
+    return list(zip(*(relation.column(name) for name in relation.attribute_names)))
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_single_column_construction_matches_reference(backend):
     relation = _workload()
     resolved = get_backend(backend)
     encoded = relation.encoded(resolved)
-    for index in range(relation.num_attributes):
+    for index, name in enumerate(relation.attribute_names):
         built = resolved.partition_single(
             encoded.native_ranks_by_index(index), relation.num_rows
         )
-        reference = build_partition_single(
-            encoded.ranks_by_index(index), relation.num_rows
-        )
         _check_invariants(built)
-        assert built == reference
-        assert built.classes == reference.classes
+        assert classes_of(built) == group(relation.column(name))
+        assert built.classes == classes_of(built)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_from_row_keys_matches_reference(backend):
+    """A multi-attribute context holds the rows grouped by their key
+    tuples."""
     relation = _workload()
     resolved = get_backend(backend)
-    encoded = relation.encoded(resolved)
-    names = relation.attribute_names
-    keys = [
-        tuple(encoded.ranks(name)[row] for name in names[:3])
-        for row in range(relation.num_rows)
-    ]
-    built = resolved.partition_from_row_keys(keys, relation.num_rows)
-    reference = build_partition_from_row_keys(keys, relation.num_rows)
+    built = PartitionCache(relation.encoded(resolved), backend=resolved).get(
+        frozenset(range(3))
+    )
     _check_invariants(built)
-    assert built == reference
+    assert classes_of(built) == group(row[:3] for row in _rows(relation))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_unit_partition_layout(backend):
+    """The empty context is the unit partition: one class of every row,
+    none over fewer than two rows."""
     resolved = get_backend(backend)
-    unit = resolved.partition_unit(7)
-    _check_invariants(unit)
-    assert unit.classes == [list(range(7))]
-    assert resolved.partition_unit(1).num_classes == 0
-    assert resolved.partition_unit(0).num_classes == 0
+    for num_rows, classes in ((7, [list(range(7))]), (1, []), (0, [])):
+        relation = Relation.from_columns({"a": list(range(num_rows))})
+        unit = PartitionCache(relation.encoded(resolved), backend=resolved).get(
+            frozenset()
+        )
+        _check_invariants(unit)
+        assert unit.classes == classes
+        assert unit == Partition.unit(num_rows)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_cache_products_match_across_backends(backend):
-    """Every cached context over the lattice's first levels is identical —
-    offsets, rows and legacy class lists — to the reference backend's."""
+    """Every cached context over the lattice's first levels holds the
+    oracle's classes, and is array for array the other configuration's."""
     relation = _workload()
     resolved = get_backend(backend)
-    reference = get_backend("python")
+    other = get_backend("numpy" if backend == "python" else "python")
     cache = PartitionCache(relation.encoded(resolved), backend=resolved)
-    ref_cache = PartitionCache(relation.encoded(reference), backend=reference)
+    other_cache = PartitionCache(relation.encoded(other), backend=other)
     from itertools import combinations
 
+    rows = _rows(relation)
     keys = [frozenset()]
     for size in (1, 2, 3):
         keys.extend(
@@ -112,12 +113,11 @@ def test_cache_products_match_across_backends(backend):
         )
     for key in keys:
         built = cache.get(key)
-        expected = ref_cache.get(key)
         _check_invariants(built)
-        assert built == expected, sorted(key)
-        assert _plain(built.class_offsets) == _plain(expected.class_offsets)
-        assert _plain(built.row_indices) == _plain(expected.row_indices)
-        assert built.classes == expected.classes
+        assert classes_of(built) == group(
+            tuple(row[i] for i in sorted(key)) for row in rows
+        ), sorted(key)
+        assert built == other_cache.get(key), sorted(key)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -131,13 +131,13 @@ def test_product_partition_matches_product(backend):
     right = resolved.partition_single(
         encoded.native_ranks_by_index(1), relation.num_rows
     )
-    product = resolved.partition_product(left, right)
-    _check_invariants(product)
-    assert product == resolved.partition_refine(
+    result = resolved.partition_product(left, right)
+    _check_invariants(result)
+    assert result == resolved.partition_refine(
         left, encoded.native_ranks_by_index(1)
     )
-    # Reference probe-table algorithm on the same inputs.
-    assert product == left.product_partition(right)
+    # The oracle's probe-table product on the same inputs.
+    assert classes_of(result) == product(classes_of(left), classes_of(right))
 
 
 def test_legacy_list_constructor_normalises():
@@ -149,7 +149,13 @@ def test_legacy_list_constructor_normalises():
 
 
 def test_from_csr_is_adopted_verbatim():
+    rows = numpy.array([0, 1, 4, 6], dtype=numpy.int64)
+    offsets = numpy.array([0, 2, 4], dtype=numpy.int64)
+    adopted = Partition.from_csr(rows, offsets, 8)
+    assert adopted.row_indices is rows and adopted.class_offsets is offsets
     partition = Partition.from_csr([0, 1, 4, 6], [0, 2, 4], 8)
+    _check_invariants(partition)
+    assert partition == adopted
     assert partition.num_classes == 2
     assert partition.classes == [[0, 1], [4, 6]]
     assert partition == Partition([[0, 1], [4, 6]], 8)

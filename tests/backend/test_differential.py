@@ -28,8 +28,6 @@ from repro.validation.approx_ofd import validate_aofd
 from repro.validation.exact_oc import validate_exact_oc
 from repro.validation.lnds import lnds_indices, lnds_length_quadratic
 
-pytest.importorskip("numpy")
-
 BACKENDS = ("python", "numpy")
 
 

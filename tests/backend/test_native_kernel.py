@@ -24,18 +24,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import get_backend
+from repro.backend import get_backend, native
 from repro.dataset.generators import generate_flight_like
 from repro.discovery.api import discover_aods
 from repro.validation.approx_oc_optimal import optimal_removal_count
 from repro.validation.approx_ofd import aofd_removal_rows
-
-numpy = pytest.importorskip("numpy")
-
-from repro.backend import native  # noqa: E402 - imports numpy
 
 NUMPY = get_backend("numpy")
 KERNELS = native.kernels()

@@ -12,11 +12,7 @@ tests stay out: hypothesis refuses one test run from two executors.)
 import random
 
 import pytest
-
-pytest.importorskip("numpy")
-
-from repro.backend import get_backend, native  # noqa: E402
-from test_batch_kernels import (  # noqa: E402,F401 - collected again here
+from test_batch_kernels import (  # noqa: F401 - collected again here
     TestExactHoldsBatch,
     TestOcCountBatch,
     TestOfdRemovalBatch,
@@ -24,11 +20,13 @@ from test_batch_kernels import (  # noqa: E402,F401 - collected again here
     test_sorted_partitions_match_the_python_backend,
     test_the_branch_sides_take_their_paths,
 )
-from test_differential import (  # noqa: E402,F401 - collected again here
+from test_differential import (  # noqa: F401 - collected again here
     test_discovery_results_identical,
     test_validators_identical_on_all_candidate_pairs,
     test_validators_identical_with_contexts,
 )
+
+from repro.backend import get_backend, native
 
 
 @pytest.fixture(autouse=True, scope="module")

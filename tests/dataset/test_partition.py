@@ -1,10 +1,18 @@
 """Tests for repro.dataset.partition (stripped partitions and the cache)."""
 
 import pytest
+from _partition_oracle import classes_of, group, refine, refines
 from hypothesis import given, strategies as st
 
+from repro.backend import resolve_backend
 from repro.dataset.examples import employee_salary_table
 from repro.dataset.partition import Partition, PartitionCache
+from repro.dataset.relation import Relation
+
+
+def _refine(partition, column):
+    """``partition`` refined by ``column`` on the default backend."""
+    return resolve_backend(None).partition_refine(partition, column)
 
 
 class TestPartitionBasics:
@@ -26,8 +34,12 @@ class TestPartitionBasics:
         assert Partition.unit(1).classes == []
 
     def test_from_row_keys(self):
-        partition = Partition.from_row_keys([(0, 1), (0, 1), (1, 0), (0, 2)])
-        assert partition.classes == [[0, 1]]
+        keys = [(0, 1), (0, 1), (1, 0), (0, 2)]
+        relation = Relation.from_columns({
+            "x": [key[0] for key in keys], "y": [key[1] for key in keys],
+        })
+        partition = PartitionCache(relation.encoded()).get([0, 1])
+        assert partition.classes == group(keys) == [[0, 1]]
 
     def test_counts(self):
         partition = Partition.single([0, 0, 1, 1, 1, 2])
@@ -48,25 +60,30 @@ class TestPartitionBasics:
 class TestPartitionProducts:
     def test_product_with_column(self):
         base = Partition.single([0, 0, 0, 1, 1])
-        refined = base.product([0, 0, 1, 0, 0])
+        column = [0, 0, 1, 0, 0]
+        refined = _refine(base, column)
+        assert classes_of(refined) == refine(classes_of(base), column)
         assert sorted(map(tuple, refined.classes)) == [(0, 1), (3, 4)]
 
     def test_product_partition_matches_from_keys(self):
         a = [0, 0, 1, 1, 0, 1]
         b = [0, 1, 0, 1, 0, 0]
-        via_product = Partition.single(a).product_partition(Partition.single(b))
-        via_keys = Partition.from_row_keys(list(zip(a, b)))
-        assert via_product == via_keys
+        via_product = resolve_backend(None).partition_product(
+            Partition.single(a), Partition.single(b)
+        )
+        assert classes_of(via_product) == group(zip(a, b))
 
     def test_product_partition_size_mismatch(self):
         with pytest.raises(ValueError):
-            Partition.single([0, 0]).product_partition(Partition.single([0, 0, 0]))
+            resolve_backend(None).partition_product(
+                Partition.single([0, 0]), Partition.single([0, 0, 0])
+            )
 
     def test_refines(self):
         coarse = Partition.single([0, 0, 0, 1, 1])
-        fine = coarse.product([0, 1, 1, 0, 0])
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
+        fine = _refine(coarse, [0, 1, 1, 0, 0])
+        assert refines(classes_of(fine), classes_of(coarse))
+        assert not refines(classes_of(coarse), classes_of(fine))
 
     @given(
         st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=30),
@@ -75,14 +92,15 @@ class TestPartitionProducts:
     def test_product_commutes(self, a, b):
         size = min(len(a), len(b))
         a, b = a[:size], b[:size]
-        left = Partition.single(a).product(b)
-        right = Partition.single(b).product(a)
+        left = _refine(Partition.single(a), b)
+        right = _refine(Partition.single(b), a)
         assert left == right
+        assert classes_of(left) == group(zip(a, b))
 
     @given(st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=40))
     def test_product_with_self_is_identity(self, column):
         partition = Partition.single(column)
-        assert partition.product(column) == partition
+        assert _refine(partition, column) == partition
 
 
 class TestPartitionCache:
@@ -112,7 +130,7 @@ class TestPartitionCache:
             (encoded.ranks("pos")[row], encoded.ranks("exp")[row])
             for row in range(table.num_rows)
         ]
-        assert cache.get_by_names(["pos", "exp"]) == Partition.from_row_keys(keys)
+        assert classes_of(cache.get_by_names(["pos", "exp"])) == group(keys)
 
     def test_cache_hits(self, cache):
         cache.get_by_names(["pos"])

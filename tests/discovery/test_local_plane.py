@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_pipelined_scheduler import COUNTER_FIELDS
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 from repro.dataset.generators import generate_flight_like
 from repro.dataset.relation import Relation
 from repro.discovery.api import discover, discover_aods, discover_ods
@@ -41,9 +41,7 @@ from repro.discovery.session import Profiler
 from repro.validation.distributed import ColumnPlane
 
 #: ``(backend, native kernels forced off)`` per kernel leg.
-KERNEL_LEGS = [("python", False)]
-if "numpy" in available_backends():
-    KERNEL_LEGS += [("numpy", False), ("numpy", True)]
+KERNEL_LEGS = [("python", False), ("numpy", False), ("numpy", True)]
 
 VALIDATORS = {
     "optimal": dict(threshold=0.2, validator="optimal"),
@@ -185,7 +183,7 @@ def test_workers_above_the_core_count_start_one_thread_per_core(monkeypatch):
         2000, num_attributes=6, error_rate=0.1, seed=11
     ).relation
     cores = len(os.sched_getaffinity(0))
-    backend = available_backends()[-1]
+    backend = "numpy"
     backend_cls = type(get_backend(backend))
     real = backend_cls.oc_optimal_removal_count_batch
     live = []
@@ -228,7 +226,6 @@ def test_more_threads_than_cores_with_frequent_switches_equal_inline():
 @pytest.fixture
 def on_main_thread(monkeypatch):
     """Per native OC batch call, whether it ran on the main thread."""
-    pytest.importorskip("numpy")
     from repro.backend import native
 
     if native.kernels() is None:
@@ -290,7 +287,7 @@ def test_cancel_with_groups_in_flight(monkeypatch):
     relation = generate_flight_like(
         300, num_attributes=6, error_rate=0.1, seed=5
     ).relation
-    backend = available_backends()[-1]
+    backend = "numpy"
     backend_cls = type(get_backend(backend))
     real_count = backend_cls.oc_optimal_removal_count_batch
     real_submit = ColumnPlane.submit
@@ -354,7 +351,7 @@ class KernelBoom(RuntimeError):
 
 def test_kernel_error_on_a_plane_thread_surfaces_at_harvest(monkeypatch):
     monkeypatch.setattr(DiscoveryEngine, "_oc_threads", lambda self: 2)
-    backend = available_backends()[-1]
+    backend = "numpy"
     backend_cls = type(get_backend(backend))
     raised_on = []
     harvest_errors = []

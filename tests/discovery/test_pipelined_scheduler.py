@@ -13,14 +13,13 @@ them after the OFD pass.  Acceptance bars:
 
 import pytest
 
-from repro.backend import available_backends
 from repro.dataset.generators import generate_flight_like
 from repro.dataset.relation import Relation
 from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
 from repro.discovery.session import CancellationToken, Profiler
 
-BACKENDS = available_backends()
+BACKENDS = ["python", "numpy"]
 
 #: Statistics fields that must be identical across plane thread counts
 #: (the timers and the worker count are the only legitimate differences).

@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-from repro.backend import available_backends
 from repro.dataset.examples import employee_salary_table
 from repro.dataset.generators import generate_flight_like
 from repro.discovery.api import discover_aods, discover_ods
@@ -27,7 +26,7 @@ from repro.discovery.events import (
 )
 from repro.discovery.session import CancellationToken, Profiler
 
-BACKENDS = available_backends()
+BACKENDS = ["python", "numpy"]
 
 WORKLOADS = {
     "table1": employee_salary_table(),

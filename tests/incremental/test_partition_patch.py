@@ -10,16 +10,18 @@ unaffected context's memoised removal counts stay exact).
 from itertools import combinations
 
 import pytest
+from _partition_oracle import classes_of, classes_over, group, refine
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import available_backends
+from repro.backend import get_backend
+from repro.backend.numpy_backend import NumpyBackend
 from repro.dataset.encoding import EncodedRelation
 from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
 from repro.dataset.generators import generate_flight_like
 
-BACKENDS = available_backends()
+BACKENDS = ["python", "numpy"]
 
 
 def _all_context_keys(relation, max_size=3):
@@ -142,14 +144,9 @@ def test_apply_delta_rejects_shrinking():
         cache.apply_delta(encoded, 5)
 
 
-def _class_sets(rows, num_attributes, key):
+def _class_sets(rows, key):
     """The stripped classes of ``key`` over ``rows``, grouped by hand."""
-    groups = {}
-    for row_id, row in enumerate(rows):
-        groups.setdefault(tuple(row[i] for i in sorted(key)), []).append(
-            row_id
-        )
-    return {tuple(g) for g in groups.values() if len(g) >= 2}
+    return set(map(tuple, classes_over(rows, key)))
 
 
 @st.composite
@@ -211,11 +208,98 @@ def test_append_sequences_match_fresh_builds(backend, scenario):
             assert cache.get(key) == fresh.get(key), sorted(key)
         assert set(patches) <= before
         for key in before:
-            old_set = _class_sets(old_rows, num_attributes, key)
-            new_set = _class_sets(rows, num_attributes, key)
+            old_set = _class_sets(old_rows, key)
+            new_set = _class_sets(rows, key)
             if key in after:
                 assert (key in patches) == (old_set != new_set), sorted(key)
             if key in patches:
                 removed, added = patches[key]
                 assert sorted(map(tuple, removed)) == sorted(old_set - new_set)
                 assert sorted(map(tuple, added)) == sorted(new_set - old_set)
+
+
+@st.composite
+def _scatter_scenarios(draw):
+    """A table whose level-1 partitions group m of its n rows on both
+    sides of ``_REFINE_SCATTER_FRACTION`` — a sparse column, distinct but
+    for one or two repeated values, below it and a dense low-cardinality
+    column above it — plus a few appends of copied or fresh rows."""
+    fraction = NumpyBackend._REFINE_SCATTER_FRACTION
+    n = draw(st.integers(28, 60))
+    # 2 * pairs rows grouped: below fraction * n for every n >= 28.
+    pairs = draw(st.integers(1, max(1, int((fraction * n - 1e-9) // 2))))
+    sparse = list(range(n))
+    for i in range(pairs):
+        sparse[2 * i + 1] = sparse[2 * i]
+    columns = [draw(st.permutations(sparse))]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            cell = st.one_of(st.none(), st.integers(0, 2))
+            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+        else:
+            columns.append(draw(st.permutations(sparse)))
+    columns.append(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    rows = list(zip(*columns))
+    fresh = st.tuples(*(
+        [st.integers(0, n + 5)] + [st.one_of(st.none(), st.integers(0, 2))]
+        * (len(columns) - 1)
+    ))
+    deltas = draw(st.lists(
+        st.lists(st.one_of(st.sampled_from(rows), fresh), max_size=6),
+        min_size=1, max_size=3,
+    ))
+    return rows, deltas
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=_scatter_scenarios())
+def test_cache_builds_refines_and_appends_match_the_oracle(backend, scenario):
+    """Level-1 builds, refinements of parents on both sides of the scatter
+    fraction (the native refine and the lexsort in the numpy
+    configuration, the lexsort in the python one) and every cached key
+    after each append hold the classes the hand-grouping oracle finds."""
+    rows, deltas = scenario
+    resolved = get_backend(backend)
+    names = [f"a{i}" for i in range(len(rows[0]))]
+
+    def relation_of(table):
+        return Relation.from_columns({
+            name: [row[i] for row in table] for i, name in enumerate(names)
+        })
+
+    encoded = relation_of(rows).encoded(resolved)
+    cache = PartitionCache(encoded, backend=resolved)
+    columns = list(zip(*rows))
+    sparse_parents = set()
+    for i, column in enumerate(columns):
+        parent = cache.get([i])
+        assert classes_of(parent) == group(column)
+        sparse_parents.add(parent.num_grouped_rows
+                           < NumpyBackend._REFINE_SCATTER_FRACTION * len(rows))
+        for j, refiner in enumerate(columns):
+            refined = resolved.partition_refine(
+                parent, encoded.native_ranks_by_index(j),
+                lambda j=j: encoded.row_order_by_index(j),
+            )
+            assert classes_of(refined) == refine(group(column), refiner)
+    assert sparse_parents == {True, False}
+    keys = [frozenset(c) for size in range(len(names) + 1)
+            for c in combinations(range(len(names)), size)]
+    for key in keys:
+        assert classes_of(cache.get(key)) == classes_over(rows, key)
+    for delta in deltas:
+        extended, _ = encoded.extend({
+            name: [row[i] for row in delta] for i, name in enumerate(names)
+        })
+        patches = cache.apply_delta(extended, len(rows))
+        old_rows, rows, encoded = rows, rows + list(delta), extended
+        for key in keys:
+            assert classes_of(cache.get(key)) == classes_over(rows, key)
+            old_set, new_set = _class_sets(old_rows, key), _class_sets(rows, key)
+            assert (key in patches) == (old_set != new_set), sorted(key)
+            if key in patches:
+                removed, added = patches[key]
+                assert set(map(tuple, classes_of(removed))) == old_set - new_set
+                assert set(map(tuple, classes_of(added))) == new_set - old_set

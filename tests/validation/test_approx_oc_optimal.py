@@ -11,7 +11,7 @@ The key properties are those of Theorems 3.3 and 3.4's setting:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend, native
 from repro.dataset.examples import employee_salary_table, tuple_ids_to_rows
 from repro.dataset.generators import generate_planted_oc_table
 from repro.dataset.partition import PartitionCache
@@ -108,8 +108,8 @@ small_tables = st.lists(
 def _batch_counts(relation, oc, limit):
     """``oc_optimal_removal_count_batch`` for ``oc`` under ``limit`` on
     every kernel, by label: the python backend, numpy on whichever kernels
-    this host loaded, and numpy with the native library forced to ``None``
-    (when numpy is installed)."""
+    this host loaded, and numpy with the native library forced to
+    ``None``."""
     counts = {}
 
     def count(label, backend):
@@ -121,13 +121,10 @@ def _batch_counts(relation, oc, limit):
         )
 
     count("python", get_backend("python"))
-    if "numpy" in available_backends():
-        from repro.backend import native
-
-        count("numpy", get_backend("numpy"))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "kernels", lambda: None)
-            count("numpy-no-compiler", get_backend("numpy"))
+    count("numpy", get_backend("numpy"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "kernels", lambda: None)
+        count("numpy-no-compiler", get_backend("numpy"))
     return counts
 
 

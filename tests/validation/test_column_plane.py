@@ -15,13 +15,13 @@ import traceback
 
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 from repro.dataset.generators import generate_planted_oc_table
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
 from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
-BACKENDS = available_backends()
+BACKENDS = ["python", "numpy"]
 
 
 def _relation():
