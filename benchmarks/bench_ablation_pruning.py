@@ -1,15 +1,12 @@
 """Ablation benches for the framework's design choices.
 
-Three switches are ablated on the same workload:
+Two switches are ablated on the same workload:
 
 * **node deletion** (`prune_exhausted_nodes`) — the FASTOD/TANE-style rule
   that drops lattice nodes whose candidate sets emptied out; turning it off
   makes the search exhaustive over the full 2^|R| lattice,
 * **aggressive OFD pruning** (`aggressive_ofd_pruning`) — TANE's
-  right-hand-side rule fired by exactly-held OFDs,
-* **hybrid sample prefilter** (`repro.discovery.sampling`) — the §5
-  future-work idea: reject hopeless AOC candidates from a small sample
-  before running the full LNDS validation.
+  right-hand-side rule fired by exactly-held OFDs.
 
 Reported for each configuration: discovery runtime, number of candidates
 validated and number of dependencies found (the ablations must not change
@@ -21,8 +18,6 @@ import pytest
 from repro.benchlib.workloads import WorkloadSpec, make_workload
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
-from repro.discovery.sampling import prefilter_candidates
-from repro.dependencies.oc import CanonicalOC
 
 NUM_ROWS = 800
 NUM_ATTRIBUTES = 12
@@ -72,41 +67,10 @@ def test_pruning_ablation(benchmark, label, node_pruning, ofd_pruning):
         assert OUTCOMES[label]["dependencies"] == baseline["dependencies"]
 
 
-def test_hybrid_prefilter_ablation(benchmark):
-    """Level-2 candidate screening: sample prefilter vs none."""
-    from itertools import combinations
-
-    relation = _relation()
-    candidates = [
-        CanonicalOC((), a, b)
-        for a, b in combinations(relation.attribute_names, 2)
-    ]
-
-    def run():
-        survivors, rejected = prefilter_candidates(
-            relation, candidates, THRESHOLD, sample_size=100, seed=3
-        )
-        return survivors, rejected
-
-    survivors, rejected = benchmark.pedantic(run, rounds=1, iterations=1)
-    OUTCOMES["hybrid sample prefilter (level-2)"] = {
-        "seconds": None,
-        "oc_candidates": len(survivors),
-        "ofd_candidates": 0,
-        "dependencies": len(candidates) - len(rejected),
-    }
-    assert len(survivors) + len(rejected) == len(candidates)
-    # The prefilter must keep every candidate that is actually valid.
-    from repro.validation.approx_oc_optimal import validate_aoc_optimal
-
-    for oc in rejected:
-        assert not validate_aoc_optimal(relation, oc, threshold=THRESHOLD).is_valid
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _render(figure_report):
     yield
-    labels = [label for label in OUTCOMES if OUTCOMES[label]["seconds"] is not None]
+    labels = list(OUTCOMES)
     if not labels:
         return
     figure_report(
@@ -129,8 +93,5 @@ def _render(figure_report):
             "node deletion and OFD pruning trade a small bookkeeping cost for "
             "fewer validated candidates; both are required to reach the "
             "paper's scalability",
-            "the hybrid sample prefilter (separate row set omitted from the "
-            "table) soundly rejects hopeless level-2 candidates from a "
-            "100-row sample",
         ],
     )

@@ -4,8 +4,9 @@ Backend selection
 -----------------
 
 Every entry point that touches a hot path accepts a ``backend`` argument:
-a :class:`ComputeBackend` instance, a registry name (``"python"`` /
-``"numpy"``), ``"auto"`` or ``None``.  Resolution order:
+a :class:`~repro.backend.numpy_backend.NumpyBackend` instance, a registry
+name (``"python"`` / ``"numpy"``), ``"auto"`` or ``None``.  Resolution
+order:
 
 1. an explicit instance or name wins;
 2. ``None`` defers to the ``REPRO_BACKEND`` environment variable;
@@ -16,15 +17,17 @@ Both names select the one backend class, in one of two configurations:
 refine and count kernels when the library loads), ``"python"`` is the
 reference configuration with every fast path off (the reference encoder,
 the lexsort refine and the reference count loops).  NumPy is a required
-dependency.
+dependency, imported on first backend use: ``import repro`` and building
+configurations and requests stay NumPy-free.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Union
+from typing import TYPE_CHECKING, Dict, Union
 
-from repro.backend.base import ComputeBackend
+if TYPE_CHECKING:
+    from repro.backend.numpy_backend import NumpyBackend
 
 #: Values accepted by ``DiscoveryConfig.backend`` and the CLI ``--backend``.
 BACKEND_CHOICES = ("auto", "python", "numpy")
@@ -32,9 +35,9 @@ BACKEND_CHOICES = ("auto", "python", "numpy")
 #: Environment variable consulted when no backend is requested explicitly.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-_instances: Dict[str, ComputeBackend] = {}
+_instances: Dict[str, "NumpyBackend"] = {}
 
-BackendSpec = Union[None, str, ComputeBackend]
+BackendSpec = Union[None, str, "NumpyBackend"]
 
 
 def default_backend_name() -> str:
@@ -48,7 +51,7 @@ def default_backend_name() -> str:
     return "numpy"
 
 
-def get_backend(name: str) -> ComputeBackend:
+def get_backend(name: str) -> "NumpyBackend":
     """Return the (singleton) backend registered under ``name``."""
     name = name.strip().lower()
     if name == "auto":
@@ -65,20 +68,23 @@ def get_backend(name: str) -> ComputeBackend:
     return cached
 
 
-def resolve_backend(spec: BackendSpec = None) -> ComputeBackend:
-    """Resolve a backend spec (instance, name, ``"auto"`` or ``None``)."""
-    if isinstance(spec, ComputeBackend):
-        return spec
+def resolve_backend(spec: BackendSpec = None) -> "NumpyBackend":
+    """Resolve a backend spec (instance, name, ``"auto"`` or ``None``).
+
+    Anything that is neither ``None`` nor a string is taken to be a
+    backend instance, so resolving one never imports NumPy.
+    """
     if spec is None:
         return get_backend(default_backend_name())
-    return get_backend(spec)
+    if isinstance(spec, str):
+        return get_backend(spec)
+    return spec
 
 
 __all__ = [
     "BACKEND_CHOICES",
     "BACKEND_ENV_VAR",
     "BackendSpec",
-    "ComputeBackend",
     "default_backend_name",
     "get_backend",
     "resolve_backend",

@@ -49,9 +49,8 @@ could have written.
 Without a compiler, after a failed build or with a refused cache, one INFO
 line goes to the ``repro`` logger and :func:`kernels` returns ``None``;
 the backend then counts with the reference loops of
-:class:`~repro.backend.base.ComputeBackend` and refines partitions by
-lexsort, as its ``"python"`` configuration always does.  Results are
-identical either way.
+:mod:`repro.validation` and refines partitions by lexsort, as its
+``"python"`` configuration always does.  Results are identical either way.
 """
 
 from __future__ import annotations

@@ -19,12 +19,17 @@ arrays.  One class serves two configurations, picked by registry name:
   batch to one native call: per pair, the OC call sorts each class on
   demand, screens and counts it, and stops at the class that crosses the
   removal budget; the ``g3`` call makes one frequency pass per RHS
-  column.  Without the library both batches, like the rows kernels
-  always, run the base class's reference loops on the columns as lists.
+  column.  Without the library both batches run the reference loops of
+  :mod:`repro.validation` (Algorithm 2's count and the ``g3`` rows loop)
+  on the columns as lists.
 * ``"python"`` is the reference configuration: every fast path is off.
   It encodes with the reference encoder
   (:func:`repro.dataset.encoding.encode_column`), refines by lexsort and
   counts with the reference loops, even where the native library loads.
+
+The removal-*rows* loops (Algorithms 1 and 2, the §3.3 OD variant and
+``g3``) have no backend form: the validators call them directly on the
+cached rank lists.
 
 Parity contract: both configurations return the same values, in the
 same order, with the same early-exit points.  One documented exception:
@@ -42,7 +47,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backend import native
-from repro.backend.base import ComputeBackend
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
 
@@ -80,7 +84,14 @@ def _empty_partition(num_rows: int) -> Partition:
     return Partition.from_csr([], [0], num_rows)
 
 
-class NumpyBackend(ComputeBackend):
+def _as_list(ranks) -> List[int]:
+    """A rank column as the plain list the reference loops index: identity
+    on lists, ``tolist()`` otherwise (scalar indexing into an array is
+    several times slower and yields NumPy scalars)."""
+    return ranks if isinstance(ranks, list) else np.asarray(ranks).tolist()
+
+
+class NumpyBackend:
     """The compute backend over ``int32`` rank arrays; ``reference``
     selects the ``"python"`` configuration (see the module docstring)."""
 
@@ -348,6 +359,27 @@ class NumpyBackend(ComputeBackend):
         )
 
     # -- batched removal kernels ------------------------------------------------
+    #
+    # The level-synchronous scheduler groups all surviving candidates of a
+    # lattice level by context and dispatches each group through one call, so
+    # the context's partition is paid once per group instead of once per
+    # candidate.  A single candidate is a batch of one.  Without the native
+    # library a batch is exactly a loop of the reference kernels, which are
+    # looked up at call time (the validation modules import
+    # ``repro.backend``, so importing them at module load would be a cycle).
+    #
+    # Parity contract for both batch kernels: each returns one ``(count,
+    # exceeded)`` per candidate, and entry ``i`` aligns with input ``i``.
+    # The ``exceeded`` flag must be *exact* (``True`` iff the candidate's
+    # full removal set is larger than ``limit``), and an exceeded entry
+    # carries the class-by-class partial: the count up to and including the
+    # first class that takes it above ``limit``, as the reference loop stops
+    # there.  Whenever ``exceeded`` is ``False`` the count equals ``len`` of
+    # the removal set of the matching rows loop (``optimal_removal_rows``,
+    # ``aofd_removal_rows``).  Discovery only consumes
+    # ``(valid, size-if-valid)``.  At ``limit=0`` the exact ``exceeded``
+    # flag is the exact check: ``not exceeded`` iff the dependency holds
+    # with no removals.  Columns may be arrays or lists.
 
     def oc_optimal_removal_count_batch(
         self, classes, rank_pairs, limit: Optional[int] = None
@@ -365,9 +397,17 @@ class NumpyBackend(ComputeBackend):
         """
         library = self._kernels()
         if library is None:
-            return super().oc_optimal_removal_count_batch(
-                classes, rank_pairs, limit
-            )
+            from repro.validation.approx_oc_optimal import optimal_removal_count
+
+            # Pairs share columns: convert each once per batch, not per pair.
+            lists = {id(ranks): ranks for pair in rank_pairs for ranks in pair}
+            lists = {key: _as_list(ranks) for key, ranks in lists.items()}
+            return [
+                optimal_removal_count(
+                    classes, lists[id(a_ranks)], lists[id(b_ranks)], limit
+                )
+                for a_ranks, b_ranks in rank_pairs
+            ]
         if not rank_pairs:
             return []
         if not len(classes):
@@ -399,7 +439,15 @@ class NumpyBackend(ComputeBackend):
         """
         library = self._kernels()
         if library is None:
-            return super().ofd_removal_batch(classes, rhs_ranks, limit)
+            from repro.validation.approx_ofd import aofd_removal_rows
+
+            return [
+                (len(rows), exceeded)
+                for rows, exceeded in (
+                    aofd_removal_rows(classes, _as_list(ranks), limit)
+                    for ranks in rhs_ranks
+                )
+            ]
         if not rhs_ranks:
             return []
         if not len(classes):
@@ -415,3 +463,6 @@ class NumpyBackend(ComputeBackend):
         )
         counts = library.ofd_removal_count(columns, rows, offsets, freq, limit)
         return [(count, limit is not None and count > limit) for count in counts]
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return f"{type(self).__name__}()"

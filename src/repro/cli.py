@@ -340,7 +340,6 @@ def _request_from_args(args) -> DiscoveryRequest:
         attributes=args.attributes,
         max_level=args.max_level,
         time_limit_seconds=args.time_limit,
-        num_workers=DiscoveryRequest.pin_workers(args.workers),
     )
     if args.exact:
         return DiscoveryRequest.exact(**common)
@@ -387,7 +386,6 @@ def _cmd_sweep(args) -> int:
         attributes=args.attributes,
         max_level=args.max_level,
         time_limit_seconds=args.time_limit,
-        num_workers=DiscoveryRequest.pin_workers(args.workers),
     )
     start = time.perf_counter()
     with _session(relation, args) as session:

@@ -88,8 +88,8 @@ class EncodedRelation:
     num_rows:
         Number of tuples.
     backend:
-        The :class:`~repro.backend.base.ComputeBackend` that produced (and
-        serves the native columns of) this encoding.
+        The :class:`~repro.backend.numpy_backend.NumpyBackend` that
+        produced (and serves the native columns of) this encoding.
     """
 
     def __init__(

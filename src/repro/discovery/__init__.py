@@ -51,7 +51,6 @@ from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import CancellationToken, Profiler
 from repro.discovery.api import discover_aods, discover_ods
 from repro.discovery.interestingness import interestingness_score
-from repro.discovery.sampling import prefilter_candidates, validate_aoc_hybrid
 
 __all__ = [
     "CancellationToken",
@@ -71,6 +70,4 @@ __all__ = [
     "discover_aods",
     "discover_ods",
     "interestingness_score",
-    "prefilter_candidates",
-    "validate_aoc_hybrid",
 ]

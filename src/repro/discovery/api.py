@@ -47,7 +47,6 @@ def discover_ods(
         max_level=max_level,
         time_limit_seconds=time_limit_seconds,
         find_ofds=find_ofds,
-        num_workers=DiscoveryRequest.pin_workers(num_workers),
     )
     with Profiler(relation, backend=backend, num_workers=num_workers,
                   cache_validations=False,
@@ -95,7 +94,6 @@ def discover_aods(
         max_level=max_level,
         time_limit_seconds=time_limit_seconds,
         find_ofds=find_ofds,
-        num_workers=DiscoveryRequest.pin_workers(num_workers),
     )
     with Profiler(relation, backend=backend, num_workers=num_workers,
                   cache_validations=False,
@@ -106,8 +104,7 @@ def discover_aods(
 def discover(relation: Relation, config: DiscoveryConfig) -> DiscoveryResult:
     """Run discovery with an explicit :class:`DiscoveryConfig`.
 
-    This is the engine-level escape hatch (live backend instances,
-    progress callbacks); the engine owns all of its state, exactly like a
-    one-shot session.
+    This is the engine-level escape hatch (live backend instances); the
+    engine owns all of its state, exactly like a one-shot session.
     """
     return DiscoveryEngine(relation, config).run()

@@ -3,9 +3,8 @@
 Two related types live here:
 
 * :class:`DiscoveryConfig` — the engine-facing configuration.  It may hold
-  live objects (a :class:`~repro.backend.base.ComputeBackend` instance, a
-  progress callback) and is what :class:`repro.discovery.engine.DiscoveryEngine`
-  consumes.
+  a live :class:`~repro.backend.numpy_backend.NumpyBackend` instance and is
+  what :class:`repro.discovery.engine.DiscoveryEngine` consumes.
 * :class:`DiscoveryRequest` — the *serialisable* subset of a configuration:
   plain JSON-compatible values only, convertible to and from a
   :class:`DiscoveryConfig`.  This is the request half of the service
@@ -20,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields as _dataclass_fields
 from typing import Dict, List, Optional, Sequence
 
-from repro.backend import BACKEND_CHOICES, ComputeBackend
+from repro.backend import BACKEND_CHOICES
 
 
 #: The validator names accepted by :class:`DiscoveryConfig.validator`.
@@ -67,14 +66,11 @@ class DiscoveryConfig:
         (Exp-5).  Setting it to ``False`` keeps every node alive and makes
         the search exhaustively complete at exponential cost — used by the
         test-suite's brute-force comparisons and useful on narrow schemas.
-    progress_callback:
-        Optional callable invoked as ``callback(level, nodes)`` at the start
-        of every lattice level (used by the CLI for progress output).
     backend:
         Compute backend for the hot paths (encoding, partitions, validation
-        kernels): a :class:`~repro.backend.base.ComputeBackend` instance, a
-        name (``"python"`` / ``"numpy"`` / ``"auto"``), or ``None`` to defer
-        to the ``REPRO_BACKEND`` environment variable / auto-detection.
+        kernels): a :class:`~repro.backend.numpy_backend.NumpyBackend`
+        instance, a name (``"python"`` / ``"numpy"`` / ``"auto"``), or
+        ``None`` to defer to the ``REPRO_BACKEND`` environment variable.
         Every backend produces identical discovery results.
     num_workers:
         Caps the threads that count a run's OC context groups.  Each run
@@ -96,7 +92,6 @@ class DiscoveryConfig:
     find_ofds: bool = True
     aggressive_ofd_pruning: bool = True
     prune_exhausted_nodes: bool = True
-    progress_callback: Optional[object] = None
     backend: Optional[object] = None
     num_workers: int = 1
 
@@ -109,12 +104,20 @@ class DiscoveryConfig:
             raise ValueError(
                 f"validator must be one of {VALIDATOR_KINDS}, got {self.validator!r}"
             )
-        if self.backend is not None and not isinstance(self.backend, ComputeBackend):
-            if not isinstance(self.backend, str) or self.backend not in BACKEND_CHOICES:
-                raise ValueError(
-                    f"backend must be one of {BACKEND_CHOICES} or a "
-                    f"ComputeBackend instance, got {self.backend!r}"
-                )
+        if isinstance(self.backend, str):
+            valid_backend = self.backend in BACKEND_CHOICES
+        elif self.backend is not None:
+            # Only a non-string value needs the class, and so NumPy.
+            from repro.backend.numpy_backend import NumpyBackend
+
+            valid_backend = isinstance(self.backend, NumpyBackend)
+        else:
+            valid_backend = True
+        if not valid_backend:
+            raise ValueError(
+                f"backend must be one of {BACKEND_CHOICES} or a "
+                f"NumpyBackend instance, got {self.backend!r}"
+            )
         if self.validator == "exact" and self.threshold > 0:
             raise ValueError(
                 "the exact validator cannot be used with a non-zero threshold"
@@ -153,13 +156,12 @@ class DiscoveryConfig:
 class DiscoveryRequest:
     """A JSON-serialisable description of one discovery run.
 
-    Requests carry only plain values — no backend instances, no callbacks —
-    so they can cross a service boundary unchanged: the CLI, the
+    Requests carry only plain values — no backend instances — so they can
+    cross a service boundary unchanged: the CLI, the
     :class:`~repro.discovery.session.Profiler` session API and the
     ``repro serve`` HTTP mode all speak this type.  Session-owned concerns
-    (which compute backend, the plane's thread cap, progress callbacks)
-    are supplied when the request is resolved against a session via
-    :meth:`to_config`.
+    (which compute backend, the plane's thread cap) are supplied when the
+    request is resolved against a session via :meth:`to_config`.
 
     Fields mirror :class:`DiscoveryConfig`; ``num_workers`` is optional and
     ``None`` defers to the session's default.
@@ -230,15 +232,6 @@ class DiscoveryRequest:
 
     # -- factories ---------------------------------------------------------------
 
-    @staticmethod
-    def pin_workers(num_workers: int) -> Optional[int]:
-        """Request-level worker count for an explicit user choice.
-
-        ``1`` (the default) maps to ``None`` — defer to the session —
-        while any other count is pinned on the request.
-        """
-        return num_workers if num_workers != 1 else None
-
     @classmethod
     def exact(cls, **kwargs) -> "DiscoveryRequest":
         """Request for exact OD discovery (``ε = 0``, linear exact check)."""
@@ -257,13 +250,11 @@ class DiscoveryRequest:
         self,
         backend: Optional[object] = None,
         num_workers: int = 1,
-        progress_callback: Optional[object] = None,
     ) -> DiscoveryConfig:
         """Resolve this request into an engine :class:`DiscoveryConfig`.
 
-        ``backend`` / ``num_workers`` / ``progress_callback`` are the
-        session-owned parameters; a request-level ``num_workers`` overrides
-        the session default.
+        ``backend`` / ``num_workers`` are the session-owned parameters; a
+        request-level ``num_workers`` overrides the session default.
         """
         effective_workers = (
             self.num_workers if self.num_workers is not None else num_workers
@@ -279,7 +270,6 @@ class DiscoveryRequest:
             prune_exhausted_nodes=self.prune_exhausted_nodes,
             num_workers=effective_workers,
             backend=backend,
-            progress_callback=progress_callback,
         )
 
     @classmethod

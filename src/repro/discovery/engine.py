@@ -104,6 +104,7 @@ from repro.discovery.pruning import (
 from repro.discovery.results import DiscoveredOC, DiscoveredOFD, DiscoveryResult
 from repro.discovery.stats import DiscoveryStatistics, PhaseTimer
 from repro.obs import get_metrics, get_tracer
+from repro.validation.approx_oc_iterative import iterative_removal_rows
 from repro.validation.common import removal_limit
 from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
@@ -322,8 +323,6 @@ class DiscoveryEngine:
                 break
             self.stats.levels_processed += 1
             self.stats.nodes_per_level[level] = len(current)
-            if self.config.progress_callback is not None:
-                self.config.progress_callback(level, len(current))
             yield LevelStarted(level=level, num_nodes=len(current))
             ocs_before = len(self.result.ocs)
             ofds_before = len(self.result.ofds)
@@ -658,7 +657,7 @@ class DiscoveryEngine:
         def count():
             counts = []
             for a_ranks, b_ranks in rank_pairs:
-                removal, exceeded = self.backend.oc_greedy_removal_rows(
+                removal, exceeded = iterative_removal_rows(
                     classes, a_ranks, b_ranks, limit
                 )
                 counts.append((len(removal), exceeded))

@@ -27,8 +27,8 @@ Usage::
         profiler.discover_incremental(threshold=0.1)  # repair, rerun, diff
 
 Requests are plain :class:`~repro.discovery.config.DiscoveryRequest` values
-(JSON-serialisable); live concerns — backend, workers, progress callbacks,
-cancellation — belong to the session and the call site.
+(JSON-serialisable); live concerns — backend, workers, cancellation —
+belong to the session and the call site.
 
 Sessions also survive their dataset *growing*: :meth:`Profiler.extend`
 appends rows while keeping every warm asset consistent (delta encoding,
@@ -221,7 +221,6 @@ class Profiler:
         self,
         request: Optional[DiscoveryRequest] = None,
         *,
-        progress_callback=None,
         cancellation=None,
         **overrides,
     ) -> DiscoveryResult:
@@ -236,7 +235,7 @@ class Profiler:
         :meth:`discover_incremental` later diffs against.
         """
         request = self._resolve_request(request, overrides)
-        engine = self._engine(request, progress_callback)
+        engine = self._engine(request)
         result = engine.run(cancellation)
         if not result.cancelled and not result.timed_out:
             self._baselines[request.to_json()] = result
@@ -246,7 +245,6 @@ class Profiler:
         self,
         request: Optional[DiscoveryRequest] = None,
         *,
-        progress_callback=None,
         cancellation=None,
         **overrides,
     ) -> Iterator[DiscoveryEvent]:
@@ -259,7 +257,7 @@ class Profiler:
         streamed and one-shot runs feed :meth:`discover_incremental`
         equally."""
         request = self._resolve_request(request, overrides)
-        engine = self._engine(request, progress_callback)
+        engine = self._engine(request)
 
         def _record_on_completion() -> Iterator[DiscoveryEvent]:
             # The count makes `extend` refuse to mutate warm state while
@@ -282,7 +280,6 @@ class Profiler:
         thresholds: Iterable[float],
         *,
         request: Optional[DiscoveryRequest] = None,
-        progress_callback=None,
         cancellation=None,
         **overrides,
     ) -> List[Optional[DiscoveryResult]]:
@@ -311,7 +308,6 @@ class Profiler:
         for i in order:
             results[i] = self.discover(
                 replace(base, threshold=thresholds[i]),
-                progress_callback=progress_callback,
                 cancellation=cancellation,
             )
             if cancellation is not None and cancellation.cancelled():
@@ -404,7 +400,6 @@ class Profiler:
         self,
         request: Optional[DiscoveryRequest] = None,
         *,
-        progress_callback=None,
         cancellation=None,
         **overrides,
     ) -> IncrementalOutcome:
@@ -421,10 +416,7 @@ class Profiler:
         """
         request = self._resolve_request(request, overrides)
         previous = self._baselines.get(request.to_json())
-        result = self.discover(
-            request, progress_callback=progress_callback,
-            cancellation=cancellation,
-        )
+        result = self.discover(request, cancellation=cancellation)
         return IncrementalOutcome.between(previous, result)
 
     def _repair_memo(self, extended, patches_by_context, tracked):
@@ -507,13 +499,12 @@ class Profiler:
             return replace(request, **overrides)
         return request
 
-    def _engine(self, request, progress_callback) -> DiscoveryEngine:
+    def _engine(self, request) -> DiscoveryEngine:
         if self._closed:
             raise RuntimeError("Profiler is closed")
         config = request.to_config(
             backend=self.backend,
             num_workers=self.num_workers,
-            progress_callback=progress_callback,
         )
         return DiscoveryEngine(
             self.relation,

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.dataset.partition import ClassPatch
+from repro.validation.approx_oc_iterative import iterative_removal_rows
 
 #: (invalidated, adjusted, retained) counters returned by :func:`repair_memo`.
 RepairCounts = Tuple[int, int, int]
@@ -194,7 +195,7 @@ def _greedy_count(key, classes, encoded) -> int:
     """
     if not classes:
         return 0
-    removal, _ = encoded.backend.oc_greedy_removal_rows(
+    removal, _ = iterative_removal_rows(
         classes, encoded.ranks(key[3]), encoded.ranks(key[4]), None
     )
     return len(removal)

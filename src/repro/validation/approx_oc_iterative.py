@@ -127,14 +127,10 @@ def validate_aoc_iterative(
     """
     backend = validation_backend(backend, partition_cache)
     encoded = relation.encoded(backend)
-    # Algorithm 1 is row-at-a-time on every backend: hand it the canonical
-    # (cached) rank lists rather than converting native arrays per call.
-    a_ranks = encoded.ranks(oc.a)
-    b_ranks = encoded.ranks(oc.b)
     classes = context_classes(relation, oc.context, partition_cache, backend)
-    limit = removal_limit(relation.num_rows, threshold)
-    removal, exceeded = backend.oc_greedy_removal_rows(
-        classes, a_ranks, b_ranks, limit
+    removal, exceeded = iterative_removal_rows(
+        classes, encoded.ranks(oc.a), encoded.ranks(oc.b),
+        removal_limit(relation.num_rows, threshold),
     )
     return ValidationResult(
         dependency=oc,

@@ -140,12 +140,10 @@ def validate_aoc_optimal(
     """
     backend = validation_backend(backend, partition_cache)
     encoded = relation.encoded(backend)
-    a_ranks = encoded.native_ranks(oc.a)
-    b_ranks = encoded.native_ranks(oc.b)
     classes = context_classes(relation, oc.context, partition_cache, backend)
-    limit = removal_limit(relation.num_rows, threshold)
-    removal, exceeded = backend.oc_optimal_removal_rows(
-        classes, a_ranks, b_ranks, limit
+    removal, exceeded = optimal_removal_rows(
+        classes, encoded.ranks(oc.a), encoded.ranks(oc.b),
+        removal_limit(relation.num_rows, threshold),
     )
     return ValidationResult(
         dependency=oc,

@@ -76,11 +76,11 @@ def validate_aod_optimal(
     """
     backend = validation_backend(backend, partition_cache)
     encoded = relation.encoded(backend)
-    a_ranks = encoded.native_ranks(od.a)
-    b_ranks = encoded.native_ranks(od.b)
     classes = context_classes(relation, od.context, partition_cache, backend)
-    limit = removal_limit(relation.num_rows, threshold)
-    removal, exceeded = backend.od_removal_rows(classes, a_ranks, b_ranks, limit)
+    removal, exceeded = od_removal_rows(
+        classes, encoded.ranks(od.a), encoded.ranks(od.b),
+        removal_limit(relation.num_rows, threshold),
+    )
     return ValidationResult(
         dependency=od,
         num_rows=relation.num_rows,

@@ -55,10 +55,11 @@ def validate_aofd(
     """Validate an approximate OFD; the removal set returned is minimal."""
     backend = validation_backend(backend, partition_cache)
     encoded = relation.encoded(backend)
-    value_ranks = encoded.native_ranks(ofd.attribute)
     classes = context_classes(relation, ofd.context, partition_cache, backend)
-    limit = removal_limit(relation.num_rows, threshold)
-    removal, exceeded = backend.ofd_removal_rows(classes, value_ranks, limit)
+    removal, exceeded = aofd_removal_rows(
+        classes, encoded.ranks(ofd.attribute),
+        removal_limit(relation.num_rows, threshold),
+    )
     return ValidationResult(
         dependency=ofd,
         num_rows=relation.num_rows,

@@ -2,7 +2,7 @@
 
 The ``"numpy"`` configuration must be observationally identical to the
 ``"python"`` reference configuration on every kernel: encoding (including
-dirty mixed-type columns), exact checks and all removal-set kernels,
+dirty mixed-type columns), exact checks and both removal-count batches,
 including early-exit behaviour under a removal budget.  Partition
 construction, refinement and products are checked against the
 hand-grouping oracle in both configurations.  These tests compare the
@@ -25,7 +25,10 @@ from repro.backend import (
 from repro.backend.numpy_backend import NumpyBackend
 from repro.dataset.encoding import encode_column
 from repro.dataset.partition import Partition
+from repro.dataset.relation import Relation
 from repro.dataset.schema import AttributeType
+from repro.dependencies.oc import CanonicalOC
+from repro.validation.approx_oc_optimal import validate_aoc_optimal
 from repro.validation.exact_oc import oc_holds_in_classes
 from repro.validation.exact_ofd import ofd_holds_in_classes
 
@@ -268,23 +271,16 @@ class TestKernelParity:
                 classes, [ofd_column], 0
             )
             assert ofd_broken == (not ofd_holds_in_classes(classes, b))
-        assert numpy_backend.oc_optimal_removal_rows(classes, native_a, native_b, limit) == \
-            python_backend.oc_optimal_removal_rows(classes, a, b, limit)
         assert numpy_backend.oc_optimal_removal_count_batch(
             classes, [(native_a, native_b)], limit
         ) == python_backend.oc_optimal_removal_count_batch(
             classes, [(a, b)], limit
         )
-        assert numpy_backend.oc_greedy_removal_rows(classes, native_a, native_b, limit) == \
-            python_backend.oc_greedy_removal_rows(classes, a, b, limit)
-        assert numpy_backend.od_removal_rows(classes, native_a, native_b, limit) == \
-            python_backend.od_removal_rows(classes, a, b, limit)
-        assert numpy_backend.ofd_removal_rows(classes, native_b, limit) == \
-            python_backend.ofd_removal_rows(classes, b, limit)
+        assert numpy_backend.ofd_removal_batch(
+            classes, [native_b], limit
+        ) == python_backend.ofd_removal_batch(classes, [b], limit)
 
     def test_empty_classes(self):
-        assert numpy_backend.oc_optimal_removal_rows([], [], []) == ([], False)
-        assert numpy_backend.ofd_removal_rows([], []) == ([], False)
         assert numpy_backend.oc_optimal_removal_count_batch(
             [], [([], [])], 0
         ) == [(0, False)]
@@ -293,8 +289,12 @@ class TestKernelParity:
     def test_removal_rows_are_python_ints(self):
         # frozenset members of ValidationResult must compare and hash like
         # the reference's plain ints
-        classes = [[0, 1, 2, 3]]
-        a = numpy_backend.to_native([0, 0, 0, 0])
-        b = numpy_backend.to_native([3, 2, 1, 0])
-        removal, _ = numpy_backend.oc_optimal_removal_rows(classes, a, b)
-        assert all(type(row) is int for row in removal)
+        relation = Relation.from_columns(
+            {"c": [0, 0, 0, 0], "a": [0, 1, 2, 3], "b": [3, 2, 1, 0]}
+        )
+        for backend in BOTH:
+            result = validate_aoc_optimal(
+                relation, CanonicalOC(["c"], "a", "b"), backend=backend
+            )
+            assert result.removal_size == 3
+            assert all(type(row) is int for row in result.removal_rows)

@@ -133,17 +133,16 @@ class TestLndsOracle:
     @given(st.lists(st.integers(min_value=0, max_value=9), max_size=40))
     @settings(max_examples=120, deadline=None)
     def test_batched_kernel_matches_oracle(self, values):
-        # One class whose [A ASC, B ASC] order is the identity: the kernel's
+        # One class whose [A ASC, B ASC] order is the identity: Algorithm 2's
         # removal size must equal n - LNDS(n) per the quadratic oracle.
-        from repro.backend import get_backend
+        from repro.validation.approx_oc_optimal import optimal_removal_rows
 
         if len(values) < 2:
             return
-        backend = get_backend("numpy")
         classes = [list(range(len(values)))]
-        a = backend.to_native(list(range(len(values))))
-        b = backend.to_native(values)
-        removal, exceeded = backend.oc_optimal_removal_rows(classes, a, b)
+        removal, exceeded = optimal_removal_rows(
+            classes, list(range(len(values))), values
+        )
         assert not exceeded
         assert len(values) - len(removal) == lnds_length_quadratic(values)
         kept = [v for i, v in enumerate(values) if i not in set(removal)]

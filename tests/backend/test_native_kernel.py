@@ -1,8 +1,8 @@
 """The native kernels: exact parity with the reference, and a safe loader.
 
-Parity here is the batch-kernel contract of ``repro.backend.base``: each
-native count *and* its early-exit partial equal the class-by-class
-reference loop (``optimal_removal_count`` for OCs, ``len`` of
+Parity here is the batch-kernel contract of
+``repro.backend.numpy_backend``: each native count *and* its early-exit
+partial equal the class-by-class reference loop (``optimal_removal_count`` for OCs, ``len`` of
 ``aofd_removal_rows`` for OFDs), whatever the class sizes (both sorts of
 the OC entry), rank widths and limits, and a group counted on plane
 threads equals the same batch counted inline.  The binding tests show that

@@ -1,9 +1,14 @@
 """Tests for DiscoveryConfig, DiscoveryStatistics and the phase timers."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.backend.numpy_backend import NumpyBackend
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.stats import DiscoveryStatistics, PhaseTimer
 
@@ -43,6 +48,32 @@ class TestDiscoveryConfig:
     def test_invalid_max_level(self):
         with pytest.raises(ValueError):
             DiscoveryConfig(max_level=0)
+
+    def test_backend_is_a_name_or_an_instance(self):
+        for name in ("auto", "python", "numpy"):
+            assert DiscoveryConfig(backend=name).backend == name
+        backend = NumpyBackend()
+        assert DiscoveryConfig(backend=backend).backend is backend
+        for bad in ("cuda", "NumPy", object(), 1):
+            with pytest.raises(ValueError):
+                DiscoveryConfig(backend=bad)
+
+    def test_building_configs_leaves_numpy_unloaded(self):
+        """``import repro`` and building configurations and requests never
+        import NumPy: it loads on first backend use, so a process pays for
+        it only once it computes."""
+        script = (
+            "import sys, repro\n"
+            "repro.DiscoveryConfig(backend='numpy')\n"
+            "repro.DiscoveryRequest(threshold=0.1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestStatistics:

@@ -21,6 +21,7 @@ from repro.dependencies.oc import CanonicalOC
 from repro.dependencies.ofd import OFD
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
+from repro.discovery.events import LevelStarted
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
 from repro.validation.approx_ofd import validate_aofd
 
@@ -221,13 +222,18 @@ class TestEngineBehaviour:
         assert result.num_ocs > 0
 
     def test_progress_callback_invoked(self):
-        calls = []
-        config = DiscoveryConfig.exact(
-            attributes=["pos", "sal", "taxGrp"],
-            progress_callback=lambda level, nodes: calls.append((level, nodes)),
-        )
-        DiscoveryEngine(employee_salary_table(), config).run()
-        assert calls and calls[0][0] == 1
+        """Level progress is the ``LevelStarted`` events of the stream: one
+        per level, in order, carrying the level's node count."""
+        config = DiscoveryConfig.exact(attributes=["pos", "sal", "taxGrp"])
+        events = list(DiscoveryEngine(employee_salary_table(), config).iter_events())
+        started = [
+            (event.level, event.num_nodes)
+            for event in events if isinstance(event, LevelStarted)
+        ]
+        assert started and started[0] == (1, 3)
+        assert [level for level, _ in started] == list(range(1, len(started) + 1))
+        result = events[-1].result
+        assert dict(started) == result.stats.nodes_per_level
 
     def test_stats_are_populated(self):
         relation = employee_salary_table()

@@ -190,6 +190,7 @@ def test_memo_adjustment_matches_fresh_kernels(backend):
     """A repaired entry must equal what a fresh kernel over the patched
     context computes — per-class additivity made observable."""
     from repro.discovery.engine import memo_outcome, oc_memo_key, ofd_memo_key
+    from repro.validation.approx_ofd import aofd_removal_rows
     from repro.validation.common import removal_limit
 
     base = generate_flight_like(120, num_attributes=5, error_rate=0.15,
@@ -220,8 +221,8 @@ def test_memo_adjustment_matches_fresh_kernels(backend):
                     None,
                 )
             elif key[0] == "ofd" and key[1] == "approx":
-                removal, _ = session.backend.ofd_removal_rows(
-                    classes, encoded.native_ranks(key[3]), None
+                removal, _ = aofd_removal_rows(
+                    classes, encoded.ranks(key[3]), None
                 )
                 fresh = len(removal)
             else:

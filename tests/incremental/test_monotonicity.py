@@ -63,9 +63,11 @@ def test_removal_counts_never_decrease_under_append(backend_name):
         )
         assert new_count >= old_count
 
-        old_ofd, _ = backend.ofd_removal_rows(old_classes, a_native, None)
-        new_ofd, _ = backend.ofd_removal_rows(grown_classes, a_native, None)
-        assert len(new_ofd) >= len(old_ofd)
+        [(old_ofd, _)] = backend.ofd_removal_batch(old_classes, [a_native], None)
+        [(new_ofd, _)] = backend.ofd_removal_batch(
+            grown_classes, [a_native], None
+        )
+        assert new_ofd >= old_ofd
 
         # Exact checks (counts at limit 0) are monotone too: once broken,
         # never repaired.

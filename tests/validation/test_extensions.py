@@ -1,11 +1,10 @@
-"""Tests for the extension modules: bidirectional OCs, class-parallel
-validation on the OC plane's threads and hybrid sampling (the paper's §5
-future-work directions)."""
+"""Tests for the extension modules: bidirectional OCs and class-parallel
+validation on the OC plane's threads (the paper's §5 future-work
+directions)."""
 
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.backend import get_backend
 from repro.dataset.examples import employee_salary_table
@@ -14,11 +13,6 @@ from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
 from repro.dependencies.bidirectional import BidirectionalOC
 from repro.dependencies.oc import CanonicalOC
-from repro.discovery.sampling import (
-    prefilter_candidates,
-    sample_rows,
-    validate_aoc_hybrid,
-)
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
 from repro.validation.bidirectional import best_polarity, validate_aboc_optimal
 from repro.validation.common import removal_limit
@@ -158,66 +152,3 @@ class TestDistributedValidation:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             ShardedValidationPool(0)
-
-
-class TestHybridSampling:
-    def test_sample_rows_deterministic_and_bounded(self):
-        assert sample_rows(100, 10, seed=1) == sample_rows(100, 10, seed=1)
-        assert sample_rows(5, 10) == [0, 1, 2, 3, 4]
-        assert len(sample_rows(1000, 50)) == 50
-
-    def test_rejection_is_sound(self):
-        """A candidate rejected by the sample must be invalid on the full
-        relation (the defining property of the hybrid)."""
-        workload = generate_planted_oc_table(500, approximation_factor=0.4, seed=3)
-        (planted,) = workload.planted_ocs
-        oc = CanonicalOC((), planted.a, planted.b)
-        outcome = validate_aoc_hybrid(
-            workload.relation, oc, threshold=0.05, sample_size=200, seed=1
-        )
-        if outcome.rejected_by_sample:
-            full = validate_aoc_optimal(workload.relation, oc, threshold=0.05)
-            assert not full.is_valid
-        assert not outcome.is_valid
-
-    def test_valid_candidate_survives_and_gets_full_result(self):
-        workload = generate_planted_oc_table(500, approximation_factor=0.05, seed=4)
-        (planted,) = workload.planted_ocs
-        oc = CanonicalOC((), planted.a, planted.b)
-        outcome = validate_aoc_hybrid(
-            workload.relation, oc, threshold=0.1, sample_size=100, seed=2
-        )
-        assert not outcome.rejected_by_sample
-        assert outcome.is_valid
-        assert outcome.result.removal_size == 25
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_hybrid_never_disagrees_on_validity_with_full_validation(self, seed):
-        workload = generate_planted_oc_table(
-            200, approximation_factor=0.2, seed=seed % 17
-        )
-        (planted,) = workload.planted_ocs
-        oc = CanonicalOC((), planted.a, planted.b)
-        threshold = 0.1
-        hybrid = validate_aoc_hybrid(
-            workload.relation, oc, threshold, sample_size=80, seed=seed
-        )
-        full = validate_aoc_optimal(workload.relation, oc, threshold=threshold)
-        assert hybrid.is_valid == full.is_valid
-
-    def test_prefilter_splits_candidates_correctly(self):
-        relation = employee_salary_table()
-        candidates = [
-            CanonicalOC([], "sal", "taxGrp"),  # exact
-            CanonicalOC([], "sal", "tax"),     # factor 0.44
-        ]
-        survivors, rejected = prefilter_candidates(
-            relation, candidates, threshold=0.1, sample_size=9
-        )
-        assert CanonicalOC([], "sal", "taxGrp") in survivors
-        assert CanonicalOC([], "sal", "tax") in rejected
-        # Rejection is sound: the rejected candidate truly is invalid.
-        assert not validate_aoc_optimal(
-            relation, CanonicalOC([], "sal", "tax"), threshold=0.1
-        ).is_valid
