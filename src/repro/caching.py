@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
+_MISSING = object()
+
 
 class BoundedLRU(OrderedDict):
     """An ``OrderedDict`` with optional LRU eviction.
@@ -38,9 +40,13 @@ class BoundedLRU(OrderedDict):
         self.evictions = 0
 
     def get(self, key, default=None):
-        if key not in self:
+        # One hashed lookup: the memo's hot path reads through here.
+        value = super().get(key, _MISSING)
+        if value is _MISSING:
             return default
-        return self[key]
+        if self.max_entries is not None:
+            self.move_to_end(key)
+        return value
 
     def __getitem__(self, key):
         value = super().__getitem__(key)

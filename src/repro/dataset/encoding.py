@@ -289,6 +289,15 @@ class EncodedRelation:
             self._native[index] = native
         return native
 
+    def kernel_ranks(self, attribute: str):
+        """The rank column for ``attribute`` in the form the backend's
+        count kernels read: the native array for the native library, the
+        cached list for the reference loops, which would otherwise convert
+        the array on every batch."""
+        if self.backend.oc_kernel_name == "native":
+            return self.native_ranks(attribute)
+        return self.ranks(attribute)
+
     def row_order_by_index(self, index: int):
         """Every row in ``(rank, row)`` order of the column at ``index``.
 

@@ -8,6 +8,19 @@ dependencies are ever reported.  Nodes whose candidate sets empty out are
 dropped, and the next level is generated by a prefix join over the
 surviving nodes.
 
+The level loop works on ``int`` bitmasks (see
+:mod:`repro.discovery.lattice`): nodes, candidate sets, job contexts, the
+pruning index and the memo keys are masks or bit positions under the
+schema's :class:`~repro.discovery.lattice.AttributeBits` numbering (bit
+``i`` is the ``i``-th attribute name in sorted order).  Names appear only
+where a :class:`~repro.discovery.results.DiscoveredOC` /
+:class:`~repro.discovery.results.DiscoveredOFD` or a trace span is built
+and where a kernel batch fetches its rank columns, and partition-cache keys
+(schema column indices) only where a partition is fetched; contexts reach
+both through the run's cached mask maps.  Ascending bits are name
+order, so nodes, contexts, right-hand sides and pairs are visited, and
+results reported, in sorted-name order.
+
 The AOC validation step is pluggable (``exact`` / ``optimal`` /
 ``iterative``), which is exactly the knob the paper's experiments turn: the
 framework is identical across the three series of Figures 2-4; only the
@@ -60,10 +73,15 @@ long-lived state so repeated runs over the same relation stay warm:
   The engine then skips its per-level eviction (the session keeps partitions
   for later runs).
 * ``validation_memo`` — a dict memoising validation outcomes keyed by
-  ``(kind, validator, context, ...)``.  Entries record the removal count,
-  the exceeded flag and the removal budget they were computed under, and
-  are only reused when sound for the current run's budget (see
-  ``_memo_lookup``), so memoised runs remain byte-identical.
+  ``(kind, tag, context_mask, a_bit[, b_bit])``: ``"oc"`` / ``"ofd"``, the
+  effective validator (:func:`oc_validator_tag` for OCs, ``"exact"`` /
+  ``"approx"`` for OFDs), the context's mask and the bit positions of the
+  right-hand side or of the pair's sides (``a_bit < b_bit``).  The
+  numbering covers the whole schema, so a key means the same candidate for
+  every request of a session, whatever its ``attributes``.  Entries record
+  the removal count, the exceeded flag and the removal budget they were
+  computed under, and are only reused when sound for the current run's
+  budget (see ``_memo_lookup``), so memoised runs remain byte-identical.
 """
 
 from __future__ import annotations
@@ -71,9 +89,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.backend import resolve_backend
 from repro.dataset.partition import PartitionCache
@@ -90,11 +106,14 @@ from repro.discovery.events import (
 )
 from repro.discovery.interestingness import context_coverage, interestingness_score
 from repro.discovery.lattice import (
+    AttributeBits,
     LatticeNode,
+    Level,
     candidate_oc_pairs,
     candidate_ofd_rhs,
     generate_next_level_sets,
     initial_level,
+    lex_sorted,
 )
 from repro.discovery.pruning import (
     KnowledgeBase,
@@ -108,12 +127,11 @@ from repro.validation.approx_oc_iterative import iterative_removal_rows
 from repro.validation.common import removal_limit
 from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
-AttributeSet = FrozenSet[str]
-
-#: One scheduled OFD validation: ``(node, attribute, context)``.
-OFDJob = Tuple[LatticeNode, str, AttributeSet]
-#: One scheduled OC validation: ``(node, pair, a, b, context)``.
-OCJob = Tuple[LatticeNode, FrozenSet[str], str, str, AttributeSet]
+#: One scheduled OFD validation: ``(node, attribute bit, context mask)``.
+OFDJob = Tuple[LatticeNode, int, int]
+#: One scheduled OC validation: ``(node, pair-id bit, a bit, b bit, context
+#: mask)``, ``a < b``; the pair-id bit is ``1 << (a·n + b)``.
+OCJob = Tuple[LatticeNode, int, int, int, int]
 #: Validation outcome: ``(removal_size, valid)``.
 Outcome = Tuple[int, bool]
 
@@ -145,16 +163,6 @@ def oc_validator_tag(config: DiscoveryConfig) -> str:
     ):
         return "exact"
     return config.validator
-
-
-def oc_memo_key(config: DiscoveryConfig, context: AttributeSet, a: str, b: str):
-    """Session-memo key of the OC candidate ``context: a ~ b`` (sorted sides)."""
-    return ("oc", oc_validator_tag(config), context, a, b)
-
-
-def ofd_memo_key(config: DiscoveryConfig, context: AttributeSet, attribute: str):
-    """Session-memo key of the OFD candidate ``context: [] -> attribute``."""
-    return ("ofd", "exact" if config.is_exact else "approx", context, attribute)
 
 
 def memo_outcome(entry, limit: Optional[int]) -> Optional[Outcome]:
@@ -205,6 +213,12 @@ class DiscoveryEngine:
         unknown = [a for a in self.attributes if a not in relation.schema]
         if unknown:
             raise KeyError(f"attributes not in relation: {unknown}")
+        #: The schema's bit numbering (see :class:`AttributeBits`).
+        self.bits = AttributeBits(relation.schema)
+        self._request_mask = self.bits.mask(self.attributes)
+        self._pairs_containing = self.bits.pairs_containing()
+        self._oc_tag = oc_validator_tag(self.config)
+        self._ofd_tag = "exact" if self.config.is_exact else "approx"
         self.backend = resolve_backend(self.config.backend)
         self.encoded = relation.encoded(self.backend)
         if partitions is not None:
@@ -316,7 +330,7 @@ class DiscoveryEngine:
     # -- the level loop ----------------------------------------------------------
 
     def _iter_levels(self) -> Iterator[DiscoveryEvent]:
-        current: Dict[AttributeSet, LatticeNode] = initial_level(self.attributes)
+        current: Level = initial_level(self._request_mask)
         level = 1
         while current:
             if self.config.max_level is not None and level > self.config.max_level:
@@ -342,10 +356,8 @@ class DiscoveryEngine:
             ofd_seconds_before = self.stats.ofd_validation_seconds
             partition_seconds_before = self.stats.partition_seconds
             try:
-                ordered = [
-                    current[key]
-                    for key in sorted(current, key=lambda s: tuple(sorted(s)))
-                ]
+                # Levels are generated in lexicographic order.
+                ordered = list(current.values())
                 self._process_level(ordered)
                 level_elapsed = time.perf_counter() - level_started
                 split = {
@@ -395,15 +407,15 @@ class DiscoveryEngine:
                 ):
                     with PhaseTimer(self.stats, "candidate_generation_seconds"):
                         next_sets = generate_next_level_sets(survivors)
-                        next_level: Dict[AttributeSet, LatticeNode] = {}
+                        next_level: Level = {}
                         for attrs in next_sets:
                             node = LatticeNode(
                                 attrs,
-                                ofd_candidates=candidate_ofd_rhs(
-                                    attrs, survivors, self.attributes
+                                candidate_ofd_rhs(
+                                    attrs, survivors, self._request_mask
                                 ),
-                                oc_candidates=candidate_oc_pairs(
-                                    attrs, survivors
+                                candidate_oc_pairs(
+                                    attrs, survivors, self._pairs_containing
                                 ),
                             )
                             if not node.is_exhausted \
@@ -431,23 +443,33 @@ class DiscoveryEngine:
         """
         ofd_jobs: List[OFDJob] = []
         oc_jobs: List[OCJob] = []
+        knowledge = self.knowledge
+        attributes = node.attributes
+        # Ascending bits: right-hand sides and pairs in name order.
         if self.config.find_ofds:
-            for attribute in sorted(node.attributes & node.ofd_candidates):
-                context = node.attributes - {attribute}
-                if ofd_pruned_by_subcontext(context, attribute, self.knowledge):
-                    node.ofd_candidates.discard(attribute)
+            rest = attributes & node.ofd_candidates
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                attribute = low.bit_length() - 1
+                context = attributes ^ low
+                if ofd_pruned_by_subcontext(context, attribute, knowledge):
+                    node.ofd_candidates ^= low
                     self.stats.ofd_candidates_pruned += 1
                     continue
                 ofd_jobs.append((node, attribute, context))
-        if node.level >= 2:
-            for pair in sorted(node.oc_candidates, key=lambda p: tuple(sorted(p))):
-                a, b = sorted(pair)
-                context = node.attributes - pair
-                if oc_pruned_by_constancy(context, a, b, self.knowledge):
-                    node.oc_candidates.discard(pair)
-                    self.stats.oc_candidates_pruned += 1
-                    continue
-                oc_jobs.append((node, pair, a, b, context))
+        rest = node.oc_candidates
+        width = len(self.bits.names)
+        while rest:
+            pair = rest & -rest
+            rest ^= pair
+            a, b = divmod(pair.bit_length() - 1, width)
+            context = attributes ^ (1 << a) ^ (1 << b)
+            if oc_pruned_by_constancy(context, a, b, knowledge):
+                node.oc_candidates ^= pair
+                self.stats.oc_candidates_pruned += 1
+                continue
+            oc_jobs.append((node, pair, a, b, context))
         return ofd_jobs, oc_jobs
 
     def _process_level(self, nodes: List[LatticeNode]) -> None:
@@ -504,18 +526,20 @@ class DiscoveryEngine:
         the plane, counters included.
         """
         plane = self._plane
-        oc_exact = oc_validator_tag(self.config) == "exact"
+        tag = self._oc_tag
+        names = self.bits.names
         in_flight: List[Tuple[List[Tuple[int, tuple]], object]] = []
         try:
             for context, todo in self._memo_misses(
                 [job[4] for job in oc_jobs],
-                lambda i, context: oc_memo_key(
-                    self.config, context, oc_jobs[i][2], oc_jobs[i][3]
-                ),
+                [("oc", tag, context, a, b) for _, _, a, b, context in oc_jobs],
                 oc_outcomes,
             ):
                 classes = self._context_classes(context)
-                pairs = [(oc_jobs[i][2], oc_jobs[i][3]) for i, _ in todo]
+                pairs = [
+                    (names[oc_jobs[i][2]], names[oc_jobs[i][3]])
+                    for i, _ in todo
+                ]
                 with self._tracer.span(
                     "oc-submit", parent=self._level_span, pairs=len(todo)
                 ), PhaseTimer(self.stats, "oc_validation_seconds"):
@@ -530,30 +554,33 @@ class DiscoveryEngine:
                     "oc-harvest", parent=self._level_span, pairs=len(todo)
                 ), PhaseTimer(self.stats, "oc_validation_seconds"):
                     counts = plane.harvest(pending)
-                self._settle(todo, counts, oc_exact, oc_outcomes)
+                self._settle(todo, counts, tag == "exact", oc_outcomes)
         except BaseException:
             for _, pending in in_flight:
                 plane.abandon(pending)
             raise
 
-    def _memo_misses(self, contexts: Sequence[AttributeSet], key_of, outcomes):
+    def _memo_misses(self, contexts: Sequence[int], keys: Sequence[tuple],
+                     outcomes):
         """Yield ``(context, todo)`` per context group that needs a kernel.
 
-        Groups come in a deterministic order (results are order-independent
-        because outcomes are recorded separately, in job order).  The
-        interrupt check runs before every group; memo hits fill
-        ``outcomes`` directly and ``todo`` lists the misses as
+        Groups come in lexicographic order of their contexts (a level's
+        contexts all have one size), which fixes the order partitions are
+        requested in; results are order-independent because outcomes are
+        recorded separately, in job order.  ``keys[i]`` is job ``i``'s
+        memo key.  The interrupt check runs before every group; memo hits
+        fill ``outcomes`` directly and ``todo`` lists the misses as
         ``(job index, memo key)``.  A group served entirely from the memo
         is skipped.
         """
-        groups: Dict[AttributeSet, List[int]] = {}
+        groups: Dict[int, List[int]] = {}
         for index, context in enumerate(contexts):
             groups.setdefault(context, []).append(index)
-        for context in sorted(groups, key=lambda s: tuple(sorted(s))):
+        for context in lex_sorted(groups):
             self._check_interrupt()
             todo: List[Tuple[int, tuple]] = []
             for i in groups[context]:
-                key = key_of(i, context)
+                key = keys[i]
                 hit = self._memo_lookup(key)
                 if hit is not None:
                     outcomes[i] = hit
@@ -585,13 +612,15 @@ class DiscoveryEngine:
     def _validate_ofd_jobs(
         self, jobs: Sequence[OFDJob], outcomes: List[Optional[Outcome]]
     ) -> None:
+        tag = self._ofd_tag
+        names = self.bits.names
         for context, todo in self._memo_misses(
             [job[2] for job in jobs],
-            lambda i, context: ofd_memo_key(self.config, context, jobs[i][1]),
+            [("ofd", tag, context, attribute) for _, attribute, context in jobs],
             outcomes,
         ):
             classes = self._context_classes(context)
-            rhs = [self.encoded.native_ranks(jobs[i][1]) for i, _ in todo]
+            rhs = [self.encoded.kernel_ranks(names[jobs[i][1]]) for i, _ in todo]
             with self._tracer.span(
                 "ofd-batch", parent=self._level_span, candidates=len(todo)
             ), PhaseTimer(self.stats, "ofd_validation_seconds"):
@@ -618,7 +647,7 @@ class DiscoveryEngine:
         discover p50 by 15%).  Asking for the kernel name loads the native
         library here, on the coordinator.
         """
-        if self._memo or oc_validator_tag(self.config) == "iterative" \
+        if self._memo or self._oc_tag == "iterative" \
                 or self.backend.oc_kernel_name != "native":
             return 0
         if hasattr(os, "sched_getaffinity"):
@@ -635,16 +664,13 @@ class DiscoveryEngine:
         """Resolve one OC context group's inputs on the calling thread and
         return the call that counts it: one ``(count, exceeded)`` per pair,
         at ``limit``.  The call reads only what was resolved here."""
-        encoded = self.encoded
-        if oc_validator_tag(self.config) != "iterative":
+        if self._oc_tag != "iterative":
             # The engine only records removal sizes, and Algorithm 2's
             # per-class contributions are minimal, so the count-only kernel
             # (no subsequence reconstruction) returns the same numbers.  An
             # exact check is the same kernel at limit 0.
-            rank_pairs = [
-                (encoded.native_ranks(a), encoded.native_ranks(b))
-                for a, b in pairs
-            ]
+            column = self.encoded.kernel_ranks
+            rank_pairs = [(column(a), column(b)) for a, b in pairs]
             return functools.partial(
                 self.backend.oc_optimal_removal_count_batch,
                 classes, rank_pairs, limit,
@@ -652,6 +678,7 @@ class DiscoveryEngine:
         # Algorithm 1 stays row-at-a-time by design (the paper's quadratic
         # strawman) on canonical lists in every backend; it still benefits
         # from the shared context partition.
+        encoded = self.encoded
         rank_pairs = [(encoded.ranks(a), encoded.ranks(b)) for a, b in pairs]
 
         def count():
@@ -668,7 +695,7 @@ class DiscoveryEngine:
     # -- outcome recording --------------------------------------------------------
 
     def _record_ofd_outcome(
-        self, node: LatticeNode, attribute: str, context: AttributeSet,
+        self, node: LatticeNode, attribute: int, context: int,
         outcome: Outcome,
     ) -> None:
         removal_size, valid = outcome
@@ -678,8 +705,11 @@ class DiscoveryEngine:
         factor = (
             removal_size / self.relation.num_rows if self.relation.num_rows else 0.0
         )
-        ofd = OFD(context, attribute)
-        self.knowledge.record_ofd(ofd, holds_exactly=removal_size == 0)
+        self.knowledge.record_ofd(
+            context, attribute, holds_exactly=removal_size == 0
+        )
+        named = self.bits.names_of(context)
+        ofd = OFD(named, self.bits.names[attribute])
         coverage = context_coverage(
             self._context_classes(context), self.relation.num_rows
         )
@@ -689,22 +719,23 @@ class DiscoveryEngine:
             removal_size=removal_size,
             level=node.level,
             interestingness=interestingness_score(
-                len(context), coverage, factor
+                len(named), coverage, factor
             ),
         )
         self.result.ofds.append(found)
         self._found_events.append(
             DependencyFound(level=node.level, kind="ofd", dependency=found)
         )
-        node.ofd_candidates.discard(attribute)
+        node.ofd_candidates &= ~(1 << attribute)
         if removal_size == 0 and self.config.aggressive_ofd_pruning:
             # TANE rule: attributes outside X cannot yield minimal FDs
-            # through this node once X \ {A} -> A holds exactly.
-            node.ofd_candidates -= set(self.attributes) - node.attributes
+            # through this node once X \ {A} -> A holds exactly.  (The
+            # candidates never leave the request's attributes.)
+            node.ofd_candidates &= node.attributes
 
     def _record_oc_outcome(
-        self, node: LatticeNode, pair: FrozenSet[str], a: str, b: str,
-        context: AttributeSet, outcome: Outcome,
+        self, node: LatticeNode, pair: int, a: int, b: int, context: int,
+        outcome: Outcome,
     ) -> None:
         removal_size, valid = outcome
         self.stats.oc_candidates_validated += 1
@@ -716,20 +747,22 @@ class DiscoveryEngine:
         coverage = context_coverage(
             self._context_classes(context), self.relation.num_rows
         )
+        names = self.bits.names
+        named = self.bits.names_of(context)
         found = DiscoveredOC(
-            oc=CanonicalOC(context, a, b),
+            oc=CanonicalOC(named, names[a], names[b]),
             approximation_factor=factor,
             removal_size=removal_size,
             level=node.level,
             interestingness=interestingness_score(
-                len(context), coverage, factor
+                len(named), coverage, factor
             ),
         )
         self.result.ocs.append(found)
         self._found_events.append(
             DependencyFound(level=node.level, kind="oc", dependency=found)
         )
-        node.oc_candidates.discard(pair)
+        node.oc_candidates &= ~pair
 
     # -- session validation memo --------------------------------------------------
 
@@ -765,11 +798,11 @@ class DiscoveryEngine:
         for event in events:
             yield event
 
-    def _context_classes(self, context: AttributeSet):
+    def _context_classes(self, context: int):
         # Returns the cached Partition itself (an iterable of classes):
         # backends attach their columnar view to it, so candidates sharing a
         # context reuse one concatenated array instead of rebuilding it.
-        indices = self.encoded.schema.indices_of(sorted(context))
+        indices = self.bits.key_of(context)
         with PhaseTimer(self.stats, "partition_seconds"):
             if not self._tracer.enabled:
                 return self.partitions.get(indices)
@@ -783,7 +816,7 @@ class DiscoveryEngine:
                 self._tracer.record_span(
                     "partition-product", started, time.time(),
                     parent=self._level_span,
-                    attributes=",".join(sorted(context)),
+                    attributes=",".join(sorted(self.bits.names_of(context))),
                 )
             return partition
 

@@ -23,59 +23,61 @@ used by the paper's framework:
    dropped, which stops the prefix join from ever generating its supersets.
 
 Rules 1-4 are local predicates used by the engine; rule 5 lives in the
-engine's level loop.
+engine's level loop.  Contexts are attribute-set bitmasks and attributes
+are bit positions (see :class:`repro.discovery.lattice.AttributeBits`), so
+every rule is a handful of integer set probes.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Set, Tuple
-
-from repro.dependencies.ofd import OFD
-
-AttributeSet = FrozenSet[str]
-ValidOFDKey = Tuple[AttributeSet, str]
+from typing import Collection, Dict, Set
 
 
 class KnowledgeBase:
-    """Dependencies discovered so far, indexed for pruning lookups."""
+    """Dependencies discovered so far, indexed for pruning lookups: per
+    right-hand-side bit, the context masks of its valid OFDs."""
 
     def __init__(self) -> None:
-        self._valid_ofds: Set[ValidOFDKey] = set()
-        self._exactly_valid_ofds: Set[ValidOFDKey] = set()
-        self._constant_attributes: Set[str] = set()
+        self._valid_ofds: Dict[int, Set[int]] = {}
+        self._exactly_valid_ofds: Dict[int, Set[int]] = {}
+        self._num_valid_ofds = 0
 
     # -- recording -------------------------------------------------------------
 
-    def record_ofd(self, ofd: OFD, holds_exactly: bool) -> None:
-        """Register a valid (A)OFD for later pruning decisions."""
-        key = (ofd.context, ofd.attribute)
-        self._valid_ofds.add(key)
+    def record_ofd(self, context: int, attribute: int, holds_exactly: bool) -> None:
+        """Register the valid (A)OFD ``context: [] ↦→ attribute``."""
+        contexts = self._valid_ofds.setdefault(attribute, set())
+        if context not in contexts:
+            contexts.add(context)
+            self._num_valid_ofds += 1
         if holds_exactly:
-            self._exactly_valid_ofds.add(key)
-        if not ofd.context:
-            self._constant_attributes.add(ofd.attribute)
+            self._exactly_valid_ofds.setdefault(attribute, set()).add(context)
 
     # -- queries used by the pruning rules --------------------------------------
 
-    def ofd_known_valid(self, context: AttributeSet, attribute: str) -> bool:
+    def valid_contexts(self, attribute: int) -> Collection[int]:
+        """The contexts in which ``attribute`` is known to be determined."""
+        return self._valid_ofds.get(attribute, ())
+
+    def ofd_known_valid(self, context: int, attribute: int) -> bool:
         """Is ``context: [] ↦→ attribute`` already known to hold (approximately)?"""
-        return (context, attribute) in self._valid_ofds
+        return context in self._valid_ofds.get(attribute, ())
 
-    def ofd_known_exact(self, context: AttributeSet, attribute: str) -> bool:
+    def ofd_known_exact(self, context: int, attribute: int) -> bool:
         """Is ``context: [] ↦→ attribute`` already known to hold exactly?"""
-        return (context, attribute) in self._exactly_valid_ofds
+        return context in self._exactly_valid_ofds.get(attribute, ())
 
-    def is_constant(self, attribute: str) -> bool:
+    def is_constant(self, attribute: int) -> bool:
         """Is the attribute constant over the whole relation (level-1 OFD)?"""
-        return attribute in self._constant_attributes
+        return self.ofd_known_valid(0, attribute)
 
     @property
     def num_valid_ofds(self) -> int:
-        return len(self._valid_ofds)
+        return self._num_valid_ofds
 
 
 def oc_pruned_by_constancy(
-    context: AttributeSet, a: str, b: str, knowledge: KnowledgeBase
+    context: int, a: int, b: int, knowledge: KnowledgeBase
 ) -> bool:
     """Rule 4: the OC is implied when either side is constant in its context.
 
@@ -93,7 +95,7 @@ def oc_pruned_by_constancy(
 
 
 def ofd_pruned_by_subcontext(
-    context: AttributeSet, attribute: str, knowledge: KnowledgeBase
+    context: int, attribute: int, knowledge: KnowledgeBase
 ) -> bool:
     """Rule 1 restated as a predicate: a strictly smaller context already
     determines the attribute, so this candidate cannot be minimal.
@@ -102,9 +104,15 @@ def ofd_pruned_by_subcontext(
     check guards the first level at which a context appears and keeps the
     engine robust if candidate bookkeeping is relaxed (e.g. in tests).
     """
-    if knowledge.ofd_known_valid(context, attribute):
+    contexts = knowledge.valid_contexts(attribute)
+    if not contexts:
+        return False
+    if context in contexts:
         return True
-    for removed in context:
-        if knowledge.ofd_known_valid(context - {removed}, attribute):
+    rest = context
+    while rest:
+        low = rest & -rest
+        if context ^ low in contexts:
             return True
+        rest ^= low
     return False

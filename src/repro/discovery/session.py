@@ -55,6 +55,7 @@ from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.events import DiscoveryEvent, RunCompleted
+from repro.discovery.lattice import AttributeBits
 from repro.discovery.results import DiscoveryResult
 from repro.incremental.delta import (
     DeltaSummary,
@@ -350,14 +351,16 @@ class Profiler:
         delta_relation = Relation(schema, columns)
         new_relation = self.relation.concat(delta_relation)
         new_relation.adopt_encoding(extended)
-        patches_by_context: Dict[frozenset, tuple] = {}
-        tracked: Set[frozenset] = set()
+        # Contexts are attribute-set masks, as in the memo's keys.
+        bits = AttributeBits(schema)
+        patches_by_context: Dict[int, tuple] = {}
+        tracked: Set[int] = set()
         patched = 0
         if self.partitions is not None:
             names = schema.names
 
-            def named(key):
-                return frozenset(names[i] for i in key)
+            def masked(key):
+                return bits.mask(names[i] for i in key)
 
             # Under ``max_cached_partitions`` a rebuild can cache a key the
             # cache had evicted; nothing compared it with its old classes,
@@ -366,9 +369,9 @@ class Profiler:
             patches = self.partitions.apply_delta(extended, old_num_rows)
             after = set(self.partitions.cached_keys())
             patches_by_context = {
-                named(key): patch for key, patch in patches.items()
+                masked(key): patch for key, patch in patches.items()
             }
-            tracked = {named(key) for key in before & after}
+            tracked = {masked(key) for key in before & after}
             patched = len(after)
         with get_tracer().span(
             "memo-repair",
@@ -376,7 +379,7 @@ class Profiler:
             affected_contexts=len(patches_by_context),
         ):
             invalidated, adjusted, retained = self._repair_memo(
-                extended, patches_by_context, tracked
+                extended, bits.names, patches_by_context, tracked
             )
         self.relation = new_relation
         self.encoded = extended
@@ -386,7 +389,9 @@ class Profiler:
             new_num_rows=new_relation.num_rows,
             dataset_version=self._dataset_version,
             column_modes=modes,
-            affected_contexts=tuple(sorted(patches_by_context, key=sorted)),
+            affected_contexts=tuple(sorted(
+                map(bits.names_of, patches_by_context), key=sorted
+            )),
             patched_partitions=patched,
             invalidated_memo_entries=invalidated,
             adjusted_memo_entries=adjusted,
@@ -419,7 +424,7 @@ class Profiler:
         result = self.discover(request, cancellation=cancellation)
         return IncrementalOutcome.between(previous, result)
 
-    def _repair_memo(self, extended, patches_by_context, tracked):
+    def _repair_memo(self, extended, names, patches_by_context, tracked):
         """Repair or drop memo entries an append may have changed.
 
         Entries of unaffected ``tracked`` contexts (cached across the
@@ -437,7 +442,9 @@ class Profiler:
             return invalidated, 0, 0
         from repro.incremental.repair import repair_memo
 
-        return repair_memo(self._memo, extended, patches_by_context, tracked)
+        return repair_memo(
+            self._memo, extended, names, patches_by_context, tracked
+        )
 
     # -- incremental session state ---------------------------------------------
 

@@ -30,7 +30,7 @@ outcomes.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dataset.partition import ClassPatch
 from repro.validation.approx_oc_iterative import iterative_removal_rows
@@ -42,18 +42,22 @@ RepairCounts = Tuple[int, int, int]
 def repair_memo(
     memo,
     encoded,
-    patches_by_context: Dict[FrozenSet[str], ClassPatch],
-    cached_contexts: Sequence[FrozenSet[str]],
+    names: Sequence[str],
+    patches_by_context: Dict[int, ClassPatch],
+    cached_contexts: Sequence[int],
 ) -> RepairCounts:
     """Bring a session's validation memo in line with an applied delta.
 
-    ``patches_by_context`` maps affected contexts (attribute-*name* sets) to
-    their ``(removed, added)`` class patch, each side a sub-partition the
-    batch kernels read as they read a context partition; ``cached_contexts``
-    are the contexts whose partitions stayed cached across the append
+    Memo keys are ``(kind, tag, context mask, a bit[, b bit])``, and
+    ``names[i]`` is the attribute of bit ``i`` (see
+    :class:`~repro.discovery.lattice.AttributeBits`).
+    ``patches_by_context`` maps affected context masks to their
+    ``(removed, added)`` class patch, each side a sub-partition the batch
+    kernels read as they read a context partition; ``cached_contexts`` are
+    the context masks whose partitions stayed cached across the append
     (entries for anything else cannot be proven unchanged and are
-    dropped).  Mutates ``memo`` in place and returns
-    ``(invalidated, adjusted, retained)``.
+    dropped).  Mutates ``memo`` in place and returns ``(invalidated,
+    adjusted, retained)``.
     """
     cached = set(cached_contexts)
     # Adjusting costs two full (no-early-exit) kernel runs over the patch
@@ -70,7 +74,7 @@ def repair_memo(
     }
     invalidated = adjusted = retained = 0
     #: context -> list of memo keys whose counts await batched adjustment.
-    pending: Dict[FrozenSet[str], List[tuple]] = {}
+    pending: Dict[int, List[tuple]] = {}
     for key in list(memo):
         context = key[2]
         patch = patches_by_context.get(context)
@@ -84,8 +88,9 @@ def repair_memo(
                 retained += 1
             elif limit_used is None:
                 # Passing exact check: re-check only the added classes.
-                memo[key] = (0, not _holds(key[0], key, patch[1], encoded),
-                             None)
+                memo[key] = (
+                    0, not _holds(key[0], key, patch[1], encoded, names), None
+                )
                 adjusted += 1
             elif context in oversized:
                 del memo[key]
@@ -99,13 +104,13 @@ def repair_memo(
             retained += 1
     for context, keys in pending.items():
         _adjust_counts_batched(
-            memo, keys, patches_by_context[context], encoded
+            memo, keys, patches_by_context[context], encoded, names
         )
         adjusted += len(keys)
     return invalidated, adjusted, retained
 
 
-def _adjust_counts_batched(memo, keys, patch, encoded) -> None:
+def _adjust_counts_batched(memo, keys, patch, encoded, names) -> None:
     """Adjust the exact-count entries of one context in batch kernel calls.
 
     All candidates of a context share the patch classes, so the removed and
@@ -117,7 +122,8 @@ def _adjust_counts_batched(memo, keys, patch, encoded) -> None:
     oc_optimal = [key for key in keys if key[0] == "oc" and key[1] == "optimal"]
     if oc_optimal:
         pairs = [
-            (encoded.native_ranks(key[3]), encoded.native_ranks(key[4]))
+            (encoded.kernel_ranks(names[key[3]]),
+             encoded.kernel_ranks(names[key[4]]))
             for key in oc_optimal
         ]
         deltas = _batched_oc_counts(backend, removed, added, pairs)
@@ -126,7 +132,7 @@ def _adjust_counts_batched(memo, keys, patch, encoded) -> None:
             memo[key] = (count + delta, False, limit_used)
     ofd_approx = [key for key in keys if key[0] == "ofd"]
     if ofd_approx:
-        columns = [encoded.native_ranks(key[3]) for key in ofd_approx]
+        columns = [encoded.kernel_ranks(names[key[3]]) for key in ofd_approx]
         removed_counts = (
             [count for count, _ in backend.ofd_removal_batch(
                 removed, columns, None)]
@@ -146,8 +152,8 @@ def _adjust_counts_batched(memo, keys, patch, encoded) -> None:
             count, _, limit_used = memo[key]
             adjusted_count = (
                 count
-                - _greedy_count(key, removed, encoded)
-                + _greedy_count(key, added, encoded)
+                - _greedy_count(key, removed, encoded, names)
+                + _greedy_count(key, added, encoded, names)
             )
             memo[key] = (adjusted_count, False, limit_used)
 
@@ -173,21 +179,22 @@ def _batched_oc_counts(backend, removed, added, pairs) -> List[int]:
     return [a - r for r, a in zip(removed_counts, added_counts)]
 
 
-def _holds(kind, key, classes, encoded) -> bool:
+def _holds(kind, key, classes, encoded, names) -> bool:
     """An exact check over ``classes``: a removal count at limit 0."""
     backend = encoded.backend
     if kind == "oc":
         [(_, exceeded)] = backend.oc_optimal_removal_count_batch(classes, [
-            (encoded.native_ranks(key[3]), encoded.native_ranks(key[4]))
+            (encoded.kernel_ranks(names[key[3]]),
+             encoded.kernel_ranks(names[key[4]]))
         ], 0)
     else:
         [(_, exceeded)] = backend.ofd_removal_batch(
-            classes, [encoded.native_ranks(key[3])], 0
+            classes, [encoded.kernel_ranks(names[key[3]])], 0
         )
     return not exceeded
 
 
-def _greedy_count(key, classes, encoded) -> int:
+def _greedy_count(key, classes, encoded, names) -> int:
     """An iterative-validator OC's removal contribution over ``classes``.
 
     Algorithm 1 (greedy) is per-class independent as well; it runs on
@@ -196,6 +203,7 @@ def _greedy_count(key, classes, encoded) -> int:
     if not classes:
         return 0
     removal, _ = iterative_removal_rows(
-        classes, encoded.ranks(key[3]), encoded.ranks(key[4]), None
+        classes, encoded.ranks(names[key[3]]), encoded.ranks(names[key[4]]),
+        None,
     )
     return len(removal)

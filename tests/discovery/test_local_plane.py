@@ -331,8 +331,9 @@ def test_cancel_with_groups_in_flight(monkeypatch):
         assert Token.in_flight_at_cancel >= 1
         assert set(threading.enumerate()) <= baseline
         assert not _plane_threads()
-        oc_contexts = {
-            len(key[2]) for key in session.validation_memo if key[0] == "oc"
+        oc_contexts = {  # context sizes: keys hold context masks
+            bin(key[2]).count("1")
+            for key in session.validation_memo if key[0] == "oc"
         }
         # Level 2 (empty contexts) was harvested; level 3 was not.
         assert oc_contexts == {0}

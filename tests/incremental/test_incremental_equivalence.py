@@ -178,8 +178,9 @@ def test_memo_invalidation_is_selective(backend):
         assert (summary.retained_memo_entries
                 + summary.adjusted_memo_entries) == len(surviving)
         assert summary.invalidated_memo_entries + len(surviving) > 0
-        # Untouched single-attribute contexts kept their entries.
-        assert any(key[2] == frozenset(["a"]) for key in surviving)
+        # Untouched single-attribute contexts kept their entries (keys hold
+        # context masks; "a" is bit 0 in name order).
+        assert any(key[2] == 0b1 for key in surviving)
         outcome = session.discover_incremental(request)
         cold = _cold_result(base, [(100, 200, 300)], backend, request)
         assert _result_payload(outcome.result) == _result_payload(cold)
@@ -189,7 +190,8 @@ def test_memo_invalidation_is_selective(backend):
 def test_memo_adjustment_matches_fresh_kernels(backend):
     """A repaired entry must equal what a fresh kernel over the patched
     context computes — per-class additivity made observable."""
-    from repro.discovery.engine import memo_outcome, oc_memo_key, ofd_memo_key
+    from repro.discovery.engine import memo_outcome
+    from repro.discovery.lattice import AttributeBits
     from repro.validation.approx_ofd import aofd_removal_rows
     from repro.validation.common import removal_limit
 
@@ -206,23 +208,28 @@ def test_memo_adjustment_matches_fresh_kernels(backend):
         config = request.to_config()
         limit = removal_limit(session.relation.num_rows, request.threshold)
         checked = 0
+        # Keys hold a context mask and bit positions in name order.
+        bits = AttributeBits(session.relation.schema)
+        names = bits.names
         for key, entry in memo.items():
             if entry[1]:
                 continue  # "over budget" verdicts carry partial counts
             outcome = memo_outcome(entry, limit)
             if outcome is None:
                 continue
-            classes = session.partitions.get_by_names(sorted(key[2]))
+            classes = session.partitions.get_by_names(
+                sorted(bits.names_of(key[2]))
+            )
             if key[0] == "oc" and key[1] == "optimal":
                 [(fresh, _)] = session.backend.oc_optimal_removal_count_batch(
                     classes,
-                    [(encoded.native_ranks(key[3]),
-                      encoded.native_ranks(key[4]))],
+                    [(encoded.native_ranks(names[key[3]]),
+                      encoded.native_ranks(names[key[4]]))],
                     None,
                 )
             elif key[0] == "ofd" and key[1] == "approx":
                 removal, _ = aofd_removal_rows(
-                    classes, encoded.ranks(key[3]), None
+                    classes, encoded.ranks(names[key[3]]), None
                 )
                 fresh = len(removal)
             else:

@@ -90,7 +90,11 @@ def test_columns_ship_once_per_worker_per_version(backend, monkeypatch):
         for _ in range(4):
             assert plane.harvest(plane.submit(classes, pairs, None)) == expected
         assert pool.stats == {"groups": 4, "jobs": 8}
-    resident = {id(encoded.native_ranks(name)) for name in names[1:3]}
+    # The reference loops read the lists the encoding caches, the native
+    # kernels its arrays.
+    column = (encoded.native_ranks if resolved.oc_kernel_name == "native"
+              else encoded.ranks)
+    resident = {id(column(name)) for name in names[1:3]}
     assert len(seen) == 16
     assert {id(column) for column in seen} == resident
 
