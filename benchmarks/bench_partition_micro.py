@@ -20,6 +20,12 @@ loops a host without a compiler runs), after asserting that both equal
 the python backend, partials included.  Each record's ``kernel`` is the
 NumPy backend's ``oc_kernel_name``: ``native``, or ``python`` without the
 library.
+
+The ``encode`` sub-record first asserts that the ``numpy`` and ``python``
+configurations encode every column of a flight-like and an ncvoter-like
+table of ``NUM_ROWS`` rows identically (ranks, and dictionaries entry by
+entry on type and ``repr``), then times ``EncodedRelation.from_relation``
+for both; ``identical`` records that check.
 """
 
 import json
@@ -31,7 +37,8 @@ import pytest
 
 from repro.backend import get_backend
 from repro.benchlib.harness import time_best_of
-from repro.dataset.generators import generate_flight_like
+from repro.dataset.encoding import EncodedRelation
+from repro.dataset.generators import generate_flight_like, generate_ncvoter_like
 from repro.dataset.partition import Partition, PartitionCache
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "").strip() not in ("", "0")
@@ -322,6 +329,35 @@ def test_oc_count_batch(workload, monkeypatch):
     BASELINE["oc"] = dict(
         record, oc_pairs=len(pairs), budget=budget, points=points
     )
+
+
+def test_encode():
+    """Both encoders on flight- and ncvoter-like tables: parity, then time."""
+    tables = {
+        "flight": generate_flight_like(
+            NUM_ROWS, num_attributes=NUM_ATTRIBUTES, error_rate=0.08, seed=7
+        ).relation,
+        "ncvoter": generate_ncvoter_like(NUM_ROWS, seed=7).relation,
+    }
+    timings = {}
+    for label, relation in tables.items():
+        fast, reference = (
+            EncodedRelation.from_relation(relation, get_backend(name))
+            for name in ("numpy", "python")
+        )
+        for name in relation.attribute_names:
+            assert fast.native_ranks(name).tolist() == reference.ranks(name), name
+            assert [(type(v), repr(v)) for v in fast.dictionary(name)] == [
+                (type(v), repr(v)) for v in reference.dictionary(name)
+            ], name
+        timings[label] = {"attributes": len(relation.attribute_names)}
+        for name in BACKENDS:
+            backend = get_backend(name)
+            timings[label][f"{name}_s"] = round(time_best_of(
+                lambda: EncodedRelation.from_relation(relation, backend),
+                REPEATS,
+            ), 5)
+    BASELINE["encode"] = {"identical": True, "tables": timings}
 
 
 @pytest.fixture(scope="module", autouse=True)

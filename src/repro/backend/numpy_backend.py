@@ -3,15 +3,16 @@
 Rank columns are dense ``int32`` arrays and partitions ``int64`` CSR
 arrays.  One class serves two configurations, picked by registry name:
 
-* ``"numpy"`` (and ``"auto"``) is the fast one.  Clean homogeneous columns
-  encode via ``np.unique(return_inverse=True)``, found by one scan of the
-  value types (dirty mixed-type columns fall back to the reference
-  encoder, so the semantics — including first-appearance tie-breaks for
-  values whose sort keys collide — are preserved exactly).  With the
-  native kernels of :mod:`repro.backend.native`, a refinement whose
-  classes group enough of the rows is one native call that walks the new
-  attribute's cached row order (sorted partitions) and writes the child
-  partition in canonical form, in O(n) and without a sort; a
+* ``"numpy"`` (and ``"auto"``) is the fast one.  It encodes a column by
+  the reference encoder's own algorithm, so it never falls back to it:
+  numeric columns of plain ints inside ±2^53, or of floats other than
+  NaN, rank as one NumPy array; every other column goes through a
+  first-occurrence value dictionary whose distinct values are sorted
+  plainly where that is the reference's order, else by its sort keys.
+  With the native kernels of :mod:`repro.backend.native`, a refinement
+  whose classes group enough of the rows is one native call that walks
+  the new attribute's cached row order (sorted partitions) and writes
+  the child partition in canonical form, in O(n) and without a sort; a
   single-column partition is the unit partition refined the same way.
   Below that fraction, and on hosts without the library, partitions
   refine by a stable lexsort over rank columns, split on group
@@ -32,11 +33,8 @@ The removal-*rows* loops (Algorithms 1 and 2, the §3.3 OD variant and
 cached rank lists.
 
 Parity contract: both configurations return the same values, in the
-same order, with the same early-exit points.  One documented exception:
-for float columns containing both ``-0.0`` and ``0.0`` the
-*representative* stored in the decode dictionary may differ (the ranks are
-still identical); such columns behave identically in all discovery and
-validation code, which only ever touches ranks.
+same order, with the same early-exit points; encoded columns have equal
+ranks and dictionaries of equal values of equal types.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backend import native
+from repro.dataset.encoding import _sort_key, encode_column
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
 
@@ -59,8 +58,12 @@ EncodedColumn = Tuple[Optional[List[int]], List[object], object]
 
 #: Largest magnitude at which ``float(int)`` is still injective; beyond it
 #: the reference encoder's float sort keys collide and break ties by first
-#: appearance, which a numeric sort cannot reproduce — so we fall back.
+#: appearance, so such values take the keyed sort.
 _FLOAT_SAFE_INT = 1 << 53
+
+#: Widest value span, per row, that ``_encode_array`` ranks through a
+#: presence table instead of ``np.unique``.
+_DENSE_SPAN_PER_ROW = 4
 
 _NUMERIC_TYPES = (AttributeType.INTEGER, AttributeType.FLOAT)
 
@@ -89,6 +92,104 @@ def _as_list(ranks) -> List[int]:
     on lists, ``tolist()`` otherwise (scalar indexing into an array is
     several times slower and yields NumPy scalars)."""
     return ranks if isinstance(ranks, list) else np.asarray(ranks).tolist()
+
+
+def _encode_array(
+    values: Sequence[object],
+) -> Optional[Tuple[List[object], np.ndarray]]:
+    """``(dictionary, ranks)`` of a numeric column whose present values are
+    all plain ``int`` inside ±2^53 or all ``float`` other than NaN, or
+    ``None`` for any other column.
+
+    On such values the reference's ``float`` sort keys are injective, so
+    its order is the values' own and the column ranks as one NumPy array;
+    ``None`` takes rank 0, as in the reference.
+    """
+    kinds = set(map(type, values))
+    present = values
+    if type(None) in kinds:
+        kinds.discard(type(None))
+        present = [value for value in values if value is not None]
+    if kinds == {int}:
+        try:
+            array = np.array(present, dtype=np.int64)
+        except OverflowError:
+            return None
+        lo, hi = int(array.min()), int(array.max())
+        if lo <= -_FLOAT_SAFE_INT or hi >= _FLOAT_SAFE_INT:
+            return None
+        if hi - lo <= _DENSE_SPAN_PER_ROW * array.size:
+            # A table of the values present ranks them without a sort.
+            offsets = array - lo
+            seen = np.zeros(hi - lo + 1, dtype=bool)
+            seen[offsets] = True
+            ranks = (np.cumsum(seen, dtype=np.int32) - 1)[offsets]
+            uniques = np.flatnonzero(seen) + lo
+        else:
+            uniques, ranks = np.unique(array, return_inverse=True)
+    elif kinds == {float}:
+        array = np.array(present, dtype=np.float64)
+        if np.isnan(array).any():
+            return None
+        uniques, ranks = np.unique(array, return_inverse=True)
+        zeros = np.flatnonzero(array == 0)
+        if zeros.size:
+            # -0.0 == 0.0: the reference keeps the first one's sign.
+            uniques[uniques == 0] = array[zeros[0]]
+    else:
+        return None
+    ranks = ranks.astype(np.int32, copy=False).reshape(-1)
+    if present is values:
+        return uniques.tolist(), ranks
+    mask = np.fromiter(
+        (value is not None for value in values), dtype=bool, count=len(values)
+    )
+    native = np.zeros(len(values), dtype=np.int32)
+    native[mask] = ranks + 1
+    return [None, *uniques.tolist()], native
+
+
+def _encode_distinct(
+    values: Sequence[object], attr_type: AttributeType, numeric: bool
+) -> Tuple[List[object], np.ndarray]:
+    """``(dictionary, ranks)`` of any column, by the reference encoder's
+    own algorithm: distinct values in first-occurrence order (so each
+    keeps its first representative), ``None`` first, the rest sorted
+    stably by :func:`~repro.dataset.encoding._sort_key`.  Where that sort
+    is the values' natural order (see :func:`_plainly_sorted`) the keys
+    are never built."""
+    distinct = dict.fromkeys(values)
+    dictionary: List[object] = [None] if None in distinct else []
+    distinct.pop(None, None)
+    if _plainly_sorted(distinct, numeric):
+        dictionary += sorted(distinct)
+    else:
+        dictionary += sorted(
+            distinct, key=lambda value: _sort_key(value, attr_type)
+        )
+    # The distinct-value dict becomes the value -> rank map in place.
+    distinct.update(zip(dictionary, range(len(dictionary))))
+    return dictionary, np.fromiter(
+        map(distinct.__getitem__, values), dtype=np.int32, count=len(values)
+    )
+
+
+def _plainly_sorted(distinct, numeric: bool) -> bool:
+    """Do the distinct values sort like their reference sort keys?
+
+    In a non-numeric column every ``str`` keys as ``(1, value)``; in a
+    numeric one every ``int`` or ``float`` as ``(0, float(value))``, which
+    is injective and order-preserving for ints inside ±2^53 and floats
+    other than NaN.  Distinct values never compare equal, so no tie is
+    left for the reference's first-appearance order to break.  Subclasses
+    (``bool``, ``str`` subclasses) take the keyed sort.
+    """
+    kinds = set(map(type, distinct))
+    if not numeric:
+        return kinds <= {str}
+    return kinds <= {int, float} and all(
+        -_FLOAT_SAFE_INT < value < _FLOAT_SAFE_INT for value in distinct
+    )
 
 
 class NumpyBackend:
@@ -121,74 +222,17 @@ class NumpyBackend:
     def encode_column(
         self, values: Sequence[object], attr_type: AttributeType = AttributeType.STRING
     ) -> EncodedColumn:
-        if not self.reference:
-            encoded = self._encode_fast(values, attr_type)
-            if encoded is not None:
-                return encoded
-        from repro.dataset.encoding import encode_column
-
-        ranks, dictionary = encode_column(values, attr_type)
-        return ranks, dictionary, np.asarray(ranks, dtype=np.int32)
-
-    def _encode_fast(self, values: Sequence[object], attr_type) -> Optional[EncodedColumn]:
-        """Vectorised encoding for homogeneous columns; ``None`` → fall back.
-
-        The reference encoder sorts by per-type sort keys with equality
-        dedup and first-appearance tie-breaks.  Those semantics reduce to a
-        plain value sort exactly when the column is homogeneously typed
-        (all ``int``, all ``float`` or all ``str`` — ``bool`` excluded
-        because ``True == 1`` merges across types) and the sort key is
-        injective on the values (no NaN, ints within float precision).
-        """
-        # One C-level scan for the column's value types; None is filtered
-        # out only when it occurs.
-        kinds = set(map(type, values))
-        present = values
-        if type(None) in kinds:
-            kinds.discard(type(None))
-            present = [value for value in values if value is not None]
-        if len(kinds) != 1:
-            return None  # empty, all-None or mixed: the reference handles it
-        (kind,) = kinds
+        if self.reference:
+            ranks, dictionary = encode_column(values, attr_type)
+            return ranks, dictionary, np.asarray(ranks, dtype=np.int32)
         numeric = attr_type in _NUMERIC_TYPES
-        if kind is int and numeric:
-            try:
-                array = np.array(present, dtype=np.int64)
-            except OverflowError:
-                return None
-            if int(np.abs(array).max()) >= _FLOAT_SAFE_INT:
-                return None
-        elif kind is float and numeric:
-            array = np.array(present, dtype=np.float64)
-            if np.isnan(array).any():
-                return None
-        elif kind is str and not numeric:
-            # NumPy's fixed-width unicode dtype ignores trailing NUL
-            # characters in comparisons, which would merge strings the
-            # reference encoder keeps distinct.
-            if "\0" in "".join(present):
-                return None
-            array = np.array(present, dtype=np.str_)
-        else:
-            # bool (True == 1 merges across types), any other type, or a
-            # type/declared-type mismatch: reference coercion rules apply.
-            return None
-        uniques, inverse = np.unique(array, return_inverse=True)
-        inverse = inverse.astype(np.int32).reshape(-1)
-        if len(present) == len(values):
-            native = inverse
-            dictionary = uniques.tolist()
-        else:
-            mask = np.fromiter(
-                (v is not None for v in values), dtype=bool, count=len(values)
-            )
-            native = np.zeros(len(values), dtype=np.int32)
-            native[mask] = inverse + 1
-            dictionary = [None] + uniques.tolist()
-        # ranks=None: the canonical list is derived lazily from `native` by
-        # EncodedRelation on first access, so hot paths that only touch the
-        # columnar form never pay for a Python list.
-        return None, dictionary, native
+        encoded = _encode_array(values) if numeric else None
+        if encoded is None:
+            encoded = _encode_distinct(values, attr_type, numeric)
+        # ranks=None: the canonical list is derived lazily from the native
+        # column by EncodedRelation on first access, so hot paths that only
+        # touch the columnar form never pay for a Python list.
+        return None, encoded[0], encoded[1]
 
     # -- partitions ------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataset.schema import AttributeType, Schema
+from repro.obs import get_tracer
 
 #: Per-column outcome of :meth:`EncodedRelation.extend`: ``"appended"`` when
 #: every delta value reused an existing code or extended the dictionary past
@@ -178,6 +179,7 @@ class EncodedRelation:
         which stores each distinct value's first occurrence).
 
         ``self`` is left untouched; callers swap in the returned encoding.
+        The call records an ``encode-delta`` span.
         """
         missing = [a.name for a in self.schema if a.name not in columns]
         extra = sorted(set(columns) - set(self.schema.names))
@@ -196,14 +198,17 @@ class EncodedRelation:
         dictionaries: List[List[object]] = []
         natives: List[object] = []
         modes: Dict[str, str] = {}
-        for index, attribute in enumerate(self.schema):
-            ranks, dictionary, native, mode = self._extend_column(
-                index, columns[attribute.name], attribute.type
-            )
-            rank_columns.append(ranks)
-            dictionaries.append(dictionary)
-            natives.append(native)
-            modes[attribute.name] = mode
+        with get_tracer().span(
+            "encode-delta", rows=num_new, columns=len(self.schema)
+        ):
+            for index, attribute in enumerate(self.schema):
+                ranks, dictionary, native, mode = self._extend_column(
+                    index, columns[attribute.name], attribute.type
+                )
+                rank_columns.append(ranks)
+                dictionaries.append(dictionary)
+                natives.append(native)
+                modes[attribute.name] = mode
         extended = EncodedRelation(
             self.schema,
             rank_columns,

@@ -13,6 +13,7 @@ import random
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataset.schema import Attribute, AttributeType, Schema
+from repro.obs import get_tracer
 
 
 class Relation:
@@ -232,7 +233,8 @@ class Relation:
         ``backend`` selects the compute backend (an instance, a name such as
         ``"numpy"``, or ``None`` for the environment default); encodings are
         cached per backend.  See
-        :class:`repro.dataset.encoding.EncodedRelation`.
+        :class:`repro.dataset.encoding.EncodedRelation`.  Building an
+        encoding records an ``encode`` span.
         """
         from repro.backend import resolve_backend
 
@@ -241,7 +243,10 @@ class Relation:
         if cached is None:
             from repro.dataset.encoding import EncodedRelation
 
-            cached = EncodedRelation.from_relation(self, resolved)
+            with get_tracer().span(
+                "encode", rows=self._num_rows, columns=len(self._schema)
+            ):
+                cached = EncodedRelation.from_relation(self, resolved)
             self._encoded[resolved.name] = cached
         return cached
 

@@ -705,9 +705,7 @@ class DiscoveryEngine:
         factor = (
             removal_size / self.relation.num_rows if self.relation.num_rows else 0.0
         )
-        self.knowledge.record_ofd(
-            context, attribute, holds_exactly=removal_size == 0
-        )
+        self.knowledge.record_ofd(context, attribute)
         named = self.bits.names_of(context)
         ofd = OFD(named, self.bits.names[attribute])
         coverage = context_coverage(

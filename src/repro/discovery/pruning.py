@@ -39,19 +39,16 @@ class KnowledgeBase:
 
     def __init__(self) -> None:
         self._valid_ofds: Dict[int, Set[int]] = {}
-        self._exactly_valid_ofds: Dict[int, Set[int]] = {}
         self._num_valid_ofds = 0
 
     # -- recording -------------------------------------------------------------
 
-    def record_ofd(self, context: int, attribute: int, holds_exactly: bool) -> None:
+    def record_ofd(self, context: int, attribute: int) -> None:
         """Register the valid (A)OFD ``context: [] ↦→ attribute``."""
         contexts = self._valid_ofds.setdefault(attribute, set())
         if context not in contexts:
             contexts.add(context)
             self._num_valid_ofds += 1
-        if holds_exactly:
-            self._exactly_valid_ofds.setdefault(attribute, set()).add(context)
 
     # -- queries used by the pruning rules --------------------------------------
 
@@ -62,14 +59,6 @@ class KnowledgeBase:
     def ofd_known_valid(self, context: int, attribute: int) -> bool:
         """Is ``context: [] ↦→ attribute`` already known to hold (approximately)?"""
         return context in self._valid_ofds.get(attribute, ())
-
-    def ofd_known_exact(self, context: int, attribute: int) -> bool:
-        """Is ``context: [] ↦→ attribute`` already known to hold exactly?"""
-        return context in self._exactly_valid_ofds.get(attribute, ())
-
-    def is_constant(self, attribute: int) -> bool:
-        """Is the attribute constant over the whole relation (level-1 OFD)?"""
-        return self.ofd_known_valid(0, attribute)
 
     @property
     def num_valid_ofds(self) -> int:

@@ -23,29 +23,41 @@ def _ctx(*names):
 class TestKnowledgeBase:
     def test_record_and_lookup(self):
         kb = KnowledgeBase()
-        kb.record_ofd(_ctx("x"), A, holds_exactly=True)
+        kb.record_ofd(_ctx("x"), A)
+        kb.record_ofd(_ctx("x"), A)
         assert kb.ofd_known_valid(_ctx("x"), A)
-        assert kb.ofd_known_exact(_ctx("x"), A)
         assert not kb.ofd_known_valid(_ctx(), A)
+        assert not kb.ofd_known_valid(_ctx("x"), B)
         assert kb.num_valid_ofds == 1
 
-    def test_approximate_ofd_not_marked_exact(self):
+    def test_valid_contexts_per_rhs(self):
+        """Approximate and exact OFDs are recorded alike: per right-hand
+        side, the set of contexts that determine it."""
         kb = KnowledgeBase()
-        kb.record_ofd(_ctx("x"), A, holds_exactly=False)
-        assert kb.ofd_known_valid(_ctx("x"), A)
-        assert not kb.ofd_known_exact(_ctx("x"), A)
+        kb.record_ofd(_ctx("x"), A)
+        kb.record_ofd(_ctx("x", "y"), A)
+        kb.record_ofd(_ctx("y"), B)
+        assert set(kb.valid_contexts(A)) == {_ctx("x"), _ctx("x", "y")}
+        assert set(kb.valid_contexts(B)) == {_ctx("y")}
+        assert not kb.valid_contexts(C)
+        assert kb.num_valid_ofds == 3
 
     def test_constant_attribute(self):
+        """A level-1 OFD (empty context) marks a constant attribute: it
+        prunes the attribute's OFDs one level up and its OCs in the empty
+        context."""
         kb = KnowledgeBase()
-        kb.record_ofd(_ctx(), A, holds_exactly=True)
-        assert kb.is_constant(A)
-        assert not kb.is_constant(B)
+        kb.record_ofd(_ctx(), A)
+        assert kb.ofd_known_valid(_ctx(), A)
+        assert ofd_pruned_by_subcontext(_ctx("x"), A, kb)
+        assert oc_pruned_by_constancy(_ctx(), A, B, kb)
+        assert not ofd_pruned_by_subcontext(_ctx("x"), B, kb)
 
 
 class TestPruningRules:
     def test_oc_pruned_when_either_side_constant_in_context(self):
         kb = KnowledgeBase()
-        kb.record_ofd(_ctx("x"), A, holds_exactly=True)
+        kb.record_ofd(_ctx("x"), A)
         assert oc_pruned_by_constancy(_ctx("x"), A, B, kb)
         assert oc_pruned_by_constancy(_ctx("x"), B, A, kb)
         assert not oc_pruned_by_constancy(_ctx(), A, B, kb)
@@ -53,12 +65,12 @@ class TestPruningRules:
 
     def test_ofd_pruned_by_same_context(self):
         kb = KnowledgeBase()
-        kb.record_ofd(_ctx("x"), A, holds_exactly=True)
+        kb.record_ofd(_ctx("x"), A)
         assert ofd_pruned_by_subcontext(_ctx("x"), A, kb)
 
     def test_ofd_pruned_by_smaller_context(self):
         kb = KnowledgeBase()
-        kb.record_ofd(_ctx("x"), A, holds_exactly=True)
+        kb.record_ofd(_ctx("x"), A)
         assert ofd_pruned_by_subcontext(_ctx("x", "y"), A, kb)
 
     def test_ofd_not_pruned_without_evidence(self):

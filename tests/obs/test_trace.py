@@ -165,6 +165,27 @@ def test_oc_plane_spans_sit_under_their_level():
     assert result.num_ocs > 0
 
 
+def test_encoding_spans_carry_row_and_column_counts():
+    """Building an encoding records an ``encode`` span, and an append an
+    ``encode-delta`` span, each with its row and column counts; a cached
+    encoding records none."""
+    relation = generate_flight_like(
+        200, num_attributes=4, error_rate=0.1, seed=5
+    ).relation
+    tracer = Tracer()
+    with use_tracer(tracer):
+        with Profiler(relation, backend="numpy") as session:
+            session.discover(DiscoveryRequest(threshold=0.1))
+            session.extend([relation.row(index) for index in range(7)])
+        relation.encoded("numpy")
+    encoding = [
+        (span.name, span.attrs["rows"], span.attrs["columns"])
+        for span in tracer.finished_spans()
+        if span.name.startswith("encode")
+    ]
+    assert encoding == [("encode", 200, 4), ("encode-delta", 7, 4)]
+
+
 # -- differential: tracing must not change results -------------------------------
 
 
