@@ -345,7 +345,8 @@ def _report(figure_report):
                 f"({incremental.backend}): cold "
                 f"{incremental.cold_seconds:.3f}s vs incremental "
                 f"{incremental.incremental_seconds:.3f}s = "
-                f"{incremental.speedup:.2f}x"
+                f"{incremental.speedup:.2f}x (extend "
+                f"{incremental.extend_seconds:.3f}s)"
             ]
             if incremental is not None
             else []

@@ -1,11 +1,15 @@
 /* Count-only removal kernels for the two validators of the discovery loop,
  * and partition refinement over sorted partitions.
  *
- * Both counts walk a context's equivalence classes in order and stop after
- * the first class that takes the count above `limit`, so each returned
- * count equals the class-by-class reference, partials included.  Every
- * entry returns -1 instead of reading or writing out of bounds when an
- * input does not fit.
+ * Both counts walk a range of a CSR's equivalence classes in order and
+ * stop after the first class that takes the count above `limit`, so each
+ * returned count equals the class-by-class reference over the same
+ * classes, partials included.  Each job (an OC pair, an OFD column) names
+ * its own class range [lo, hi): a discovery batch gives every job all of
+ * one context's classes, and incremental repair concatenates the patch
+ * classes of many contexts into one CSR and gives each job its context's
+ * slice.  Every entry returns -1 instead of reading or writing out of
+ * bounds when an input does not fit.
  */
 #include <stdint.h>
 #include <string.h>
@@ -25,6 +29,18 @@ static int64_t check_classes(const int64_t *rows, int64_t num_rows,
             return -1;
     for (int64_t i = 0; i < num_rows; i++)
         if (rows[i] < 0 || rows[i] >= column_length)
+            return -1;
+    return 0;
+}
+
+/* Job j covers classes ranges[2j] .. ranges[2j + 1] - 1.  Returns 0 when
+ * every range lies inside the `num_classes` classes, else -1. */
+static int64_t check_ranges(const int64_t *ranges, int64_t num_jobs,
+                            int64_t num_classes)
+{
+    for (int64_t j = 0; j < num_jobs; j++)
+        if (ranges[2 * j] < 0 || ranges[2 * j + 1] < ranges[2 * j]
+            || ranges[2 * j + 1] > num_classes)
             return -1;
     return 0;
 }
@@ -125,11 +141,12 @@ static int64_t class_removals(const uint64_t *keys, int64_t n, uint64_t mask,
     return n - len;
 }
 
-/* Algorithm 2 (AOC) for a batch of (A, B) rank-column pairs over one
- * context, each class sorted on demand.
+/* Algorithm 2 (AOC) for a batch of (A, B) rank-column pairs, each over its
+ * range of classes, each class sorted on demand.
  *
  * Pair p is columns[pairs[2p]] as A and columns[pairs[2p + 1]] as B, each
- * an int32 rank column of `column_length` entries.  Per pair, each class in
+ * an int32 rank column of `column_length` entries, counted over classes
+ * ranges[2p] .. ranges[2p + 1] - 1.  Per pair, each class of its range in
  * order is gathered through `rows` into one key per row, (A, B) less the
  * class's minima, packed with bit widths from the class's own maxima; the
  * keys, unless already in order, are sorted, which orders the class by
@@ -139,18 +156,21 @@ static int64_t class_removals(const uint64_t *keys, int64_t n, uint64_t mask,
  * and counts[p] receives the count.
  *
  * `scratch` holds two slots per row of the longest class.  Returns 0, or
- * -1 when the classes do not fit (see check_classes), a pair names no
- * column, a rank is negative or the scratch is too short.
+ * -1 when the classes do not fit (see check_classes), a range does not fit
+ * them (see check_ranges), a pair names no column, a rank is negative or
+ * the scratch is too short.
  */
 int64_t oc_removal_batch(const int64_t *rows, int64_t num_rows,
                          const int64_t *offsets, int64_t num_classes,
                          const int32_t *const *columns, int64_t num_columns,
                          int64_t column_length,
                          const int64_t *pairs, int64_t num_pairs,
+                         const int64_t *ranges,
                          uint64_t *scratch, int64_t num_scratch,
                          int64_t limit, int64_t *counts)
 {
-    if (check_classes(rows, num_rows, offsets, num_classes, column_length))
+    if (check_classes(rows, num_rows, offsets, num_classes, column_length)
+        || check_ranges(ranges, num_pairs, num_classes))
         return -1;
     for (int64_t p = 0; p < 2 * num_pairs; p++)
         if (pairs[p] < 0 || pairs[p] >= num_columns)
@@ -158,7 +178,8 @@ int64_t oc_removal_batch(const int64_t *rows, int64_t num_rows,
     for (int64_t p = 0; p < num_pairs; p++) {
         const int32_t *a = columns[pairs[2 * p]], *b = columns[pairs[2 * p + 1]];
         int64_t count = 0;
-        for (int64_t c = 0; c < num_classes && count <= limit; c++) {
+        for (int64_t c = ranges[2 * p]; c < ranges[2 * p + 1] && count <= limit;
+             c++) {
             const int64_t *members = rows + offsets[c];
             int64_t n = offsets[c + 1] - offsets[c];
             if (n < 2)
@@ -207,32 +228,36 @@ int64_t oc_removal_batch(const int64_t *rows, int64_t num_rows,
     return 0;
 }
 
-/* TANE's g3 (AOFD) for a batch of RHS rank columns over one context: per
- * class, every row not carrying the class's most frequent RHS value is
- * removed.
+/* TANE's g3 (AOFD) for a batch of RHS rank columns, each over its range of
+ * classes: per class, every row not carrying the class's most frequent RHS
+ * value is removed.
  *
  * Each of the `num_columns` int32 columns has `column_length` entries; the
- * classes are as in check_classes.  `freq` is `num_freq` zeroed counters,
- * one per rank; each class counts its ranks there and zeroes them again
- * before the next, so `freq` is all zeroes on return, on the -1 path too,
- * and can be reused.  Column k stops after the first class that takes its
- * count above `limit`, and counts[k] receives the count.
+ * classes are as in check_classes, and column k is counted over classes
+ * ranges[2k] .. ranges[2k + 1] - 1.  `freq` is `num_freq` zeroed
+ * counters, one per rank; each class counts its ranks there and zeroes them
+ * again before the next, so `freq` is all zeroes on return, on the -1 path
+ * too, and can be reused.  Column k stops after the first class that takes
+ * its count above `limit`, and counts[k] receives the count.
  *
- * Returns 0, or -1 when the classes do not fit or a rank is outside `freq`.
+ * Returns 0, or -1 when the classes or a range do not fit (see
+ * check_classes, check_ranges) or a rank is outside `freq`.
  */
 int64_t ofd_removal_count(const int64_t *rows, int64_t num_rows,
                           const int64_t *offsets, int64_t num_classes,
                           const int32_t *const *columns, int64_t num_columns,
-                          int64_t column_length,
+                          int64_t column_length, const int64_t *ranges,
                           int64_t *freq, int64_t num_freq,
                           int64_t limit, int64_t *counts)
 {
-    if (check_classes(rows, num_rows, offsets, num_classes, column_length))
+    if (check_classes(rows, num_rows, offsets, num_classes, column_length)
+        || check_ranges(ranges, num_columns, num_classes))
         return -1;
     for (int64_t k = 0; k < num_columns; k++) {
         const int32_t *ranks = columns[k];
         int64_t count = 0;
-        for (int64_t c = 0; c < num_classes && count <= limit; c++) {
+        for (int64_t c = ranges[2 * k]; c < ranges[2 * k + 1] && count <= limit;
+             c++) {
             int64_t start = offsets[c], end = offsets[c + 1];
             int64_t best = 0, i;
             for (i = start; i < end; i++) {

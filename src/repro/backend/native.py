@@ -3,17 +3,18 @@
 ``_kernels.c`` holds the two count-only kernels of the discovery loop, one
 per validator, and partition refinement over sorted partitions:
 
-* ``oc_removal_batch`` is Algorithm 2's AOC count for a whole context
-  batch in one call.  Per pair and per class, in order, it gathers the
-  ``(A, B)`` ranks of the class's rows into one packed key each, sorts the
-  keys (insertion sort up to 32 rows, 8-bit LSD radix above), screens the
-  class and runs a galloping patience LNDS over ``B`` if it is dirty.  A
-  pair stops after the class that takes it over the removal budget, so it
-  pays only for the classes it inspects (see
+* ``oc_removal_batch`` is Algorithm 2's AOC count for a whole batch in one
+  call.  Per pair and per class of the pair's class range, in order, it
+  gathers the ``(A, B)`` ranks of the class's rows into one packed key
+  each, sorts the keys (insertion sort up to 32 rows, 8-bit LSD radix
+  above), screens the class and runs a galloping patience LNDS over ``B``
+  if it is dirty.  A pair stops after the class that takes it over the
+  removal budget, so it pays only for the classes it inspects (see
   ``NumpyBackend.oc_optimal_removal_count_batch``).
 * ``ofd_removal_count`` is TANE's ``g3`` AOFD count: one frequency pass per
-  class and RHS rank column, every column of a batch in one call, through
-  a reusable scratch of counters (see ``NumpyBackend.ofd_removal_batch``).
+  class of a column's class range, every column of a batch in one call,
+  through a reusable scratch of counters (see
+  ``NumpyBackend.ofd_removal_batch``).
 * ``refine_partition`` refines a partition by one rank column in a single
   call: it walks the column's cached ``(rank, row)`` order (see
   ``EncodedRelation.row_order_by_index``), buckets each parent class's rows
@@ -22,6 +23,12 @@ per validator, and partition refinement over sorted partitions:
   row, through a row-indexed mark array: O(n) and no sort (see
   ``NumpyBackend.partition_refine``; level-1 partitions are the unit
   partition refined the same way).
+
+Both counts take one class range ``[lo, hi)`` per job.  A discovery batch
+counts one context, so every job's range is all of its classes (the
+bindings' default); incremental repair concatenates the patch classes of
+every affected context into one CSR and hands each job its context's
+slice, so an append costs one call per count kernel.
 
 Each entry runs once per batch or refinement, so the bindings check dtype
 and layout in Python and pass bare addresses rather than paying for
@@ -85,9 +92,11 @@ _NO_LIMIT = int(np.iinfo(np.int64).max)
 class Kernels(NamedTuple):
     """The typed entry points of one loaded library; see :func:`_bind`."""
 
-    #: ``(rows, offsets, pairs, scratch, limit) -> [count per pair]``
+    #: ``(rows, offsets, pairs, scratch, limit[, ranges])
+    #: -> [count per pair]``
     oc_removal_batch: Callable[..., List[int]]
-    #: ``(columns, rows, offsets, freq, limit) -> [count per column]``
+    #: ``(columns, rows, offsets, freq, limit[, ranges])
+    #: -> [count per column]``
     ofd_removal_count: Callable[..., List[int]]
     #: ``(rows, offsets, ranks, order, mark, out_rows, out_offsets)
     #: -> number of child classes``
@@ -162,10 +171,11 @@ def _bind(path: Path) -> Kernels:
     size, address = ctypes.c_int64, ctypes.c_void_p
     oc = library.oc_removal_batch
     oc.argtypes = [address, size] * 2 + [address, size, size, address, size,
-                                         address, size, size, address]
+                                         address, address, size, size,
+                                         address]
     ofd = library.ofd_removal_count
-    ofd.argtypes = [address, size] * 2 + [address, size, size, address, size,
-                                          size, address]
+    ofd.argtypes = [address, size] * 2 + [address, size, size, address,
+                                          address, size, size, address]
     refine = library.refine_partition
     refine.argtypes = [address, size] * 8
     oc.restype = ofd.restype = refine.restype = ctypes.c_int64
@@ -208,39 +218,57 @@ def _bind(path: Path) -> Kernels:
             raise ValueError("rank columns differ in length")
         return addresses, addresses.size, lengths.pop() if lengths else 0
 
-    def oc_removal_batch(rows, offsets, pairs, scratch, limit):
+    def job_ranges(ranges, num_jobs, offsets):
+        """The ``[lo, hi)`` class range of every job as ``int64`` pairs:
+        ``ranges`` (one ``(lo, hi)`` per job, any int sequence or array),
+        or every class for every job when it is ``None``."""
+        if ranges is None:
+            ranges = np.empty((num_jobs, 2), dtype=np.int64)
+            ranges[:, 0] = 0
+            ranges[:, 1] = offsets.size - 1
+            return ranges
+        ranges = np.ascontiguousarray(ranges, dtype=np.int64).reshape(-1, 2)
+        if len(ranges) != num_jobs:
+            raise ValueError("expected one (lo, hi) class range per job")
+        return ranges
+
+    def oc_removal_batch(rows, offsets, pairs, scratch, limit, ranges=None):
         """Algorithm 2's removal count of each ``(A, B)`` pair of ``int32``
-        rank columns over the classes ``offsets`` cuts ``rows`` into, each
-        class sorted by ``[A ASC, B ASC]`` on demand, stopping after the
-        first class that takes it above ``limit``.  ``scratch`` (``int64``)
-        holds two slots per row of the longest class."""
+        rank columns over its range of the classes ``offsets`` cuts
+        ``rows`` into (``ranges``: one ``(lo, hi)`` per pair, default all),
+        each class sorted by ``[A ASC, B ASC]`` on demand, stopping after
+        the first class that takes it above ``limit``.  ``scratch``
+        (``int64``) holds two slots per row of the longest class."""
         # Pairs share columns: each distinct one is checked once.
         ends = list(chain.from_iterable(pairs))
         distinct = list({id(column): column for column in ends}.values())
         position = {id(column): i for i, column in enumerate(distinct)}
         addresses, num_columns, length = table(distinct)
         ends = np.array([position[id(column)] for column in ends], dtype=np.int64)
+        ranges = job_ranges(ranges, len(pairs), offsets)
         counts = np.empty(len(pairs), dtype=np.int64)
         checked(oc(
             *classes(rows, offsets), addresses.ctypes.data, num_columns,
-            length, ends.ctypes.data, len(pairs),
+            length, ends.ctypes.data, len(pairs), ranges.ctypes.data,
             pointer(scratch, np.int64, True), scratch.size, budget(limit),
             counts.ctypes.data,
         ))
         return counts.tolist()
 
-    def ofd_removal_count(columns, rows, offsets, freq, limit):
+    def ofd_removal_count(columns, rows, offsets, freq, limit, ranges=None):
         """The ``g3`` removal count of each ``int32`` rank column in
-        ``columns`` over the classes ``offsets`` cuts ``rows`` into,
+        ``columns`` over its range of the classes ``offsets`` cuts ``rows``
+        into (``ranges``: one ``(lo, hi)`` per column, default all),
         stopping after the first class that takes it above ``limit``.
         ``freq`` is zeroed ``int64`` scratch with one counter per rank; it
         is zeroed again on return."""
         addresses, num_columns, length = table(columns)
+        ranges = job_ranges(ranges, num_columns, offsets)
         counts = np.empty(num_columns, dtype=np.int64)
         checked(ofd(
             *classes(rows, offsets), addresses.ctypes.data, num_columns,
-            length, pointer(freq, np.int64, True), freq.size, budget(limit),
-            counts.ctypes.data,
+            length, ranges.ctypes.data, pointer(freq, np.int64, True),
+            freq.size, budget(limit), counts.ctypes.data,
         ))
         return counts.tolist()
 

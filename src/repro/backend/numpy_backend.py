@@ -16,13 +16,16 @@ arrays.  One class serves two configurations, picked by registry name:
   single-column partition is the unit partition refined the same way.
   Below that fraction, and on hosts without the library, partitions
   refine by a stable lexsort over rank columns, split on group
-  boundaries.  The count-only OC and ``g3`` kernels hand a whole context
-  batch to one native call: per pair, the OC call sorts each class on
-  demand, screens and counts it, and stops at the class that crosses the
-  removal budget; the ``g3`` call makes one frequency pass per RHS
-  column.  Without the library both batches run the reference loops of
-  :mod:`repro.validation` (Algorithm 2's count and the ``g3`` rows loop)
-  on the columns as lists.
+  boundaries.  The count-only OC and ``g3`` kernels hand a whole batch
+  to one native call, each job over its own range of the CSR's classes
+  (a discovery batch: all of one context's; incremental repair: one
+  context's slice of every affected context's patch classes): per pair,
+  the OC call sorts each class on demand, screens and counts it, and
+  stops at the class that crosses the removal budget; the ``g3`` call
+  makes one frequency pass per RHS column.  Without the library both
+  batches run the reference loops of :mod:`repro.validation`
+  (Algorithm 2's count and the ``g3`` rows loop) on the columns as lists,
+  over the same class ranges.
 * ``"python"`` is the reference configuration: every fast path is off.
   It encodes with the reference encoder
   (:func:`repro.dataset.encoding.encode_column`), refines by lexsort and
@@ -45,7 +48,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backend import native
-from repro.dataset.encoding import _sort_key, encode_column
+from repro.dataset.encoding import (
+    _FLOAT_SAFE_INT,
+    _NUMERIC_TYPES,
+    _plainly_sorted,
+    _sort_key,
+    encode_column,
+)
 from repro.dataset.partition import Partition
 from repro.dataset.schema import AttributeType
 
@@ -56,16 +65,10 @@ from repro.dataset.schema import AttributeType
 #: on first access.
 EncodedColumn = Tuple[Optional[List[int]], List[object], object]
 
-#: Largest magnitude at which ``float(int)`` is still injective; beyond it
-#: the reference encoder's float sort keys collide and break ties by first
-#: appearance, so such values take the keyed sort.
-_FLOAT_SAFE_INT = 1 << 53
-
 #: Widest value span, per row, that ``_encode_array`` ranks through a
 #: presence table instead of ``np.unique``.
 _DENSE_SPAN_PER_ROW = 4
 
-_NUMERIC_TYPES = (AttributeType.INTEGER, AttributeType.FLOAT)
 
 
 def stable_rank_order(ranks: np.ndarray) -> np.ndarray:
@@ -92,6 +95,26 @@ def _as_list(ranks) -> List[int]:
     on lists, ``tolist()`` otherwise (scalar indexing into an array is
     several times slower and yields NumPy scalars)."""
     return ranks if isinstance(ranks, list) else np.asarray(ranks).tolist()
+
+
+def _class_subsets(classes, ranges, num_jobs: int):
+    """Per job, the classes the reference loops count: all of ``classes``
+    when ``ranges`` is ``None``, else classes ``lo .. hi - 1`` of each
+    job's ``(lo, hi)``.  A range outside the classes raises
+    ``ValueError``, as the native kernels do."""
+    if ranges is None:
+        return [classes] * num_jobs
+    class_list = list(classes)
+    if len(ranges) != num_jobs:
+        raise ValueError("expected one (lo, hi) class range per job")
+    subsets = []
+    for lo, hi in ranges:
+        if not 0 <= lo <= hi <= len(class_list):
+            raise ValueError(
+                f"class range [{lo}, {hi}) outside {len(class_list)} classes"
+            )
+        subsets.append(class_list[lo:hi])
+    return subsets
 
 
 def _encode_array(
@@ -171,24 +194,6 @@ def _encode_distinct(
     distinct.update(zip(dictionary, range(len(dictionary))))
     return dictionary, np.fromiter(
         map(distinct.__getitem__, values), dtype=np.int32, count=len(values)
-    )
-
-
-def _plainly_sorted(distinct, numeric: bool) -> bool:
-    """Do the distinct values sort like their reference sort keys?
-
-    In a non-numeric column every ``str`` keys as ``(1, value)``; in a
-    numeric one every ``int`` or ``float`` as ``(0, float(value))``, which
-    is injective and order-preserving for ints inside ±2^53 and floats
-    other than NaN.  Distinct values never compare equal, so no tie is
-    left for the reference's first-appearance order to break.  Subclasses
-    (``bool``, ``str`` subclasses) take the keyed sort.
-    """
-    kinds = set(map(type, distinct))
-    if not numeric:
-        return kinds <= {str}
-    return kinds <= {int, float} and all(
-        -_FLOAT_SAFE_INT < value < _FLOAT_SAFE_INT for value in distinct
     )
 
 
@@ -426,18 +431,21 @@ class NumpyBackend:
     # with no removals.  Columns may be arrays or lists.
 
     def oc_optimal_removal_count_batch(
-        self, classes, rank_pairs, limit: Optional[int] = None
+        self, classes, rank_pairs, limit: Optional[int] = None, ranges=None
     ) -> List[Tuple[int, bool]]:
-        """Batched Algorithm 2 counts: one shared context, many rank pairs.
+        """Batched Algorithm 2 counts: one shared CSR, many rank pairs.
 
-        One native call for the whole batch: per pair, each class is
-        gathered, sorted by ``[A ASC, B ASC]`` and counted with the screen
-        and patience LNDS, in order, until the class that takes the count
-        above ``limit``.  Every entry, the partial count of an exceeded
-        pair included, equals the reference loop's class-by-class result,
-        and the classes after the crossing one are never touched.  The same
-        call serves discovery's context partitions and incremental
-        repair's class patches.
+        One native call for the whole batch: per pair, each class of its
+        range is gathered, sorted by ``[A ASC, B ASC]`` and counted with the
+        screen and patience LNDS, in order, until the class that takes the
+        count above ``limit``.  Every entry, the partial count of an
+        exceeded pair included, equals the reference loop's class-by-class
+        result over the same classes, and the classes after the crossing one
+        are never touched.  ``ranges`` holds one ``(lo, hi)`` per pair, the
+        classes ``lo .. hi - 1`` it is counted over; ``None`` (a discovery
+        batch: one context) means every class.  The same call serves
+        discovery's context partitions and incremental repair, which
+        concatenates many contexts' patch classes into one CSR.
         """
         library = self._kernels()
         if library is None:
@@ -448,38 +456,43 @@ class NumpyBackend:
             lists = {key: _as_list(ranks) for key, ranks in lists.items()}
             return [
                 optimal_removal_count(
-                    classes, lists[id(a_ranks)], lists[id(b_ranks)], limit
+                    subset, lists[id(a_ranks)], lists[id(b_ranks)], limit
                 )
-                for a_ranks, b_ranks in rank_pairs
+                for (a_ranks, b_ranks), subset in zip(
+                    rank_pairs, _class_subsets(classes, ranges, len(rank_pairs))
+                )
             ]
         if not rank_pairs:
             return []
         if not len(classes):
+            _class_subsets(classes, ranges, len(rank_pairs))  # checks them
             return [(0, False)] * len(rank_pairs)
         rows, offsets = self._csr(classes)
-        pairs = [
-            tuple(
-                np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
-                for ranks in pair
-            )
-            for pair in rank_pairs
-        ]
+        # Pairs share columns: convert each once per batch, not per pair.
+        converted = self._converted(chain.from_iterable(rank_pairs))
+        if converted:
+            rank_pairs = [
+                (converted.get(id(a), a), converted.get(id(b), b))
+                for a, b in rank_pairs
+            ]
         counts = library.oc_removal_batch(
-            rows, offsets, pairs,
+            rows, offsets, rank_pairs,
             np.empty(2 * int(np.diff(offsets).max()), dtype=np.int64), limit,
+            ranges,
         )
         return [(count, limit is not None and count > limit) for count in counts]
 
     def ofd_removal_batch(
-        self, classes, rhs_ranks, limit: Optional[int] = None
+        self, classes, rhs_ranks, limit: Optional[int] = None, ranges=None
     ) -> List[Tuple[int, bool]]:
-        """Batched count-only ``g3`` kernel: one shared context, many RHS
-        columns.
+        """Batched count-only ``g3`` kernel: one shared CSR, many RHS
+        columns, each over its class range (``ranges`` as in
+        :meth:`oc_optimal_removal_count_batch`).
 
-        One native call makes a frequency pass per column over the
-        context's classes, all sharing one zeroed scratch.  Every entry,
-        the partial count of an exceeded column included, equals the
-        reference loop's class-by-class result.
+        One native call makes a frequency pass per column over its classes,
+        all sharing one zeroed scratch.  Every entry, the partial count of
+        an exceeded column included, equals the reference loop's
+        class-by-class result over the same classes.
         """
         library = self._kernels()
         if library is None:
@@ -488,25 +501,45 @@ class NumpyBackend:
             return [
                 (len(rows), exceeded)
                 for rows, exceeded in (
-                    aofd_removal_rows(classes, _as_list(ranks), limit)
-                    for ranks in rhs_ranks
+                    aofd_removal_rows(subset, _as_list(ranks), limit)
+                    for ranks, subset in zip(
+                        rhs_ranks,
+                        _class_subsets(classes, ranges, len(rhs_ranks)),
+                    )
                 )
             ]
         if not rhs_ranks:
             return []
         if not len(classes):
+            _class_subsets(classes, ranges, len(rhs_ranks))  # checks them
             return [(0, False)] * len(rhs_ranks)
         rows, offsets = self._csr(classes)
-        columns = [
-            np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
-            for ranks in rhs_ranks
-        ]
+        # Jobs share columns: each distinct one is converted and scanned
+        # once.
+        converted = self._converted(rhs_ranks)
+        columns = [converted.get(id(ranks), ranks) for ranks in rhs_ranks]
         # One counter per rank; the kernel leaves them zeroed for reuse.
-        freq = np.zeros(
-            max(int(c.max(initial=0)) for c in columns) + 1, dtype=np.int64
+        freq = np.zeros(max(
+            int(column.max(initial=0))
+            for column in {id(column): column for column in columns}.values()
+        ) + 1, dtype=np.int64)
+        counts = library.ofd_removal_count(
+            columns, rows, offsets, freq, limit, ranges
         )
-        counts = library.ofd_removal_count(columns, rows, offsets, freq, limit)
         return [(count, limit is not None and count > limit) for count in counts]
+
+    def _converted(self, rank_columns):
+        """``id(column) -> int32 array`` for each distinct column of
+        ``rank_columns`` the native kernels cannot read as it is (a list,
+        another dtype, a strided view); empty when they can read them all."""
+        converted = {}
+        for ranks in {id(ranks): ranks for ranks in rank_columns}.values():
+            if not (isinstance(ranks, np.ndarray) and ranks.dtype == np.int32
+                    and ranks.flags.c_contiguous):
+                converted[id(ranks)] = np.ascontiguousarray(
+                    self.to_native(ranks), dtype=np.int32
+                )
+        return converted
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"

@@ -224,7 +224,9 @@ class IncrementalMeasurement:
     """Incremental-vs-cold comparison after a row append.
 
     ``incremental_seconds`` times :meth:`Profiler.extend` plus
-    :meth:`Profiler.discover_incremental` on a warm session;
+    :meth:`Profiler.discover_incremental` on a warm session, and
+    ``extend_seconds`` the :meth:`Profiler.extend` part alone (delta
+    encoding, partition rebuild and memo repair);
     ``cold_seconds`` times what the pre-incremental world had to do
     instead — a from-scratch session over the concatenated table (encoding,
     partitions, every validation) running one discovery.
@@ -235,6 +237,7 @@ class IncrementalMeasurement:
     threshold: float
     cold_seconds: float
     incremental_seconds: float
+    extend_seconds: float
     cold_result: DiscoveryResult
     incremental_result: DiscoveryResult
     num_revoked: int
@@ -258,6 +261,7 @@ class IncrementalMeasurement:
             "backend": self.backend,
             "cold_seconds": round(self.cold_seconds, 4),
             "incremental_seconds": round(self.incremental_seconds, 4),
+            "extend_seconds": round(self.extend_seconds, 4),
             "speedup": round(self.speedup, 2),
             "revoked": self.num_revoked,
             "added": self.num_added,
@@ -298,6 +302,7 @@ def measure_incremental(
         session.discover(request)  # the warm baseline (untimed)
         incremental_start = time.perf_counter()
         session.extend(delta_rows)
+        extend_seconds = time.perf_counter() - incremental_start
         outcome = session.discover_incremental(request)
         incremental_seconds = time.perf_counter() - incremental_start
         extended_relation = session.relation
@@ -325,6 +330,7 @@ def measure_incremental(
         threshold=threshold,
         cold_seconds=cold_seconds,
         incremental_seconds=incremental_seconds,
+        extend_seconds=extend_seconds,
         cold_result=cold_result,
         incremental_result=outcome.result,
         num_revoked=outcome.num_revoked,

@@ -155,7 +155,8 @@ def render_bench_summary(payload: Mapping[str, object]) -> str:
             f"{incremental.get('cold_seconds')}s vs incremental "
             f"{incremental.get('incremental_seconds')}s = "
             f"{incremental.get('speedup')}x "
-            f"(memo hits: {incremental.get('memo_hits')})"
+            f"(extend: {incremental.get('extend_seconds')}s, "
+            f"memo hits: {incremental.get('memo_hits')})"
         )
 
     observability = payload.get("observability")

@@ -62,6 +62,13 @@ class BoundedLRU(OrderedDict):
                 self.popitem(last=False)
                 self.evictions += 1
 
+    def replace(self, key, value) -> None:
+        """Overwrite an existing entry's value without refreshing its
+        recency (a plain ``[]`` store would move it to the recent end)."""
+        if key not in self:
+            raise KeyError(key)
+        super().__setitem__(key, value)
+
     def touch(self, key) -> None:
         """Refresh ``key``'s recency without reading its value."""
         if self.max_entries is not None and key in self:

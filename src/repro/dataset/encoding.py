@@ -11,7 +11,8 @@ input.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dataset.schema import AttributeType, Schema
 from repro.obs import get_tracer
@@ -19,11 +20,14 @@ from repro.obs import get_tracer
 #: Per-column outcome of :meth:`EncodedRelation.extend`: ``"appended"`` when
 #: every delta value reused an existing code or extended the dictionary past
 #: its current maximum (existing codes untouched), ``"remapped"`` when a
-#: delta value sorts into the middle of the dictionary and the whole column
-#: was re-encoded (codes change, but only by an order-preserving bijection,
-#: so partitions and validation outcomes are unaffected).
+#: delta value sorts into the middle of the dictionary and the existing
+#: codes were mapped to new ones (codes change, but only by an
+#: order-preserving bijection, so partitions and validation outcomes are
+#: unaffected).
 EXTEND_APPENDED = "appended"
 EXTEND_REMAPPED = "remapped"
+
+_NUMERIC_TYPES = (AttributeType.INTEGER, AttributeType.FLOAT)
 
 
 def _sort_key(value: object, attr_type: AttributeType):
@@ -51,6 +55,63 @@ def _sort_key(value: object, attr_type: AttributeType):
     return (1, str(value))
 
 
+#: Largest magnitude at which ``float(int)`` is still injective; beyond it
+#: the numeric sort keys of distinct ints collide.
+_FLOAT_SAFE_INT = 1 << 53
+
+#: How a set of present values orders under :func:`_sort_key`, worst
+#: first: some key is NaN, which compares neither below, above nor equal to
+#: any key, so there is no consistent order; the keys order them; the
+#: values order themselves as their keys do (see :func:`_plainly_sorted`).
+_UNORDERED, _KEYED, _PLAIN = 0, 1, 2
+
+
+def _plainly_sorted(distinct, numeric: bool) -> bool:
+    """Do the distinct values sort like their reference sort keys?
+
+    In a non-numeric column every ``str`` keys as ``(1, value)``; in a
+    numeric one every ``int`` or ``float`` as ``(0, float(value))``, which
+    is injective and order-preserving for ints inside ±2^53 and floats
+    other than NaN.  Distinct values never compare equal, so no tie is
+    left for the reference's first-appearance order to break.  Subclasses
+    (``bool``, ``str`` subclasses) take the keyed sort.
+    """
+    kinds = set(map(type, distinct))
+    if not numeric:
+        return kinds <= {str}
+    return kinds <= {int, float} and all(
+        -_FLOAT_SAFE_INT < value < _FLOAT_SAFE_INT for value in distinct
+    )
+
+
+def _order_of(values: Sequence[object], attr_type: AttributeType) -> int:
+    """How the distinct present ``values`` order: :data:`_PLAIN`,
+    :data:`_KEYED` or :data:`_UNORDERED`."""
+    if _plainly_sorted(values, attr_type in _NUMERIC_TYPES):
+        return _PLAIN
+    for value in values:
+        key = _sort_key(value, attr_type)
+        if key[1] != key[1]:
+            return _UNORDERED
+    return _KEYED
+
+
+def _insertion_point(
+    dictionary: Sequence[object], key, lo: int, attr_type: AttributeType
+) -> int:
+    """``bisect_right`` of ``key`` among the sort keys of ``dictionary[lo:]``
+    (sorted by key): the index before which a value keyed ``key`` goes,
+    after every entry whose key ties with it."""
+    hi = len(dictionary)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if key < _sort_key(dictionary[mid], attr_type):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def encode_column(
     values: Sequence[object], attr_type: AttributeType = AttributeType.STRING
 ) -> Tuple[List[int], List[object]]:
@@ -73,6 +134,47 @@ def encode_column(
     rank_of = {value: i for i, value in enumerate(dictionary)}
     ranks = [rank_of[value] for value in values]
     return ranks, dictionary
+
+
+class _ExtendedColumn(NamedTuple):
+    """One column of :meth:`EncodedRelation.extend`'s result: the rank
+    list (``None``: derived on first access), dictionary, ``int32`` codes,
+    mode, and the order to hand on (``None``: not known)."""
+
+    ranks: Optional[List[int]]
+    dictionary: List[object]
+    native: object
+    mode: str
+    order: Optional[int]
+
+
+def _appendable(
+    dictionary: Sequence[object], new_distinct: Sequence[object],
+    attr_type: AttributeType,
+) -> bool:
+    """Whether the new distinct values all sort at or after the
+    dictionary's maximum, so every existing code stays valid."""
+    if not new_distinct:
+        return True
+    if any(value is None for value in new_distinct) or not dictionary:
+        return False
+    last = dictionary[-1]
+    if last is None:
+        return True  # dictionary is [None]: anything appends
+    max_key = _sort_key(last, attr_type)
+    return all(
+        _sort_key(value, attr_type) >= max_key for value in new_distinct
+    )
+
+
+def _append_codes(codes, delta, num_new: int):
+    """The ``int32`` column of ``codes`` followed by the ``num_new`` codes
+    ``delta`` yields."""
+    import numpy as np
+
+    return np.concatenate(
+        (codes, np.fromiter(delta, dtype=np.int32, count=num_new))
+    )
 
 
 class EncodedRelation:
@@ -120,6 +222,10 @@ class EncodedRelation:
         # bytes a row.  Keyed per EncodedRelation, so `extend` — which
         # returns a fresh instance — drops them.  See `row_order_by_index`.
         self._orders: Dict[int, object] = {}
+        # Per column, for `extend`: how the dictionary is ordered (see
+        # `_order_of`), found on first use and handed on to the extended
+        # encoding.
+        self._value_orders: Dict[int, int] = {}
         if native_columns is not None:
             for index, native in enumerate(native_columns):
                 if native is not None:
@@ -171,12 +277,19 @@ class EncodedRelation:
         The fast path appends: a delta value that already has a code reuses
         it, and genuinely new values whose sort keys are >= the current
         dictionary maximum are appended to the dictionary with fresh codes,
-        so every existing code stays valid.  A new value that sorts into the
-        middle of the dictionary forces a remap of that one column — a full
-        re-encode of the concatenated values.  Either way the result is
-        byte-identical, rank for rank, to encoding the concatenated relation
-        from scratch (the remap reconstructs raw values from the dictionary,
-        which stores each distinct value's first occurrence).
+        so every existing code stays valid; the column is the old ``int32``
+        codes concatenated with the delta's.  A new value that sorts into
+        the middle of the dictionary forces a remap of that one column: each
+        new value is inserted at the ``bisect_right`` of its sort key, after
+        every entry it ties with (the reference's stable sort puts a later
+        first occurrence there too), and the old codes go through the
+        resulting order-preserving old -> new code map.  A column with a
+        NaN sort key has no consistent order to insert into; it is
+        re-encoded in full from values reconstructed through the dictionary,
+        which stores each distinct value's first occurrence.  Either way the
+        result is byte-identical, rank for rank, to encoding the
+        concatenated relation from scratch.  No rank list is built: the
+        extended encoding derives one on first :meth:`ranks` access.
 
         ``self`` is left untouched; callers swap in the returned encoding.
         The call records an ``encode-delta`` span.
@@ -198,17 +311,20 @@ class EncodedRelation:
         dictionaries: List[List[object]] = []
         natives: List[object] = []
         modes: Dict[str, str] = {}
+        orders: Dict[int, int] = {}
         with get_tracer().span(
             "encode-delta", rows=num_new, columns=len(self.schema)
         ):
             for index, attribute in enumerate(self.schema):
-                ranks, dictionary, native, mode = self._extend_column(
+                column = self._extend_column(
                     index, columns[attribute.name], attribute.type
                 )
-                rank_columns.append(ranks)
-                dictionaries.append(dictionary)
-                natives.append(native)
-                modes[attribute.name] = mode
+                rank_columns.append(column.ranks)
+                dictionaries.append(column.dictionary)
+                natives.append(column.native)
+                modes[attribute.name] = column.mode
+                if column.order is not None:
+                    orders[index] = column.order
         extended = EncodedRelation(
             self.schema,
             rank_columns,
@@ -217,55 +333,111 @@ class EncodedRelation:
             backend=self.backend,
             native_columns=natives,
         )
+        extended._value_orders = orders
         return extended, modes
 
     def _extend_column(
         self, index: int, new_values: Sequence[object], attr_type: AttributeType
-    ):
+    ) -> "_ExtendedColumn":
         """Delta-encode one column; see :meth:`extend` for the contract."""
-        old_ranks = self.ranks_by_index(index)
+        import numpy as np
+
         dictionary = self._dictionaries[index]
-        rank_of = {value: code for code, value in enumerate(dictionary)}
         # Dict membership gives the same dedup semantics as the reference
         # encoder's `distinct` dict (1 and True are one value).
-        seen_new: Dict[object, None] = {}
-        new_distinct: List[object] = []
-        for value in new_values:
-            if value not in rank_of and value not in seen_new:
-                seen_new[value] = None
-                new_distinct.append(value)
-        appendable = not new_distinct
-        if new_distinct:
-            if any(value is None for value in new_distinct) or not dictionary:
-                appendable = False
-            else:
-                last = dictionary[-1]
-                if last is None:
-                    appendable = True  # dictionary is [None]: anything appends
-                else:
-                    max_key = _sort_key(last, attr_type)
-                    appendable = all(
-                        _sort_key(value, attr_type) >= max_key
-                        for value in new_distinct
-                    )
-        if appendable:
+        codes = dict(zip(dictionary, range(len(dictionary))))
+        old = self.native_ranks_by_index(index)
+        new_distinct = list(dict.fromkeys(
+            value for value in new_values if value not in codes
+        ))
+        present = [value for value in new_distinct if value is not None]
+        order = self._value_orders.get(index)
+        if order is not None and present:
+            order = min(order, _order_of(present, attr_type))
+        if _appendable(dictionary, new_distinct, attr_type):
             if new_distinct:
                 ordered = sorted(
                     new_distinct, key=lambda v: _sort_key(v, attr_type)
                 )
+                codes.update(zip(ordered, range(len(codes), len(codes)
+                                                + len(ordered))))
                 dictionary = dictionary + ordered
-                for value in ordered:
-                    rank_of.setdefault(value, len(rank_of))
-            ranks = old_ranks + [rank_of[value] for value in new_values]
-            return ranks, dictionary, None, EXTEND_APPENDED
-        # Remap: re-encode the whole column.  The dictionary stores each
-        # distinct value's first occurrence, so reconstructing old values
-        # through it reproduces the exact sequence a cold encoder would see.
-        reconstructed = [dictionary[code] for code in old_ranks]
-        ranks, new_dictionary, native = self.backend.encode_column(
-            reconstructed + list(new_values), attr_type
+            delta = map(codes.__getitem__, new_values)
+            return _ExtendedColumn(
+                None, dictionary, _append_codes(old, delta, len(new_values)),
+                EXTEND_APPENDED, order,
+            )
+        if order is None:
+            order = min(self._value_order(index, attr_type),
+                        _order_of(present, attr_type))
+        if order == _UNORDERED:
+            reconstructed = [dictionary[code] for code in old.tolist()]
+            ranks, dictionary, native = self.backend.encode_column(
+                reconstructed + list(new_values), attr_type
+            )
+            return _ExtendedColumn(
+                ranks, dictionary, native, EXTEND_REMAPPED, order
+            )
+        # Remap: insert each new value after the entries its key ties with
+        # (None, if new, goes first), then map the old codes through the
+        # order-preserving old -> new code map.
+        lo = 1 if dictionary and dictionary[0] is None else 0
+        inserts = [(0, None)] if len(present) < len(new_distinct) else []
+        if order == _PLAIN:
+            # Keys order like the values: bisect on the values, in C.
+            inserts += [
+                (bisect_right(dictionary, value, lo), value)
+                for value in sorted(present)
+            ]
+        else:
+            inserts += [
+                (_insertion_point(
+                    dictionary, _sort_key(value, attr_type), lo, attr_type
+                ), value)
+                for value in sorted(
+                    present, key=lambda v: _sort_key(v, attr_type)
+                )
+            ]
+        merged: List[object] = []
+        start = 0
+        for position, value in inserts:
+            merged += dictionary[start:position]
+            merged.append(value)
+            start = position
+        merged += dictionary[start:]
+        # Old code c moves up by the number of values inserted before it.
+        positions = [position for position, _ in inserts]
+        old_codes = np.arange(len(dictionary))
+        code_map = (
+            old_codes + np.searchsorted(positions, old_codes, side="right")
+        ).astype(np.int32)
+        inserted = {
+            value: position + shift
+            for shift, (position, value) in enumerate(inserts)
+        }
+        delta = (
+            inserted[value] if value in inserted
+            else codes[value] + bisect_right(positions, codes[value])
+            for value in new_values
         )
-        return ranks, new_dictionary, native, EXTEND_REMAPPED
+        return _ExtendedColumn(
+            None, merged, _append_codes(code_map[old], delta, len(new_values)),
+            EXTEND_REMAPPED, order,
+        )
+
+    def _value_order(self, index: int, attr_type: AttributeType) -> int:
+        """How the dictionary of the column at ``index`` is ordered (see
+        :func:`_order_of`; found once)."""
+        order = self._value_orders.get(index)
+        if order is None:
+            dictionary = self._dictionaries[index]
+            order = _order_of(
+                dictionary[1:] if dictionary and dictionary[0] is None
+                else dictionary,
+                attr_type,
+            )
+            self._value_orders[index] = order
+        return order
 
     # -- accessors -------------------------------------------------------------
 

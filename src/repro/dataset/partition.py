@@ -44,6 +44,7 @@ from typing import (
 )
 
 from repro.caching import BoundedLRU
+from repro.obs import get_tracer
 
 # NumPy is imported where it is used, not here: `import repro` then stays
 # ~90 ms and ~13 MiB lighter until the first partition is built.
@@ -400,7 +401,9 @@ class PartitionCache:
         Rebuilt keys absent from the mapping kept identical class lists, so
         memoised removal counts for them remain exact; the re-encoded rank
         columns only ever differ from the old ones by an order-preserving
-        bijection, which no kernel can observe.
+        bijection, which no kernel can observe.  The call records an
+        ``apply-delta`` span with the number of rebuilt ``keys`` and of
+        ``patched`` ones (those in the mapping).
         """
         new_num_rows = encoded_relation.num_rows
         if new_num_rows < old_num_rows:
@@ -412,13 +415,18 @@ class PartitionCache:
         patches: Dict[FrozenSet[int], ClassPatch] = {}
         if new_num_rows == old_num_rows:
             return patches
-        for key in sorted(self._cache, key=len):
-            old = self._cache.get(key)
-            if old is None:
-                continue  # evicted by an earlier rebuild under the bound
-            new = self._build(key)
-            self._cache[key] = new
-            removed, added = _appended_classes(old, new, old_num_rows)
-            if removed or added:
-                patches[key] = (removed, added)
+        rebuilt = 0
+        with get_tracer().span("apply-delta") as span:
+            for key in sorted(self._cache, key=len):
+                old = self._cache.get(key)
+                if old is None:
+                    continue  # evicted by an earlier rebuild under the bound
+                new = self._build(key)
+                self._cache[key] = new
+                rebuilt += 1
+                removed, added = _appended_classes(old, new, old_num_rows)
+                if removed or added:
+                    patches[key] = (removed, added)
+            if span is not None:
+                span.attrs.update(keys=rebuilt, patched=len(patches))
         return patches

@@ -377,10 +377,14 @@ class Profiler:
             "memo-repair",
             appended_rows=new_relation.num_rows - old_num_rows,
             affected_contexts=len(patches_by_context),
-        ):
-            invalidated, adjusted, retained = self._repair_memo(
+        ) as span:
+            repair = self._repair_memo(
                 extended, bits.names, patches_by_context, tracked
             )
+            if span is not None:
+                span.attrs.update(oc_jobs=repair.oc_jobs,
+                                  ofd_jobs=repair.ofd_jobs)
+        invalidated, adjusted, retained = repair[:3]
         self.relation = new_relation
         self.encoded = extended
         self._dataset_version += 1
@@ -434,15 +438,15 @@ class Profiler:
         did to it.  Without a retained partition cache nothing is provable,
         so everything goes.
         """
+        from repro.incremental import repair
+
         if self._memo is None:
-            return 0, 0, 0
+            return repair.RepairCounts(0, 0, 0)
         if self.partitions is None:
             invalidated = len(self._memo)
             self._memo.clear()
-            return invalidated, 0, 0
-        from repro.incremental.repair import repair_memo
-
-        return repair_memo(
+            return repair.RepairCounts(invalidated, 0, 0)
+        return repair.repair_memo(
             self._memo, extended, names, patches_by_context, tracked
         )
 

@@ -16,11 +16,20 @@ running the kernel only over the few classes that actually changed.
 Monotonicity handles the rest outright: a failing exact check can never
 start holding again under appends (a violation inside a class survives the
 class growing), so failing booleans are kept and only previously-passing
-ones re-check the added classes; an "over budget ``limit_used``" verdict is
-a lower bound that appends can only reinforce, so it is kept verbatim —
-the engine recomputes it only once the growing removal budget passes
-``limit_used`` (sessions pre-empt that with the early-exit slack in
+ones re-check the added classes (they hold iff the added classes remove
+nothing); an "over budget ``limit_used``" verdict is a lower bound that
+appends can only reinforce, so it is kept verbatim — the engine recomputes
+it only once the growing removal budget passes ``limit_used`` (sessions
+pre-empt that with the early-exit slack in
 :data:`repro.discovery.engine.MEMO_LIMIT_SLACK`).
+
+The recount is batched across contexts: every affected context's removed
+and added patch classes are concatenated into one CSR, and each recount —
+an Algorithm 2 pair or a ``g3`` column over one side of one context's patch
+— is a job over its own class range ``[lo, hi)`` of it.  An append
+therefore makes one OC count call and one OFD count call, however many
+contexts it touched; only the iterative validator's greedy loop, which has
+no count kernel, still runs per entry.
 
 Byte-identity is preserved because adjusted counts equal what a full
 kernel over the rebuilt context would return (same per-class sums), and
@@ -30,13 +39,23 @@ outcomes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.dataset.partition import ClassPatch
+from repro.dataset.partition import ClassPatch, Partition
 from repro.validation.approx_oc_iterative import iterative_removal_rows
 
-#: (invalidated, adjusted, retained) counters returned by :func:`repair_memo`.
-RepairCounts = Tuple[int, int, int]
+
+class RepairCounts(NamedTuple):
+    """What :func:`repair_memo` did to the memo, and the size of its two
+    batched count calls."""
+
+    invalidated: int
+    adjusted: int
+    retained: int
+    #: Jobs (pair over one class range) in the one OC count call.
+    oc_jobs: int = 0
+    #: Jobs (column over one class range) in the one OFD count call.
+    ofd_jobs: int = 0
 
 
 def repair_memo(
@@ -56,8 +75,10 @@ def repair_memo(
     kernels read as they read a context partition; ``cached_contexts`` are
     the context masks whose partitions stayed cached across the append
     (entries for anything else cannot be proven unchanged and are
-    dropped).  Mutates ``memo`` in place and returns ``(invalidated,
-    adjusted, retained)``.
+    dropped).  Mutates ``memo`` (a :class:`~repro.caching.BoundedLRU`) in
+    place, leaving its recency order as reading every affected entry and
+    then adjusting the entries one context at a time would, and returns
+    the :class:`RepairCounts`.
     """
     cached = set(cached_contexts)
     # Adjusting costs two full (no-early-exit) kernel runs over the patch
@@ -73,125 +94,179 @@ def repair_memo(
         >= encoded.num_rows
     }
     invalidated = adjusted = retained = 0
-    #: context -> list of memo keys whose counts await batched adjustment.
+    #: Passing exact checks, re-checked over their added classes.
+    checks: List[tuple] = []
+    #: context -> memo keys whose counts await adjustment.
     pending: Dict[int, List[tuple]] = {}
-    for key in list(memo):
+    #: key -> (count, limit_used) of every pending entry.
+    entries: Dict[tuple, tuple] = {}
+    bounded = memo.max_entries is not None
+    for key, (count, exceeded, limit_used) in list(memo.items()):
         context = key[2]
-        patch = patches_by_context.get(context)
-        if patch is not None:
-            entry = memo[key]
-            count, exceeded, limit_used = entry
+        if context in patches_by_context:
+            if bounded:
+                # Reading an affected entry refreshes it, as it always has.
+                memo.move_to_end(key)
             if exceeded:
                 # Failing exact checks and "over budget" counts are final
                 # under appends (counts only grow): kept verbatim, no
                 # kernel runs — that is "retained", not "adjusted".
                 retained += 1
             elif limit_used is None:
-                # Passing exact check: re-check only the added classes.
-                memo[key] = (
-                    0, not _holds(key[0], key, patch[1], encoded, names), None
-                )
+                checks.append(key)
                 adjusted += 1
             elif context in oversized:
                 del memo[key]
                 invalidated += 1
             else:
                 pending.setdefault(context, []).append(key)
+                entries[key] = (count, limit_used)
+                adjusted += 1
         elif context not in cached:
             del memo[key]
             invalidated += 1
         else:
             retained += 1
+
+    batch = _Batch(encoded, names, patches_by_context)
+    #: context -> (OC-optimal keys, first OC job, OFD keys, first OFD job);
+    #: each key list is counted over the removed classes, then over the
+    #: added ones.
+    jobs = {}
     for context, keys in pending.items():
-        _adjust_counts_batched(
-            memo, keys, patches_by_context[context], encoded, names
-        )
-        adjusted += len(keys)
-    return invalidated, adjusted, retained
-
-
-def _adjust_counts_batched(memo, keys, patch, encoded, names) -> None:
-    """Adjust the exact-count entries of one context in batch kernel calls.
-
-    All candidates of a context share the patch classes, so the removed and
-    added contributions come out of two batched kernel dispatches per kind
-    instead of two kernel calls per candidate.
-    """
-    removed, added = patch
-    backend = encoded.backend
-    oc_optimal = [key for key in keys if key[0] == "oc" and key[1] == "optimal"]
-    if oc_optimal:
-        pairs = [
-            (encoded.kernel_ranks(names[key[3]]),
-             encoded.kernel_ranks(names[key[4]]))
-            for key in oc_optimal
-        ]
-        deltas = _batched_oc_counts(backend, removed, added, pairs)
-        for key, delta in zip(oc_optimal, deltas):
-            count, _, limit_used = memo[key]
-            memo[key] = (count + delta, False, limit_used)
-    ofd_approx = [key for key in keys if key[0] == "ofd"]
-    if ofd_approx:
-        columns = [encoded.kernel_ranks(names[key[3]]) for key in ofd_approx]
-        removed_counts = (
-            [count for count, _ in backend.ofd_removal_batch(
-                removed, columns, None)]
-            if removed else [0] * len(columns)
-        )
-        added_counts = (
-            [count for count, _ in backend.ofd_removal_batch(
-                added, columns, None)]
-            if added else [0] * len(columns)
-        )
-        for key, r, a in zip(ofd_approx, removed_counts, added_counts):
-            count, _, limit_used = memo[key]
-            memo[key] = (count - r + a, False, limit_used)
-    # The greedy (iterative) validator has no batch kernel; loop.
-    for key in keys:
-        if key[0] == "oc" and key[1] == "iterative":
-            count, _, limit_used = memo[key]
-            adjusted_count = (
-                count
-                - _greedy_count(key, removed, encoded, names)
-                + _greedy_count(key, added, encoded, names)
+        oc_keys = [key for key in keys
+                   if key[0] == "oc" and key[1] == "optimal"]
+        ofd_keys = [key for key in keys if key[0] == "ofd"]
+        if oc_keys or ofd_keys:
+            jobs[context] = (
+                oc_keys, batch.count_oc(oc_keys, context, (0, 1)),
+                ofd_keys, batch.count_ofd(ofd_keys, context, (0, 1)),
             )
-            memo[key] = (adjusted_count, False, limit_used)
+    check_jobs = [
+        batch.count_oc([key], key[2], (1,)) if key[0] == "oc"
+        else batch.count_ofd([key], key[2], (1,))
+        for key in checks
+    ]
+    oc_counts, ofd_counts = batch.run()
+
+    # A passing exact check keeps its place in the recency order (it was
+    # settled while the memo was walked); adjusted counts move to the most
+    # recent end, context by context, OC pairs, then OFDs, then greedy OCs.
+    for key, at in zip(checks, check_jobs):
+        counts = oc_counts if key[0] == "oc" else ofd_counts
+        memo.replace(key, (0, counts[at] > 0, None))
+    for context, keys in pending.items():
+        oc_keys, oc_at, ofd_keys, ofd_at = jobs.get(context, ((), 0, (), 0))
+        for kind_keys, counts, at in ((oc_keys, oc_counts, oc_at),
+                                      (ofd_keys, ofd_counts, ofd_at)):
+            n = len(kind_keys)
+            for key, removed, added in zip(
+                kind_keys, counts[at:at + n], counts[at + n:at + 2 * n]
+            ):
+                count, limit_used = entries[key]
+                memo[key] = (count - removed + added, False, limit_used)
+        removed, added = patches_by_context[context]
+        for key in keys:
+            if key[0] == "oc" and key[1] == "iterative":
+                count, limit_used = entries[key]
+                memo[key] = (
+                    count
+                    - _greedy_count(key, removed, encoded, names)
+                    + _greedy_count(key, added, encoded, names),
+                    False, limit_used,
+                )
+    return RepairCounts(
+        invalidated, adjusted, retained, len(batch.oc_pairs),
+        len(batch.ofd_columns),
+    )
 
 
-def _batched_oc_counts(backend, removed, added, pairs) -> List[int]:
-    """Per-pair count deltas ``added - removed`` via the batch kernel."""
-    if removed:
-        removed_counts = [
-            count for count, _ in backend.oc_optimal_removal_count_batch(
-                removed, pairs, None
-            )
-        ]
-    else:
-        removed_counts = [0] * len(pairs)
-    if added:
-        added_counts = [
-            count for count, _ in backend.oc_optimal_removal_count_batch(
-                added, pairs, None
-            )
-        ]
-    else:
-        added_counts = [0] * len(pairs)
-    return [a - r for r, a in zip(removed_counts, added_counts)]
+class _Batch:
+    """The recounts of one append, gathered for one OC and one OFD count
+    call over the concatenation of every patch side a job reads."""
+
+    def __init__(self, encoded, names, patches_by_context) -> None:
+        self._encoded = encoded
+        self._patches = patches_by_context
+        # Rank columns by attribute bit, each fetched once.
+        self._ranks = [encoded.kernel_ranks(name) for name in names]
+        self._parts: List[Partition] = []
+        #: (context, side) -> the side's class range in the concatenation;
+        #: side 0 is the removed classes, 1 the added ones.
+        self._ranges: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._num_classes = 0
+        self.oc_pairs: List[tuple] = []
+        self.oc_ranges: List[Tuple[int, int]] = []
+        self.ofd_columns: List[object] = []
+        self.ofd_ranges: List[Tuple[int, int]] = []
+
+    def _range(self, context: int, side: int) -> Tuple[int, int]:
+        """The class range of one side of ``context``'s patch, appending
+        that side to the concatenation on first use."""
+        found = self._ranges.get((context, side))
+        if found is None:
+            part = self._patches[context][side]
+            found = (self._num_classes, self._num_classes + part.num_classes)
+            self._num_classes = found[1]
+            self._parts.append(part)
+            self._ranges[context, side] = found
+        return found
+
+    def count_oc(self, keys, context: int, sides) -> int:
+        """Queue an Algorithm 2 count of each OC key over each of
+        ``context``'s patch ``sides`` in turn; returns the first job's
+        index."""
+        at = len(self.oc_pairs)
+        ranks = self._ranks
+        pairs = [(ranks[key[3]], ranks[key[4]]) for key in keys]
+        for side in sides if keys else ():
+            self.oc_pairs += pairs
+            self.oc_ranges += [self._range(context, side)] * len(keys)
+        return at
+
+    def count_ofd(self, keys, context: int, sides) -> int:
+        """Queue a ``g3`` count of each OFD key over each of ``context``'s
+        patch ``sides`` in turn; returns the first job's index."""
+        at = len(self.ofd_columns)
+        columns = [self._ranks[key[3]] for key in keys]
+        for side in sides if keys else ():
+            self.ofd_columns += columns
+            self.ofd_ranges += [self._range(context, side)] * len(keys)
+        return at
+
+    def run(self) -> Tuple[List[int], List[int]]:
+        """Both calls' counts, one per queued job."""
+        if not self._parts:
+            return [], []
+        classes = _concatenate(self._parts, self._encoded.num_rows)
+        backend = self._encoded.backend
+        oc = backend.oc_optimal_removal_count_batch(
+            classes, self.oc_pairs, None, self.oc_ranges
+        ) if self.oc_pairs else []
+        ofd = backend.ofd_removal_batch(
+            classes, self.ofd_columns, None, self.ofd_ranges
+        ) if self.ofd_columns else []
+        return [count for count, _ in oc], [count for count, _ in ofd]
 
 
-def _holds(kind, key, classes, encoded, names) -> bool:
-    """An exact check over ``classes``: a removal count at limit 0."""
-    backend = encoded.backend
-    if kind == "oc":
-        [(_, exceeded)] = backend.oc_optimal_removal_count_batch(classes, [
-            (encoded.kernel_ranks(names[key[3]]),
-             encoded.kernel_ranks(names[key[4]]))
-        ], 0)
-    else:
-        [(_, exceeded)] = backend.ofd_removal_batch(
-            classes, [encoded.kernel_ranks(names[key[3]])], 0
-        )
-    return not exceeded
+def _concatenate(parts: Sequence[Partition], num_rows: int) -> Partition:
+    """The classes of ``parts``, in order, as one CSR (a :class:`Partition`
+    the count kernels read; its classes may share rows)."""
+    import numpy as np
+
+    rows = np.concatenate([part.row_indices for part in parts])
+    num_classes = [part.num_classes for part in parts]
+    row_counts = [part.num_grouped_rows for part in parts]
+    # Shift each part's offsets by the rows before it; a part's first
+    # offset repeats the previous part's last, so all but the first drop.
+    offsets = np.concatenate([part.class_offsets for part in parts])
+    offsets += np.repeat(
+        np.cumsum([0] + row_counts[:-1], dtype=np.int64),
+        [n + 1 for n in num_classes],
+    )
+    keep = np.ones(offsets.size, dtype=bool)
+    keep[np.cumsum([n + 1 for n in num_classes[:-1]], dtype=np.int64)] = False
+    return Partition.from_csr(rows, offsets[keep], num_rows)
 
 
 def _greedy_count(key, classes, encoded, names) -> int:

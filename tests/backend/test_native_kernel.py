@@ -35,6 +35,7 @@ from repro.validation.approx_oc_optimal import optimal_removal_count
 from repro.validation.approx_ofd import aofd_removal_rows
 
 NUMPY = get_backend("numpy")
+PYTHON = get_backend("python")
 KERNELS = native.kernels()
 needs_kernel = pytest.mark.skipif(
     KERNELS is None, reason="the native kernels are unavailable on this host"
@@ -129,7 +130,7 @@ def _oc_instances(draw):
     return class_members
 
 
-def _native_oc(classes, pairs, limit, scratch=None):
+def _native_oc(classes, pairs, limit, scratch=None, ranges=None):
     """The native AOC entry called directly on ``classes``."""
     columns = [
         tuple(numpy.array(column, dtype=numpy.int32) for column in pair)
@@ -138,7 +139,18 @@ def _native_oc(classes, pairs, limit, scratch=None):
     if scratch is None:
         longest = max((len(cls) for cls in classes), default=0)
         scratch = numpy.empty(2 * longest, dtype=numpy.int64)
-    return KERNELS.oc_removal_batch(*_csr(classes), columns, scratch, limit)
+    return KERNELS.oc_removal_batch(
+        *_csr(classes), columns, scratch, limit, ranges
+    )
+
+
+def _draw_ranges(data, num_jobs, num_classes):
+    """One ``(lo, hi)`` class range per job, the last one empty."""
+    bound = st.integers(0, num_classes)
+    ranges = [tuple(sorted(data.draw(st.tuples(bound, bound))))
+              for _ in range(num_jobs - 1)]
+    lo = data.draw(bound)
+    return ranges + [(lo, lo)]
 
 
 class TestOcBatchParity:
@@ -157,6 +169,36 @@ class TestOcBatchParity:
             assert _native_oc(classes, pairs, limit) == [
                 optimal_removal_count(classes, x, y, limit)[0] for x, y in pairs
             ]
+
+    @needs_kernel
+    @given(_oc_instances(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ranged_counts_and_partials_equal_the_reference(
+        self, class_members, data
+    ):
+        """Each pair counted over its own class range, empty ones
+        included, equals the reference loop over the same classes, partial
+        counts included: the native entry, and the batch in both backend
+        configurations."""
+        classes, a, b = _columns(class_members)
+        pairs = [(a, b), (b, a), (a, a), (b, a)]
+        ranges = _draw_ranges(data, len(pairs), len(classes))
+        native_pairs = [(NUMPY.to_native(x), NUMPY.to_native(y))
+                        for x, y in pairs]
+        for limit in (None, 0, 3):
+            expected = [
+                optimal_removal_count(classes[lo:hi], x, y, limit)
+                for (x, y), (lo, hi) in zip(pairs, ranges)
+            ]
+            assert _native_oc(classes, pairs, limit, ranges=ranges) == [
+                count for count, _ in expected
+            ]
+            assert NUMPY.oc_optimal_removal_count_batch(
+                classes, native_pairs, limit, ranges
+            ) == expected
+            assert PYTHON.oc_optimal_removal_count_batch(
+                classes, pairs, limit, ranges
+            ) == expected
 
     @needs_kernel
     def test_a_5000_row_class_with_31_bit_ranks(self):
@@ -229,12 +271,16 @@ def _csr(classes):
     return rows, offsets
 
 
-def _native_ofd(classes, ranks, limit, freq=None):
-    """The native ``g3`` entry called directly on ``classes``."""
+def _native_ofd(classes, ranks, limit, freq=None, lo_hi=None):
+    """The native ``g3`` entry called directly on ``classes`` (over the
+    class range ``lo_hi`` when given)."""
     column = numpy.array(ranks, dtype=numpy.int32)
     if freq is None:
         freq = numpy.zeros(max(ranks, default=0) + 1, dtype=numpy.int64)
-    [count] = KERNELS.ofd_removal_count([column], *_csr(classes), freq, limit)
+    [count] = KERNELS.ofd_removal_count(
+        [column], *_csr(classes), freq, limit,
+        None if lo_hi is None else [lo_hi],
+    )
     return count
 
 
@@ -266,6 +312,45 @@ class TestOfdParity:
     @settings(max_examples=300, deadline=None)
     def test_counts_and_partials_equal_the_reference(self, class_values):
         _assert_ofd_matches_reference(*_ofd_columns(class_values))
+
+    @needs_kernel
+    @given(st.lists(_OFD_CLASS, max_size=6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ranged_counts_and_partials_equal_the_reference(
+        self, class_values, data
+    ):
+        """Each column counted over its own class range, empty ones
+        included, equals ``len`` of the reference rows loop over the same
+        classes, partial counts included: the native entry, one column at
+        a time and all in one call, and the batch in both backend
+        configurations."""
+        classes, ranks = _ofd_columns(class_values)
+        columns = [ranks, ranks[::-1], [0] * len(ranks), ranks]
+        ranges = _draw_ranges(data, len(columns), len(classes))
+        freq = numpy.zeros(max(ranks, default=0) + 1, dtype=numpy.int64)
+        for limit in (None, 0, 2):
+            expected = [
+                (len(rows), exceeded)
+                for rows, exceeded in (
+                    aofd_removal_rows(classes[lo:hi], column, limit)
+                    for column, (lo, hi) in zip(columns, ranges)
+                )
+            ]
+            counts = [count for count, _ in expected]
+            assert [
+                _native_ofd(classes, column, limit, lo_hi=lo_hi)
+                for column, lo_hi in zip(columns, ranges)
+            ] == counts
+            assert KERNELS.ofd_removal_count(
+                [numpy.array(c, dtype=numpy.int32) for c in columns],
+                *_csr(classes), freq, limit, ranges,
+            ) == counts
+            assert NUMPY.ofd_removal_batch(
+                classes, [NUMPY.to_native(c) for c in columns], limit, ranges
+            ) == expected
+            assert PYTHON.ofd_removal_batch(
+                classes, columns, limit, ranges
+            ) == expected
 
     @needs_kernel
     def test_a_3000_row_class(self):
@@ -369,7 +454,8 @@ class TestBinding:
         "negative-rank", "row-past-column", "negative-row",
         "decreasing-offsets", "offsets-past-rows", "no-offsets",
         "short-scratch", "length-mismatch", "rank-dtype", "rows-dtype",
-        "strided-column", "read-only-scratch",
+        "strided-column", "read-only-scratch", "range-lo-above-hi",
+        "range-past-classes", "negative-range",
     ])
     def test_oc_inputs_that_do_not_fit_raise(self, case):
         """Each bad input to the AOC entry raises ``ValueError``.  The
@@ -383,8 +469,17 @@ class TestBinding:
         scratch = buffer[2:8]
         kernel = KERNELS.oc_removal_batch
         assert kernel(rows, offsets, [(a, b), (b, a)], scratch, None) == [3, 3]
+        assert kernel(rows, offsets, [(a, b), (b, a)], scratch, None,
+                      [(1, 2), (2, 2)]) == [1, 0]
         buffer[:] = 77
-        if case == "negative-rank":
+        ranges = None
+        if case == "range-lo-above-hi":
+            ranges = [(0, 2), (2, 1)]
+        elif case == "range-past-classes":
+            ranges = [(0, 3), (0, 2)]
+        elif case == "negative-range":
+            ranges = [(-1, 1), (0, 2)]
+        elif case == "negative-rank":
             a[4] = -1
         elif case == "row-past-column":
             rows[3] = a.size
@@ -406,10 +501,10 @@ class TestBinding:
             rows = rows.astype(numpy.int32)
         elif case == "strided-column":
             a = numpy.repeat(a, 2)[::2]
-        else:
+        elif case == "read-only-scratch":
             scratch.flags.writeable = False
         with pytest.raises(ValueError):
-            kernel(rows, offsets, [(a, b), (b, a)], scratch, None)
+            kernel(rows, offsets, [(a, b), (b, a)], scratch, None, ranges)
         outside = numpy.ones(buffer.size, dtype=bool)
         outside[2:2 + scratch.size] = False
         assert (buffer[outside] == 77).all()
@@ -418,7 +513,8 @@ class TestBinding:
     @pytest.mark.parametrize("case", [
         "rank-at-scratch-size", "negative-rank", "row-past-column",
         "negative-row", "offsets-past-rows", "decreasing-offsets",
-        "negative-offset", "no-offsets",
+        "negative-offset", "no-offsets", "range-lo-above-hi",
+        "range-past-classes", "negative-range",
     ])
     def test_ofd_inputs_that_do_not_fit_raise(self, case):
         """Each bad input raises ``ValueError``.  The scratch sits between
@@ -431,7 +527,17 @@ class TestBinding:
         freq = buffer[1:-1]
         freq[:] = 0
         assert KERNELS.ofd_removal_count([ranks], rows, offsets, freq, None) == [2]
-        if case == "rank-at-scratch-size":
+        assert KERNELS.ofd_removal_count(
+            [ranks, ranks], rows, offsets, freq, None, [(1, 2), (1, 1)]
+        ) == [1, 0]
+        ranges = None
+        if case == "range-lo-above-hi":
+            ranges = [(2, 1)]
+        elif case == "range-past-classes":
+            ranges = [(0, 3)]
+        elif case == "negative-range":
+            ranges = [(-1, 2)]
+        elif case == "rank-at-scratch-size":
             ranks[2] = freq.size
         elif case == "negative-rank":
             ranks[4] = -1
@@ -445,10 +551,10 @@ class TestBinding:
             offsets[2] = 2
         elif case == "negative-offset":
             offsets[0] = -1
-        else:
+        elif case == "no-offsets":
             offsets = offsets[:0]
         with pytest.raises(ValueError):
-            KERNELS.ofd_removal_count([ranks], rows, offsets, freq, None)
+            KERNELS.ofd_removal_count([ranks], rows, offsets, freq, None, ranges)
         assert buffer[0] == buffer[-1] == 7
         assert not freq.any()
 

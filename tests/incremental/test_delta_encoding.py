@@ -90,23 +90,93 @@ class TestExtendColumnModes:
         assert modes == {"a": EXTEND_APPENDED}
 
 
+def _typed(values):
+    """Each value as ``(type, repr)``: ``1``, ``True`` and ``1.0`` (or
+    ``0.0`` and ``-0.0``) compare equal but must not stand for each other."""
+    return [(type(value), repr(value)) for value in values]
+
+
+_NAN = float("nan")
+
+#: Value pools per column type.  Numeric pools mix ints, floats, NaN (one
+#: shared object and fresh ones), ±0.0, ``True`` / ``1.0`` beside ``1`` and
+#: numeric strings, so keys tie, collide and fail to order.
+_POOLS = {
+    AttributeType.INTEGER: [None, -3, 0, 1, 2, 5, 7, 11, 20, 20.5, 3.25,
+                            True, 1.0, -0.0, 0.0, "7", "nan"],
+    AttributeType.FLOAT: [None, -1.5, -0.0, 0.0, 0.25, 1.0, 1, True, 2.5,
+                          1e300, float("inf"), _NAN],
+    AttributeType.STRING: [None, "a", "b", "ba", "c", "zz", "", "B"],
+    AttributeType.BOOLEAN: [None, True, False, 1, 0, "x"],
+}
+
+
+def _draw(rng, pool):
+    value = rng.choice(pool)
+    # A fresh NaN object is a new distinct value every time.
+    return float("nan") if value is _NAN and rng.random() < 0.5 else value
+
+
+def _deltas(rng, dictionary, pool):
+    """A delta per shape: repeats, tail values, a mid-domain insert, a new
+    minimum, ``None`` first, and random draws from ``pool``."""
+    present = [value for value in dictionary if value is not None]
+    shapes = [[_draw(rng, pool) for _ in range(rng.randint(1, 8))]]
+    if present:
+        shapes.append([rng.choice(present) for _ in range(3)])
+    numeric = [v for v in present
+               if type(v) in (int, float) and v == v and abs(v) < 1e200]
+    if numeric:
+        low, high = min(numeric), max(numeric)
+        shapes.append([high + 1, rng.choice(present)])       # tail
+        shapes.append([(low + high) / 2 + 0.125])            # mid-domain
+        shapes.append([low - 1, rng.choice(present)])        # new minimum
+    strings = [v for v in present if type(v) is str]
+    if strings:
+        shapes.append([min(strings) + "m"])                  # mid-domain
+        shapes.append(["", "!" + max(strings)])              # new minimum
+    shapes.append([None] + [_draw(rng, pool) for _ in range(3)])
+    shapes.append([_NAN, float("nan"), -0.0, 0.0, True, 1.0, 1])
+    return shapes
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_randomized_extend_parity(backend):
-    """Property-style sweep: random base/delta draws over pools that force
-    every mode (repeats, tail extensions, mid-domain inserts, nulls)."""
+    """Property-style sweep: random base columns of every type, extended
+    step by step by deltas of every shape (repeats, tail extensions,
+    mid-domain inserts, new minima, ``None`` first, NaN, ±0.0 and
+    ``1`` / ``True`` / ``1.0``).  After every step the ranks and
+    dictionaries equal, element for element in type and repr, those of a
+    cold encode of the concatenation, and an appended column kept every
+    existing code."""
     rng = random.Random(20260726)
-    pools = {
-        "num": [None, -3, 0, 1, 2, 5, 7, 11, 20, 20.5, 3.25],
-        "str": [None, "a", "b", "ba", "c", "zz", ""],
-        "mixed": [None, 1, "1", 2, "03", True, 4.5],
-    }
-    for trial in range(25):
-        pool_name = rng.choice(sorted(pools))
-        pool = pools[pool_name]
-        base_rows = [[rng.choice(pool)] for _ in range(rng.randint(0, 12))]
-        delta = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
-        base = Relation.from_rows(base_rows, ["v"])
-        _extend_and_compare(base, {"v": delta}, backend)
+    modes_seen = set()
+    for trial in range(40):
+        attr_type = rng.choice(sorted(_POOLS, key=lambda t: t.name))
+        pool = _POOLS[attr_type]
+        rows = [[_draw(rng, pool)] for _ in range(rng.randint(0, 12))]
+        relation = Relation.from_rows(rows, ["v"], [attr_type])
+        encoded = EncodedRelation.from_relation(relation, backend)
+        for delta in _deltas(rng, encoded.dictionary("v"), pool):
+            extended, modes = encoded.extend({"v": delta})
+            relation = relation.concat(Relation(relation.schema, {"v": delta}))
+            cold = EncodedRelation.from_relation(relation, backend)
+            assert extended.ranks("v") == cold.ranks("v"), (attr_type, delta)
+            assert list(extended.native_ranks("v")) == cold.ranks("v")
+            assert _typed(extended.dictionary("v")) == _typed(
+                cold.dictionary("v")
+            ), (attr_type, delta)
+            if modes["v"] == EXTEND_APPENDED:
+                # Every existing code kept its value.
+                assert encoded.ranks("v") == extended.ranks("v")[
+                    :encoded.num_rows
+                ]
+                assert _typed(encoded.dictionary("v")) == _typed(
+                    extended.dictionary("v")[:encoded.cardinality("v")]
+                )
+            modes_seen.add(modes["v"])
+            encoded = extended
+    assert modes_seen == {EXTEND_APPENDED, EXTEND_REMAPPED}
 
 
 def test_extend_rejects_mismatched_columns():

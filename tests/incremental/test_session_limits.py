@@ -37,6 +37,15 @@ class TestBoundedLRU:
         with pytest.raises(ValueError):
             BoundedLRU(0)
 
+    def test_replace_keeps_recency(self):
+        cache = BoundedLRU(3)
+        cache["a"], cache["b"], cache["c"] = 1, 2, 3
+        cache.replace("a", 10)  # a stays the stalest
+        cache["d"] = 4
+        assert list(cache.items()) == [("b", 2), ("c", 3), ("d", 4)]
+        with pytest.raises(KeyError):
+            cache.replace("a", 1)
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_bounded_session_matches_unbounded(backend):

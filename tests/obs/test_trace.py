@@ -186,6 +186,38 @@ def test_encoding_spans_carry_row_and_column_counts():
     assert encoding == [("encode", 200, 4), ("encode-delta", 7, 4)]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_append_spans_carry_keys_and_repair_jobs(backend):
+    """An append records an ``apply-delta`` span with the rebuilt and the
+    patched key counts, and the ``memo-repair`` span carries the number of
+    jobs in its one OC and one OFD count call: two per adjusted entry."""
+    relation = generate_flight_like(
+        240, num_attributes=5, error_rate=0.1, seed=5
+    ).relation
+    tracer = Tracer()
+    with use_tracer(tracer):
+        with Profiler(relation, backend=backend) as session:
+            session.discover(DiscoveryRequest(threshold=0.1))
+            entries = session.cache_info()["entries"]
+            summary = session.extend(
+                [relation.row(index) for index in range(0, 240, 20)]
+            )
+    [apply_delta] = [span for span in tracer.finished_spans()
+                     if span.name == "apply-delta"]
+    [repair] = [span for span in tracer.finished_spans()
+                if span.name == "memo-repair"]
+    assert apply_delta.attrs == {
+        "keys": entries,
+        "patched": len(summary.affected_contexts),
+    }
+    assert apply_delta.attrs["patched"] > 0
+    assert repair.attrs["affected_contexts"] == len(summary.affected_contexts)
+    assert repair.attrs["oc_jobs"] > 0 and repair.attrs["ofd_jobs"] > 0
+    assert repair.attrs["oc_jobs"] + repair.attrs["ofd_jobs"] == (
+        2 * summary.adjusted_memo_entries
+    )
+
+
 # -- differential: tracing must not change results -------------------------------
 
 
