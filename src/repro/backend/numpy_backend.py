@@ -48,14 +48,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backend import native
-from repro.dataset.encoding import (
-    _FLOAT_SAFE_INT,
-    _NUMERIC_TYPES,
-    _plainly_sorted,
-    _sort_key,
-    encode_column,
-)
-from repro.dataset.partition import Partition
+from repro.dataset.encoding import _sort_key, encode_column
+from repro.dataset.partition import ClassCSR, Partition
 from repro.dataset.schema import AttributeType
 
 #: ``(ranks, dictionary, native_column)`` as returned by ``encode_column``:
@@ -65,10 +59,16 @@ from repro.dataset.schema import AttributeType
 #: on first access.
 EncodedColumn = Tuple[Optional[List[int]], List[object], object]
 
+#: Largest magnitude at which ``float(int)`` is still injective; beyond it
+#: the reference encoder's float sort keys collide and break ties by first
+#: appearance, so such values take the keyed sort.
+_FLOAT_SAFE_INT = 1 << 53
+
 #: Widest value span, per row, that ``_encode_array`` ranks through a
 #: presence table instead of ``np.unique``.
 _DENSE_SPAN_PER_ROW = 4
 
+_NUMERIC_TYPES = (AttributeType.INTEGER, AttributeType.FLOAT)
 
 
 def stable_rank_order(ranks: np.ndarray) -> np.ndarray:
@@ -194,6 +194,24 @@ def _encode_distinct(
     distinct.update(zip(dictionary, range(len(dictionary))))
     return dictionary, np.fromiter(
         map(distinct.__getitem__, values), dtype=np.int32, count=len(values)
+    )
+
+
+def _plainly_sorted(distinct, numeric: bool) -> bool:
+    """Do the distinct values sort like their reference sort keys?
+
+    In a non-numeric column every ``str`` keys as ``(1, value)``; in a
+    numeric one every ``int`` or ``float`` as ``(0, float(value))``, which
+    is injective and order-preserving for ints inside ±2^53 and floats
+    other than NaN.  Distinct values never compare equal, so no tie is
+    left for the reference's first-appearance order to break.  Subclasses
+    (``bool``, ``str`` subclasses) take the keyed sort.
+    """
+    kinds = set(map(type, distinct))
+    if not numeric:
+        return kinds <= {str}
+    return kinds <= {int, float} and all(
+        -_FLOAT_SAFE_INT < value < _FLOAT_SAFE_INT for value in distinct
     )
 
 
@@ -340,11 +358,11 @@ class NumpyBackend:
         arrays the native kernels read, ``offsets`` cutting ``rows`` into
         one class each.
 
-        A :class:`Partition` hands over its own ``row_indices`` and
-        ``class_offsets``, so nothing is built; raw lists of row lists
-        (one-off validations, tests) are concatenated.
+        A :class:`Partition` or :class:`ClassCSR` hands over its own
+        ``row_indices`` and ``class_offsets``, so nothing is built; raw
+        lists of row lists (one-off validations, tests) are concatenated.
         """
-        if isinstance(classes, Partition):
+        if isinstance(classes, (Partition, ClassCSR)):
             return classes.row_indices, classes.class_offsets
         class_lists = list(classes)
         lengths = np.fromiter(
@@ -468,15 +486,15 @@ class NumpyBackend:
             _class_subsets(classes, ranges, len(rank_pairs))  # checks them
             return [(0, False)] * len(rank_pairs)
         rows, offsets = self._csr(classes)
-        # Pairs share columns: convert each once per batch, not per pair.
-        converted = self._converted(chain.from_iterable(rank_pairs))
-        if converted:
-            rank_pairs = [
-                (converted.get(id(a), a), converted.get(id(b), b))
-                for a, b in rank_pairs
-            ]
+        pairs = [
+            tuple(
+                np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
+                for ranks in pair
+            )
+            for pair in rank_pairs
+        ]
         counts = library.oc_removal_batch(
-            rows, offsets, rank_pairs,
+            rows, offsets, pairs,
             np.empty(2 * int(np.diff(offsets).max()), dtype=np.int64), limit,
             ranges,
         )
@@ -514,11 +532,12 @@ class NumpyBackend:
             _class_subsets(classes, ranges, len(rhs_ranks))  # checks them
             return [(0, False)] * len(rhs_ranks)
         rows, offsets = self._csr(classes)
-        # Jobs share columns: each distinct one is converted and scanned
-        # once.
-        converted = self._converted(rhs_ranks)
-        columns = [converted.get(id(ranks), ranks) for ranks in rhs_ranks]
+        columns = [
+            np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
+            for ranks in rhs_ranks
+        ]
         # One counter per rank; the kernel leaves them zeroed for reuse.
+        # Jobs share columns: scan each distinct one once for its maximum.
         freq = np.zeros(max(
             int(column.max(initial=0))
             for column in {id(column): column for column in columns}.values()
@@ -527,19 +546,6 @@ class NumpyBackend:
             columns, rows, offsets, freq, limit, ranges
         )
         return [(count, limit is not None and count > limit) for count in counts]
-
-    def _converted(self, rank_columns):
-        """``id(column) -> int32 array`` for each distinct column of
-        ``rank_columns`` the native kernels cannot read as it is (a list,
-        another dtype, a strided view); empty when they can read them all."""
-        converted = {}
-        for ranks in {id(ranks): ranks for ranks in rank_columns}.values():
-            if not (isinstance(ranks, np.ndarray) and ranks.dtype == np.int32
-                    and ranks.flags.c_contiguous):
-                converted[id(ranks)] = np.ascontiguousarray(
-                    self.to_native(ranks), dtype=np.int32
-                )
-        return converted
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"

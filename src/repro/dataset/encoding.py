@@ -27,8 +27,6 @@ from repro.obs import get_tracer
 EXTEND_APPENDED = "appended"
 EXTEND_REMAPPED = "remapped"
 
-_NUMERIC_TYPES = (AttributeType.INTEGER, AttributeType.FLOAT)
-
 
 def _sort_key(value: object, attr_type: AttributeType):
     """Return a sortable key for ``value`` under ``attr_type``.
@@ -55,45 +53,17 @@ def _sort_key(value: object, attr_type: AttributeType):
     return (1, str(value))
 
 
-#: Largest magnitude at which ``float(int)`` is still injective; beyond it
-#: the numeric sort keys of distinct ints collide.
-_FLOAT_SAFE_INT = 1 << 53
-
-#: How a set of present values orders under :func:`_sort_key`, worst
-#: first: some key is NaN, which compares neither below, above nor equal to
-#: any key, so there is no consistent order; the keys order them; the
-#: values order themselves as their keys do (see :func:`_plainly_sorted`).
-_UNORDERED, _KEYED, _PLAIN = 0, 1, 2
-
-
-def _plainly_sorted(distinct, numeric: bool) -> bool:
-    """Do the distinct values sort like their reference sort keys?
-
-    In a non-numeric column every ``str`` keys as ``(1, value)``; in a
-    numeric one every ``int`` or ``float`` as ``(0, float(value))``, which
-    is injective and order-preserving for ints inside ±2^53 and floats
-    other than NaN.  Distinct values never compare equal, so no tie is
-    left for the reference's first-appearance order to break.  Subclasses
-    (``bool``, ``str`` subclasses) take the keyed sort.
-    """
-    kinds = set(map(type, distinct))
-    if not numeric:
-        return kinds <= {str}
-    return kinds <= {int, float} and all(
-        -_FLOAT_SAFE_INT < value < _FLOAT_SAFE_INT for value in distinct
-    )
-
-
-def _order_of(values: Sequence[object], attr_type: AttributeType) -> int:
-    """How the distinct present ``values`` order: :data:`_PLAIN`,
-    :data:`_KEYED` or :data:`_UNORDERED`."""
-    if _plainly_sorted(values, attr_type in _NUMERIC_TYPES):
-        return _PLAIN
+def _keys_ordered(values: Sequence[object], attr_type: AttributeType) -> bool:
+    """Whether the sort keys of the present ``values`` order consistently:
+    none is NaN, which compares neither below, above nor equal to any
+    key.  Only a numeric column's ``(0, float)`` keys can be NaN."""
+    if attr_type not in (AttributeType.INTEGER, AttributeType.FLOAT):
+        return True
     for value in values:
         key = _sort_key(value, attr_type)
         if key[1] != key[1]:
-            return _UNORDERED
-    return _KEYED
+            return False
+    return True
 
 
 def _insertion_point(
@@ -139,13 +109,14 @@ def encode_column(
 class _ExtendedColumn(NamedTuple):
     """One column of :meth:`EncodedRelation.extend`'s result: the rank
     list (``None``: derived on first access), dictionary, ``int32`` codes,
-    mode, and the order to hand on (``None``: not known)."""
+    mode, and whether its keys order consistently (``None``: not known;
+    see :func:`_keys_ordered`)."""
 
     ranks: Optional[List[int]]
     dictionary: List[object]
     native: object
     mode: str
-    order: Optional[int]
+    ordered: Optional[bool]
 
 
 def _appendable(
@@ -222,10 +193,10 @@ class EncodedRelation:
         # bytes a row.  Keyed per EncodedRelation, so `extend` — which
         # returns a fresh instance — drops them.  See `row_order_by_index`.
         self._orders: Dict[int, object] = {}
-        # Per column, for `extend`: how the dictionary is ordered (see
-        # `_order_of`), found on first use and handed on to the extended
-        # encoding.
-        self._value_orders: Dict[int, int] = {}
+        # Per column, for `extend`: whether the dictionary's keys order
+        # consistently (see `_keys_ordered`), found on first use and handed
+        # on to the extended encoding.
+        self._keys_ordered: Dict[int, bool] = {}
         if native_columns is not None:
             for index, native in enumerate(native_columns):
                 if native is not None:
@@ -311,7 +282,7 @@ class EncodedRelation:
         dictionaries: List[List[object]] = []
         natives: List[object] = []
         modes: Dict[str, str] = {}
-        orders: Dict[int, int] = {}
+        ordered: Dict[int, bool] = {}
         with get_tracer().span(
             "encode-delta", rows=num_new, columns=len(self.schema)
         ):
@@ -323,8 +294,8 @@ class EncodedRelation:
                 dictionaries.append(column.dictionary)
                 natives.append(column.native)
                 modes[attribute.name] = column.mode
-                if column.order is not None:
-                    orders[index] = column.order
+                if column.ordered is not None:
+                    ordered[index] = column.ordered
         extended = EncodedRelation(
             self.schema,
             rank_columns,
@@ -333,7 +304,7 @@ class EncodedRelation:
             backend=self.backend,
             native_columns=natives,
         )
-        extended._value_orders = orders
+        extended._keys_ordered = ordered
         return extended, modes
 
     def _extend_column(
@@ -351,53 +322,46 @@ class EncodedRelation:
             value for value in new_values if value not in codes
         ))
         present = [value for value in new_distinct if value is not None]
-        order = self._value_orders.get(index)
-        if order is not None and present:
-            order = min(order, _order_of(present, attr_type))
+        ordered = self._keys_ordered.get(index)
+        if ordered and present:
+            ordered = _keys_ordered(present, attr_type)
         if _appendable(dictionary, new_distinct, attr_type):
             if new_distinct:
-                ordered = sorted(
+                tail = sorted(
                     new_distinct, key=lambda v: _sort_key(v, attr_type)
                 )
-                codes.update(zip(ordered, range(len(codes), len(codes)
-                                                + len(ordered))))
-                dictionary = dictionary + ordered
+                codes.update(zip(tail, range(len(codes), len(codes)
+                                             + len(tail))))
+                dictionary = dictionary + tail
             delta = map(codes.__getitem__, new_values)
             return _ExtendedColumn(
                 None, dictionary, _append_codes(old, delta, len(new_values)),
-                EXTEND_APPENDED, order,
+                EXTEND_APPENDED, ordered,
             )
-        if order is None:
-            order = min(self._value_order(index, attr_type),
-                        _order_of(present, attr_type))
-        if order == _UNORDERED:
+        if ordered is None:
+            ordered = (self._dictionary_ordered(index, attr_type)
+                       and _keys_ordered(present, attr_type))
+        if not ordered:
             reconstructed = [dictionary[code] for code in old.tolist()]
             ranks, dictionary, native = self.backend.encode_column(
                 reconstructed + list(new_values), attr_type
             )
             return _ExtendedColumn(
-                ranks, dictionary, native, EXTEND_REMAPPED, order
+                ranks, dictionary, native, EXTEND_REMAPPED, ordered
             )
         # Remap: insert each new value after the entries its key ties with
         # (None, if new, goes first), then map the old codes through the
         # order-preserving old -> new code map.
         lo = 1 if dictionary and dictionary[0] is None else 0
         inserts = [(0, None)] if len(present) < len(new_distinct) else []
-        if order == _PLAIN:
-            # Keys order like the values: bisect on the values, in C.
-            inserts += [
-                (bisect_right(dictionary, value, lo), value)
-                for value in sorted(present)
-            ]
-        else:
-            inserts += [
-                (_insertion_point(
-                    dictionary, _sort_key(value, attr_type), lo, attr_type
-                ), value)
-                for value in sorted(
-                    present, key=lambda v: _sort_key(v, attr_type)
-                )
-            ]
+        keys = {value: _sort_key(value, attr_type) for value in present}
+        position = lo
+        for value in sorted(present, key=keys.__getitem__):
+            # Keys ascend, so each insertion point is at or after the last.
+            position = _insertion_point(
+                dictionary, keys[value], position, attr_type
+            )
+            inserts.append((position, value))
         merged: List[object] = []
         start = 0
         for position, value in inserts:
@@ -422,22 +386,22 @@ class EncodedRelation:
         )
         return _ExtendedColumn(
             None, merged, _append_codes(code_map[old], delta, len(new_values)),
-            EXTEND_REMAPPED, order,
+            EXTEND_REMAPPED, ordered,
         )
 
-    def _value_order(self, index: int, attr_type: AttributeType) -> int:
-        """How the dictionary of the column at ``index`` is ordered (see
-        :func:`_order_of`; found once)."""
-        order = self._value_orders.get(index)
-        if order is None:
+    def _dictionary_ordered(self, index: int, attr_type: AttributeType) -> bool:
+        """Whether the keys of the column at ``index``'s dictionary order
+        consistently (see :func:`_keys_ordered`; found once)."""
+        ordered = self._keys_ordered.get(index)
+        if ordered is None:
             dictionary = self._dictionaries[index]
-            order = _order_of(
+            ordered = _keys_ordered(
                 dictionary[1:] if dictionary and dictionary[0] is None
                 else dictionary,
                 attr_type,
             )
-            self._value_orders[index] = order
-        return order
+            self._keys_ordered[index] = ordered
+        return ordered
 
     # -- accessors -------------------------------------------------------------
 

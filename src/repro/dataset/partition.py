@@ -195,6 +195,30 @@ class Partition:
         )
 
 
+class ClassCSR:
+    """Classes as CSR arrays, ``class_offsets`` cutting the ``int64``
+    ``row_indices`` into one class each, with none of :class:`Partition`'s
+    layout invariants: classes may share rows and come in any order.
+
+    The count kernels (and their reference loops) read it as they read a
+    partition's classes; it has no partition statistics to get wrong.
+    """
+
+    __slots__ = ("row_indices", "class_offsets")
+
+    def __init__(self, row_indices, class_offsets) -> None:
+        self.row_indices = row_indices
+        self.class_offsets = class_offsets
+
+    def __len__(self) -> int:
+        return len(self.class_offsets) - 1
+
+    def __iter__(self):
+        rows = self.row_indices.tolist()
+        offsets = self.class_offsets.tolist()
+        return (rows[lo:hi] for lo, hi in zip(offsets, offsets[1:]))
+
+
 def _select_classes(partition: Partition, ids) -> Partition:
     """The sub-partition of ``partition`` holding its classes at the
     ascending indices ``ids``.

@@ -24,12 +24,13 @@ pre-empt that with the early-exit slack in
 :data:`repro.discovery.engine.MEMO_LIMIT_SLACK`).
 
 The recount is batched across contexts: every affected context's removed
-and added patch classes are concatenated into one CSR, and each recount —
-an Algorithm 2 pair or a ``g3`` column over one side of one context's patch
-— is a job over its own class range ``[lo, hi)`` of it.  An append
-therefore makes one OC count call and one OFD count call, however many
-contexts it touched; only the iterative validator's greedy loop, which has
-no count kernel, still runs per entry.
+and added patch classes are concatenated into one CSR (a
+:class:`~repro.dataset.partition.ClassCSR`: classes of different contexts
+share rows), and each recount — an Algorithm 2 pair or a ``g3`` column
+over one side of one context's patch — is a job over its own class range
+``[lo, hi)`` of it.  An append therefore makes one OC count call and one
+OFD count call, however many contexts it touched; only the iterative
+validator's greedy loop, which has no count kernel, still runs per entry.
 
 Byte-identity is preserved because adjusted counts equal what a full
 kernel over the rebuilt context would return (same per-class sums), and
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.dataset.partition import ClassPatch, Partition
+from repro.dataset.partition import ClassCSR, ClassPatch, Partition
 from repro.validation.approx_oc_iterative import iterative_removal_rows
 
 
@@ -238,7 +239,7 @@ class _Batch:
         """Both calls' counts, one per queued job."""
         if not self._parts:
             return [], []
-        classes = _concatenate(self._parts, self._encoded.num_rows)
+        classes = _concatenate(self._parts)
         backend = self._encoded.backend
         oc = backend.oc_optimal_removal_count_batch(
             classes, self.oc_pairs, None, self.oc_ranges
@@ -249,9 +250,9 @@ class _Batch:
         return [count for count, _ in oc], [count for count, _ in ofd]
 
 
-def _concatenate(parts: Sequence[Partition], num_rows: int) -> Partition:
-    """The classes of ``parts``, in order, as one CSR (a :class:`Partition`
-    the count kernels read; its classes may share rows)."""
+def _concatenate(parts: Sequence[Partition]) -> ClassCSR:
+    """The classes of ``parts``, in order, as one CSR the count kernels
+    read (its classes may share rows)."""
     import numpy as np
 
     rows = np.concatenate([part.row_indices for part in parts])
@@ -266,7 +267,7 @@ def _concatenate(parts: Sequence[Partition], num_rows: int) -> Partition:
     )
     keep = np.ones(offsets.size, dtype=bool)
     keep[np.cumsum([n + 1 for n in num_classes[:-1]], dtype=np.int64)] = False
-    return Partition.from_csr(rows, offsets[keep], num_rows)
+    return ClassCSR(rows, offsets[keep])
 
 
 def _greedy_count(key, classes, encoded, names) -> int:

@@ -71,10 +71,11 @@ def test_concatenation_keeps_every_part_in_order():
         Partition([[4, 6, 7]], 8),
         Partition([[0, 1], [2, 3], [4, 5]], 8),
     ]
-    combined = _concatenate(parts, 8)
-    assert combined.classes == [
+    combined = _concatenate(parts)
+    assert list(combined) == [
         rows for part in parts for rows in part.classes
     ]
+    assert len(combined) == 6
     assert combined.class_offsets.tolist() == [0, 2, 5, 8, 10, 12, 14]
     assert combined.class_offsets.dtype == numpy.int64
-    assert combined.num_rows == 8
+    assert combined.row_indices.dtype == numpy.int64

@@ -83,6 +83,13 @@ class TestExtendColumnModes:
         base = Relation.from_rows([[3], [7]], ["a"], [AttributeType.INTEGER])
         modes = _extend_and_compare(base, {"a": ["3"]}, backend)
         assert modes == {"a": EXTEND_REMAPPED}
+        # In a STRING column 3 and "3" (1 and "1") share a sort key: the new
+        # value goes after the interior entry it ties with.
+        for rows, delta in (([[1], ["b"], [3]], ["3", "1"]),
+                            ([["1"], ["b"], [4.5]], [1, "4.5"])):
+            base = Relation.from_rows(rows, ["a"], [AttributeType.STRING])
+            modes = _extend_and_compare(base, {"a": delta}, backend)
+            assert modes == {"a": EXTEND_REMAPPED}
 
     def test_empty_delta(self, backend):
         base = Relation.from_columns({"a": [3, 1, 2]})
@@ -98,16 +105,22 @@ def _typed(values):
 
 _NAN = float("nan")
 
-#: Value pools per column type.  Numeric pools mix ints, floats, NaN (one
-#: shared object and fresh ones), ±0.0, ``True`` / ``1.0`` beside ``1`` and
-#: numeric strings, so keys tie, collide and fail to order.
+#: Value pools, each with its column type.  Numeric pools mix ints,
+#: floats, NaN (one shared object and fresh ones), ±0.0, ``True`` / ``1.0``
+#: beside ``1`` and numeric strings, so keys tie, collide and fail to
+#: order.  The mixed pool puts non-``str`` values into a STRING column,
+#: where ``1`` and ``"1"`` (or ``4.5`` and ``"4.5"``) key alike and tie.
 _POOLS = {
-    AttributeType.INTEGER: [None, -3, 0, 1, 2, 5, 7, 11, 20, 20.5, 3.25,
-                            True, 1.0, -0.0, 0.0, "7", "nan"],
-    AttributeType.FLOAT: [None, -1.5, -0.0, 0.0, 0.25, 1.0, 1, True, 2.5,
-                          1e300, float("inf"), _NAN],
-    AttributeType.STRING: [None, "a", "b", "ba", "c", "zz", "", "B"],
-    AttributeType.BOOLEAN: [None, True, False, 1, 0, "x"],
+    "int": (AttributeType.INTEGER,
+            [None, -3, 0, 1, 2, 5, 7, 11, 20, 20.5, 3.25, True, 1.0, -0.0,
+             0.0, "7", "nan"]),
+    "float": (AttributeType.FLOAT,
+              [None, -1.5, -0.0, 0.0, 0.25, 1.0, 1, True, 2.5, 1e300,
+               float("inf"), _NAN]),
+    "str": (AttributeType.STRING, [None, "a", "b", "ba", "c", "zz", "", "B"]),
+    "bool": (AttributeType.BOOLEAN, [None, True, False, 1, 0, "1", "x"]),
+    "mixed": (AttributeType.STRING,
+              [None, 1, "1", 2, "03", True, "True", 4.5, "4.5"]),
 }
 
 
@@ -117,9 +130,9 @@ def _draw(rng, pool):
     return float("nan") if value is _NAN and rng.random() < 0.5 else value
 
 
-def _deltas(rng, dictionary, pool):
+def _deltas(rng, dictionary, pool, attr_type):
     """A delta per shape: repeats, tail values, a mid-domain insert, a new
-    minimum, ``None`` first, and random draws from ``pool``."""
+    minimum, a key tie, ``None`` first, and random draws from ``pool``."""
     present = [value for value in dictionary if value is not None]
     shapes = [[_draw(rng, pool) for _ in range(rng.randint(1, 8))]]
     if present:
@@ -135,6 +148,12 @@ def _deltas(rng, dictionary, pool):
     if strings:
         shapes.append([min(strings) + "m"])                  # mid-domain
         shapes.append(["", "!" + max(strings)])              # new minimum
+    if attr_type is AttributeType.STRING:
+        # A new value keyed like an existing non-str entry (its str):
+        # inserted after the entries it ties with, by first occurrence.
+        others = [v for v in present if type(v) is not str]
+        if others:
+            shapes.append([str(min(others, key=str)), rng.choice(present)])
     shapes.append([None] + [_draw(rng, pool) for _ in range(3)])
     shapes.append([_NAN, float("nan"), -0.0, 0.0, True, 1.0, 1])
     return shapes
@@ -144,20 +163,20 @@ def _deltas(rng, dictionary, pool):
 def test_randomized_extend_parity(backend):
     """Property-style sweep: random base columns of every type, extended
     step by step by deltas of every shape (repeats, tail extensions,
-    mid-domain inserts, new minima, ``None`` first, NaN, ±0.0 and
-    ``1`` / ``True`` / ``1.0``).  After every step the ranks and
+    mid-domain inserts, new minima, ``None`` first, NaN, ±0.0,
+    ``1`` / ``True`` / ``1.0`` and, in STRING columns, ``1`` beside
+    ``"1"``).  After every step the ranks and
     dictionaries equal, element for element in type and repr, those of a
     cold encode of the concatenation, and an appended column kept every
     existing code."""
     rng = random.Random(20260726)
     modes_seen = set()
     for trial in range(40):
-        attr_type = rng.choice(sorted(_POOLS, key=lambda t: t.name))
-        pool = _POOLS[attr_type]
+        attr_type, pool = _POOLS[rng.choice(sorted(_POOLS))]
         rows = [[_draw(rng, pool)] for _ in range(rng.randint(0, 12))]
         relation = Relation.from_rows(rows, ["v"], [attr_type])
         encoded = EncodedRelation.from_relation(relation, backend)
-        for delta in _deltas(rng, encoded.dictionary("v"), pool):
+        for delta in _deltas(rng, encoded.dictionary("v"), pool, attr_type):
             extended, modes = encoded.extend({"v": delta})
             relation = relation.concat(Relation(relation.schema, {"v": delta}))
             cold = EncodedRelation.from_relation(relation, backend)
