@@ -12,9 +12,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.backend import resolve_backend
 from repro.dataset.relation import Relation
 from repro.dependencies.oc import CanonicalOC
-from repro.discovery.api import discover_aods
+from repro.discovery.api import discover, discover_aods
 from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.results import DiscoveryResult
@@ -177,8 +178,8 @@ def measure_sweep(
     session), asserting nothing — per-threshold result comparisons are the
     caller's job.
 
-    The cold series *is* repeated :func:`discover_aods` calls (fresh
-    one-shot session state per threshold); the warm series runs
+    The cold series *is* repeated :func:`discover_aods` calls (a fresh
+    engine per threshold); the warm series runs
     :meth:`Profiler.sweep` on one session.  The relation is encoded once
     up front so both series time discovery, not encoding.
     """
@@ -284,7 +285,7 @@ def measure_incremental(
     A warm session first discovers over ``base_relation`` (untimed — that
     is the state any long-lived session already has), then the appended
     rows arrive: the incremental leg times ``extend`` +
-    ``discover_incremental``; the cold leg times a fresh one-shot session
+    ``discover_incremental``; the cold leg times a one-shot engine run
     over the concatenated table.  Equality of the two results is the
     caller's assertion to make.
     """
@@ -316,11 +317,9 @@ def measure_incremental(
     )
     concatenated = base_relation.concat(delta_relation)
     cold_start = time.perf_counter()
-    with Profiler(
-        concatenated, backend=backend, num_workers=num_workers,
-        cache_validations=False, retain_partitions=False,
-    ) as cold_session:
-        cold_result = cold_session.discover(request)
+    cold_result = discover(
+        concatenated, request.to_config(resolve_backend(backend), num_workers)
+    )
     cold_seconds = time.perf_counter() - cold_start
 
     assert extended_relation.num_rows == concatenated.num_rows

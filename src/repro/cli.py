@@ -37,10 +37,12 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.applications.outlier_detection import detect_outliers
-from repro.backend import BACKEND_CHOICES, BACKEND_ENV_VAR
+from repro.backend import BACKEND_CHOICES, BACKEND_ENV_VAR, resolve_backend
 from repro.dataset.csv_io import read_csv
 from repro.dataset.examples import employee_salary_table
+from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryRequest
+from repro.discovery.results import DiscoveryResult
 from repro.discovery.session import Profiler
 from repro.obs import configure_logging
 from repro.obs.log import ENV_VAR as LOG_LEVEL_ENV_VAR
@@ -324,14 +326,16 @@ def _load_relation(args, parser_hint: str):
     return None
 
 
-def _session(relation, args, warm: bool = True) -> Profiler:
-    # One-shot commands disable the warm caches: per-level partition
-    # eviction keeps peak memory bounded exactly like the plain engine,
-    # and a single-run memo would never be reused.
-    return Profiler(
-        relation, backend=args.backend, num_workers=args.workers,
-        cache_validations=warm, retain_partitions=warm,
-    )
+def _session(relation, args) -> Profiler:
+    return Profiler(relation, backend=args.backend, num_workers=args.workers)
+
+
+def _one_shot(relation, args, request: DiscoveryRequest) -> DiscoveryResult:
+    # A single run needs no warm state: the engine owns its partitions and
+    # evicts them level by level, bounding peak memory.
+    return discover(relation, request.to_config(
+        resolve_backend(args.backend), args.workers
+    ))
 
 
 def _request_from_args(args) -> DiscoveryRequest:
@@ -359,8 +363,7 @@ def _cmd_discover(args) -> int:
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            with _session(relation, args, warm=False) as session:
-                result = session.discover(request)
+            result = _one_shot(relation, args, request)
         finally:
             set_tracer(previous)
         spans = tracer.export(args.trace)
@@ -368,8 +371,7 @@ def _cmd_discover(args) -> int:
               "(Chrome-trace JSON; open in chrome://tracing or Perfetto)")
         print()
     else:
-        with _session(relation, args, warm=False) as session:
-            result = session.discover(request)
+        result = _one_shot(relation, args, request)
 
     print(result.summary())
     print()
@@ -473,8 +475,7 @@ def _cmd_extend(args) -> int:
             {name: delta.column(name) for name in base.attribute_names},
         ))
         start = time.perf_counter()
-        with _session(concatenated, args, warm=False) as cold_session:
-            cold = cold_session.discover(request)
+        cold = _one_shot(concatenated, args, request)
         cold_seconds = time.perf_counter() - start
         if (cold.ocs, cold.ofds) != (result.ocs, result.ofds):
             print("error: incremental result differs from the cold "

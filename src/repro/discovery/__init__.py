@@ -22,8 +22,8 @@ Public entry points:
 * :class:`DiscoveryRequest` — the JSON-serialisable description of one run
   (the request half of the service boundary; results serialise via
   :meth:`DiscoveryResult.to_json`),
-* :func:`discover_ods` / :func:`discover_aods` — one-shot wrappers over a
-  single-run session,
+* :func:`discover_ods` / :func:`discover_aods` — one-shot helpers that
+  run one :class:`DiscoveryEngine`,
 * :class:`DiscoveryConfig` / :class:`DiscoveryResult` for fine control and
   rich results (per-level counts, rankings, phase timings),
 * the :mod:`repro.discovery.events` stream types

@@ -1,11 +1,12 @@
 """Convenience entry points for OD / AOD discovery.
 
-These are thin wrappers over a one-shot
-:class:`~repro.discovery.session.Profiler` session: each call builds a
-session, runs a single :class:`~repro.discovery.config.DiscoveryRequest`
-against it and tears it down again.  Code that profiles the same relation
-repeatedly (threshold sweeps, serving) should hold a ``Profiler`` instead —
-it amortises encoding, partitions and validation outcomes across runs, with
+Each call builds one :class:`~repro.discovery.config.DiscoveryRequest`,
+resolves it with the caller's backend and thread cap, and runs one
+:class:`~repro.discovery.engine.DiscoveryEngine` over it (:func:`discover`);
+the engine owns its partition cache and evicts it level by level.  Code
+that profiles the same relation repeatedly (threshold sweeps, serving)
+should hold a :class:`~repro.discovery.session.Profiler` instead — it
+amortises encoding, partitions and validation outcomes across runs, with
 byte-identical per-run results.
 """
 
@@ -13,11 +14,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.backend import resolve_backend
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.results import DiscoveryResult
-from repro.discovery.session import Profiler
 
 
 def discover_ods(
@@ -48,10 +49,9 @@ def discover_ods(
         time_limit_seconds=time_limit_seconds,
         find_ofds=find_ofds,
     )
-    with Profiler(relation, backend=backend, num_workers=num_workers,
-                  cache_validations=False,
-                  retain_partitions=False) as session:
-        return session.discover(request)
+    return discover(
+        relation, request.to_config(resolve_backend(backend), num_workers)
+    )
 
 
 def discover_aods(
@@ -95,16 +95,15 @@ def discover_aods(
         time_limit_seconds=time_limit_seconds,
         find_ofds=find_ofds,
     )
-    with Profiler(relation, backend=backend, num_workers=num_workers,
-                  cache_validations=False,
-                  retain_partitions=False) as session:
-        return session.discover(request)
+    return discover(
+        relation, request.to_config(resolve_backend(backend), num_workers)
+    )
 
 
 def discover(relation: Relation, config: DiscoveryConfig) -> DiscoveryResult:
     """Run discovery with an explicit :class:`DiscoveryConfig`.
 
-    This is the engine-level escape hatch (live backend instances); the
-    engine owns all of its state, exactly like a one-shot session.
+    The one-shot helpers above end here; the engine owns all of its
+    state.  ``config.backend`` may be a live backend instance.
     """
     return DiscoveryEngine(relation, config).run()

@@ -9,7 +9,10 @@ Two related types live here:
   plain JSON-compatible values only, convertible to and from a
   :class:`DiscoveryConfig`.  This is the request half of the service
   boundary used by :class:`repro.discovery.session.Profiler` and
-  ``repro serve``.
+  ``repro serve``.  It has no ``backend`` and no ``num_workers``: those
+  belong to whoever runs the request (the session, or the one-shot
+  caller), and :meth:`DiscoveryRequest.to_config` takes them as
+  arguments.
 """
 
 from __future__ import annotations
@@ -163,8 +166,10 @@ class DiscoveryRequest:
     (which compute backend, the plane's thread cap) are supplied when the
     request is resolved against a session via :meth:`to_config`.
 
-    Fields mirror :class:`DiscoveryConfig`; ``num_workers`` is optional and
-    ``None`` defers to the session's default.
+    Fields mirror :class:`DiscoveryConfig` minus those two, so a request
+    that names ``num_workers`` or ``backend`` is refused like any other
+    unknown field: the session, and ``repro serve --workers`` for a
+    server, is their one owner.
     """
 
     threshold: float = 0.0
@@ -175,7 +180,6 @@ class DiscoveryRequest:
     find_ofds: bool = True
     aggressive_ofd_pruning: bool = True
     prune_exhausted_nodes: bool = True
-    num_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.attributes is not None:
@@ -215,12 +219,11 @@ class DiscoveryRequest:
             expect("attributes", self.attributes,
                    all(isinstance(a, str) for a in self.attributes),
                    "a list of attribute names")
-        for name in ("max_level", "num_workers"):
-            value = getattr(self, name)
-            expect(name, value,
-                   value is None or (isinstance(value, int)
-                                     and not isinstance(value, bool)),
-                   "an integer or null")
+        max_level = self.max_level
+        expect("max_level", max_level,
+               max_level is None or (isinstance(max_level, int)
+                                     and not isinstance(max_level, bool)),
+               "an integer or null")
         expect("time_limit_seconds", self.time_limit_seconds,
                self.time_limit_seconds is None or is_number(
                    self.time_limit_seconds),
@@ -253,12 +256,8 @@ class DiscoveryRequest:
     ) -> DiscoveryConfig:
         """Resolve this request into an engine :class:`DiscoveryConfig`.
 
-        ``backend`` / ``num_workers`` are the session-owned parameters; a
-        request-level ``num_workers`` overrides the session default.
+        ``backend`` / ``num_workers`` are the session-owned parameters.
         """
-        effective_workers = (
-            self.num_workers if self.num_workers is not None else num_workers
-        )
         return DiscoveryConfig(
             threshold=self.threshold,
             validator=self.validator,
@@ -268,7 +267,7 @@ class DiscoveryRequest:
             find_ofds=self.find_ofds,
             aggressive_ofd_pruning=self.aggressive_ofd_pruning,
             prune_exhausted_nodes=self.prune_exhausted_nodes,
-            num_workers=effective_workers,
+            num_workers=num_workers,
             backend=backend,
         )
 
@@ -285,7 +284,6 @@ class DiscoveryRequest:
             find_ofds=config.find_ofds,
             aggressive_ofd_pruning=config.aggressive_ofd_pruning,
             prune_exhausted_nodes=config.prune_exhausted_nodes,
-            num_workers=config.num_workers,
         )
 
     # -- JSON boundary -----------------------------------------------------------

@@ -1,10 +1,11 @@
 """Session-oriented profiling API: the long-lived :class:`Profiler`.
 
 The one-shot entry points (:func:`repro.discovery.api.discover_aods` and
-friends) pay the full setup cost on every call: the relation is encoded,
-and the partition cache rebuilt.  The paper's
+friends) run one engine that owns its state: every call builds its own
+partitions, and evicts them level by level.  The paper's
 core evaluation loop — discovery over the *same* table at many ε values
-(Exp-4/5/6 threshold sweeps) — repeats exactly that setup per threshold.
+(Exp-4/5/6 threshold sweeps) — would repeat exactly that setup per
+threshold.
 
 A :class:`Profiler` owns the expensive state once and runs many discoveries
 against it:
@@ -14,7 +15,12 @@ against it:
 * a **validation memo** mapping candidates to their kernel outcomes, so a
   sweep revalidates only what a new removal budget actually changes
   (soundness rules in ``DiscoveryEngine._memo_lookup``; memoised runs stay
-  byte-identical).
+  byte-identical),
+* the **completed results**, one per canonical request, each tagged with
+  the dataset version it was computed at: :meth:`Profiler.completed_result`
+  replays one until an append supersedes it (``repro serve`` answers
+  repeated requests from it), and :meth:`Profiler.discover_incremental`
+  diffs against it.
 
 Usage::
 
@@ -27,8 +33,8 @@ Usage::
         profiler.discover_incremental(threshold=0.1)  # repair, rerun, diff
 
 Requests are plain :class:`~repro.discovery.config.DiscoveryRequest` values
-(JSON-serialisable); live concerns — backend, workers, cancellation —
-belong to the session and the call site.
+(JSON-serialisable); live concerns — backend, the plane's thread cap,
+cancellation — belong to the session and the call site.
 
 Sessions also survive their dataset *growing*: :meth:`Profiler.extend`
 appends rows while keeping every warm asset consistent (delta encoding,
@@ -46,7 +52,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.backend import resolve_backend
 from repro.caching import BoundedLRU
@@ -57,6 +63,7 @@ from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.events import DiscoveryEvent, RunCompleted
 from repro.discovery.lattice import AttributeBits
 from repro.discovery.results import DiscoveryResult
+from repro.incremental import repair
 from repro.incremental.delta import (
     DeltaSummary,
     IncrementalOutcome,
@@ -65,8 +72,8 @@ from repro.incremental.delta import (
 from repro.obs import get_tracer
 
 
-#: Cap on per-request incremental baselines retained by a session (each is
-#: a full DiscoveryResult).  Evicting one is harmless — see `_baselines`.
+#: Cap on per-request completed results retained by a session (each is a
+#: full DiscoveryResult).  Evicting one is harmless — see `_baselines`.
 MAX_BASELINES = 64
 
 
@@ -145,22 +152,11 @@ class Profiler:
         Compute backend for every run of this session (instance, name, or
         ``None`` for the environment default).
     num_workers:
-        Default for runs whose request does not pin its own
-        (``DiscoveryRequest.num_workers is None``).  Values above 1 cap
+        The thread cap of every run of this session: values above 1 cap
         the run's OC plane threads, which each run starts and stops
         itself (see ``DiscoveryConfig.num_workers``); a warm run, whose
-        memo already holds outcomes, counts inline.
-    cache_validations:
-        Keep a cross-run memo of validation outcomes (default on).  Cold
-        runs behave identically to the one-shot API; repeated runs and
-        :meth:`sweep` skip every kernel call whose outcome is still sound
-        for the new threshold.  Disable to measure raw engine time.
-    retain_partitions:
-        Keep one partition cache alive across runs (default on — it is the
-        session's main warm asset).  When disabled each run owns its own
-        cache and evicts it level by level, bounding peak memory exactly
-        like the pre-session engine; the one-shot ``discover_*`` wrappers
-        use this, since their session never runs twice.
+        memo already holds outcomes, counts inline.  Requests carry no
+        cap of their own.
     max_memo_entries:
         Optional LRU bound on the validation memo.  The memo's entries are
         tiny but grow with every distinct candidate ever validated; a
@@ -181,8 +177,6 @@ class Profiler:
         *,
         backend=None,
         num_workers: int = 1,
-        cache_validations: bool = True,
-        retain_partitions: bool = True,
         max_memo_entries: Optional[int] = None,
         max_cached_partitions: Optional[int] = None,
     ) -> None:
@@ -192,28 +186,24 @@ class Profiler:
         self.backend = resolve_backend(backend)
         self.num_workers = num_workers
         self.encoded = relation.encoded(self.backend)
-        self.partitions = (
-            PartitionCache(
-                self.encoded,
-                backend=self.backend,
-                max_entries=max_cached_partitions,
-            )
-            if retain_partitions else None
+        self.partitions = PartitionCache(
+            self.encoded,
+            backend=self.backend,
+            max_entries=max_cached_partitions,
         )
-        self._memo: Optional[BoundedLRU] = (
-            BoundedLRU(max_memo_entries) if cache_validations else None
-        )
+        self._memo = BoundedLRU(max_memo_entries)
         #: Monotone dataset version: bumped by every :meth:`extend`.
         self._dataset_version = 0
         self._closed = False
         self._active_streams = 0
         #: Appends that added at least one row.
         self._num_appends = 0
-        #: Canonical request JSON -> the request's last completed result.
-        #: LRU-bounded: losing a baseline only means a later
-        #: `discover_incremental` for that request reports no diff (and
-        #: re-seeds it) — results never change, so a fixed cap keeps ad-hoc
-        #: request streams from growing session state without limit.
+        #: Canonical request JSON -> ``(dataset_version, result)`` of the
+        #: request's last completed run.  LRU-bounded: losing one only
+        #: means a later `completed_result` misses and a later
+        #: `discover_incremental` reports no diff (and re-seeds it) —
+        #: results never change, so a fixed cap keeps ad-hoc request
+        #: streams from growing session state without limit.
         self._baselines: BoundedLRU = BoundedLRU(MAX_BASELINES)
 
     # -- discovery ---------------------------------------------------------------
@@ -232,15 +222,39 @@ class Profiler:
         shorthand for ``profiler.discover(DiscoveryRequest(threshold=0.1))``).
 
         A completed (not cancelled, not timed-out) run is remembered as the
-        session's *baseline* for its canonical request, which is what
-        :meth:`discover_incremental` later diffs against.
+        session's result for its canonical request: :meth:`completed_result`
+        replays it, and :meth:`discover_incremental` later diffs against it.
         """
         request = self._resolve_request(request, overrides)
         engine = self._engine(request)
         result = engine.run(cancellation)
-        if not result.cancelled and not result.timed_out:
-            self._baselines[request.to_json()] = result
+        self._remember(request, result)
         return result
+
+    def completed_result(
+        self, request: DiscoveryRequest
+    ) -> Optional[DiscoveryResult]:
+        """The request's last completed result, while no append has come
+        after it (``None`` otherwise): what a fresh :meth:`discover` of
+        ``request`` would return, counters aside."""
+        stored = self._baselines.get(request.to_json())
+        if stored is None or stored[0] != self._dataset_version:
+            return None
+        return stored[1]
+
+    def num_completed_results(self) -> int:
+        """How many requests :meth:`completed_result` would answer."""
+        return sum(
+            version == self._dataset_version
+            for version, _ in list(self._baselines.values())
+        )
+
+    def _remember(self, request, result) -> None:
+        # Interrupted runs are partial (and timing-dependent): never kept.
+        if not result.cancelled and not result.timed_out:
+            self._baselines[request.to_json()] = (
+                self._dataset_version, result
+            )
 
     def iter_events(
         self,
@@ -254,9 +268,9 @@ class Profiler:
         :class:`~repro.discovery.events.RunCompleted` carries the result.
 
         Like :meth:`discover`, a run whose stream completes uninterrupted
-        becomes the session's incremental baseline for its request, so
-        streamed and one-shot runs feed :meth:`discover_incremental`
-        equally."""
+        becomes the session's completed result for its request, so
+        streamed and one-shot runs feed :meth:`completed_result` and
+        :meth:`discover_incremental` equally."""
         request = self._resolve_request(request, overrides)
         engine = self._engine(request)
 
@@ -267,9 +281,7 @@ class Profiler:
             try:
                 for event in engine.iter_events(cancellation):
                     if isinstance(event, RunCompleted):
-                        result = event.result
-                        if not result.cancelled and not result.timed_out:
-                            self._baselines[request.to_json()] = result
+                        self._remember(request, event.result)
                     yield event
             finally:
                 self._active_streams -= 1
@@ -353,38 +365,33 @@ class Profiler:
         new_relation.adopt_encoding(extended)
         # Contexts are attribute-set masks, as in the memo's keys.
         bits = AttributeBits(schema)
-        patches_by_context: Dict[int, tuple] = {}
-        tracked: Set[int] = set()
-        patched = 0
-        if self.partitions is not None:
-            names = schema.names
+        names = schema.names
 
-            def masked(key):
-                return bits.mask(names[i] for i in key)
+        def masked(key):
+            return bits.mask(names[i] for i in key)
 
-            # Under ``max_cached_partitions`` a rebuild can cache a key the
-            # cache had evicted; nothing compared it with its old classes,
-            # so only keys cached before and after the append are tracked.
-            before = set(self.partitions.cached_keys())
-            patches = self.partitions.apply_delta(extended, old_num_rows)
-            after = set(self.partitions.cached_keys())
-            patches_by_context = {
-                masked(key): patch for key, patch in patches.items()
-            }
-            tracked = {masked(key) for key in before & after}
-            patched = len(after)
+        # Under ``max_cached_partitions`` a rebuild can cache a key the
+        # cache had evicted; nothing compared it with its old classes, so
+        # only keys cached before and after the append are tracked.
+        before = set(self.partitions.cached_keys())
+        patches = self.partitions.apply_delta(extended, old_num_rows)
+        after = set(self.partitions.cached_keys())
+        patches_by_context = {
+            masked(key): patch for key, patch in patches.items()
+        }
+        tracked = {masked(key) for key in before & after}
         with get_tracer().span(
             "memo-repair",
             appended_rows=new_relation.num_rows - old_num_rows,
             affected_contexts=len(patches_by_context),
         ) as span:
-            repair = self._repair_memo(
-                extended, bits.names, patches_by_context, tracked
+            # Through the module attribute, so wrappers of it see the call.
+            counts = repair.repair_memo(
+                self._memo, extended, bits.names, patches_by_context, tracked
             )
             if span is not None:
-                span.attrs.update(oc_jobs=repair.oc_jobs,
-                                  ofd_jobs=repair.ofd_jobs)
-        invalidated, adjusted, retained = repair[:3]
+                span.attrs.update(oc_jobs=counts.oc_jobs,
+                                  ofd_jobs=counts.ofd_jobs)
         self.relation = new_relation
         self.encoded = extended
         self._dataset_version += 1
@@ -396,10 +403,10 @@ class Profiler:
             affected_contexts=tuple(sorted(
                 map(bits.names_of, patches_by_context), key=sorted
             )),
-            patched_partitions=patched,
-            invalidated_memo_entries=invalidated,
-            adjusted_memo_entries=adjusted,
-            retained_memo_entries=retained,
+            patched_partitions=len(after),
+            invalidated_memo_entries=counts.invalidated,
+            adjusted_memo_entries=counts.adjusted,
+            retained_memo_entries=counts.retained,
         )
         if summary.num_appended:
             self._num_appends += 1
@@ -426,35 +433,15 @@ class Profiler:
         request = self._resolve_request(request, overrides)
         previous = self._baselines.get(request.to_json())
         result = self.discover(request, cancellation=cancellation)
-        return IncrementalOutcome.between(previous, result)
-
-    def _repair_memo(self, extended, names, patches_by_context, tracked):
-        """Repair or drop memo entries an append may have changed.
-
-        Entries of unaffected ``tracked`` contexts (cached across the
-        append) are kept as they are; entries of affected contexts are
-        adjusted per class (see :mod:`repro.incremental.repair`); entries of
-        any other context are purged, since nothing tracked what the append
-        did to it.  Without a retained partition cache nothing is provable,
-        so everything goes.
-        """
-        from repro.incremental import repair
-
-        if self._memo is None:
-            return repair.RepairCounts(0, 0, 0)
-        if self.partitions is None:
-            invalidated = len(self._memo)
-            self._memo.clear()
-            return repair.RepairCounts(invalidated, 0, 0)
-        return repair.repair_memo(
-            self._memo, extended, names, patches_by_context, tracked
+        return IncrementalOutcome.between(
+            None if previous is None else previous[1], result
         )
 
     # -- incremental session state ---------------------------------------------
 
     @property
-    def validation_memo(self) -> Optional[BoundedLRU]:
-        """The cross-run validation memo (``None`` when disabled)."""
+    def validation_memo(self) -> BoundedLRU:
+        """The cross-run validation memo."""
         return self._memo
 
     @property
@@ -468,16 +455,9 @@ class Profiler:
     def cache_info(self) -> Dict[str, object]:
         """Warm-state statistics: partition cache hits/misses/entries and
         the number of memoised validation outcomes."""
-        info: Dict[str, object] = (
-            dict(self.partitions.stats) if self.partitions is not None
-            else {"hits": 0, "misses": 0, "entries": 0, "evictions": 0}
-        )
-        info["validation_memo_entries"] = (
-            len(self._memo) if self._memo is not None else 0
-        )
-        info["validation_memo_evictions"] = (
-            self._memo.evictions if self._memo is not None else 0
-        )
+        info: Dict[str, object] = dict(self.partitions.stats)
+        info["validation_memo_entries"] = len(self._memo)
+        info["validation_memo_evictions"] = self._memo.evictions
         info["backend"] = self.backend.name
         info["num_appends"] = self._num_appends
         info["dataset_version"] = self._dataset_version

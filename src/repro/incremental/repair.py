@@ -29,8 +29,10 @@ and added patch classes are concatenated into one CSR (a
 share rows), and each recount — an Algorithm 2 pair or a ``g3`` column
 over one side of one context's patch — is a job over its own class range
 ``[lo, hi)`` of it.  An append therefore makes one OC count call and one
-OFD count call, however many contexts it touched; only the iterative
-validator's greedy loop, which has no count kernel, still runs per entry.
+OFD count call, however many contexts it touched.  The iterative
+validator (Algorithm 1) has no count kernel, so its counts of affected
+contexts are purged and the engine recounts them, batched with early
+exit, like those of an oversized patch.
 
 Byte-identity is preserved because adjusted counts equal what a full
 kernel over the rebuilt context would return (same per-class sums), and
@@ -43,7 +45,6 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.dataset.partition import ClassCSR, ClassPatch, Partition
-from repro.validation.approx_oc_iterative import iterative_removal_rows
 
 
 class RepairCounts(NamedTuple):
@@ -54,9 +55,9 @@ class RepairCounts(NamedTuple):
     adjusted: int
     retained: int
     #: Jobs (pair over one class range) in the one OC count call.
-    oc_jobs: int = 0
+    oc_jobs: int
     #: Jobs (column over one class range) in the one OFD count call.
-    ofd_jobs: int = 0
+    ofd_jobs: int
 
 
 def repair_memo(
@@ -86,7 +87,8 @@ def repair_memo(
     # classes; once a patch spans about the whole relation — the unit
     # context always does, its single class is every row — letting the
     # engine recompute the entry once, batched and with early exit, is
-    # cheaper.  Verdict-only entries (exceeded / failing exact) are exempt:
+    # cheaper.  Iterative-validator counts are always recomputed that way.
+    # Verdict-only entries (exceeded / failing exact) are exempt:
     # monotonicity keeps them for free at any patch size.
     oversized = {
         context
@@ -116,7 +118,7 @@ def repair_memo(
             elif limit_used is None:
                 checks.append(key)
                 adjusted += 1
-            elif context in oversized:
+            elif context in oversized or key[1] == "iterative":
                 del memo[key]
                 invalidated += 1
             else:
@@ -135,14 +137,14 @@ def repair_memo(
     #: added ones.
     jobs = {}
     for context, keys in pending.items():
-        oc_keys = [key for key in keys
-                   if key[0] == "oc" and key[1] == "optimal"]
+        # Pending OCs are all Algorithm 2 counts: exact checks and
+        # iterative counts never reach `pending`.
+        oc_keys = [key for key in keys if key[0] == "oc"]
         ofd_keys = [key for key in keys if key[0] == "ofd"]
-        if oc_keys or ofd_keys:
-            jobs[context] = (
-                oc_keys, batch.count_oc(oc_keys, context, (0, 1)),
-                ofd_keys, batch.count_ofd(ofd_keys, context, (0, 1)),
-            )
+        jobs[context] = (
+            oc_keys, batch.count_oc(oc_keys, context, (0, 1)),
+            ofd_keys, batch.count_ofd(ofd_keys, context, (0, 1)),
+        )
     check_jobs = [
         batch.count_oc([key], key[2], (1,)) if key[0] == "oc"
         else batch.count_ofd([key], key[2], (1,))
@@ -152,12 +154,12 @@ def repair_memo(
 
     # A passing exact check keeps its place in the recency order (it was
     # settled while the memo was walked); adjusted counts move to the most
-    # recent end, context by context, OC pairs, then OFDs, then greedy OCs.
+    # recent end, context by context, OC pairs, then OFDs.
     for key, at in zip(checks, check_jobs):
         counts = oc_counts if key[0] == "oc" else ofd_counts
         memo.replace(key, (0, counts[at] > 0, None))
-    for context, keys in pending.items():
-        oc_keys, oc_at, ofd_keys, ofd_at = jobs.get(context, ((), 0, (), 0))
+    for context in pending:
+        oc_keys, oc_at, ofd_keys, ofd_at = jobs[context]
         for kind_keys, counts, at in ((oc_keys, oc_counts, oc_at),
                                       (ofd_keys, ofd_counts, ofd_at)):
             n = len(kind_keys)
@@ -166,16 +168,6 @@ def repair_memo(
             ):
                 count, limit_used = entries[key]
                 memo[key] = (count - removed + added, False, limit_used)
-        removed, added = patches_by_context[context]
-        for key in keys:
-            if key[0] == "oc" and key[1] == "iterative":
-                count, limit_used = entries[key]
-                memo[key] = (
-                    count
-                    - _greedy_count(key, removed, encoded, names)
-                    + _greedy_count(key, added, encoded, names),
-                    False, limit_used,
-                )
     return RepairCounts(
         invalidated, adjusted, retained, len(batch.oc_pairs),
         len(batch.ofd_columns),
@@ -268,18 +260,3 @@ def _concatenate(parts: Sequence[Partition]) -> ClassCSR:
     keep = np.ones(offsets.size, dtype=bool)
     keep[np.cumsum([n + 1 for n in num_classes[:-1]], dtype=np.int64)] = False
     return ClassCSR(rows, offsets[keep])
-
-
-def _greedy_count(key, classes, encoded, names) -> int:
-    """An iterative-validator OC's removal contribution over ``classes``.
-
-    Algorithm 1 (greedy) is per-class independent as well; it runs on
-    canonical rank lists, mirroring the engine's dispatch.
-    """
-    if not classes:
-        return 0
-    removal, _ = iterative_removal_rows(
-        classes, encoded.ranks(names[key[3]]), encoded.ranks(names[key[4]]),
-        None,
-    )
-    return len(removal)

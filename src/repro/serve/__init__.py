@@ -9,8 +9,9 @@ Modules
     Bounded per-dataset admission queues with a global in-flight cap,
     EWMA-based ``Retry-After`` estimation, drain support.
 ``service``
-    :class:`ProfilerService` — dataset registry, result caches, dataset
-    lifecycle (upload / evict / TTL sweep), deadlines, graceful shutdown.
+    :class:`ProfilerService` — dataset registry, result-cache counters,
+    dataset lifecycle (upload / evict / TTL sweep), deadlines, graceful
+    shutdown.
 ``http``
     Request handler, disconnect watchdog, streaming, fault hook points,
     :func:`make_server`.

@@ -22,6 +22,12 @@ overload and churn, not just the happy path:
   :meth:`shutdown_gracefully` drains or cancels in-flight runs within a
   bounded grace period, then closes every session deterministically.
 
+The service owns no discovery state of its own.  The plane's thread cap
+is the sessions' (``--workers``; a request cannot carry one), and a
+repeated request is answered from its session's completed result
+(:meth:`~repro.discovery.session.Profiler.completed_result`) until an
+append supersedes it; the service only counts those hits and misses.
+
 Everything observable lands in ``repro.obs``: admission and lifecycle
 counters, queue-wait and request-latency histograms, and the ``admission``
 / ``lifecycle`` blocks of ``/healthz``.
@@ -33,7 +39,6 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional
 
-from repro.caching import BoundedLRU
 from repro.dataset.relation import Relation
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.events import DiscoveryEvent, RunCompleted
@@ -116,11 +121,7 @@ class ProfilerService:
         self._profilers: Dict[str, Profiler] = {}
         self._pinned: Dict[str, bool] = {}
         self._last_used: Dict[str, float] = {}
-        # Result cache: dataset name -> canonical request JSON -> result.
-        # Guarded by the admission gate (one run per dataset at a time);
-        # invalidated by appends and LRU-bounded per dataset so ad-hoc
-        # request streams cannot grow a long-lived server without limit.
-        self._results: Dict[str, BoundedLRU] = {}
+        # Result-cache counters; the results are the sessions'.
         self._cache_hits = 0
         self._cache_misses = 0
         self.admission = AdmissionController(
@@ -146,9 +147,6 @@ class ProfilerService:
             )
             self._sweep_thread.start()
 
-    #: Per-dataset cap on cached results (each is a full DiscoveryResult).
-    max_cached_results = 128
-
     # -- dataset registry --------------------------------------------------------
 
     def add_dataset(
@@ -173,7 +171,6 @@ class ProfilerService:
             self._profilers[name] = profiler
             self._pinned[name] = pinned
             self._last_used[name] = time.monotonic()
-            self._results[name] = BoundedLRU(self.max_cached_results)
             return profiler
 
     def upload_dataset(
@@ -227,9 +224,6 @@ class ProfilerService:
                 )
             self._pinned.pop(name, None)
             self._last_used.pop(name, None)
-            cache = self._results.pop(name, None)
-        if cache is not None:
-            cache.clear()
         # Wait our FIFO turn behind any executing/queued run; queued
         # requests admitted before us find the registry entry gone and
         # answer 410 without touching the session.
@@ -355,21 +349,6 @@ class ProfilerService:
             )
         return profiler
 
-    def _check_request(self, request: DiscoveryRequest) -> None:
-        # The thread cap is a deployment concern (--workers on `repro
-        # serve`), not something a client may change per request.  Two
-        # values are accepted: the server's own setting and 1 (the
-        # default).  Served results only ever embed one of these in their
-        # request, so replaying a response's request always works.
-        if (request.num_workers is not None
-                and request.num_workers not in (1, self._num_workers)):
-            raise ServiceError(
-                400,
-                "num_workers is a server-side setting "
-                f"(this server runs {self._num_workers}; set it with "
-                "repro serve --workers); remove it from the request",
-            )
-
     def make_token(
         self, deadline_seconds: Optional[float] = None
     ) -> CancellationToken:
@@ -388,22 +367,19 @@ class ProfilerService:
     ) -> DiscoveryResult:
         """Run one discovery against the named dataset's warm session.
 
-        Completed results are cached under the canonical request JSON and
-        replayed until an append to the dataset invalidates them.  The
+        A request the session has completed since the dataset's last
+        append is answered with that result, without a run.  The
         request queues through admission control (429/503 on overload,
         mapped by the HTTP layer); a cancellation token with a deadline
         bounds queue wait plus run time, and a deadline that fires mid-run
         surfaces as :class:`ServiceError` 504.
         """
         name = self._resolve(dataset)
-        self._check_request(request)
-        key = request.to_json()
         registry = get_metrics()
         started = time.monotonic()
         with self.admission.acquire(name, cancellation):
             profiler = self._profiler_or_gone(name)
-            cache = self._results.get(name)
-            cached = cache.get(key) if cache is not None else None
+            cached = profiler.completed_result(request)
             if cached is not None:
                 self._cache_hits += 1
                 registry.counter("repro_result_cache_hits_total").inc()
@@ -412,7 +388,6 @@ class ProfilerService:
             registry.counter("repro_result_cache_misses_total").inc()
             result = profiler.discover(request, cancellation=cancellation)
             self._raise_on_deadline(cancellation, result)
-            self._store_result(name, key, result)
             registry.histogram("repro_serve_request_seconds").observe(
                 time.monotonic() - started
             )
@@ -430,13 +405,6 @@ class ProfilerService:
                 f"(completed {result.stats.levels_processed} level(s))",
             )
 
-    def _store_result(self, name: str, key: str, result: DiscoveryResult) -> None:
-        # Interrupted runs are partial (and timing-dependent): never cache.
-        if not result.cancelled and not result.timed_out:
-            cache = self._results.get(name)
-            if cache is not None:
-                cache[key] = result
-
     def iter_events(
         self,
         dataset: Optional[str],
@@ -447,13 +415,10 @@ class ProfilerService:
         """Stream one discovery; the admission slot is held until the
         stream is exhausted (or closed).  Dataset resolution *and
         admission* are eager, so a bad name or a full queue fails before
-        any event (and before HTTP headers go out).  The final result
-        populates the result cache like a non-streamed run (a stream never
-        *serves* from the cache: its point is watching the levels finish
-        live)."""
+        any event (and before HTTP headers go out).  The session keeps the
+        final result like a non-streamed run's (a stream never *serves* a
+        kept result: its point is watching the levels finish live)."""
         name = self._resolve(dataset)
-        self._check_request(request)
-        key = request.to_json()
         ticket = self.admission.acquire(name, cancellation)
         try:
             profiler = self._profiler_or_gone(name)
@@ -469,7 +434,6 @@ class ProfilerService:
                 ):
                     if isinstance(event, RunCompleted):
                         self._raise_on_deadline(cancellation, event.result)
-                        self._store_result(name, key, event.result)
                         get_metrics().histogram(
                             "repro_serve_request_seconds"
                         ).observe(time.monotonic() - started)
@@ -491,25 +455,19 @@ class ProfilerService:
 
         Returns ``(name, delta_summary, outcome)`` where ``outcome`` is the
         :class:`~repro.incremental.IncrementalOutcome` of the revalidation
-        when ``request`` was given, else ``None``.  The dataset's result
-        cache is always invalidated; a revalidated result re-seeds it.
+        when ``request`` was given, else ``None``.  The append supersedes
+        every result the session kept; a revalidated result is kept anew.
         """
         name = self._resolve(dataset)
-        if request is not None:
-            self._check_request(request)
         with self.admission.acquire(name, cancellation):
             profiler = self._profiler_or_gone(name)
             summary = profiler.extend(rows)
-            cache = self._results.get(name)
-            if cache is not None:
-                cache.clear()
             outcome = None
             if request is not None:
                 outcome = profiler.discover_incremental(
                     request, cancellation=cancellation
                 )
                 self._raise_on_deadline(cancellation, outcome.result)
-                self._store_result(name, request.to_json(), outcome.result)
             return name, summary, outcome
 
     # -- counters / stats --------------------------------------------------------
@@ -528,10 +486,15 @@ class ProfilerService:
         """Record a request abandoned by its deadline while still queued."""
         self._note("deadline_timeouts")
 
+    def _result_entries(self) -> int:
+        """Results the sessions would serve (kept since the last append)."""
+        with self._registry_lock:
+            profilers = list(self._profilers.values())
+        return sum(p.num_completed_results() for p in profilers)
+
     def result_cache_stats(self) -> Dict[str, int]:
         """Hit/miss counters and current size of the result cache."""
-        with self._registry_lock:
-            entries = sum(len(cache) for cache in self._results.values())
+        entries = self._result_entries()
         return {
             "hits": self._cache_hits,
             "misses": self._cache_misses,
@@ -554,9 +517,10 @@ class ProfilerService:
             return
         with self._registry_lock:
             datasets = len(self._profilers)
-            entries = sum(len(cache) for cache in self._results.values())
         registry.gauge("repro_datasets").set(datasets)
-        registry.gauge("repro_result_cache_entries").set(entries)
+        registry.gauge("repro_result_cache_entries").set(
+            self._result_entries()
+        )
         admission = self.admission.snapshot()
         registry.gauge("repro_serve_inflight").set(admission["inflight"])
         registry.gauge("repro_serve_draining").set(
@@ -615,7 +579,6 @@ class ProfilerService:
             self._profilers.clear()
             self._pinned.clear()
             self._last_used.clear()
-            self._results.clear()
         self._sweep_stop.set()
         if self._sweep_thread is not None:
             self._sweep_thread.join(timeout=5)

@@ -2,14 +2,14 @@
 
 Every canonical-dependency validator walks the equivalence classes of the
 candidate's context (Definition 2.8).  The helpers here resolve those
-classes, either through a caller-supplied :class:`PartitionCache` (the
-discovery framework's case, where contexts repeat heavily across candidates)
-or by building the partition on the fly for the one-off public API calls.
+classes through a :class:`PartitionCache`: the caller's (the discovery
+framework's case, where contexts repeat heavily across candidates) or a
+one-off cache for the public API calls.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.backend import BackendSpec, resolve_backend
 from repro.dataset.partition import Partition, PartitionCache
@@ -21,34 +21,21 @@ def context_classes(
     context: Iterable[str],
     partition_cache: Optional[PartitionCache] = None,
     backend: BackendSpec = None,
-) -> Sequence[Sequence[int]]:
+) -> Partition:
     """Stripped equivalence classes of ``context`` over ``relation``.
 
     Singleton classes are omitted: a class with one tuple can contain
     neither swaps nor splits, so it never contributes to a removal set.
-    Partition construction goes through ``backend`` (or the cache's backend
-    when a :class:`PartitionCache` is supplied).
-
-    When a cache is supplied, its :class:`Partition` object is returned
-    as-is (it iterates over its classes): backends attach a columnar view
-    to the partition, so repeated validations over the same context reuse
-    one flattened array instead of rebuilding it per candidate.
+    The :class:`Partition` comes from ``partition_cache``, or from a
+    one-off cache over ``relation``'s encoding under ``backend``, so both
+    cases build it the same way (it iterates over its classes).
     """
-    context = list(context)
-    if partition_cache is not None:
-        return partition_cache.get_by_names(context)
-    if not context:
-        return list(Partition.unit(relation.num_rows))
-    resolved = resolve_backend(backend)
-    encoded = relation.encoded(resolved)
-    partition = resolved.partition_single(
-        encoded.native_ranks(context[0]), relation.num_rows
-    )
-    for attribute in context[1:]:
-        partition = resolved.partition_refine(
-            partition, encoded.native_ranks(attribute)
+    if partition_cache is None:
+        resolved = resolve_backend(backend)
+        partition_cache = PartitionCache(
+            relation.encoded(resolved), backend=resolved
         )
-    return list(partition)
+    return partition_cache.get_by_names(context)
 
 
 def validation_backend(

@@ -171,7 +171,7 @@ def test_num_workers_must_be_positive():
     with pytest.raises(ValueError, match="num_workers"):
         DiscoveryConfig(num_workers=0)
     with pytest.raises(ValueError, match="num_workers"):
-        DiscoveryRequest(num_workers=-1)
+        DiscoveryRequest().to_config(num_workers=-1)
 
 
 def test_find_ofds_disabled_still_identical(per_candidate):

@@ -25,7 +25,6 @@ class TestDiscoveryRequest:
         request = DiscoveryRequest(
             threshold=0.2, validator="iterative", attributes=["a", "b"],
             max_level=3, time_limit_seconds=1.5, find_ofds=False,
-            num_workers=2,
         )
         config = request.to_config()
         assert DiscoveryRequest.from_config(config) == request
@@ -45,8 +44,20 @@ class TestDiscoveryRequest:
         config = request.to_config(backend="python", num_workers=3)
         assert config.num_workers == 3
         assert config.backend == "python"
-        pinned = DiscoveryRequest(threshold=0.1, num_workers=2)
-        assert pinned.to_config(num_workers=3).num_workers == 2
+        assert DiscoveryRequest.from_config(config) == request
+
+    def test_thread_cap_is_not_a_request_field(self):
+        """The session owns the thread cap: a request naming one is refused
+        like any unknown field, whatever its value."""
+        for value in (1, 2, None, True):
+            with pytest.raises(ValueError,
+                               match="unknown DiscoveryRequest fields.*"
+                                     "num_workers"):
+                DiscoveryRequest.from_dict(
+                    {"threshold": 0.1, "num_workers": value}
+                )
+        with pytest.raises(TypeError, match="num_workers"):
+            DiscoveryRequest(num_workers=2)
 
     def test_invalid_requests_rejected_at_the_boundary(self):
         with pytest.raises(ValueError):
@@ -56,7 +67,7 @@ class TestDiscoveryRequest:
         with pytest.raises(ValueError):
             DiscoveryRequest(threshold=0.1, validator="exact")
         with pytest.raises(ValueError):
-            DiscoveryRequest(num_workers=0)
+            DiscoveryRequest(max_level=0)
         # json.loads accepts bare NaN / Infinity: a NaN deadline would never
         # fire and a negative one fires at once.
         for name, value in [
@@ -100,8 +111,6 @@ class TestDiscoveryRequest:
             DiscoveryRequest.from_dict({"threshold": "0.1"})
         with pytest.raises(ValueError, match="max_level"):
             DiscoveryRequest.from_dict({"max_level": "3"})
-        with pytest.raises(ValueError, match="num_workers"):
-            DiscoveryRequest.from_dict({"num_workers": True})
         with pytest.raises(ValueError, match="attributes"):
             DiscoveryRequest.from_dict({"attributes": [1, 2]})
         with pytest.raises(ValueError, match="single string"):

@@ -14,10 +14,13 @@ them after the OFD pass.  Acceptance bars:
 import pytest
 
 from repro.dataset.generators import generate_flight_like
+from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
 from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import CancellationToken, Profiler
+from repro.incremental.delta import rows_to_columns
 
 BACKENDS = ["python", "numpy"]
 
@@ -93,9 +96,10 @@ def test_pipelined_inert_without_workers():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_extend_then_discover_on_reused_pool_matches_cold(backend,
                                                          plane_threads):
-    """After ``Profiler.extend`` the session's patched partitions, counted
-    on two plane threads (the memo is off, so every run is cold), must be
-    byte-identical to a cold session over the concatenated table."""
+    """After an append the shared cache's patched partitions (what
+    ``Profiler.extend`` rebuilds), counted on two plane threads by engines
+    with no memo, so that every run is cold, must be byte-identical to a
+    cold session over the concatenated table."""
     base = generate_flight_like(
         260, num_attributes=6, error_rate=0.1, seed=7
     ).relation
@@ -105,14 +109,17 @@ def test_extend_then_discover_on_reused_pool_matches_cold(backend,
     delta_rows = [donor.row(i) for i in range(260, 300)]
     request = DiscoveryRequest(threshold=0.1)
 
-    with Profiler(base, backend=backend, num_workers=2,
-                  cache_validations=False) as session:
-        warm_before = session.discover(request)
-        assert warm_before.stats.num_workers == 2
-        session.extend(delta_rows)
-        assert session.dataset_version == 1
-        warm_after = session.discover(request)
     config = request.to_config(backend=backend, num_workers=2)
+    encoded = base.encoded(backend)
+    partitions = PartitionCache(encoded)
+    warm_before = DiscoveryEngine(base, config, partitions=partitions).run()
+    assert warm_before.stats.num_workers == 2
+    columns = rows_to_columns(base.schema, delta_rows)
+    extended, _ = encoded.extend(columns)
+    grown = base.concat(Relation(base.schema, columns))
+    grown.adopt_encoding(extended)
+    assert partitions.apply_delta(extended, base.num_rows)
+    warm_after = DiscoveryEngine(grown, config, partitions=partitions).run()
     assert plane_threads.seen == [plane_threads.expected(backend, config)] * 2
 
     concatenated = base.concat(Relation(

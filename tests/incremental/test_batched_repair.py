@@ -15,7 +15,9 @@ import pytest
 from repro.backend import get_backend
 from repro.dataset.generators import generate_flight_like
 from repro.dataset.partition import Partition
+from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryRequest
+from repro.discovery.lattice import AttributeBits
 from repro.discovery.session import Profiler
 from repro.incremental.repair import _concatenate
 
@@ -60,6 +62,40 @@ def test_extend_makes_one_call_per_count_kernel(backend, monkeypatch):
         expected = cold.discover(DiscoveryRequest(threshold=0.1))
     assert outcome.result.ocs == expected.ocs
     assert outcome.result.ofds == expected.ofds
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_iterative_counts_are_purged_and_recounted(backend):
+    """Algorithm 1 has no count kernel: an append purges the iterative
+    counts of every affected context, ``DeltaSummary`` counts them as
+    invalidated, and the engine recounts them, so the incremental result
+    equals a cold run's."""
+    relation = generate_flight_like(330, num_attributes=6, error_rate=0.1,
+                                    seed=5).relation
+    base = relation.take(range(300))
+    delta = [relation.row(i) for i in range(300, 330)]
+    request = DiscoveryRequest(threshold=0.1, validator="iterative")
+    with Profiler(base, backend=backend) as session:
+        session.discover(request)
+        before = dict(session.validation_memo)
+        summary = session.extend(delta)
+        after = set(session.validation_memo)
+        bits = AttributeBits(base.schema)
+        affected = {bits.mask(names) for names in summary.affected_contexts}
+        counts = [key for key, (_, exceeded, _) in before.items()
+                  if key[1] == "iterative" and key[2] in affected
+                  and not exceeded]
+        assert counts
+        # Every context stays cached, so whatever left the memo was
+        # invalidated, and every affected iterative count left it.
+        removed = set(before) - after
+        assert summary.invalidated_memo_entries == len(removed)
+        assert set(counts) <= removed
+        outcome = session.discover_incremental(request)
+    assert outcome.result.stats.validation_memo_hits > 0
+    cold = discover(relation, request.to_config(backend))
+    assert outcome.result.ocs == cold.ocs
+    assert outcome.result.ofds == cold.ofds
 
 
 def test_concatenation_keeps_every_part_in_order():

@@ -16,6 +16,7 @@ import pytest
 
 from repro.dataset.generators import generate_flight_like, generate_ncvoter_like
 from repro.dataset.relation import Relation
+from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.events import RunCompleted
 from repro.discovery.session import Profiler
@@ -69,11 +70,7 @@ def _cold_result(base, appended_rows, backend, request, num_workers=1):
         for name, value in zip(base.attribute_names, row):
             columns[name].append(value)
     concatenated = base.concat(Relation(base.schema, columns))
-    with Profiler(
-        concatenated, backend=backend, num_workers=num_workers,
-        cache_validations=False, retain_partitions=False,
-    ) as cold:
-        return cold.discover(request)
+    return discover(concatenated, request.to_config(backend, num_workers))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

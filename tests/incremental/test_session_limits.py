@@ -11,6 +11,7 @@ import pytest
 from repro.caching import BoundedLRU
 from repro.dataset.generators import generate_flight_like
 from repro.dataset.relation import Relation
+from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.session import Profiler
 
@@ -86,28 +87,8 @@ def test_bounded_session_incremental_still_byte_identical(backend):
     for row in rows:
         for name, value in zip(base.attribute_names, row):
             columns[name].append(value)
-    with Profiler(
-        base.concat(Relation(base.schema, columns)), backend=backend,
-        cache_validations=False, retain_partitions=False,
-    ) as cold_session:
-        cold = cold_session.discover(request)
-    assert outcome.result.ocs == cold.ocs
-    assert outcome.result.ofds == cold.ofds
-
-
-def test_memo_disabled_extend_still_correct():
-    base = generate_flight_like(120, num_attributes=5, error_rate=0.1,
-                                seed=14).relation
-    request = DiscoveryRequest.approximate(0.1)
-    with Profiler(base, cache_validations=False,
-                  retain_partitions=False) as session:
-        session.discover(request)
-        summary = session.extend([base.row(0)])
-        assert summary.patched_partitions == 0
-        outcome = session.discover_incremental(request)
-    with Profiler(base.concat(base.take([0])), cache_validations=False,
-                  retain_partitions=False) as cold_session:
-        cold = cold_session.discover(request)
+    cold = discover(base.concat(Relation(base.schema, columns)),
+                    request.to_config(backend))
     assert outcome.result.ocs == cold.ocs
     assert outcome.result.ofds == cold.ofds
 
@@ -131,8 +112,6 @@ def test_rebuild_that_recaches_an_evicted_key_purges_its_memo(
         session.discover(request)
         session.extend(rows)
         outcome = session.discover_incremental(request)
-    with Profiler(relation, backend=backend, cache_validations=False,
-                  retain_partitions=False) as cold_session:
-        cold = cold_session.discover(request)
+    cold = discover(relation, request.to_config(backend))
     assert outcome.result.ocs == cold.ocs
     assert outcome.result.ofds == cold.ofds

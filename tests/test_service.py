@@ -177,33 +177,33 @@ class TestEndpoints:
         assert "nope" in json.loads(excinfo.value.read())["error"]
 
     def test_request_num_workers_rejected(self, server_url):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(server_url + "/discover", {
-                "dataset": "demo",
-                "request": {"threshold": 0.1, "num_workers": 64},
-            })
-        assert excinfo.value.code == 400
-        assert "server-side" in json.loads(excinfo.value.read())["error"]
+        """The thread cap is the server's: a request naming one is an
+        unknown field, whatever its value."""
+        for value in (1, 64):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(server_url + "/discover", {
+                    "dataset": "demo",
+                    "request": {"threshold": 0.1, "num_workers": value},
+                })
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert "unknown" in error and "num_workers" in error
 
     def test_poolless_result_replays_cleanly(self):
-        """A multi-worker server's results embed its worker count even when
-        the run never reports it (iterative validation); replaying that
-        request must be accepted."""
+        """A multi-worker server's results carry no worker count in their
+        request, also when the run never reports one (iterative
+        validation); replaying that request is a result-cache hit."""
         service = ProfilerService(num_workers=2)
         service.add_dataset("demo", employee_salary_table())
         try:
-            result = service.discover("demo", DiscoveryRequest(
-                threshold=0.15, validator="iterative"
-            ))
+            request = DiscoveryRequest(threshold=0.15, validator="iterative")
+            result = service.discover("demo", request)
             assert result.stats.num_workers == 1
-            echoed = DiscoveryRequest.from_dict(result.to_dict()["request"])
-            assert echoed.num_workers == 2
-            replay = service.discover("demo", echoed)
-            assert replay.ocs == result.ocs
-            with pytest.raises(ServiceError):
-                service.discover("demo", DiscoveryRequest(
-                    threshold=0.15, num_workers=3
-                ))
+            payload = result.to_dict()["request"]
+            assert "num_workers" not in payload
+            echoed = DiscoveryRequest.from_dict(payload)
+            assert echoed == request
+            assert service.discover("demo", echoed) is result
         finally:
             service.close()
 
@@ -218,11 +218,14 @@ class TestEndpoints:
 
     def test_served_request_replays_cleanly(self, server_url):
         """A request dict copied from a served result must be accepted
-        (results embed the server's own num_workers)."""
+        (results carry no thread cap in their request; ``stats`` records
+        the one the run used)."""
         _, body = _post(server_url + "/discover",
                         {"dataset": "demo", "request": {"threshold": 0.15}})
-        echoed = json.loads(body)["request"]
-        assert echoed["num_workers"] is not None
+        payload = json.loads(body)
+        echoed = payload["request"]
+        assert "num_workers" not in echoed
+        assert payload["stats"]["num_workers"] >= 1
         status, body = _post(server_url + "/discover",
                              {"dataset": "demo", "request": echoed})
         assert status == 200
@@ -296,26 +299,38 @@ class TestAppend:
         service = self._service()
         request = DiscoveryRequest(threshold=0.15)
         first = service.discover("demo", request)
+        service.discover("demo", DiscoveryRequest(threshold=0.1))
+        assert service.result_cache_stats()["entries"] == 2
         rows = [list(employee_salary_table().row(0))]
         name, summary, outcome = service.append("demo", rows)
         assert name == "demo" and outcome is None
         assert summary.num_appended == 1
-        assert service.result_cache_stats()["entries"] == 0
+        assert service.result_cache_stats() == {
+            "hits": 0, "misses": 2, "entries": 0,
+        }
         again = service.discover("demo", request)
         assert again is not first
         assert again.num_rows == first.num_rows + 1
+        assert service.result_cache_stats()["misses"] == 3
         service.close()
 
     def test_append_with_request_revalidates(self):
         service = self._service()
         request = DiscoveryRequest(threshold=0.15)
+        other = DiscoveryRequest(threshold=0.1)
         service.discover("demo", request)
+        service.discover("demo", other)
         rows = [list(employee_salary_table().row(1))]
         _, _, outcome = service.append("demo", rows, request)
         assert outcome is not None
         assert outcome.result.num_rows == 10
-        # The fresh result re-seeded the cache.
+        # The fresh result re-seeded the cache; it is the only entry.
+        assert service.result_cache_stats()["entries"] == 1
         assert service.discover("demo", request) is outcome.result
+        assert service.discover("demo", other).num_rows == 10
+        assert service.result_cache_stats() == {
+            "hits": 1, "misses": 3, "entries": 2,
+        }
         # Cold equivalence over the concatenated table.
         concatenated = employee_salary_table().concat(
             employee_salary_table().take([1])

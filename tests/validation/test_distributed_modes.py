@@ -10,10 +10,13 @@ import pytest
 
 from repro.backend import get_backend
 from repro.dataset.generators import generate_flight_like, generate_planted_oc_table
+from repro.dataset.partition import PartitionCache
+from repro.dataset.relation import Relation
 from repro.dependencies.oc import CanonicalOC
 from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import Profiler
+from repro.incremental.delta import rows_to_columns
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
 from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
@@ -155,11 +158,12 @@ def test_sharded_pool_empty_group():
 
 
 def test_sharded_pool_rejects_stale_columns(monkeypatch):
-    """Incremental regression: after ``Profiler.extend`` grows the encoded
-    relation, a column captured before the append no longer covers the new
-    row ids.  Every group the next run hands its plane threads must read
-    columns of the grown encoding, and its results must equal a cold run's
-    over the grown table."""
+    """Incremental regression: after an append grows the encoded relation
+    (as ``Profiler.extend`` does), a column captured before it no longer
+    covers the new row ids.  Every group the next run over the shared,
+    patched partition cache hands its plane threads must read columns of
+    the grown encoding, and its results must equal a cold run's over the
+    grown table."""
     monkeypatch.setattr(DiscoveryEngine, "_oc_threads", lambda self: 2)
     backend = BACKENDS[-1]
     base = generate_flight_like(
@@ -178,18 +182,24 @@ def test_sharded_pool_rejects_stale_columns(monkeypatch):
         column_lengths.update(len(column) for pair in pairs for column in pair)
         return real_count(self, classes, pairs, limit)
 
-    with Profiler(base, backend=backend, cache_validations=False) as session:
-        session.discover(request)
-        session.extend(delta_rows)
-        monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
-                            recording_count)
-        grown = session.discover(request)
-        num_rows = session.relation.num_rows
+    # No memo: every OC of the run after the append is counted again.
+    config = request.to_config(backend)
+    encoded = base.encoded(backend)
+    partitions = PartitionCache(encoded)
+    DiscoveryEngine(base, config, partitions=partitions).run()
+    columns = rows_to_columns(base.schema, delta_rows)
+    extended, _ = encoded.extend(columns)
+    relation = base.concat(Relation(base.schema, columns))
+    relation.adopt_encoding(extended)
+    partitions.apply_delta(extended, base.num_rows)
+    monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
+                        recording_count)
+    grown = DiscoveryEngine(relation, config, partitions=partitions).run()
     monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
                         real_count)
-    assert num_rows == 300
-    assert column_lengths == {num_rows}
-    with Profiler(session.relation, backend=backend) as cold:
+    assert relation.num_rows == 300
+    assert column_lengths == {relation.num_rows}
+    with Profiler(relation, backend=backend) as cold:
         reference = cold.discover(request)
     assert grown.ocs == reference.ocs
     assert grown.ofds == reference.ofds

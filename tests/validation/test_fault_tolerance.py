@@ -24,6 +24,7 @@ import pytest
 
 from repro.backend import get_backend
 from repro.dataset.generators import generate_flight_like, generate_planted_oc_table
+from repro.dataset.partition import PartitionCache
 from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
@@ -142,24 +143,34 @@ def _assert_counters_equal(result, reference):
 @pytest.mark.parametrize("memo", [True, False])
 def test_discovery_survives_randomized_worker_kill(backend, seed, memo,
                                                     monkeypatch):
-    """A session run, with the memo's slack removal budget or the one-shot
-    tight one, whose kernel fails on a plane thread at a randomized call:
-    the run raises the kernel's error and leaves no thread behind, and the
-    session's next run is byte-identical to the inline reference."""
+    """A run over warm state — a session's, with the memo's slack removal
+    budget, or a partition cache shared by engines with no memo, with the
+    one-shot tight one — whose kernel fails on a plane thread at a
+    randomized call: the run raises the kernel's error and leaves no
+    thread behind, and the next run over that state is byte-identical to
+    the inline reference."""
     reference = _baseline(backend)
     _threads(monkeypatch)
     fault = FaultyKernel.randomized(monkeypatch, backend, seed)
     request = DiscoveryRequest(threshold=0.1)
     baseline_threads = set(threading.enumerate())
     start = time.monotonic()
-    with Profiler(
-        RELATION, backend=backend, num_workers=2, cache_validations=memo,
-    ) as session:
-        with pytest.raises(KernelFault):
-            session.discover(request)
-        assert not _plane_threads()
-        fault.disarm()
-        result = session.discover(request)
+    session = Profiler(RELATION, backend=backend, num_workers=2)
+    partitions = PartitionCache(RELATION.encoded(backend))
+
+    def run():
+        if memo:
+            return session.discover(request)
+        return DiscoveryEngine(
+            RELATION, request.to_config(backend, num_workers=2),
+            partitions=partitions,
+        ).run()
+
+    with pytest.raises(KernelFault):
+        run()
+    assert not _plane_threads()
+    fault.disarm()
+    result = run()
     assert time.monotonic() - start < RECOVERY_DEADLINE_SECONDS
     assert len(fault.fired_on) == 1
     assert fault.fired_on[0].startswith("repro-oc")
