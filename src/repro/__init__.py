@@ -51,8 +51,9 @@ The package is organised as follows:
 
 ``repro.incremental``
     Incremental maintenance of discovered dependency sets under row
-    appends: delta encoding, in-place partition rebuilds and per-class
-    repair of memoised validation outcomes, after which a warm run
+    appends: delta encoding, class patches found from the appended rows
+    and per-class repair of memoised validation outcomes (no partition
+    is rebuilt until a kernel reads it), after which a warm run
     recounts only what a delta can have changed and diffs the result
     against the request's previous one — byte-identical to cold
     rediscovery (``Profiler.extend`` / ``discover_incremental``,

@@ -1,5 +1,6 @@
 /* Count-only removal kernels for the two validators of the discovery loop,
- * and partition refinement over sorted partitions.
+ * partition refinement over sorted partitions, and the split behind an
+ * append's class patches.
  *
  * Both counts walk a range of a CSR's equivalence classes in order and
  * stop after the first class that takes the count above `limit`, so each
@@ -373,4 +374,80 @@ int64_t refine_partition(const int64_t *rows, int64_t num_rows,
         out_offsets[++k] = total;
     }
     return num_runs;
+}
+
+/* Appends: the touched groups of a context split by one more rank column.
+ *
+ * Group g is rows[offsets[g] .. offsets[g + 1]), rows ascending, and job j
+ * splits groups ranges[2j] .. ranges[2j + 1] - 1.  Rows of one group with
+ * one rank form a subgroup, in row order; a group's subgroups are taken by
+ * first row, bucketed through `slot` (one entry per rank, -1 on entry and
+ * on return) in two passes and no sort.  A subgroup of two rows or more
+ * that holds a row >= `old` (an appended row: it is the last) is written
+ * out, its rows to out_rows and its size, rows below `old` and job to
+ * out_groups[3k .. 3k + 2].  `work` holds two slots per row of the longest
+ * group.  Returns the number of subgroups written (`slot` is left dirty
+ * only when it returns -1).
+ */
+int64_t split_groups(const int32_t *rows, int64_t num_rows,
+                     const int64_t *offsets, int64_t num_groups,
+                     const int64_t *ranges, int64_t num_jobs,
+                     const int32_t *ranks, int64_t num_ranks, int64_t old,
+                     int32_t *slot, int64_t num_slot,
+                     int32_t *work, int64_t num_work,
+                     int32_t *out_rows, int64_t num_out_rows,
+                     int64_t *out_groups, int64_t num_out_groups)
+{
+    if (num_groups < 0 || check_ranges(ranges, num_jobs, num_groups))
+        return -1;
+    int64_t written = 0, found = 0;
+    for (int64_t j = 0; j < num_jobs; j++) {
+        for (int64_t g = ranges[2 * j]; g < ranges[2 * j + 1]; g++) {
+            const int32_t *group = rows + offsets[g];
+            int64_t size = offsets[g + 1] - offsets[g];
+            if (offsets[g] < 0 || size < 0 || offsets[g + 1] > num_rows
+                || 2 * size > num_work)
+                return -1;
+            int32_t *count = work, *bucket = work + size, distinct = 0;
+            for (int64_t i = 0; i < size; i++) {
+                if (group[i] < 0 || group[i] >= num_ranks
+                    || ranks[group[i]] < 0 || ranks[group[i]] >= num_slot)
+                    return -1;
+                int32_t rank = ranks[group[i]];
+                if (slot[rank] < 0) {
+                    slot[rank] = distinct;
+                    count[distinct++] = 0;
+                }
+                count[slot[rank]]++;
+            }
+            for (int32_t d = 0, start = 0; d < distinct; d++) {
+                int32_t length = count[d];
+                count[d] = start;
+                start += length;
+            }
+            /* count[d] ends as subgroup d's end in the bucket. */
+            for (int64_t i = 0; i < size; i++)
+                bucket[count[slot[ranks[group[i]]]]++] = group[i];
+            for (int64_t i = 0; i < size; i++)
+                slot[ranks[group[i]]] = -1;
+            for (int32_t d = 0, start = 0; d < distinct; start = count[d++]) {
+                int32_t end = count[d];
+                if (end - start < 2 || bucket[end - 1] < old)
+                    continue;
+                if (end - start > num_out_rows - written
+                    || 3 * (found + 1) > num_out_groups)
+                    return -1;
+                int64_t below = 0;
+                for (int32_t i = start; i < end; i++) {
+                    below += bucket[i] < old;
+                    out_rows[written++] = bucket[i];
+                }
+                out_groups[3 * found] = end - start;
+                out_groups[3 * found + 1] = below;
+                out_groups[3 * found + 2] = j;
+                found++;
+            }
+        }
+    }
+    return found;
 }

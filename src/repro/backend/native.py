@@ -1,7 +1,8 @@
 """The native kernels, built on first use and loaded via ctypes.
 
 ``_kernels.c`` holds the two count-only kernels of the discovery loop, one
-per validator, and partition refinement over sorted partitions:
+per validator, partition refinement over sorted partitions and the split
+behind an append's class patches:
 
 * ``oc_removal_batch`` is Algorithm 2's AOC count for a whole batch in one
   call.  Per pair and per class of the pair's class range, in order, it
@@ -23,6 +24,13 @@ per validator, and partition refinement over sorted partitions:
   row, through a row-indexed mark array: O(n) and no sort (see
   ``NumpyBackend.partition_refine``; level-1 partitions are the unit
   partition refined the same way).
+* ``split_groups`` splits the touched groups of a context's rows (those
+  that share their values with an appended row) by one more rank column,
+  for the class patches of an append: per group, two bucketing passes
+  through a rank-indexed slot array and no sort, keeping the subgroups of
+  two rows or more that hold an appended row (see
+  ``NumpyBackend.split_groups`` and
+  ``repro.dataset.partition.PartitionCache.apply_delta``).
 
 Both counts take one class range ``[lo, hi)`` per job.  A discovery batch
 counts one context, so every job's range is all of its classes (the
@@ -101,6 +109,8 @@ class Kernels(NamedTuple):
     #: ``(rows, offsets, ranks, order, mark, out_rows, out_offsets)
     #: -> number of child classes``
     refine_partition: Callable[..., int]
+    #: ``(rows, offsets, ranges, ranks, old, slot) -> (rows, groups)``
+    split_groups: Callable[..., tuple]
 
 
 def default_cache_dir() -> Path:
@@ -178,7 +188,9 @@ def _bind(path: Path) -> Kernels:
                                           address, size, size, address]
     refine = library.refine_partition
     refine.argtypes = [address, size] * 8
-    oc.restype = ofd.restype = refine.restype = ctypes.c_int64
+    split = library.split_groups
+    split.argtypes = [address, size] * 4 + [size] + [address, size] * 4
+    oc.restype = ofd.restype = refine.restype = split.restype = ctypes.c_int64
 
     def checked(status):
         if status < 0:
@@ -209,9 +221,14 @@ def _bind(path: Path) -> Kernels:
         )
 
     def table(columns):
-        """The address array and common length of ``int32`` columns."""
+        """The address array and common length of ``int32`` columns, each
+        distinct one checked once."""
+        address_of = {}
+        for column in columns:
+            if id(column) not in address_of:
+                address_of[id(column)] = pointer(column, np.int32)
         addresses = np.array(
-            [pointer(column, np.int32) for column in columns], dtype=np.uintp
+            [address_of[id(column)] for column in columns], dtype=np.uintp
         )
         lengths = {column.size for column in columns}
         if len(lengths) > 1:
@@ -296,7 +313,34 @@ def _bind(path: Path) -> Kernels:
         checked(num_classes)
         return num_classes
 
-    return Kernels(oc_removal_batch, ofd_removal_count, refine_partition)
+    def split_groups(rows, offsets, ranges, ranks, old, slot):
+        """``NumpyBackend.split_groups`` in one call: the groups
+        ``offsets`` cuts the ``int32`` ``rows`` into, split by the
+        ``int32`` ``ranks``, one ``(lo, hi)`` group range per job."""
+        ranges = np.ascontiguousarray(ranges, dtype=np.int64).reshape(-1, 2)
+        work = np.empty(2 * int(np.diff(offsets).max(initial=0)),
+                        dtype=np.int32)
+        out_rows = np.empty(
+            int((offsets[ranges[:, 1]] - offsets[ranges[:, 0]]).sum()),
+            dtype=np.int32,
+        )
+        out_groups = np.empty(3 * (out_rows.size // 2), dtype=np.int64)
+        found = split(
+            pointer(rows, np.int32), rows.size,
+            pointer(offsets, np.int64), offsets.size - 1,
+            ranges.ctypes.data, len(ranges),
+            pointer(ranks, np.int32), ranks.size, int(old),
+            pointer(slot, np.int32, True), slot.size,
+            work.ctypes.data, work.size,
+            out_rows.ctypes.data, out_rows.size,
+            out_groups.ctypes.data, out_groups.size,
+        )
+        checked(found)
+        groups = out_groups[:3 * found].reshape(-1, 3)
+        return out_rows[:int(groups[:, 0].sum())], groups
+
+    return Kernels(oc_removal_batch, ofd_removal_count, refine_partition,
+                   split_groups)
 
 
 def load_kernels(cache_dir: Optional[Path] = None) -> Optional[Kernels]:

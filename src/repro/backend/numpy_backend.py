@@ -25,11 +25,14 @@ arrays.  One class serves two configurations, picked by registry name:
   makes one frequency pass per RHS column.  Without the library both
   batches run the reference loops of :mod:`repro.validation`
   (Algorithm 2's count and the ``g3`` rows loop) on the columns as lists,
-  over the same class ranges.
+  over the same class ranges.  An append's touched groups split by one
+  native call per attribute and lattice level, or by a dict-bucketing
+  reference loop (:meth:`NumpyBackend.split_groups`).
 * ``"python"`` is the reference configuration: every fast path is off.
   It encodes with the reference encoder
   (:func:`repro.dataset.encoding.encode_column`), refines by lexsort and
-  counts with the reference loops, even where the native library loads.
+  counts and splits with the reference loops, even where the native
+  library loads.
 
 The removal-*rows* loops (Algorithms 1 and 2, the §3.3 OD variant and
 ``g3``) have no backend form: the validators call them directly on the
@@ -315,6 +318,38 @@ class NumpyBackend:
             rows[order], (class_ids[order], other[order]), left.num_rows
         )
 
+    def split_groups(self, rows, offsets, ranges, ranks, old: int, slot):
+        """Split groups of the ``int32`` ``rows`` (group ``g`` is
+        ``rows[offsets[g]:offsets[g + 1]]``, ascending) by the rank column
+        ``ranks``, job ``j`` splitting groups ``ranges[j][0]`` to
+        ``ranges[j][1] - 1``: an append's touched groups of a context split
+        by one more attribute.  Returns ``(rows, groups)``: the subgroups
+        of two rows or more that hold a row ``>= old``, each group's by
+        first row, as ``int32`` rows and an ``int64`` ``(size, rows below
+        old, job)`` triple per subgroup.  ``slot`` is ``int32`` scratch of
+        ``-1``, one per rank, left so.
+
+        One native call, or the reference loop without the library.
+        """
+        library = self._kernels()
+        if library is not None:
+            return library.split_groups(rows, offsets, ranges, ranks, old,
+                                        slot)
+        rows, offsets, ranks = rows.tolist(), offsets.tolist(), ranks.tolist()
+        out_rows, groups = [], []
+        for job, (lo, hi) in enumerate(ranges.tolist()):
+            for group in range(lo, hi):
+                buckets = {}
+                for row in rows[offsets[group]:offsets[group + 1]]:
+                    buckets.setdefault(ranks[row], []).append(row)
+                for bucket in buckets.values():
+                    if len(bucket) >= 2 and bucket[-1] >= old:
+                        out_rows += bucket
+                        groups.append((len(bucket),
+                                       sum(row < old for row in bucket), job))
+        return (np.array(out_rows, dtype=np.int32),
+                np.array(groups, dtype=np.int64).reshape(-1, 3))
+
     #: The native refinement walks a cached order over all n rows, the
     #: lexsort it replaces only the m grouped ones: below m / n ~ 0.075 the
     #: lexsort is cheaper (the crossover is ~0.05 at 16k rows, ~0.075 at
@@ -448,6 +483,17 @@ class NumpyBackend:
     # flag is the exact check: ``not exceeded`` iff the dependency holds
     # with no removals.  Columns may be arrays or lists.
 
+    def _distinct_natives(self, columns):
+        """``id(column) -> int32 array`` for each distinct column: jobs
+        share columns, so each is converted (and scanned) once a batch."""
+        natives = {}
+        for ranks in columns:
+            if id(ranks) not in natives:
+                natives[id(ranks)] = np.ascontiguousarray(
+                    self.to_native(ranks), dtype=np.int32
+                )
+        return natives
+
     def oc_optimal_removal_count_batch(
         self, classes, rank_pairs, limit: Optional[int] = None, ranges=None
     ) -> List[Tuple[int, bool]]:
@@ -486,13 +532,8 @@ class NumpyBackend:
             _class_subsets(classes, ranges, len(rank_pairs))  # checks them
             return [(0, False)] * len(rank_pairs)
         rows, offsets = self._csr(classes)
-        pairs = [
-            tuple(
-                np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
-                for ranks in pair
-            )
-            for pair in rank_pairs
-        ]
+        natives = self._distinct_natives(chain.from_iterable(rank_pairs))
+        pairs = [(natives[id(a)], natives[id(b)]) for a, b in rank_pairs]
         counts = library.oc_removal_batch(
             rows, offsets, pairs,
             np.empty(2 * int(np.diff(offsets).max()), dtype=np.int64), limit,
@@ -532,15 +573,11 @@ class NumpyBackend:
             _class_subsets(classes, ranges, len(rhs_ranks))  # checks them
             return [(0, False)] * len(rhs_ranks)
         rows, offsets = self._csr(classes)
-        columns = [
-            np.ascontiguousarray(self.to_native(ranks), dtype=np.int32)
-            for ranks in rhs_ranks
-        ]
+        natives = self._distinct_natives(rhs_ranks)
+        columns = [natives[id(ranks)] for ranks in rhs_ranks]
         # One counter per rank; the kernel leaves them zeroed for reuse.
-        # Jobs share columns: scan each distinct one once for its maximum.
         freq = np.zeros(max(
-            int(column.max(initial=0))
-            for column in {id(column): column for column in columns}.values()
+            int(column.max(initial=0)) for column in natives.values()
         ) + 1, dtype=np.int64)
         counts = library.ofd_removal_count(
             columns, rows, offsets, freq, limit, ranges

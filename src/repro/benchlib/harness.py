@@ -227,7 +227,7 @@ class IncrementalMeasurement:
     ``incremental_seconds`` times :meth:`Profiler.extend` plus
     :meth:`Profiler.discover_incremental` on a warm session, and
     ``extend_seconds`` the :meth:`Profiler.extend` part alone (delta
-    encoding, partition rebuild and memo repair);
+    encoding, class patches and memo repair);
     ``cold_seconds`` times what the pre-incremental world had to do
     instead — a from-scratch session over the concatenated table (encoding,
     partitions, every validation) running one discovery.

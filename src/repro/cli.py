@@ -447,8 +447,10 @@ def _cmd_extend(args) -> int:
         name for name, mode in summary.column_modes.items() if mode == "remapped"
     )
     print(f"Appended: {summary.num_appended} rows -> {summary.new_num_rows}; "
-          f"{len(summary.affected_contexts)} contexts affected, "
-          f"{summary.invalidated_memo_entries} memo entries invalidated, "
+          f"{len(summary.affected_contexts)} of "
+          f"{summary.patched_partitions} patched contexts changed; memo "
+          f"entries: {summary.adjusted_memo_entries} adjusted, "
+          f"{summary.invalidated_memo_entries} invalidated, "
           f"{summary.retained_memo_entries} retained"
           + (f"; remapped columns: {remapped}" if remapped else ""))
     print(f"Incremental: {result.num_ocs} OCs, {result.num_ofds} OFDs in "

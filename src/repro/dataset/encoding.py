@@ -109,14 +109,16 @@ def encode_column(
 class _ExtendedColumn(NamedTuple):
     """One column of :meth:`EncodedRelation.extend`'s result: the rank
     list (``None``: derived on first access), dictionary, ``int32`` codes,
-    mode, and whether its keys order consistently (``None``: not known;
-    see :func:`_keys_ordered`)."""
+    mode, whether its keys order consistently (``None``: not known; see
+    :func:`_keys_ordered`) and its row order (``None``: built on first
+    use)."""
 
     ranks: Optional[List[int]]
     dictionary: List[object]
     native: object
     mode: str
     ordered: Optional[bool]
+    order: object = None
 
 
 def _appendable(
@@ -188,10 +190,9 @@ class EncodedRelation:
         self._dictionaries: List[List[object]] = [list(d) for d in dictionaries]
         self.num_rows = num_rows
         self._native: Dict[int, object] = {}
-        # Row orders for the native partition refinement, built on first
-        # use: attribute index -> every row in (rank, row) order, int32, 4
-        # bytes a row.  Keyed per EncodedRelation, so `extend` — which
-        # returns a fresh instance — drops them.  See `row_order_by_index`.
+        # Row orders, built on first use: attribute index -> every row in
+        # (rank, row) order, int32, 4 bytes a row.  `extend` carries them
+        # into the encoding it returns.  See `row_order_by_index`.
         self._orders: Dict[int, object] = {}
         # Per column, for `extend`: whether the dictionary's keys order
         # consistently (see `_keys_ordered`), found on first use and handed
@@ -283,6 +284,7 @@ class EncodedRelation:
         natives: List[object] = []
         modes: Dict[str, str] = {}
         ordered: Dict[int, bool] = {}
+        orders: Dict[int, object] = {}
         with get_tracer().span(
             "encode-delta", rows=num_new, columns=len(self.schema)
         ):
@@ -296,6 +298,8 @@ class EncodedRelation:
                 modes[attribute.name] = column.mode
                 if column.ordered is not None:
                     ordered[index] = column.ordered
+                if column.order is not None:
+                    orders[index] = column.order
         extended = EncodedRelation(
             self.schema,
             rank_columns,
@@ -305,6 +309,7 @@ class EncodedRelation:
             native_columns=natives,
         )
         extended._keys_ordered = ordered
+        extended._orders = orders
         return extended, modes
 
     def _extend_column(
@@ -334,9 +339,10 @@ class EncodedRelation:
                                              + len(tail))))
                 dictionary = dictionary + tail
             delta = map(codes.__getitem__, new_values)
+            native = _append_codes(old, delta, len(new_values))
             return _ExtendedColumn(
-                None, dictionary, _append_codes(old, delta, len(new_values)),
-                EXTEND_APPENDED, ordered,
+                None, dictionary, native, EXTEND_APPENDED, ordered,
+                self._carried_order(index, native),
             )
         if ordered is None:
             ordered = (self._dictionary_ordered(index, attr_type)
@@ -384,9 +390,35 @@ class EncodedRelation:
             else codes[value] + bisect_right(positions, codes[value])
             for value in new_values
         )
+        native = _append_codes(code_map[old], delta, len(new_values))
         return _ExtendedColumn(
-            None, merged, _append_codes(code_map[old], delta, len(new_values)),
-            EXTEND_REMAPPED, ordered,
+            None, merged, native, EXTEND_REMAPPED, ordered,
+            self._carried_order(index, native),
+        )
+
+    def _carried_order(self, index: int, native):
+        """The row order of ``native``, the extended codes of the column at
+        ``index``, carried over from this encoding's cached one (``None``
+        when there is none).
+
+        The extended codes map the old ones order-preservingly, so the old
+        rows keep their order; each appended row goes after every old row
+        whose rank is at most its own, appended rows in ``(rank, row)``
+        order among themselves.
+        """
+        import numpy as np
+
+        order = self._orders.get(index)
+        if order is None or native.size == self.num_rows:
+            return order
+        old = self.num_rows
+        delta = native[old:]
+        appended = np.argsort(delta, kind="stable")
+        at_most = np.cumsum(
+            np.bincount(native[:old], minlength=int(delta.max()) + 1)
+        )
+        return np.insert(
+            order, at_most[delta[appended]], (appended + old).astype(np.int32)
         )
 
     def _dictionary_ordered(self, index: int, attr_type: AttributeType) -> bool:
@@ -443,11 +475,13 @@ class EncodedRelation:
         """Every row in ``(rank, row)`` order of the column at ``index``.
 
         An ``int32`` NumPy permutation built by one stable radix argsort on
-        first use and cached, 4 bytes a row.  Only the native refinement
-        reads row orders (see ``NumpyBackend.partition_refine``), level-1
-        builds included, so the argsort runs once per attribute; the OC
-        kernel sorts each class on demand instead.  They are per instance,
-        so the encoding :meth:`extend` returns builds its own.
+        first use and cached, 4 bytes a row.  The native refinement reads
+        row orders (see ``NumpyBackend.partition_refine``), level-1 builds
+        included, and so does the class patch of an append
+        (:meth:`~repro.dataset.partition.PartitionCache.apply_delta`); the
+        OC kernel sorts each class on demand instead.  :meth:`extend`
+        carries a cached order into the encoding it returns by inserting
+        the appended rows, except for a column it re-encodes in full.
         """
         import numpy as np
 

@@ -38,6 +38,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -219,56 +220,212 @@ class ClassCSR:
         return (rows[lo:hi] for lo, hi in zip(offsets, offsets[1:]))
 
 
-def _select_classes(partition: Partition, ids) -> Partition:
-    """The sub-partition of ``partition`` holding its classes at the
-    ascending indices ``ids``.
+class ClassPatch(NamedTuple):
+    """The classes an append replaced in one context.
 
-    Pure index arithmetic: ``starts - out_offsets`` repeated per element
-    plus a flat ``arange`` turns the per-class slices into one gather.
+    ``removed`` holds the context's old classes that gained rows, ``added``
+    the classes that replaced them plus those that appeared (an old
+    singleton gaining a partner, or appended rows alone), each side a
+    :class:`ClassCSR` of just those classes, rows ascending within a class.
+    A patch of as many rows as the grown relation (the unit context's
+    always is) is *oversized*: only its sizes are known and both sides are
+    ``None``.
+    """
+
+    removed: Optional[ClassCSR]
+    added: Optional[ClassCSR]
+    #: Rows in the removed classes.
+    removed_rows: int
+    #: Rows in the added classes.
+    added_rows: int
+
+    @property
+    def oversized(self) -> bool:
+        return self.removed is None
+
+
+def _spans(starts, lengths):
+    """The indices of the spans ``starts[i] .. starts[i] + lengths[i] - 1``,
+    concatenated."""
+    import numpy as np
+
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) \
+        + np.arange(ends[-1] if ends.size else 0)
+
+
+class _Touched(NamedTuple):
+    """One level of :func:`_delta_patches`: per chain of attributes, its
+    touched groups of two rows or more.
+
+    Groups lie contiguously in ``rows``, each chain's after the previous
+    chain's, rows ascending within a group; chain ``j`` owns groups
+    ``bounds[j]`` to ``bounds[j + 1] - 1``, of ``sizes`` rows each, of
+    which ``old_sizes`` are old rows."""
+
+    chains: List[Tuple[int, ...]]
+    rows: object
+    sizes: object
+    old_sizes: object
+    bounds: object
+
+
+def _delta_patches(
+    encoded, old: int, keys: Iterable[FrozenSet[int]], backend
+) -> Dict[FrozenSet[int], ClassPatch]:
+    """The class patch of each of ``keys`` whose stripped classes the
+    append of rows ``old ..`` of ``encoded`` changed.
+
+    The append changed exactly a context's groups of rows that share their
+    values with an appended row: its *touched* groups.  For one attribute
+    they are the appended values' ranges in its ``(rank, row)`` order.  A
+    context is reached as a chain of its attributes, narrowest (fewest
+    touched rows) first, whose touched groups are its prefix's split by the
+    last attribute's ranks, keeping the groups that hold an appended row.
+    Chains of one length are split together, so an append costs a few
+    calls per lattice level and the touched rows, not the relation.
     """
     import numpy as np
 
-    offsets = partition.class_offsets
-    lengths = np.diff(offsets)[ids]
-    out_offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out_offsets[1:])
-    flat = np.repeat(offsets[:-1][ids] - out_offsets[:-1], lengths) \
-        + np.arange(out_offsets[-1])
-    return Partition.from_csr(
-        partition.row_indices[flat], out_offsets, partition.num_rows
+    num_rows = encoded.num_rows
+    patches: Dict[FrozenSet[int], ClassPatch] = {}
+    keys = set(keys)
+    if frozenset() in keys and num_rows >= 2:
+        # One class of every row: it always grows, and is oversized.
+        patches[frozenset()] = ClassPatch(
+            None, None, old if old >= 2 else 0, num_rows
+        )
+    keys.discard(frozenset())
+    if not keys:
+        return patches
+    columns = {index: encoded.native_ranks_by_index(index)
+               for index in frozenset().union(*keys)}
+    # Per attribute, the ranges of the appended values of two rows or more
+    # in its row order: starts, lengths and old rows in each.
+    ranges = {}
+    num_ranks = 0
+    for index, ranks in columns.items():
+        counts = np.bincount(ranks)
+        num_ranks = max(num_ranks, counts.size)
+        values, appended = np.unique(ranks[old:], return_counts=True)
+        grouped = counts[values] >= 2
+        values = values[grouped]
+        ranges[index] = ((np.cumsum(counts) - counts)[values], counts[values],
+                         counts[values] - appended[grouped])
+    width = {index: int(lengths.sum())
+             for index, (_, lengths, _) in ranges.items()}
+    targets = {
+        tuple(sorted(key, key=lambda i: (width[i], i))): key for key in keys
+    }
+    needed: List[set] = [set() for _ in range(max(map(len, targets)) + 1)]
+    for chain in targets:
+        for length in range(1, len(chain) + 1):
+            needed[length].add(chain[:length])
+    chains = sorted(needed[1])
+    firsts = [ranges[index] for (index,) in chains]
+    level = _Touched(
+        chains,
+        np.concatenate([
+            encoded.row_order_by_index(index)[_spans(starts, lengths)]
+            for (index,), (starts, lengths, _) in zip(chains, firsts)
+        ]),
+        np.concatenate([lengths for _, lengths, _ in firsts]),
+        np.concatenate([old_lengths for _, _, old_lengths in firsts]),
+        np.cumsum([0] + [lengths.size for _, lengths, _ in firsts]),
     )
+    # Rank-indexed scratch of the splits, -1 between calls.
+    slot = np.full(num_ranks, -1, dtype=np.int32)
+    for length in range(1, len(needed)):
+        if not level.rows.size:
+            break  # no group of two rows holds an appended row
+        if length > 1:
+            level = _split(level, sorted(
+                needed[length], key=lambda chain: (chain[-1], chain)
+            ), columns, old, backend, slot)
+        _settle(level, targets, patches, old, num_rows)
+    return patches
 
 
-#: The ``(removed, added)`` classes an append replaced in one context, each
-#: side a sub-partition of the old / new partition.
-ClassPatch = Tuple[Partition, Partition]
-
-
-def _appended_classes(
-    old: Partition, new: Partition, old_num_rows: int
-) -> ClassPatch:
-    """The classes an append replaced: ``(removed, added)``.
-
-    ``new`` is ``old``'s context over the relation with rows appended past
-    ``old_num_rows``.  Appending never splits a class, so every class of
-    ``old`` lies inside one class of ``new``: a class of ``new`` changed
-    iff it holds an appended row (rows ascend, so its last row decides),
-    and a class of ``old`` changed iff its first row lies in such a class.
-    Each side keeps its partition's selected classes in order, so it is a
-    canonical partition the batch kernels read directly.
-    """
+def _split(level: _Touched, chains, columns, old: int, backend,
+           slot) -> _Touched:
+    """The touched groups of ``chains`` (sorted by last attribute), each
+    its prefix's in ``level`` split by the last attribute's ranks, in one
+    :meth:`~repro.backend.numpy_backend.NumpyBackend.split_groups` call
+    per last attribute."""
     import numpy as np
 
-    o_rows, o_offsets = old.row_indices, old.class_offsets
-    n_rows, n_offsets = new.row_indices, new.class_offsets
-    added = _select_classes(
-        new, np.nonzero(n_rows[n_offsets[1:] - 1] >= old_num_rows)[0]
+    index_of = {chain: j for j, chain in enumerate(level.chains)}
+    parents = np.array([index_of[chain[:-1]] for chain in chains],
+                       dtype=np.int64)
+    ranges = np.stack((level.bounds[parents], level.bounds[parents + 1]), 1)
+    offsets = np.concatenate(([0], np.cumsum(level.sizes)))
+    rows, groups = [], []
+    start = 0
+    for j in range(1, len(chains) + 1):
+        if j < len(chains) and chains[j][-1] == chains[start][-1]:
+            continue
+        part_rows, part_groups = backend.split_groups(
+            level.rows, offsets, ranges[start:j], columns[chains[start][-1]],
+            old, slot,
+        )
+        part_groups[:, 2] += start
+        rows.append(part_rows)
+        groups.append(part_groups)
+        start = j
+    groups = np.concatenate(groups)
+    return _Touched(
+        chains, np.concatenate(rows), groups[:, 0], groups[:, 1],
+        np.concatenate(([0], np.cumsum(np.bincount(
+            groups[:, 2], minlength=len(chains)
+        )))),
     )
-    grown = added.row_indices
-    member = np.zeros(old_num_rows, dtype=bool)
-    member[grown[grown < old_num_rows]] = True
-    removed_ids = np.nonzero(member[o_rows[o_offsets[:-1]]])[0]
-    return _select_classes(old, removed_ids), added
+
+
+def _settle(level: _Touched, targets, patches, old: int, num_rows: int) -> None:
+    """Record the patches of the target chains of ``level``: a touched
+    group is an added class, its old rows, when two or more, a removed
+    one."""
+    import numpy as np
+
+    rows, sizes, bounds = level.rows, level.sizes, level.bounds
+    shrunk = np.where(level.old_sizes >= 2, level.old_sizes, 0)
+    ends = np.concatenate(([0], np.cumsum(sizes)))
+    removed_ends = np.concatenate(([0], np.cumsum(shrunk)))
+    added_rows = np.diff(ends[bounds]).tolist()
+    removed_rows = np.diff(removed_ends[bounds]).tolist()
+    kept = []
+    for j, chain in enumerate(level.chains):
+        key = targets.get(chain)
+        if key is None:
+            continue
+        if removed_rows[j] + added_rows[j] >= num_rows:
+            patches[key] = ClassPatch(
+                None, None, removed_rows[j], added_rows[j]
+            )
+        elif added_rows[j]:
+            kept.append(j)
+    if not kept:
+        return
+    wanted = np.zeros(len(level.chains), dtype=bool)
+    wanted[kept] = True
+    # The old rows lead each group.
+    picked = np.flatnonzero(
+        shrunk * np.repeat(wanted, np.diff(bounds))
+    )
+    removed = rows[_spans(ends[picked], shrunk[picked])].astype(np.int64)
+    offsets = np.concatenate(([0], np.cumsum(shrunk[picked])))
+    first = np.searchsorted(picked, bounds).tolist()
+    bounds = bounds.tolist()
+    for j in kept:
+        lo, hi = first[j], first[j + 1]
+        start, stop = ends[bounds[j]], ends[bounds[j + 1]]
+        patches[targets[level.chains[j]]] = ClassPatch(
+            ClassCSR(removed[offsets[lo]:offsets[hi]],
+                     offsets[lo:hi + 1] - offsets[lo]),
+            ClassCSR(rows[start:stop].astype(np.int64),
+                     ends[bounds[j]:bounds[j + 1] + 1] - start),
+            removed_rows[j], added_rows[j],
+        )
 
 
 class PartitionCache:
@@ -288,8 +445,13 @@ class PartitionCache:
     eviction (``None`` — the default — retains everything): long-lived
     sessions over wide schemas use it to cap the cache's O(rows)-per-context
     memory.  Evicted partitions are rebuilt on demand, so results never
-    change; an append (:meth:`apply_delta`) rebuilds exactly the entries
-    still cached.
+    change.
+
+    Beside the partitions the cache keeps one int per context it ever
+    built: the context's grouped-row count (:meth:`grouped_rows`), which
+    is all a coverage score reads.  Neither the bound nor an append drops
+    it; an append (:meth:`apply_delta`) adjusts it and drops the
+    partitions, which the next read rebuilds.
     """
 
     def __init__(
@@ -303,6 +465,8 @@ class PartitionCache:
             else getattr(encoded_relation, "backend", None)
         )
         self._cache: BoundedLRU = BoundedLRU(max_entries)
+        #: key -> grouped-row count of every context ever built.
+        self._grouped: Dict[FrozenSet[int], int] = {}
         self._hits = 0
         self._misses = 0
 
@@ -329,6 +493,11 @@ class PartitionCache:
         """Iterate over the attribute-index sets currently cached."""
         return iter(list(self._cache))
 
+    def counted_keys(self) -> Iterator[FrozenSet[int]]:
+        """Iterate over the attribute-index sets with a recorded
+        grouped-row count: every context the cache ever built."""
+        return iter(list(self._grouped))
+
     def get(self, attribute_indices: Iterable[int]) -> Partition:
         """Return ``Pi_X`` for the attribute-index set ``attribute_indices``."""
         key = frozenset(attribute_indices)
@@ -339,12 +508,26 @@ class PartitionCache:
         self._misses += 1
         partition = self._build(key)
         self._cache[key] = partition
+        self._grouped[key] = partition.num_grouped_rows
         return partition
 
     def get_by_names(self, names: Iterable[str]) -> Partition:
         """Return ``Pi_X`` for attribute *names*."""
         indices = [self._encoded.schema.index_of(n) for n in names]
         return self.get(indices)
+
+    def grouped_rows(self, attribute_indices: Iterable[int]) -> int:
+        """``Pi_X``'s :attr:`~Partition.num_grouped_rows`, from the count
+        recorded when the context was built; a context never built is
+        built.  The unit context groups every row (none of fewer than
+        two)."""
+        key = frozenset(attribute_indices)
+        if not key:
+            return self.num_rows if self.num_rows > 1 else 0
+        grouped = self._grouped.get(key)
+        if grouped is None:
+            grouped = self.get(key).num_grouped_rows
+        return grouped
 
     def _build(self, key: FrozenSet[int]) -> Partition:
         if not key:
@@ -402,32 +585,29 @@ class PartitionCache:
     # -- incremental maintenance -------------------------------------------------
 
     def apply_delta(
-        self, encoded_relation, old_num_rows: int
+        self, encoded_relation, old_num_rows: int,
+        keys: Iterable[FrozenSet[int]] = (),
     ) -> Dict[FrozenSet[int], ClassPatch]:
-        """Rebind to an extended encoding and rebuild every cached partition.
+        """Rebind to an extended encoding and patch the counted contexts.
 
         ``encoded_relation`` is the delta-encoded relation produced by
         :meth:`~repro.dataset.encoding.EncodedRelation.extend` (same schema,
-        ``num_rows >= old_num_rows``).  Cached keys are rebuilt in place,
-        smallest first, through :meth:`_build` — the code a cache miss runs
-        — so each key refines the largest cached proper subset, which is
-        already rebuilt because it is smaller.  No second copy of the cache
-        is held.  Under ``max_entries`` a key a rebuild evicts is skipped,
-        and a rebuild with no cached subset caches a single-attribute key
-        afresh, which nothing compares with its old classes.
+        ``num_rows >= old_num_rows``).  A class patch is computed from the
+        appended rows (see :class:`ClassPatch`) for each of ``keys`` and
+        each context with a recorded grouped-row count, whose count it
+        adjusts.  Cached partitions are dropped, not rebuilt: a later
+        :meth:`get` rebuilds the keys a kernel reads.
 
-        Returns ``{key: (removed, added)}`` for the rebuilt keys whose
-        *stripped classes* changed: the classes the delta replaced and
-        those that replaced them, each side a :class:`Partition` of just
-        those classes.  Every kernel is class-additive, so
-        memoised counts for those contexts can be *adjusted* by re-running
-        kernels on just these classes (see :mod:`repro.incremental.repair`).
-        Rebuilt keys absent from the mapping kept identical class lists, so
-        memoised removal counts for them remain exact; the re-encoded rank
-        columns only ever differ from the old ones by an order-preserving
-        bijection, which no kernel can observe.  The call records an
-        ``apply-delta`` span with the number of rebuilt ``keys`` and of
-        ``patched`` ones (those in the mapping).
+        Returns ``{key: patch}`` for the keys whose *stripped classes*
+        changed.  Every kernel is class-additive, so memoised counts for
+        those contexts can be *adjusted* by re-running kernels on just the
+        patch classes (see :mod:`repro.incremental.repair`).  Keys absent
+        from the mapping kept identical class lists, so memoised removal
+        counts for them remain exact; the re-encoded rank columns only ever
+        differ from the old ones by an order-preserving bijection, which no
+        kernel can observe.  The call records an ``apply-delta`` span with
+        the number of patched ``keys`` and of ``patched`` ones (those in
+        the mapping).
         """
         new_num_rows = encoded_relation.num_rows
         if new_num_rows < old_num_rows:
@@ -436,21 +616,17 @@ class PartitionCache:
                 f"cannot shrink to {new_num_rows}"
             )
         self._encoded = encoded_relation
-        patches: Dict[FrozenSet[int], ClassPatch] = {}
         if new_num_rows == old_num_rows:
-            return patches
-        rebuilt = 0
+            return {}
+        self._cache.clear()
+        targets = set(self._grouped).union(keys)
         with get_tracer().span("apply-delta") as span:
-            for key in sorted(self._cache, key=len):
-                old = self._cache.get(key)
-                if old is None:
-                    continue  # evicted by an earlier rebuild under the bound
-                new = self._build(key)
-                self._cache[key] = new
-                rebuilt += 1
-                removed, added = _appended_classes(old, new, old_num_rows)
-                if removed or added:
-                    patches[key] = (removed, added)
+            patches = _delta_patches(
+                encoded_relation, old_num_rows, targets, self._backend
+            )
+            for key, patch in patches.items():
+                if key in self._grouped:
+                    self._grouped[key] += patch.added_rows - patch.removed_rows
             if span is not None:
-                span.attrs.update(keys=rebuilt, patched=len(patches))
+                span.attrs.update(keys=len(targets), patched=len(patches))
         return patches

@@ -709,7 +709,8 @@ class DiscoveryEngine:
         named = self.bits.names_of(context)
         ofd = OFD(named, self.bits.names[attribute])
         coverage = context_coverage(
-            self._context_classes(context), self.relation.num_rows
+            self.partitions.grouped_rows(self.bits.key_of(context)),
+            self.relation.num_rows,
         )
         found = DiscoveredOFD(
             ofd=ofd,
@@ -743,7 +744,8 @@ class DiscoveryEngine:
             removal_size / self.relation.num_rows if self.relation.num_rows else 0.0
         )
         coverage = context_coverage(
-            self._context_classes(context), self.relation.num_rows
+            self.partitions.grouped_rows(self.bits.key_of(context)),
+            self.relation.num_rows,
         )
         names = self.bits.names
         named = self.bits.names_of(context)

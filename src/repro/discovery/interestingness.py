@@ -19,22 +19,17 @@ The score is in ``(0, 1]``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
 
-
-def context_coverage(classes: Sequence[Sequence[int]], num_rows: int) -> float:
-    """Fraction of tuples that live in non-singleton context classes.
+def context_coverage(grouped_rows: int, num_rows: int) -> float:
+    """Fraction of tuples that live in non-singleton context classes, from
+    the context's grouped-row count
+    (:meth:`~repro.dataset.partition.PartitionCache.grouped_rows`).
 
     An empty context has a single class covering every tuple (coverage 1).
     """
     if num_rows == 0:
         return 0.0
-    # CSR partitions expose the grouped-row total in O(1) (the flat row
-    # vector's length); anything else pays the per-class sum.
-    grouped = getattr(classes, "num_grouped_rows", None)
-    if grouped is None:
-        grouped = sum(len(class_rows) for class_rows in classes)
-    return min(1.0, grouped / num_rows)
+    return min(1.0, grouped_rows / num_rows)
 
 
 def interestingness_score(

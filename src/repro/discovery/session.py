@@ -38,8 +38,9 @@ cancellation — belong to the session and the call site.
 
 Sessions also survive their dataset *growing*: :meth:`Profiler.extend`
 appends rows while keeping every warm asset consistent (delta encoding,
-in-place partition rebuilds, per-class memo repair — see
-:mod:`repro.incremental`), and :meth:`Profiler.discover_incremental` is a
+class patches found from the appended rows, per-class memo repair — see
+:mod:`repro.incremental`; cached partitions are dropped and rebuilt when
+a kernel next reads them), and :meth:`Profiler.discover_incremental` is a
 warm :meth:`Profiler.discover`, which recounts only what the repaired memo
 cannot answer, plus a diff against the request's last completed result;
 its result is byte-identical to a cold run.  Long-lived
@@ -165,10 +166,9 @@ class Profiler:
         recomputed — results never change.
     max_cached_partitions:
         Optional LRU bound on the retained partition cache (each entry is
-        O(rows)).  Evicted partitions are rebuilt on demand; during
-        :meth:`extend`, contexts whose partitions were evicted lose their
-        memo entries too (their delta effect is unknown), so tight bounds
-        trade incremental reuse for memory.
+        O(rows)).  Evicted partitions are rebuilt on demand.  The bound
+        costs no incremental reuse: :meth:`extend` patches the memo's
+        contexts from the appended rows, whatever the cache holds.
     """
 
     def __init__(
@@ -336,10 +336,14 @@ class Profiler:
         from attribute name to value.  The appended rows are delta-encoded
         into the session's :class:`~repro.dataset.encoding.EncodedRelation`
         (dictionaries grow monotonically; columns whose new values sort
-        into the middle of the domain are remapped order-preservingly),
-        every retained partition is rebuilt over the grown relation, and the
-        validation memo keeps exactly the entries the delta provably did not
-        change.
+        into the middle of the domain are remapped order-preservingly).
+        Every context the validation memo holds entries of, and every
+        context whose grouped-row count the partition cache keeps, gets
+        the classes the delta replaced, found from the appended rows
+        alone; the memo's counts are adjusted by those classes and the
+        entries of every other context are kept, as the delta provably did
+        not change them.  Cached partitions are dropped, not rebuilt: the
+        next run rebuilds the ones a kernel reads.
         The returned :class:`~repro.incremental.DeltaSummary` says what
         happened; :meth:`discover_incremental` then recounts only what the
         repaired memo cannot answer.
@@ -348,7 +352,7 @@ class Profiler:
             raise RuntimeError("Profiler is closed")
         if self._active_streams:
             # A suspended iter_events generator holds an engine built
-            # against the current encoding; rebuilding the shared partition
+            # against the current encoding; rebinding the shared partition
             # cache under it would resume that engine onto row ids its
             # captured rank columns cannot cover (a deep kernel IndexError
             # far from the misuse).  Make the contract explicit instead.
@@ -370,16 +374,16 @@ class Profiler:
         def masked(key):
             return bits.mask(names[i] for i in key)
 
-        # Under ``max_cached_partitions`` a rebuild can cache a key the
-        # cache had evicted; nothing compared it with its old classes, so
-        # only keys cached before and after the append are tracked.
-        before = set(self.partitions.cached_keys())
-        patches = self.partitions.apply_delta(extended, old_num_rows)
-        after = set(self.partitions.cached_keys())
+        # Every context the memo holds entries of gets its class patch,
+        # found from the appended rows, as does every context whose
+        # grouped-row count the cache keeps.
+        keys = {bits.key_of(context)
+                for context in {key[2] for key in self._memo}}
+        keys.update(self.partitions.counted_keys())
+        patches = self.partitions.apply_delta(extended, old_num_rows, keys)
         patches_by_context = {
             masked(key): patch for key, patch in patches.items()
         }
-        tracked = {masked(key) for key in before & after}
         with get_tracer().span(
             "memo-repair",
             appended_rows=new_relation.num_rows - old_num_rows,
@@ -387,7 +391,7 @@ class Profiler:
         ) as span:
             # Through the module attribute, so wrappers of it see the call.
             counts = repair.repair_memo(
-                self._memo, extended, bits.names, patches_by_context, tracked
+                self._memo, extended, bits.names, patches_by_context
             )
             if span is not None:
                 span.attrs.update(oc_jobs=counts.oc_jobs,
@@ -403,7 +407,7 @@ class Profiler:
             affected_contexts=tuple(sorted(
                 map(bits.names_of, patches_by_context), key=sorted
             )),
-            patched_partitions=len(after),
+            patched_partitions=len(keys),
             invalidated_memo_entries=counts.invalidated,
             adjusted_memo_entries=counts.adjusted,
             retained_memo_entries=counts.retained,

@@ -8,11 +8,11 @@ warm assets consistent under row appends instead of going cold:
   stay valid (columns whose new values sort into the middle of the domain
   are remapped by an order-preserving bijection, which no kernel can
   observe);
-* **partition repair** —
-  :meth:`repro.dataset.partition.PartitionCache.apply_delta` rebuilds every
-  cached stripped partition over the grown relation (smallest contexts
-  first, each refining an already-rebuilt subset, as a cache miss does)
-  and reports exactly which contexts' classes changed;
+* **class patches** —
+  :meth:`repro.dataset.partition.PartitionCache.apply_delta` finds, from
+  the appended rows alone, the classes the delta replaced in every
+  context the memo or the cache's grouped-row counts name, and drops the
+  cached partitions (the next read rebuilds one);
 * **memo repair** — :func:`repro.incremental.repair.repair_memo` keeps,
   adjusts per class or purges each memoised validation outcome, using the
   append monotonicity argument (appending rows can only *increase* a

@@ -2,9 +2,9 @@
 
 A :class:`DeltaSummary` records what one append did to a session's warm
 state: how the relation grew, how each column's encoding absorbed the new
-values, which cached contexts' stripped classes changed (the only contexts
-whose validation outcomes the append can have altered), and how the
-validation memo was repaired.  An :class:`IncrementalOutcome` records what
+values, which patched contexts' stripped classes changed (the only
+contexts whose validation outcomes the append can have altered), and how
+the validation memo was repaired.  An :class:`IncrementalOutcome` records what
 the appends since a request's last completed run did to its dependency
 set.  Both are plain data that serialise for the service boundary.
 """
@@ -35,10 +35,14 @@ if TYPE_CHECKING:
 class DeltaSummary:
     """What one :meth:`Profiler.extend` call changed.
 
-    ``affected_contexts`` holds attribute-*name* sets: the cached contexts
-    whose stripped equivalence classes changed.  A context cached across
-    the append and absent from it kept identical classes, so memoised
-    validation outcomes for it remain exact.
+    The append patches every context the session's validation memo holds
+    entries of and every context whose grouped-row count its partition
+    cache keeps (every context it ever built): it finds the classes the
+    appended rows replaced from those rows alone.  ``affected_contexts``
+    holds the attribute-*name* sets of the patched contexts whose stripped
+    equivalence classes changed.  A patched context absent from it kept
+    identical classes, so memoised validation outcomes for it remain
+    exact.
     """
 
     old_num_rows: int
@@ -50,7 +54,8 @@ class DeltaSummary:
     #: :meth:`repro.dataset.encoding.EncodedRelation.extend`).
     column_modes: Dict[str, str] = field(default_factory=dict)
     affected_contexts: Tuple[FrozenSet[str], ...] = ()
-    #: Cached partitions after the append, each rebuilt over the new rows.
+    #: Contexts the append patched, whether their classes changed or not
+    #: (no partition is rebuilt: the next read of one rebuilds it).
     patched_partitions: int = 0
     #: Validation-memo entries purged because the delta may have changed them.
     invalidated_memo_entries: int = 0

@@ -7,8 +7,9 @@ throw away almost the whole memo.  The saving grace is that every kernel
 the engine memoises is **class-additive** — a context's removal count is
 the sum of independent per-class contributions — and
 :meth:`~repro.dataset.partition.PartitionCache.apply_delta` reports the
-precise classes a delta removed and added per context.  So instead of
-dropping an affected entry we *adjust* it::
+precise classes a delta removed and added per context, found from the
+appended rows alone for every context the memo holds entries of.  So
+instead of dropping an affected entry we *adjust* it::
 
     new_count = old_count - kernel(removed_classes) + kernel(added_classes)
 
@@ -32,7 +33,8 @@ over one side of one context's patch — is a job over its own class range
 OFD count call, however many contexts it touched.  The iterative
 validator (Algorithm 1) has no count kernel, so its counts of affected
 contexts are purged and the engine recounts them, batched with early
-exit, like those of an oversized patch.
+exit, like every entry of an oversized patch that needs a kernel (such a
+patch carries no classes, only its sizes).
 
 Byte-identity is preserved because adjusted counts equal what a full
 kernel over the rebuilt context would return (same per-class sums), and
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from repro.dataset.partition import ClassCSR, ClassPatch, Partition
+from repro.dataset.partition import ClassCSR, ClassPatch
 
 
 class RepairCounts(NamedTuple):
@@ -65,37 +67,22 @@ def repair_memo(
     encoded,
     names: Sequence[str],
     patches_by_context: Dict[int, ClassPatch],
-    cached_contexts: Sequence[int],
 ) -> RepairCounts:
     """Bring a session's validation memo in line with an applied delta.
 
     Memo keys are ``(kind, tag, context mask, a bit[, b bit])``, and
     ``names[i]`` is the attribute of bit ``i`` (see
     :class:`~repro.discovery.lattice.AttributeBits`).
-    ``patches_by_context`` maps affected context masks to their
-    ``(removed, added)`` class patch, each side a sub-partition the batch
-    kernels read as they read a context partition; ``cached_contexts`` are
-    the context masks whose partitions stayed cached across the append
-    (entries for anything else cannot be proven unchanged and are
-    dropped).  Mutates ``memo`` (a :class:`~repro.caching.BoundedLRU`) in
-    place, leaving its recency order as reading every affected entry and
-    then adjusting the entries one context at a time would, and returns
-    the :class:`RepairCounts`.
+    ``patches_by_context`` maps the masks of the memo's contexts whose
+    classes the append changed to their
+    :class:`~repro.dataset.partition.ClassPatch`, each side classes the
+    batch kernels read as they read a context partition's;
+    every other context kept its classes, so its entries stay.  Mutates
+    ``memo`` (a :class:`~repro.caching.BoundedLRU`) in place, leaving its
+    recency order as reading every affected entry and then adjusting the
+    entries one context at a time would, and returns the
+    :class:`RepairCounts`.
     """
-    cached = set(cached_contexts)
-    # Adjusting costs two full (no-early-exit) kernel runs over the patch
-    # classes; once a patch spans about the whole relation — the unit
-    # context always does, its single class is every row — letting the
-    # engine recompute the entry once, batched and with early exit, is
-    # cheaper.  Iterative-validator counts are always recomputed that way.
-    # Verdict-only entries (exceeded / failing exact) are exempt:
-    # monotonicity keeps them for free at any patch size.
-    oversized = {
-        context
-        for context, (removed, added) in patches_by_context.items()
-        if removed.num_grouped_rows + added.num_grouped_rows
-        >= encoded.num_rows
-    }
     invalidated = adjusted = retained = 0
     #: Passing exact checks, re-checked over their added classes.
     checks: List[tuple] = []
@@ -106,30 +93,33 @@ def repair_memo(
     bounded = memo.max_entries is not None
     for key, (count, exceeded, limit_used) in list(memo.items()):
         context = key[2]
-        if context in patches_by_context:
-            if bounded:
-                # Reading an affected entry refreshes it, as it always has.
-                memo.move_to_end(key)
-            if exceeded:
-                # Failing exact checks and "over budget" counts are final
-                # under appends (counts only grow): kept verbatim, no
-                # kernel runs — that is "retained", not "adjusted".
-                retained += 1
-            elif limit_used is None:
-                checks.append(key)
-                adjusted += 1
-            elif context in oversized or key[1] == "iterative":
-                del memo[key]
-                invalidated += 1
-            else:
-                pending.setdefault(context, []).append(key)
-                entries[key] = (count, limit_used)
-                adjusted += 1
-        elif context not in cached:
+        patch = patches_by_context.get(context)
+        if patch is None:
+            retained += 1
+            continue
+        if bounded:
+            # Reading an affected entry refreshes it, as it always has.
+            memo.move_to_end(key)
+        if exceeded:
+            # Failing exact checks and "over budget" counts are final
+            # under appends (counts only grow): kept verbatim, no kernel
+            # runs — that is "retained", not "adjusted".
+            retained += 1
+        elif patch.oversized or key[1] == "iterative":
+            # Adjusting costs two full (no-early-exit) kernel runs over the
+            # patch classes; once a patch spans about the whole relation —
+            # the unit context always does — the engine's one recount,
+            # batched and with early exit, is cheaper.  Iterative-validator
+            # counts are always recomputed that way.
             del memo[key]
             invalidated += 1
+        elif limit_used is None:
+            checks.append(key)
+            adjusted += 1
         else:
-            retained += 1
+            pending.setdefault(context, []).append(key)
+            entries[key] = (count, limit_used)
+            adjusted += 1
 
     batch = _Batch(encoded, names, patches_by_context)
     #: context -> (OC-optimal keys, first OC job, OFD keys, first OFD job);
@@ -183,7 +173,7 @@ class _Batch:
         self._patches = patches_by_context
         # Rank columns by attribute bit, each fetched once.
         self._ranks = [encoded.kernel_ranks(name) for name in names]
-        self._parts: List[Partition] = []
+        self._parts: List[ClassCSR] = []
         #: (context, side) -> the side's class range in the concatenation;
         #: side 0 is the removed classes, 1 the added ones.
         self._ranges: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -199,7 +189,7 @@ class _Batch:
         found = self._ranges.get((context, side))
         if found is None:
             part = self._patches[context][side]
-            found = (self._num_classes, self._num_classes + part.num_classes)
+            found = (self._num_classes, self._num_classes + len(part))
             self._num_classes = found[1]
             self._parts.append(part)
             self._ranges[context, side] = found
@@ -242,14 +232,14 @@ class _Batch:
         return [count for count, _ in oc], [count for count, _ in ofd]
 
 
-def _concatenate(parts: Sequence[Partition]) -> ClassCSR:
+def _concatenate(parts: Sequence[ClassCSR]) -> ClassCSR:
     """The classes of ``parts``, in order, as one CSR the count kernels
     read (its classes may share rows)."""
     import numpy as np
 
     rows = np.concatenate([part.row_indices for part in parts])
-    num_classes = [part.num_classes for part in parts]
-    row_counts = [part.num_grouped_rows for part in parts]
+    num_classes = [len(part) for part in parts]
+    row_counts = [part.row_indices.size for part in parts]
     # Shift each part's offsets by the rows before it; a part's first
     # offset repeats the previous part's last, so all but the first drop.
     offsets = np.concatenate([part.class_offsets for part in parts])

@@ -64,3 +64,20 @@ def classes_of(partition):
     rows = partition.row_indices.tolist()
     offsets = partition.class_offsets.tolist()
     return [rows[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1)]
+
+
+def assert_patch(patch, old_classes, new_classes, num_rows):
+    """Assert that an append's class patch for one context holds the
+    symmetric difference of the context's stripped classes before
+    (``old_classes``) and after (``new_classes``) the append, over
+    ``num_rows`` rows in all: each side's classes, rows ascending, or, for
+    a patch of at least ``num_rows`` rows, only their row counts."""
+    old, new = set(map(tuple, old_classes)), set(map(tuple, new_classes))
+    removed, added = sorted(old - new), sorted(new - old)
+    sizes = (sum(map(len, removed)), sum(map(len, added)))
+    assert (patch.removed_rows, patch.added_rows) == sizes
+    oversized = sum(sizes) >= num_rows
+    assert (patch.removed is None, patch.added is None) == (oversized,) * 2
+    if not oversized:
+        assert sorted(map(tuple, classes_of(patch.removed))) == removed
+        assert sorted(map(tuple, classes_of(patch.added))) == added

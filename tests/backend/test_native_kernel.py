@@ -657,6 +657,92 @@ class TestBinding:
             assert buffer[0] == 77 and (buffer[1 + out.size:] == 77).all()
 
 
+@st.composite
+def _touched_groups(draw):
+    """Groups of ascending rows over a small table, a rank column, one
+    ``(lo, hi)`` group range per job and the first appended row."""
+    num_rows = draw(st.integers(1, 40))
+    ranks = draw(st.lists(st.integers(0, 4), min_size=num_rows,
+                          max_size=num_rows))
+    groups = draw(st.lists(
+        st.lists(st.integers(0, num_rows - 1), unique=True, max_size=12)
+        .map(sorted), max_size=6,
+    ))
+    bounds = sorted(draw(st.lists(st.integers(0, len(groups)), max_size=6)))
+    ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return ranks, groups, ranges, draw(st.integers(0, num_rows))
+
+
+def _split_inputs(ranks, groups, ranges):
+    return (
+        numpy.array([row for group in groups for row in group],
+                    dtype=numpy.int32),
+        numpy.cumsum([0] + [len(group) for group in groups]),
+        numpy.array(ranges, dtype=numpy.int64).reshape(-1, 2),
+        numpy.array(ranks, dtype=numpy.int32),
+        numpy.full(max(ranks) + 1, -1, dtype=numpy.int32),
+    )
+
+
+@needs_kernel
+class TestSplitGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_touched_groups())
+    def test_split_equals_the_reference(self, case):
+        """The native split returns the reference loop's subgroups, in its
+        order, and leaves the slot scratch all -1."""
+        ranks, groups, ranges, old = case
+        rows, offsets, ranges, ranks, slot = _split_inputs(
+            ranks, groups, ranges
+        )
+        native_rows, native_groups = NUMPY.split_groups(
+            rows, offsets, ranges, ranks, old, slot
+        )
+        reference_rows, reference_groups = PYTHON.split_groups(
+            rows, offsets, ranges, ranks, old, slot
+        )
+        assert native_rows.tolist() == reference_rows.tolist()
+        assert native_groups.tolist() == reference_groups.tolist()
+        assert (slot == -1).all()
+
+    @pytest.mark.parametrize("case", [
+        "row-past-ranks", "negative-row", "rank-past-slot", "range-past-groups",
+        "decreasing-range", "decreasing-offsets", "offsets-past-rows",
+        "rows-dtype", "read-only-slot",
+    ])
+    def test_split_inputs_that_do_not_fit_raise(self, case):
+        """Each bad input to the native split raises: a row outside the
+        rank column, a rank outside the slot scratch, a group range or
+        offsets outside the rows, a wrong dtype or a read-only scratch."""
+        rows, offsets, ranges, ranks, slot = _split_inputs(
+            [0, 1, 0, 1, 2], [[0, 2, 4], [1, 3]], [(0, 2)]
+        )
+        split = KERNELS.split_groups
+        found_rows, groups = split(rows, offsets, ranges, ranks, 2, slot)
+        assert found_rows.tolist() == [0, 2, 1, 3]
+        assert groups.tolist() == [[2, 1, 0], [2, 1, 0]]
+        if case == "row-past-ranks":
+            rows[1] = ranks.size
+        elif case == "negative-row":
+            rows[0] = -1
+        elif case == "rank-past-slot":
+            slot = slot[:2]
+        elif case == "range-past-groups":
+            ranges[0, 1] = 3
+        elif case == "decreasing-range":
+            ranges[0] = (2, 1)
+        elif case == "decreasing-offsets":
+            offsets[1] = 6
+        elif case == "offsets-past-rows":
+            offsets[2] = rows.size + 1
+        elif case == "rows-dtype":
+            rows = rows.astype(numpy.int64)
+        else:
+            slot.flags.writeable = False
+        with pytest.raises((ValueError, IndexError)):
+            split(rows, offsets, ranges, ranks, 2, slot)
+
+
 class TestLoader:
     def test_without_a_compiler_the_numpy_path_runs(
         self, tmp_path, monkeypatch, caplog

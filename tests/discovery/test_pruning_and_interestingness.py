@@ -100,7 +100,7 @@ class TestInterestingness:
             interestingness_score(0, 1.0, 2.0)
 
     def test_context_coverage(self):
-        assert context_coverage([[0, 1, 2]], 3) == 1.0
-        assert context_coverage([[0, 1]], 4) == 0.5
-        assert context_coverage([], 4) == 0.0
-        assert context_coverage([], 0) == 0.0
+        assert context_coverage(3, 3) == 1.0
+        assert context_coverage(2, 4) == 0.5
+        assert context_coverage(0, 4) == 0.0
+        assert context_coverage(0, 0) == 0.0

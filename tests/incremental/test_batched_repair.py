@@ -14,7 +14,7 @@ import pytest
 
 from repro.backend import get_backend
 from repro.dataset.generators import generate_flight_like
-from repro.dataset.partition import Partition
+from repro.dataset.partition import Partition, PartitionCache
 from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.lattice import AttributeBits
@@ -86,7 +86,7 @@ def test_iterative_counts_are_purged_and_recounted(backend):
                   if key[1] == "iterative" and key[2] in affected
                   and not exceeded]
         assert counts
-        # Every context stays cached, so whatever left the memo was
+        # Every memo context is patched, so whatever left the memo was
         # invalidated, and every affected iterative count left it.
         removed = set(before) - after
         assert summary.invalidated_memo_entries == len(removed)
@@ -96,6 +96,57 @@ def test_iterative_counts_are_purged_and_recounted(backend):
     cold = discover(relation, request.to_config(backend))
     assert outcome.result.ocs == cold.ocs
     assert outcome.result.ofds == cold.ofds
+
+
+def _warm_flight_session(backend):
+    relation = generate_flight_like(1040, num_attributes=6, seed=11).relation
+    session = Profiler(relation.take(range(1000)), backend=backend)
+    for threshold in (0.15, 0.1, 0.05):
+        session.discover(DiscoveryRequest(threshold=threshold))
+    return session, [relation.row(i) for i in range(1000, 1040)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_extend_builds_no_partition(backend, monkeypatch):
+    """An append refines nothing: its patches come from the appended
+    rows, and the cached partitions are dropped, not rebuilt."""
+    session, delta = _warm_flight_session(backend)
+    backend_class = type(get_backend(backend))
+    calls = []
+    for name in ("partition_refine", "partition_single"):
+        monkeypatch.setattr(backend_class, name,
+                            lambda *args, _name=name: calls.append(_name))
+    summary = session.extend(delta)
+    monkeypatch.undo()
+    assert calls == []
+    assert summary.adjusted_memo_entries > 0
+    assert session.cache_info()["entries"] == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_memo_answered_discover_reads_no_partition(backend, monkeypatch):
+    """A warm discover that the memo answers completely reads no
+    partition, before or after an append: coverage scores come from the
+    cache's grouped-row counts."""
+    session, delta = _warm_flight_session(backend)
+    request = DiscoveryRequest(threshold=0.1)
+    session.extend(delta)
+    session.discover(request)
+    expected = discover(session.relation, request.to_config(backend))
+    calls = []
+    real = PartitionCache.get
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PartitionCache, "get", counted)
+    result = session.discover(request)
+    monkeypatch.undo()
+    assert calls == []
+    assert result.stats.oc_batches == result.stats.ofd_batches == 0
+    assert result.ocs and result.ocs == expected.ocs
+    assert result.ofds == expected.ofds
 
 
 def test_concatenation_keeps_every_part_in_order():

@@ -10,6 +10,7 @@ over the concatenated relation.
 from itertools import combinations
 
 import pytest
+from _partition_oracle import assert_patch
 
 from repro.backend import get_backend
 from repro.dataset.encoding import EncodedRelation
@@ -72,8 +73,9 @@ def test_multi_append_sequence_matches_cold_build(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_patch_after_partial_eviction_stays_exact(backend):
-    """Eviction leaves a mixed cache (unit + the surviving big contexts);
-    every key must still be rebuilt from a valid cached subset."""
+    """Eviction leaves a mixed cache (unit + the surviving big contexts),
+    and the append drops it; every key read afterwards, deepest first so
+    that no read finds a cached subset, is rebuilt exactly."""
     resolved = get_backend(backend)
     workload = generate_flight_like(
         100, num_attributes=4, error_rate=0.15, seed=41
@@ -93,9 +95,10 @@ def test_patch_after_partial_eviction_stays_exact(backend):
     delta = {name: delta_rel.column(name) for name in names}
     extended, _ = encoded.extend(delta)
     cache.apply_delta(extended, relation.num_rows)
+    assert set(cache.cached_keys()) == set()
     concatenated = relation.concat(Relation(relation.schema, delta))
     fresh = PartitionCache(concatenated.encoded(resolved), backend=resolved)
-    for key in set(cache.cached_keys()):
+    for key in sorted(keys, key=len, reverse=True):
         assert cache.get(key) == fresh.get(key), sorted(key)
 
 
@@ -119,8 +122,7 @@ def test_class_patches_reproduce_symmetric_difference(backend):
         old_set = {tuple(c) for c in before[key].classes}
         new_set = {tuple(c) for c in fresh.get(key).classes}
         if key in patches:
-            removed, added = patches[key]
-            assert {tuple(c) for c in removed} == old_set - new_set
-            assert {tuple(c) for c in added} == new_set - old_set
+            assert_patch(patches[key], old_set, new_set,
+                         concatenated.num_rows)
         else:
             assert old_set == new_set

@@ -9,8 +9,10 @@ codes stay valid); everything else remaps order-preservingly.
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.backend.numpy_backend import stable_rank_order
 from repro.dataset.encoding import (
     EXTEND_APPENDED,
     EXTEND_REMAPPED,
@@ -205,3 +207,36 @@ def test_extend_rejects_mismatched_columns():
         encoded.extend({"a": [1]})
     with pytest.raises(ValueError, match="inconsistent lengths"):
         encoded.extend({"a": [1], "b": []})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_extend_carries_row_orders(backend):
+    """A row order cached before an append is carried into the extended
+    encoding, the appended rows inserted after the old rows of their rank,
+    and equals a fresh stable sort of the new ranks, over appended,
+    remapped, NaN and mixed-type columns and deltas of every shape.  Only
+    a column re-encoded in full (a NaN sort key) builds its order anew."""
+    rng = random.Random(20261019)
+    carried = rebuilt = 0
+    modes_seen = set()
+    for trial in range(40):
+        attr_type, pool = _POOLS[rng.choice(sorted(_POOLS))]
+        rows = [[_draw(rng, pool)] for _ in range(rng.randint(0, 12))]
+        relation = Relation.from_rows(rows, ["v"], [attr_type])
+        encoded = EncodedRelation.from_relation(relation, backend)
+        for delta in _deltas(rng, encoded.dictionary("v"), pool, attr_type):
+            encoded.row_order_by_index(0)
+            extended, modes = encoded.extend({"v": delta})
+            if 0 in extended._orders:
+                carried += 1
+            else:
+                rebuilt += 1
+            order = extended.row_order_by_index(0)
+            assert order.dtype == np.int32
+            assert np.array_equal(
+                order, stable_rank_order(extended.native_ranks_by_index(0))
+            ), (attr_type, delta)
+            modes_seen.add(modes["v"])
+            encoded = extended
+    assert modes_seen == {EXTEND_APPENDED, EXTEND_REMAPPED}
+    assert carried and rebuilt

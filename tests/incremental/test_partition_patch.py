@@ -1,16 +1,23 @@
-"""Partition repair: ``PartitionCache.apply_delta`` vs fresh rebuilds.
+"""Appends: ``PartitionCache.apply_delta`` vs fresh builds.
 
-Every cached partition, after a delta, must equal the partition a brand-new
-cache would build over the concatenated relation — and the returned mapping
-must hold exactly the contexts whose stripped classes changed, each with the
-classes the delta removed and added (that is the memo-repair contract: an
-unaffected context's memoised removal counts stay exact).
+After a delta, every partition the cache rebuilds on read must equal the
+partition a brand-new cache would build over the concatenated relation —
+and the returned mapping must hold exactly the contexts whose stripped
+classes changed, each with the classes the delta removed and added (that
+is the memo-repair contract: an unaffected context's memoised removal
+counts stay exact).
 """
 
 from itertools import combinations
 
 import pytest
-from _partition_oracle import classes_of, classes_over, group, refine
+from _partition_oracle import (
+    assert_patch,
+    classes_of,
+    classes_over,
+    group,
+    refine,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -48,11 +55,8 @@ def _patched_vs_fresh(base, delta_columns, backend, max_size=3):
         assert (key in patches) == classes_changed, sorted(key)
         if key in patches:
             # The class patch reproduces exactly the symmetric difference.
-            removed, added = patches[key]
-            old_set = {tuple(c) for c in before[key].classes}
-            new_set = {tuple(c) for c in fresh.get(key).classes}
-            assert {tuple(c) for c in removed} == old_set - new_set
-            assert {tuple(c) for c in added} == new_set - old_set
+            assert_patch(patches[key], before[key].classes,
+                         fresh.get(key).classes, concatenated.num_rows)
     return set(patches)
 
 
@@ -101,6 +105,9 @@ def test_patch_matches_fresh_build_generated(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_missing_subset_is_rebuilt(backend):
+    """An append drops every cached partition, so the first read of a deep
+    key after it finds no cached subset and refines from one attribute;
+    the key's patch came from the delta, not from its old partition."""
     base = Relation.from_columns({
         "a": [1, 1, 2], "b": [5, 5, 6], "c": [7, 8, 7],
     })
@@ -112,17 +119,14 @@ def test_missing_subset_is_rebuilt(backend):
     delta = {"a": [1], "b": [5], "c": [7]}
     extended, _ = encoded.extend(delta)
     patches = cache.apply_delta(extended, base.num_rows)
-    assert abc in set(cache.cached_keys())
+    assert set(cache.cached_keys()) == set()
     concatenated = base.concat(Relation(base.schema, delta))
     fresh = PartitionCache(concatenated.encoded(backend), backend=backend)
     assert cache.get(abc) == fresh.get(abc)
+    assert cache.grouped_rows(abc) == fresh.get(abc).num_grouped_rows
     # Row 3 pairs with the old singleton row 0: one class appears.
-    removed, added = patches[abc]
-    old_set = {tuple(c) for c in before.classes}
-    new_set = {tuple(c) for c in fresh.get(abc).classes}
-    assert (old_set, new_set) == (set(), {(0, 3)})
-    assert {tuple(c) for c in removed} == old_set - new_set
-    assert {tuple(c) for c in added} == new_set - old_set
+    assert (before.classes, fresh.get(abc).classes) == ([], [[0, 3]])
+    assert_patch(patches[abc], before.classes, fresh.get(abc).classes, 4)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -179,9 +183,10 @@ def _append_scenarios(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=_append_scenarios())
 def test_append_sequences_match_fresh_builds(backend, scenario):
-    """After every append, each cached partition equals a fresh build and
-    the returned mapping holds exactly the changed keys, each with the
-    exact symmetric difference of its classes."""
+    """After every append, the mapping holds exactly the counted keys
+    whose classes changed, each with the exact symmetric difference of its
+    classes; each key's grouped-row count and its partition, rebuilt on
+    read, equal a fresh build's."""
     num_attributes, rows, deltas, keys, max_entries = scenario
     names = [f"a{i}" for i in range(num_attributes)]
 
@@ -195,27 +200,27 @@ def test_append_sequences_match_fresh_builds(backend, scenario):
     for key in keys:
         cache.get(key)
     for delta in deltas:
-        before = set(cache.cached_keys())
+        counted = set(cache.counted_keys())
+        assert set(cache.cached_keys()) <= counted
         extended, _ = encoded.extend({
             name: [row[i] for row in delta] for i, name in enumerate(names)
         })
         patches = cache.apply_delta(extended, len(rows))
         old_rows, rows, encoded = rows, rows + list(delta), extended
-        after = set(cache.cached_keys())
+        if delta:
+            # Dropped, not rebuilt: each read below rebuilds its key.
+            assert not set(cache.cached_keys())
         fresh = PartitionCache(relation_of(rows).encoded(backend),
                                backend=backend)
-        for key in after:
-            assert cache.get(key) == fresh.get(key), sorted(key)
-        assert set(patches) <= before
-        for key in before:
+        assert set(patches) <= counted
+        for key in counted:
             old_set = _class_sets(old_rows, key)
             new_set = _class_sets(rows, key)
-            if key in after:
-                assert (key in patches) == (old_set != new_set), sorted(key)
+            assert (key in patches) == (old_set != new_set), sorted(key)
             if key in patches:
-                removed, added = patches[key]
-                assert sorted(map(tuple, removed)) == sorted(old_set - new_set)
-                assert sorted(map(tuple, added)) == sorted(new_set - old_set)
+                assert_patch(patches[key], old_set, new_set, len(rows))
+            assert cache.grouped_rows(key) == sum(map(len, new_set))
+            assert cache.get(key) == fresh.get(key), sorted(key)
 
 
 @st.composite
@@ -300,6 +305,4 @@ def test_cache_builds_refines_and_appends_match_the_oracle(backend, scenario):
             old_set, new_set = _class_sets(old_rows, key), _class_sets(rows, key)
             assert (key in patches) == (old_set != new_set), sorted(key)
             if key in patches:
-                removed, added = patches[key]
-                assert set(map(tuple, classes_of(removed))) == old_set - new_set
-                assert set(map(tuple, classes_of(added))) == new_set - old_set
+                assert_patch(patches[key], old_set, new_set, len(rows))

@@ -2,8 +2,10 @@
 
 The LRU knobs exist so a long-lived ``repro serve`` session cannot grow
 without limit; they must bound state without ever changing results (evicted
-entries are recomputed), and the incremental path must stay correct when
-eviction removes the partitions an append rebuilds.
+entries are recomputed), and the incremental path must stay correct and
+keep its memo however little the bound lets the cache hold: an append
+patches the memo's contexts from the appended rows, not from cached
+partitions.
 """
 
 import pytest
@@ -79,10 +81,14 @@ def test_bounded_session_incremental_still_byte_identical(backend):
         base, backend=backend, max_memo_entries=8, max_cached_partitions=3,
     ) as session:
         session.discover(request)
+        assert session.cache_info()["entries"] <= 3
         summary = session.extend(rows)
-        # The append rebuilds only what the bound lets the cache keep.
-        assert summary.patched_partitions <= 3
+        # The append rebuilds nothing and drops what the cache held; it
+        # patches every context the memo or the grouped-row counts name.
+        assert session.cache_info()["entries"] == 0
+        assert summary.patched_partitions >= len(summary.affected_contexts)
         outcome = session.discover_incremental(request)
+        assert session.cache_info()["entries"] <= 3
     columns = {name: [] for name in base.attribute_names}
     for row in rows:
         for name, value in zip(base.attribute_names, row):
@@ -95,13 +101,11 @@ def test_bounded_session_incremental_still_byte_identical(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed,bound", [(3, 2), (14, 3), (19, 2)])
-def test_rebuild_that_recaches_an_evicted_key_purges_its_memo(
-    backend, seed, bound
-):
-    """Under a tight bound, rebuilding a key with no cached subset caches
-    a single-attribute key the bound had evicted.  Nothing compared that
-    key's classes across the append, so its memo entries must go: kept,
-    they are stale counts and the incremental result is wrong."""
+def test_append_under_a_tight_bound_matches_cold(backend, seed, bound):
+    """Under a tight bound the cache evicts and re-caches keys all through
+    a discovery; the append's patches come from the appended rows for
+    every context the memo holds entries of, whatever the cache held, so
+    the incremental result equals a cold run's."""
     relation = generate_flight_like(70, num_attributes=4, error_rate=0.2,
                                     seed=seed).relation
     base = relation.take(range(50))
@@ -115,3 +119,30 @@ def test_rebuild_that_recaches_an_evicted_key_purges_its_memo(
     cold = discover(relation, request.to_config(backend))
     assert outcome.result.ocs == cold.ocs
     assert outcome.result.ofds == cold.ofds
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_append_under_a_tight_bound_keeps_memo_entries(backend):
+    """With two cached partitions at most, an append still adjusts and
+    retains most memo entries instead of purging every context the cache
+    no longer holds, and the results equal cold runs'."""
+    relation = generate_flight_like(260, num_attributes=5, error_rate=0.1,
+                                    seed=12).relation
+    base = relation.take(range(200))
+    request = DiscoveryRequest.approximate(0.1)
+    with Profiler(base, backend=backend, max_cached_partitions=2) as session:
+        session.discover(request)
+        for start in (200, 230):
+            summary = session.extend(
+                [relation.row(i) for i in range(start, start + 30)]
+            )
+            kept = summary.adjusted_memo_entries \
+                + summary.retained_memo_entries
+            assert summary.adjusted_memo_entries > 0
+            assert kept > summary.invalidated_memo_entries
+            assert session.cache_info()["entries"] == 0
+            outcome = session.discover_incremental(request)
+            cold = discover(relation.take(range(start + 30)),
+                            request.to_config(backend))
+            assert outcome.result.ocs == cold.ocs
+            assert outcome.result.ofds == cold.ofds
