@@ -15,7 +15,7 @@ validated and number of dependencies found (the ablations must not change
 
 import pytest
 
-from repro.benchlib.workloads import WorkloadSpec, make_workload
+from benchlib.workloads import WorkloadSpec, make_workload
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.benchlib.harness import (
+from benchlib.harness import (
     measure_discovery,
     measure_incremental,
     measure_sweep,
@@ -324,7 +324,7 @@ def _report(figure_report):
     )
     # Regenerate the human-readable summary wholesale from the merged JSON
     # (never append: the old append-per-run flow made summary.txt drift).
-    from repro.benchlib.reporting import write_bench_summary
+    from benchlib.reporting import write_bench_summary
 
     write_bench_summary(report_path, results_dir / "summary.txt")
 

@@ -17,9 +17,9 @@ orders of magnitude slower and/or hits the cap.
 
 import pytest
 
-from repro.benchlib.harness import measure_discovery
-from repro.benchlib.reporting import projected_quadratic_runtime
-from repro.benchlib.workloads import WorkloadSpec, make_workload
+from benchlib.harness import measure_discovery
+from benchlib.reporting import projected_quadratic_runtime
+from benchlib.workloads import WorkloadSpec, make_workload
 
 THRESHOLD = 0.10
 NUM_ATTRIBUTES = 10

@@ -13,8 +13,8 @@ growth is already unmistakable there), same three series.
 
 import pytest
 
-from repro.benchlib.harness import measure_discovery
-from repro.benchlib.workloads import WorkloadSpec, make_workload
+from benchlib.harness import measure_discovery
+from benchlib.workloads import WorkloadSpec, make_workload
 
 NUM_ROWS = 300
 THRESHOLD = 0.10

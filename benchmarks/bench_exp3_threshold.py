@@ -16,8 +16,8 @@ Scaled-down reproduction: 1 000 tuples, 8 attributes, same threshold sweep.
 
 import pytest
 
-from repro.benchlib.harness import measure_discovery
-from repro.benchlib.workloads import WorkloadSpec, make_workload
+from benchlib.harness import measure_discovery
+from benchlib.workloads import WorkloadSpec, make_workload
 
 NUM_ROWS = 1_000
 NUM_ATTRIBUTES = 8

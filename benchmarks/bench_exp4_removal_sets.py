@@ -18,8 +18,8 @@ from itertools import combinations
 
 import pytest
 
-from repro.benchlib.harness import compare_validators_on_candidates
-from repro.benchlib.workloads import WorkloadSpec, make_workload
+from benchlib.harness import compare_validators_on_candidates
+from benchlib.workloads import WorkloadSpec, make_workload
 from repro.dependencies.oc import CanonicalOC
 
 NUM_ROWS = 1_000

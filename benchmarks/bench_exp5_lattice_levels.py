@@ -14,8 +14,8 @@ discovered OCs/AOCs per level plus the OD-vs-AOD runtime ratio.
 
 import pytest
 
-from repro.benchlib.harness import measure_discovery
-from repro.benchlib.workloads import WorkloadSpec, make_workload
+from benchlib.harness import measure_discovery
+from benchlib.workloads import WorkloadSpec, make_workload
 
 NUM_ROWS = 1_500
 NUM_ATTRIBUTES = 10

@@ -18,7 +18,7 @@ rows, so this bench checks, per dataset:
 
 import pytest
 
-from repro.benchlib.workloads import WorkloadSpec, make_workload
+from benchlib.workloads import WorkloadSpec, make_workload
 from repro.discovery.api import discover_aods, discover_ods
 
 NUM_ROWS = 1_000

@@ -9,10 +9,11 @@ materialisation plus the normalising list constructor — exactly what
 ``benchmarks/results/BENCH_discovery.json`` carries the timings and the
 ``product_speedup_vs_list`` ratio the CI smoke job checks.
 
-Its ``refine`` sub-record is the measured basis of the NumPy backend's
-native-vs-sort branch: at several grouped-row fractions m / n it times a
-refinement once through the one native call that walks the cached row
-order (``refine_partition``) and once by the lexsort.  The ``oc``
+Its ``refine`` sub-record compares the two refinements: at several
+grouped-row fractions m / n it times a refinement once through the one
+native call that walks the cached row order (``refine_partition``) and
+once by the lexsort (offered no row order, as on a host without the
+native library).  The ``oc``
 sub-record times a four-pair OC count batch at the same m / n, with no
 removal budget and with the ε = 0.1 budget of discovery, on whichever
 kernels loaded and with the native library forced off (the reference
@@ -35,8 +36,8 @@ from pathlib import Path
 
 import pytest
 
+from benchlib.harness import time_best_of
 from repro.backend import get_backend
-from repro.benchlib.harness import time_best_of
 from repro.dataset.encoding import EncodedRelation
 from repro.dataset.generators import generate_flight_like, generate_ncvoter_like
 from repro.dataset.partition import Partition, PartitionCache
@@ -236,16 +237,11 @@ def _context_and_samples(base, fraction_points):
     ]
 
 
-def test_refine_native_vs_sort(workload, monkeypatch):
+def test_refine_native_vs_sort(workload):
     """The native refinement against the lexsort at several m / n."""
-    from repro.backend.numpy_backend import NumpyBackend
-
     base, _ = workload
     backend = get_backend("numpy")
-    record = {
-        "kernel": backend.oc_kernel_name,
-        "refine_scatter_fraction": NumpyBackend._REFINE_SCATTER_FRACTION,
-    }
+    record = {"kernel": backend.oc_kernel_name}
     # Without the native kernels there is no native refinement to time.
     fractions = REFINE_FRACTIONS if record["kernel"] == "native" else ()
     encoded, samples = _context_and_samples(base, fractions)
@@ -253,16 +249,15 @@ def test_refine_native_vs_sort(workload, monkeypatch):
     encoded.row_order_by_index(1)  # cached orders are built once per encoding
 
     def timed(side, classes):
-        fraction = 0.0 if side == "native" else float("inf")
-        monkeypatch.setattr(NumpyBackend, "_REFINE_SCATTER_FRACTION", fraction)
+        # Offered no row order, the refinement takes the lexsort.
+        row_order = ((lambda: encoded.row_order_by_index(1))
+                     if side == "native" else None)
 
         def refine():
             # The lexsort's columnar view is timed every call; the native
             # call reads the CSR arrays and caches nothing.
             classes._columnar = None
-            return backend.partition_refine(
-                classes, column, lambda: encoded.row_order_by_index(1)
-            )
+            return backend.partition_refine(classes, column, row_order)
 
         return time_best_of(refine, REPEATS), refine()
 

@@ -138,7 +138,7 @@ def _render(figure_report):
 
 def _render_backend_comparison(figure_report):
     """Side-by-side backend figure with explicit speedup ratios."""
-    from repro.benchlib.reporting import speedup_series
+    from benchlib.reporting import speedup_series
 
     for title, results in (
         ("cold end-to-end AOC validation (encode + partition + LNDS)",

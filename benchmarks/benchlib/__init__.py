@@ -6,29 +6,28 @@ approximation threshold (Exp-3) — each producing one runtime series per
 algorithm ("OD", "AOD (optimal)", "AOD (iterative)") plus the number of
 discovered dependencies annotated on the plots.  This package provides:
 
-* :mod:`repro.benchlib.harness` — timed runs of the discovery framework
+* :mod:`benchlib.harness` — timed runs of the discovery framework
   with each validator, with timeouts and projection for the iterative
   series (the paper projects the points it could not finish within 24h),
-* :mod:`repro.benchlib.workloads` — the named workload definitions used by
+* :mod:`benchlib.workloads` — the named workload definitions used by
   the experiments (scaled-down flight-like and ncvoter-like tables),
-* :mod:`repro.benchlib.reporting` — plain-text tables and series renderers
-  that print the same rows/series the paper reports.
+* :mod:`benchlib.reporting` — figure and summary renderers (on the
+  CLI's text tables) that print the same rows/series the paper reports.
 """
 
-from repro.benchlib.harness import (
+from benchlib.harness import (
     DiscoveryMeasurement,
     compare_validators_on_candidates,
     measure_discovery,
     run_sweep,
 )
-from repro.benchlib.workloads import WorkloadSpec, make_workload
-from repro.benchlib.reporting import format_series_table, render_figure
+from benchlib.workloads import WorkloadSpec, make_workload
+from benchlib.reporting import render_figure
 
 __all__ = [
     "DiscoveryMeasurement",
     "WorkloadSpec",
     "compare_validators_on_candidates",
-    "format_series_table",
     "make_workload",
     "measure_discovery",
     "render_figure",

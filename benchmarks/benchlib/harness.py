@@ -353,7 +353,7 @@ def run_sweep(
     ``relation_factory(value)`` builds the relation for one sweep point
     (e.g. the prefix of a dataset of a given size); the result maps each
     mode to its series of measurements, ready for
-    :func:`repro.benchlib.reporting.format_series_table`.
+    :func:`repro.cli.format_series_table`.
     """
     series: Dict[str, List[DiscoveryMeasurement]] = {mode: [] for mode in modes}
     for value in sweep_values:

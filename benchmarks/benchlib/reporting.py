@@ -4,57 +4,15 @@ The benchmark suites print, for every figure of the paper, a table with the
 same x-axis points and the same series the paper plots (runtime per
 algorithm, annotated with the number of discovered OCs/AOCs).  These
 renderers keep that output consistent across experiments and readable in a
-terminal / CI log.
+terminal / CI log; the tables are those of ``repro sweep``
+(:func:`repro.cli.format_table`, :func:`repro.cli.format_series_table`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Fixed-width text table."""
-    materialised = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in materialised:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    lines = [
-        " | ".join(header.ljust(width) for header, width in zip(headers, widths)),
-        "-+-".join("-" * width for width in widths),
-    ]
-    for row in materialised:
-        lines.append(" | ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_series_table(
-    x_label: str,
-    x_values: Sequence[object],
-    series: Mapping[str, Sequence[float]],
-    annotations: Optional[Mapping[str, Sequence[object]]] = None,
-    value_format: str = "{:.3f}",
-) -> str:
-    """Render one figure's data as a table: one row per x value, one column
-    per series (plus optional annotation columns such as "#AOCs")."""
-    headers: List[str] = [x_label]
-    for name in series:
-        headers.append(name)
-    if annotations:
-        for name in annotations:
-            headers.append(name)
-    rows = []
-    for index, x in enumerate(x_values):
-        row: List[object] = [x]
-        for name in series:
-            values = series[name]
-            row.append(value_format.format(values[index]) if index < len(values) else "-")
-        if annotations:
-            for name in annotations:
-                values = annotations[name]
-                row.append(values[index] if index < len(values) else "-")
-        rows.append(row)
-    return format_table(headers, rows)
+from repro.cli import format_series_table, format_table
 
 
 def render_figure(
@@ -205,7 +163,7 @@ def render_bench_summary(payload: Mapping[str, object]) -> str:
     rendered = "\n\n".join(blocks)
     header = (
         "Benchmark summary — generated from BENCH_discovery.json by "
-        "repro.benchlib.reporting.write_bench_summary; do not edit.\n"
+        "benchlib.reporting.write_bench_summary; do not edit.\n"
     )
     return header + "\n" + rendered + ("\n" if rendered else "")
 

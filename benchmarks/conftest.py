@@ -6,7 +6,7 @@ in module-level dictionaries and, when the module finishes, render the same
 series the paper plots via the ``figure_report`` fixture (printed to
 stdout).  The persistent artifact is ``results/BENCH_discovery.json``;
 ``results/summary.txt`` is *regenerated wholesale* from that JSON
-(:func:`repro.benchlib.reporting.write_bench_summary`, invoked by the e2e
+(:func:`benchlib.reporting.write_bench_summary`, invoked by the e2e
 suite) — it is never appended to, so repeated runs cannot accumulate
 duplicate blocks the way the old append-on-report flow did.
 
@@ -44,7 +44,7 @@ def figure_report():
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _report(title, x_label, x_values, series, annotations=None, notes=None):
-        from repro.benchlib.reporting import render_figure
+        from benchlib.reporting import render_figure
 
         text = render_figure(title, x_label, x_values, series, annotations, notes)
         print()

@@ -26,7 +26,7 @@ Run with::
 import sys
 
 from repro import Profiler
-from repro.benchlib.reporting import format_series_table
+from repro.cli import format_series_table
 from repro.dataset.generators import generate_ncvoter_like
 
 

@@ -30,17 +30,9 @@ The package is organised as follows:
     interestingness ranking.  Exact OD discovery is the special case of an
     approximation threshold of zero.
 
-``repro.baselines``
-    TANE-style FD/AFD discovery and a bounded list-based OD discovery used
-    as comparison points in the benchmarks.
-
 ``repro.applications``
     Downstream uses of discovered dependencies: outlier detection, error
     repair and dataset profiling.
-
-``repro.benchlib``
-    The measurement harness used by the ``benchmarks/`` suites to
-    regenerate every figure and table of the paper's evaluation section.
 
 ``repro.backend``
     The columnar compute backend for the hot paths (encoding, partitions,
@@ -120,4 +112,4 @@ __all__ = [
     "validate_exact_ofd",
 ]
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"

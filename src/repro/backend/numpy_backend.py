@@ -10,16 +10,16 @@ arrays.  One class serves two configurations, picked by registry name:
   first-occurrence value dictionary whose distinct values are sorted
   plainly where that is the reference's order, else by its sort keys.
   With the native kernels of :mod:`repro.backend.native`, a refinement
-  whose classes group enough of the rows is one native call that walks
-  the new attribute's cached row order (sorted partitions) and writes
-  the child partition in canonical form, in O(n) and without a sort; a
-  single-column partition is the unit partition refined the same way.
-  Below that fraction, and on hosts without the library, partitions
-  refine by a stable lexsort over rank columns, split on group
-  boundaries.  The count-only OC and ``g3`` kernels hand a whole batch
-  to one native call, each job over its own range of the CSR's classes
-  (a discovery batch: all of one context's; incremental repair: one
-  context's slice of every affected context's patch classes): per pair,
+  offered the new attribute's cached row order (sorted partitions) is
+  one native call that walks it and writes the child partition in
+  canonical form, in O(n) and without a sort; a single-column partition
+  is the unit partition refined the same way.  Offered no row order, and
+  on hosts without the library, partitions refine by a stable lexsort
+  over rank columns, split on group boundaries.  The count-only OC and
+  ``g3`` kernels hand a whole batch to one native call, each job over its
+  own range of the CSR's classes (a discovery batch: all of one
+  context's; incremental repair: one context's slice of every affected
+  context's patch classes): per pair,
   the OC call sorts each class on demand, screens and counts it, and
   stops at the class that crosses the removal budget; the ``g3`` call
   makes one frequency pass per RHS column.  Without the library both
@@ -268,7 +268,7 @@ class NumpyBackend:
         ranks = self.to_native(native_ranks)
         if ranks.size == 0:
             return _empty_partition(num_rows)
-        library = self._refine_kernels(row_order, ranks.size, ranks.size)
+        library = self._refine_kernels(row_order)
         if library is None:
             order = stable_rank_order(ranks)
             return self._csr_partition(
@@ -287,9 +287,7 @@ class NumpyBackend:
         ranks = self.to_native(native_ranks)
         if partition.num_classes == 0:
             return _empty_partition(partition.num_rows)
-        library = self._refine_kernels(
-            row_order, len(partition.row_indices), ranks.size
-        )
+        library = self._refine_kernels(row_order)
         if library is not None:
             return self._native_refine(library, partition, ranks, row_order())
         rows, class_ids = self._columnar_classes(partition)
@@ -350,21 +348,10 @@ class NumpyBackend:
         return (np.array(out_rows, dtype=np.int32),
                 np.array(groups, dtype=np.int64).reshape(-1, 3))
 
-    #: The native refinement walks a cached order over all n rows, the
-    #: lexsort it replaces only the m grouped ones: below m / n ~ 0.075 the
-    #: lexsort is cheaper (the crossover is ~0.05 at 16k rows, ~0.075 at
-    #: 64k).  The ``refine`` record of
-    #: ``benchmarks/bench_partition_micro.py`` times both sides.
-    _REFINE_SCATTER_FRACTION = 0.075
-
-    def _refine_kernels(self, row_order, num_grouped: int, num_rows: int):
-        """The native kernels when a refinement of ``num_grouped`` of
-        ``num_rows`` rows is offered a ``row_order`` and should take them,
-        else ``None``."""
-        if (row_order is None
-                or num_grouped < self._REFINE_SCATTER_FRACTION * num_rows):
-            return None
-        return self._kernels()
+    def _refine_kernels(self, row_order):
+        """The native kernels when a refinement is offered a ``row_order``,
+        else ``None`` (the lexsort refines)."""
+        return None if row_order is None else self._kernels()
 
     def _native_refine(
         self, library, partition: Partition, ranks, order

@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 from repro.applications.outlier_detection import detect_outliers
 from repro.backend import BACKEND_CHOICES, BACKEND_ENV_VAR, resolve_backend
@@ -395,8 +395,6 @@ def _cmd_sweep(args) -> int:
         cache = session.cache_info()
     elapsed = time.perf_counter() - start
 
-    from repro.benchlib.reporting import format_series_table
-
     print(format_series_table(
         "threshold",
         [f"{t:.0%}" for t in args.thresholds],
@@ -601,6 +599,54 @@ def _print_ranked(result, relation, args) -> None:
         print("Most suspicious tuples (row index, score):")
         for row, score in report.top(args.top):
             print(f"  row {row}: score={score:.3f}, values={relation.row(row)}")
+
+
+# -- text tables (also rendered by the benchmark reports) ---------------------
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Fixed-width text table."""
+    materialised = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in materialised:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines = [
+        " | ".join(header.ljust(width) for header, width in zip(headers, widths)),
+        "-+-".join("-" * width for width in widths),
+    ]
+    for row in materialised:
+        lines.append(" | ".join(cell.ljust(width) for cell, width in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def format_series_table(
+    x_label: str,
+    x_values: Sequence[object],
+    series: Mapping[str, Sequence[float]],
+    annotations: Optional[Mapping[str, Sequence[object]]] = None,
+    value_format: str = "{:.3f}",
+) -> str:
+    """Render one series per column as a table: one row per x value (plus
+    optional annotation columns such as "#AOCs")."""
+    headers: List[str] = [x_label]
+    for name in series:
+        headers.append(name)
+    if annotations:
+        for name in annotations:
+            headers.append(name)
+    rows = []
+    for index, x in enumerate(x_values):
+        row: List[object] = [x]
+        for name in series:
+            values = series[name]
+            row.append(value_format.format(values[index]) if index < len(values) else "-")
+        if annotations:
+            for name in annotations:
+                values = annotations[name]
+                row.append(values[index] if index < len(values) else "-")
+        rows.append(row)
+    return format_table(headers, rows)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,8 +15,6 @@ Modules
 ``http``
     Request handler, disconnect watchdog, streaming, fault hook points,
     :func:`make_server`.
-``chaos``
-    Test-only HTTP fault injection (drop / stall / reset).
 """
 
 from repro.serve.admission import (
@@ -30,7 +28,6 @@ from repro.serve.admission import (
     QueueFull,
     ServerSaturated,
 )
-from repro.serve.chaos import FaultAction, FaultRule, HttpFaultInjector
 from repro.serve.http import (
     DEFAULT_MAX_BODY_BYTES,
     DEFAULT_MAX_UPLOAD_BYTES,
@@ -53,9 +50,6 @@ __all__ = [
     "DEFAULT_REQUEST_SOCKET_TIMEOUT_SECONDS",
     "DEFAULT_SHUTDOWN_GRACE_SECONDS",
     "Draining",
-    "FaultAction",
-    "FaultRule",
-    "HttpFaultInjector",
     "LIFECYCLE_COUNTERS",
     "ProfilerService",
     "QueueFull",

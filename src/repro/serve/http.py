@@ -175,7 +175,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Populated by make_server().
     service: ProfilerService = None  # type: ignore[assignment]
     quiet = True
-    #: Test-only HTTP fault hook (see :mod:`repro.serve.chaos`).
+    #: Test-only HTTP fault hook: an object whose ``take(point, path,
+    #: **context)`` returns ``None`` or an action with ``kind`` ("stall",
+    #: "drop" or "reset") and ``delay_seconds``; see :meth:`_fault`.
     fault_injector = None
 
     #: Upper bound on request bodies: requests are small JSON documents,
@@ -669,7 +671,7 @@ def make_server(
 
     ``request_timeout`` overrides the per-connection socket timeout
     (:data:`DEFAULT_REQUEST_SOCKET_TIMEOUT_SECONDS`); ``fault_injector``
-    installs a test-only HTTP chaos hook (:mod:`repro.serve.chaos`).
+    installs a test-only HTTP fault hook (see ``_Handler.fault_injector``).
     """
 
     class BoundHandler(_Handler):

@@ -43,14 +43,11 @@ from repro.validation.approx_od import (
     validate_aod_optimal,
     validate_list_aod,
 )
-from repro.validation.bidirectional import best_polarity, validate_aboc_optimal
 
 __all__ = [
     "FenwickTree",
     "ValidationResult",
-    "best_polarity",
     "count_inversions",
-    "validate_aboc_optimal",
     "iterative_removal_rows",
     "lis_indices",
     "lis_length",

@@ -1,4 +1,8 @@
-"""TANE-style discovery of exact and approximate functional dependencies.
+"""Baseline discovery algorithms, kept as cross-checks for the tests.
+
+Neither runs inside the system: ``tests/baselines/`` checks them, and
+``tests/validation/test_removal_limit.py`` also runs TANE at a removal
+budget that lands on a row multiple.
 
 TANE (Huhtala, Kärkkäinen, Porkka, Toivonen 1999) is the classic level-wise,
 partition-based FD discovery algorithm; the paper cites it both as the
@@ -15,8 +19,25 @@ implementation covers the parts of TANE the reproduction needs:
 
 It is intentionally independent of the OD machinery so it can serve as an
 external cross-check: every exact OFD found by the OD framework must
-correspond to an FD found by TANE and vice versa (tested in
-``tests/baselines/test_tane.py``).
+correspond to an FD found by TANE and vice versa.
+
+The bounded list-based OD discovery follows ORDER (Langer & Naumann 2016).
+The paper contrasts the set-based canonical framework (exponential in the
+number of attributes) with list-based discovery, whose search space over
+attribute *lists* is factorial:
+
+* candidate ODs are lists ``X ↦→ Y`` built level-wise by extending valid
+  shorter candidates on either side (prefix pruning: if ``X ↦→ Y`` fails
+  with a swap, no extension of ``Y`` can fix it; if it fails only with
+  splits, extending ``Y`` may still help — mirroring ORDER's
+  swap/split-aware pruning),
+* validation sorts once per candidate and scans linearly,
+* the search is capped by ``max_list_length`` because the factorial
+  explosion is exactly the point being demonstrated.
+
+It reports plain list-based ODs ``[A] ↦→ [B]``-style statements; the tests
+cross-check its level-1/2 output against the canonical framework through
+the mapping of Section 2.2.
 """
 
 from __future__ import annotations
@@ -29,6 +50,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.dataset.partition import Partition, PartitionCache
 from repro.dataset.relation import Relation
 from repro.dependencies.fd import FD
+from repro.dependencies.od import ListOD
 from repro.validation.common import removal_limit
 
 AttributeSet = FrozenSet[str]
@@ -178,6 +200,135 @@ def discover_fds_tane(
 
         cplus = next_cplus
         current = sorted(next_level, key=lambda s: tuple(sorted(s)))
+        level += 1
+
+    result.total_seconds = time.perf_counter() - start
+    return result
+
+
+# -- list-based OD discovery (ORDER) -----------------------------------------
+
+@dataclass(frozen=True)
+class ValidatedListOD:
+    """A list-based OD found valid, with the violation-free witness order."""
+
+    od: ListOD
+    level: int
+
+
+@dataclass
+class ListODResult:
+    """Outcome of a bounded list-based OD discovery run."""
+
+    ods: List[ValidatedListOD] = field(default_factory=list)
+    candidates_checked: int = 0
+    total_seconds: float = 0.0
+    truncated: bool = False
+
+    @property
+    def num_ods(self) -> int:
+        return len(self.ods)
+
+    def statements(self) -> Set[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+        return {(found.od.lhs, found.od.rhs) for found in self.ods}
+
+
+def _check_list_od(relation: Relation, od: ListOD) -> Tuple[bool, bool]:
+    """Validate a list OD with one sort + linear scan.
+
+    Returns ``(holds, has_swap)``: ``has_swap`` distinguishes order-
+    compatibility violations from pure split violations, which drives the
+    pruning decision (a swap can never be repaired by appending attributes
+    to the right-hand side, a split can).
+    """
+    encoded = relation.encoded()
+    lhs_columns = [encoded.ranks(a) for a in od.lhs]
+    rhs_columns = [encoded.ranks(a) for a in od.rhs]
+
+    def lhs_key(row: int) -> Tuple[int, ...]:
+        return tuple(column[row] for column in lhs_columns)
+
+    def rhs_key(row: int) -> Tuple[int, ...]:
+        return tuple(column[row] for column in rhs_columns)
+
+    order = sorted(range(relation.num_rows), key=lambda row: (lhs_key(row), rhs_key(row)))
+    holds = True
+    has_swap = False
+    for previous, current in zip(order, order[1:]):
+        same_lhs = lhs_key(current) == lhs_key(previous)
+        if same_lhs and rhs_key(current) != rhs_key(previous):
+            # Split: equal LHS projections must imply equal RHS projections.
+            holds = False
+        elif not same_lhs and rhs_key(current) < rhs_key(previous):
+            # Swap: the RHS order decreases although the LHS order increases.
+            holds = False
+            has_swap = True
+    return holds, has_swap
+
+
+def discover_list_ods(
+    relation: Relation,
+    attributes: Optional[Sequence[str]] = None,
+    max_list_length: int = 2,
+    max_candidates: int = 100_000,
+) -> ListODResult:
+    """Discover list-based ODs ``X ↦→ Y`` with both sides up to a length cap.
+
+    The candidate space is all pairs of disjoint-or-overlapping attribute
+    lists up to ``max_list_length`` per side, generated level-wise with
+    swap-based pruning.  ``max_candidates`` bounds the run on wide schemas
+    (the factorial blow-up the set-based framework avoids); when hit, the
+    result is marked ``truncated``.
+    """
+    names = list(attributes if attributes is not None else relation.attribute_names)
+    result = ListODResult()
+    start = time.perf_counter()
+
+    # Level 1: single-attribute sides.
+    current: List[ListOD] = []
+    for lhs in names:
+        for rhs in names:
+            if lhs == rhs:
+                continue
+            current.append(ListOD([lhs], [rhs]))
+
+    level = 1
+    swap_failed: Set[Tuple[Tuple[str, ...], Tuple[str, ...]]] = set()
+    while current and level <= max_list_length:
+        next_candidates: List[ListOD] = []
+        for od in current:
+            if result.candidates_checked >= max_candidates:
+                result.truncated = True
+                break
+            result.candidates_checked += 1
+            holds, has_swap = _check_list_od(relation, od)
+            if holds:
+                result.ods.append(ValidatedListOD(od=od, level=level))
+                continue  # minimal: do not extend a valid OD
+            if has_swap:
+                swap_failed.add((od.lhs, od.rhs))
+                continue  # a swap can never be repaired by extending the RHS
+            # Split-only failure: extending the RHS may make the OD hold.
+            for extension in names:
+                if extension in od.rhs:
+                    continue
+                if len(od.rhs) + 1 > max_list_length:
+                    continue
+                next_candidates.append(ListOD(od.lhs, list(od.rhs) + [extension]))
+        if result.truncated:
+            break
+        # Also extend the LHS of swap-failed candidates: a longer LHS refines
+        # the order and can remove swaps.
+        if level < max_list_length:
+            for lhs, rhs in sorted(swap_failed):
+                if len(lhs) + 1 > max_list_length:
+                    continue
+                for extension in names:
+                    if extension in lhs:
+                        continue
+                    next_candidates.append(ListOD(list(lhs) + [extension], rhs))
+            swap_failed.clear()
+        current = next_candidates
         level += 1
 
     result.total_seconds = time.perf_counter() - start

@@ -20,7 +20,7 @@ from _partition_oracle import classes_of, group, refine
 from hypothesis import given, settings, strategies as st
 
 from repro.backend import get_backend, native
-from repro.backend.numpy_backend import NumpyBackend, stable_rank_order
+from repro.backend.numpy_backend import stable_rank_order
 from repro.dataset.partition import Partition, PartitionCache
 from repro.dataset.relation import Relation
 from repro.discovery.api import discover_aods
@@ -252,9 +252,9 @@ class TestOfdRemovalBatch:
 
 # -- sorted partitions --------------------------------------------------------
 #
-# With the native kernels, refinement scatters the new attribute's cached
-# row order instead of sorting once the grouped rows are a large enough
-# share of all rows.  Both sides of that branch must equal the python
+# With the native kernels, a refinement offered the new attribute's cached
+# row order scatters it instead of sorting; without them (or offered no
+# row order) it takes the lexsort.  Both sides must equal the python
 # backend.  OC counts take no row order: they sort each class on demand.
 
 BRANCH_SIDES = ("scatter", "sort")
@@ -262,11 +262,11 @@ BRANCH_SIDES = ("scatter", "sort")
 
 @contextlib.contextmanager
 def _branch_side(side):
-    """Force one side of the refinement's scatter-vs-sort branch for every
-    m / n."""
-    fraction = 0.0 if side == "scatter" else float("inf")
+    """Refine natively where the native kernels load ("scatter"), or as
+    on a host without them ("sort": every refinement by the lexsort)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(NumpyBackend, "_REFINE_SCATTER_FRACTION", fraction)
+        if side == "sort":
+            patch.setattr(native, "kernels", lambda: None)
         yield
 
 
@@ -336,9 +336,9 @@ def test_sorted_partitions_match_the_python_backend(side, relation):
 
 
 def test_the_branch_sides_take_their_paths(monkeypatch):
-    """At fraction 0 every refinement, the level-1 build (the unit partition
-    refined by one column) included, takes the native call (when the native
-    kernels loaded); at infinity none does.  OC counts never refine."""
+    """With the native kernels every refinement, the level-1 build (the
+    unit partition refined by one column) included, takes the native call;
+    without them none does.  OC counts never refine."""
     calls = []
     library = native.kernels()
     if library is not None:
@@ -373,17 +373,21 @@ def test_the_branch_sides_take_their_paths(monkeypatch):
         calls.clear()
 
 
+#: The grouped-row share m / n up to which a drawn parent is sparse.
+SPARSE_SHARE = 0.075
+
+
 @st.composite
 def _refine_cases(draw):
     """A rank column with ties and a parent partition to refine by it:
     no classes, singletons only, one class of every row, or random classes
-    (singletons included) grouping m of the n rows, with m / n drawn on
-    either side of ``_REFINE_SCATTER_FRACTION``."""
+    (singletons included) grouping m of the n rows, the parent sparse
+    (m / n at most ``SPARSE_SHARE``) or dense."""
     n = draw(st.integers(1, 60))
     top = draw(st.integers(0, 5))
     ranks = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     shape = draw(st.sampled_from(["empty", "singletons", "all-rows", "random"]))
-    cut = int(NumpyBackend._REFINE_SCATTER_FRACTION * n)
+    cut = int(SPARSE_SHARE * n)
     if draw(st.booleans()):
         m = draw(st.integers(0, cut))
     else:
@@ -409,8 +413,8 @@ def _refine_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_native_refine_matches_the_lexsort_and_the_python_backend(case):
     """The one native refinement call, the lexsort path and the python
-    backend build the oracle's canonical partition, array for array, on
-    both sides of the scatter fraction and at its default."""
+    backend build the oracle's canonical partition, array for array, for
+    sparse and dense parents."""
     n, ranks, classes = case
     py, nq = get_backend("python"), get_backend("numpy")
     offsets = [0]
@@ -420,11 +424,8 @@ def test_native_refine_matches_the_lexsort_and_the_python_backend(case):
     expected = py.partition_refine(Partition.from_csr(flat, offsets, n), ranks)
     assert classes_of(expected) == refine(classes, ranks)
     column = nq.to_native(ranks)
-    sides = [contextlib.nullcontext(), _branch_side("sort")]
-    if native.kernels() is not None:
-        sides.append(_branch_side("scatter"))
-    for side in sides:
-        with side:
+    for side in BRANCH_SIDES:
+        with _branch_side(side):
             got = nq.partition_refine(
                 Partition.from_csr(
                     numpy.array(flat, dtype=numpy.int64),

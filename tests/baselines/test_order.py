@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.order import discover_list_ods
+from _baselines import discover_list_ods
 from repro.dataset.examples import employee_salary_table
 from repro.dataset.generators import generate_monotone_table
 from repro.dependencies.od import ListOD

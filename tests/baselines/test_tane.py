@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.baselines.tane import discover_fds_tane
+from _baselines import discover_fds_tane
 from repro.dataset.examples import employee_salary_table
 from repro.dataset.generators import generate_random_table
 from repro.dataset.relation import Relation

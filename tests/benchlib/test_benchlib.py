@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.benchlib.harness import (
+from benchlib.harness import (
     compare_validators_on_candidates,
     measure_discovery,
     run_sweep,
 )
-from repro.benchlib.reporting import (
+from benchlib.reporting import (
     format_series_table,
     format_table,
     projected_quadratic_runtime,
     render_figure,
     speedup_series,
 )
-from repro.benchlib.workloads import (
+from benchlib.workloads import (
     WorkloadSpec,
     clear_workload_cache,
     make_workload,
@@ -159,7 +159,7 @@ class TestBenchSummary:
     }
 
     def test_render_is_a_wholesale_view_of_the_json(self):
-        from repro.benchlib.reporting import render_bench_summary
+        from benchlib.reporting import render_bench_summary
 
         text = render_bench_summary(self.PAYLOAD)
         assert "do not edit" in text
@@ -174,7 +174,7 @@ class TestBenchSummary:
     def test_write_regenerates_instead_of_appending(self, tmp_path):
         import json
 
-        from repro.benchlib.reporting import write_bench_summary
+        from benchlib.reporting import write_bench_summary
 
         json_path = tmp_path / "BENCH_discovery.json"
         summary_path = tmp_path / "summary.txt"

@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import get_backend
-from repro.backend.numpy_backend import NumpyBackend
 from repro.dataset.encoding import EncodedRelation
 from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
@@ -223,16 +222,19 @@ def test_append_sequences_match_fresh_builds(backend, scenario):
             assert cache.get(key) == fresh.get(key), sorted(key)
 
 
+#: The grouped-row share m / n below which a level-1 partition is sparse.
+SPARSE_SHARE = 0.075
+
+
 @st.composite
 def _scatter_scenarios(draw):
     """A table whose level-1 partitions group m of its n rows on both
-    sides of ``_REFINE_SCATTER_FRACTION`` — a sparse column, distinct but
-    for one or two repeated values, below it and a dense low-cardinality
-    column above it — plus a few appends of copied or fresh rows."""
-    fraction = NumpyBackend._REFINE_SCATTER_FRACTION
+    sides of ``SPARSE_SHARE`` — a sparse column, distinct but for one or
+    two repeated values, below it and a dense low-cardinality column
+    above it — plus a few appends of copied or fresh rows."""
     n = draw(st.integers(28, 60))
-    # 2 * pairs rows grouped: below fraction * n for every n >= 28.
-    pairs = draw(st.integers(1, max(1, int((fraction * n - 1e-9) // 2))))
+    # 2 * pairs rows grouped: below SPARSE_SHARE * n for every n >= 28.
+    pairs = draw(st.integers(1, max(1, int((SPARSE_SHARE * n - 1e-9) // 2))))
     sparse = list(range(n))
     for i in range(pairs):
         sparse[2 * i + 1] = sparse[2 * i]
@@ -261,10 +263,11 @@ def _scatter_scenarios(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=_scatter_scenarios())
 def test_cache_builds_refines_and_appends_match_the_oracle(backend, scenario):
-    """Level-1 builds, refinements of parents on both sides of the scatter
-    fraction (the native refine and the lexsort in the numpy
-    configuration, the lexsort in the python one) and every cached key
-    after each append hold the classes the hand-grouping oracle finds."""
+    """Level-1 builds, refinements of sparse and dense parents (offered
+    the row order, the native refine in the numpy configuration when the
+    kernels loaded; offered none, the lexsort; the python configuration
+    takes the lexsort either way) and every cached key after each append
+    hold the classes the hand-grouping oracle finds."""
     rows, deltas = scenario
     resolved = get_backend(backend)
     names = [f"a{i}" for i in range(len(rows[0]))]
@@ -281,14 +284,13 @@ def test_cache_builds_refines_and_appends_match_the_oracle(backend, scenario):
     for i, column in enumerate(columns):
         parent = cache.get([i])
         assert classes_of(parent) == group(column)
-        sparse_parents.add(parent.num_grouped_rows
-                           < NumpyBackend._REFINE_SCATTER_FRACTION * len(rows))
+        sparse_parents.add(parent.num_grouped_rows < SPARSE_SHARE * len(rows))
         for j, refiner in enumerate(columns):
-            refined = resolved.partition_refine(
-                parent, encoded.native_ranks_by_index(j),
-                lambda j=j: encoded.row_order_by_index(j),
-            )
-            assert classes_of(refined) == refine(group(column), refiner)
+            for row_order in (lambda j=j: encoded.row_order_by_index(j), None):
+                refined = resolved.partition_refine(
+                    parent, encoded.native_ranks_by_index(j), row_order
+                )
+                assert classes_of(refined) == refine(group(column), refiner)
     assert sparse_parents == {True, False}
     keys = [frozenset(c) for size in range(len(names) + 1)
             for c in combinations(range(len(names)), size)]

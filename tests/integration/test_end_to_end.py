@@ -2,9 +2,9 @@
 
 import pytest
 
+from benchlib.workloads import WorkloadSpec, make_workload
 from repro.applications.error_repair import propose_repairs
 from repro.applications.outlier_detection import detect_outliers
-from repro.benchlib.workloads import WorkloadSpec, make_workload
 from repro.dataset.csv_io import read_csv, write_csv
 from repro.dependencies.oc import CanonicalOC
 from repro.dependencies.violations import oc_holds
@@ -85,7 +85,7 @@ class TestScalingSanity:
         """Exp-3's observation in miniature: with the iterative validator the
         validation share of runtime exceeds the optimal validator's."""
         workload = make_workload(WorkloadSpec("flight", 300, 8, error_rate=0.1))
-        from repro.benchlib.harness import measure_discovery
+        from benchlib.harness import measure_discovery
 
         optimal = measure_discovery(workload.relation, "aod-optimal", threshold=0.1)
         iterative = measure_discovery(workload.relation, "aod-iterative", threshold=0.1)

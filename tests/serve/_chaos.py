@@ -1,8 +1,9 @@
-"""Test-only HTTP fault injection for the serve layer.
+"""HTTP fault injection for the serve chaos suite.
 
-The HTTP handler calls :meth:`HttpFaultInjector.take` at well-known hook
-points; when a registered fault matches, the returned action tells the
-handler to misbehave in a controlled way:
+The HTTP handler of :mod:`repro.serve.http` calls ``take`` on its
+``fault_injector`` (``None`` unless :func:`repro.serve.make_server` was
+given one) at well-known hook points; when a registered fault matches, the
+returned action tells the handler to misbehave in a controlled way:
 
 - ``"stall"`` — sleep ``delay_seconds`` before continuing (slow server).
 - ``"drop"``  — close the connection without writing anything further
@@ -17,19 +18,18 @@ Hook points currently emitted by the handler:
 - ``"stream_event"`` — before each NDJSON event of a streamed discovery
   response; the event index is passed as ``event_index``.
 
-The injector is **never** installed in production: it exists so the chaos
-test-suite can exercise client retries, disconnect-cancellation, and
-graceful degradation against a real server without monkeypatching
-internals.  All methods are thread-safe (the server is threading).
+The server never installs an injector itself: this one lets the chaos
+suite exercise client retries, disconnect-cancellation, and graceful
+degradation against a real server without monkeypatching internals.
+All methods are thread-safe (the server is threading).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-__all__ = ["FaultAction", "FaultRule", "HttpFaultInjector"]
 
 _VALID_KINDS = ("stall", "drop", "reset")
 
@@ -89,26 +89,13 @@ class FaultRule:
         return True
 
 
-@dataclass
-class _FiredFault:
-    point: str
-    path: str
-    kind: str
-    event_index: Optional[int] = None
-
-
 class HttpFaultInjector:
     """Registry of :class:`FaultRule` objects consulted by the handler."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._rules: List[FaultRule] = []
-        self._fired: List[_FiredFault] = []
-
-    def add(self, rule: FaultRule) -> FaultRule:
-        with self._lock:
-            self._rules.append(rule)
-        return rule
+        self._fired: Counter = Counter()
 
     def add_fault(
         self,
@@ -120,21 +107,18 @@ class HttpFaultInjector:
         times: Optional[int] = 1,
         delay_seconds: float = 0.0,
     ) -> FaultRule:
-        """Convenience wrapper building and registering a :class:`FaultRule`."""
-        return self.add(
-            FaultRule(
-                point=point,
-                kind=kind,
-                path_prefix=path_prefix,
-                after_events=after_events,
-                times=times,
-                delay_seconds=delay_seconds,
-            )
+        """Build and register a :class:`FaultRule`."""
+        rule = FaultRule(
+            point=point,
+            kind=kind,
+            path_prefix=path_prefix,
+            after_events=after_events,
+            times=times,
+            delay_seconds=delay_seconds,
         )
-
-    def clear(self) -> None:
         with self._lock:
-            self._rules.clear()
+            self._rules.append(rule)
+        return rule
 
     def take(
         self, point: str, path: str, *, event_index: Optional[int] = None
@@ -149,24 +133,11 @@ class HttpFaultInjector:
                     continue
                 if rule.times is not None:
                     rule.times -= 1
-                self._fired.append(
-                    _FiredFault(
-                        point=point, path=path, kind=rule.kind, event_index=event_index
-                    )
-                )
+                self._fired[rule.kind] += 1
                 return FaultAction(kind=rule.kind, delay_seconds=rule.delay_seconds)
         return None
 
-    @property
-    def fired(self) -> List[_FiredFault]:
-        """Copy of the faults that actually fired (for test assertions)."""
-        with self._lock:
-            return list(self._fired)
-
     def fired_counts(self) -> Dict[str, int]:
-        """``{kind: count}`` summary of fired faults."""
-        counts: Dict[str, int] = {}
+        """``{kind: count}`` summary of the faults that fired."""
         with self._lock:
-            for item in self._fired:
-                counts[item.kind] = counts.get(item.kind, 0) + 1
-        return counts
+            return dict(self._fired)

@@ -26,8 +26,9 @@ import pytest
 from repro.dataset.partition import PartitionCache
 from repro.discovery.config import DiscoveryRequest
 from repro.discovery.session import Profiler
-from repro.serve import HttpFaultInjector, ProfilerService
+from repro.serve import ProfilerService
 
+from _chaos import HttpFaultInjector
 from _serve_helpers import (
     canonical_result,
     http_get,

@@ -148,7 +148,17 @@ class TestSweepCommand:
         assert main(["sweep", "--demo", "--thresholds", "0.05", "0.1",
                      "0.15"]) == 0
         output = capsys.readouterr().out
-        assert "threshold" in output
+        lines = output.splitlines()
+        cells = [[cell.strip() for cell in line.split("|")]
+                 for line in lines[:5]]
+        assert cells[0] == ["threshold", "seconds", "#OCs", "#OFDs",
+                            "memo hits"]
+        assert set(lines[1]) == {"-", "+"}
+        assert [row[0] for row in cells[2:]] == ["5%", "10%", "15%"]
+        for row in cells[2:]:
+            assert len(row) == 5
+            float(row[1])
+            assert all(cell.isdigit() for cell in row[2:]), row
         assert "Warm session: 3 thresholds" in output
         assert "memoised validations" in output
 

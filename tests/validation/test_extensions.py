@@ -1,8 +1,5 @@
-"""Tests for the extension modules: bidirectional OCs and class-parallel
-validation on the OC plane's threads (the paper's §5 future-work
-directions)."""
-
-from itertools import combinations
+"""Tests for class-parallel validation on the OC plane's threads (one of
+the paper's §5 future-work directions)."""
 
 import pytest
 
@@ -10,89 +7,10 @@ from repro.backend import get_backend
 from repro.dataset.examples import employee_salary_table
 from repro.dataset.generators import generate_ncvoter_like, generate_planted_oc_table
 from repro.dataset.partition import PartitionCache
-from repro.dataset.relation import Relation
-from repro.dependencies.bidirectional import BidirectionalOC
 from repro.dependencies.oc import CanonicalOC
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
-from repro.validation.bidirectional import best_polarity, validate_aboc_optimal
 from repro.validation.common import removal_limit
 from repro.validation.distributed import ColumnPlane, ShardedValidationPool
-
-
-class TestBidirectionalOCObject:
-    def test_symmetry_of_sides(self):
-        assert BidirectionalOC([], "a", "b", True, False) == BidirectionalOC(
-            [], "b", "a", False, True
-        )
-
-    def test_polarity_flip_is_same_statement(self):
-        boc = BidirectionalOC([], "a", "b", True, False)
-        assert boc == boc.flipped_polarity()
-        assert hash(boc) == hash(boc.flipped_polarity())
-
-    def test_mixed_and_same_polarity_differ(self):
-        assert BidirectionalOC([], "a", "b", True, True) != BidirectionalOC(
-            [], "a", "b", True, False
-        )
-
-    def test_trivial_rejected(self):
-        with pytest.raises(ValueError):
-            BidirectionalOC([], "a", "a")
-        with pytest.raises(ValueError):
-            BidirectionalOC(["a"], "a", "b")
-
-    def test_to_canonical(self):
-        assert BidirectionalOC(["x"], "a", "b").to_canonical() == CanonicalOC(
-            ["x"], "a", "b"
-        )
-        with pytest.raises(ValueError):
-            BidirectionalOC([], "a", "b", True, False).to_canonical()
-
-
-class TestBidirectionalValidation:
-    def test_inverse_columns_are_bidirectionally_compatible(self):
-        # ncvoter's birthYear / age pair: exactly inverse, so the mixed
-        # polarity holds exactly while the same polarity does not.
-        relation = Relation.from_columns(
-            {"birthYear": [1950, 1960, 1980, 1990], "age": [70, 60, 40, 30]}
-        )
-        mixed = BidirectionalOC([], "birthYear", "age", True, False)
-        same = BidirectionalOC([], "birthYear", "age", True, True)
-        assert validate_aboc_optimal(relation, mixed).holds_exactly
-        assert not validate_aboc_optimal(relation, same).holds_exactly
-
-    def test_same_polarity_matches_plain_oc(self):
-        table = employee_salary_table()
-        for a, b in combinations(["sal", "tax", "taxGrp", "bonus"], 2):
-            boc = BidirectionalOC([], a, b, True, True)
-            plain = CanonicalOC([], a, b)
-            assert (
-                validate_aboc_optimal(table, boc).removal_size
-                == validate_aoc_optimal(table, plain).removal_size
-            )
-
-    def test_best_polarity_picks_the_smaller_removal(self):
-        relation = Relation.from_columns(
-            {"up": [1, 2, 3, 4, 5], "down": [9, 8, 7, 1, 0]}
-        )
-        best = best_polarity(relation, (), "up", "down")
-        assert best.holds_exactly
-        assert not best.dependency.is_unidirectional
-
-    def test_descending_both_sides_equals_ascending_both_sides(self):
-        table = employee_salary_table()
-        asc = BidirectionalOC([], "sal", "tax", True, True)
-        desc = BidirectionalOC([], "sal", "tax", False, False)
-        assert (
-            validate_aboc_optimal(table, asc).removal_size
-            == validate_aboc_optimal(table, desc).removal_size
-        )
-
-    def test_threshold_semantics(self):
-        table = employee_salary_table()
-        boc = BidirectionalOC([], "sal", "tax", True, True)  # factor 4/9
-        assert validate_aboc_optimal(table, boc, threshold=0.5).is_valid
-        assert not validate_aboc_optimal(table, boc, threshold=0.3).is_valid
 
 
 def _pooled_count(relation, oc, pool, limit=None):

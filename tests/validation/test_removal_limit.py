@@ -9,7 +9,7 @@ guard; both now route through :func:`repro.validation.common.removal_limit`.
 
 import pytest
 
-from repro.baselines.tane import discover_fds_tane
+from _baselines import discover_fds_tane
 from repro.dataset.examples import employee_salary_table
 from repro.discovery.config import DiscoveryConfig
 from repro.discovery.engine import DiscoveryEngine
