@@ -16,7 +16,7 @@ validated and number of dependencies found (the ablations must not change
 import pytest
 
 from benchlib.workloads import WorkloadSpec, make_workload
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 
 NUM_ROWS = 800
@@ -46,13 +46,13 @@ def _relation():
 )
 def test_pruning_ablation(benchmark, label, node_pruning, ofd_pruning):
     relation = _relation()
-    config = DiscoveryConfig.approximate(
+    request = DiscoveryRequest.approximate(
         threshold=THRESHOLD,
         prune_exhausted_nodes=node_pruning,
         aggressive_ofd_pruning=ofd_pruning,
     )
     result = benchmark.pedantic(
-        lambda: DiscoveryEngine(relation, config).run(), rounds=1, iterations=1
+        lambda: DiscoveryEngine(relation, request).run(), rounds=1, iterations=1
     )
     OUTCOMES[label] = {
         "seconds": result.stats.total_seconds,

@@ -78,7 +78,7 @@ def test_iterative_validator(benchmark, num_rows):
 def test_optimal_validator_backends_cold(benchmark, backend, num_rows):
     """End-to-end single-candidate validation: encoding + partitions + LNDS.
 
-    This is what one `repro-discover` CLI invocation pays per candidate on a
+    This is what one `repro discover` CLI invocation pays per candidate on a
     cold relation, and the regime where the columnar backend's vectorised
     encoding and partition construction dominate.
     """

@@ -12,11 +12,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.backend import resolve_backend
 from repro.dataset.relation import Relation
 from repro.dependencies.oc import CanonicalOC
 from repro.discovery.api import discover, discover_aods
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.results import DiscoveryResult
 from repro.discovery.session import Profiler
@@ -94,17 +93,15 @@ def measure_discovery(
         attributes=attributes,
         max_level=max_level,
         time_limit_seconds=time_limit_seconds,
-        backend=backend,
-        num_workers=num_workers,
     )
     if mode == "od":
-        config = DiscoveryConfig.exact(**common)
+        request = DiscoveryRequest.exact(**common)
     elif mode == "aod-optimal":
-        config = DiscoveryConfig.approximate(
+        request = DiscoveryRequest.approximate(
             threshold=threshold, validator="optimal", **common
         )
     elif mode == "aod-iterative":
-        config = DiscoveryConfig.approximate(
+        request = DiscoveryRequest.approximate(
             threshold=threshold, validator="iterative", **common
         )
     else:
@@ -112,7 +109,8 @@ def measure_discovery(
             f"mode must be 'od', 'aod-optimal' or 'aod-iterative', got {mode!r}"
         )
     start = time.perf_counter()
-    result = DiscoveryEngine(relation, config).run()
+    result = DiscoveryEngine(relation, request, backend=backend,
+                             num_workers=num_workers).run()
     elapsed = time.perf_counter() - start
     return DiscoveryMeasurement(
         label=label or mode,
@@ -317,9 +315,8 @@ def measure_incremental(
     )
     concatenated = base_relation.concat(delta_relation)
     cold_start = time.perf_counter()
-    cold_result = discover(
-        concatenated, request.to_config(resolve_backend(backend), num_workers)
-    )
+    cold_result = discover(concatenated, request, backend=backend,
+                           num_workers=num_workers)
     cold_seconds = time.perf_counter() - cold_start
 
     assert extended_relation.num_rows == concatenated.num_rows

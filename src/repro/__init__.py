@@ -74,7 +74,6 @@ from repro.validation import (
 )
 from repro.discovery import (
     CancellationToken,
-    DiscoveryConfig,
     DiscoveryRequest,
     DiscoveryResult,
     Profiler,
@@ -90,7 +89,6 @@ __all__ = [
     "CancellationToken",
     "CanonicalOC",
     "CanonicalOD",
-    "DiscoveryConfig",
     "DiscoveryRequest",
     "DiscoveryResult",
     "FD",

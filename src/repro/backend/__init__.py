@@ -18,7 +18,7 @@ refine and count kernels when the library loads), ``"python"`` is the
 reference configuration with every fast path off (the reference encoder,
 the lexsort refine and the reference count loops).  NumPy is a required
 dependency, imported on first backend use: ``import repro`` and building
-configurations and requests stay NumPy-free.
+requests stay NumPy-free.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, Union
 if TYPE_CHECKING:
     from repro.backend.numpy_backend import NumpyBackend
 
-#: Values accepted by ``DiscoveryConfig.backend`` and the CLI ``--backend``.
+#: Names accepted by ``DiscoveryEngine(backend=...)`` and the CLI ``--backend``.
 BACKEND_CHOICES = ("auto", "python", "numpy")
 
 #: Environment variable consulted when no backend is requested explicitly.

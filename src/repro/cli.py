@@ -19,10 +19,6 @@ reporting revoked/added dependencies and, with ``--verify-cold``, checking
 the result against a cold re-discovery and the reported lists against the
 diff of the baseline and that cold result.  ``serve`` exposes the same
 sessions over stdlib HTTP (see :mod:`repro.serve`).
-
-The historical single-command form ``repro-discover data.csv ...`` keeps
-working: an invocation whose first argument is not a subcommand is routed
-to ``discover``.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, List, Mapping, Optional, Sequence
 
 from repro.applications.outlier_detection import detect_outliers
-from repro.backend import BACKEND_CHOICES, BACKEND_ENV_VAR, resolve_backend
+from repro.backend import BACKEND_CHOICES, BACKEND_ENV_VAR
 from repro.dataset.csv_io import read_csv
 from repro.dataset.examples import employee_salary_table
 from repro.discovery.api import discover
@@ -46,10 +42,6 @@ from repro.discovery.results import DiscoveryResult
 from repro.discovery.session import Profiler
 from repro.obs import configure_logging
 from repro.obs.log import ENV_VAR as LOG_LEVEL_ENV_VAR
-
-#: The recognised subcommands (anything else is legacy ``discover`` syntax).
-COMMANDS = ("discover", "sweep", "serve", "extend")
-
 
 # -- parser construction ---------------------------------------------------------
 
@@ -278,22 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Invoked through the historical ``repro-discover`` entry point, even
-    # ``--help`` belongs to the discover command (its old flag listing);
-    # under ``repro``, bare ``--help`` shows the subcommand overview.
-    legacy_binary = sys.argv and Path(sys.argv[0]).name == "repro-discover"
-    if not argv or (argv[0] not in COMMANDS
-                    and (legacy_binary or argv[0] not in ("-h", "--help"))):
-        # Legacy single-command form (the original ``repro-discover`` CLI);
-        # a bare invocation gets discover's friendly missing-input error.
-        argv = ["discover"] + argv
-    elif argv[0] in COMMANDS and Path(argv[0]).is_file():
-        # A file literally named like a subcommand: the subcommand wins,
-        # but say so — the legacy form would have read the file.
-        print(f"note: interpreting {argv[0]!r} as the subcommand; use "
-              f"'repro discover {argv[0]}' or './{argv[0]}' to profile "
-              "the file of that name", file=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -333,9 +309,8 @@ def _session(relation, args) -> Profiler:
 def _one_shot(relation, args, request: DiscoveryRequest) -> DiscoveryResult:
     # A single run needs no warm state: the engine owns its partitions and
     # evicts them level by level, bounding peak memory.
-    return discover(relation, request.to_config(
-        resolve_backend(args.backend), args.workers
-    ))
+    return discover(relation, request, backend=args.backend,
+                    num_workers=args.workers)
 
 
 def _request_from_args(args) -> DiscoveryRequest:

@@ -19,13 +19,14 @@ Public entry points:
   partition cache and validation memo; runs many discoveries
   (:meth:`~Profiler.discover`, :meth:`~Profiler.sweep`,
   :meth:`~Profiler.iter_events`) against warm state,
-* :class:`DiscoveryRequest` — the JSON-serialisable description of one run
+* :class:`DiscoveryRequest` — the one description of a run, JSON-serialisable
   (the request half of the service boundary; results serialise via
   :meth:`DiscoveryResult.to_json`),
 * :func:`discover_ods` / :func:`discover_aods` — one-shot helpers that
-  run one :class:`DiscoveryEngine`,
-* :class:`DiscoveryConfig` / :class:`DiscoveryResult` for fine control and
-  rich results (per-level counts, rankings, phase timings),
+  run one :class:`DiscoveryEngine`; the engine takes a request plus the
+  compute backend and the thread cap, which no request carries,
+* :class:`DiscoveryResult` — rich results (per-level counts, rankings,
+  phase timings) that carry their request,
 * the :mod:`repro.discovery.events` stream types
   (:class:`LevelStarted`, :class:`DependencyFound`,
   :class:`LevelCompleted`, :class:`RunCompleted`) yielded by
@@ -33,7 +34,7 @@ Public entry points:
   (:class:`CancellationToken`) and time-limit support.
 """
 
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.results import (
     DiscoveredOC,
     DiscoveredOFD,
@@ -57,7 +58,6 @@ __all__ = [
     "DependencyFound",
     "DiscoveredOC",
     "DiscoveredOFD",
-    "DiscoveryConfig",
     "DiscoveryEngine",
     "DiscoveryEvent",
     "DiscoveryRequest",

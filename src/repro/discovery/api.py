@@ -1,8 +1,8 @@
 """Convenience entry points for OD / AOD discovery.
 
-Each call builds one :class:`~repro.discovery.config.DiscoveryRequest`,
-resolves it with the caller's backend and thread cap, and runs one
-:class:`~repro.discovery.engine.DiscoveryEngine` over it (:func:`discover`);
+Each call builds one :class:`~repro.discovery.config.DiscoveryRequest` and
+runs one :class:`~repro.discovery.engine.DiscoveryEngine` over it with the
+caller's backend and thread cap (:func:`discover`);
 the engine owns its partition cache and evicts it level by level.  Code
 that profiles the same relation repeatedly (threshold sweeps, serving)
 should hold a :class:`~repro.discovery.session.Profiler` instead — it
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.backend import resolve_backend
 from repro.dataset.relation import Relation
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.results import DiscoveryResult
 
@@ -49,9 +48,8 @@ def discover_ods(
         time_limit_seconds=time_limit_seconds,
         find_ofds=find_ofds,
     )
-    return discover(
-        relation, request.to_config(resolve_backend(backend), num_workers)
-    )
+    return discover(relation, request, backend=backend,
+                    num_workers=num_workers)
 
 
 def discover_aods(
@@ -76,8 +74,10 @@ def discover_aods(
     validator:
         ``"optimal"`` for the paper's LNDS-based Algorithm 2 (default) or
         ``"iterative"`` for the greedy baseline it replaces.
-    attributes, max_level, time_limit_seconds, find_ofds, num_workers:
-        See :class:`repro.discovery.DiscoveryConfig`.
+    attributes, max_level, time_limit_seconds, find_ofds:
+        See :class:`repro.discovery.DiscoveryRequest`.
+    backend, num_workers:
+        See :class:`repro.discovery.engine.DiscoveryEngine`.
 
     Examples
     --------
@@ -95,15 +95,22 @@ def discover_aods(
         time_limit_seconds=time_limit_seconds,
         find_ofds=find_ofds,
     )
-    return discover(
-        relation, request.to_config(resolve_backend(backend), num_workers)
-    )
+    return discover(relation, request, backend=backend,
+                    num_workers=num_workers)
 
 
-def discover(relation: Relation, config: DiscoveryConfig) -> DiscoveryResult:
-    """Run discovery with an explicit :class:`DiscoveryConfig`.
+def discover(
+    relation: Relation,
+    request: Optional[DiscoveryRequest] = None,
+    *,
+    backend=None,
+    num_workers: int = 1,
+) -> DiscoveryResult:
+    """Run one :class:`DiscoveryRequest` on ``backend`` with ``num_workers``
+    as the thread cap (see :class:`~repro.discovery.engine.DiscoveryEngine`).
 
     The one-shot helpers above end here; the engine owns all of its
-    state.  ``config.backend`` may be a live backend instance.
+    state.  ``backend`` may be a live backend instance.
     """
-    return DiscoveryEngine(relation, config).run()
+    return DiscoveryEngine(relation, request, backend=backend,
+                           num_workers=num_workers).run()

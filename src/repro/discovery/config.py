@@ -1,37 +1,33 @@
-"""Configuration of a discovery run.
+"""The description of a discovery run: :class:`DiscoveryRequest`.
 
-Two related types live here:
-
-* :class:`DiscoveryConfig` — the engine-facing configuration.  It may hold
-  a live :class:`~repro.backend.numpy_backend.NumpyBackend` instance and is
-  what :class:`repro.discovery.engine.DiscoveryEngine` consumes.
-* :class:`DiscoveryRequest` — the *serialisable* subset of a configuration:
-  plain JSON-compatible values only, convertible to and from a
-  :class:`DiscoveryConfig`.  This is the request half of the service
-  boundary used by :class:`repro.discovery.session.Profiler` and
-  ``repro serve``.  It has no ``backend`` and no ``num_workers``: those
-  belong to whoever runs the request (the session, or the one-shot
-  caller), and :meth:`DiscoveryRequest.to_config` takes them as
-  arguments.
+The engine, the session, the CLI and ``repro serve`` all run this one type,
+and results carry it back.  The backend and the thread cap are not part of
+it: they are :class:`~repro.discovery.engine.DiscoveryEngine` arguments.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields as _dataclass_fields
-from typing import Dict, List, Optional, Sequence
-
-from repro.backend import BACKEND_CHOICES
+from dataclasses import asdict, dataclass, fields as _dataclass_fields
+from typing import Dict, List, Optional
 
 
-#: The validator names accepted by :class:`DiscoveryConfig.validator`.
+#: The validator names accepted by :attr:`DiscoveryRequest.validator`.
 VALIDATOR_KINDS = ("exact", "optimal", "iterative")
 
 
-@dataclass
-class DiscoveryConfig:
-    """Parameters controlling a lattice discovery run.
+@dataclass(frozen=True)
+class DiscoveryRequest:
+    """A JSON-serialisable description of one discovery run.
+
+    Requests carry only plain values — no backend instances — so they can
+    cross a service boundary unchanged: the CLI, the
+    :class:`~repro.discovery.session.Profiler` session API and the
+    ``repro serve`` HTTP mode all speak this type.  A request that names
+    ``num_workers`` or ``backend`` is refused like any other unknown
+    field: the session, and ``repro serve --workers`` for a server, is
+    their one owner.
 
     Attributes
     ----------
@@ -45,7 +41,7 @@ class DiscoveryConfig:
     attributes:
         Optional subset of attributes to restrict the search to (the paper
         uses the first 10 attributes of each dataset unless stated
-        otherwise).
+        otherwise); no name may repeat.
     max_level:
         Optional cap on the lattice level (attribute-set size) explored.
     time_limit_seconds:
@@ -69,107 +65,6 @@ class DiscoveryConfig:
         (Exp-5).  Setting it to ``False`` keeps every node alive and makes
         the search exhaustively complete at exponential cost — used by the
         test-suite's brute-force comparisons and useful on narrow schemas.
-    backend:
-        Compute backend for the hot paths (encoding, partitions, validation
-        kernels): a :class:`~repro.backend.numpy_backend.NumpyBackend`
-        instance, a name (``"python"`` / ``"numpy"`` / ``"auto"``), or
-        ``None`` to defer to the ``REPRO_BACKEND`` environment variable.
-        Every backend produces identical discovery results.
-    num_workers:
-        Caps the threads that count a run's OC context groups.  Each run
-        counts them on one thread per usable core; a value above 1 caps
-        that at ``num_workers``, and fewer than two threads means the
-        groups are counted inline.  ``1`` (the default) leaves one thread
-        per core.  Warm session runs, the iterative validator and the
-        non-native kernels (which hold the GIL) always count inline.
-        Every value produces identical discovery results; only the
-        LNDS-based ``optimal`` validator on approximate runs reports it
-        in ``stats.num_workers`` (others report 1).
-    """
-
-    threshold: float = 0.0
-    validator: str = "optimal"
-    attributes: Optional[Sequence[str]] = None
-    max_level: Optional[int] = None
-    time_limit_seconds: Optional[float] = None
-    find_ofds: bool = True
-    aggressive_ofd_pruning: bool = True
-    prune_exhausted_nodes: bool = True
-    backend: Optional[object] = None
-    num_workers: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(
-                f"threshold must be in [0, 1], got {self.threshold}"
-            )
-        if self.validator not in VALIDATOR_KINDS:
-            raise ValueError(
-                f"validator must be one of {VALIDATOR_KINDS}, got {self.validator!r}"
-            )
-        if isinstance(self.backend, str):
-            valid_backend = self.backend in BACKEND_CHOICES
-        elif self.backend is not None:
-            # Only a non-string value needs the class, and so NumPy.
-            from repro.backend.numpy_backend import NumpyBackend
-
-            valid_backend = isinstance(self.backend, NumpyBackend)
-        else:
-            valid_backend = True
-        if not valid_backend:
-            raise ValueError(
-                f"backend must be one of {BACKEND_CHOICES} or a "
-                f"NumpyBackend instance, got {self.backend!r}"
-            )
-        if self.validator == "exact" and self.threshold > 0:
-            raise ValueError(
-                "the exact validator cannot be used with a non-zero threshold"
-            )
-        if self.max_level is not None and self.max_level < 1:
-            raise ValueError("max_level must be at least 1")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        # NaN compares False with everything, so test the accepted range.
-        value = self.time_limit_seconds
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(
-                "time_limit_seconds must be a finite number > 0 or None, "
-                f"got {value}"
-            )
-
-    @property
-    def is_exact(self) -> bool:
-        """``True`` when the run performs exact OD discovery (``ε = 0``)."""
-        return self.threshold == 0.0
-
-    @classmethod
-    def exact(cls, **kwargs) -> "DiscoveryConfig":
-        """Configuration for exact OD discovery (the paper's "OD" series)."""
-        kwargs.setdefault("validator", "exact")
-        return cls(threshold=0.0, **kwargs)
-
-    @classmethod
-    def approximate(cls, threshold: float = 0.1, validator: str = "optimal",
-                    **kwargs) -> "DiscoveryConfig":
-        """Configuration for AOD discovery (default ``ε = 10%`` as in the paper)."""
-        return cls(threshold=threshold, validator=validator, **kwargs)
-
-
-@dataclass(frozen=True)
-class DiscoveryRequest:
-    """A JSON-serialisable description of one discovery run.
-
-    Requests carry only plain values — no backend instances — so they can
-    cross a service boundary unchanged: the CLI, the
-    :class:`~repro.discovery.session.Profiler` session API and the
-    ``repro serve`` HTTP mode all speak this type.  Session-owned concerns
-    (which compute backend, the plane's thread cap) are supplied when the
-    request is resolved against a session via :meth:`to_config`.
-
-    Fields mirror :class:`DiscoveryConfig` minus those two, so a request
-    that names ``num_workers`` or ``backend`` is refused like any other
-    unknown field: the session, and ``repro serve --workers`` for a
-    server, is their one owner.
     """
 
     threshold: float = 0.0
@@ -191,10 +86,9 @@ class DiscoveryRequest:
                     f"the single string {self.attributes!r}"
                 )
             object.__setattr__(self, "attributes", list(self.attributes))
+        # Malformed requests fail at the boundary, not inside the engine.
         self._check_types()
-        # Validate eagerly with the config's own rules so malformed requests
-        # fail at the boundary, not deep inside the engine.
-        self.to_config()
+        self._check_ranges()
 
     def _check_types(self) -> None:
         """Reject wrongly-typed values at the boundary.
@@ -233,6 +127,40 @@ class DiscoveryRequest:
             expect(name, getattr(self, name),
                    isinstance(getattr(self, name), bool), "a boolean")
 
+    def _check_ranges(self) -> None:
+        """Reject well-typed values outside what a run accepts."""
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(
+                f"threshold must be in [0, 1], got {self.threshold}"
+            )
+        if self.validator not in VALIDATOR_KINDS:
+            raise ValueError(
+                f"validator must be one of {VALIDATOR_KINDS}, got {self.validator!r}"
+            )
+        if self.validator == "exact" and self.threshold > 0:
+            raise ValueError(
+                "the exact validator cannot be used with a non-zero threshold"
+            )
+        repeated = sorted({a for a in self.attributes or ()
+                           if self.attributes.count(a) > 1})
+        if repeated:
+            raise ValueError(f"attributes must not repeat a name, got "
+                             f"{repeated} more than once")
+        if self.max_level is not None and self.max_level < 1:
+            raise ValueError("max_level must be at least 1")
+        # NaN compares False with everything, so test the accepted range.
+        value = self.time_limit_seconds
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                "time_limit_seconds must be a finite number > 0 or None, "
+                f"got {value}"
+            )
+
+    @property
+    def is_exact(self) -> bool:
+        """``True`` when the run performs exact OD discovery (``ε = 0``)."""
+        return self.threshold == 0.0
+
     # -- factories ---------------------------------------------------------------
 
     @classmethod
@@ -246,45 +174,6 @@ class DiscoveryRequest:
                     **kwargs) -> "DiscoveryRequest":
         """Request for AOD discovery (default ``ε = 10%``)."""
         return cls(threshold=threshold, validator=validator, **kwargs)
-
-    # -- conversion to/from the engine configuration -----------------------------
-
-    def to_config(
-        self,
-        backend: Optional[object] = None,
-        num_workers: int = 1,
-    ) -> DiscoveryConfig:
-        """Resolve this request into an engine :class:`DiscoveryConfig`.
-
-        ``backend`` / ``num_workers`` are the session-owned parameters.
-        """
-        return DiscoveryConfig(
-            threshold=self.threshold,
-            validator=self.validator,
-            attributes=None if self.attributes is None else list(self.attributes),
-            max_level=self.max_level,
-            time_limit_seconds=self.time_limit_seconds,
-            find_ofds=self.find_ofds,
-            aggressive_ofd_pruning=self.aggressive_ofd_pruning,
-            prune_exhausted_nodes=self.prune_exhausted_nodes,
-            num_workers=num_workers,
-            backend=backend,
-        )
-
-    @classmethod
-    def from_config(cls, config: DiscoveryConfig) -> "DiscoveryRequest":
-        """Project an engine configuration onto its serialisable subset."""
-        return cls(
-            threshold=config.threshold,
-            validator=config.validator,
-            attributes=None if config.attributes is None
-            else list(config.attributes),
-            max_level=config.max_level,
-            time_limit_seconds=config.time_limit_seconds,
-            find_ofds=config.find_ofds,
-            aggressive_ofd_pruning=config.aggressive_ofd_pruning,
-            prune_exhausted_nodes=config.prune_exhausted_nodes,
-        )
 
     # -- JSON boundary -----------------------------------------------------------
 

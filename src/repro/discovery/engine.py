@@ -91,12 +91,12 @@ import os
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.backend import resolve_backend
+from repro.backend import BACKEND_CHOICES, resolve_backend
 from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
 from repro.dependencies.oc import CanonicalOC
 from repro.dependencies.ofd import OFD
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.events import (
     DependencyFound,
     DiscoveryEvent,
@@ -156,13 +156,13 @@ class _RunCancelled(Exception):
     """Internal signal: the caller's cancellation token was set."""
 
 
-def oc_validator_tag(config: DiscoveryConfig) -> str:
+def oc_validator_tag(request: DiscoveryRequest) -> str:
     """The effective OC validation mode (memo key component)."""
-    if config.validator == "exact" or (
-        config.is_exact and config.validator == "optimal"
+    if request.validator == "exact" or (
+        request.is_exact and request.validator == "optimal"
     ):
         return "exact"
-    return config.validator
+    return request.validator
 
 
 def memo_outcome(entry, limit: Optional[int]) -> Optional[Outcome]:
@@ -193,21 +193,41 @@ class DiscoveryEngine:
     call :meth:`run`), read the result.  ``partitions`` /
     ``validation_memo`` inject session-owned state (see the module
     docstring); when omitted the engine owns everything itself.
+
+    ``backend`` is a :class:`~repro.backend.numpy_backend.NumpyBackend`,
+    a name in ``BACKEND_CHOICES`` or ``None`` for ``REPRO_BACKEND``;
+    ``num_workers`` caps the threads that count the run's OC groups (see
+    :meth:`_oc_threads`).  Every backend and cap give identical results;
+    only optimal approximate runs report the cap in ``stats.num_workers``
+    (others report 1).
     """
 
     def __init__(
         self,
         relation: Relation,
-        config: Optional[DiscoveryConfig] = None,
+        request: Optional[DiscoveryRequest] = None,
         *,
+        backend=None,
+        num_workers: int = 1,
         partitions: Optional[PartitionCache] = None,
         validation_memo: Optional[dict] = None,
     ):
+        if backend is not None and backend not in BACKEND_CHOICES:
+            from repro.backend.numpy_backend import NumpyBackend
+
+            if not isinstance(backend, NumpyBackend):
+                raise ValueError(
+                    f"backend must be one of {BACKEND_CHOICES} or a "
+                    f"NumpyBackend instance, got {backend!r}"
+                )
+        if num_workers < 1:
+            raise ValueError("num_workers must be at least 1")
         self.relation = relation
-        self.config = config or DiscoveryConfig()
+        self.request = request or DiscoveryRequest()
+        self.num_workers = num_workers
         self.attributes: List[str] = list(
-            self.config.attributes
-            if self.config.attributes is not None
+            self.request.attributes
+            if self.request.attributes is not None
             else relation.attribute_names
         )
         unknown = [a for a in self.attributes if a not in relation.schema]
@@ -217,9 +237,9 @@ class DiscoveryEngine:
         self.bits = AttributeBits(relation.schema)
         self._request_mask = self.bits.mask(self.attributes)
         self._pairs_containing = self.bits.pairs_containing()
-        self._oc_tag = oc_validator_tag(self.config)
-        self._ofd_tag = "exact" if self.config.is_exact else "approx"
-        self.backend = resolve_backend(self.config.backend)
+        self._oc_tag = oc_validator_tag(self.request)
+        self._ofd_tag = "exact" if self.request.is_exact else "approx"
+        self.backend = resolve_backend(backend)
         self.encoded = relation.encoded(self.backend)
         if partitions is not None:
             self.partitions = partitions
@@ -229,23 +249,23 @@ class DiscoveryEngine:
         # engine-owned cache is evicted level by level.
         self._owns_partitions = partitions is None
         self.knowledge = KnowledgeBase()
-        # The configured count on optimal approximate runs, 1 elsewhere:
+        # The thread cap on optimal approximate runs, 1 elsewhere:
         # the value earlier releases recorded, so stats stay comparable.
         self.stats = DiscoveryStatistics(
             backend=self.backend.name,
             num_workers=(
-                self.config.num_workers
-                if self.config.validator == "optimal"
-                and not self.config.is_exact else 1
+                num_workers
+                if self.request.validator == "optimal"
+                and not self.request.is_exact else 1
             ),
         )
         self.result = DiscoveryResult(
-            config=self.config,
+            request=self.request,
             num_rows=relation.num_rows,
             attributes=list(self.attributes),
             stats=self.stats,
         )
-        self._removal_limit = removal_limit(relation.num_rows, self.config.threshold)
+        self._removal_limit = removal_limit(relation.num_rows, self.request.threshold)
         # The budget handed to kernels (early-exit point, memo `limit_used`);
         # validity is always judged against `_removal_limit`.
         self._kernel_limit = (
@@ -289,8 +309,8 @@ class DiscoveryEngine:
         the run raises.
         """
         start = time.perf_counter()
-        if self.config.time_limit_seconds is not None:
-            self._deadline = start + self.config.time_limit_seconds
+        if self.request.time_limit_seconds is not None:
+            self._deadline = start + self.request.time_limit_seconds
         self._cancellation = cancellation
         self._run_span = self._tracer.start_span(
             "run",
@@ -333,7 +353,7 @@ class DiscoveryEngine:
         current: Level = initial_level(self._request_mask)
         level = 1
         while current:
-            if self.config.max_level is not None and level > self.config.max_level:
+            if self.request.max_level is not None and level > self.request.max_level:
                 break
             self.stats.levels_processed += 1
             self.stats.nodes_per_level[level] = len(current)
@@ -392,7 +412,7 @@ class DiscoveryEngine:
                 # superset generation entirely.  With pruning disabled every
                 # node stays alive, making the search exhaustively complete
                 # at the cost of visiting the full 2^|R| lattice.
-                if self.config.prune_exhausted_nodes:
+                if self.request.prune_exhausted_nodes:
                     survivors = {
                         key: node
                         for key, node in current.items()
@@ -419,7 +439,7 @@ class DiscoveryEngine:
                                 ),
                             )
                             if not node.is_exhausted \
-                                    or not self.config.prune_exhausted_nodes:
+                                    or not self.request.prune_exhausted_nodes:
                                 next_level[attrs] = node
             finally:
                 self._tracer.end_span(level_span)
@@ -446,7 +466,7 @@ class DiscoveryEngine:
         knowledge = self.knowledge
         attributes = node.attributes
         # Ascending bits: right-hand sides and pairs in name order.
-        if self.config.find_ofds:
+        if self.request.find_ofds:
             rest = attributes & node.ofd_candidates
             while rest:
                 low = rest & -rest
@@ -627,7 +647,7 @@ class DiscoveryEngine:
                 counts = self.backend.ofd_removal_batch(
                     classes, rhs, self._kernel_limit
                 )
-            self._settle(todo, counts, self.config.is_exact, outcomes)
+            self._settle(todo, counts, self.request.is_exact, outcomes)
             self.stats.ofd_batches += 1
 
     def _oc_threads(self) -> int:
@@ -654,8 +674,8 @@ class DiscoveryEngine:
             threads = len(os.sched_getaffinity(0))
         else:
             threads = os.cpu_count() or 1
-        if self.config.num_workers > 1:
-            threads = min(threads, self.config.num_workers)
+        if self.num_workers > 1:
+            threads = min(threads, self.num_workers)
         return threads if threads > 1 else 0
 
     def _oc_group_count(
@@ -726,7 +746,7 @@ class DiscoveryEngine:
             DependencyFound(level=node.level, kind="ofd", dependency=found)
         )
         node.ofd_candidates &= ~(1 << attribute)
-        if removal_size == 0 and self.config.aggressive_ofd_pruning:
+        if removal_size == 0 and self.request.aggressive_ofd_pruning:
             # TANE rule: attributes outside X cannot yield minimal FDs
             # through this node once X \ {A} -> A holds exactly.  (The
             # candidates never leave the request's attributes.)

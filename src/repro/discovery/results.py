@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.dependencies.oc import CanonicalOC
 from repro.dependencies.ofd import OFD
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.stats import DiscoveryStatistics
 
 
@@ -106,7 +106,7 @@ class DiscoveredOFD:
 class DiscoveryResult:
     """The complete outcome of one discovery run."""
 
-    config: DiscoveryConfig
+    request: DiscoveryRequest
     num_rows: int
     attributes: List[str]
     ocs: List[DiscoveredOC] = field(default_factory=list)
@@ -214,12 +214,11 @@ class DiscoveryResult:
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form of the complete result (JSON-compatible).
 
-        The engine configuration is projected onto its serialisable
-        :class:`~repro.discovery.config.DiscoveryRequest` subset; the
-        backend that produced the run travels in ``stats.backend``.
+        The backend that produced the run travels in ``stats.backend``,
+        the thread cap in ``stats.num_workers``.
         """
         return {
-            "request": DiscoveryRequest.from_config(self.config).to_dict(),
+            "request": self.request.to_dict(),
             "num_rows": self.num_rows,
             "attributes": list(self.attributes),
             "ocs": [found.to_dict() for found in self.ocs],
@@ -229,24 +228,14 @@ class DiscoveryResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DiscoveryResult":
-        """Rebuild a result from :meth:`to_dict` output.
-
-        The reconstructed ``config`` carries the original request parameters
-        and the recorded backend *name*; live objects (backend instances,
-        callbacks) do not cross the boundary.
-        """
-        stats = DiscoveryStatistics.from_dict(data.get("stats", {}))
-        request = DiscoveryRequest.from_dict(data["request"])
-        backend = stats.backend if stats.backend else None
-        config = request.to_config(backend=backend,
-                                   num_workers=stats.num_workers)
+        """Rebuild a result from :meth:`to_dict` output."""
         return cls(
-            config=config,
+            request=DiscoveryRequest.from_dict(data["request"]),
             num_rows=data["num_rows"],
             attributes=list(data["attributes"]),
             ocs=[DiscoveredOC.from_dict(d) for d in data.get("ocs", [])],
             ofds=[DiscoveredOFD.from_dict(d) for d in data.get("ofds", [])],
-            stats=stats,
+            stats=DiscoveryStatistics.from_dict(data.get("stats", {})),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -265,8 +254,8 @@ class DiscoveryResult:
 
     def summary(self) -> str:
         """One-paragraph human-readable summary (used by the CLI and examples)."""
-        mode = "exact" if self.config.is_exact else (
-            f"approximate (ε={self.config.threshold:.0%}, {self.config.validator})"
+        mode = "exact" if self.request.is_exact else (
+            f"approximate (ε={self.request.threshold:.0%}, {self.request.validator})"
         )
         lines = [
             f"Discovery mode: {mode} [{self.stats.backend} backend]",

@@ -155,9 +155,9 @@ class Profiler:
     num_workers:
         The thread cap of every run of this session: values above 1 cap
         the run's OC plane threads, which each run starts and stops
-        itself (see ``DiscoveryConfig.num_workers``); a warm run, whose
-        memo already holds outcomes, counts inline.  Requests carry no
-        cap of their own.
+        itself (see :class:`~repro.discovery.engine.DiscoveryEngine`); a
+        warm run, whose memo already holds outcomes, counts inline.
+        Requests carry no cap of their own.
     max_memo_entries:
         Optional LRU bound on the validation memo.  The memo's entries are
         tiny but grow with every distinct candidate ever validated; a
@@ -497,13 +497,11 @@ class Profiler:
     def _engine(self, request) -> DiscoveryEngine:
         if self._closed:
             raise RuntimeError("Profiler is closed")
-        config = request.to_config(
-            backend=self.backend,
-            num_workers=self.num_workers,
-        )
         return DiscoveryEngine(
             self.relation,
-            config,
+            request,
+            backend=self.backend,
+            num_workers=self.num_workers,
             partitions=self.partitions,
             validation_memo=self._memo,
         )

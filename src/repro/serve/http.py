@@ -68,7 +68,7 @@ import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.discovery.config import DiscoveryRequest
@@ -104,6 +104,25 @@ DEFAULT_SHUTDOWN_GRACE_SECONDS = 10.0
 
 #: How often the disconnect watchdog peeks at the client socket, seconds.
 DISCONNECT_POLL_SECONDS = 0.05
+
+
+def _check_cells(rows: List[object], what: str) -> None:
+    """Refuse ``rows`` when a cell is a JSON array or object (``400``).
+
+    A cell is an item of a list row or a value of a mapping row.  The
+    encoder keys its dictionaries on cell values, which arrays and objects
+    cannot be, so such a cell would otherwise fail inside the session and
+    drop the connection.  Library callers may pass any hashable value, so
+    the check lives at this boundary, not in :class:`Relation`.
+    """
+    for index, row in enumerate(rows):
+        cells = list(row.values()) if isinstance(row, dict) else row
+        if isinstance(cells, list) \
+                and any(isinstance(cell, (list, dict)) for cell in cells):
+            raise ServiceError(
+                400, f"{what} row {index} has a cell that is not a JSON "
+                     "scalar (string, number, boolean or null)"
+            )
 
 
 class _FaultClose(Exception):
@@ -465,6 +484,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if not isinstance(rows, list):
             raise ServiceError(400, "upload 'rows' must be an array of rows")
+        _check_cells(rows, "upload")
         pinned = body.get("pinned", False)
         if not isinstance(pinned, bool):
             raise ServiceError(400, "upload 'pinned' must be a boolean")
@@ -502,6 +522,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self._handle_append(append_dataset, body, token)
                 return
             dataset = body.get("dataset")
+            if dataset is not None and not isinstance(dataset, str):
+                raise ServiceError(
+                    400, f"dataset must be a string or null, got {dataset!r}"
+                )
             request = self._parse_request(body.get("request") or {})
             stream = body.get("stream", False)
             if not isinstance(stream, bool):
@@ -552,6 +576,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(
                 400, "append body must carry a JSON array under 'rows'"
             )
+        _check_cells(rows, "append")
         request = None
         if body.get("request") is not None:
             request = self._parse_request(body["request"])

@@ -20,7 +20,7 @@ from repro.dataset.generators import (
 )
 from repro.dependencies import CanonicalOC, CanonicalOD, OFD
 from repro.discovery.api import discover
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 from repro.validation.approx_oc_iterative import validate_aoc_iterative
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
 from repro.validation.approx_od import validate_aod_optimal
@@ -63,8 +63,8 @@ def test_discovery_results_identical(workload, config_name):
     relation = WORKLOADS[workload]
     results = {}
     for backend in BACKENDS:
-        config = DiscoveryConfig(backend=backend, **CONFIGS[config_name])
-        results[backend] = discover(relation, config)
+        request = DiscoveryRequest(**CONFIGS[config_name])
+        results[backend] = discover(relation, request, backend=backend)
     python_result, numpy_result = results["python"], results["numpy"]
     # DiscoveredOC/DiscoveredOFD are frozen dataclasses: equality covers the
     # statement, removal size, approximation factor, level and score.

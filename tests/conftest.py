@@ -53,16 +53,16 @@ class PlaneThreads:
         self.seen = []
 
     @classmethod
-    def expected(cls, backend, config) -> int:
-        """The thread count a cold run of ``config`` uses."""
+    def expected(cls, backend, request, num_workers) -> int:
+        """The thread count a cold run of ``request`` uses."""
         from repro.backend import resolve_backend
 
-        if config.validator == "iterative" \
+        if request.validator == "iterative" \
                 or resolve_backend(backend).oc_kernel_name != "native":
             return 0
         threads = cls.CORES
-        if config.num_workers > 1:
-            threads = min(threads, config.num_workers)
+        if num_workers > 1:
+            threads = min(threads, num_workers)
         return threads if threads > 1 else 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 
 
@@ -33,9 +33,10 @@ class PerCandidateEngine(DiscoveryEngine):
 
 @pytest.fixture
 def per_candidate():
-    """``per_candidate(relation, config)`` runs the reference schedule."""
+    """``per_candidate(relation, request, backend=..., num_workers=...)``
+    runs the reference schedule."""
 
-    def run(relation, config: DiscoveryConfig):
-        return PerCandidateEngine(relation, config).run()
+    def run(relation, request: DiscoveryRequest, **engine_options):
+        return PerCandidateEngine(relation, request, **engine_options).run()
 
     return run

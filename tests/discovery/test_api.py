@@ -4,14 +4,14 @@ import pytest
 
 from repro.dataset.examples import employee_salary_table
 from repro.discovery.api import discover, discover_aods, discover_ods
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 
 
 class TestDiscoverOds:
     def test_finds_paper_od_sal_taxgrp(self, employee_table):
         result = discover_ods(employee_table)
         assert result.find_oc("sal", "taxGrp") is not None
-        assert result.config.is_exact
+        assert result.request.is_exact
 
     def test_all_results_are_exact(self, employee_table):
         result = discover_ods(employee_table)
@@ -30,7 +30,7 @@ class TestDiscoverOds:
 class TestDiscoverAods:
     def test_default_threshold_is_ten_percent(self, employee_table):
         result = discover_aods(employee_table)
-        assert result.config.threshold == 0.1
+        assert result.request.threshold == 0.1
 
     def test_finds_approximate_oc_with_context(self, employee_table):
         # {pos}: exp ~ sal holds with factor 1/9 ≈ 0.11 <= 0.15.
@@ -58,7 +58,7 @@ class TestDiscoverAods:
 
     def test_iterative_validator_selectable(self, employee_table):
         result = discover_aods(employee_table, threshold=0.1, validator="iterative")
-        assert result.config.validator == "iterative"
+        assert result.request.validator == "iterative"
 
     def test_invalid_validator_rejected(self, employee_table):
         with pytest.raises(ValueError):
@@ -71,14 +71,14 @@ class TestDiscoverAods:
 
 class TestDiscoverWithExplicitConfig:
     def test_discover_passthrough(self, employee_table):
-        config = DiscoveryConfig.approximate(0.1, attributes=["sal", "tax"])
-        result = discover(employee_table, config)
-        assert result.config is config
+        request = DiscoveryRequest.approximate(0.1, attributes=["sal", "tax"])
+        result = discover(employee_table, request)
+        assert result.request is request
 
     def test_threshold_zero_equals_exact(self, employee_table):
         exact = discover_ods(employee_table)
         via_optimal = discover(
-            employee_table, DiscoveryConfig(threshold=0.0, validator="optimal")
+            employee_table, DiscoveryRequest(threshold=0.0, validator="optimal")
         )
         assert {repr(f.oc) for f in exact.ocs} == {repr(f.oc) for f in via_optimal.ocs}
         assert {repr(f.ofd) for f in exact.ofds} == {

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.dataset.generators import generate_flight_like, generate_ncvoter_like
 from repro.dataset.relation import Relation
 from repro.discovery.api import discover
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.session import Profiler
 
 BACKENDS = ["python", "numpy"]
@@ -86,16 +86,14 @@ def test_permuted_schema_reports_like_the_original(backend, config, generator):
     assert permuted.attribute_names != [PREFIX + n for n in names]
     subset = [names[4], names[0], names[2], names[6]]
     for attributes in (None, subset):
-        original = DiscoveryConfig(backend=backend, attributes=attributes,
-                                   **CONFIGS[config])
-        renamed = DiscoveryConfig(
-            backend=backend,
+        original = DiscoveryRequest(attributes=attributes, **CONFIGS[config])
+        renamed = DiscoveryRequest(
             attributes=None if attributes is None
             else [PREFIX + name for name in attributes],
             **CONFIGS[config],
         )
-        expected = discover(relation, original)
-        got = discover(permuted, renamed)
+        expected = discover(relation, original, backend=backend)
+        got = discover(permuted, renamed, backend=backend)
         assert expected.num_dependencies > 0
         assert _unprefixed(_payload(got)) == _payload(expected)
         assert got.stats.nodes_per_level == expected.stats.nodes_per_level
@@ -109,8 +107,8 @@ def test_permuted_schema_reports_like_the_original(backend, config, generator):
         session.discover(request)
         warm = session.discover(request)
     assert warm.stats.validation_memo_hits > 0
-    expected = discover(relation, DiscoveryConfig(backend=backend,
-                                                  **CONFIGS[config]))
+    expected = discover(relation, DiscoveryRequest(**CONFIGS[config]),
+                        backend=backend)
     assert _unprefixed(_payload(warm)) == _payload(expected)
 
 
@@ -171,5 +169,5 @@ def test_session_script_matches_cold_runs(table, data):
                 result = session.discover(argument)
             else:
                 result = session.discover_incremental(argument).result
-            cold = discover(session.relation, argument.to_config())
+            cold = discover(session.relation, argument)
             assert _payload(result) == _payload(cold), (kind, argument)

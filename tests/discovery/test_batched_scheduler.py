@@ -18,7 +18,7 @@ from repro.dataset.generators import (
     generate_random_table,
 )
 from repro.discovery.api import discover, discover_aods
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from test_engine import _oracle_ocs, _oracle_ofds, _reported_ocs, _reported_ofds
 
@@ -62,9 +62,9 @@ def _assert_identical(result, reference):
 def test_batched_equals_per_candidate(workload, config_name, backend,
                                       per_candidate):
     relation = WORKLOADS[workload]
-    config = dict(backend=backend, **CONFIGS[config_name])
-    reference = per_candidate(relation, DiscoveryConfig(**config))
-    batched = discover(relation, DiscoveryConfig(**config))
+    request = DiscoveryRequest(**CONFIGS[config_name])
+    reference = per_candidate(relation, request, backend=backend)
+    batched = discover(relation, request, backend=backend)
     _assert_identical(batched, reference)
     if CONFIGS[config_name].get("validator") != "exact":
         assert batched.stats.oc_batches > 0
@@ -93,8 +93,8 @@ def _python_in_process(config_name):
     """The in-process python-backend run over the flight workload (cached)."""
     if config_name not in _PYTHON_REFERENCE:
         _PYTHON_REFERENCE[config_name] = discover(
-            WORKLOADS["flight"],
-            DiscoveryConfig(backend="python", **CONFIGS[config_name]),
+            WORKLOADS["flight"], DiscoveryRequest(**CONFIGS[config_name]),
+            backend="python",
         )
     return _PYTHON_REFERENCE[config_name]
 
@@ -105,10 +105,12 @@ def _python_in_process(config_name):
 def test_matches_python_in_process(num_workers, backend, config_name,
                                   plane_threads):
     reference = _python_in_process(config_name)
-    config = DiscoveryConfig(backend=backend, num_workers=num_workers,
-                             **CONFIGS[config_name])
-    result = discover(WORKLOADS["flight"], config)
-    assert plane_threads.seen[-1] == plane_threads.expected(backend, config)
+    request = DiscoveryRequest(**CONFIGS[config_name])
+    result = discover(WORKLOADS["flight"], request, backend=backend,
+                      num_workers=num_workers)
+    assert plane_threads.seen[-1] == plane_threads.expected(
+        backend, request, num_workers
+    )
     _assert_identical(result, reference)
     for name in ("oc_candidates_validated", "ofd_candidates_validated",
                  "oc_candidates_pruned", "ofd_candidates_pruned",
@@ -128,12 +130,13 @@ def test_pooled_run_matches_oracle(seed, plane_threads):
     attributes = relation.attribute_names
     engine = DiscoveryEngine(
         relation,
-        DiscoveryConfig(threshold=0.1, num_workers=2,
-                        prune_exhausted_nodes=False),
+        DiscoveryRequest(threshold=0.1, prune_exhausted_nodes=False),
+        num_workers=2,
     )
     result = engine.run()
     assert plane_threads.seen == [
-        plane_threads.expected(engine.backend, engine.config)
+        plane_threads.expected(engine.backend, engine.request,
+                               engine.num_workers)
     ]
     assert result.stats.num_workers == 2
     assert _reported_ocs(result) == _oracle_ocs(relation, attributes, 0.1)
@@ -145,13 +148,13 @@ def test_pooled_run_matches_oracle(seed, plane_threads):
 def test_sharded_workers_equal_sequential(backend, num_workers, per_candidate,
                                          plane_threads):
     relation = WORKLOADS["flight"]
-    reference = per_candidate(
-        relation, DiscoveryConfig(threshold=0.1, backend=backend)
+    request = DiscoveryRequest(threshold=0.1)
+    reference = per_candidate(relation, request, backend=backend)
+    sharded = discover(relation, request, backend=backend,
+                       num_workers=num_workers)
+    assert plane_threads.seen[-1] == plane_threads.expected(
+        backend, request, num_workers
     )
-    config = DiscoveryConfig(threshold=0.1, backend=backend,
-                             num_workers=num_workers)
-    sharded = discover(relation, config)
-    assert plane_threads.seen[-1] == plane_threads.expected(backend, config)
     _assert_identical(sharded, reference)
     assert sharded.stats.num_workers == num_workers
 
@@ -159,7 +162,7 @@ def test_sharded_workers_equal_sequential(backend, num_workers, per_candidate,
 def test_api_exposes_workers_and_batching(per_candidate):
     """The one-shot API runs the batched schedule for any worker count."""
     relation = WORKLOADS["table1"]
-    reference = per_candidate(relation, DiscoveryConfig(threshold=0.15))
+    reference = per_candidate(relation, DiscoveryRequest(threshold=0.15))
     default = discover_aods(relation, threshold=0.15)
     sharded = discover_aods(relation, threshold=0.15, num_workers=2)
     _assert_identical(default, reference)
@@ -168,19 +171,19 @@ def test_api_exposes_workers_and_batching(per_candidate):
 
 
 def test_num_workers_must_be_positive():
+    relation = WORKLOADS["table1"]
     with pytest.raises(ValueError, match="num_workers"):
-        DiscoveryConfig(num_workers=0)
+        DiscoveryEngine(relation, num_workers=0)
     with pytest.raises(ValueError, match="num_workers"):
-        DiscoveryRequest().to_config(num_workers=-1)
+        discover(relation, DiscoveryRequest(), num_workers=-1)
+    with pytest.raises(ValueError, match="num_workers"):
+        discover_aods(relation, num_workers=0)
 
 
 def test_find_ofds_disabled_still_identical(per_candidate):
     relation = WORKLOADS["flight"]
-    reference = per_candidate(
-        relation, DiscoveryConfig(threshold=0.1, find_ofds=False)
-    )
-    batched = discover(
-        relation, DiscoveryConfig(threshold=0.1, find_ofds=False)
-    )
+    request = DiscoveryRequest(threshold=0.1, find_ofds=False)
+    reference = per_candidate(relation, request)
+    batched = discover(relation, request)
     _assert_identical(batched, reference)
     assert batched.num_ofds == 0

@@ -1,4 +1,5 @@
-"""Tests for DiscoveryConfig, DiscoveryStatistics and the phase timers."""
+"""Tests for the run description (DiscoveryRequest plus the engine's
+backend and thread cap), DiscoveryStatistics and the phase timers."""
 
 import os
 import subprocess
@@ -9,63 +10,77 @@ from pathlib import Path
 import pytest
 
 from repro.backend.numpy_backend import NumpyBackend
-from repro.discovery.config import DiscoveryConfig
+from repro.dataset.examples import employee_salary_table
+from repro.discovery.config import DiscoveryRequest
+from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.stats import DiscoveryStatistics, PhaseTimer
 
 
 class TestDiscoveryConfig:
+    """The checks a run description makes when it is built: the request
+    checks its own fields, the engine its backend and thread cap."""
+
     def test_defaults(self):
-        config = DiscoveryConfig()
-        assert config.threshold == 0.0
-        assert config.validator == "optimal"
-        assert config.is_exact
+        request = DiscoveryRequest()
+        assert request.threshold == 0.0
+        assert request.validator == "optimal"
+        assert request.is_exact
 
     def test_exact_factory(self):
-        config = DiscoveryConfig.exact()
-        assert config.is_exact
-        assert config.validator == "exact"
+        request = DiscoveryRequest.exact()
+        assert request.is_exact
+        assert request.validator == "exact"
 
     def test_approximate_factory(self):
-        config = DiscoveryConfig.approximate(threshold=0.2, validator="iterative")
-        assert config.threshold == 0.2
-        assert config.validator == "iterative"
-        assert not config.is_exact
+        request = DiscoveryRequest.approximate(threshold=0.2,
+                                               validator="iterative")
+        assert request.threshold == 0.2
+        assert request.validator == "iterative"
+        assert not request.is_exact
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            DiscoveryConfig(threshold=1.5)
-        with pytest.raises(ValueError):
-            DiscoveryConfig(threshold=-0.1)
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                DiscoveryRequest(threshold=bad)
 
     def test_invalid_validator(self):
         with pytest.raises(ValueError):
-            DiscoveryConfig(validator="magic")
+            DiscoveryRequest(validator="magic")
 
     def test_exact_validator_with_threshold_rejected(self):
         with pytest.raises(ValueError):
-            DiscoveryConfig(threshold=0.1, validator="exact")
+            DiscoveryRequest(threshold=0.1, validator="exact")
 
     def test_invalid_max_level(self):
         with pytest.raises(ValueError):
-            DiscoveryConfig(max_level=0)
+            DiscoveryRequest(max_level=0)
+
+    def test_duplicate_attributes_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            DiscoveryRequest(attributes=["pos", "pos"])
+        with pytest.raises(ValueError, match="repeat"):
+            DiscoveryRequest.from_dict({"attributes": ["sal", "pos", "sal"]})
 
     def test_backend_is_a_name_or_an_instance(self):
+        relation = employee_salary_table()
         for name in ("auto", "python", "numpy"):
-            assert DiscoveryConfig(backend=name).backend == name
+            engine = DiscoveryEngine(relation, backend=name)
+            assert engine.backend.name == ("numpy" if name == "auto" else name)
         backend = NumpyBackend()
-        assert DiscoveryConfig(backend=backend).backend is backend
+        assert DiscoveryEngine(relation, backend=backend).backend is backend
         for bad in ("cuda", "NumPy", object(), 1):
             with pytest.raises(ValueError):
-                DiscoveryConfig(backend=bad)
+                DiscoveryEngine(relation, backend=bad)
 
     def test_building_configs_leaves_numpy_unloaded(self):
-        """``import repro`` and building configurations and requests never
+        """``import repro`` and building and serialising requests never
         import NumPy: it loads on first backend use, so a process pays for
         it only once it computes."""
         script = (
             "import sys, repro\n"
-            "repro.DiscoveryConfig(backend='numpy')\n"
-            "repro.DiscoveryRequest(threshold=0.1)\n"
+            "repro.DiscoveryRequest.exact(max_level=2)\n"
+            "request = repro.DiscoveryRequest(threshold=0.1, attributes=['a'])\n"
+            "repro.DiscoveryRequest.from_json(request.to_json())\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
         src = Path(__file__).resolve().parents[2] / "src"

@@ -19,7 +19,7 @@ from repro.dataset.generators import generate_random_table
 from repro.dataset.relation import Relation
 from repro.dependencies.oc import CanonicalOC
 from repro.dependencies.ofd import OFD
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.events import LevelStarted
 from repro.validation.approx_oc_optimal import validate_aoc_optimal
@@ -103,13 +103,13 @@ class TestAgainstOracleExhaustive:
     def test_employee_table_subset(self, threshold):
         relation = employee_salary_table()
         attributes = ["pos", "exp", "sal", "taxGrp"]
-        config = DiscoveryConfig(
+        request = DiscoveryRequest(
             threshold=threshold,
             validator="optimal" if threshold else "exact",
             attributes=attributes,
             prune_exhausted_nodes=False,
         )
-        result = DiscoveryEngine(relation, config).run()
+        result = DiscoveryEngine(relation, request).run()
         assert _reported_ocs(result) == _oracle_ocs(relation, attributes, threshold)
         assert _reported_ofds(result) == _oracle_ofds(relation, attributes, threshold)
 
@@ -118,19 +118,19 @@ class TestAgainstOracleExhaustive:
         relation = generate_random_table(40, 4, cardinality=3, seed=seed)
         attributes = relation.attribute_names
         threshold = 0.1
-        config = DiscoveryConfig(
+        request = DiscoveryRequest(
             threshold=threshold,
             validator="optimal",
             prune_exhausted_nodes=False,
         )
-        result = DiscoveryEngine(relation, config).run()
+        result = DiscoveryEngine(relation, request).run()
         assert _reported_ocs(result) == _oracle_ocs(relation, attributes, threshold)
         assert _reported_ofds(result) == _oracle_ofds(relation, attributes, threshold)
 
     def test_exact_discovery_on_random_table(self):
         relation = generate_random_table(30, 4, cardinality=2, seed=9)
-        config = DiscoveryConfig.exact(prune_exhausted_nodes=False)
-        result = DiscoveryEngine(relation, config).run()
+        request = DiscoveryRequest.exact(prune_exhausted_nodes=False)
+        result = DiscoveryEngine(relation, request).run()
         assert _reported_ocs(result) == _oracle_ocs(
             relation, relation.attribute_names, 0.0
         )
@@ -143,8 +143,8 @@ class TestSoundnessWithPruning:
     def test_reported_dependencies_are_valid_and_minimal(self):
         relation = employee_salary_table()
         threshold = 0.15
-        config = DiscoveryConfig.approximate(threshold=threshold)
-        result = DiscoveryEngine(relation, config).run()
+        request = DiscoveryRequest.approximate(threshold=threshold)
+        result = DiscoveryEngine(relation, request).run()
         assert result.num_ocs > 0
         for found in result.ocs:
             check = validate_aoc_optimal(relation, found.oc)
@@ -172,10 +172,10 @@ class TestSoundnessWithPruning:
                 attributes=attributes,
             )
             pruned = DiscoveryEngine(
-                relation, DiscoveryConfig(prune_exhausted_nodes=True, **kwargs)
+                relation, DiscoveryRequest(prune_exhausted_nodes=True, **kwargs)
             ).run()
             full = DiscoveryEngine(
-                relation, DiscoveryConfig(prune_exhausted_nodes=False, **kwargs)
+                relation, DiscoveryRequest(prune_exhausted_nodes=False, **kwargs)
             ).run()
             assert _reported_ocs(pruned) <= _reported_ocs(full)
             assert _reported_ofds(pruned) == _reported_ofds(full)
@@ -184,8 +184,8 @@ class TestSoundnessWithPruning:
 class TestEngineBehaviour:
     def test_attribute_subset_restricts_search(self):
         relation = employee_salary_table()
-        config = DiscoveryConfig.exact(attributes=["sal", "taxGrp"])
-        result = DiscoveryEngine(relation, config).run()
+        request = DiscoveryRequest.exact(attributes=["sal", "taxGrp"])
+        result = DiscoveryEngine(relation, request).run()
         mentioned = set()
         for found in result.ocs:
             mentioned |= found.oc.attributes()
@@ -196,36 +196,36 @@ class TestEngineBehaviour:
     def test_unknown_attribute_rejected(self):
         with pytest.raises(KeyError):
             DiscoveryEngine(
-                employee_salary_table(), DiscoveryConfig(attributes=["nope"])
+                employee_salary_table(), DiscoveryRequest(attributes=["nope"])
             )
 
     def test_max_level_caps_search(self):
         relation = employee_salary_table()
-        config = DiscoveryConfig.exact(max_level=2)
-        result = DiscoveryEngine(relation, config).run()
+        request = DiscoveryRequest.exact(max_level=2)
+        result = DiscoveryEngine(relation, request).run()
         assert result.stats.levels_processed <= 2
         assert all(found.level <= 2 for found in result.ocs)
 
     def test_time_limit_marks_timed_out(self):
         relation = generate_random_table(400, 8, cardinality=6, seed=1)
-        config = DiscoveryConfig.approximate(
+        request = DiscoveryRequest.approximate(
             threshold=0.1, time_limit_seconds=0.001
         )
-        result = DiscoveryEngine(relation, config).run()
+        result = DiscoveryEngine(relation, request).run()
         assert result.timed_out
 
     def test_find_ofds_disabled(self):
         relation = employee_salary_table()
-        config = DiscoveryConfig.exact(find_ofds=False)
-        result = DiscoveryEngine(relation, config).run()
+        request = DiscoveryRequest.exact(find_ofds=False)
+        result = DiscoveryEngine(relation, request).run()
         assert result.num_ofds == 0
         assert result.num_ocs > 0
 
     def test_progress_callback_invoked(self):
         """Level progress is the ``LevelStarted`` events of the stream: one
         per level, in order, carrying the level's node count."""
-        config = DiscoveryConfig.exact(attributes=["pos", "sal", "taxGrp"])
-        events = list(DiscoveryEngine(employee_salary_table(), config).iter_events())
+        request = DiscoveryRequest.exact(attributes=["pos", "sal", "taxGrp"])
+        events = list(DiscoveryEngine(employee_salary_table(), request).iter_events())
         started = [
             (event.level, event.num_nodes)
             for event in events if isinstance(event, LevelStarted)
@@ -237,7 +237,7 @@ class TestEngineBehaviour:
 
     def test_stats_are_populated(self):
         relation = employee_salary_table()
-        result = DiscoveryEngine(relation, DiscoveryConfig.approximate(0.1)).run()
+        result = DiscoveryEngine(relation, DiscoveryRequest.approximate(0.1)).run()
         stats = result.stats
         assert stats.total_seconds > 0
         assert stats.oc_candidates_validated > 0
@@ -251,10 +251,10 @@ class TestEngineBehaviour:
         relation = employee_salary_table()
         threshold = 0.2
         optimal = DiscoveryEngine(
-            relation, DiscoveryConfig.approximate(threshold, "optimal")
+            relation, DiscoveryRequest.approximate(threshold, "optimal")
         ).run()
         iterative = DiscoveryEngine(
-            relation, DiscoveryConfig.approximate(threshold, "iterative")
+            relation, DiscoveryRequest.approximate(threshold, "iterative")
         ).run()
         # Pruning differences can change which candidates are *generated*
         # downstream, but on this small table the direct containment holds

@@ -1,13 +1,15 @@
-"""Tests for the typed JSON service boundary:
-``DiscoveryRequest`` ⇄ ``DiscoveryConfig`` and
-``DiscoveryResult.to_json()`` / ``from_json()``."""
+"""Tests for the typed JSON service boundary: ``DiscoveryRequest``, the
+one description of a run, and ``DiscoveryResult.to_json()`` /
+``from_json()``."""
 
 import json
 
 import pytest
 
 from repro.dataset.examples import employee_salary_table
+from repro.discovery.api import discover
 from repro.discovery.config import DiscoveryRequest
+from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.results import DiscoveredOC, DiscoveredOFD, DiscoveryResult
 from repro.discovery.session import Profiler
 from repro.discovery.stats import DiscoveryStatistics
@@ -15,19 +17,25 @@ from repro.discovery.stats import DiscoveryStatistics
 
 class TestDiscoveryRequest:
     def test_defaults_mirror_config(self):
+        """An engine given no request runs the default request, with the
+        default thread cap."""
         request = DiscoveryRequest()
-        config = request.to_config()
-        assert config.threshold == 0.0
-        assert config.validator == "optimal"
-        assert config.num_workers == 1
+        assert request.threshold == 0.0
+        assert request.validator == "optimal"
+        engine = DiscoveryEngine(employee_salary_table())
+        assert engine.request == request
+        assert engine.num_workers == 1
 
     def test_round_trip_through_config(self):
+        """A run's result carries its request unchanged, also across the
+        JSON boundary."""
         request = DiscoveryRequest(
-            threshold=0.2, validator="iterative", attributes=["a", "b"],
-            max_level=3, time_limit_seconds=1.5, find_ofds=False,
+            threshold=0.2, validator="iterative", attributes=["sal", "tax"],
+            max_level=3, time_limit_seconds=60.0, find_ofds=False,
         )
-        config = request.to_config()
-        assert DiscoveryRequest.from_config(config) == request
+        result = discover(employee_salary_table(), request)
+        assert result.request == request
+        assert DiscoveryResult.from_dict(result.to_dict()).request == request
 
     def test_json_round_trip(self):
         request = DiscoveryRequest(threshold=0.1, attributes=["x", "y"],
@@ -40,11 +48,15 @@ class TestDiscoveryRequest:
         assert payload["validator"] == "optimal"
 
     def test_session_parameters_fill_in(self):
+        """The session hands its backend and thread cap to the engine; the
+        request stays as it was."""
         request = DiscoveryRequest(threshold=0.1)
-        config = request.to_config(backend="python", num_workers=3)
-        assert config.num_workers == 3
-        assert config.backend == "python"
-        assert DiscoveryRequest.from_config(config) == request
+        with Profiler(employee_salary_table(), backend="python",
+                      num_workers=3) as session:
+            result = session.discover(request)
+        assert result.request is request
+        assert result.stats.num_workers == 3
+        assert result.stats.backend == "python"
 
     def test_thread_cap_is_not_a_request_field(self):
         """The session owns the thread cap: a request naming one is refused
@@ -159,11 +171,11 @@ class TestDiscoveryResultJson:
 
     def test_round_trip_request(self, result):
         restored = DiscoveryResult.from_json(result.to_json())
-        assert restored.config.threshold == result.config.threshold
-        assert restored.config.validator == result.config.validator
-        assert restored.config.num_workers == result.config.num_workers
-        # Live objects don't cross the boundary; the backend travels by name.
+        assert restored.request == result.request
+        # Live objects don't cross the boundary: the backend travels by
+        # name and the thread cap as a count, both in the stats.
         assert restored.stats.backend == result.stats.backend
+        assert restored.stats.num_workers == result.stats.num_workers
 
     def test_json_payload_shape(self, result):
         payload = json.loads(result.to_json())
@@ -188,6 +200,36 @@ class TestDiscoveryResultJson:
         restored = DiscoveryResult.from_json(partial.to_json())
         assert restored.timed_out
         assert restored.completed_levels == partial.completed_levels
+
+    @pytest.mark.parametrize(
+        "kind", ["exact", "optimal", "iterative", "session"]
+    )
+    def test_every_kind_of_result_round_trips(self, kind):
+        """``from_dict`` rebuilds a result whose dict form and request are
+        the original's, for one-shot runs of each validator and for a warm
+        session run."""
+        relation = employee_salary_table()
+        if kind == "session":
+            request = DiscoveryRequest(threshold=0.15, max_level=3)
+            with Profiler(relation, num_workers=2) as session:
+                session.discover(DiscoveryRequest(threshold=0.2))
+                result = session.discover(request)
+            assert result.stats.validation_memo_hits > 0
+        else:
+            request = {
+                "exact": DiscoveryRequest.exact(),
+                "optimal": DiscoveryRequest.approximate(
+                    0.1, attributes=["pos", "exp", "sal", "taxGrp"]),
+                "iterative": DiscoveryRequest.approximate(
+                    0.1, validator="iterative", find_ofds=False),
+            }[kind]
+            result = discover(relation, request, num_workers=2)
+        assert result.request is request
+        restored = DiscoveryResult.from_dict(result.to_dict())
+        assert restored.to_dict() == result.to_dict()
+        assert restored.request == result.request
+        assert DiscoveryResult.from_json(result.to_json()).to_json() \
+            == result.to_json()
 
 
 class TestDependencyDicts:

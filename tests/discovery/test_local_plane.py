@@ -24,7 +24,6 @@ import contextlib
 import os
 import sys
 import threading
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -35,7 +34,7 @@ from repro.backend import get_backend
 from repro.dataset.generators import generate_flight_like
 from repro.dataset.relation import Relation
 from repro.discovery.api import discover, discover_aods, discover_ods
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import Profiler
 from repro.validation.distributed import ColumnPlane
@@ -130,15 +129,14 @@ def _warm_session(base, delta, validator, backend, num_workers):
 def test_threaded_equals_inline(relation, validator):
     reference = None
     for backend, kernels_off in KERNEL_LEGS:
-        config = DiscoveryConfig(backend=backend, **VALIDATORS[validator])
+        request = DiscoveryRequest(**VALIDATORS[validator])
         with _kernels_off(kernels_off):
             with _cores(1):
-                inline = discover(relation, config)
+                inline = discover(relation, request, backend=backend)
             for num_workers in WORKER_COUNTS:
                 with _cores(8):
-                    threaded = discover(
-                        relation, replace(config, num_workers=num_workers)
-                    )
+                    threaded = discover(relation, request, backend=backend,
+                                        num_workers=num_workers)
                     public = _one_shot(relation, validator, backend,
                                        num_workers)
                 _assert_same(threaded, inline)
@@ -210,14 +208,14 @@ def test_more_threads_than_cores_with_frequent_switches_equal_inline():
     relation = generate_flight_like(
         2000, num_attributes=6, error_rate=0.1, seed=11
     ).relation
-    config = DiscoveryConfig(threshold=0.1)
+    request = DiscoveryRequest(threshold=0.1)
     with _cores(1):
-        reference = discover(relation, config)
+        reference = discover(relation, request)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with _cores(8):
-            stressed = discover(relation, config)
+            stressed = discover(relation, request)
     finally:
         sys.setswitchinterval(interval)
     _assert_same(stressed, reference)
@@ -253,13 +251,13 @@ def test_native_counts_run_on_plane_threads_unless_one_core(on_main_thread):
     native kernel and two cores the OC batches run on plane threads, and
     with one core they run inline."""
     relation = _small_relation()
-    config = DiscoveryConfig(threshold=0.1, backend="numpy")
+    request = DiscoveryRequest(threshold=0.1)
     with _cores(2):
-        discover(relation, config)
+        discover(relation, request, backend="numpy")
     assert on_main_thread and not any(on_main_thread)
     on_main_thread.clear()
     with _cores(1):
-        discover(relation, config)
+        discover(relation, request, backend="numpy")
     assert on_main_thread and all(on_main_thread)
 
 
@@ -339,7 +337,7 @@ def test_cancel_with_groups_in_flight(monkeypatch):
         assert oc_contexts == {0}
         armed.clear()
         rerun = session.discover(request)
-    cold = discover(relation, DiscoveryConfig(threshold=0.1, backend=backend))
+    cold = discover(relation, DiscoveryRequest(threshold=0.1), backend=backend)
     assert not rerun.cancelled
     assert rerun.ocs == cold.ocs
     assert rerun.ofds == cold.ofds
@@ -376,7 +374,7 @@ def test_kernel_error_on_a_plane_thread_surfaces_at_harvest(monkeypatch):
     ).relation
     baseline = set(threading.enumerate())
     with pytest.raises(KernelBoom, match="kernel failed"):
-        discover(relation, DiscoveryConfig(threshold=0.1, backend=backend))
+        discover(relation, DiscoveryRequest(threshold=0.1), backend=backend)
     assert raised_on and all(n.startswith("repro-oc") for n in raised_on)
     assert len(harvest_errors) == 1
     assert set(threading.enumerate()) <= baseline

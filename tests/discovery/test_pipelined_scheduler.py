@@ -17,7 +17,7 @@ from repro.dataset.generators import generate_flight_like
 from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
 from repro.discovery.api import discover
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import CancellationToken, Profiler
 from repro.incremental.delta import rows_to_columns
@@ -54,13 +54,13 @@ def _assert_identical(result, reference):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_workers", [2, 4])
 def test_pipelined_equals_synchronous(backend, num_workers, plane_threads):
-    synchronous = discover(
-        RELATION, DiscoveryConfig(threshold=0.1, backend=backend),
+    request = DiscoveryRequest(threshold=0.1)
+    synchronous = discover(RELATION, request, backend=backend)
+    pipelined = discover(RELATION, request, backend=backend,
+                         num_workers=num_workers)
+    assert plane_threads.seen[-1] == plane_threads.expected(
+        backend, request, num_workers
     )
-    config = DiscoveryConfig(threshold=0.1, backend=backend,
-                             num_workers=num_workers)
-    pipelined = discover(RELATION, config)
-    assert plane_threads.seen[-1] == plane_threads.expected(backend, config)
     _assert_identical(pipelined, synchronous)
     assert pipelined.stats.num_workers == num_workers
     assert synchronous.stats.num_workers == 1
@@ -68,12 +68,9 @@ def test_pipelined_equals_synchronous(backend, num_workers, plane_threads):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_pipelined_equals_per_candidate_reference(backend, per_candidate):
-    reference = per_candidate(
-        RELATION, DiscoveryConfig(threshold=0.1, backend=backend)
-    )
-    pipelined = discover(
-        RELATION, DiscoveryConfig(threshold=0.1, backend=backend, num_workers=2)
-    )
+    request = DiscoveryRequest(threshold=0.1)
+    reference = per_candidate(RELATION, request, backend=backend)
+    pipelined = discover(RELATION, request, backend=backend, num_workers=2)
     assert pipelined.ocs == reference.ocs
     assert pipelined.ofds == reference.ofds
 
@@ -86,7 +83,7 @@ def test_pipelined_inert_without_workers():
 
     tracer = Tracer()
     with use_tracer(tracer):
-        result = discover(RELATION, DiscoveryConfig(threshold=0.1))
+        result = discover(RELATION, DiscoveryRequest(threshold=0.1))
     names = {span.name for span in tracer.finished_spans()}
     assert {"oc-submit", "oc-harvest"} <= names
     assert "oc-batch" not in names
@@ -109,18 +106,22 @@ def test_extend_then_discover_on_reused_pool_matches_cold(backend,
     delta_rows = [donor.row(i) for i in range(260, 300)]
     request = DiscoveryRequest(threshold=0.1)
 
-    config = request.to_config(backend=backend, num_workers=2)
+    run = dict(backend=backend, num_workers=2)
     encoded = base.encoded(backend)
     partitions = PartitionCache(encoded)
-    warm_before = DiscoveryEngine(base, config, partitions=partitions).run()
+    warm_before = DiscoveryEngine(base, request, partitions=partitions,
+                                  **run).run()
     assert warm_before.stats.num_workers == 2
     columns = rows_to_columns(base.schema, delta_rows)
     extended, _ = encoded.extend(columns)
     grown = base.concat(Relation(base.schema, columns))
     grown.adopt_encoding(extended)
     assert partitions.apply_delta(extended, base.num_rows)
-    warm_after = DiscoveryEngine(grown, config, partitions=partitions).run()
-    assert plane_threads.seen == [plane_threads.expected(backend, config)] * 2
+    warm_after = DiscoveryEngine(grown, request, partitions=partitions,
+                                 **run).run()
+    assert plane_threads.seen == [
+        plane_threads.expected(backend, request, 2)
+    ] * 2
 
     concatenated = base.concat(Relation(
         base.schema,
@@ -153,10 +154,7 @@ def test_repeated_extends_keep_reused_pool_correct(backend):
             session.extend([donor.row(i) for i in range(start, stop)])
             assert session.dataset_version == step
             warm = session.discover(request)
-            cold = discover(
-                session.relation,
-                DiscoveryConfig(threshold=0.12, backend=backend),
-            )
+            cold = discover(session.relation, request, backend=backend)
             assert warm.ocs == cold.ocs
             assert warm.ofds == cold.ofds
 
@@ -178,7 +176,7 @@ def test_cancelled_pipelined_run_leaves_pool_usable():
                     token.cancel()
         rerun = session.discover(request)
         assert not rerun.cancelled
-    reference = discover(relation, DiscoveryConfig(threshold=0.1))
+    reference = discover(relation, request)
     assert rerun.ocs == reference.ocs
     assert rerun.ofds == reference.ofds
 
@@ -188,8 +186,9 @@ def test_exact_discovery_batched_through_holds_batch(backend, per_candidate):
     """Exact mode routes each context group through the batch count
     kernels at limit 0; results and counters must keep matching the
     per-candidate reference."""
-    reference = per_candidate(RELATION, DiscoveryConfig.exact(backend=backend))
-    batched = discover(RELATION, DiscoveryConfig.exact(backend=backend))
+    request = DiscoveryRequest.exact()
+    reference = per_candidate(RELATION, request, backend=backend)
+    batched = discover(RELATION, request, backend=backend)
     assert batched.ocs == reference.ocs
     assert batched.ofds == reference.ofds
     for name in ("oc_candidates_validated", "ofd_candidates_validated",

@@ -2,13 +2,13 @@
 
 from repro.dependencies.oc import CanonicalOC
 from repro.dependencies.ofd import OFD
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.results import DiscoveredOC, DiscoveredOFD, DiscoveryResult
 
 
 def _result_with(ocs=(), ofds=()):
     return DiscoveryResult(
-        config=DiscoveryConfig.approximate(threshold=0.1),
+        request=DiscoveryRequest.approximate(threshold=0.1),
         num_rows=100,
         attributes=["a", "b", "c"],
         ocs=list(ocs),

@@ -132,7 +132,7 @@ class TestSweep:
         thresholds = [0.05, 0.10, 0.15]
         with Profiler(relation, backend=backend) as session:
             swept = session.sweep(thresholds)
-        assert [r.config.threshold for r in swept] == thresholds
+        assert [r.request.threshold for r in swept] == thresholds
         for threshold, result in zip(thresholds, swept):
             reference = discover_aods(
                 relation, threshold=threshold, backend=backend
@@ -164,7 +164,7 @@ class TestSweep:
         assert sum(r.cancelled for r in produced) == 1
         for threshold, result in zip(thresholds, results):
             if result is not None:
-                assert result.config.threshold == threshold
+                assert result.request.threshold == threshold
 
     def test_sweep_respects_request_parameters(self):
         relation = WORKLOADS["table1"]
@@ -172,7 +172,7 @@ class TestSweep:
             swept = session.sweep(
                 [0.1, 0.2], request=DiscoveryRequest(max_level=2)
             )
-        assert all(r.config.max_level == 2 for r in swept)
+        assert all(r.request.max_level == 2 for r in swept)
         assert all(f.level <= 2 for r in swept for f in r.ocs)
 
 
@@ -204,9 +204,7 @@ class TestEventStream:
 
     def test_engine_run_is_thin_stream_consumer(self):
         relation = WORKLOADS["table1"]
-        engine = DiscoveryEngine(
-            relation, DiscoveryRequest(threshold=0.15).to_config()
-        )
+        engine = DiscoveryEngine(relation, DiscoveryRequest(threshold=0.15))
         result = engine.run()
         reference = discover_aods(relation, threshold=0.15)
         _assert_identical(result, reference)
@@ -346,8 +344,8 @@ class TestPoolLifecycle:
 
     def test_engine_owned_pool_closed_when_stream_abandoned(self):
         relation = WORKLOADS["flight"]
-        config = DiscoveryRequest(threshold=0.1).to_config(num_workers=2)
-        engine = DiscoveryEngine(relation, config)
+        engine = DiscoveryEngine(relation, DiscoveryRequest(threshold=0.1),
+                                 num_workers=2)
         before = len(multiprocessing.active_children())
         stream = engine.iter_events()
         next(stream)  # the plane's threads open at stream start

@@ -93,7 +93,7 @@ def test_iterative_counts_are_purged_and_recounted(backend):
         assert set(counts) <= removed
         outcome = session.discover_incremental(request)
     assert outcome.result.stats.validation_memo_hits > 0
-    cold = discover(relation, request.to_config(backend))
+    cold = discover(relation, request, backend=backend)
     assert outcome.result.ocs == cold.ocs
     assert outcome.result.ofds == cold.ofds
 
@@ -132,7 +132,7 @@ def test_memo_answered_discover_reads_no_partition(backend, monkeypatch):
     request = DiscoveryRequest(threshold=0.1)
     session.extend(delta)
     session.discover(request)
-    expected = discover(session.relation, request.to_config(backend))
+    expected = discover(session.relation, request, backend=backend)
     calls = []
     real = PartitionCache.get
 

@@ -70,7 +70,8 @@ def _cold_result(base, appended_rows, backend, request, num_workers=1):
         for name, value in zip(base.attribute_names, row):
             columns[name].append(value)
     concatenated = base.concat(Relation(base.schema, columns))
-    return discover(concatenated, request.to_config(backend, num_workers))
+    return discover(concatenated, request, backend=backend,
+                    num_workers=num_workers)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -148,9 +149,7 @@ def test_append_sequence_matches_cold_with_workers(plane_threads):
         outcome = session.discover_incremental(request)
     cold = _cold_result(base, appended, "numpy", request, num_workers=2)
     assert _result_payload(outcome.result) == _result_payload(cold)
-    two = plane_threads.expected(
-        "numpy", request.to_config(backend="numpy", num_workers=2)
-    )
+    two = plane_threads.expected("numpy", request, 2)
     assert plane_threads.seen == [two, 0, two]
 
 
@@ -202,7 +201,6 @@ def test_memo_adjustment_matches_fresh_kernels(backend):
         session.extend([donor.row(i) for i in range(15)])
         memo = dict(session.validation_memo)
         encoded = session.encoded
-        config = request.to_config()
         limit = removal_limit(session.relation.num_rows, request.threshold)
         checked = 0
         # Keys hold a context mask and bit positions in name order.

@@ -93,8 +93,8 @@ def test_bounded_session_incremental_still_byte_identical(backend):
     for row in rows:
         for name, value in zip(base.attribute_names, row):
             columns[name].append(value)
-    cold = discover(base.concat(Relation(base.schema, columns)),
-                    request.to_config(backend))
+    cold = discover(base.concat(Relation(base.schema, columns)), request,
+                    backend=backend)
     assert outcome.result.ocs == cold.ocs
     assert outcome.result.ofds == cold.ofds
 
@@ -116,7 +116,7 @@ def test_append_under_a_tight_bound_matches_cold(backend, seed, bound):
         session.discover(request)
         session.extend(rows)
         outcome = session.discover_incremental(request)
-    cold = discover(relation, request.to_config(backend))
+    cold = discover(relation, request, backend=backend)
     assert outcome.result.ocs == cold.ocs
     assert outcome.result.ofds == cold.ofds
 
@@ -142,7 +142,7 @@ def test_append_under_a_tight_bound_keeps_memo_entries(backend):
             assert kept > summary.invalidated_memo_entries
             assert session.cache_info()["entries"] == 0
             outcome = session.discover_incremental(request)
-            cold = discover(relation.take(range(start + 30)),
-                            request.to_config(backend))
+            cold = discover(relation.take(range(start + 30)), request,
+                            backend=backend)
             assert outcome.result.ocs == cold.ocs
             assert outcome.result.ofds == cold.ofds

@@ -46,8 +46,7 @@ def test_thread_cap_is_the_servers(plane_threads):
             "dataset": "demo", "request": REQUEST.to_dict(),
         })
         assert status == 200
-    config = REQUEST.to_config(num_workers=2)
-    assert plane_threads.seen == [plane_threads.expected(None, config)]
+    assert plane_threads.seen == [plane_threads.expected(None, REQUEST, 2)]
     assert plane_threads.seen[0] <= 2
     assert payload["stats"]["num_workers"] == 2
 

@@ -1,4 +1,4 @@
-"""Tests for the ``repro`` command-line interface (subcommands + legacy)."""
+"""Tests for the ``repro`` command-line interface (its subcommands)."""
 
 import pytest
 
@@ -72,24 +72,25 @@ class TestParser:
         assert args.max_cached_partitions == 16
 
 
-class TestLegacyForm:
-    """The historical ``repro-discover data.csv ...`` syntax keeps working."""
+class TestBareInvocation:
+    """Every invocation names a subcommand; ``repro discover data.csv`` is
+    the one form of a single run."""
 
-    def test_legacy_demo_run(self, capsys):
-        assert main(["--demo", "--threshold", "0.15", "--top", "3"]) == 0
-        output = capsys.readouterr().out
-        assert "Discovery mode: approximate" in output
-        assert "order compatibilities" in output
+    def test_bare_invocation_exits_2_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "discover" in err
 
-    def test_legacy_csv_first_argument(self, tmp_path, capsys):
+    def test_csv_without_subcommand_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "employees.csv"
         write_csv(employee_salary_table(), path)
-        assert main([str(path), "--threshold", "0.15"]) == 0
-        assert "Discovered:" in capsys.readouterr().out
-
-    def test_legacy_bare_invocation_is_an_error_not_a_crash(self, capsys):
-        assert main([]) == 2
-        assert "provide a CSV file or --demo" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(path), "--threshold", "0.15"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestDiscoverCommand:
@@ -120,6 +121,11 @@ class TestDiscoverCommand:
     def test_missing_input_is_an_error(self, capsys):
         assert main(["discover"]) == 2
         assert "provide a CSV file or --demo" in capsys.readouterr().err
+
+    def test_duplicate_attributes_are_an_error(self, capsys):
+        assert main(["discover", "--demo", "--attributes", "pos", "sal",
+                     "pos"]) == 2
+        assert "must not repeat a name" in capsys.readouterr().err
 
     def test_iterative_validator(self, capsys):
         assert main(["discover", "--demo", "--validator", "iterative"]) == 0
@@ -181,16 +187,16 @@ class TestServeCommand:
 
 
 class TestAmbiguousNames:
-    def test_csv_named_like_a_subcommand_warns(self, tmp_path, capsys,
-                                               monkeypatch):
+    def test_csv_named_like_a_subcommand_is_read_after_discover(
+            self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_csv(employee_salary_table(), tmp_path / "sweep")
-        # The subcommand wins, but the user is told how to reach the file.
+        # The first argument is always the subcommand: no file is read.
         assert main(["sweep", "--demo", "--thresholds", "0.1"]) == 0
-        assert "interpreting 'sweep' as the subcommand" in (
-            capsys.readouterr().err
-        )
-        # Explicit disambiguation profiles the file.
+        captured = capsys.readouterr()
+        assert "Warm session: 1 thresholds" in captured.out
+        assert captured.err == ""
+        # After the subcommand, the name is the file's.
         assert main(["discover", "sweep", "--threshold", "0.15"]) == 0
         assert "Discovered:" in capsys.readouterr().out
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.backend import get_backend
 from repro.dataset.generators import generate_planted_oc_table
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.validation.distributed import ColumnPlane, ShardedValidationPool
 
@@ -70,7 +70,7 @@ def test_columns_ship_once_per_worker_per_version(backend, monkeypatch):
     the encoding's own column objects, however often it is dispatched."""
     resolved, _, names, classes = _workload(backend)
     engine = DiscoveryEngine(
-        _relation(), DiscoveryConfig(threshold=0.1, backend=backend)
+        _relation(), DiscoveryRequest(threshold=0.1), backend=backend
     )
     encoded = engine.encoded
     pairs = [(names[1], names[2]), (names[2], names[1])]

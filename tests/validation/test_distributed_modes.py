@@ -13,7 +13,7 @@ from repro.dataset.generators import generate_flight_like, generate_planted_oc_t
 from repro.dataset.partition import PartitionCache
 from repro.dataset.relation import Relation
 from repro.dependencies.oc import CanonicalOC
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import Profiler
 from repro.incremental.delta import rows_to_columns
@@ -31,7 +31,7 @@ def _planted():
 
 def _engine(relation, backend):
     return DiscoveryEngine(
-        relation, DiscoveryConfig(threshold=0.1, backend=backend)
+        relation, DiscoveryRequest(threshold=0.1), backend=backend
     )
 
 
@@ -183,10 +183,10 @@ def test_sharded_pool_rejects_stale_columns(monkeypatch):
         return real_count(self, classes, pairs, limit)
 
     # No memo: every OC of the run after the append is counted again.
-    config = request.to_config(backend)
     encoded = base.encoded(backend)
     partitions = PartitionCache(encoded)
-    DiscoveryEngine(base, config, partitions=partitions).run()
+    DiscoveryEngine(base, request, backend=backend,
+                    partitions=partitions).run()
     columns = rows_to_columns(base.schema, delta_rows)
     extended, _ = encoded.extend(columns)
     relation = base.concat(Relation(base.schema, columns))
@@ -194,7 +194,8 @@ def test_sharded_pool_rejects_stale_columns(monkeypatch):
     partitions.apply_delta(extended, base.num_rows)
     monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
                         recording_count)
-    grown = DiscoveryEngine(relation, config, partitions=partitions).run()
+    grown = DiscoveryEngine(relation, request, backend=backend,
+                            partitions=partitions).run()
     monkeypatch.setattr(backend_cls, "oc_optimal_removal_count_batch",
                         real_count)
     assert relation.num_rows == 300

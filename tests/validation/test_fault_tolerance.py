@@ -26,7 +26,7 @@ from repro.backend import get_backend
 from repro.dataset.generators import generate_flight_like, generate_planted_oc_table
 from repro.dataset.partition import PartitionCache
 from repro.discovery.api import discover
-from repro.discovery.config import DiscoveryConfig, DiscoveryRequest
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.discovery.session import Profiler
 from repro.validation.distributed import ColumnPlane, ShardedValidationPool
@@ -115,8 +115,8 @@ def _inline_reference(relation, backend):
     """A cold run counting inline: the reference every recovery must
     equal."""
     with mock.patch.object(DiscoveryEngine, "_oc_threads", lambda self: 0):
-        return discover(relation, DiscoveryConfig(threshold=0.1,
-                                                  backend=backend))
+        return discover(relation, DiscoveryRequest(threshold=0.1),
+                        backend=backend)
 
 
 _BASELINES = {}
@@ -162,7 +162,7 @@ def test_discovery_survives_randomized_worker_kill(backend, seed, memo,
         if memo:
             return session.discover(request)
         return DiscoveryEngine(
-            RELATION, request.to_config(backend, num_workers=2),
+            RELATION, request, backend=backend, num_workers=2,
             partitions=partitions,
         ).run()
 
@@ -284,7 +284,8 @@ def test_inline_fallback_errors_are_structured_too(monkeypatch):
         _threads(monkeypatch, threads)
         fault = FaultyKernel(monkeypatch, backend)
         with pytest.raises(KernelFault) as info:
-            discover(RELATION, DiscoveryConfig(threshold=0.1, backend=backend))
+            discover(RELATION, DiscoveryRequest(threshold=0.1),
+                     backend=backend)
         errors[threads] = info.value
         (fired_on,) = fault.fired_on
         assert fired_on.startswith("repro-oc") == bool(threads)

@@ -11,7 +11,7 @@ import pytest
 
 from _baselines import discover_fds_tane
 from repro.dataset.examples import employee_salary_table
-from repro.discovery.config import DiscoveryConfig
+from repro.discovery.config import DiscoveryRequest
 from repro.discovery.engine import DiscoveryEngine
 from repro.validation.common import removal_limit
 
@@ -47,7 +47,7 @@ class TestSharedRouting:
     def test_engine_budget_comes_from_removal_limit(self):
         relation = employee_salary_table()  # 9 rows
         engine = DiscoveryEngine(
-            relation, DiscoveryConfig(threshold=3 / relation.num_rows)
+            relation, DiscoveryRequest(threshold=3 / relation.num_rows)
         )
         assert engine._removal_limit == removal_limit(relation.num_rows, 3 / 9)
         assert engine._removal_limit == 3
